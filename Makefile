@@ -141,11 +141,25 @@ shard-smoke:
 # pipeline) to beat the pre-widening best on a bandwidth-bound GEMM.
 # Writes its report under _build/ so it never clobbers the committed
 # full-mode BENCH_tune.json (refresh that one with
-# `./_build/default/bench/main.exe --only tune`).
+# `./_build/default/bench/main.exe --only tune`). Then the CLI's compile
+# options: a guided, cycle-fidelity compile of a tiny model that writes a
+# tuning log and a schedule cache, and the same compile warm-started from
+# that log (a different cache key, so it tunes again).
+TUNE_SMOKE := _build/tune-smoke
+
 tune-smoke:
-	dune build bench/main.exe
+	dune build bench/main.exe bin/hidetc.exe
 	./_build/default/bench/main.exe --only tune --quick \
 	  --out _build/BENCH_tune.smoke.json
+	./_build/default/bin/hidetc.exe export -m tiny_separable \
+	  -o $(TUNE_SMOKE).hgf > /dev/null
+	rm -f $(TUNE_SMOKE).cache
+	./_build/default/bin/hidetc.exe compile --file $(TUNE_SMOKE).hgf \
+	  --search guided --fidelity cycle --tuning-log $(TUNE_SMOKE).tsv \
+	  --cache $(TUNE_SMOKE).cache > /dev/null
+	./_build/default/bin/hidetc.exe compile --file $(TUNE_SMOKE).hgf \
+	  --search guided --fidelity cycle --search-warm $(TUNE_SMOKE).tsv \
+	  --cache $(TUNE_SMOKE).cache > /dev/null
 
 # Cycle-fidelity smoke test: the fidelity bench in quick mode (a strided
 # sample of the schedule space on one shape). Its gates require the

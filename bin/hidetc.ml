@@ -156,9 +156,9 @@ let with_observability ~trace ~tuning_log ~summary f =
   if summary then Format.printf "@.%a@." Obs.Summary.pp events;
   result
 
-let print_profile (r : E.result) =
+let print_profile ~fidelity (r : E.result) =
   match r.E.plan with
-  | Some plan -> Format.printf "@.%a@." (Profiler.pp dev) plan
+  | Some plan -> Format.printf "@.%a@." (Profiler.pp ~fidelity dev) plan
   | None -> prerr_endline "engine produced no executable plan"
 
 let cache_arg =
@@ -195,8 +195,6 @@ let file_arg =
     & info [ "file"; "f" ] ~docv:"PATH"
         ~doc:"Compile a graph saved in the HGF text format instead of a zoo model.")
 
-(* Sets the process-global default so every plan execution in the command
-   (profiling, serving, response verification) uses the chosen backend. *)
 let backend_arg =
   let doc =
     "Simulator execution backend for plan runs: $(b,closure) \
@@ -211,11 +209,6 @@ let backend_arg =
     & opt (enum [ ("closure", `Closure); ("native", `Native) ]) `Closure
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-let set_backend backend = Hidet_sched.Compiled.set_default_backend backend
-
-(* Sets the process-global default fidelity, so tuning, profiling and the
-   latency breakdown all use the chosen model. Cycle-mode tuning results
-   are cached under distinct schedule-cache keys (#cycle suffix). *)
 let fidelity_arg =
   let doc =
     "Latency-model fidelity: $(b,analytic) (the paper's occupancy + \
@@ -230,11 +223,6 @@ let fidelity_arg =
     & opt (enum [ ("analytic", `Analytic); ("cycle", `Cycle) ]) `Analytic
     & info [ "fidelity" ] ~docv:"MODE" ~doc)
 
-let set_fidelity fidelity = Hidet_gpu.Perf_model.set_default_fidelity fidelity
-
-(* Sets the process-global default search mode (the engine interface is
-   generic, so the flag reaches the matmul tuner through
-   Search.for_matmul). *)
 let search_arg =
   let doc =
     "Schedule search strategy for the matmul space: $(b,exhaustive) \
@@ -259,18 +247,47 @@ let search_warm_arg =
            parse are used as training pairs). Ignored under \
            $(b,--search exhaustive).")
 
-let set_search mode warm =
-  Hidet_sched.Search.set_default_mode mode;
-  match warm with
-  | None -> ()
-  | Some path -> (
-    match Obs.Tuning_log.load_tsv path with
-    | Error msg -> Printf.eprintf "search warm-start: ignoring %s (%s)\n" path msg
-    | Ok trials ->
-      let pairs = Hidet_sched.Search.warm_of_trials trials in
-      Hidet_sched.Search.set_default_warm pairs;
-      Printf.printf "search warm-start: %d usable trials from %s\n"
-        (List.length pairs) path)
+let load_warm path =
+  match Obs.Tuning_log.load_tsv path with
+  | Error msg ->
+    Printf.eprintf "search warm-start: ignoring %s (%s)\n" path msg;
+    []
+  | Ok trials ->
+    let pairs = Hidet_sched.Search.warm_of_trials trials in
+    Printf.printf "search warm-start: %d usable trials from %s\n"
+      (List.length pairs) path;
+    pairs
+
+(* The hidet compile options that --search, --search-warm and --fidelity
+   select. A baseline engine ignores them, and says so. *)
+let hidet_options ~engine ~search ~search_warm ~fidelity =
+  if engine <> "hidet" then begin
+    if search <> `Exhaustive || fidelity <> `Analytic then
+      Printf.eprintf
+        "note: --fidelity/--search apply to the hidet engine (--engine %s \
+         ignores them)\n"
+        engine;
+    HE.default_options
+  end
+  else
+    let search =
+      match search with
+      | `Exhaustive -> Hidet_sched.Search.Exhaustive
+      | `Guided ->
+        let warm = Option.fold ~none:[] ~some:load_warm search_warm in
+        Hidet_sched.Search.guided_matmul ~warm ()
+    in
+    { HE.default_options with HE.fidelity; search }
+
+(* The named engine; "hidet" compiles with [options]. *)
+let engine_with options = function
+  | "hidet" ->
+    (module struct
+      include HE
+
+      let compile device g = snd (HE.compile_plan ~options device g)
+    end : E.S)
+  | name -> List.assoc name engines
 
 (* --- multi-device sharding flags ------------------------------------------- *)
 
@@ -357,14 +374,14 @@ let report_shard shard =
    under the strategy's contract (bitwise, or the ULP budget for
    tensor-reduce). Exits 1 on mismatch: the executable surface behind
    [make shard-smoke]. *)
-let verify_shard shard g =
+let verify_shard ~backend shard g =
   let inputs =
     List.mapi
       (fun i id ->
         Hidet_tensor.Tensor.rand ~seed:(1009 + i) (G.node_shape g id))
       (G.input_ids g)
   in
-  match Shard.verify shard inputs with
+  match Shard.verify ~backend shard inputs with
   | Ok msg ->
     Printf.printf "shard verify: %s\n" msg
   | Error msg ->
@@ -394,9 +411,13 @@ let compile_cmd =
   let run model batch engine dump_cuda breakdown file cache trace profile
       summary tuning_log backend search search_warm fidelity devices parallel
       microbatches do_verify =
-    set_backend backend;
-    set_search search search_warm;
-    set_fidelity fidelity;
+    let options =
+      (* Sharded compiles always use the hidet engine (see below). *)
+      hidet_options
+        ~engine:(if devices > 1 then "hidet" else engine)
+        ~search ~search_warm ~fidelity
+    in
+    let fidelity = options.HE.fidelity in
     let g = graph_of model file batch in
     if devices > 1 then begin
       (* Sharded compile always goes through the Hidet engine (fragments
@@ -411,20 +432,20 @@ let compile_cmd =
       let shard = ref None in
       with_observability ~trace ~tuning_log ~summary (fun () ->
           with_schedule_cache cache (fun () ->
-              shard := Some (Shard.plan ~strategy cl g)));
+              shard := Some (Shard.plan ~options ~strategy cl g)));
       let shard = Option.get !shard in
       report (Shard.baseline_result shard);
       report_shard shard;
-      if do_verify then verify_shard shard g
+      if do_verify then verify_shard ~backend shard g
     end
     else begin
-    let (module Eng : E.S) = List.assoc engine engines in
+    let (module Eng : E.S) = engine_with options engine in
     let r = ref None in
     with_observability ~trace ~tuning_log ~summary (fun () ->
         with_schedule_cache cache (fun () -> r := Some (Eng.compile dev g)));
     let r = Option.get !r in
     report r;
-    if profile then print_profile r;
+    if profile then print_profile ~fidelity r;
     (if breakdown then
        match r.E.plan with
        | Some plan ->
@@ -432,7 +453,7 @@ let compile_cmd =
          let steps =
            List.map
              (fun (s : Plan.step) ->
-               (Hidet_sched.Compiled.latency dev s.Plan.compiled,
+               (Hidet_sched.Compiled.latency ~fidelity dev s.Plan.compiled,
                 s.Plan.compiled.Hidet_sched.Compiled.name))
              plan.Plan.steps
          in
@@ -499,16 +520,17 @@ let profile_cmd =
              sim.* observability counters).")
   in
   let run model batch engine file cache measure backend fidelity =
-    set_backend backend;
-    set_fidelity fidelity;
+    let options =
+      hidet_options ~engine ~search:`Exhaustive ~search_warm:None ~fidelity
+    in
     let g = graph_of model file batch in
-    let (module Eng : E.S) = List.assoc engine engines in
+    let (module Eng : E.S) = engine_with options engine in
     let r = ref None in
     with_schedule_cache cache (fun () -> r := Some (Eng.compile dev g));
     let r = Option.get !r in
     Printf.printf "%s / %s: %.3f ms predicted on %s\n" r.E.model r.E.engine
       (r.E.latency *. 1e3) dev.Hidet_gpu.Device.name;
-    print_profile r;
+    print_profile ~fidelity:options.HE.fidelity r;
     if measure then
       match r.E.plan with
       | Some plan ->
@@ -519,7 +541,8 @@ let profile_cmd =
             (G.input_ids g)
         in
         print_endline "measured execution (simulator):";
-        Format.printf "%a@." Profiler.pp_measured (Profiler.measure plan inputs)
+        Format.printf "%a@." Profiler.pp_measured
+          (Profiler.measure ~backend plan inputs)
       | None -> prerr_endline "engine produced no executable plan"
   in
   Cmd.v
@@ -947,8 +970,12 @@ let serve_cmd =
       deadline_ms max_wait_ms queue_cap max_inflight scale burst seed out
       no_batching virtual_ no_check events prom flight_size flight_out cache
       trace summary backend search search_warm devices parallel microbatches =
-    set_backend backend;
-    set_search search search_warm;
+    let options =
+      (* Sharded serving always uses the hidet engine. *)
+      hidet_options
+        ~engine:(if devices > 1 then "hidet" else engine)
+        ~search ~search_warm ~fidelity:`Analytic
+    in
     let source =
       match (model, file) with
       | _, Some path -> S.Registry.File path
@@ -962,7 +989,6 @@ let serve_cmd =
       virtual_
       || match model with Some m -> List.mem_assoc m M.all | None -> false
     in
-    let (module Eng : E.S) = List.assoc engine engines in
     let cfg =
       {
         S.Server.batcher =
@@ -1021,7 +1047,8 @@ let serve_cmd =
                 let m =
                   S.Registry.load ?cluster
                     ~parallel:(strategy_of ~microbatches parallel)
-                    ~engine:(module Eng) ~device:dev
+                    ~backend ~options ~engine:(engine_with options engine)
+                    ~device:dev
                     ~buckets:cfg.S.Server.batcher.S.Batcher.buckets source
                 in
                 Printf.printf

@@ -16,6 +16,8 @@ type options = {
   allow_tensor_core : bool;
   allow_double_buffer : bool;
   deterministic_reduce : bool;
+  fidelity : Hidet_gpu.Perf_model.fidelity;
+  search : MT.config Hidet_sched.Search.t;
 }
 
 let default_options =
@@ -28,6 +30,8 @@ let default_options =
     allow_tensor_core = false;
     allow_double_buffer = true;
     deterministic_reduce = false;
+    fidelity = `Analytic;
+    search = Hidet_sched.Search.Exhaustive;
   }
 
 module Cache = Hidet_sched.Schedule_cache
@@ -51,13 +55,14 @@ type tuning_stats = {
 let hidet_seconds_per_trial = Hidet_sched.Tuner.seconds_per_trial /. 4.
 
 (* The tuning service: the process-global schedule cache in front of the
-   parallel exhaustive tuner. Winners are re-instantiated per call site. *)
-let tuned ?show ?search (stats : tuning_stats) ~device ~key ~candidates
-    ~compile =
+   parallel tuner. Winners are re-instantiated per call site. *)
+let tuned ~show ?search options (stats : tuning_stats) ~device ~key
+    ~candidates ~compile =
   let t0 = Unix.gettimeofday () in
   let r =
-    Cache.tune ~seconds_per_trial:hidet_seconds_per_trial ~engine:"hidet"
-      ?show ?search ~device ~key ~candidates ~compile ()
+    Cache.tune ~seconds_per_trial:hidet_seconds_per_trial ~engine:"hidet" ~show
+      ?search ~fidelity:options.fidelity ~device ~workload:key ~candidates
+      ~compile ()
   in
   stats.tuner_wall <- stats.tuner_wall +. (Unix.gettimeofday () -. t0);
   (if not (Hashtbl.mem stats.billed key) then (
@@ -122,13 +127,10 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
   in
   let space = restrict_space options (Hidet_sched.Space.matmul_with_split_k ~m ~n) in
   (* Matmul spaces are the only ones big enough for guided search to pay;
-     the row/reduce spaces (a handful of block sizes) stay exhaustive. The
-     process-global default mode is how `hidetc --search` reaches through
-     the generic engine interface. *)
-  let search = Hidet_sched.Search.for_matmul () in
+     the row/reduce spaces (a handful of block sizes) stay exhaustive. *)
   let compiled =
-    tuned ~show:MT.config_to_string ~search stats ~device ~key
-      ~candidates:space
+    tuned ~show:MT.config_to_string ~search:options.search options stats
+      ~device ~key ~candidates:space
       ~compile:(fun cfg -> MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg)
   in
   match compiled with
@@ -153,7 +155,7 @@ let schedule_anchor options device stats g (anchor : G.node) =
       if options.deterministic_reduce then [ 128 ] else block_candidates
     in
     Option.get
-      (tuned ~show:(Printf.sprintf "block=%d") stats ~device
+      (tuned ~show:(Printf.sprintf "block=%d") options stats ~device
          ~key:(Printf.sprintf "softmax_%d_%d%s" rows cols (det_sig options))
          ~candidates
          ~compile:(fun b ->
@@ -164,7 +166,7 @@ let schedule_anchor options device stats g (anchor : G.node) =
       if options.deterministic_reduce then [ 128 ] else block_candidates
     in
     Option.get
-      (tuned ~show:(Printf.sprintf "block=%d") stats ~device
+      (tuned ~show:(Printf.sprintf "block=%d") options stats ~device
          ~key:(Printf.sprintf "layernorm_%d_%d%s" rows cols (det_sig options))
          ~candidates
          ~compile:(fun b ->
@@ -184,7 +186,7 @@ let schedule_anchor options device stats g (anchor : G.node) =
       else Hidet_sched.Reduce_template.space
     in
     let compiled =
-      tuned stats ~device ~key
+      tuned options stats ~device ~key
         ~show:(fun (c : Hidet_sched.Reduce_template.config) ->
           Printf.sprintf "block=%d" c.block_size)
         ~candidates
@@ -230,7 +232,8 @@ let compile_plan ?(options = default_options) device g =
       in
       let plan = GC.compile_graph gc_config g in
       let latency =
-        Trace.span "estimate_latency" (fun _ -> Plan.latency device plan)
+        Trace.span "estimate_latency" (fun _ ->
+            Plan.latency ~fidelity:options.fidelity device plan)
       in
       Trace.add root "kernels" (string_of_int (Plan.kernel_count plan));
       Trace.add root "latency_us" (Printf.sprintf "%.3f" (latency *. 1e6));

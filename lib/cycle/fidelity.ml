@@ -12,14 +12,6 @@ module Metrics = Hidet_obs.Metrics
    shared with the analytic model so the two fidelities disagree only about
    what happens inside a wave. *)
 
-type t = Perf_model.fidelity
-
-let of_string = Perf_model.fidelity_of_string
-let to_string = Perf_model.fidelity_to_string
-let cache_suffix = Perf_model.fidelity_cache_suffix
-let set_default = Perf_model.set_default_fidelity
-let default = Perf_model.default_fidelity
-
 type extras = {
   txn_per_access : float;  (** mean coalesced transactions per warp access *)
   conflict_factor : float;  (** weighted mean bank-conflict degree *)

@@ -6,18 +6,6 @@
     {!Hidet_gpu.Perf_model.estimate}, and registers itself as
     [Perf_model]'s cycle model at link time. *)
 
-type t = Hidet_gpu.Perf_model.fidelity
-
-val of_string : string -> t option
-val to_string : t -> string
-
-val cache_suffix : t -> string
-(** Schedule-cache key suffix: [""] for analytic (keys unchanged),
-    ["#cycle"] for cycle mode. *)
-
-val set_default : t -> unit
-val default : unit -> t
-
 type extras = {
   txn_per_access : float;  (** mean coalesced transactions per warp access *)
   conflict_factor : float;  (** weighted mean bank-conflict degree *)

@@ -180,42 +180,18 @@ let kernel (d : Device.t) (k : Kernel.t) =
 
 type fidelity = [ `Analytic | `Cycle ]
 
-let fidelity_of_string = function
-  | "analytic" -> Some `Analytic
-  | "cycle" -> Some `Cycle
-  | _ -> None
-
-let fidelity_to_string = function `Analytic -> "analytic" | `Cycle -> "cycle"
-
-(* Empty for the analytic default so schedule-cache keys persisted before
-   fidelity modes existed stay valid (same contract as Search.cache_suffix). *)
-let fidelity_cache_suffix = function `Analytic -> "" | `Cycle -> "#cycle"
-
-let default_fidelity_ref : fidelity Atomic.t = Atomic.make `Analytic
-let set_default_fidelity f = Atomic.set default_fidelity_ref f
-let default_fidelity () = Atomic.get default_fidelity_ref
-
 let cycle_model : (Device.t -> Kernel.t -> estimate) option Atomic.t =
   Atomic.make None
 
 let register_cycle_model f = Atomic.set cycle_model (Some f)
 
-let estimate ?fidelity d k =
-  let fidelity =
-    match fidelity with Some f -> f | None -> default_fidelity ()
-  in
+let estimate ?(fidelity = `Analytic) d k =
   match fidelity with
   | `Analytic -> kernel d k
   | `Cycle -> (
     match Atomic.get cycle_model with
     | Some f -> f d k
     | None -> kernel d k)
-
-let latency_exn d k =
-  let e = kernel d k in
-  if not e.feasible then
-    failwith (Printf.sprintf "kernel %s infeasible: %s" k.name e.note)
-  else e.latency
 
 let pp fmt e =
   if not e.feasible then Format.fprintf fmt "infeasible (%s)" e.note

@@ -57,28 +57,11 @@ val kernel : Device.t -> Hidet_ir.Kernel.t -> estimate
 
 type fidelity = [ `Analytic | `Cycle ]
 
-val fidelity_of_string : string -> fidelity option
-val fidelity_to_string : fidelity -> string
-
-val fidelity_cache_suffix : fidelity -> string
-(** Folded into schedule-cache keys so rankings produced under different
-    fidelities never alias; empty for [`Analytic], so caches persisted
-    before fidelity modes existed remain valid. *)
-
-val set_default_fidelity : fidelity -> unit
-(** Process-global default used by {!estimate} when [?fidelity] is omitted
-    (e.g. set once from [hidetc --fidelity]). Initially [`Analytic]. *)
-
-val default_fidelity : unit -> fidelity
-
 val register_cycle_model : (Device.t -> Hidet_ir.Kernel.t -> estimate) -> unit
 (** Called by [Hidet_cycle.Fidelity] at module initialization. *)
 
 val estimate : ?fidelity:fidelity -> Device.t -> Hidet_ir.Kernel.t -> estimate
-(** {!kernel} under [`Analytic] (bit-identical); the registered cycle model
-    under [`Cycle]. Default fidelity: {!default_fidelity}. *)
-
-val latency_exn : Device.t -> Hidet_ir.Kernel.t -> float
-(** Latency in seconds; raises [Failure] if the kernel is infeasible. *)
+(** {!kernel} under [`Analytic] (the default; bit-identical); the
+    registered cycle model under [`Cycle]. *)
 
 val pp : Format.formatter -> estimate -> unit

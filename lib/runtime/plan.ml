@@ -6,9 +6,9 @@ module Tensor = Hidet_tensor.Tensor
 type step = { compiled : Compiled.t; args : int list; out_node : int }
 type t = { graph : Graph.t; steps : step list }
 
-let latency device plan =
+let latency ?fidelity device plan =
   List.fold_left
-    (fun acc s -> acc +. Compiled.latency device s.compiled)
+    (fun acc s -> acc +. Compiled.latency ?fidelity device s.compiled)
     0. plan.steps
 
 let kernel_count plan =

@@ -13,9 +13,11 @@ type step = {
 
 type t = { graph : Hidet_graph.Graph.t; steps : step list }
 
-val latency : Hidet_gpu.Device.t -> t -> float
+val latency :
+  ?fidelity:Hidet_gpu.Perf_model.fidelity -> Hidet_gpu.Device.t -> t -> float
 (** Sum of per-step estimates (serial kernel launches, as in single-stream
-    inference); [infinity] if any kernel is infeasible. *)
+    inference) under [?fidelity] (default [`Analytic]); [infinity] if any
+    kernel is infeasible. *)
 
 val kernel_count : t -> int
 
@@ -40,7 +42,7 @@ val run :
     [around step_index step exec] wraps each step's execution (default:
     just calls [exec]); the profiler uses it to capture per-step wall
     time and simulator counters. [?backend] selects the simulator
-    execution backend per call (default [Compiled.default_backend ()]). *)
+    execution backend per call (default [`Closure]). *)
 
 val run1 :
   ?around:(int -> step -> (unit -> Hidet_tensor.Tensor.t) -> Hidet_tensor.Tensor.t) ->

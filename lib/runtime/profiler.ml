@@ -35,10 +35,7 @@ type row = {
   cycle : cycle_cols option;
 }
 
-let kernel_row ?fidelity device ~step ~op (k : Kernel.t) =
-  let fidelity =
-    match fidelity with Some f -> f | None -> Perf_model.default_fidelity ()
-  in
+let kernel_row ?(fidelity = `Analytic) device ~step ~op (k : Kernel.t) =
   let e, cycle =
     match fidelity with
     | `Analytic -> (Perf_model.kernel device k, None)

@@ -45,15 +45,11 @@ type row = {
   cycle : cycle_cols option;  (** [Some] iff estimated under [`Cycle] *)
 }
 
-val kernel_row :
-  ?fidelity:Hidet_gpu.Perf_model.fidelity ->
-  Hidet_gpu.Device.t -> step:int -> op:string -> Hidet_ir.Kernel.t -> row
-(** [?fidelity] defaults to {!Hidet_gpu.Perf_model.default_fidelity}. *)
-
 val report :
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
   Hidet_gpu.Device.t -> Plan.t -> row list
-(** One row per kernel, in launch order. *)
+(** One row per kernel, in launch order; [?fidelity] defaults to
+    [`Analytic]. *)
 
 val total_latency : row list -> float
 
@@ -92,7 +88,7 @@ val measure :
   measured_row list
 (** Run the plan once on [inputs] (bound positionally to the graph
     inputs), one row per step in launch order. [?backend] selects the
-    execution backend (default [Compiled.default_backend ()]). *)
+    execution backend (default [`Closure]). *)
 
 val pp_measured : Format.formatter -> measured_row list -> unit
 (** The table, with statements/sec throughput and a totals line. *)

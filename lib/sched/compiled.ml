@@ -12,10 +12,6 @@ type t = {
 
 type backend = [ `Closure | `Native ]
 
-let default = ref `Closure
-let set_default_backend b = default := b
-let default_backend () = !default
-
 (* The native backend degrades, never fails: one stderr line the first
    time a run falls back, then silence. *)
 let fallback_logged = ref false
@@ -47,10 +43,9 @@ let feasible device c = latency device c < infinity
 
 let verify c = List.iter Verify.kernel_exn c.kernels
 
-let run ?(legacy = false) ?backend c inputs =
+let run ?(legacy = false) ?(backend = `Closure) c inputs =
   if List.length inputs <> List.length c.ins then
     invalid_arg (Printf.sprintf "Compiled.run %s: input count mismatch" c.name);
-  let backend = match backend with Some b -> b | None -> !default in
   let use_native =
     (not legacy) && backend = `Native
     &&

@@ -24,17 +24,10 @@ type t = {
 
 type backend = [ `Closure | `Native ]
 
-val set_default_backend : backend -> unit
-(** Process-global default for {!run} calls that don't pass [?backend]
-    (e.g. set once from [hidetc --backend]). Initially [`Closure]. *)
-
-val default_backend : unit -> backend
-
 val latency :
   ?fidelity:Hidet_gpu.Perf_model.fidelity -> Hidet_gpu.Device.t -> t -> float
 (** Sum of per-kernel estimates (each includes launch overhead); [infinity]
-    if any kernel is infeasible. [?fidelity] defaults to the process-global
-    {!Hidet_gpu.Perf_model.default_fidelity}. *)
+    if any kernel is infeasible. [?fidelity] defaults to [`Analytic]. *)
 
 val feasible : Hidet_gpu.Device.t -> t -> bool
 
@@ -49,8 +42,8 @@ val run :
     sides, so ranks may differ, e.g. a [m,k] tensor binding a [1,m,k]
     buffer). Returns the output with the buffer's shape.
 
-    Kernels run on [?backend] (default {!default_backend}, initially the
-    closure-compiling {!Hidet_gpu.Compile_exec}); [~legacy:true] forces the
+    Kernels run on [?backend] (default [`Closure], the closure-compiling
+    {!Hidet_gpu.Compile_exec}); [~legacy:true] forces the
     reference tree-walking interpreter ({!Hidet_gpu.Interp}) regardless —
     same results bit for bit, an order of magnitude slower. *)
 

@@ -1,11 +1,11 @@
 (* Process-global schedule cache.
 
    Tuning results are memoized across compilations, engines and models: the
-   key is (device name, workload signature), the value records which
-   candidate of the (deterministic) enumeration won, plus the tuner stats
-   that produced it. Storing the winner's *index* keeps the cache generic
-   over candidate types — the caller re-instantiates from its own candidate
-   list, and a [space_size] check invalidates entries whose space changed.
+   key is (device name, Key.to_string), the value records which candidate
+   of the (deterministic) enumeration won, its printed config and the tuner
+   stats. Storing the winner's *index* keeps the cache generic over
+   candidate types; the printed config catches a space that changed
+   underneath the key.
 
    The table is mutex-protected: tuner workers run on separate domains, and
    nothing stops two engines from compiling concurrently. *)
@@ -13,9 +13,49 @@
 module Trace = Hidet_obs.Trace
 module Metrics = Hidet_obs.Metrics
 
+module Key = struct
+  type search =
+    | Exhaustive
+    | Guided of { params : Search.guided_params; warm : string list }
+
+  type t = {
+    workload : string;
+    search : search;
+    fidelity : Hidet_gpu.Perf_model.fidelity;
+  }
+
+  let make ~show ~workload ~(search : _ Search.t) ~fidelity =
+    let search =
+      match search with
+      | Search.Exhaustive -> Exhaustive
+      | Search.Guided { params; warm; _ } ->
+        let pair (c, lat) = Printf.sprintf "%s=%h" (show c) lat in
+        Guided { params; warm = List.map pair warm }
+    in
+    { workload; search; fidelity }
+
+  (* Exhaustive + analytic is the bare workload, so those keys never
+     change. Length prefixes make the warm-start digest unambiguous. *)
+  let to_string k =
+    if String.contains k.workload '#' then
+      invalid_arg ("Schedule_cache.Key: '#' in workload " ^ k.workload);
+    let search =
+      match k.search with
+      | Exhaustive -> ""
+      | Guided { params = p; warm } ->
+        let prefixed s = Printf.sprintf "%d:%s" (String.length s) s in
+        let digest = Digest.string (String.concat "" (List.map prefixed warm)) in
+        Printf.sprintf "#guided_s%d_b%h_p%d_e%d_k%d_w%s" p.seed p.budget_fraction
+          p.population p.elites p.patience (Digest.to_hex digest)
+    in
+    let fidelity = match k.fidelity with `Analytic -> "" | `Cycle -> "#cycle" in
+    k.workload ^ search ^ fidelity
+end
+
 type entry = {
   best_index : int;
   space_size : int;
+  config : string;
   trials : int;
   rejected : int;
   simulated_seconds : float;
@@ -25,7 +65,7 @@ type entry = {
 type outcome = Fresh of Tuner.stats | Hit of entry
 
 let magic = "HIDET-SCHEDULE-CACHE"
-let version = 1
+let version = 2
 
 let table : (string * string, entry) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
@@ -69,9 +109,9 @@ let stale () = locked (fun () -> !stale_count)
 
    Line-oriented text: a versioned header, then one tab-separated entry per
    line. Loading tolerates a corrupt file: a bad header rejects the whole
-   file (it is some other format, or a future version), while individually
-   malformed lines are skipped so one truncated write cannot poison every
-   other entry. *)
+   file (another format, or another version: v1 has no fingerprint), while
+   individually malformed lines are skipped so one truncated write cannot
+   poison every other entry. *)
 
 let header = Printf.sprintf "%s v%d" magic version
 
@@ -102,9 +142,10 @@ let save path =
         output_string oc (header ^ "\n");
         List.iter
           (fun ((device, key), e) ->
-            Printf.fprintf oc "%s\t%s\t%d\t%d\t%d\t%d\t%.17g\t%.17g\n"
+            Printf.fprintf oc "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%.17g\t%.17g\n"
               (sanitize device) (sanitize key) e.best_index e.space_size
-              e.trials e.rejected e.simulated_seconds e.best_latency)
+              (sanitize e.config) e.trials e.rejected e.simulated_seconds
+              e.best_latency)
           entries);
     Sys.rename tmp path
   with e ->
@@ -113,8 +154,8 @@ let save path =
 
 let parse_line line =
   match String.split_on_char '\t' line with
-  | [ device; key; best_index; space_size; trials; rejected; simulated; lat ]
-    -> (
+  | [ device; key; best_index; space_size; config; trials; rejected; simulated;
+      lat ] -> (
     match
       ( int_of_string_opt best_index,
         int_of_string_opt space_size,
@@ -135,6 +176,7 @@ let parse_line line =
           {
             best_index = bi;
             space_size = ss;
+            config;
             trials = tr;
             rejected = rj;
             simulated_seconds = sim;
@@ -172,43 +214,32 @@ let load path =
 (* --- the tuning service ----------------------------------------------------- *)
 
 (* Cache effectiveness, as seen by the tuning service: [hits] were served
-   from the cache, [misses] went to the tuner, [stale] looked like hits but
-   failed re-instantiation and were retuned (a stale entry also counts as a
+   from the cache, [misses] went to the tuner, [stale] had an entry that
+   could not be served and were retuned (a stale entry also counts as a
    miss — it did cost a full tuning run). *)
 let m_hits = Metrics.counter "schedule_cache.hits"
 let m_misses = Metrics.counter "schedule_cache.misses"
 let m_stale = Metrics.counter "schedule_cache.stale"
 
-let tune ?seconds_per_trial ?parallel ?workers ?engine ?show
-    ?(search = Search.Exhaustive) ?fidelity ~device ~key ~candidates ~compile
-    () =
+let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
+    ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ~device ~workload
+    ~candidates ~compile () =
   let device_name = device.Hidet_gpu.Device.name in
-  (* The search mode is part of the cache key: a guided run's winner is
-     only the best of the candidates it measured, so it must never answer
-     for (or be overwritten by) the exhaustive oracle. Exhaustive keeps an
-     empty suffix, so caches persisted before search modes existed stay
-     valid. The fidelity mode is folded in the same way (analytic = empty
-     suffix): a cycle-model winner must never answer an analytic lookup. *)
-  let fidelity =
-    match fidelity with
-    | Some f -> f
-    | None -> Hidet_gpu.Perf_model.default_fidelity ()
-  in
-  let key =
-    key ^ Search.cache_suffix search
-    ^ Hidet_gpu.Perf_model.fidelity_cache_suffix fidelity
-  in
+  let key = Key.to_string (Key.make ~show ~workload ~search ~fidelity) in
+  let fingerprint cand = sanitize (show cand) in
   let space_size = List.length candidates in
   (* Returned operators carry the workload key so the native execution
      backend can scope its per-kernel compile memo to this workload. *)
   let tag (compiled : Compiled.t) = { compiled with Compiled.key = Some key } in
+  let count n metric event =
+    locked (fun () -> incr n);
+    Metrics.incr metric;
+    if Trace.enabled () then Trace.instant ~attrs:[ ("workload", key) ] event
+  in
   let fresh () =
-    locked (fun () -> incr miss_count);
-    Metrics.incr m_misses;
-    if Trace.enabled () then
-      Trace.instant ~attrs:[ ("workload", key) ] "schedule_cache.miss";
+    count miss_count m_misses "schedule_cache.miss";
     match
-      Tuner.tune ?seconds_per_trial ?parallel ?workers ?engine ~key ?show
+      Tuner.tune ?seconds_per_trial ?parallel ?workers ?engine ~key ~show
         ~search ~fidelity ~device ~candidates ~compile ()
     with
     | None -> None
@@ -217,6 +248,7 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ?show
         {
           best_index = st.Tuner.best_index;
           space_size;
+          config = fingerprint cand;
           trials = st.Tuner.trials;
           rejected = st.Tuner.rejected;
           simulated_seconds = st.Tuner.simulated_seconds;
@@ -224,29 +256,25 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ?show
         };
       Some (cand, tag compiled, Fresh st)
   in
+  (* Servable: same space size, the candidate at the stored index prints
+     as the stored winner, and it still instantiates. *)
+  let servable e =
+    if e.space_size <> space_size || e.best_index >= space_size then None
+    else
+      let cand = List.nth candidates e.best_index in
+      if fingerprint cand <> e.config then None
+      else
+        match compile cand with
+        | compiled -> Some (cand, compiled)
+        | exception Invalid_argument _ -> None
+  in
   match find ~device:device_name ~key with
-  | Some e when e.space_size = space_size && e.best_index < space_size -> (
-    let cand = List.nth candidates e.best_index in
-    match compile cand with
-    | compiled ->
-      locked (fun () -> incr hit_count);
-      Metrics.incr m_hits;
-      if Trace.enabled () then
-        Trace.instant ~attrs:[ ("workload", key) ] "schedule_cache.hit";
-      Some (cand, tag compiled, Hit e)
-    | exception Invalid_argument _ ->
-      (* Stale entry (template or space changed underneath the key):
-         retune and overwrite. *)
-      locked (fun () -> incr stale_count);
-      Metrics.incr m_stale;
-      if Trace.enabled () then
-        Trace.instant ~attrs:[ ("workload", key) ] "schedule_cache.stale";
-      fresh ())
-  | Some _ ->
-    (* space changed: the stored index is meaningless *)
-    locked (fun () -> incr stale_count);
-    Metrics.incr m_stale;
-    if Trace.enabled () then
-      Trace.instant ~attrs:[ ("workload", key) ] "schedule_cache.stale";
-    fresh ()
   | None -> fresh ()
+  | Some e -> (
+    match servable e with
+    | Some (cand, compiled) ->
+      count hit_count m_hits "schedule_cache.hit";
+      Some (cand, tag compiled, Hit e)
+    | None ->
+      count stale_count m_stale "schedule_cache.stale";
+      fresh ())

@@ -1,19 +1,49 @@
 (** Process-global, cross-compilation schedule cache.
 
-    Tuning once per distinct [(device, workload)] pair and reusing the
-    winner across models, engines and repeated benchmark runs is what makes
-    the "tune within one minute" claim hold at the application level: a
+    Tuning once per distinct [(device, key)] pair and reusing the winner
+    across models, engines and repeated benchmark runs is what makes the
+    "tune within one minute" claim hold at the application level: a
     ResNet re-compile, or a second model sharing matmul shapes, performs
     zero fresh trials. Entries store the winning candidate's {e index} into
-    the deterministic space enumeration (plus the tuner stats), so the cache
-    is generic over candidate types; a [space_size] mismatch or a winner
-    that no longer instantiates invalidates the entry and retunes.
+    the deterministic space enumeration (so the cache is generic over
+    candidate types), its printed config and the tuner stats. A
+    [space_size] mismatch, a candidate at that index that prints
+    differently, or a winner that no longer instantiates retunes.
 
     All operations are safe to call from any domain (mutex-protected). *)
+
+(** Everything besides the device that decides a tuning run's winner.
+    {!to_string} is the only code that builds key strings. *)
+module Key : sig
+  type search =
+    | Exhaustive
+    | Guided of { params : Search.guided_params; warm : string list }
+        (** [warm]: the warm-start pairs rendered as [show config=%h] *)
+
+  type t = {
+    workload : string;  (** workload and candidate restrictions; no ['#'] *)
+    search : search;
+    fidelity : Hidet_gpu.Perf_model.fidelity;
+  }
+
+  val make :
+    show:('a -> string) ->
+    workload:string ->
+    search:'a Search.t ->
+    fidelity:Hidet_gpu.Perf_model.fidelity ->
+    t
+
+  val to_string : t -> string
+  (** [workload], then for a guided search ["#guided"], the five guided
+      parameters and a digest of [warm], then ["#cycle"] under the cycle
+      fidelity. Distinct keys give distinct strings. Raises
+      [Invalid_argument] if [workload] contains ['#']. *)
+end
 
 type entry = {
   best_index : int;  (** winner's index in the candidate enumeration *)
   space_size : int;  (** length of the enumeration when tuned *)
+  config : string;  (** the winner printed by [show]: its fingerprint *)
   trials : int;
   rejected : int;
   simulated_seconds : float;
@@ -31,28 +61,24 @@ val tune :
   ?parallel:bool ->
   ?workers:int ->
   ?engine:string ->
-  ?show:('a -> string) ->
+  show:('a -> string) ->
   ?search:'a Search.t ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
   device:Hidet_gpu.Device.t ->
-  key:string ->
+  workload:string ->
   candidates:'a list ->
   compile:('a -> Compiled.t) ->
   unit ->
   ('a * Compiled.t * outcome) option
-(** Like {!Tuner.tune}, but consults the cache first. On a hit, only the
-    stored winner is re-instantiated (zero fresh trials); on a miss (or a
-    stale entry) the tuner runs and its result is stored. [key] must
-    identify the workload {e and} any restriction applied to [candidates]
-    (the device name is added automatically). [?search] (default
-    {!Search.Exhaustive}) is forwarded to the tuner {e and} folded into
-    the cache key via {!Search.cache_suffix}, so guided and exhaustive
-    results never alias — and the exhaustive suffix is empty, so caches
-    persisted before search modes existed remain valid. [?engine] and
-    [?show] are forwarded to the tuner's trace spans and tuning-log
-    records; each call also bumps the
-    ["schedule_cache.hits"/"misses"/"stale"] metrics and, when tracing,
-    drops a matching instant event. *)
+(** Like {!Tuner.tune}, but consults the cache first under
+    {!Key.make}[ ~show ~workload ~search ~fidelity] and the device name.
+    On a hit, only the stored winner is re-instantiated (zero fresh
+    trials); on a miss or a stale entry the tuner runs (with [?search],
+    default {!Search.Exhaustive}, and [?fidelity], default [`Analytic])
+    and its result is stored with [show winner] as the fingerprint. The
+    tuner's spans and log records carry the key string. Each call bumps
+    the ["schedule_cache.hits"/"misses"/"stale"] metrics and, when
+    tracing, drops a matching instant event. *)
 
 (** {1 Direct cache access} *)
 
@@ -65,10 +91,10 @@ val clear : unit -> unit
 val size : unit -> int
 
 val keys_for_device : string -> string list
-(** Sorted workload keys cached for one device name. Cache entries are
-    keyed by (device, workload), so devices with different capabilities
-    never share entries; the shard test suite uses this to assert the
-    per-device key sets stay disjoint across a heterogeneous cluster. *)
+(** Sorted key strings cached for one device name. Cache entries are
+    keyed by (device, key), so devices with different capabilities never
+    share entries; the shard test suite uses this to assert the per-device
+    key sets stay disjoint across a heterogeneous cluster. *)
 
 val hits : unit -> int
 (** {!tune} calls served entirely from the table since the last {!clear}
@@ -79,18 +105,18 @@ val misses : unit -> int
     cost a full tuning run — and additionally in {!stale}. *)
 
 val stale : unit -> int
-(** {!tune} calls whose stored entry looked like a hit but was judged
-    stale (space changed, or the winner no longer instantiates). *)
+(** {!tune} calls whose stored entry could not be served. *)
 
 (** {1 Persistence}
 
-    A versioned, line-oriented text format for warm-starting across
-    processes ([bench/main.exe --cache], [hidetc --cache]). *)
+    A versioned, line-oriented text format (v2: nine columns, with the
+    fingerprint) for warm-starting across processes
+    ([bench/main.exe --cache], [hidetc --cache]). *)
 
 val save : string -> unit
 (** Write the whole cache to [path] (atomically, via a temp file). *)
 
 val load : string -> (int, string) result
 (** Merge entries from [path] into the cache; returns how many loaded.
-    [Error] on an unreadable file or a wrong header (foreign file, or a
-    different format version); individually corrupt lines are skipped. *)
+    [Error] on an unreadable file or a wrong header (foreign file, or
+    another version: v1 has no fingerprint); corrupt lines are skipped. *)

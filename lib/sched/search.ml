@@ -27,7 +27,6 @@ type 'a t =
     }
 
 let name = function Exhaustive -> "exhaustive" | Guided _ -> "guided"
-let cache_suffix = function Exhaustive -> "" | Guided _ -> "#guided"
 
 (* --- the matmul space ops --------------------------------------------------- *)
 
@@ -337,26 +336,3 @@ let next_batch r =
     r.batch_open <- r.best;
     if not r.started then seed_batch r else evolve_batch r
   end
-
-(* --- the global default ----------------------------------------------------- *)
-
-type mode = [ `Exhaustive | `Guided ]
-
-let mode_of_string = function
-  | "exhaustive" -> Some `Exhaustive
-  | "guided" -> Some `Guided
-  | _ -> None
-
-let mode_to_string = function `Exhaustive -> "exhaustive" | `Guided -> "guided"
-
-let default_mode_ref = Atomic.make `Exhaustive
-let default_warm : (MT.config * float) list Atomic.t = Atomic.make []
-
-let set_default_mode m = Atomic.set default_mode_ref m
-let default_mode () = Atomic.get default_mode_ref
-let set_default_warm w = Atomic.set default_warm w
-
-let for_matmul () =
-  match default_mode () with
-  | `Exhaustive -> Exhaustive
-  | `Guided -> guided_matmul ~warm:(Atomic.get default_warm) ()

@@ -48,12 +48,7 @@ type 'a t =
     }
 
 val name : _ t -> string
-(** ["exhaustive"] or ["guided"], for traces and CLI round-trips. *)
-
-val cache_suffix : _ t -> string
-(** Appended to schedule-cache workload keys: [""] for {!Exhaustive} (so
-    pre-existing cache entries stay valid) and ["#guided"] for {!Guided},
-    keeping the two modes' entries from aliasing. *)
+(** ["exhaustive"] or ["guided"], for traces. *)
 
 val matmul_ops : Matmul_template.config space_ops
 (** Mutation steps move one dimension to an adjacent enumerated value
@@ -92,24 +87,3 @@ val next_batch : 'a run -> (int * Hidet_obs.Tuning_log.proposer) list
 val observe : 'a run -> index:int -> latency:float -> unit
 (** Report a measurement ([infinity] = infeasible). Must be called in
     batch order for the deterministic-trials guarantee. *)
-
-(** {1 Process-global default}
-
-    [hidetc --search] selects the mode for engines compiled behind the
-    generic interface (mirroring [Compiled.set_default_backend]). *)
-
-type mode = [ `Exhaustive | `Guided ]
-
-val mode_of_string : string -> mode option
-val mode_to_string : mode -> string
-val set_default_mode : mode -> unit
-val default_mode : unit -> mode
-
-val set_default_warm : (Matmul_template.config * float) list -> unit
-(** Warm-start data applied when the default mode is [`Guided] (e.g. from
-    [hidetc --search-warm FILE]). *)
-
-val for_matmul : unit -> Matmul_template.config t
-(** The strategy the engine should use for matmul spaces right now:
-    {!Exhaustive}, or a default-parameter {!Guided} with the registered
-    warm-start data, per {!default_mode}. *)

@@ -14,8 +14,6 @@ type stats = {
 
 let seconds_per_trial = 1.5
 
-let default_seconds_per_trial = seconds_per_trial
-
 (* Trials and rejections are counted where they happen — inside the worker
    domains — so the observability tests can check that parallel counts sum
    to the sequential run's totals. *)
@@ -59,7 +57,7 @@ let trial_span ~key ~show ~index ~cand outcome =
   | Measured _ -> Trace.add csp "outcome" "infeasible");
   Trace.exit csp
 
-let tune ?(seconds_per_trial = default_seconds_per_trial) ?(parallel = true)
+let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
     ?workers ?(engine = "hidet") ?(key = "") ?(show = fun _ -> "")
     ?(search = Search.Exhaustive) ?fidelity ~device ~candidates ~compile () =
   let t0 = Unix.gettimeofday () in

@@ -51,7 +51,7 @@ val tune :
     the strategy; a guided search measures at most its budget fraction of
     [candidates] and reports only those measurements in [stats].
     [?fidelity] selects the latency model each measurement uses
-    (default: the process-global {!Hidet_gpu.Perf_model.default_fidelity}).
+    (default [`Analytic]).
     [~parallel:false] forces the sequential path (same result, one
     domain); [?workers] overrides {!Parallel.default_workers}. The winning
     candidate is re-instantiated in the calling domain, so the returned

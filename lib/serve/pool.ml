@@ -74,8 +74,11 @@ let run_batch ~seed model b =
          the strategy could not partition run their unsharded plan. *)
       let outs =
         match variant.Registry.shard with
-        | Some shard -> Hidet_shard.Shard.run shard bindings
-        | None -> Plan.run variant.Registry.plan bindings
+        | Some shard ->
+          Hidet_shard.Shard.run ~backend:model.Registry.backend shard bindings
+        | None ->
+          Plan.run ~backend:model.Registry.backend variant.Registry.plan
+            bindings
       in
       let out =
         match outs with
@@ -144,7 +147,9 @@ let check ?(at = fun _ -> 0.) ~seed model responses =
         let inputs =
           Loadgen.synth_inputs ~seed ~shapes:model.Registry.input_shapes rid
         in
-        let want = Plan.run1 v1.Registry.plan inputs in
+        let want =
+          Plan.run1 ~backend:model.Registry.backend v1.Registry.plan inputs
+        in
         (* Polymorphic compare on the raw arrays: bit-exact, NaN-robust. *)
         let ok =
           if tolerant then T.allclose ~rtol:1e-3 ~atol:1e-4 want got

@@ -3,7 +3,8 @@
     The virtual-time server ({!Server.simulate}) decides {e what} runs and
     {e when}; the pool then really runs those batches on the simulated GPU
     — assembling each batch's input tensors, padding the tail up to the
-    bucket size, executing the bucket's plan, and demultiplexing one
+    bucket size, executing the bucket's plan on the model's
+    [Registry.backend], and demultiplexing one
     output row back per member request. Batches are spread across domains
     with [Hidet_parallel.Parallel.map]; plans were prepared at load time,
     so the workers never contend on the constant lock. *)
@@ -43,7 +44,8 @@ val check :
   (int * Hidet_tensor.Tensor.t) list ->
   int
 (** Re-run every response's request through the bucket-1 plan directly
-    ([Plan.run1]) and compare bit-for-bit (exact float-array equality —
+    ([Plan.run1], on the model's backend) and compare bit-for-bit (exact
+    float-array equality —
     batching must not change results, only pack rows; sharded models
     compile everything under deterministic-reduction options, so the
     same holds across shard groups). When some bucket runs a

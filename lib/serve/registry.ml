@@ -26,6 +26,7 @@ type model = {
   variants : variant list;
   max_inflight : int;
   sharding : string option;
+  backend : Hidet_sched.Compiled.backend;
 }
 
 let m_models = Metrics.counter "serve.models_loaded"
@@ -53,8 +54,8 @@ let bucket_graph source base bucket =
   | Zoo name when List.mem_assoc name M.all -> M.by_name ~batch:bucket name
   | _ -> if bucket = 1 then base else Passes.rebatch base bucket
 
-let load ?(max_inflight = max_int) ?cluster ?(parallel = Shard.Data) ~engine
-    ~device ~buckets source =
+let load ?(max_inflight = max_int) ?cluster ?(parallel = Shard.Data)
+    ?(backend = `Closure) ?options ~engine ~device ~buckets source =
   let (module Eng : E.S) = engine in
   let base = base_graph source in
   if List.length (G.outputs base) <> 1 then
@@ -99,14 +100,14 @@ let load ?(max_inflight = max_int) ?cluster ?(parallel = Shard.Data) ~engine
                    (e.g. bucket 1 on a 2-device data-parallel cluster)
                    fall back to the unsharded deterministic plan, which
                    bit-matches the sharded buckets row for row. *)
-                match Shard.plan ~strategy:parallel cl g with
+                match Shard.plan ?options ~strategy:parallel cl g with
                 | shard ->
                   Shard.prepare shard;
                   ( Shard.baseline shard,
                     Shard.baseline_result shard,
                     Some shard )
                 | exception Invalid_argument _ ->
-                  let plan, result = Shard.compile_single cl g in
+                  let plan, result = Shard.compile_single ?options cl g in
                   Plan.prepare plan;
                   (plan, result, None))
             in
@@ -136,6 +137,7 @@ let load ?(max_inflight = max_int) ?cluster ?(parallel = Shard.Data) ~engine
     variants;
     max_inflight;
     sharding;
+    backend;
   }
 
 let variant_exn m bucket =

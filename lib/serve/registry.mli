@@ -38,12 +38,16 @@ type model = {
   max_inflight : int;  (** concurrency limit: batches in flight at once *)
   sharding : string option;
       (** [Shard.describe] of the first sharded variant, for logs *)
+  backend : Hidet_sched.Compiled.backend;
+      (** simulator backend every execution of this model runs on *)
 }
 
 val load :
   ?max_inflight:int ->
   ?cluster:Hidet_gpu.Cluster.t ->
   ?parallel:Hidet_shard.Shard.strategy ->
+  ?backend:Hidet_sched.Compiled.backend ->
+  ?options:Hidet.Hidet_engine.options ->
   engine:(module Hidet_runtime.Engine.S) ->
   device:Hidet_gpu.Device.t ->
   buckets:int list ->
@@ -51,7 +55,8 @@ val load :
   model
 (** Compile every bucket variant (bucket 1 is added if missing — it is the
     checker's reference and the no-batching fallback) and prepare the
-    plans. [max_inflight] defaults to unlimited.
+    plans. [max_inflight] defaults to unlimited; [?backend] (default
+    [`Closure]) is stored in the model for the pool's executions.
 
     With [?cluster], buckets are loaded as shard groups instead: each
     bucket gets a {!Hidet_shard.Shard.t} under [?parallel] (default
@@ -60,8 +65,9 @@ val load :
     service latency. Buckets the strategy cannot partition (e.g. bucket
     1 on a multi-device data-parallel cluster) fall back to an unsharded
     plan compiled under the same deterministic-reduction options, so
-    responses still bit-match across buckets. [device] is ignored when
-    [?cluster] is given.
+    responses still bit-match across buckets. Shard groups compile with
+    [?options] (default {!Hidet_shard.Shard.default_options}); [device]
+    is ignored when [?cluster] is given.
 
     Raises [Invalid_argument] on an unknown zoo name, a multi-output
     graph (per-request demux slices the single output's leading dim), or

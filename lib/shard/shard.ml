@@ -149,8 +149,8 @@ let compile_frag ~options ~cluster ~dev g ~feeds ~yields =
     yields;
   }
 
-let run_frag frag args =
-  Plan.run frag.plan (List.combine (G.input_ids frag.graph) args)
+let run_frag ?backend frag args =
+  Plan.run ?backend frag.plan (List.combine (G.input_ids frag.graph) args)
 
 (* Member ids whose values escape the member set: consumed by a
    non-member, or listed as graph outputs. In topological order. *)
@@ -228,14 +228,14 @@ let concat_rows_of per_shard =
         T.concat (List.map (fun outs -> List.nth outs i) per_shard) ~axis:0)
       first
 
-let run_data frags sizes inputs =
+let run_data ?backend frags sizes inputs =
   let total = Array.fold_left ( + ) 0 sizes in
   let starts = prefix_starts sizes in
   let per_dev =
     Array.to_list
       (Array.mapi
          (fun d frag ->
-           run_frag frag
+           run_frag ?backend frag
              (slice_inputs_for inputs ~total ~start:starts.(d) ~len:sizes.(d)))
          frags)
   in
@@ -415,7 +415,7 @@ let plan_tensor ~options ~cluster ~mode g =
       const_outs;
     }
 
-let run_tensor t (e : tensor_exec) inputs =
+let run_tensor ?backend t (e : tensor_exec) inputs =
   let nodes = positions t.source in
   let pos_of = pos_table nodes in
   let env = Hashtbl.create 32 in
@@ -425,7 +425,7 @@ let run_tensor t (e : tensor_exec) inputs =
   List.iter (fun (p, v) -> Hashtbl.replace env p v) e.const_outs;
   let run_sub frag =
     let args = List.map (Hashtbl.find env) frag.feeds in
-    List.iter2 (Hashtbl.replace env) frag.yields (run_frag frag args)
+    List.iter2 (Hashtbl.replace env) frag.yields (run_frag ?backend frag args)
   in
   Option.iter run_sub e.pre;
   let a = match e.a_const with Some v -> v | None -> Hashtbl.find env e.a in
@@ -448,7 +448,7 @@ let run_tensor t (e : tensor_exec) inputs =
                let axis = match e.mode with Gather -> 1 | Reduce -> 0 in
                [ a_d; Batch_split.slice_axis w ~axis ~start ~len ]
            in
-           match run_frag e.parts.(d) args with
+           match run_frag ?backend e.parts.(d) args with
            | [ o ] -> o
            | _ -> failwith "shard: tensor part produced multiple outputs")
          e.splits)
@@ -591,7 +591,7 @@ let plan_pipeline ~options ~cluster ~microbatches g =
       out_bytes = Array.map (fun (_, _, ob) -> ob) per_class;
     }
 
-let run_pipeline t (p : pipeline_exec) inputs =
+let run_pipeline ?backend t (p : pipeline_exec) inputs =
   let nodes = positions t.source in
   let pos_of = pos_table nodes in
   let input_pos = List.map (Hashtbl.find pos_of) (G.input_ids t.source) in
@@ -610,7 +610,7 @@ let run_pipeline t (p : pipeline_exec) inputs =
                let frag = stage.(p.class_of.(m)) in
                let args = List.map (Hashtbl.find env) frag.feeds in
                List.iter2 (Hashtbl.replace env) frag.yields
-                 (run_frag frag args))
+                 (run_frag ?backend frag args))
              p.stage_frags;
            List.map (Hashtbl.find env) out_pos)
          p.micro_sizes)
@@ -810,7 +810,7 @@ let prepare t =
   Plan.prepare t.base_plan;
   List.iter (fun f -> Plan.prepare f.plan) (frags t)
 
-let run t bindings =
+let run ?backend t bindings =
   Trace.span "shard.run" (fun _ ->
       let inputs =
         List.map
@@ -823,9 +823,9 @@ let run t bindings =
           (G.input_ids t.source)
       in
       match t.exec with
-      | E_data { frags; sizes } -> run_data frags sizes inputs
-      | E_tensor e -> run_tensor t e inputs
-      | E_pipeline p -> run_pipeline t p inputs)
+      | E_data { frags; sizes } -> run_data ?backend frags sizes inputs
+      | E_tensor e -> run_tensor ?backend t e inputs
+      | E_pipeline p -> run_pipeline ?backend t p inputs)
 
 let run1 t inputs =
   match run t (List.combine (G.input_ids t.source) inputs) with
@@ -843,10 +843,10 @@ let ulp_diff a b =
     in
     Int64.abs (Int64.sub (key a) (key b))
 
-let verify t inputs =
+let verify ?backend t inputs =
   let bindings = List.combine (G.input_ids t.source) inputs in
-  let got = run t bindings in
-  let want = Plan.run t.base_plan bindings in
+  let got = run ?backend t bindings in
+  let want = Plan.run ?backend t.base_plan bindings in
   let budget = ulp_budget t in
   let spec = describe t in
   let shape_str s = String.concat "x" (List.map string_of_int s) in

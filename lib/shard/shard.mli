@@ -135,17 +135,25 @@ val ulp_budget : t -> int
     the contraction extent (see EXPERIMENTS.md for the rationale). *)
 
 val run :
-  t -> (int * Hidet_tensor.Tensor.t) list -> Hidet_tensor.Tensor.t list
+  ?backend:Hidet_sched.Compiled.backend ->
+  t ->
+  (int * Hidet_tensor.Tensor.t) list ->
+  Hidet_tensor.Tensor.t list
 (** Execute the sharded plan: bindings are (graph input id, tensor) in
-    any order, results are the graph outputs in order. *)
+    any order, results are the graph outputs in order. Every fragment runs
+    on [?backend] (default [`Closure]). *)
 
 val run1 : t -> Hidet_tensor.Tensor.t list -> Hidet_tensor.Tensor.t
 (** [run] with positional inputs, returning the single output. *)
 
 val verify :
-  t -> Hidet_tensor.Tensor.t list -> (string, string) result
+  ?backend:Hidet_sched.Compiled.backend ->
+  t ->
+  Hidet_tensor.Tensor.t list ->
+  (string, string) result
 (** Run the sharded plan and the single-device baseline on the same
-    inputs and compare under the strategy's contract: bitwise equality
+    inputs, both on [?backend] (default [`Closure]), and compare under the
+    strategy's contract: bitwise equality
     ([Int64.bits_of_float]) for bit-exact strategies, the ULP budget
     (with a small absolute-tolerance floor for cancellation near zero)
     for [Tensor Reduce]. [Ok summary] or [Error diagnosis]; the

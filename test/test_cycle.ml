@@ -228,9 +228,7 @@ let test_analytic_unchanged () =
         (PM.estimate ~fidelity:`Analytic dev k = base);
       Alcotest.(check bool) "default fidelity" true
         (PM.estimate dev k = base))
-    (template_kernels ());
-  Alcotest.(check string) "default is analytic" "analytic"
-    (PM.fidelity_to_string (PM.default_fidelity ()))
+    (template_kernels ())
 
 let test_cycle_estimate_sane () =
   List.iter
@@ -251,19 +249,6 @@ let test_cycle_estimate_sane () =
       Alcotest.(check bool) "main loop analyzed statically" true
         (x.Fid.n_static > 0))
     (template_kernels ())
-
-let test_fidelity_round_trip () =
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "round trip" true
-        (PM.fidelity_of_string (PM.fidelity_to_string f) = Some f))
-    [ `Analytic; `Cycle ];
-  Alcotest.(check bool) "unknown rejected" true
-    (PM.fidelity_of_string "bogus" = None);
-  Alcotest.(check string) "analytic keys unchanged" ""
-    (PM.fidelity_cache_suffix `Analytic);
-  Alcotest.(check string) "cycle keys distinct" "#cycle"
-    (PM.fidelity_cache_suffix `Cycle)
 
 (* --- domain-safe space memo ----------------------------------------------- *)
 
@@ -331,7 +316,6 @@ let () =
             test_analytic_unchanged;
           Alcotest.test_case "cycle estimate sane" `Quick
             test_cycle_estimate_sane;
-          Alcotest.test_case "mode round trip" `Quick test_fidelity_round_trip;
         ] );
       ( "space",
         [

@@ -395,17 +395,83 @@ let test_guided_warm_start () =
     Alcotest.(check bool) "measured something" true (st.Tu.trials > 0)
   | None -> Alcotest.fail "warm-started guided tune found nothing"
 
-let test_search_mode_round_trip () =
-  Alcotest.(check bool) "exhaustive" true
-    (Se.mode_of_string "exhaustive" = Some `Exhaustive);
-  Alcotest.(check bool) "guided" true
-    (Se.mode_of_string "guided" = Some `Guided);
-  Alcotest.(check bool) "garbage" true (Se.mode_of_string "annealed" = None);
-  Alcotest.(check string) "to_string guided" "guided" (Se.mode_to_string `Guided);
-  Alcotest.(check string) "cache suffix exhaustive empty" ""
-    (Se.cache_suffix Se.Exhaustive);
-  Alcotest.(check string) "cache suffix guided" "#guided"
-    (Se.cache_suffix (Se.guided_matmul ()))
+(* --- schedule-cache keys ---------------------------------------------------------- *)
+
+module Key = Hidet_sched.Schedule_cache.Key
+
+(* Small alphabets so equal fields are drawn often: the property must then
+   tell apart keys that differ in a single field. Workloads never contain
+   '#', which separates the key's suffixes. *)
+let gen_key =
+  let open QCheck.Gen in
+  let text =
+    string_size ~gen:(oneofl [ 'a'; '1'; '_'; ':'; '='; ' ' ]) (int_range 0 4)
+  in
+  let params =
+    let* seed = int_range 0 2
+    and* budget_fraction = oneofl [ 0.2; 0.25; 1. /. 3. ]
+    and* population = int_range 1 2
+    and* elites = int_range 1 2
+    and* patience = int_range 1 2 in
+    return { Se.seed; budget_fraction; population; elites; patience }
+  in
+  let search =
+    frequency
+      [
+        (1, return Key.Exhaustive);
+        ( 3,
+          let* params = params and* warm = list_size (int_range 0 2) text in
+          return (Key.Guided { params; warm }) );
+      ]
+  in
+  let* workload = text
+  and* search = search
+  and* fidelity = oneofl [ `Analytic; `Cycle ] in
+  return { Key.workload; search; fidelity }
+
+(* Half the pairs are independent; the other half keep every field but
+   regroup the same warm-start characters into different pairs. *)
+let arb_key_pair =
+  let open QCheck.Gen in
+  let regroup (k : Key.t) =
+    match k.Key.search with
+    | Key.Exhaustive -> return k
+    | Key.Guided { params; warm } ->
+      let joined = String.concat "" warm in
+      let n = String.length joined in
+      let+ cut = int_range 0 n in
+      let warm = [ String.sub joined 0 cut; String.sub joined cut (n - cut) ] in
+      { k with Key.search = Key.Guided { params; warm } }
+  in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Printf.sprintf "%S / %S" (Key.to_string a) (Key.to_string b))
+    (oneof
+       [
+         pair gen_key gen_key;
+         (let* a = gen_key in
+          let+ b = regroup a in
+          (a, b));
+       ])
+
+let prop_key_strings =
+  QCheck.Test.make ~name:"schedule-cache key strings" ~count:2000 arb_key_pair
+    (fun (a, b) ->
+      (* distinct key records give distinct strings *)
+      (a = b || Key.to_string a <> Key.to_string b)
+      (* exhaustive keys are the workload byte for byte, plus the
+         unchanged cycle suffix *)
+      && Key.to_string { a with Key.search = Key.Exhaustive; fidelity = `Analytic }
+         = a.Key.workload
+      && Key.to_string { a with Key.search = Key.Exhaustive; fidelity = `Cycle }
+         = a.Key.workload ^ "#cycle")
+
+let test_key_rejects_separator () =
+  Alcotest.check_raises "'#' in a workload"
+    (Invalid_argument "Schedule_cache.Key: '#' in workload a#cycle") (fun () ->
+      ignore
+        (Key.to_string
+           { Key.workload = "a#cycle"; search = Key.Exhaustive; fidelity = `Analytic }))
 
 (* --- rule-based, reduce and row templates -------------------------------------- *)
 
@@ -575,7 +641,8 @@ let () =
           Alcotest.test_case "budget and quality" `Quick
             test_guided_within_budget_and_quality;
           Alcotest.test_case "warm start" `Quick test_guided_warm_start;
-          Alcotest.test_case "mode round trip" `Quick test_search_mode_round_trip;
+          QCheck_alcotest.to_alcotest prop_key_strings;
+          Alcotest.test_case "key separator" `Quick test_key_rejects_separator;
         ] );
       ("rule-based op zoo", rule_based_cases);
       ( "other templates",

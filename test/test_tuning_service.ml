@@ -120,13 +120,14 @@ let test_parallel_map_propagates_errors () =
 let entry_testable =
   Alcotest.testable
     (fun fmt (e : SC.entry) ->
-      Format.fprintf fmt "{idx=%d; size=%d; trials=%d; rej=%d; sim=%g; lat=%g}"
-        e.SC.best_index e.SC.space_size e.SC.trials e.SC.rejected
+      Format.fprintf fmt
+        "{idx=%d; size=%d; config=%S; trials=%d; rej=%d; sim=%g; lat=%g}"
+        e.SC.best_index e.SC.space_size e.SC.config e.SC.trials e.SC.rejected
         e.SC.simulated_seconds e.SC.best_latency)
     ( = )
 
 let tune_cached ~key candidates =
-  SC.tune ~device:dev ~key ~candidates
+  SC.tune ~show:MT.config_to_string ~device:dev ~workload:key ~candidates
     ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
     ()
 
@@ -148,6 +149,7 @@ let test_cache_miss_then_hit () =
         {
           SC.best_index = st.Tu.best_index;
           space_size = List.length candidates;
+          config = MT.config_to_string (List.nth candidates st.Tu.best_index);
           trials = st.Tu.trials;
           rejected = st.Tu.rejected;
           simulated_seconds = st.Tu.simulated_seconds;
@@ -171,7 +173,8 @@ let test_cache_search_modes_do_not_alias () =
   SC.clear ();
   let candidates = List.filteri (fun i _ -> i mod 10 = 0) (Space.matmul ()) in
   let tune ~search =
-    SC.tune ~device:dev ~key:"modes" ~search ~candidates
+    SC.tune ~show:MT.config_to_string ~device:dev ~workload:"modes" ~search
+      ~candidates
       ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
       ()
   in
@@ -201,6 +204,7 @@ let test_cache_stale_space_retunes () =
     {
       SC.best_index = 3;
       space_size = List.length candidates + 7;
+      config = "";
       trials = 10;
       rejected = 0;
       simulated_seconds = 15.;
@@ -218,6 +222,7 @@ let test_cache_stale_space_retunes () =
 let test_cache_uninstantiable_winner_retunes () =
   SC.clear ();
   let candidates = [ `Bad; `Good ] in
+  let show = function `Bad -> "bad" | `Good -> "good" in
   let compile = function
     | `Bad -> invalid_arg "template rejects this now"
     | `Good -> MT.compile ~m:64 ~n:64 ~k:64 MT.default_config
@@ -228,12 +233,13 @@ let test_cache_uninstantiable_winner_retunes () =
     {
       SC.best_index = 0;
       space_size = 2;
+      config = "bad";
       trials = 2;
       rejected = 0;
       simulated_seconds = 3.;
       best_latency = 1e-3;
     };
-  match SC.tune ~device:dev ~key:"evolved" ~candidates ~compile () with
+  match SC.tune ~show ~device:dev ~workload:"evolved" ~candidates ~compile () with
   | Some (cand, _, SC.Fresh _) ->
     Alcotest.(check bool) "retuned to the feasible winner" true (cand = `Good)
   | _ -> Alcotest.fail "uninstantiable winner must trigger a fresh tune"
@@ -250,6 +256,7 @@ let test_persistence_round_trip () =
     {
       SC.best_index = 5;
       space_size = 40;
+      config = "bm64_bn64";
       trials = 38;
       rejected = 2;
       simulated_seconds = 57.;
@@ -269,6 +276,40 @@ let test_persistence_round_trip () =
       | Some got -> Alcotest.check entry_testable "round-trips exactly" e got
       | None -> Alcotest.fail "entry lost in round trip")
 
+let test_persistence_config_column () =
+  SC.clear ();
+  let candidates = [ "a\tb"; "c" ] in
+  let tune () =
+    SC.tune ~show:Fun.id ~device:dev ~workload:"tabbed" ~candidates
+      ~compile:(fun _ -> MT.compile ~m:64 ~n:64 ~k:64 MT.default_config)
+      ()
+  in
+  ignore (tune ());
+  let key = "tabbed" and device = dev.Hidet_gpu.Device.name in
+  let stored = Option.get (SC.find ~device ~key) in
+  Alcotest.(check string) "tab sanitized" "a b" stored.SC.config;
+  with_temp_file (fun path ->
+      SC.save path;
+      SC.clear ();
+      (match SC.load path with
+      | Ok n -> Alcotest.(check int) "entry loaded" 1 n
+      | Error msg -> Alcotest.failf "load failed: %s" msg);
+      Alcotest.check entry_testable "config round-trips" stored
+        (Option.get (SC.find ~device ~key));
+      match tune () with
+      | Some (_, _, SC.Hit _) -> ()
+      | _ -> Alcotest.fail "reloaded entry must be served")
+
+let test_persistence_refuses_v1 () =
+  (* A v1 entry has no fingerprint: it cannot be verified, so the whole
+     file is refused rather than served. *)
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      output_string oc "HIDET-SCHEDULE-CACHE v1\n";
+      output_string oc "rtx3090\tgood\t2\t10\t9\t1\t13.5\t0.00025\n";
+      close_out oc;
+      Alcotest.(check bool) "v1 refused" true (Result.is_error (SC.load path)))
+
 let test_persistence_rejects_foreign_and_stale () =
   with_temp_file (fun path ->
       let write s =
@@ -279,7 +320,7 @@ let test_persistence_rejects_foreign_and_stale () =
       write "not a cache file\njunk\n";
       Alcotest.(check bool) "foreign file rejected" true
         (Result.is_error (SC.load path));
-      write "HIDET-SCHEDULE-CACHE v99\nrtx3090\tk\t0\t1\t1\t0\t1.5\t1e-4\n";
+      write "HIDET-SCHEDULE-CACHE v99\nrtx3090\tk\t0\t1\tc\t1\t0\t1.5\t1e-4\n";
       Alcotest.(check bool) "future version rejected" true
         (Result.is_error (SC.load path));
       write "";
@@ -290,12 +331,13 @@ let test_persistence_skips_corrupt_lines () =
   SC.clear ();
   with_temp_file (fun path ->
       let oc = open_out path in
-      output_string oc "HIDET-SCHEDULE-CACHE v1\n";
-      output_string oc "rtx3090\tgood\t2\t10\t9\t1\t13.5\t0.00025\n";
+      output_string oc "HIDET-SCHEDULE-CACHE v2\n";
+      output_string oc "rtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025\n";
       output_string oc "rtx3090\ttruncated\t2\t10\n";
       output_string oc "total garbage line\n";
-      output_string oc "rtx3090\tbad_index\t12\t10\t9\t1\t13.5\t0.00025\n";
-      output_string oc "rtx3090\talso_good\t0\t4\t4\t0\t6\t0.001\n";
+      output_string oc "rtx3090\tbad_index\t12\t10\tc\t9\t1\t13.5\t0.00025\n";
+      output_string oc "rtx3090\tv1_line\t2\t10\t9\t1\t13.5\t0.00025\n";
+      output_string oc "rtx3090\talso_good\t0\t4\t\t4\t0\t6\t0.001\n";
       close_out oc;
       (match SC.load path with
       | Ok n -> Alcotest.(check int) "only well-formed lines load" 2 n
@@ -310,15 +352,15 @@ let test_persistence_rejects_nonfinite_floats () =
   SC.clear ();
   with_temp_file (fun path ->
       let oc = open_out path in
-      output_string oc "HIDET-SCHEDULE-CACHE v1\n";
+      output_string oc "HIDET-SCHEDULE-CACHE v2\n";
       (* "nan" and "inf" parse as floats; negatives parse as ints/floats —
          all must be rejected, not loaded into the stats. *)
-      output_string oc "rtx3090\tnan_sim\t2\t10\t9\t1\tnan\t0.00025\n";
-      output_string oc "rtx3090\tnan_lat\t2\t10\t9\t1\t13.5\tnan\n";
-      output_string oc "rtx3090\tinf_sim\t2\t10\t9\t1\tinf\t0.00025\n";
-      output_string oc "rtx3090\tneg_sim\t2\t10\t9\t1\t-13.5\t0.00025\n";
-      output_string oc "rtx3090\tneg_lat\t2\t10\t9\t1\t13.5\t-0.00025\n";
-      output_string oc "rtx3090\tgood\t2\t10\t9\t1\t13.5\t0.00025\n";
+      output_string oc "rtx3090\tnan_sim\t2\t10\tc\t9\t1\tnan\t0.00025\n";
+      output_string oc "rtx3090\tnan_lat\t2\t10\tc\t9\t1\t13.5\tnan\n";
+      output_string oc "rtx3090\tinf_sim\t2\t10\tc\t9\t1\tinf\t0.00025\n";
+      output_string oc "rtx3090\tneg_sim\t2\t10\tc\t9\t1\t-13.5\t0.00025\n";
+      output_string oc "rtx3090\tneg_lat\t2\t10\tc\t9\t1\t13.5\t-0.00025\n";
+      output_string oc "rtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025\n";
       close_out oc;
       (match SC.load path with
       | Ok n -> Alcotest.(check int) "only the finite line loads" 1 n
@@ -334,6 +376,7 @@ let test_concurrent_saves_leave_loadable_file () =
     {
       SC.best_index = 1;
       space_size = 8;
+      config = "";
       trials = 8;
       rejected = 0;
       simulated_seconds = 2.5;
@@ -379,6 +422,7 @@ let test_cache_counters_agree_on_stale () =
     {
       SC.best_index = 0;
       space_size = List.length candidates + 3;
+      config = "";
       trials = 5;
       rejected = 0;
       simulated_seconds = 1.;
@@ -392,6 +436,63 @@ let test_cache_counters_agree_on_stale () =
   Alcotest.(check int) "no hit counted" 0 (SC.hits ());
   Alcotest.(check int) "stale counted" 1 (SC.stale ());
   Alcotest.(check int) "miss counted" 1 (SC.misses ())
+
+(* --- the key and the fingerprint --------------------------------------------- *)
+
+let test_guided_key_names_the_whole_search () =
+  (* A guided winner is only the best of what that seed, budget and warm
+     start measured: a run differing in any of them must tune fresh. *)
+  let module Se = Hidet_sched.Search in
+  SC.clear ();
+  let candidates = List.filteri (fun i _ -> i mod 10 = 0) (Space.matmul ()) in
+  let tune search =
+    match
+      SC.tune ~show:MT.config_to_string ~device:dev ~workload:"guided" ~search
+        ~candidates
+        ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
+        ()
+    with
+    | Some (_, _, SC.Fresh _) -> `Fresh
+    | Some (_, _, SC.Hit _) -> `Hit
+    | None -> Alcotest.fail "guided tune found nothing"
+  in
+  let params seed = { Se.default_guided_params with Se.seed } in
+  let seed1 = Se.guided_matmul ~params:(params 1) () in
+  let seed2 = Se.guided_matmul ~params:(params 2) () in
+  let warm =
+    Se.guided_matmul ~params:(params 2)
+      ~warm:[ (List.hd candidates, 1e-4); (List.nth candidates 3, 2e-4) ]
+      ()
+  in
+  List.iter
+    (fun (name, search) ->
+      Alcotest.(check bool) (name ^ " tunes fresh") true (tune search = `Fresh))
+    [ ("seed 1", seed1); ("seed 2", seed2); ("warm start", warm) ];
+  List.iter
+    (fun (name, search) ->
+      Alcotest.(check bool) (name ^ " repeated hits") true (tune search = `Hit))
+    [ ("seed 1", seed1); ("seed 2", seed2); ("warm start", warm) ];
+  Alcotest.(check int) "three entries" 3 (SC.size ())
+
+let test_reordered_space_is_stale () =
+  (* Same size, different order: the stored index now names another
+     config, so the entry must be judged stale, not served. *)
+  SC.clear ();
+  let candidates = List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ()) in
+  let winner = function
+    | Some (cfg, _, _) -> cfg
+    | None -> Alcotest.fail "tune found nothing"
+  in
+  let first = winner (tune_cached ~key:"reordered" candidates) in
+  match tune_cached ~key:"reordered" (List.rev candidates) with
+  | Some (cfg, _, SC.Fresh _) ->
+    Alcotest.(check string) "same winning config"
+      (MT.config_to_string first) (MT.config_to_string cfg);
+    Alcotest.(check int) "stale counted" 1 (SC.stale ());
+    Alcotest.(check int) "both calls missed" 2 (SC.misses ());
+    Alcotest.(check int) "no hit" 0 (SC.hits ())
+  | Some (_, _, SC.Hit _) -> Alcotest.fail "reordered space served a hit"
+  | None -> Alcotest.fail "retune found nothing"
 
 (* --- engine warm start ----------------------------------------------------- *)
 
@@ -410,6 +511,49 @@ let test_engine_warm_start () =
     (E.total_tuning_cost warm);
   Alcotest.(check (float 1e-9)) "same predicted latency" cold.E.latency
     warm.E.latency
+
+(* Compile options travel with the compile: a cycle-fidelity guided compile
+   running next to a default one on another domain changes nothing about
+   the default compile, and neither depends on which runs first. *)
+let test_options_do_not_leak () =
+  let tuned =
+    {
+      HE.default_options with
+      HE.fidelity = `Cycle;
+      (* a small budget keeps the cycle-model compile quick *)
+      search =
+        Hidet_sched.Search.guided_matmul
+          ~params:
+            {
+              Hidet_sched.Search.default_guided_params with
+              budget_fraction = 0.05;
+              population = 8;
+            }
+          ();
+    }
+  in
+  let compile options =
+    let _, r = HE.compile_plan ~options dev (M.Tiny.separable ()) in
+    (r.E.latency, r.E.kernel_count)
+  in
+  let keys () = SC.keys_for_device dev.Hidet_gpu.Device.name in
+  SC.clear ();
+  let d = Domain.spawn (fun () -> compile tuned) in
+  let default_concurrent = compile HE.default_options in
+  let tuned_concurrent = Domain.join d in
+  let keys_concurrent = keys () in
+  SC.clear ();
+  let tuned_sequential = compile tuned in
+  let default_sequential = compile HE.default_options in
+  let pair = Alcotest.(pair (float 0.) int) in
+  Alcotest.check pair "tuned compile" tuned_sequential tuned_concurrent;
+  Alcotest.check pair "default compile" default_sequential default_concurrent;
+  Alcotest.(check (list string)) "cache keys" (keys ()) keys_concurrent;
+  SC.clear ();
+  Alcotest.check pair "default matches a default-only compile"
+    (compile HE.default_options) default_concurrent;
+  Alcotest.(check (list string)) "default keys carry no suffix" (keys ())
+    (List.filter (fun k -> not (String.contains k '#')) keys_concurrent)
 
 (* --- occupancy guard ------------------------------------------------------- *)
 
@@ -458,10 +602,17 @@ let () =
             test_cache_uninstantiable_winner_retunes;
           Alcotest.test_case "counters agree on stale" `Quick
             test_cache_counters_agree_on_stale;
+          Alcotest.test_case "guided key names the whole search" `Quick
+            test_guided_key_names_the_whole_search;
+          Alcotest.test_case "reordered space is stale" `Quick
+            test_reordered_space_is_stale;
         ] );
       ( "persistence",
         [
           Alcotest.test_case "round trip" `Quick test_persistence_round_trip;
+          Alcotest.test_case "config column" `Quick
+            test_persistence_config_column;
+          Alcotest.test_case "v1 refused" `Quick test_persistence_refuses_v1;
           Alcotest.test_case "foreign/stale headers" `Quick
             test_persistence_rejects_foreign_and_stale;
           Alcotest.test_case "corrupt lines skipped" `Quick
@@ -472,7 +623,11 @@ let () =
             test_concurrent_saves_leave_loadable_file;
         ] );
       ( "engine warm start",
-        [ Alcotest.test_case "zero fresh trials" `Quick test_engine_warm_start ] );
+        [
+          Alcotest.test_case "zero fresh trials" `Quick test_engine_warm_start;
+          Alcotest.test_case "options do not leak" `Quick
+            test_options_do_not_leak;
+        ] );
       ( "occupancy",
         [
           Alcotest.test_case "regs = 0 guarded" `Quick test_occupancy_regs_zero;
