@@ -1,6 +1,6 @@
 # Convenience targets; CI and the tier-1 gate run `make check`.
 
-.PHONY: all test check trace-smoke fuzz-smoke bench-interp-smoke native-smoke serve-smoke obs-serve-smoke shard-smoke tune-smoke fidelity-smoke clean
+.PHONY: all test check trace-smoke fuzz-smoke bench-interp-smoke native-smoke serve-smoke obs-serve-smoke shard-smoke tune-smoke fidelity-smoke bench-compile clean
 
 all:
 	dune build @all
@@ -175,6 +175,31 @@ fidelity-smoke:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe --only fidelity --quick \
 	  --out _build/BENCH_fidelity.smoke.json
+
+# The repo benchmark (benchmark/, see BENCHMARK.json), per layer: each
+# workload runs traced (`--trace 1`), and its result line goes with the git
+# revision into BENCH_compile.json. A failed output check in any workload
+# stops the target and leaves the committed file alone. It takes a few
+# minutes, so it is not part of `make check`.
+BENCH_WORKLOADS := compile_cold compile_warm exec_tiny
+BENCH_COMPILE_TMP := _build/bench-compile
+
+bench-compile:
+	mkdir -p $(BENCH_COMPILE_TMP)
+	for w in $(BENCH_WORKLOADS); do \
+	  bash benchmark/run.sh --workload $$w --trace 1 \
+	    > $(BENCH_COMPILE_TMP)/$$w.out || exit 1; \
+	done
+	{ printf '{"revision": "%s",\n "workloads": {' \
+	    "$$(git describe --always --dirty)"; \
+	  sep=''; \
+	  for w in $(BENCH_WORKLOADS); do \
+	    printf '%s\n  "%s": %s' "$$sep" $$w \
+	      "$$(tail -n 1 $(BENCH_COMPILE_TMP)/$$w.out)"; \
+	    sep=','; \
+	  done; \
+	  printf '}}\n'; } > $(BENCH_COMPILE_TMP)/BENCH_compile.json
+	mv $(BENCH_COMPILE_TMP)/BENCH_compile.json BENCH_compile.json
 
 # The full gate: everything (libraries, tests, benches, examples) must
 # compile, the test suite must pass, the trace pipeline must produce

@@ -48,13 +48,14 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
   | Error note -> (Perf_model.infeasible note, no_extras)
   | Ok blocks_per_sm ->
     Metrics.incr m_estimates;
-    let c = Traffic.kernel k in
     let a = Access.analyze ~line:d.cache_line_bytes k in
     Metrics.add m_traced a.Access.n_traced;
     let stages = Pipeline.effective_stages k in
     let warps_per_block = Kernel.num_warps_per_block k in
     let concurrent = d.num_sms * blocks_per_sm in
     let active_blocks = min k.Kernel.grid_dim concurrent in
+    let t = Traffic.analyze ~window:(min d.l2_reuse_window active_blocks) k in
+    let c = t.Traffic.counts in
     let waves = ceil_div k.Kernel.grid_dim concurrent in
     let blocks_on_sm = max 1 (ceil_div active_blocks d.num_sms) in
     let resident_warps = warps_per_block * blocks_on_sm in
@@ -88,11 +89,7 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
     (* Lines fetched once and shared by the L2 reuse window of
        consecutively launched blocks (what swizzle improves) are L2 hits
        for every block after the first. *)
-    let reuse =
-      if c.Traffic.global_load_bytes > 0. then
-        Traffic.block_reuse ~window:(min d.l2_reuse_window active_blocks) k
-      else 1.
-    in
+    let reuse = if c.Traffic.global_load_bytes > 0. then t.Traffic.reuse else 1. in
     let cross = 1. -. (1. /. Float.max 1. reuse) in
     let h2 = h2_intra +. ((1. -. h2_intra) *. cross) in
     let dram_frac = (1. -. h1) *. (1. -. h2) in

@@ -53,12 +53,15 @@ let kernel (d : Device.t) (k : Kernel.t) =
   match occupancy_limits d k with
   | Error note -> infeasible note
   | Ok blocks_per_sm ->
-    let c = Traffic.kernel k in
     let stages = Pipeline.effective_stages k in
     let pipelined = stages >= 2 in
     let warps_per_block = Kernel.num_warps_per_block k in
     let concurrent = d.num_sms * blocks_per_sm in
     let active_blocks = min k.grid_dim concurrent in
+    (* One walk gives the traffic counts and the L2 block reuse over the
+       window of consecutively launched blocks that are co-resident. *)
+    let t = Traffic.analyze ~window:(min d.l2_reuse_window active_blocks) k in
+    let c = t.Traffic.counts in
     let waves = ceil_div k.grid_dim concurrent in
     let blocks_on_sm = ceil_div active_blocks d.num_sms in
     let resident_threads = float_of_int (k.block_dim * blocks_on_sm) in
@@ -78,11 +81,7 @@ let kernel (d : Device.t) (k : Kernel.t) =
        launched blocks (bounded by what is actually co-resident) is fetched
        from DRAM once, not once per block. Swizzled launch orders shrink
        the window's union working set and show up here. *)
-    let l2_reuse =
-      if c.global_load_bytes > 0. then
-        Traffic.block_reuse ~window:(min d.l2_reuse_window active_blocks) k
-      else 1.
-    in
+    let l2_reuse = if c.global_load_bytes > 0. then t.Traffic.reuse else 1. in
     let bytes_block =
       ((c.global_load_bytes *. Float.max 1. ld_eff /. l2_reuse)
       +. c.global_store_bytes)

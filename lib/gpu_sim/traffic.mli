@@ -1,13 +1,21 @@
 (** Structural resource extraction from kernels.
 
-    Walks the statement tree once, multiplying by (constant) loop extents, to
-    count per-thread memory traffic and arithmetic. Loads and stores under
+    Walks the statement tree once, multiplying by loop extents, to count
+    per-thread memory traffic and arithmetic. Loads and stores under
     predication are counted fully: on real hardware a warp issues the
     instruction for all lanes of a partial tile, which is exactly the
     partial-tile waste the hardware-centric schedule space pays for.
 
     Index arithmetic is free (it overlaps with memory latency); only
-    operations in value position count as FLOPs. *)
+    operations in value position count as FLOPs.
+
+    The same walk measures L2 block reuse. It probes the kernel at thread 0
+    with every loop index 0, for all block ids of the reuse window at once.
+    [Let] values, variable loop extents and global-load indices that do not
+    depend on the block id are evaluated once. Those that do are partially
+    evaluated once and then finished per block: a [Let] keeps one slot per
+    block, and an index keeps a small leftover expression. Probing follows
+    {!Hidet_ir.Expr.eval} exactly; free variables and loads read as 0. *)
 
 type counts = {
   global_load_bytes : float;  (** per thread *)
@@ -21,7 +29,38 @@ type counts = {
 }
 
 val zero : counts
+
+type analysis = {
+  counts : counts;
+  reuse : float;  (** {!block_reuse} at the window [analyze] was given *)
+}
+
+val analyze : window:int -> Hidet_ir.Kernel.t -> analysis
+(** Both analyses from one walk of the kernel. Variable loop extents are
+    evaluated at block 0. *)
+
 val kernel : Hidet_ir.Kernel.t -> counts
+(** [(analyze ~window:1 k).counts]; a window of 1 probes no block ids. *)
+
+val block_reuse : window:int -> Hidet_ir.Kernel.t -> float
+(** [(analyze ~window k).reuse]: the L2-locality factor in [1, window]. It
+    says how many times each unit of DRAM traffic is shared across a window
+    of [window] consecutively launched blocks (at most the grid).
+
+    Each global load site's flattened index identifies the operand panel
+    the block streams. A panel touched by several blocks of the window is
+    fetched from DRAM only once. This term is what tells a swizzled
+    block-launch order from a row-major one: the per-block bytes are the
+    same, but the union working set per window is smaller.
+
+    The factor is the best ratio over any prefix window, since a cache
+    covering [window] blocks can always restrict itself to fewer. That
+    makes it monotone non-decreasing in [window].
+
+    Failures: a [Let] value that fails to evaluate on a block reads as 0
+    on that block. A site whose index fails to evaluate on a block gets a
+    fresh value there (conservative: no reuse). Those values are -1, -2, ...
+    numbered in block-major site order. *)
 
 val coalescing_stride : Hidet_ir.Expr.t -> int
 (** Estimated |d(index)/d(threadIdx.x)| of the innermost index expression
@@ -31,16 +70,3 @@ val coalescing_stride : Hidet_ir.Expr.t -> int
 val effective_factor : int -> float
 (** Memory-traffic multiplier for a given stride: 1.0 when coalesced, up to
     8.0 for badly strided access (cache lines partially wasted). *)
-
-val block_reuse : window:int -> Hidet_ir.Kernel.t -> float
-(** L2-locality factor in [1, window]: how many times each unit of DRAM
-    traffic is shared across a window of [window] consecutively launched
-    blocks. Monotone non-decreasing in [window]: the factor is the best
-    ratio over any prefix window (a cache covering [window] blocks can
-    always restrict itself to fewer). Every global load site is probed per block id (thread 0, loop
-    indices 0); the flattened index identifies the operand panel the block
-    streams, and a panel touched by several blocks of the window is only
-    fetched from DRAM once. Sites whose index cannot be evaluated count as
-    distinct per block (conservative). This term is what distinguishes a
-    swizzled block-launch order from a row-major one: same per-block bytes,
-    smaller union working set per window. *)

@@ -296,39 +296,38 @@ let rec eval env e =
   | Block_idx -> V_int env.block_idx
   | Select (c, a, b) -> if eval_bool env c then eval env a else eval env b
   | Load (buf, idx) -> env.load buf (List.map (eval_int env) idx)
-  | Unop (op, a) -> eval_unop env op a
-  | Binop (op, a, b) -> eval_binop env op a b
+  | Unop (op, a) -> unop_value op (eval env a)
+  | Binop (And, a, b) -> V_bool (eval_bool env a && eval_bool env b)
+  | Binop (Or, a, b) -> V_bool (eval_bool env a || eval_bool env b)
+  | Binop (op, a, b) ->
+    let va = eval env a and vb = eval env b in
+    binop_value op va vb
 
-and eval_unop env op a =
+and unop_value op v =
   match op with
-  | Not -> V_bool (not (eval_bool env a))
+  | Not -> V_bool (not (bool_of_value v))
   | Neg -> (
-    match eval env a with
+    match v with
     | V_int n -> V_int (-n)
     | V_float f -> V_float (-.f)
     | V_bool _ -> invalid_arg "Expr.eval: neg of bool")
-  | Exp -> V_float (Stdlib.exp (eval_float env a))
-  | Log -> V_float (Stdlib.log (eval_float env a))
-  | Sqrt -> V_float (Stdlib.sqrt (eval_float env a))
-  | Tanh -> V_float (Stdlib.tanh (eval_float env a))
-  | Erf -> V_float (erf (eval_float env a))
+  | Exp -> V_float (Stdlib.exp (float_of_value v))
+  | Log -> V_float (Stdlib.log (float_of_value v))
+  | Sqrt -> V_float (Stdlib.sqrt (float_of_value v))
+  | Tanh -> V_float (Stdlib.tanh (float_of_value v))
+  | Erf -> V_float (erf (float_of_value v))
   | Abs -> (
-    match eval env a with
+    match v with
     | V_int n -> V_int (Stdlib.abs n)
     | V_float f -> V_float (Float.abs f)
     | V_bool _ -> invalid_arg "Expr.eval: abs of bool")
 
-and eval_binop env op a b =
-  match op with
-  | And -> V_bool (eval_bool env a && eval_bool env b)
-  | Or -> V_bool (eval_bool env a || eval_bool env b)
-  | _ -> (
-    let va = eval env a and vb = eval env b in
-    match (va, vb) with
-    | V_int x, V_int y -> eval_int_binop op x y
-    | (V_float _ | V_int _), (V_float _ | V_int _) ->
-      eval_float_binop op (float_of_value va) (float_of_value vb)
-    | _ -> invalid_arg "Expr.eval: bool operand to arithmetic binop")
+and binop_value op va vb =
+  match (va, vb) with
+  | V_int x, V_int y -> eval_int_binop op x y
+  | (V_float _ | V_int _), (V_float _ | V_int _) ->
+    eval_float_binop op (float_of_value va) (float_of_value vb)
+  | _ -> invalid_arg "Expr.eval: bool operand to arithmetic binop"
 
 and eval_int_binop op x y =
   match op with

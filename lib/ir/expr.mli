@@ -114,6 +114,15 @@ val eval_int : env -> t -> int
 val eval_float : env -> t -> float
 val eval_bool : env -> t -> bool
 
+val unop_value : unop -> value -> value
+(** What {!eval} does with a [Unop]'s evaluated operand. *)
+
+val binop_value : binop -> value -> value -> value
+(** What {!eval} does with a [Binop]'s two evaluated operands, for every
+    operator but [And]/[Or], which {!eval} short-circuits. Exposed, with
+    {!unop_value}, so a partial evaluator can apply exactly {!eval}'s
+    arithmetic and errors. *)
+
 val eval_int_binop : binop -> int -> int -> value
 (** Apply an arithmetic/comparison binop to two ints ([And]/[Or] are
     handled by short-circuit evaluation, not here). Exposed so the

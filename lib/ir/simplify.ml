@@ -39,7 +39,27 @@ and binop op a b =
     inner
   | _ -> Expr.binop op a b
 
-let rec stmt (s : Stmt.t) : Stmt.t =
+module Int_map = Map.Make (Int)
+
+(* Substitute every variable bound in [env] at once, rebuilding through the
+   same smart constructors as [Expr.subst]. *)
+let rec subst env (e : Expr.t) =
+  match e with
+  | Var v -> ( match Int_map.find_opt v.Var.id env with Some x -> x | None -> e)
+  | Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> e
+  | Binop (op, a, b) -> Expr.binop op (subst env a) (subst env b)
+  | Unop (op, a) -> Expr.unop op (subst env a)
+  | Select (c, a, b) -> Expr.select (subst env c) (subst env a) (subst env b)
+  | Load (buf, idx) -> Load (buf, List.map (subst env) idx)
+
+(* One pass: trivially bound [Let]s are not substituted into their body
+   when met; the binding is carried down in [env] and every expression
+   below is substituted once, then simplified. An expression under no
+   trivial [Let] is only simplified. The outermost binding of a variable
+   wins, as if each [Let] had been substituted into its body in turn. *)
+let rec stmt_in env (s : Stmt.t) : Stmt.t =
+  let expr e = expr (if Int_map.is_empty env then e else subst env e) in
+  let stmt = stmt_in env in
   match s with
   | Seq ss -> Stmt.seq (List.map stmt ss)
   | For { var; extent; unroll; body } ->
@@ -51,7 +71,11 @@ let rec stmt (s : Stmt.t) : Stmt.t =
     match value with
     | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx ->
       Hidet_obs.Metrics.incr m_simplified;
-      stmt (Stmt.subst var value body)
+      let env =
+        if Int_map.mem var.Var.id env then env
+        else Int_map.add var.Var.id value env
+      in
+      stmt_in env body
     | _ -> Stmt.let_ var value (stmt body))
   | Store { buf; indices; value } ->
     Stmt.store buf (List.map expr indices) (expr value)
@@ -64,5 +88,7 @@ let rec stmt (s : Stmt.t) : Stmt.t =
         c_off = List.map expr m.c_off;
       }
   | Sync_threads | Comment _ -> s
+
+let stmt s = stmt_in Int_map.empty s
 
 let kernel k = Kernel.map_body stmt k

@@ -13,6 +13,14 @@ val expr : Expr.t -> Expr.t
 val stmt : Stmt.t -> Stmt.t
 (** Applies {!expr} everywhere, collapses constant control flow, flattens
     sequences and inlines lets whose bound value is a literal or a
-    variable. *)
+    variable.
+
+    One pass over the statement. An inlined [Let] is not substituted into
+    its body when it is met. Its binding joins a substitution environment
+    carried down the walk, and each expression below is substituted once,
+    for all bound variables at a time, through the same smart constructors
+    as {!Expr.subst}, then simplified. The result and the
+    ["ir.nodes_simplified"] count are those of substituting each inlined
+    [Let] into its body in turn and simplifying the result. *)
 
 val kernel : Kernel.t -> Kernel.t

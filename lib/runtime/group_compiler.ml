@@ -182,11 +182,15 @@ let compile_graph cfg g =
         Trace.add sp "groups" (string_of_int (List.length groups));
         groups)
   in
-  let steps =
+  let plan =
     Trace.span "schedule_and_fuse" (fun sp ->
-        let steps = List.concat_map (compile_group cfg g) groups in
-        Trace.add sp "kernels" (string_of_int (List.length steps));
-        steps)
+        let plan =
+          { Plan.graph = g; steps = List.concat_map (compile_group cfg g) groups }
+        in
+        Trace.add sp "kernels" (string_of_int (Plan.kernel_count plan));
+        plan)
   in
-  Metrics.add m_kernels (List.length steps);
-  { Plan.graph = g; steps }
+  (* Launches, like the compile result's [kernel_count]: a split-k step
+     emits two kernels. *)
+  Metrics.add m_kernels (Plan.kernel_count plan);
+  plan

@@ -44,8 +44,15 @@ let log_trial ~engine ~key ~show ~index ~cand ~proposer outcome =
         proposer;
       }
 
-let trial_span ~key ~show ~index ~cand outcome =
+(* A trial span covers one candidate's instantiation and estimate, in the
+   domain that does the work. *)
+let traced_trial ~key ~show ~index ~cand ~instantiate ~estimate =
   let csp = Trace.enter "trial" in
+  let t0 = Unix.gettimeofday () in
+  let compiled = instantiate cand in
+  let t1 = Unix.gettimeofday () in
+  let outcome = match compiled with None -> Rejected | Some c -> estimate c in
+  let t2 = Unix.gettimeofday () in
   Trace.add csp "workload" key;
   Trace.add csp "index" (string_of_int index);
   Trace.add csp "config" (show cand);
@@ -55,7 +62,10 @@ let trial_span ~key ~show ~index ~cand outcome =
     Trace.add csp "outcome" "measured";
     Trace.add csp "latency_us" (Printf.sprintf "%.3f" (lat *. 1e6))
   | Measured _ -> Trace.add csp "outcome" "infeasible");
-  Trace.exit csp
+  Trace.add csp "instantiate_us" (Printf.sprintf "%.1f" ((t1 -. t0) *. 1e6));
+  Trace.add csp "estimate_us" (Printf.sprintf "%.1f" ((t2 -. t1) *. 1e6));
+  Trace.exit csp;
+  outcome
 
 let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
     ?workers ?(engine = "hidet") ?(key = "") ?(show = fun _ -> "")
@@ -77,34 +87,42 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
         ]
       "tune"
   in
-  let measure cand =
+  let instantiate cand =
     match compile cand with
     | exception Invalid_argument _ ->
       Metrics.incr m_rejected;
-      Rejected
-    | compiled ->
-      Metrics.incr m_trials;
-      Measured (Compiled.latency ?fidelity device compiled)
+      None
+    | compiled -> Some compiled
+  in
+  let estimate compiled =
+    Metrics.incr m_trials;
+    Measured (Compiled.latency ?fidelity device compiled)
+  in
+  (* Whether each candidate gets its own trace span is decided once per
+     tune call, so the untraced path stays a bare compile+measure. *)
+  let measure =
+    if Trace.enabled () then fun i ->
+      traced_trial ~key ~show ~index:i ~cand:cands.(i) ~instantiate ~estimate
+    else fun i ->
+      match instantiate cands.(i) with None -> Rejected | Some c -> estimate c
   in
   let trials = ref 0 and rejected = ref 0 in
   let best = ref None in
   (match Search.start search ~candidates:cands with
   | None ->
     (* Exhaustive: measure every candidate. Whether each candidate gets its
-       own trace span / tuning-log record is decided once per tune call, so
-       the untraced path stays a bare compile+measure. *)
-    let observed = Trace.enabled () || Tuning_log.enabled () in
+       own tuning-log record is decided once per tune call too. *)
+    let indices = Array.init (Array.length cands) Fun.id in
     let outcomes =
-      if not observed then Parallel.map ~workers:w measure cands
+      if not (Tuning_log.enabled ()) then Parallel.map ~workers:w measure indices
       else
         Parallel.map ~workers:w
-          (fun (i, cand) ->
-            let outcome = measure cand in
-            if Trace.enabled () then trial_span ~key ~show ~index:i ~cand outcome;
-            log_trial ~engine ~key ~show ~index:i ~cand
+          (fun i ->
+            let outcome = measure i in
+            log_trial ~engine ~key ~show ~index:i ~cand:cands.(i)
               ~proposer:Tuning_log.Exhaustive outcome;
             outcome)
-          (Array.mapi (fun i c -> (i, c)) cands)
+          indices
     in
     (* Deterministic merge: scan in candidate order and replace only on a
        strictly lower latency, so ties break toward the lowest index and the
@@ -121,9 +139,10 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
       outcomes
   | Some run ->
     (* Guided: the search proposes generations of candidate indices; each
-       generation is measured (possibly across domains) and merged — and
-       observed, logged and traced — in batch order, so the whole trial
-       sequence is a function of the seed alone. *)
+       generation is measured (possibly across domains, each trial span in
+       the domain that measures it) and merged — and observed and logged —
+       in batch order, so the whole trial sequence is a function of the
+       seed alone. *)
     let finished = ref false in
     while not !finished do
       match Search.next_batch run with
@@ -131,7 +150,7 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
       | batch ->
         let barr = Array.of_list batch in
         let outcomes =
-          Parallel.map ~workers:w (fun (i, _) -> measure cands.(i)) barr
+          Parallel.map ~workers:w (fun (i, _) -> measure i) barr
         in
         Array.iteri
           (fun bi outcome ->
@@ -148,7 +167,6 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
             Search.observe run ~index:i
               ~latency:
                 (match outcome with Measured l -> l | Rejected -> infinity);
-            if Trace.enabled () then trial_span ~key ~show ~index:i ~cand outcome;
             log_trial ~engine ~key ~show ~index:i ~cand ~proposer outcome)
           outcomes
     done);

@@ -59,17 +59,21 @@ val tune :
 
     Observability: every call maintains the ["tuner.trials"] and
     ["tuner.rejected"] counters (incremented inside the worker domains).
-    When tracing ({!Hidet_obs.Trace.enabled}) or the tuning log
-    ({!Hidet_obs.Tuning_log.enabled}) is on, the call is wrapped in a
-    ["tune"] span (attributed with the search mode) and each candidate
-    gets a ["trial"] span / log record carrying [?engine] (default
-    ["hidet"]), the workload signature [?key], the candidate index, the
+    When tracing ({!Hidet_obs.Trace.enabled}) is on, the call is wrapped in
+    a ["tune"] span (attributed with the search mode) and each candidate
+    gets a ["trial"] span, opened in the domain that does the work before
+    the candidate is instantiated and closed after its estimate. It
+    carries the workload signature [?key], the candidate index, the
     printable config from [?show], the outcome (measured / infeasible /
-    rejected), the estimated latency, and the proposer (exhaustive / seed
-    / mutation / crossover). Guided runs emit spans and records in batch
-    order from the driver, so the logged trial sequence is deterministic
-    even across domains. With both disabled, the per-candidate path is a
-    bare compile+measure. *)
+    rejected), the estimated latency, and the time the two phases took
+    ([instantiate_us], [estimate_us]). When the tuning log
+    ({!Hidet_obs.Tuning_log.enabled}) is on, each candidate also gets a
+    record carrying [?engine] (default ["hidet"]), the same fields and the
+    proposer (exhaustive / seed / mutation / crossover). Guided runs emit
+    records in batch order from the driver, so the logged trial sequence
+    is deterministic even across domains. Whether a call is observed is
+    decided once per call; with both disabled, the per-candidate path is
+    a bare compile+measure. *)
 
 val tune_matmul :
   device:Hidet_gpu.Device.t ->

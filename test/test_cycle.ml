@@ -53,66 +53,14 @@ let test_conflict_degree () =
 
 (* --- static vs traced: exact match on affine kernels ---------------------- *)
 
-(* A generated affine kernel: optional thread guard, a loop of [ext]
-   iterations, and a list of access sites with per-lane index
-   a*tid + b + c*i (affine in the thread id, loop-uniform offsets). *)
-type spec = { glb : bool; store : bool; a : int; b : int; c : int }
-
-let build_kernel (ext, guard, specs) =
-  let g = Buffer.create "g" [ 65536 ] in
-  let s = Buffer.create ~scope:Buffer.Shared "s" [ 2048 ] in
-  let i = Var.fresh "i" in
-  let open Expr in
-  let idx sp =
-    add
-      (add (mul (int sp.a) Thread_idx) (int sp.b))
-      (mul (int sp.c) (var i))
-  in
-  let site sp =
-    let buf = if sp.glb then g else s in
-    (* shared indices stay inside the 2048-elt buffer (mod is the identity
-       on these ranges, so the pattern stays loop-uniform) *)
-    let e = if sp.glb then idx sp else modulo (idx sp) (int 2048) in
-    if sp.store then Stmt.store buf [ e ] (float 1.0)
-    else Stmt.store buf [ e ] (load buf [ e ])
-  in
-  let body = Stmt.seq (List.map site specs) in
-  let body = if guard then Stmt.if_ (lt Thread_idx (int 16)) body else body in
-  let body = Stmt.for_ i (int ext) body in
-  Kernel.create ~name:"affine" ~params:[ g ] ~grid_dim:4 ~block_dim:32 body
-
-let spec_gen =
-  let open QCheck.Gen in
-  let* glb = bool in
-  let* store = bool in
-  let* a = oneofl [ 0; 1; 2; 4; 32 ] in
-  let* b = oneofl [ 0; 1; 64 ] in
-  let* c = oneofl [ 0; 32; 64 ] in
-  return { glb; store; a; b; c }
-
-let kernel_gen =
-  let open QCheck.Gen in
-  let* ext = int_range 1 4 in
-  let* guard = bool in
-  let* specs = list_size (int_range 1 4) spec_gen in
-  return (ext, guard, specs)
-
-let show_case (ext, guard, specs) =
-  Printf.sprintf "ext=%d guard=%b [%s]" ext guard
-    (String.concat "; "
-       (List.map
-          (fun sp ->
-            Printf.sprintf "%s%s a=%d b=%d c=%d"
-              (if sp.glb then "g" else "s")
-              (if sp.store then "!" else "?")
-              sp.a sp.b sp.c)
-          specs))
+(* The random affine kernels come from [Affine], shared with the analysis
+   tests. *)
 
 let prop_static_matches_trace =
   QCheck.Test.make ~name:"static = traced on affine kernels" ~count:300
-    (QCheck.make ~print:show_case kernel_gen)
+    (QCheck.make ~print:Affine.show_case Affine.kernel_gen)
     (fun case ->
-      let k = build_kernel case in
+      let k = Affine.build_kernel case in
       let st = Access.static_sites k in
       let tr = Access.traced_sites k in
       List.length st.Access.sites = List.length tr.Access.t_sites
@@ -131,7 +79,10 @@ let prop_static_matches_trace =
 let test_zero_trip_alignment () =
   (* A loop that never runs still contributes (zero-weight) sites in the
      same structural order from both walkers. *)
-  let k = build_kernel (1, false, [ { glb = true; store = false; a = 1; b = 0; c = 0 } ]) in
+  let k =
+    Affine.build_kernel
+      (1, false, [ { Affine.glb = true; store = false; a = 1; b = 0; c = 0 } ])
+  in
   let g = List.hd k.Kernel.params in
   let j = Var.fresh "j" in
   (* Stmt.for_ folds extent-0 loops away; build the node directly so the

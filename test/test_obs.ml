@@ -176,6 +176,55 @@ let test_tuner_spans_and_log () =
             (ts <= cts && cts +. cdur <= ts +. dur +. 1e-6))
         trials)
 
+(* One traced cold compile: the trial spans, the tuner counters and the
+   tuning log count the same trials; the trial spans time the work, so
+   together they fit in the tune spans times the workers; and
+   plan.kernels_emitted counts the launches the result reports. *)
+let test_compile_counters_agree () =
+  let trials = Metrics.counter "tuner.trials"
+  and rejected = Metrics.counter "tuner.rejected"
+  and emitted = Metrics.counter "plan.kernels_emitted" in
+  let t0 = Metrics.value trials
+  and r0 = Metrics.value rejected
+  and e0 = Metrics.value emitted in
+  Hidet_sched.Schedule_cache.clear ();
+  let g = (List.assoc "tiny_separable" Hidet_models.Models.tiny_all) () in
+  Tlog.start ();
+  let (_, res), evs =
+    Trace.with_collector (fun () -> Hidet.Hidet_engine.compile_plan dev g)
+  in
+  let logged = Tlog.stop () in
+  Hidet_sched.Schedule_cache.clear ();
+  let spans = span_tuples evs in
+  let total name =
+    List.fold_left
+      (fun (n, us) (nm, _, _, dur, _) -> if nm = name then (n + 1, us +. dur) else (n, us))
+      (0, 0.) spans
+  in
+  let n_trial, trial_us = total "trial" and _, tune_us = total "tune" in
+  Alcotest.(check bool) "the compile tuned something" true (n_trial > 0);
+  Alcotest.(check int) "trial spans = trials + rejected"
+    (Metrics.value trials - t0 + (Metrics.value rejected - r0))
+    n_trial;
+  Alcotest.(check int) "tuning-log rows = trial spans" n_trial (List.length logged);
+  let workers = Hidet_parallel.Parallel.default_workers () in
+  Alcotest.(check bool)
+    (Printf.sprintf "trial spans %.0f us <= tune %.0f us x %d workers" trial_us
+       tune_us workers)
+    true
+    (trial_us <= tune_us *. float_of_int workers);
+  List.iter
+    (fun (nm, _, _, _, attrs) ->
+      if nm = "trial" then
+        List.iter
+          (fun a ->
+            Alcotest.(check bool) ("trial span has " ^ a) true (List.mem_assoc a attrs))
+          [ "instantiate_us"; "estimate_us" ])
+    spans;
+  Alcotest.(check int) "plan.kernels_emitted = result kernels"
+    res.Hidet_runtime.Engine.kernel_count
+    (Metrics.value emitted - e0)
+
 (* Metric deltas from the always-on counters must be identical whether the
    enumeration ran on one domain or several, over random matmul sub-spaces
    (the counters are bumped inside the worker domains). *)
@@ -858,6 +907,8 @@ let () =
         [
           Alcotest.test_case "per-candidate spans and log records" `Quick
             test_tuner_spans_and_log;
+          Alcotest.test_case "one compile: spans, counters, log agree" `Quick
+            test_compile_counters_agree;
           QCheck_alcotest.to_alcotest prop_parallel_counter_parity;
         ] );
       ( "chrome",
