@@ -4,12 +4,15 @@
    compiler itself.
 
    Usage:
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- --only fig16 # one experiment
-     dune exec bench/main.exe -- --list       # experiment ids
-     dune exec bench/main.exe -- --cache F    # warm-start schedule cache
-     dune exec bench/main.exe -- --trace F    # Chrome trace of the run *)
+     dune exec bench/main.exe                       # everything
+     dune exec bench/main.exe -- --only fig16,tune  # some experiments
+     dune exec bench/main.exe -- --list             # experiment ids
+     dune exec bench/main.exe -- --quick            # smaller reported runs
+     dune exec bench/main.exe -- --out DIR          # where BENCH_*.json go (.)
+     dune exec bench/main.exe -- --cache F          # warm-start schedule cache
+     dune exec bench/main.exe -- --trace F          # Chrome trace of the run *)
 
+open Hidet_bench
 module M = Hidet_models.Models
 module G = Hidet_graph.Graph
 module Op = Hidet_graph.Op
@@ -23,7 +26,7 @@ module Tu = Hidet_sched.Tuner
 module C = Hidet_sched.Compiled
 
 let dev = Hidet_gpu.Device.rtx3090
-let section title = Printf.printf "\n=== %s ===\n%!" title
+let section = Report.section
 let ms s = s *. 1e3
 let us s = s *. 1e6
 
@@ -496,856 +499,6 @@ let tuning_service () =
     (Hidet_sched.Schedule_cache.size ())
 
 (* ------------------------------------------------------------------ *)
-(* Simulator backends: legacy tree-walking vs closure-compiled         *)
-(* ------------------------------------------------------------------ *)
-
-(* Set by --quick / --out in main. *)
-let interp_quick = ref false
-let interp_out = ref "BENCH_interp.json"
-
-let bench_interp () =
-  section
-    "bench: interp — legacy tree-walking vs closure-compiled vs native \
-     execution";
-  let module Metrics = Hidet_obs.Metrics in
-  let module T = Hidet_tensor.Tensor in
-  let stmt_counter = Metrics.counter "sim.statements" in
-  let quick = !interp_quick in
-  let native_ok =
-    match Hidet_gpu.Exec_ocaml.available () with
-    | Ok () -> true
-    | Error reason ->
-        Printf.printf
-          "note: native backend unavailable (%s); native column skipped\n"
-          reason;
-        false
-  in
-  let matmul =
-    let m = 123 and n = 77 and k = 45 in
-    ( Printf.sprintf "quickstart_matmul_%dx%dx%d" m n k,
-      MT.compile ~m ~n ~k MT.default_config,
-      [ T.rand ~seed:3 [ 1; m; k ]; T.rand ~seed:4 [ k; n ] ] )
-  in
-  let fused_conv =
-    let x_shape = [ 1; 8; 14; 14 ] and w_shape = [ 16; 8; 3; 3 ] in
-    let def =
-      Op.to_def (Op.Conv2d { stride = 1; pad_h = 1; pad_w = 1 })
-        [ x_shape; w_shape ]
-    in
-    let anchor = Hidet_sched.Rule_based.schedule def in
-    let relu = Op.to_def (Op.Unary Op.Relu) [ [ 1; 16; 14; 14 ] ] in
-    ( "fused_conv_relu_1x8x14x14_oc16_k3",
-      Hidet_fusion.Fuse.fuse_epilogue anchor relu,
-      [ T.rand ~seed:5 x_shape; T.rand ~seed:6 w_shape ] )
-  in
-  let time reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  Printf.printf "%-36s %12s %12s %12s %14s %14s %14s %8s %8s\n" "workload"
-    "stmts/launch" "legacy (ms)" "compiled(ms)" "legacy st/s" "compiled st/s"
-    "native st/s" "speedup" "nat/cmp";
-  let rows =
-    List.map
-      (fun (name, c, inputs) ->
-        (* A warm run (also JIT/allocator warm-up) yields the per-launch
-           statement count; all backends execute the same statements, so one
-           count serves every throughput figure. *)
-        let before = Metrics.value stmt_counter in
-        ignore (C.run c inputs);
-        let stmts = Metrics.value stmt_counter - before in
-        let wall_legacy =
-          time (if quick then 1 else 3) (fun () -> C.run ~legacy:true c inputs)
-        in
-        let wall_compiled =
-          time (if quick then 3 else 10) (fun () -> C.run c inputs)
-        in
-        let native_sps =
-          if not native_ok then None
-          else begin
-            (* Warm run pays codegen + ocamlopt + dynlink once; the timed
-               runs below hit the per-process memo, which is the steady
-               state the backend exists for. *)
-            ignore (C.run ~backend:`Native c inputs);
-            let wall =
-              time
-                (if quick then 3 else 10)
-                (fun () -> C.run ~backend:`Native c inputs)
-            in
-            Some (float_of_int stmts /. wall)
-          end
-        in
-        let legacy_sps = float_of_int stmts /. wall_legacy in
-        let compiled_sps = float_of_int stmts /. wall_compiled in
-        let speedup = compiled_sps /. legacy_sps in
-        let nat_col =
-          match native_sps with
-          | None -> Printf.sprintf "%14s" "-"
-          | Some n -> Printf.sprintf "%14.3g" n
-        in
-        let ratio_col =
-          match native_sps with
-          | None -> Printf.sprintf "%8s" "-"
-          | Some n -> Printf.sprintf "%7.1fx" (n /. compiled_sps)
-        in
-        Printf.printf "%-36s %12d %12.2f %12.2f %14.3g %14.3g %s %7.1fx %s\n%!"
-          name stmts (ms wall_legacy) (ms wall_compiled) legacy_sps compiled_sps
-          nat_col speedup ratio_col;
-        (name, stmts, wall_legacy, wall_compiled, legacy_sps, compiled_sps,
-         native_sps))
-      [ matmul; fused_conv ]
-  in
-  let oc = open_out !interp_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"interp\",\n  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"native_available\": %b,\n" native_ok;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, stmts, wl, wc, lsps, csps, nsps) ->
-      let native_fields =
-        match nsps with
-        | None -> "\"native_stmts_per_s\": null"
-        | Some n ->
-            Printf.sprintf
-              "\"native_stmts_per_s\": %.1f, \"native_vs_compiled\": %.2f" n
-              (n /. csps)
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"statements_per_launch\": %d,\n\
-        \     \"legacy_wall_s\": %.6f, \"compiled_wall_s\": %.6f,\n\
-        \     \"legacy_stmts_per_s\": %.1f, \"compiled_stmts_per_s\": %.1f,\n\
-        \     %s,\n\
-        \     \"speedup\": %.2f}%s\n"
-        name stmts wl wc lsps csps native_fields (csps /. lsps)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !interp_out;
-  (* The compiled backend exists to be faster than the tree walker, and the
-     native backend to be faster than the closure compiler (on the matmul
-     quickstart, where the ocamlopt cost is amortized by the memo); treat a
-     slowdown as a failure so `make bench-interp-smoke` / `make native-smoke`
-     gate on it. *)
-  List.iter
-    (fun (name, _, _, _, lsps, csps, nsps) ->
-      if csps < lsps then begin
-        Printf.eprintf "FAIL: compiled backend slower than legacy on %s\n" name;
-        exit 1
-      end;
-      match nsps with
-      | Some n when n <= csps && name = (fun (n, _, _) -> n) matmul ->
-          Printf.eprintf
-            "FAIL: native backend not faster than closure backend on %s \
-             (native %.3g st/s vs compiled %.3g st/s)\n"
-            name n csps;
-          exit 1
-      | _ -> ())
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Serving: throughput and tail latency vs offered load                *)
-(* ------------------------------------------------------------------ *)
-
-let serve_out = ref "BENCH_serve.json"
-
-let bench_serve () =
-  section "bench: serve — dynamic batching vs batch-1 under offered load";
-  let module S = Hidet_serve in
-  let quick = !interp_quick in
-  let model =
-    S.Registry.load
-      ~engine:(module HE)
-      ~device:dev ~buckets:[ 1; 2; 4; 8 ] (S.Registry.Zoo "tiny_cnn")
-  in
-  let deadline = 0.3 and scale = 2000. and seed = 11 in
-  let cfg batching =
-    {
-      S.Server.batcher =
-        {
-          S.Batcher.buckets = [ 1; 2; 4; 8 ];
-          max_wait = 0.02;
-          queue_cap = 48;
-          batching;
-        };
-      workers = 2;
-      max_inflight = 2;
-      service_scale = scale;
-    }
-  in
-  let duration = if quick then 1.5 else 4.0 in
-  let rates = if quick then [ 30.; 120.; 360. ] else [ 20.; 60.; 120.; 240.; 480. ] in
-  (* The sweep runs in virtual time only: the schedule (batch compositions,
-     shed sets, latency percentiles) is exact and free; real execution is
-     covered by the verified point below. *)
-  let point batching rps =
-    let lg =
-      {
-        S.Loadgen.profile = S.Loadgen.Open_loop { rps };
-        duration;
-        deadline;
-        burst = None;
-        seed;
-      }
-    in
-    let sched =
-      S.Server.simulate (cfg batching) ~latency:(S.Registry.latency model) lg
-    in
-    (rps, batching, S.Server.stats sched, S.Server.slo_verdict ~duration sched)
-  in
-  let rows =
-    List.concat_map (fun rps -> [ point true rps; point false rps ]) rates
-  in
-  Printf.printf "%-8s %-8s %8s %8s %6s %6s %10s %10s %10s %8s\n" "rps"
-    "batching" "offered" "done" "shed" "rej" "thru(r/s)" "p99(ms)" "meanB"
-    "alerts";
-  List.iter
-    (fun (rps, batching, (s : S.Server.stats), slo) ->
-      Printf.printf "%-8.0f %-8b %8d %8d %6d %6d %10.1f %10.1f %10.2f %8s\n"
-        rps batching s.S.Server.offered s.S.Server.completed s.S.Server.shed
-        s.S.Server.rejected s.S.Server.throughput
-        (s.S.Server.e2e_p99 *. 1e3)
-        s.S.Server.mean_batch
-        (if S.Slo.fired slo then "FIRING" else "ok"))
-    rows;
-  (* One short run with real execution: every served response must be
-     bit-identical to running its request alone through the batch-1 plan. *)
-  let exec_lg =
-    {
-      S.Loadgen.profile = S.Loadgen.Open_loop { rps = 40. };
-      duration = (if quick then 0.5 else 1.0);
-      deadline;
-      burst = None;
-      seed;
-    }
-  in
-  let exec_report = S.Server.run (cfg true) model exec_lg in
-  let exec_mismatches = Option.value exec_report.S.Server.mismatches ~default:(-1) in
-  Printf.printf
-    "exec check: %d responses executed, %d mismatches vs batch-1 plan\n"
-    (List.length exec_report.S.Server.responses)
-    exec_mismatches;
-  let oc = open_out !serve_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"serve\",\n  \"quick\": %b,\n" quick;
-  Printf.fprintf oc
-    "  \"model\": \"tiny_cnn\", \"engine\": \"hidet\", \"seed\": %d,\n" seed;
-  Printf.fprintf oc
-    "  \"deadline_ms\": %.0f, \"service_scale\": %.0f, \"workers\": 2, \
-     \"buckets\": [1, 2, 4, 8],\n"
-    (deadline *. 1e3) scale;
-  Printf.fprintf oc "  \"sweep\": [\n";
-  List.iteri
-    (fun i (rps, batching, s, slo) ->
-      Printf.fprintf oc
-        "    {\"rps\": %.0f, \"batching\": %b, \"stats\": %s, \"slo\": %s}%s\n"
-        rps batching
-        (S.Server.stats_to_json s)
-        (S.Slo.verdict_to_json slo)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"exec_check\": {\"responses\": %d, \"mismatches\": %d}\n}\n"
-    (List.length exec_report.S.Server.responses)
-    exec_mismatches;
-  close_out oc;
-  Printf.printf "wrote %s\n" !serve_out;
-  (* Gates (make serve-smoke relies on these): *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
-  let find b r =
-    let _, _, s, slo =
-      List.find (fun (rps, bt, _, _) -> bt = b && rps = r) rows
-    in
-    (s, slo)
-  in
-  let lo = List.hd rates and hi = List.nth rates (List.length rates - 1) in
-  let low_b, low_slo = find true lo in
-  check
-    (low_b.S.Server.shed = 0
-    && low_b.S.Server.rejected = 0
-    && low_b.S.Server.deadline_miss = 0)
-    "batched serving at low load must meet the deadline for every request";
-  check
-    (not (S.Slo.fired low_slo))
-    "no burn-rate alert may fire at low load";
-  let (hi_b, hi_slo), (hi_n, _) = (find true hi, find false hi) in
-  check (S.Slo.fired hi_slo)
-    "overload must fire a burn-rate alert (budget is burning)";
-  check
-    (hi_b.S.Server.throughput > hi_n.S.Server.throughput *. 2.)
-    "at saturation, dynamic batching must out-serve batch-1 dispatch";
-  check
-    (hi_b.S.Server.mean_batch > 1.)
-    "overload must actually coalesce requests into batches";
-  check (hi_b.S.Server.shed > 0)
-    "overload must shed requests that cannot meet their deadline";
-  check
-    (hi_b.S.Server.rejected > 0)
-    "overload must exert backpressure at the bounded queue";
-  let tail_bound = deadline +. (S.Registry.latency model 8 *. scale) +. 1e-9 in
-  check
-    (hi_b.S.Server.e2e_p99 <= tail_bound)
-    (Printf.sprintf
-       "admitted p99 must stay bounded under overload (%.1f ms > %.1f ms)"
-       (hi_b.S.Server.e2e_p99 *. 1e3)
-       (tail_bound *. 1e3));
-  check
-    (List.length exec_report.S.Server.responses > 0 && exec_mismatches = 0)
-    "every executed response must match the batch-1 plan bit for bit";
-  if !fail then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Sharding: tensor/pipeline parallelism under the cluster cost model  *)
-(* ------------------------------------------------------------------ *)
-
-let shard_out = ref "BENCH_shard.json"
-
-let bench_shard () =
-  section
-    "bench: shard — multi-device partitioning under the interconnect cost \
-     model";
-  let module Shard = Hidet_shard.Shard in
-  let module Cluster = Hidet_gpu.Cluster in
-  (* Tensor parallelism: one large matmul whose per-device compute dwarfs
-     the collective epilogue, so splitting it should approach linear. *)
-  let tp_m = 1024 and tp_n = 1024 and tp_k = 4096 in
-  let tp_graph () =
-    let g = G.create () in
-    G.name g (Printf.sprintf "tp_matmul_%dx%dx%d" tp_m tp_n tp_k);
-    let a = G.input g [ 1; tp_m; tp_k ] in
-    let w = G.constant_rand g ~seed:21 [ tp_k; tp_n ] in
-    G.set_outputs g [ G.matmul g a w ];
-    g
-  in
-  (* Pipeline parallelism: a deep chain of equal-cost stages, batch large
-     enough to stream microbatches through. *)
-  let pp_layers = 8 and pp_b = 128 and pp_d = 1024 in
-  let staged_graph () =
-    let g = G.create () in
-    G.name g (Printf.sprintf "staged_mlp_%dx%d" pp_layers pp_d);
-    let x = G.input g [ pp_b; 32; pp_d ] in
-    let h = ref x in
-    for i = 1 to pp_layers do
-      let w = G.constant_rand g ~seed:(30 + i) [ pp_d; pp_d ] in
-      h := G.relu g (G.matmul g !h w)
-    done;
-    G.set_outputs g [ !h ];
-    g
-  in
-  let estimate ~strategy ~devices g =
-    let cl = Cluster.homogeneous ~n:devices dev in
-    Shard.estimate (Shard.plan ~strategy cl g)
-  in
-  Printf.printf "%-28s %-14s %4s %12s %12s %12s %9s\n" "graph" "strategy" "dev"
-    "compute(us)" "comm(us)" "total(us)" "speedup";
-  let row name strategy devices (e : Shard.estimate) =
-    Printf.printf "%-28s %-14s %4d %12.1f %12.1f %12.1f %8.2fx\n%!" name
-      (Shard.strategy_to_string strategy)
-      devices (us e.Shard.compute) (us e.Shard.comm) (us e.Shard.total)
-      e.Shard.speedup;
-    (name, Shard.strategy_to_string strategy, devices, e)
-  in
-  let tp_rows =
-    List.concat_map
-      (fun devices ->
-        List.map
-          (fun strategy ->
-            row "tp_matmul" strategy devices
-              (estimate ~strategy ~devices (tp_graph ())))
-          [ Shard.Tensor Shard.Gather; Shard.Tensor Shard.Reduce ])
-      [ 2; 4 ]
-  in
-  let pp_strategy = Shard.Pipeline { microbatches = 4 } in
-  let pp_rows =
-    List.map
-      (fun devices ->
-        row "staged_mlp" pp_strategy devices
-          (estimate ~strategy:pp_strategy ~devices (staged_graph ())))
-      [ 2; 4 ]
-  in
-  (* Small executed equivalence points: the cost-model rows above never
-     run; these do, and must meet each strategy's contract (bit-exact, or
-     the tensor-reduce ULP budget). *)
-  let small_mm () =
-    let g = G.create () in
-    G.name g "small_matmul_48x64x128";
-    let a = G.input g [ 4; 48; 128 ] in
-    let w = G.constant_rand g ~seed:23 [ 128; 64 ] in
-    G.set_outputs g [ G.matmul g a w ];
-    g
-  in
-  let small_mlp () =
-    let g = G.create () in
-    G.name g "small_mlp_4x32";
-    let x = G.input g [ 8; 8; 32 ] in
-    let h = ref x in
-    for i = 1 to 4 do
-      let w = G.constant_rand g ~seed:(40 + i) [ 32; 32 ] in
-      h := G.relu g (G.matmul g !h w)
-    done;
-    G.set_outputs g [ !h ];
-    g
-  in
-  let verify_point name strategy g =
-    let cl = Cluster.homogeneous ~n:2 dev in
-    let shard = Shard.plan ~strategy cl g in
-    let inputs =
-      List.mapi
-        (fun i id -> Hidet_tensor.Tensor.rand ~seed:(59 + i) (G.node_shape g id))
-        (G.input_ids g)
-    in
-    match Shard.verify shard inputs with
-    | Ok msg ->
-      Printf.printf "verify %-14s %s: %s\n%!" name
-        (Shard.strategy_to_string strategy)
-        msg;
-      (name, Shard.strategy_to_string strategy, true, msg)
-    | Error msg ->
-      Printf.printf "verify %-14s %s: FAILED %s\n%!" name
-        (Shard.strategy_to_string strategy)
-        msg;
-      (name, Shard.strategy_to_string strategy, false, msg)
-  in
-  let verifies =
-    (* let-sequenced so the progress lines print in declaration order *)
-    let v1 = verify_point "small_matmul" Shard.Data (small_mm ()) in
-    let v2 = verify_point "small_matmul" (Shard.Tensor Shard.Gather) (small_mm ()) in
-    let v3 = verify_point "small_matmul" (Shard.Tensor Shard.Reduce) (small_mm ()) in
-    let v4 =
-      verify_point "small_mlp" (Shard.Pipeline { microbatches = 4 })
-        (small_mlp ())
-    in
-    [ v1; v2; v3; v4 ]
-  in
-  let oc = open_out !shard_out in
-  let est_json (e : Shard.estimate) =
-    Printf.sprintf
-      "{\"devices\": %d, \"compute_s\": %.6e, \"comm_s\": %.6e, \"total_s\": \
-       %.6e, \"baseline_s\": %.6e, \"speedup\": %.3f}"
-      e.Shard.devices e.Shard.compute e.Shard.comm e.Shard.total
-      e.Shard.baseline e.Shard.speedup
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"shard\",\n";
-  Printf.fprintf oc
-    "  \"link\": {\"name\": \"nvlink\", \"latency_s\": %.2e, \
-     \"bandwidth_Bps\": %.3e},\n"
-    Cluster.nvlink.Cluster.latency Cluster.nvlink.Cluster.bandwidth;
-  Printf.fprintf oc "  \"sweep\": [\n";
-  let all_rows = tp_rows @ pp_rows in
-  List.iteri
-    (fun i (name, strat, devices, e) ->
-      Printf.fprintf oc
-        "    {\"graph\": \"%s\", \"strategy\": \"%s\", \"devices\": %d, \
-         \"estimate\": %s}%s\n"
-        name strat devices (est_json e)
-        (if i = List.length all_rows - 1 then "" else ","))
-    all_rows;
-  Printf.fprintf oc "  ],\n  \"verify\": [\n";
-  List.iteri
-    (fun i (name, strat, ok, msg) ->
-      Printf.fprintf oc
-        "    {\"graph\": \"%s\", \"strategy\": \"%s\", \"ok\": %b, \"detail\": \
-         %S}%s\n"
-        name strat ok msg
-        (if i = List.length verifies - 1 then "" else ","))
-    verifies;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !shard_out;
-  (* Gates (make shard-smoke and CI rely on these): *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
-  let tp_speedup ~devices =
-    List.fold_left
-      (fun acc (_, _, d, (e : Shard.estimate)) ->
-        if d = devices then Float.max acc e.Shard.speedup else acc)
-      0. tp_rows
-  in
-  let s2 = tp_speedup ~devices:2 and s4 = tp_speedup ~devices:4 in
-  check (s2 >= 1.6)
-    (Printf.sprintf
-       "tensor-parallel matmul must reach >= 1.6x at 2 devices (got %.2fx)" s2);
-  check (s4 > s2)
-    (Printf.sprintf
-       "tensor-parallel speedup must keep scaling at 4 devices (%.2fx <= \
-        %.2fx)"
-       s4 s2);
-  let pp2 =
-    let _, _, _, e = List.hd pp_rows in
-    e.Shard.speedup
-  in
-  check (pp2 > 1.0)
-    (Printf.sprintf
-       "pipeline must beat single-device on the staged DAG (got %.2fx)" pp2);
-  List.iter
-    (fun (_, _, _, (e : Shard.estimate)) ->
-      check (e.Shard.comm > 0.)
-        "every multi-device plan must be billed a nonzero collective cost")
-    all_rows;
-  List.iter
-    (fun (name, strat, ok, msg) ->
-      check ok
-        (Printf.sprintf "executed equivalence must hold for %s/%s: %s" name
-           strat msg))
-    verifies;
-  if !fail then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Guided search vs the exhaustive oracle on the widened space         *)
-(* ------------------------------------------------------------------ *)
-
-let tune_out = ref "BENCH_tune.json"
-
-let bench_tune () =
-  section
-    "bench: tune — guided search vs the exhaustive oracle on the widened \
-     schedule space";
-  let module Se = Hidet_sched.Search in
-  let module Space = Hidet_sched.Space in
-  let quick = !interp_quick in
-  (* The interp quickstart matmul plus two Table 1 GEMMs. *)
-  let shapes =
-    if quick then [ (123, 77, 45) ]
-    else [ (123, 77, 45); (1024, 1024, 1024); (512, 512, 4096) ]
-  in
-  let tune ?search ~m ~n ~k candidates =
-    match
-      Tu.tune ?search ~device:dev ~candidates
-        ~compile:(fun cfg -> MT.compile ~m ~n ~k cfg)
-        ()
-    with
-    | Some (cfg, _, st) -> (cfg, st)
-    | None -> failwith "bench tune: no feasible schedule"
-  in
-  Printf.printf "%-18s %6s %8s %12s %8s %12s %7s %7s\n" "shape" "cands"
-    "ex.tr" "ex.best(us)" "gu.tr" "gu.best(us)" "ratio" "frac";
-  let rows =
-    List.map
-      (fun (m, n, k) ->
-        let candidates = Space.matmul_with_split_k ~m ~n in
-        let ncand = List.length candidates in
-        let ecfg, est = tune ~m ~n ~k candidates in
-        let gcfg, gst = tune ~search:(Se.guided_matmul ()) ~m ~n ~k candidates in
-        let ratio = gst.Tu.best_latency /. est.Tu.best_latency in
-        let frac = float_of_int gst.Tu.trials /. float_of_int ncand in
-        Printf.printf "%-18s %6d %8d %12.2f %8d %12.2f %6.3fx %6.1f%%\n%!"
-          (Printf.sprintf "%dx%dx%d" m n k)
-          ncand est.Tu.trials
-          (us est.Tu.best_latency)
-          gst.Tu.trials
-          (us gst.Tu.best_latency)
-          ratio (100. *. frac);
-        (m, n, k, ncand, ecfg, est, gcfg, gst, ratio, frac))
-      shapes
-  in
-  (* The widened dimensions must pay for themselves: on a bandwidth-bound
-     GEMM (large output, tiny k) the best schedule of the full space must
-     beat the best of the pre-widening space (no swizzle, stages <= 2). *)
-  let bm, bn, bk = (2048, 2048, 64) in
-  let widened = Space.matmul_with_split_k ~m:bm ~n:bn in
-  let old_space =
-    List.filter
-      (fun (c : MT.config) -> (not c.MT.swizzle) && c.MT.stages <= 2)
-      widened
-  in
-  let wcfg, wst = tune ~m:bm ~n:bn ~k:bk widened in
-  let ocfg, ost = tune ~m:bm ~n:bn ~k:bk old_space in
-  let gain = ost.Tu.best_latency /. wst.Tu.best_latency in
-  Printf.printf
-    "widened-space gate on %dx%dx%d: old best %s (%.2f us), widened best %s \
-     (%.2f us, %.3fx)\n%!"
-    bm bn bk (MT.config_to_string ocfg)
-    (us ost.Tu.best_latency)
-    (MT.config_to_string wcfg)
-    (us wst.Tu.best_latency)
-    gain;
-  let oc = open_out !tune_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"tune\",\n  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"shapes\": [\n";
-  List.iteri
-    (fun i (m, n, k, ncand, ecfg, est, gcfg, gst, ratio, frac) ->
-      Printf.fprintf oc
-        "    {\"shape\": \"%dx%dx%d\", \"candidates\": %d,\n\
-        \     \"exhaustive\": {\"trials\": %d, \"best_config\": \"%s\", \
-         \"best_latency_us\": %.3f},\n\
-        \     \"guided\": {\"trials\": %d, \"best_config\": \"%s\", \
-         \"best_latency_us\": %.3f},\n\
-        \     \"latency_ratio\": %.4f, \"measured_fraction\": %.4f}%s\n"
-        m n k ncand est.Tu.trials (MT.config_to_string ecfg)
-        (us est.Tu.best_latency)
-        gst.Tu.trials (MT.config_to_string gcfg)
-        (us gst.Tu.best_latency)
-        ratio frac
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"widened_gate\": {\"shape\": \"%dx%dx%d\",\n\
-    \    \"old_best_config\": \"%s\", \"old_best_latency_us\": %.3f,\n\
-    \    \"widened_best_config\": \"%s\", \"widened_best_latency_us\": %.3f,\n\
-    \    \"gain\": %.4f}\n"
-    bm bn bk (MT.config_to_string ocfg)
-    (us ost.Tu.best_latency)
-    (MT.config_to_string wcfg)
-    (us wst.Tu.best_latency)
-    gain;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !tune_out;
-  (* Gates (make tune-smoke and CI rely on these). *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
-  List.iter
-    (fun (m, n, k, _, _, _, _, _, ratio, frac) ->
-      check (ratio <= 1.05)
-        (Printf.sprintf
-           "guided must land within 5%% of the exhaustive best on %dx%dx%d \
-            (got %.3fx)"
-           m n k ratio);
-      check (frac <= 0.25)
-        (Printf.sprintf
-           "guided must measure <= 25%% of the candidates on %dx%dx%d (got \
-            %.1f%%)"
-           m n k (100. *. frac)))
-    rows;
-  check
-    (wst.Tu.best_latency < ost.Tu.best_latency)
-    "a widened-space schedule must beat the pre-widening best on the \
-     bandwidth-bound GEMM";
-  check
-    (wcfg.MT.swizzle || wcfg.MT.stages > 2)
-    (Printf.sprintf
-       "the bandwidth-bound winner must use a widened dimension (got %s)"
-       (MT.config_to_string wcfg));
-  if !fail then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Cycle-approximate fidelity vs the analytic ranking                  *)
-(* ------------------------------------------------------------------ *)
-
-let fidelity_out = ref "BENCH_fidelity.json"
-
-(* Spearman rank correlation with average ranks for ties (Pearson on the
-   rank vectors). 1.0 for degenerate inputs (n < 2 or a constant vector —
-   a constant ranking cannot contradict the other one). *)
-let spearman xs ys =
-  let n = Array.length xs in
-  if n < 2 then 1.
-  else begin
-    let ranks v =
-      let idx = Array.init n (fun i -> i) in
-      Array.sort (fun a b -> compare v.(a) v.(b)) idx;
-      let r = Array.make n 0. in
-      let i = ref 0 in
-      while !i < n do
-        let j = ref !i in
-        while !j < n - 1 && v.(idx.(!j + 1)) = v.(idx.(!i)) do
-          incr j
-        done;
-        let avg = (float_of_int (!i + !j) /. 2.) +. 1. in
-        for t = !i to !j do
-          r.(idx.(t)) <- avg
-        done;
-        i := !j + 1
-      done;
-      r
-    in
-    let rx = ranks xs and ry = ranks ys in
-    let mean a = Array.fold_left ( +. ) 0. a /. float_of_int n in
-    let mx = mean rx and my = mean ry in
-    let num = ref 0. and dx = ref 0. and dy = ref 0. in
-    for i = 0 to n - 1 do
-      let a = rx.(i) -. mx and b = ry.(i) -. my in
-      num := !num +. (a *. b);
-      dx := !dx +. (a *. a);
-      dy := !dy +. (b *. b)
-    done;
-    if !dx = 0. || !dy = 0. then 1. else !num /. sqrt (!dx *. !dy)
-  end
-
-let bench_fidelity () =
-  section
-    "bench: fidelity — cycle-approximate model (coalescing, bank conflicts, \
-     caches, warp scheduler) vs the analytic ranking";
-  let module Space = Hidet_sched.Space in
-  let module Fid = Hidet_cycle.Fidelity in
-  let module PM = Hidet_gpu.Perf_model in
-  let quick = !interp_quick in
-  let shapes =
-    if quick then [ (256, 256, 256) ]
-    else
-      [ (1024, 1024, 1024); (2048, 2048, 64); (512, 512, 4096); (4096, 256, 1024) ]
-  in
-  (* The worst kernel dominates the extras attribution: for split-k plans
-     report the cycle columns of the slowest (cycle-modeled) kernel. *)
-  let extras_of (c : C.t) =
-    let pick (best : (float * Fid.extras) option) k =
-      let e, x = Fid.kernel dev k in
-      let l = if e.PM.feasible then e.PM.latency else infinity in
-      match best with Some (l0, _) when l0 >= l -> best | _ -> Some (l, x)
-    in
-    match List.fold_left pick None c.C.kernels with
-    | Some (_, x) -> x
-    | None -> failwith "bench fidelity: compiled op with no kernels"
-  in
-  let eval (m, n, k) =
-    let all = Space.matmul_with_split_k ~m ~n in
-    (* Quick mode strides the space down to <= 48 candidates — still both
-       rankings over the same configs, just fewer of them. *)
-    let candidates =
-      if not quick then all
-      else begin
-        let arr = Array.of_list all in
-        let stride = max 1 (Array.length arr / 48) in
-        List.filteri (fun i _ -> i mod stride = 0) (Array.to_list arr)
-      end
-    in
-    let measured =
-      List.filter_map
-        (fun cfg ->
-          match MT.compile ~m ~n ~k cfg with
-          | exception Invalid_argument _ -> None
-          | compiled ->
-            let la = C.latency ~fidelity:`Analytic dev compiled in
-            let lc = C.latency ~fidelity:`Cycle dev compiled in
-            if la < infinity && lc < infinity then
-              Some (cfg, compiled, la, lc)
-            else None)
-        candidates
-    in
-    if measured = [] then failwith "bench fidelity: no feasible schedule";
-    let la = Array.of_list (List.map (fun (_, _, l, _) -> l) measured) in
-    let lc = Array.of_list (List.map (fun (_, _, _, l) -> l) measured) in
-    let rho = spearman la lc in
-    let argmin v =
-      let best = ref 0 in
-      Array.iteri (fun i x -> if x < v.(!best) then best := i) v;
-      !best
-    in
-    let nth i = List.nth measured i in
-    let acfg, acomp, ala, alc = nth (argmin la) in
-    let ccfg, ccomp, cla, clc = nth (argmin lc) in
-    let ax = extras_of acomp and cx = extras_of ccomp in
-    (* When the winners differ, name the cycle-model terms (absent from the
-       analytic model) on which the cycle winner beats the analytic one. *)
-    let attribution =
-      if acfg = ccfg then ""
-      else
-        String.concat "+"
-          (List.filter_map
-             (fun (cond, name) -> if cond then Some name else None)
-             [
-               (cx.Fid.txn_per_access < ax.Fid.txn_per_access -. 1e-9,
-                "coalescing");
-               (cx.Fid.conflict_factor < ax.Fid.conflict_factor -. 1e-9,
-                "bank-conflicts");
-               (cx.Fid.l1_hit +. cx.Fid.l2_hit
-                > ax.Fid.l1_hit +. ax.Fid.l2_hit +. 1e-9,
-                "cache");
-             ])
-    in
-    ( m, n, k,
-      List.length candidates,
-      List.length measured,
-      rho, acfg, ala, alc, ccfg, cla, clc, ax, cx, attribution )
-  in
-  Printf.printf "%-14s %6s %6s %9s %12s %12s %8s %s\n" "shape" "cands" "feas"
-    "spearman" "an.best(us)" "cy.best(us)" "changed" "attribution";
-  let rows =
-    List.map
-      (fun shape ->
-        let (m, n, k, ncand, nfeas, rho, acfg, ala, _alc, ccfg, _cla, clc, _, _,
-             attribution) as row =
-          eval shape
-        in
-        Printf.printf "%-14s %6d %6d %9.3f %12.2f %12.2f %8s %s\n%!"
-          (Printf.sprintf "%dx%dx%d" m n k)
-          ncand nfeas rho (us ala) (us clc)
-          (if acfg = ccfg then "no" else "yes")
-          attribution;
-        row)
-      shapes
-  in
-  let oc = open_out !fidelity_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"fidelity\",\n  \"quick\": %b,\n"
-    quick;
-  Printf.fprintf oc "  \"shapes\": [\n";
-  List.iteri
-    (fun i
-         (m, n, k, ncand, nfeas, rho, acfg, ala, alc, ccfg, cla, clc, ax, cx,
-          attribution) ->
-      Printf.fprintf oc
-        "    {\"shape\": \"%dx%dx%d\", \"candidates\": %d, \"feasible\": %d,\n\
-        \     \"spearman\": %.4f,\n\
-        \     \"analytic_winner\": {\"config\": \"%s\", \
-         \"analytic_latency_us\": %.3f, \"cycle_latency_us\": %.3f,\n\
-        \       \"txn_per_access\": %.3f, \"conflict_factor\": %.3f, \
-         \"l1_hit\": %.3f, \"l2_hit\": %.3f},\n\
-        \     \"cycle_winner\": {\"config\": \"%s\", \
-         \"analytic_latency_us\": %.3f, \"cycle_latency_us\": %.3f,\n\
-        \       \"txn_per_access\": %.3f, \"conflict_factor\": %.3f, \
-         \"l1_hit\": %.3f, \"l2_hit\": %.3f},\n\
-        \     \"winner_changed\": %b, \"attribution\": \"%s\"}%s\n"
-        m n k ncand nfeas rho (MT.config_to_string acfg) (us ala) (us alc)
-        ax.Fid.txn_per_access ax.Fid.conflict_factor ax.Fid.l1_hit
-        ax.Fid.l2_hit (MT.config_to_string ccfg) (us cla) (us clc)
-        cx.Fid.txn_per_access cx.Fid.conflict_factor cx.Fid.l1_hit
-        cx.Fid.l2_hit (acfg = ccfg |> not) attribution
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !fidelity_out;
-  (* Gates (make fidelity-smoke and CI rely on these). *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
-  List.iter
-    (fun (m, n, k, _, _, rho, _, _, alc, _, _, clc, _, _, _) ->
-      check (rho >= 0.35)
-        (Printf.sprintf
-           "analytic and cycle rankings must agree ordinally on %dx%dx%d \
-            (spearman %.3f < 0.35)"
-           m n k rho);
-      check
-        (clc <= alc +. 1e-12)
-        (Printf.sprintf
-           "the cycle-ranked winner must be at least as good as the \
-            analytic-ranked winner under the cycle model on %dx%dx%d"
-           m n k))
-    rows;
-  check
-    (List.exists
-       (fun (_, _, _, _, _, _, acfg, _, _, ccfg, _, _, _, _, attribution) ->
-         acfg <> ccfg && attribution <> "")
-       rows)
-    "at least one shape must change winners for a reason the analytic model \
-     cannot see (coalescing, bank conflicts or caches)";
-  if !fail then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the compiler itself                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1391,78 +544,72 @@ let micro () =
   in
   List.iter benchmark tests
 
+
 (* ------------------------------------------------------------------ *)
+
+(* Paper figures and ablations print their tables; reported experiments
+   also write BENCH_<name>.json and gate on it (see Report.drive). *)
+type experiment = Print of (unit -> unit) | Reported of Report.t
 
 let experiments =
   [
-    ("table1", table1);
-    ("fig7", fig7);
-    ("fig13", fig13);
-    ("fig14", fig14);
-    ("fig15", fig15);
-    ("fig16", fig16);
-    ("fig17", fig17);
-    ("fig18", fig18);
-    ("fig19", fig19);
-    ("ablation_double_buffer", ablation_double_buffer);
-    ("ablation_split_k", ablation_split_k);
-    ("ablation_fusion", ablation_fusion);
-    ("ablation_tensor_core", ablation_tensor_core);
-    ("ablation_device_sweep", ablation_device_sweep);
-    ("tuning_service", tuning_service);
-    ("tune", bench_tune);
-    ("fidelity", bench_fidelity);
-    ("interp", bench_interp);
-    ("serve", bench_serve);
-    ("shard", bench_shard);
-    ("micro", micro);
+    ("table1", Print table1);
+    ("fig7", Print fig7);
+    ("fig13", Print fig13);
+    ("fig14", Print fig14);
+    ("fig15", Print fig15);
+    ("fig16", Print fig16);
+    ("fig17", Print fig17);
+    ("fig18", Print fig18);
+    ("fig19", Print fig19);
+    ("ablation_double_buffer", Print ablation_double_buffer);
+    ("ablation_split_k", Print ablation_split_k);
+    ("ablation_fusion", Print ablation_fusion);
+    ("ablation_tensor_core", Print ablation_tensor_core);
+    ("ablation_device_sweep", Print ablation_device_sweep);
+    ("tuning_service", Print tuning_service);
+    ("tune", Reported Reported.tune);
+    ("fidelity", Reported Reported.fidelity);
+    ("interp", Reported Reported.interp);
+    ("serve", Reported Reported.serve);
+    ("shard", Reported Reported.shard);
+    ("micro", Print micro);
   ]
 
 let () =
   let args = Array.to_list Sys.argv in
+  let value flag =
+    let rec find = function
+      | f :: v :: _ when f = flag -> Some v
+      | _ :: rest -> find rest
+      | [] -> None
+    in
+    find args
+  in
   if List.mem "--list" args then
     List.iter (fun (id, _) -> print_endline id) experiments
   else begin
-    let only =
-      let rec find = function
-        | "--only" :: id :: _ -> Some id
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find args
+    let selected =
+      match value "--only" with
+      | None -> experiments
+      | Some ids ->
+        List.map
+          (fun id ->
+            match List.assoc_opt id experiments with
+            | Some e -> (id, e)
+            | None ->
+              Printf.eprintf "unknown experiment %s (try --list)\n" id;
+              exit 1)
+          (String.split_on_char ',' ids)
     in
+    let quick = List.mem "--quick" args in
+    let out = Option.value (value "--out") ~default:"." in
+    if not (Sys.file_exists out && Sys.is_directory out) then begin
+      Printf.eprintf "--out %s: not a directory\n" out;
+      exit 1
+    end;
     (* --cache FILE: warm-start the schedule cache across benchmark runs. *)
-    let cache_file =
-      let rec find = function
-        | "--cache" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find args
-    in
-    (* --quick / --out FILE: fewer repetitions and the output path for the
-       interp backend comparison and the serving benchmark. *)
-    interp_quick := List.mem "--quick" args;
-    (let rec find = function
-       | "--out" :: path :: _ ->
-         interp_out := path;
-         serve_out := path;
-         shard_out := path;
-         tune_out := path;
-         fidelity_out := path
-       | _ :: rest -> find rest
-       | [] -> ()
-     in
-     find args);
-    (* --trace FILE: record spans for the whole run, export Chrome JSON. *)
-    let trace_file =
-      let rec find = function
-        | "--trace" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find args
-    in
+    let cache_file = value "--cache" in
     (match cache_file with
     | Some path when Sys.file_exists path -> (
       match Hidet_sched.Schedule_cache.load path with
@@ -1473,22 +620,26 @@ let () =
     Printf.printf "Hidet reproduction benchmarks (device: %s)\n"
       (Format.asprintf "%a" Hidet_gpu.Device.pp dev);
     let run_selected () =
-      match only with
-      | Some id -> (
-        match List.assoc_opt id experiments with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %s (try --list)\n" id;
-          exit 1)
-      | None -> List.iter (fun (_, f) -> f ()) experiments
+      List.fold_left
+        (fun passed (_, e) ->
+          match e with
+          | Print f ->
+            f ();
+            passed
+          | Reported r -> Report.drive ~out ~quick r && passed)
+        true selected
     in
-    (match trace_file with
-    | None -> run_selected ()
-    | Some path ->
-      let (), events = Hidet_obs.Trace.with_collector run_selected in
-      Hidet_obs.Chrome_trace.save path events;
-      Printf.printf "\ntrace: wrote %d events to %s\n" (List.length events)
-        path);
+    (* --trace FILE: record spans for the whole run, export Chrome JSON. *)
+    let passed =
+      match value "--trace" with
+      | None -> run_selected ()
+      | Some path ->
+        let passed, events = Hidet_obs.Trace.with_collector run_selected in
+        Hidet_obs.Chrome_trace.save path events;
+        Printf.printf "\ntrace: wrote %d events to %s\n" (List.length events)
+          path;
+        passed
+    in
     (match cache_file with
     | Some path -> (
       match Hidet_sched.Schedule_cache.save path with
@@ -1499,5 +650,6 @@ let () =
         Printf.eprintf "schedule cache: could not save %s (%s)\n" path msg)
     | None -> ());
     Printf.printf "\nTotal benchmark wall time: %.1f s\n"
-      (Unix.gettimeofday () -. t0)
+      (Unix.gettimeofday () -. t0);
+    if not passed then exit 1
   end

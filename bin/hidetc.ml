@@ -1104,19 +1104,21 @@ let serve_cmd =
     in
     (match out with
     | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"model\": %S, \"engine\": %S, \"seed\": %d, \"virtual\": %b, \
-         \"stats\": %s, \"alerts\": %s, \"flight_fired\": %b}\n"
-        (match (model, file) with
-        | Some m, _ -> m
-        | None, Some f -> f
-        | None, None -> "?")
-        engine seed virtual_
-        (S.Server.stats_to_json r.S.Server.summary)
-        (S.Slo.verdict_to_json r.S.Server.slo)
-        flight_fired;
-      close_out oc;
+      let json =
+        Obs.Json.(
+          Obj
+            [
+              ("model", Str (Option.value model ~default:(Option.value file ~default:"?")));
+              ("engine", Str engine);
+              ("seed", Num (float_of_int seed));
+              ("virtual", Bool virtual_);
+              ("stats", S.Server.stats_to_json r.S.Server.summary);
+              ("alerts", S.Slo.verdict_to_json r.S.Server.slo);
+              ("flight_fired", Bool flight_fired);
+            ])
+      in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Obs.Json.to_string json ^ "\n"));
       Printf.printf "wrote %s\n" path
     | None -> ());
     match r.S.Server.mismatches with Some n when n > 0 -> exit 1 | _ -> ()

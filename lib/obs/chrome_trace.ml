@@ -1,26 +1,21 @@
-let add_args b attrs =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-    attrs;
-  Buffer.add_string b "}"
+let int n = Json.Num (float_of_int n)
 
-let add_event b ev =
+(* Microseconds rounded to nanoseconds. *)
+let us x = Json.Num (Float.round (x *. 1000.) /. 1000.)
+
+let args attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs)
+let head name ph = [ ("name", Json.Str name); ("ph", Json.Str ph) ]
+let at track ts_us = [ ("pid", int 1); ("tid", int track); ("ts", us ts_us) ]
+
+let event_json ev =
   match (ev : Trace.event) with
   | Trace.Span { name; track; ts_us; dur_us; attrs } ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":"
-         (Json.escape name) track ts_us dur_us);
-    add_args b attrs;
-    Buffer.add_string b "}"
+    Json.Obj
+      (head name "X" @ at track ts_us @ [ ("dur", us dur_us); ("args", args attrs) ])
   | Trace.Instant { name; track; ts_us; attrs } ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":"
-         (Json.escape name) track ts_us);
-    add_args b attrs;
-    Buffer.add_string b "}"
+    Json.Obj
+      (head name "i" @ [ ("s", Json.Str "t") ] @ at track ts_us
+      @ [ ("args", args attrs) ])
   | Trace.Flow { name; track; ts_us; id; dir; attrs } ->
     let ph =
       match dir with
@@ -30,43 +25,40 @@ let add_event b ev =
     in
     (* bp:e binds the step/end point to its enclosing slice, which is how
        Perfetto attaches the arrow to the span the point was emitted in. *)
-    let bp = match dir with Trace.Flow_start -> "" | _ -> ",\"bp\":\"e\"" in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"%s\",\"id\":%d%s,\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":"
-         (Json.escape name) ph id bp track ts_us);
-    add_args b attrs;
-    Buffer.add_string b "}"
+    let bp = match dir with Trace.Flow_start -> [] | _ -> [ ("bp", Json.Str "e") ] in
+    Json.Obj
+      (head name ph @ (("cat", Json.Str "flow") :: ("id", int id) :: bp)
+      @ at track ts_us
+      @ [ ("args", args attrs) ])
 
 let to_string events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   (* Name the process and each track; track 0 is the calling domain. *)
-  Buffer.add_string b
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"hidet\"}}";
-  let tracks = List.sort_uniq compare (List.map Trace.event_track events) in
-  List.iter
-    (fun t ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           t
-           (if t = 0 then "domain 0 (main)" else Printf.sprintf "domain %d (worker)" t)))
-    tracks;
-  List.iter
-    (fun ev ->
-      Buffer.add_string b ",";
-      add_event b ev)
-    events;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let write oc events = output_string oc (to_string events)
+  let meta name tid label =
+    Json.Obj
+      (head name "M"
+      @ [ ("pid", int 1); ("tid", int tid); ("args", args [ ("name", label) ]) ])
+  and tracks = List.sort_uniq compare (List.map Trace.event_track events) in
+  let names =
+    meta "process_name" 0 "hidet"
+    :: List.map
+         (fun t ->
+           meta "thread_name" t
+             (if t = 0 then "domain 0 (main)" else Printf.sprintf "domain %d (worker)" t))
+         tracks
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents", Json.Arr (names @ List.map event_json events));
+       ])
 
 let save path events =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc events);
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc (to_string events));
   Sys.rename tmp path
 
 (* --- validation --------------------------------------------------------------- *)

@@ -13,7 +13,6 @@
     non-negative [ts]/[dur]. *)
 
 val to_string : Trace.event list -> string
-val write : out_channel -> Trace.event list -> unit
 
 val save : string -> Trace.event list -> unit
 (** Write atomically via a temp file, as the schedule cache does. *)

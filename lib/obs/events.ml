@@ -118,33 +118,27 @@ let sort_events evs =
 
 (* --- JSONL ------------------------------------------------------------- *)
 
+(* The writer prints each timestamp as the shortest decimal that reads
+   back to the same double, so the parsed log compares bit-equal to the
+   emitted one. *)
 let event_to_json ev =
-  let b = Buffer.create 96 in
-  (* %.17g: shortest decimal that round-trips any double, so the parsed
-     log compares bit-equal to the emitted one. *)
-  Buffer.add_string b (Printf.sprintf "{\"t\":%.17g,\"rid\":%d,\"ev\":\"%s\"" ev.t ev.rid (kind_to_string ev.kind));
-  if ev.attrs <> [] then begin
-    Buffer.add_string b ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-      ev.attrs;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    ([
+       ("t", Json.Num ev.t);
+       ("rid", Json.Num (float_of_int ev.rid));
+       ("ev", Json.Str (kind_to_string ev.kind));
+     ]
+    @
+    if ev.attrs = [] then []
+    else [ ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ev.attrs)) ])
 
-let to_jsonl evs = String.concat "" (List.map (fun ev -> event_to_json ev ^ "\n") evs)
+let to_jsonl evs =
+  String.concat "" (List.map (fun ev -> Json.to_string (event_to_json ev) ^ "\n") evs)
 
 let save_jsonl path evs =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  List.iter
-    (fun ev ->
-      output_string oc (event_to_json ev);
-      output_char oc '\n')
-    evs;
+  output_string oc (to_jsonl evs);
   close_out oc;
   Sys.rename tmp path
 
@@ -307,24 +301,17 @@ module Flight = struct
   let m_dumps = Metrics.counter "obs.flight_dumps"
 
   let render ~reason ~rid ~t recent =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      (Printf.sprintf "{\n  \"reason\": \"%s\",\n  \"rid\": %d,\n  \"t\": %.17g,\n"
-         (Json.escape reason) rid t);
-    let dump_list name evs =
-      Buffer.add_string b (Printf.sprintf "  \"%s\": [\n" name);
-      List.iteri
-        (fun i ev ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b ("    " ^ event_to_json ev))
-        evs;
-      Buffer.add_string b "\n  ]"
-    in
-    dump_list "timeline" (List.filter (fun ev -> ev.rid = rid) recent);
-    Buffer.add_string b ",\n";
-    dump_list "recent" recent;
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
+    let events evs = Json.Arr (List.map event_to_json evs) in
+    Json.to_string ~indent:2
+      (Json.Obj
+         [
+           ("reason", Json.Str reason);
+           ("rid", Json.Num (float_of_int rid));
+           ("t", Json.Num t);
+           ("timeline", events (List.filter (fun ev -> ev.rid = rid) recent));
+           ("recent", events recent);
+         ])
+    ^ "\n"
 
   let trigger fr ~reason ~rid ~t () =
     let recent = sort_events (events fr.ring) in

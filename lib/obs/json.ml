@@ -6,8 +6,7 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -19,7 +18,70 @@ let escape s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
+  Buffer.contents b
+
+(* --- writer ----------------------------------------------------------------- *)
+
+(* At most one decimal of 15 or fewer significant digits reads back as a
+   given double (15 digits never collide), and %.15g finds it when it
+   exists; %.17g always reads back. *)
+let shortest v =
+  let s = Printf.sprintf "%.15g" v in
+  if float_of_string s = v then s
+  else
+    let s = Printf.sprintf "%.16g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+let round_sig digits x = float_of_string (Printf.sprintf "%.*g" digits x)
+
+let to_string ?indent v =
+  let b = Buffer.create 256 in
+  let newline depth =
+    match indent with
+    | None -> ()
+    | Some n ->
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make (n * depth) ' ')
+  in
+  let str s =
+    Buffer.add_char b '"';
+    add_escaped b s;
+    Buffer.add_char b '"'
+  in
+  let rec value depth = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num f when Float.is_nan f -> Buffer.add_string b "null"
+    | Num f when f = Float.infinity -> Buffer.add_string b "1e999"
+    | Num f when f = Float.neg_infinity -> Buffer.add_string b "-1e999"
+    | Num f -> Buffer.add_string b (shortest f)
+    | Str s -> str s
+    | Arr l -> seq depth '[' ']' (value (depth + 1)) l
+    | Obj l ->
+      seq depth '{' '}'
+        (fun (k, x) ->
+          str k;
+          Buffer.add_string b (if indent = None then ":" else ": ");
+          value (depth + 1) x)
+        l
+  and seq : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun depth opening closing item l ->
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        newline (depth + 1);
+        item x)
+      l;
+    if l <> [] then newline depth;
+    Buffer.add_char b closing
+  in
+  value 0 v;
   Buffer.contents b
 
 (* --- parser ----------------------------------------------------------------- *)

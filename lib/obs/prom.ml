@@ -33,17 +33,11 @@ let escape_label_value v =
     v;
   Buffer.contents b
 
-(* Shortest decimal that re-parses to the same double; counts are
-   integers and render as such. *)
 let fmt_value v =
   if Float.is_nan v then "NaN"
   else if v = Float.infinity then "+Inf"
   else if v = Float.neg_infinity then "-Inf"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+  else Json.shortest v
 
 let render_labels labels =
   match labels with

@@ -604,37 +604,27 @@ let pp_report fmt r =
       (List.length r.responses)
 
 let stats_to_json s =
-  let b = Buffer.create 512 in
-  let field name v = Buffer.add_string b (Printf.sprintf "\"%s\": %s" name v) in
-  let fin x = if Float.is_nan x then "null" else Printf.sprintf "%.9g" x in
-  Buffer.add_string b "{";
-  let fields =
+  let module J = Hidet_obs.Json in
+  let int n = J.Num (float_of_int n) and num x = J.Num (J.round_sig 9 x) in
+  J.Obj
     [
-      ("offered", string_of_int s.offered);
-      ("admitted", string_of_int s.admitted);
-      ("completed", string_of_int s.completed);
-      ("shed", string_of_int s.shed);
-      ("rejected", string_of_int s.rejected);
-      ("deadline_miss", string_of_int s.deadline_miss);
-      ("batches", string_of_int s.batches);
-      ("padded_rows", string_of_int s.padded_rows);
-      ("mean_batch", fin s.mean_batch);
-      ("padding_frac", fin s.padding_frac);
-      ("makespan_s", fin s.makespan);
-      ("throughput_rps", fin s.throughput);
-      ("wait_p50_ms", fin (s.wait_p50 *. 1e3));
-      ("wait_p95_ms", fin (s.wait_p95 *. 1e3));
-      ("wait_p99_ms", fin (s.wait_p99 *. 1e3));
-      ("e2e_mean_ms", fin (s.e2e_mean *. 1e3));
-      ("e2e_p50_ms", fin (s.e2e_p50 *. 1e3));
-      ("e2e_p95_ms", fin (s.e2e_p95 *. 1e3));
-      ("e2e_p99_ms", fin (s.e2e_p99 *. 1e3));
+      ("offered", int s.offered);
+      ("admitted", int s.admitted);
+      ("completed", int s.completed);
+      ("shed", int s.shed);
+      ("rejected", int s.rejected);
+      ("deadline_miss", int s.deadline_miss);
+      ("batches", int s.batches);
+      ("padded_rows", int s.padded_rows);
+      ("mean_batch", num s.mean_batch);
+      ("padding_frac", num s.padding_frac);
+      ("makespan_s", num s.makespan);
+      ("throughput_rps", num s.throughput);
+      ("wait_p50_ms", num (s.wait_p50 *. 1e3));
+      ("wait_p95_ms", num (s.wait_p95 *. 1e3));
+      ("wait_p99_ms", num (s.wait_p99 *. 1e3));
+      ("e2e_mean_ms", num (s.e2e_mean *. 1e3));
+      ("e2e_p50_ms", num (s.e2e_p50 *. 1e3));
+      ("e2e_p95_ms", num (s.e2e_p95 *. 1e3));
+      ("e2e_p99_ms", num (s.e2e_p99 *. 1e3));
     ]
-  in
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      field n v)
-    fields;
-  Buffer.add_string b "}";
-  Buffer.contents b

@@ -130,5 +130,6 @@ val pp_report : Format.formatter -> report -> unit
 (** Human-readable SLO report: traffic, admission, batching, latency
     percentiles, verification verdict. *)
 
-val stats_to_json : stats -> string
-(** One flat JSON object (used by [hidetc serve --out] and the bench). *)
+val stats_to_json : stats -> Hidet_obs.Json.t
+(** One flat JSON object (used by [hidetc serve --out] and the bench);
+    numbers keep 9 significant digits. *)

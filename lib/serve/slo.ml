@@ -147,28 +147,29 @@ let evaluate cfg samples =
 let fired v = List.exists (fun a -> a.fired) v.alerts
 
 let verdict_to_json v =
-  let b = Buffer.create 512 in
-  let fin x =
-    if Float.is_nan x then "null"
-    else if x = Float.infinity then "1e999"
-    else Printf.sprintf "%.9g" x
+  let module J = Hidet_obs.Json in
+  let num x = J.Num (J.round_sig 9 x) and int n = J.Num (float_of_int n) in
+  let alert a =
+    J.Obj
+      [
+        ("rule", J.Str a.rule.rname);
+        ("fired", J.Bool a.fired);
+        ("at", if a.fired then num a.at else J.Null);
+        ("fast_window_s", num a.rule.fast);
+        ("slow_window_s", num a.rule.slow);
+        ("burn_threshold", num a.rule.burn);
+        ("fast_burn", num a.fast_burn);
+        ("slow_burn", num a.slow_burn);
+      ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "{\"total\": %d, \"bad\": %d, \"miss_ratio\": %s, \"budget\": %s, \"alerts\": ["
-       v.total v.bad (fin v.miss_ratio) (fin v.budget));
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"rule\": \"%s\", \"fired\": %b, \"at\": %s, \"fast_window_s\": %s, \"slow_window_s\": %s, \"burn_threshold\": %s, \"fast_burn\": %s, \"slow_burn\": %s}"
-           a.rule.rname a.fired
-           (if a.fired then fin a.at else "null")
-           (fin a.rule.fast) (fin a.rule.slow) (fin a.rule.burn) (fin a.fast_burn)
-           (fin a.slow_burn)))
-    v.alerts;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  J.Obj
+    [
+      ("total", int v.total);
+      ("bad", int v.bad);
+      ("miss_ratio", num v.miss_ratio);
+      ("budget", num v.budget);
+      ("alerts", J.Arr (List.map alert v.alerts));
+    ]
 
 let pp_verdict fmt v =
   List.iter

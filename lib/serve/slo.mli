@@ -56,8 +56,9 @@ val evaluate : config -> sample list -> verdict
 val fired : verdict -> bool
 (** Whether any rule fired. *)
 
-val verdict_to_json : verdict -> string
-(** Machine-readable [alerts] section for serve JSON output. *)
+val verdict_to_json : verdict -> Hidet_obs.Json.t
+(** Machine-readable [alerts] section for serve JSON output; numbers keep
+    9 significant digits. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 (** One ["  alert ..."] line per rule, matching {!Server.pp_report}'s

@@ -352,6 +352,104 @@ let test_json_escape_roundtrip () =
   | Ok (Json.Str s') -> Alcotest.(check string) "roundtrip" s s'
   | _ -> Alcotest.fail "escaped string does not parse"
 
+let test_json_writer_format () =
+  let v =
+    Json.Obj
+      [
+        ("n", Json.Arr [ Json.Num 1.; Json.Num 2.5; Json.Num nan; Json.Num infinity ]);
+        ("s", Json.Str "q\"\n\xc3\xa8");
+        ("e", Json.Obj []);
+        ("x", Json.Arr [ Json.Num (-.infinity); Json.Null; Json.Bool true ]);
+      ]
+  in
+  Alcotest.(check string) "compact"
+    "{\"n\":[1,2.5,null,1e999],\"s\":\"q\\\"\\n\xc3\xa8\",\"e\":{},\"x\":[-1e999,null,true]}"
+    (Json.to_string v);
+  Alcotest.(check string) "indented"
+    "{\n  \"a\": [\n    1\n  ],\n  \"b\": []\n}"
+    (Json.to_string ~indent:2
+       (Json.Obj [ ("a", Json.Arr [ Json.Num 1. ]); ("b", Json.Arr []) ]));
+  List.iter
+    (fun (x, s) -> Alcotest.(check string) s s (Json.shortest x))
+    [
+      (0.1, "0.1");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (82., "82");
+      (-0., "-0");
+      (1e15, "1e+15");
+      (123456789012345., "123456789012345");
+      (1.5e-7, "1.5e-07");
+    ];
+  Alcotest.(check string) "prom keeps its spellings"
+    "# TYPE a gauge\na +Inf\n# TYPE b gauge\nb NaN\n# TYPE c gauge\nc 0.1\n"
+    (fst
+       (Prom.of_dump
+          [ ("a", Metrics.Gauge infinity); ("b", Metrics.Gauge nan); ("c", Metrics.Gauge 0.1) ]))
+
+(* Writer and parser agree on every value: any bytes in strings and keys,
+   finite floats bit-exact, nan as null, and the compact form on one line
+   (the JSONL event log depends on that). *)
+let json_arb =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (0 -- 8) in
+  let num =
+    oneof
+      [
+        float;
+        map float_of_int small_signed_int;
+        oneofl [ nan; infinity; neg_infinity; -0.; 5e-324; max_float; 0.1 ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) bytes;
+      ]
+  in
+  let value =
+    sized_size (0 -- 12)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 2))));
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (0 -- 4) (pair bytes (self (n / 2)))) );
+               ])
+  in
+  QCheck.make ~print:Json.to_string value
+
+let rec json_expected = function
+  | Json.Num f when Float.is_nan f -> Json.Null
+  | Json.Arr l -> Json.Arr (List.map json_expected l)
+  | Json.Obj l -> Json.Obj (List.map (fun (k, v) -> (k, json_expected v)) l)
+  | v -> v
+
+let rec json_same a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Json.Arr l, Json.Arr l' ->
+    List.length l = List.length l' && List.for_all2 json_same l l'
+  | Json.Obj l, Json.Obj l' ->
+    List.length l = List.length l'
+    && List.for_all2 (fun (k, v) (k', v') -> k = k' && json_same v v') l l'
+  | _ -> a = b
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = v" ~count:500 json_arb
+    (fun v ->
+      let compact = Json.to_string v in
+      let back s = match Json.parse s with Ok j -> j | Error m -> failwith m in
+      (not (String.contains compact '\n'))
+      && json_same (back compact) (json_expected v)
+      && json_same (back (Json.to_string ~indent:2 v)) (json_expected v))
+
 (* --- metrics ------------------------------------------------------------------ *)
 
 let test_metrics_registry () =
@@ -597,7 +695,7 @@ let test_events_jsonl_roundtrip () =
   match Events.parse_jsonl (Events.to_jsonl evs) with
   | Error m -> Alcotest.fail ("roundtrip does not parse: " ^ m)
   | Ok back ->
-    (* %.17g timestamps make even 0.1 +. 0.2 round-trip bit-exactly *)
+    (* shortest round-trip timestamps make even 0.1 +. 0.2 exact *)
     Alcotest.(check bool) "events round-trip exactly" true (compare back evs = 0)
 
 let test_events_ring_accounting () =
@@ -925,6 +1023,8 @@ let () =
         [
           Alcotest.test_case "parser" `Quick test_json_parse;
           Alcotest.test_case "escape roundtrip" `Quick test_json_escape_roundtrip;
+          Alcotest.test_case "writer format" `Quick test_json_writer_format;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "metrics",
         [

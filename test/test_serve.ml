@@ -401,7 +401,7 @@ let test_slo_hand_check () =
   let quiet = Slo.evaluate cfg [ sample 0.5 true; sample 1.0 true ] in
   Alcotest.(check bool) "all-good traffic never fires" false (Slo.fired quiet);
   (* machine-readable verdict parses and carries the alert *)
-  match Hidet_obs.Json.parse (Slo.verdict_to_json v) with
+  match Hidet_obs.Json.(parse (to_string (Slo.verdict_to_json v))) with
   | Error m -> Alcotest.fail ("verdict json: " ^ m)
   | Ok j ->
     let open Hidet_obs.Json in
