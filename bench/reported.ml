@@ -604,9 +604,10 @@ let tune_gates r =
         R.num "widened_best_latency_us" w < R.num "old_best_latency_us" w );
       ( sprintf "the bandwidth-bound winner must use a widened dimension (got %s)"
           winner,
-        match MT.config_of_string winner with
-        | Some c -> c.MT.swizzle || c.MT.stages > 2
-        | None -> false );
+        (* Printed tokens: swizzle is "swz", a 3/4-stage pipeline "s3"/"s4". *)
+        List.exists
+          (fun t -> List.mem t [ "s3"; "s4"; "swz" ])
+          (String.split_on_char '_' winner) );
     ]
 
 let tune = { R.name = "tune"; run = tune_run; gates = tune_gates }

@@ -39,32 +39,48 @@ let test_perturbed e path v ~gate () =
     Alcotest.failf "expected only the %S gate to fail, got [%s]" gate
       (String.concat "; " failed)
 
+let perturbed = "perturbed report fails its gate"
+
+(* Per experiment: (test name, path, replacement value, failing gate). *)
 let cases =
   [
     (* tensor-reduce at 2 devices, the best 2-device plan *)
     ( Reported.shard,
-      [ K "sweep"; I 1; K "estimate"; K "speedup" ],
-      Json.Num 1.0,
-      ">= 1.6x at 2 devices" );
-    (Reported.tune, [ K "shapes"; I 0; K "latency_ratio" ], Json.Num 1.2, "within 5%");
-    (Reported.fidelity, [ K "shapes"; I 0; K "spearman" ], Json.Num 0.1, "agree ordinally");
+      [ (perturbed, [ K "sweep"; I 1; K "estimate"; K "speedup" ], Json.Num 1.0, ">= 1.6x at 2 devices") ]
+    );
+    ( Reported.tune,
+      [
+        (perturbed, [ K "shapes"; I 0; K "latency_ratio" ], Json.Num 1.2, "within 5%");
+        (* the committed winner with its "swz" token dropped *)
+        ( "non-widened winner fails its gate",
+          [ K "widened_gate"; K "widened_best_config" ],
+          Json.Str "b64x128x16_w32x64_db_tc",
+          "use a widened dimension" );
+      ] );
+    ( Reported.fidelity,
+      [ (perturbed, [ K "shapes"; I 0; K "spearman" ], Json.Num 0.1, "agree ordinally") ] );
     ( Reported.interp,
-      [ K "workloads"; I 0; K "compiled_stmts_per_s" ],
-      Json.Num 1.0,
-      "slower than legacy" );
+      [
+        ( perturbed,
+          [ K "workloads"; I 0; K "compiled_stmts_per_s" ],
+          Json.Num 1.0,
+          "slower than legacy" );
+      ] );
     (* the first sweep row is the lowest rate with batching on *)
-    (Reported.serve, [ K "sweep"; I 0; K "stats"; K "shed" ], Json.Num 1., "at low load must meet");
+    ( Reported.serve,
+      [ (perturbed, [ K "sweep"; I 0; K "stats"; K "shed" ], Json.Num 1., "at low load must meet") ]
+    );
   ]
 
 let () =
   Alcotest.run "reports"
     (List.map
-       (fun ((e : Report.t), path, v, gate) ->
+       (fun ((e : Report.t), perturbations) ->
          ( e.Report.name,
-           [
-             Alcotest.test_case "committed report passes its gates" `Quick
-               (test_committed e);
-             Alcotest.test_case "perturbed report fails its gate" `Quick
-               (test_perturbed e path v ~gate);
-           ] ))
+           Alcotest.test_case "committed report passes its gates" `Quick
+             (test_committed e)
+           :: List.map
+                (fun (name, path, v, gate) ->
+                  Alcotest.test_case name `Quick (test_perturbed e path v ~gate))
+                perturbations ))
        cases)

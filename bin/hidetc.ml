@@ -236,31 +236,9 @@ let search_arg =
     & opt (enum [ ("exhaustive", `Exhaustive); ("guided", `Guided) ]) `Exhaustive
     & info [ "search" ] ~docv:"MODE" ~doc)
 
-let search_warm_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "search-warm" ] ~docv:"FILE"
-        ~doc:
-          "Warm-start the guided search's cost model from a tuning-log TSV \
-           written by $(b,--tuning-log) (measured trials whose configs \
-           parse are used as training pairs). Ignored under \
-           $(b,--search exhaustive).")
-
-let load_warm path =
-  match Obs.Tuning_log.load_tsv path with
-  | Error msg ->
-    Printf.eprintf "search warm-start: ignoring %s (%s)\n" path msg;
-    []
-  | Ok trials ->
-    let pairs = Hidet_sched.Search.warm_of_trials trials in
-    Printf.printf "search warm-start: %d usable trials from %s\n"
-      (List.length pairs) path;
-    pairs
-
-(* The hidet compile options that --search, --search-warm and --fidelity
-   select. A baseline engine ignores them, and says so. *)
-let hidet_options ~engine ~search ~search_warm ~fidelity =
+(* The hidet compile options that --search and --fidelity select. A
+   baseline engine ignores them, and says so. *)
+let hidet_options ~engine ~search ~fidelity =
   if engine <> "hidet" then begin
     if search <> `Exhaustive || fidelity <> `Analytic then
       Printf.eprintf
@@ -273,9 +251,7 @@ let hidet_options ~engine ~search ~search_warm ~fidelity =
     let search =
       match search with
       | `Exhaustive -> Hidet_sched.Search.Exhaustive
-      | `Guided ->
-        let warm = Option.fold ~none:[] ~some:load_warm search_warm in
-        Hidet_sched.Search.guided_matmul ~warm ()
+      | `Guided -> Hidet_sched.Search.guided_matmul ()
     in
     { HE.default_options with HE.fidelity; search }
 
@@ -409,13 +385,13 @@ let compile_cmd =
              $(b,tensor-reduce)); exits non-zero on mismatch.")
   in
   let run model batch engine dump_cuda breakdown file cache trace profile
-      summary tuning_log backend search search_warm fidelity devices parallel
-      microbatches do_verify =
+      summary tuning_log backend search fidelity devices parallel microbatches
+      do_verify =
     let options =
       (* Sharded compiles always use the hidet engine (see below). *)
       hidet_options
         ~engine:(if devices > 1 then "hidet" else engine)
-        ~search ~search_warm ~fidelity
+        ~search ~fidelity
     in
     let fidelity = options.HE.fidelity in
     let g = graph_of model file batch in
@@ -477,9 +453,8 @@ let compile_cmd =
     Term.(
       const run $ model_opt_arg $ batch_arg $ engine_arg $ dump_cuda_arg
       $ breakdown_arg $ file_arg $ cache_arg $ trace_arg $ profile_arg
-      $ summary_arg $ tuning_log_arg $ backend_arg $ search_arg
-      $ search_warm_arg $ fidelity_arg $ devices_arg $ parallel_arg
-      $ microbatches_arg $ verify_shard_arg)
+      $ summary_arg $ tuning_log_arg $ backend_arg $ search_arg $ fidelity_arg
+      $ devices_arg $ parallel_arg $ microbatches_arg $ verify_shard_arg)
 
 let bench_cmd =
   let run model batch cache trace summary tuning_log =
@@ -520,9 +495,7 @@ let profile_cmd =
              sim.* observability counters).")
   in
   let run model batch engine file cache measure backend fidelity =
-    let options =
-      hidet_options ~engine ~search:`Exhaustive ~search_warm:None ~fidelity
-    in
+    let options = hidet_options ~engine ~search:`Exhaustive ~fidelity in
     let g = graph_of model file batch in
     let (module Eng : E.S) = engine_with options engine in
     let r = ref None in
@@ -969,12 +942,12 @@ let serve_cmd =
   let run model file engine buckets workers rps clients think_ms duration
       deadline_ms max_wait_ms queue_cap max_inflight scale burst seed out
       no_batching virtual_ no_check events prom flight_size flight_out cache
-      trace summary backend search search_warm devices parallel microbatches =
+      trace summary backend search devices parallel microbatches =
     let options =
       (* Sharded serving always uses the hidet engine. *)
       hidet_options
         ~engine:(if devices > 1 then "hidet" else engine)
-        ~search ~search_warm ~fidelity:`Analytic
+        ~search ~fidelity:`Analytic
     in
     let source =
       match (model, file) with
@@ -1140,8 +1113,7 @@ let serve_cmd =
       $ scale_arg $ burst_arg $ seed_arg $ out_arg $ no_batching_arg
       $ virtual_arg $ no_check_arg $ events_arg $ prom_arg $ flight_size_arg
       $ flight_out_arg $ cache_arg $ trace_arg $ summary_arg $ backend_arg
-      $ search_arg $ search_warm_arg $ devices_arg $ parallel_arg
-      $ microbatches_arg)
+      $ search_arg $ devices_arg $ parallel_arg $ microbatches_arg)
 
 let () =
   let info =

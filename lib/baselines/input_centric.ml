@@ -62,9 +62,6 @@ let conv_space_size ~x_shape ~w_shape ~stride ~pad_h ~pad_w =
     matmul_space_size ~m:oc ~n:p ~k:(c * kh * kw)
   | _ -> invalid_arg "conv_space_size"
 
-let depthwise_space_size ~oh ~ow =
-  ordered_factorizations (oh * ow) 3 *. 2.
-
 (* --- samplers ------------------------------------------------------------------- *)
 
 let divisors n = List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1))

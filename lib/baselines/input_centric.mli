@@ -31,7 +31,6 @@ val ordered_factorizations : int -> int -> float
 
 val matmul_space_size : m:int -> n:int -> k:int -> float
 val conv_space_size : x_shape:int list -> w_shape:int list -> stride:int -> pad_h:int -> pad_w:int -> float
-val depthwise_space_size : oh:int -> ow:int -> float
 
 (** {1 Samplers} *)
 
@@ -89,9 +88,6 @@ val tune_depthwise :
 
 module Autotvm : Hidet_runtime.Engine.S
 module Ansor : Hidet_runtime.Engine.S
-
-val autotvm_trials : int
-val ansor_trials : int
 
 val compile_with :
   name:string ->

@@ -278,17 +278,6 @@ let dw_check s ~oh ~ow =
     if threads < 1 || threads > 1024 then err "bad thread count %d" threads
     else Ok ()
 
-let first_valid_dw ~oh ~ow =
-  let p = oh * ow in
-  List.find_map
-    (fun dw_tile_p ->
-      List.find_map
-        (fun dw_thread_p ->
-          let s = { dw_tile_p; dw_thread_p; dw_unroll = false } in
-          match dw_check s ~oh ~ow with Ok () -> Some s | Error _ -> None)
-        (List.filter (fun d -> d <= 8) (divisors_desc dw_tile_p)))
-    (List.filter (fun d -> d <= 256) (divisors_desc p))
-
 let depthwise ~x_shape ~w_shape ~stride ~padding s =
   match (x_shape, w_shape) with
   | [ nb; c; h; w ], [ c'; 1; kh; kw ] when c = c' ->

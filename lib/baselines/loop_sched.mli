@@ -39,8 +39,6 @@ val first_valid : m:int -> n:int -> k:int -> sched option
     The differential fuzzer uses this as the baseline-lowering oracle
     without paying for a full tuning run. *)
 
-val sched_to_string : sched -> string
-
 val gemm :
   ?batch:int ->
   ?a_batched:bool ->
@@ -72,9 +70,6 @@ type dw_sched = {
 }
 
 val dw_check : dw_sched -> oh:int -> ow:int -> (unit, string) result
-
-val first_valid_dw : oh:int -> ow:int -> dw_sched option
-(** Depthwise analog of {!first_valid}. *)
 
 val depthwise :
   x_shape:int list ->

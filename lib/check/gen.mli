@@ -95,10 +95,6 @@ val epi_def :
     [shape], and the resulting shape; [None] when the epilogue does not
     apply at this shape (e.g. transpose at rank <> 2). *)
 
-val gen_def_case : Random.State.t -> max_size:int -> case
-val gen_matmul_case : Random.State.t -> max_size:int -> case
-val gen_conv_case : Random.State.t -> max_size:int -> case
-
 val gen_graph : Random.State.t -> max_size:int -> Hidet_graph.Graph.t
 (** A standalone DAG generator (also used directly by the HGF round-trip
     property test). Node count and shapes scale with [max_size]. *)

@@ -13,9 +13,6 @@ type t = {
    300 GB/s per direction (NVSwitch all-to-all makes every pair one hop). *)
 let nvlink = { latency = 1.5e-6; bandwidth = 300.0e9 }
 
-(* PCIe 4.0 x16 with host bounce: higher latency, much lower bandwidth. *)
-let pcie = { latency = 5.0e-6; bandwidth = 16.0e9 }
-
 let of_devices ?name ?(link = nvlink) devices =
   if devices = [] then invalid_arg "Cluster.of_devices: empty device list";
   let devices = Array.of_list devices in
@@ -59,11 +56,3 @@ let all_gather_time c ~bytes =
   else
     ((n -. 1.) *. c.link.latency)
     +. ((n -. 1.) /. n *. bytes /. c.link.bandwidth)
-
-let pp fmt c =
-  Format.fprintf fmt "cluster %s: %d device(s) [%s], link %.1f us / %.0f GB/s"
-    c.name (size c)
-    (String.concat ", "
-       (Array.to_list (Array.map (fun d -> d.Device.name) c.devices)))
-    (c.link.latency *. 1e6)
-    (c.link.bandwidth /. 1e9)

@@ -22,9 +22,6 @@ type t = {
 val nvlink : link
 (** NVLink-class interconnect: 1.5 us hop latency, 300 GB/s/direction. *)
 
-val pcie : link
-(** PCIe-class fallback: 5 us hop latency, 16 GB/s/direction. *)
-
 val homogeneous : ?name:string -> ?link:link -> n:int -> Device.t -> t
 (** [n] identical devices behind the same link. Raises [Invalid_argument]
     when [n < 1]. *)
@@ -51,5 +48,3 @@ val all_reduce_time : t -> bytes:float -> float
 val all_gather_time : t -> bytes:float -> float
 (** Ring all-gather of a [bytes]-sized result sharded [1/n] per device:
     [(n-1) latency + (n-1)/n * bytes / bandwidth]. *)
-
-val pp : Format.formatter -> t -> unit

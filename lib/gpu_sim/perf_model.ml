@@ -191,14 +191,3 @@ let estimate ?(fidelity = `Analytic) d k =
     match Atomic.get cycle_model with
     | Some f -> f d k
     | None -> kernel d k)
-
-let pp fmt e =
-  if not e.feasible then Format.fprintf fmt "infeasible (%s)" e.note
-  else
-    Format.fprintf fmt
-      "%.1f us (mem %.1f us, compute %.1f us, %d waves, %d blocks/SM, occ \
-       %.0f%%%s%s)"
-      (e.latency *. 1e6) (e.mem_time *. 1e6) (e.compute_time *. 1e6) e.waves
-      e.blocks_per_sm (e.occupancy *. 100.)
-      (if e.pipelined then ", pipelined" else "")
-      (if e.note = "" then "" else ", " ^ e.note)

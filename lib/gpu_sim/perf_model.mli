@@ -63,5 +63,3 @@ val register_cycle_model : (Device.t -> Hidet_ir.Kernel.t -> estimate) -> unit
 val estimate : ?fidelity:fidelity -> Device.t -> Hidet_ir.Kernel.t -> estimate
 (** {!kernel} under [`Analytic] (the default; bit-identical); the
     registered cycle model under [`Cycle]. *)
-
-val pp : Format.formatter -> estimate -> unit

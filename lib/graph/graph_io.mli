@@ -11,13 +11,11 @@
       (outputs 2))
     v}
 
-    Constant tensors with at most {!inline_data_threshold} elements are
+    Constant tensors with at most 4096 elements are
     serialized with their values (so small graphs round-trip exactly);
     larger weights are stored as [random] placeholders and rematerialize as
     deterministic pseudo-random tensors of the recorded shape on load —
     fine for latency work, where only shapes matter (DESIGN.md §3). *)
-
-val inline_data_threshold : int
 
 val to_string : Graph.t -> string
 val of_string : string -> Graph.t

@@ -158,25 +158,6 @@ let partition g =
     topo;
   List.sort (fun a b -> compare a.output b.output) !groups
 
-let group_inputs g grp =
-  let members = Hashtbl.create 8 in
-  List.iter
-    (fun id -> Hashtbl.replace members id ())
-    ((grp.anchor :: grp.prologues) @ grp.epilogues);
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun p ->
-          if (not (Hashtbl.mem members p)) && not (Hashtbl.mem seen p) then begin
-            Hashtbl.replace seen p ();
-            acc := p :: !acc
-          end)
-        (Graph.node g id).Graph.inputs)
-    ((grp.anchor :: grp.prologues) @ grp.epilogues);
-  List.rev !acc
-
 (* Lowering of convolutions to implicit-GEMM form (paper section 5.2):
    conv2d(x, w) => reshape(matmul(reshape(w), im2col(x))). The weight
    reshape constant-folds; im2col and the output reshape fuse into the

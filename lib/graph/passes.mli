@@ -39,11 +39,6 @@ val partition : Graph.t -> group list
       group output as its first operand, and is that output's only consumer.
     Every node belongs to exactly one group. *)
 
-val group_inputs : Graph.t -> group -> int list
-(** External node ids feeding the group, in deterministic order: the
-    (prologue-substituted) operand order of the anchor followed by extra
-    epilogue operands. *)
-
 (** A subgraph carved out of a larger graph, with Input stubs standing in
     for values produced outside it. *)
 type extraction = {

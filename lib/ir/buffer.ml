@@ -32,10 +32,6 @@ let scope_name = function
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 
-let pp fmt b =
-  Format.fprintf fmt "%s@%s[%s]" b.name (scope_name b.scope)
-    (String.concat "," (List.map string_of_int b.dims))
-
 let flat_index b idx =
   if List.length idx <> List.length b.dims then
     invalid_arg (Printf.sprintf "Buffer.flat_index: rank mismatch on %s" b.name);

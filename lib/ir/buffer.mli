@@ -29,8 +29,6 @@ val rank : t -> int
 val scope_name : scope -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 val flat_index : t -> int list -> int
 (** Row-major linearization of a full index vector; raises [Invalid_argument]
     on rank mismatch or out-of-bounds component. *)

@@ -90,5 +90,3 @@ let rec stmt_in env (s : Stmt.t) : Stmt.t =
   | Sync_threads | Comment _ -> s
 
 let stmt s = stmt_in Int_map.empty s
-
-let kernel k = Kernel.map_body stmt k

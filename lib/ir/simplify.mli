@@ -22,5 +22,3 @@ val stmt : Stmt.t -> Stmt.t
     as {!Expr.subst}, then simplified. The result and the
     ["ir.nodes_simplified"] count are those of substituting each inlined
     [Let] into its body in turn and simplifying the result. *)
-
-val kernel : Kernel.t -> Kernel.t

@@ -26,6 +26,3 @@ let rec expand threshold (s : Stmt.t) : Stmt.t =
 
 let stmt ?(threshold = default_threshold) s = Simplify.stmt (expand threshold s)
 let kernel ?threshold k = Kernel.map_body (stmt ?threshold) k
-
-let count_unrollable s =
-  Stmt.count (expandable default_threshold) s

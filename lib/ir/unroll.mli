@@ -9,15 +9,9 @@
     indices and (b) the emitted CUDA C can be fully straight-line.
     Semantics preservation is property-tested in [test/test_ir.ml]. *)
 
-val default_threshold : int
-(** Maximum extent that is expanded (16). *)
-
 val stmt : ?threshold:int -> Stmt.t -> Stmt.t
-(** Unroll marked loops with constant extent at most [threshold],
-    innermost-first, then re-simplify. Unmarked or large loops are left
+(** Unroll marked loops with constant extent at most [threshold] (default
+    16), innermost-first, then re-simplify. Unmarked or large loops are left
     intact. *)
 
 val kernel : ?threshold:int -> Kernel.t -> Kernel.t
-
-val count_unrollable : Stmt.t -> int
-(** Number of [For] nodes that {!stmt} would expand. *)

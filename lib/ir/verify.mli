@@ -17,8 +17,6 @@ val kernel : Kernel.t -> (unit, error list) result
 val kernel_exn : Kernel.t -> unit
 (** Raises [Failure] with a readable message listing all errors. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val block_disjoint_writes : Kernel.t -> bool
 (** Conservative static check that distinct blocks of the grid touch
     disjoint global memory, so the simulator may execute blocks on

@@ -56,12 +56,10 @@ val sort_events : event list -> event list
 
 (** {1 JSONL} *)
 
-val event_to_json : event -> Json.t
-(** [{"t":..,"rid":..,"ev":"..","attrs":{..}}]; [attrs] is omitted when
-    empty. {!Json.to_string} prints [t] so that it reads back bit-exact. *)
-
 val to_jsonl : event list -> string
-(** One compact {!event_to_json} object per line. *)
+(** One compact [{"t":..,"rid":..,"ev":"..","attrs":{..}}] object per
+    line; [attrs] is omitted when empty. {!Json.to_string} prints [t] so
+    that it reads back bit-exact. *)
 
 val save_jsonl : string -> event list -> unit
 (** Atomic (temp file + rename). *)

@@ -116,8 +116,6 @@ let of_dump dump =
     (List.rev !order);
   (Buffer.contents b, !samples)
 
-let to_string () = fst (of_dump (Metrics.dump ()))
-
 let save path =
   let s, n = of_dump (Metrics.dump ()) in
   let tmp = path ^ ".tmp" in

@@ -19,9 +19,6 @@ val of_dump : (string * Metrics.snapshot) list -> string * int
     line each; label variants of one family are grouped even when the
     registry sort order interleaves other names between them. *)
 
-val to_string : unit -> string
-(** [fst (of_dump (Metrics.dump ()))]. *)
-
 val save : string -> int
 (** Write the current registry to [path] (atomic: temp file + rename);
     returns the number of sample lines written. *)

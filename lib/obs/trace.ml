@@ -19,8 +19,6 @@ type event =
       attrs : attr list;
     }
 
-let event_name = function Span s -> s.name | Instant i -> i.name | Flow f -> f.name
-
 let event_track = function
   | Span s -> s.track
   | Instant i -> i.track
@@ -34,11 +32,7 @@ let event_dur = function Span s -> s.dur_us | Instant _ | Flow _ -> 0.
 type buf = { lock : Mutex.t; mutable evs : event list }
 type recorder = Noop | Collect of buf
 
-let noop = Noop
-let collector () = Collect { lock = Mutex.create (); evs = [] }
 let current : recorder Atomic.t = Atomic.make Noop
-let set_recorder r = Atomic.set current r
-let recorder () = Atomic.get current
 let enabled () = Atomic.get current != Noop
 
 let record buf ev =
@@ -46,20 +40,18 @@ let record buf ev =
   buf.evs <- ev :: buf.evs;
   Mutex.unlock buf.lock
 
-let events = function
-  | Noop -> []
-  | Collect b ->
-    Mutex.lock b.lock;
-    let evs = b.evs in
-    Mutex.unlock b.lock;
-    (* Start-time order; a parent shares its child's start only if it opened
-       first, so break ties toward the longer span to keep parents ahead. *)
-    List.stable_sort
-      (fun a b ->
-        match Float.compare (event_ts a) (event_ts b) with
-        | 0 -> Float.compare (event_dur b) (event_dur a)
-        | c -> c)
-      (List.rev evs)
+let events b =
+  Mutex.lock b.lock;
+  let evs = b.evs in
+  Mutex.unlock b.lock;
+  (* Start-time order; a parent shares its child's start only if it opened
+     first, so break ties toward the longer span to keep parents ahead. *)
+  List.stable_sort
+    (fun a b ->
+      match Float.compare (event_ts a) (event_ts b) with
+      | 0 -> Float.compare (event_dur b) (event_dur a)
+      | c -> c)
+    (List.rev evs)
 
 (* --- tracks -------------------------------------------------------------------
 
@@ -107,8 +99,6 @@ type span =
       mutable attrs : attr list;  (** reversed *)
       buf : buf;
     }
-
-let null_span = Null
 
 let enter ?(attrs = []) name =
   match Atomic.get current with
@@ -162,8 +152,8 @@ let flow ?(attrs = []) ~id ~dir name =
     record buf (Flow { name; track = track (); ts_us = Clock.now_us (); id; dir; attrs })
 
 let with_collector f =
-  let r = collector () in
-  let prev = recorder () in
-  set_recorder r;
-  let v = Fun.protect ~finally:(fun () -> set_recorder prev) f in
-  (v, events r)
+  let buf = { lock = Mutex.create (); evs = [] } in
+  let prev = Atomic.get current in
+  Atomic.set current (Collect buf);
+  let v = Fun.protect ~finally:(fun () -> Atomic.set current prev) f in
+  (v, events buf)

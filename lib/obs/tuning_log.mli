@@ -4,7 +4,7 @@
     candidate a tuner evaluates is logged with its workload signature,
     candidate index, printable config, outcome and estimated latency —
     enough to regenerate the Fig 14 (cost) and Fig 15 (schedule-latency
-    distribution) quantities offline, or to feed a learned cost model later.
+    distribution) quantities offline.
 
     Collection follows the {!Trace} recorder model: a process-global sink,
     off by default (recording is then one atomic load), enabled with
@@ -32,9 +32,7 @@ type trial = {
 }
 
 val outcome_to_string : outcome -> string
-val outcome_of_string : string -> outcome option
 val proposer_to_string : proposer -> string
-val proposer_of_string : string -> proposer option
 
 val enabled : unit -> bool
 val start : unit -> unit
@@ -47,24 +45,7 @@ val record : trial -> unit
 val stop : unit -> trial list
 (** Stop collecting and return the log in record order. *)
 
-val trials : unit -> trial list
-(** Snapshot without stopping. *)
-
 val save_tsv : string -> trial list -> unit
 (** Tab-separated export: engine, workload, index, config, outcome,
-    latency in microseconds, proposer. One header line. The proposer
-    column is appended after the original six so readers of the earlier
-    format keep working. *)
-
-val parse_line : string -> trial option
-(** Parse one TSV data row. Accepts both the original six-column rows
-    (proposer defaults to [Exhaustive]) and the current seven-column rows;
-    [None] for the header or a malformed row. Negative or non-finite
-    latencies read back as [infinity] (the inverse of {!save_tsv}'s [-1]
-    encoding). *)
-
-val load_tsv : string -> (trial list, string) result
-(** Read a whole TSV written by {!save_tsv} (either column count),
-    skipping the header and malformed rows; [Error] on an unreadable
-    file. Used to warm-start the guided tuner's cost model from prior
-    trials. *)
+    latency in microseconds ([-1] unless [Measured]), proposer. One header
+    line. *)

@@ -14,16 +14,9 @@ type config = {
   may_fuse_epilogue : Hidet_graph.Graph.node -> bool;
 }
 
-val compile_group :
-  config ->
-  Hidet_graph.Graph.t ->
-  Hidet_graph.Passes.group ->
-  Plan.step list
-(** Steps in execution order; the last step produces the group output.
-    Prologue/epilogue fusions that fail structurally (rank-incompatible
-    shapes) or are disallowed by the predicates become standalone
-    rule-based steps. *)
-
 val compile_graph : config -> Hidet_graph.Graph.t -> Plan.t
 (** Partition (assumes the graph is already optimized) and compile every
-    group. *)
+    group into steps in execution order, the last step of a group producing
+    its output. Prologue/epilogue fusions that fail structurally
+    (rank-incompatible shapes) or are disallowed by the predicates become
+    standalone rule-based steps. *)

@@ -51,8 +51,6 @@ val report :
 (** One row per kernel, in launch order; [?fidelity] defaults to
     [`Analytic]. *)
 
-val total_latency : row list -> float
-
 val pp_rows : Format.formatter -> row list -> unit
 (** The table, with a totals line. Rows carrying cycle columns switch the
     table to the wider cycle layout (txn/acc, bank, L1%, L2%). *)

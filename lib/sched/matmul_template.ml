@@ -78,49 +78,6 @@ let config_to_string cfg =
     (if cfg.use_tensor_core then "_tc" else "")
     (if cfg.swizzle then "_swz" else "")
 
-(* Inverse of [config_to_string], used to featurize tuning-log records when
-   warm-starting the guided search from a TSV of prior trials. *)
-let config_of_string s =
-  match String.split_on_char '_' s with
-  | b :: w :: rest -> (
-    match
-      ( Scanf.sscanf_opt b "b%dx%dx%d%!" (fun m n k -> (m, n, k)),
-        Scanf.sscanf_opt w "w%dx%d%!" (fun m n -> (m, n)) )
-    with
-    | Some (block_m, block_n, block_k), Some (warp_m, warp_n) ->
-      let cfg =
-        ref
-          {
-            block_m;
-            block_n;
-            block_k;
-            warp_m;
-            warp_n;
-            stages = 1;
-            split_k = 1;
-            use_tensor_core = false;
-            swizzle = false;
-          }
-      in
-      let ok =
-        List.for_all
-          (fun tok ->
-            match tok with
-            | "db" -> cfg := { !cfg with stages = 2 }; true
-            | "s3" -> cfg := { !cfg with stages = 3 }; true
-            | "s4" -> cfg := { !cfg with stages = 4 }; true
-            | "tc" -> cfg := { !cfg with use_tensor_core = true }; true
-            | "swz" -> cfg := { !cfg with swizzle = true }; true
-            | t -> (
-              match Scanf.sscanf_opt t "sk%d%!" (fun sk -> sk) with
-              | Some sk when sk > 1 -> cfg := { !cfg with split_k = sk }; true
-              | _ -> false))
-          rest
-      in
-      if ok then Some !cfg else None
-    | _ -> None)
-  | _ -> None
-
 let lets bindings body =
   List.fold_right (fun (v, e) acc -> Stmt.let_ v e acc) bindings body
 

@@ -51,11 +51,6 @@ val check : config -> (unit, string) result
 
 val config_to_string : config -> string
 
-val config_of_string : string -> config option
-(** Inverse of {!config_to_string} ([None] on malformed input); round-trips
-    every config the printer can emit. Lets the guided tuner featurize
-    prior trials re-read from a {!Hidet_obs.Tuning_log} TSV. *)
-
 val num_warps : config -> int
 val block_dim : config -> int
 

@@ -14,9 +14,7 @@ module Trace = Hidet_obs.Trace
 module Metrics = Hidet_obs.Metrics
 
 module Key = struct
-  type search =
-    | Exhaustive
-    | Guided of { params : Search.guided_params; warm : string list }
+  type search = Exhaustive | Guided of Search.guided_params
 
   type t = {
     workload : string;
@@ -24,29 +22,25 @@ module Key = struct
     fidelity : Hidet_gpu.Perf_model.fidelity;
   }
 
-  let make ~show ~workload ~(search : _ Search.t) ~fidelity =
+  let make ~workload ~(search : _ Search.t) ~fidelity =
     let search =
       match search with
       | Search.Exhaustive -> Exhaustive
-      | Search.Guided { params; warm; _ } ->
-        let pair (c, lat) = Printf.sprintf "%s=%h" (show c) lat in
-        Guided { params; warm = List.map pair warm }
+      | Search.Guided { params; _ } -> Guided params
     in
     { workload; search; fidelity }
 
   (* Exhaustive + analytic is the bare workload, so those keys never
-     change. Length prefixes make the warm-start digest unambiguous. *)
+     change. *)
   let to_string k =
     if String.contains k.workload '#' then
       invalid_arg ("Schedule_cache.Key: '#' in workload " ^ k.workload);
     let search =
       match k.search with
       | Exhaustive -> ""
-      | Guided { params = p; warm } ->
-        let prefixed s = Printf.sprintf "%d:%s" (String.length s) s in
-        let digest = Digest.string (String.concat "" (List.map prefixed warm)) in
-        Printf.sprintf "#guided_s%d_b%h_p%d_e%d_k%d_w%s" p.seed p.budget_fraction
-          p.population p.elites p.patience (Digest.to_hex digest)
+      | Guided p ->
+        Printf.sprintf "#guided_s%d_b%h_p%d_e%d_k%d" p.seed p.budget_fraction
+          p.population p.elites p.patience
     in
     let fidelity = match k.fidelity with `Analytic -> "" | `Cycle -> "#cycle" in
     k.workload ^ search ^ fidelity
@@ -65,7 +59,7 @@ type entry = {
 type outcome = Fresh of Tuner.stats | Hit of entry
 
 let magic = "HIDET-SCHEDULE-CACHE"
-let version = 2
+let version = 3
 
 let table : (string * string, entry) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
@@ -108,10 +102,13 @@ let stale () = locked (fun () -> !stale_count)
 (* --- persistence ------------------------------------------------------------
 
    Line-oriented text: a versioned header, then one tab-separated entry per
-   line. Loading tolerates a corrupt file: a bad header rejects the whole
-   file (another format, or another version: v1 has no fingerprint), while
-   individually malformed lines are skipped so one truncated write cannot
-   poison every other entry. *)
+   line whose last column is the MD5 of the line before it. Loading
+   tolerates a corrupt file: a bad header rejects the whole file (another
+   format, or another version: v1 has no fingerprint, v2 no line digest),
+   while a line that fails its digest or does not parse is skipped, so one
+   truncated write cannot poison every other entry. The digest is what
+   catches an edited line that still parses, such as a key rewritten to
+   another shape with the same space. *)
 
 let header = Printf.sprintf "%s v%d" magic version
 
@@ -142,18 +139,21 @@ let save path =
         output_string oc (header ^ "\n");
         List.iter
           (fun ((device, key), e) ->
-            Printf.fprintf oc "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%.17g\t%.17g\n"
-              (sanitize device) (sanitize key) e.best_index e.space_size
-              (sanitize e.config) e.trials e.rejected e.simulated_seconds
-              e.best_latency)
+            let body =
+              Printf.sprintf "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%.17g\t%.17g"
+                (sanitize device) (sanitize key) e.best_index e.space_size
+                (sanitize e.config) e.trials e.rejected e.simulated_seconds
+                e.best_latency
+            in
+            Printf.fprintf oc "%s\t%s\n" body (Digest.to_hex (Digest.string body)))
           entries);
     Sys.rename tmp path
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
-let parse_line line =
-  match String.split_on_char '\t' line with
+let parse_fields body =
+  match String.split_on_char '\t' body with
   | [ device; key; best_index; space_size; config; trials; rejected; simulated;
       lat ] -> (
     match
@@ -184,6 +184,15 @@ let parse_line line =
           } )
     | _ -> None)
   | _ -> None
+
+let parse_line line =
+  match String.rindex_opt line '\t' with
+  | None -> None
+  | Some i ->
+    let body = String.sub line 0 i in
+    let digest = String.sub line (i + 1) (String.length line - i - 1) in
+    if Digest.to_hex (Digest.string body) = digest then parse_fields body
+    else None
 
 let load path =
   match open_in path with
@@ -225,7 +234,7 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
     ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ~device ~workload
     ~candidates ~compile () =
   let device_name = device.Hidet_gpu.Device.name in
-  let key = Key.to_string (Key.make ~show ~workload ~search ~fidelity) in
+  let key = Key.to_string (Key.make ~workload ~search ~fidelity) in
   let fingerprint cand = sanitize (show cand) in
   let space_size = List.length candidates in
   (* Returned operators carry the workload key so the native execution

@@ -15,10 +15,7 @@
 (** Everything besides the device that decides a tuning run's winner.
     {!to_string} is the only code that builds key strings. *)
 module Key : sig
-  type search =
-    | Exhaustive
-    | Guided of { params : Search.guided_params; warm : string list }
-        (** [warm]: the warm-start pairs rendered as [show config=%h] *)
+  type search = Exhaustive | Guided of Search.guided_params
 
   type t = {
     workload : string;  (** workload and candidate restrictions; no ['#'] *)
@@ -26,18 +23,11 @@ module Key : sig
     fidelity : Hidet_gpu.Perf_model.fidelity;
   }
 
-  val make :
-    show:('a -> string) ->
-    workload:string ->
-    search:'a Search.t ->
-    fidelity:Hidet_gpu.Perf_model.fidelity ->
-    t
-
   val to_string : t -> string
-  (** [workload], then for a guided search ["#guided"], the five guided
-      parameters and a digest of [warm], then ["#cycle"] under the cycle
-      fidelity. Distinct keys give distinct strings. Raises
-      [Invalid_argument] if [workload] contains ['#']. *)
+  (** [workload], then for a guided search ["#guided"] and the five guided
+      parameters, then ["#cycle"] under the cycle fidelity. Distinct keys
+      give distinct strings. Raises [Invalid_argument] if [workload]
+      contains ['#']. *)
 end
 
 type entry = {
@@ -71,7 +61,8 @@ val tune :
   unit ->
   ('a * Compiled.t * outcome) option
 (** Like {!Tuner.tune}, but consults the cache first under
-    {!Key.make}[ ~show ~workload ~search ~fidelity] and the device name.
+    the {!Key.t} of [workload], [search] and [fidelity] and the device
+    name.
     On a hit, only the stored winner is re-instantiated (zero fresh
     trials); on a miss or a stale entry the tuner runs (with [?search],
     default {!Search.Exhaustive}, and [?fidelity], default [`Analytic])
@@ -109,9 +100,9 @@ val stale : unit -> int
 
 (** {1 Persistence}
 
-    A versioned, line-oriented text format (v2: nine columns, with the
-    fingerprint) for warm-starting across processes
-    ([bench/main.exe --cache], [hidetc --cache]). *)
+    A versioned, line-oriented text format (v3: nine columns, with the
+    fingerprint, then the MD5 of those nine) for warm-starting across
+    processes ([bench/main.exe --cache], [hidetc --cache]). *)
 
 val save : string -> unit
 (** Write the whole cache to [path] (atomically, via a temp file). *)
@@ -119,4 +110,6 @@ val save : string -> unit
 val load : string -> (int, string) result
 (** Merge entries from [path] into the cache; returns how many loaded.
     [Error] on an unreadable file or a wrong header (foreign file, or
-    another version: v1 has no fingerprint); corrupt lines are skipped. *)
+    another version: v1 has no fingerprint, v2 no line digest); a line
+    that fails its digest or does not parse is skipped, so every entry
+    loaded is one that {!save} wrote, under the key it was saved with. *)

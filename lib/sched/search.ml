@@ -15,16 +15,9 @@ let default_guided_params =
 type 'a space_ops = {
   mutate : Random.State.t -> 'a -> 'a;
   crossover : Random.State.t -> 'a -> 'a -> 'a;
-  features : 'a -> float array;
 }
 
-type 'a t =
-  | Exhaustive
-  | Guided of {
-      params : guided_params;
-      ops : 'a space_ops;
-      warm : ('a * float) list;
-    }
+type 'a t = Exhaustive | Guided of { params : guided_params; ops : 'a space_ops }
 
 let name = function Exhaustive -> "exhaustive" | Guided _ -> "guided"
 
@@ -82,97 +75,10 @@ let matmul_ops =
       swizzle = pick a.MT.swizzle b.MT.swizzle;
     }
   in
-  let features (c : MT.config) =
-    let l x = log (float_of_int (max 1 x)) in
-    [|
-      1.;
-      l c.MT.block_m;
-      l c.MT.block_n;
-      l c.MT.block_k;
-      l c.MT.warp_m;
-      l c.MT.warp_n;
-      float_of_int c.MT.stages;
-      l c.MT.split_k;
-      (if c.MT.use_tensor_core then 1. else 0.);
-      (if c.MT.swizzle then 1. else 0.);
-      l (MT.block_dim c);
-    |]
-  in
-  { mutate; crossover; features }
+  { mutate; crossover }
 
-let warm_of_trials trials =
-  List.filter_map
-    (fun (t : Tuning_log.trial) ->
-      if t.Tuning_log.outcome = Tuning_log.Measured && t.latency < infinity then
-        Option.map
-          (fun cfg -> (cfg, t.latency))
-          (MT.config_of_string t.Tuning_log.config)
-      else None)
-    trials
-
-let guided_matmul ?(params = default_guided_params) ?(warm = []) () =
-  Guided { params; ops = matmul_ops; warm }
-
-(* --- the cost model ---------------------------------------------------------
-
-   Ridge regression of log-latency on the space features, solved by
-   Gaussian elimination on the (tiny) normal equations. The model only has
-   to *rank* the initial population sensibly — measurement, not the model,
-   decides the winner. *)
-
-let fit_cost_model samples =
-  match samples with
-  | [] -> None
-  | (f0, _) :: _ ->
-    let d = Array.length f0 in
-    let a = Array.make_matrix d (d + 1) 0. in
-    List.iter
-      (fun (f, y) ->
-        if Array.length f = d then begin
-          let y = log (Float.max 1e-12 y) in
-          for i = 0 to d - 1 do
-            a.(i).(d) <- a.(i).(d) +. (f.(i) *. y);
-            for j = 0 to d - 1 do
-              a.(i).(j) <- a.(i).(j) +. (f.(i) *. f.(j))
-            done
-          done
-        end)
-      samples;
-    for i = 0 to d - 1 do
-      a.(i).(i) <- a.(i).(i) +. 1e-3
-    done;
-    (* Gaussian elimination with partial pivoting on [A | b]. *)
-    let ok = ref true in
-    for col = 0 to d - 1 do
-      let piv = ref col in
-      for r = col + 1 to d - 1 do
-        if Float.abs a.(r).(col) > Float.abs a.(!piv).(col) then piv := r
-      done;
-      let tmp = a.(col) in
-      a.(col) <- a.(!piv);
-      a.(!piv) <- tmp;
-      if Float.abs a.(col).(col) < 1e-12 then ok := false
-      else
-        for r = 0 to d - 1 do
-          if r <> col then begin
-            let factor = a.(r).(col) /. a.(col).(col) in
-            for j = col to d do
-              a.(r).(j) <- a.(r).(j) -. (factor *. a.(col).(j))
-            done
-          end
-        done
-    done;
-    if not !ok then None
-    else begin
-      let w = Array.init d (fun i -> a.(i).(d) /. a.(i).(i)) in
-      Some
-        (fun f ->
-          let s = ref 0. in
-          for i = 0 to min d (Array.length f) - 1 do
-            s := !s +. (w.(i) *. f.(i))
-          done;
-          !s)
-    end
+let guided_matmul ?(params = default_guided_params) () =
+  Guided { params; ops = matmul_ops }
 
 (* --- the guided run ---------------------------------------------------------
 
@@ -189,7 +95,6 @@ type 'a run = {
   candidates : 'a array;
   index_of : ('a, int) Hashtbl.t;
   proposed : (int, unit) Hashtbl.t;
-  score : (float array -> float) option;
   budget : int;
   mutable measured : (int * float) list;  (* finite latencies only *)
   mutable best : float;
@@ -201,7 +106,7 @@ type 'a run = {
 let start strategy ~candidates =
   match strategy with
   | Exhaustive -> None
-  | Guided { params; ops; warm } ->
+  | Guided { params; ops } ->
     let n = Array.length candidates in
     let index_of = Hashtbl.create (2 * n) in
     Array.iteri
@@ -213,13 +118,6 @@ let start strategy ~candidates =
       in
       max 1 (min n (max params.population frac))
     in
-    let score =
-      match warm with
-      | [] -> None
-      | _ ->
-        fit_cost_model
-          (List.map (fun (c, lat) -> (ops.features c, lat)) warm)
-    in
     Some
       {
         rs = Random.State.make [| params.seed; n |];
@@ -228,7 +126,6 @@ let start strategy ~candidates =
         candidates;
         index_of;
         proposed = Hashtbl.create 64;
-        score;
         budget;
         measured = [];
         best = infinity;
@@ -253,28 +150,15 @@ let propose r idx =
 
 let remaining_budget r = r.budget - Hashtbl.length r.proposed
 
-(* Initial population: the warm cost model ranks the whole space (ties
-   break to the lowest index); without one, an even spread across the
-   enumeration covers every region of the curated space. *)
+(* Initial population: an even spread across the enumeration covers every
+   region of the curated space. *)
 let seed_batch r =
   r.started <- true;
   let n = Array.length r.candidates in
   let want = min r.params.population (remaining_budget r) in
-  let picks =
-    match r.score with
-    | Some score ->
-      let scored =
-        Array.init n (fun i -> (score (r.ops.features r.candidates.(i)), i))
-      in
-      Array.sort
-        (fun (a, i) (b, j) -> if a = b then compare i j else compare a b)
-        scored;
-      Array.to_list (Array.sub scored 0 (min n want)) |> List.map snd
-    | None -> List.init want (fun j -> j * n / want)
-  in
   List.filter_map
     (fun i -> if propose r i then Some (i, Tuning_log.Seed) else None)
-    picks
+    (List.init want (fun j -> j * n / want))
 
 let elite_indices r =
   let sorted =

@@ -6,10 +6,10 @@
     larger, so this module adds a {e guided} mode next to the exhaustive
     oracle: a seeded evolutionary search (single-field mutations and
     field-wise crossover over template configs, restricted to members of
-    the enumerated space) optionally warm-started by a lightweight linear
-    cost model fit to prior {!Hidet_obs.Tuning_log} records. The guided
-    mode measures a bounded fraction of the space ([budget_fraction]) and,
-    on the bench gates, must land within 5% of the exhaustive best.
+    the enumerated space), seeded by an even spread across the
+    enumeration. The guided mode measures a bounded fraction of the space
+    ([budget_fraction]) and, on the bench gates, must land within 5% of the
+    exhaustive best.
 
     Determinism: all randomness flows from the seed in {!guided_params};
     batches are proposed sequentially and measured in batch order, so the
@@ -33,40 +33,18 @@ val default_guided_params : guided_params
 type 'a space_ops = {
   mutate : Random.State.t -> 'a -> 'a;
   crossover : Random.State.t -> 'a -> 'a -> 'a;
-  features : 'a -> float array;
-      (** cost-model featurization; constant length across a space *)
 }
 
-type 'a t =
-  | Exhaustive
-  | Guided of {
-      params : guided_params;
-      ops : 'a space_ops;
-      warm : ('a * float) list;
-          (** (config, measured latency) pairs from prior tuning runs; a
-              cost model fit to them ranks the initial population *)
-    }
+type 'a t = Exhaustive | Guided of { params : guided_params; ops : 'a space_ops }
 
 val name : _ t -> string
 (** ["exhaustive"] or ["guided"], for traces. *)
 
-val matmul_ops : Matmul_template.config space_ops
-(** Mutation steps move one dimension to an adjacent enumerated value
-    (keeping the warp fraction, so most proposals stay inside the curated
-    space); crossover picks each field from either parent, moving block
-    and warp extents together. *)
-
-val warm_of_trials :
-  Hidet_obs.Tuning_log.trial list ->
-  (Matmul_template.config * float) list
-(** Measured trials whose config strings parse back
-    ({!Matmul_template.config_of_string}), as cost-model training pairs. *)
-
-val guided_matmul :
-  ?params:guided_params ->
-  ?warm:(Matmul_template.config * float) list ->
-  unit ->
-  Matmul_template.config t
+val guided_matmul : ?params:guided_params -> unit -> Matmul_template.config t
+(** Guided search over matmul configs. Mutation steps move one dimension to
+    an adjacent enumerated value (keeping the warp fraction, so most
+    proposals stay inside the curated space); crossover picks each field
+    from either parent, moving block and warp extents together. *)
 
 (** {1 The guided run protocol}
 

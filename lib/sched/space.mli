@@ -24,12 +24,9 @@ val matmul_with_split_k : m:int -> n:int -> Matmul_template.config list
 (** {!matmul}, extended with split-k variants of the pipelined configs when
     the output tile grid is too small to saturate the device (the
     parallel-k-reduction optimization of §6.2.4) — the factor set grows as
-    the grid shrinks ({!split_k_factors}), and the result carries no
-    duplicate configs. *)
-
-val split_k_factors : m:int -> n:int -> int list
-(** The split-k factors the [m x n] output grid warrants: [[]] when 64x64
-    tiles already saturate the device, up to [[2; 4; 8]] for tiny grids. *)
+    the grid shrinks ([[]] when 64x64 tiles already saturate the device, up
+    to [[2; 4; 8]] for tiny grids), and the result carries no duplicate
+    configs. *)
 
 val dedup : Matmul_template.config list -> Matmul_template.config list
 (** Canonical structural dedup, first occurrence wins, order preserved. *)

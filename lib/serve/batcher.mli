@@ -23,11 +23,9 @@ val validate : config -> unit
 (** Raises [Invalid_argument] unless [buckets] is strictly increasing and
     starts at 1, [max_wait >= 0] and [queue_cap >= 1]. *)
 
-val max_bucket : config -> int
-
 val bucket_for : config -> int -> int
-(** Smallest bucket that fits [n] requests ([n] clamped to
-    [1 .. max_bucket]); the gap is padded by the executor. *)
+(** Smallest bucket that fits [n] requests ([n] clamped between 1 and the
+    largest bucket); the gap is padded by the executor. *)
 
 type decision =
   | Dispatch of int  (** pop this many requests from the queue head now *)
@@ -48,8 +46,8 @@ val decide :
   draining:bool ->
   decision
 (** Policy, assuming the caller has an idle worker and has already shed
-    expired requests: dispatch a full [max_bucket] as soon as one is
-    queued; dispatch a partial batch when the oldest request has waited
+    expired requests: dispatch as soon as the largest bucket can be
+    filled; dispatch a partial batch when the oldest request has waited
     [max_wait], or when [draining] (no future arrival can top the batch
     up); otherwise wait. [oldest_arrival] is meaningless when
     [queue_len = 0] (the answer is [Wait_event]). *)

@@ -149,18 +149,3 @@ let variant_exn m bucket =
          bucket)
 
 let latency m bucket = (variant_exn m bucket).latency
-
-type t = { table : (string, model) Hashtbl.t; lock : Mutex.t }
-
-let create () = { table = Hashtbl.create 8; lock = Mutex.create () }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let register t m = locked t (fun () -> Hashtbl.replace t.table m.name m)
-let find t name = locked t (fun () -> Hashtbl.find_opt t.table name)
-
-let names t =
-  locked t (fun () ->
-      Hashtbl.fold (fun n _ acc -> n :: acc) t.table [] |> List.sort compare)

@@ -81,16 +81,3 @@ val variant_exn : model -> int -> variant
 val latency : model -> int -> float
 (** [latency m bucket] = [(variant_exn m bucket).latency] — the service
     time the virtual-time serving loop charges per batch. *)
-
-(** {1 A name-keyed registry}
-
-    [hidetc serve] serves one model, but the registry itself is
-    multi-model (and domain-safe): the admission layer looks models up by
-    name and applies each model's own [max_inflight]. *)
-
-type t
-
-val create : unit -> t
-val register : t -> model -> unit
-val find : t -> string -> model option
-val names : t -> string list

@@ -92,14 +92,11 @@ val stats : schedule -> stats
 (** Exact (sorted, nearest-rank) percentiles over completed requests —
     independent of the bucketed [serve.*] histograms. *)
 
-val slo_samples : schedule -> Slo.sample list
-(** One sample per request at the virtual time its fate was decided:
-    completed within deadline is good; late, shed or rejected burns the
-    error budget. *)
-
 val slo_verdict : ?config:Slo.config -> duration:float -> schedule -> Slo.verdict
-(** Burn-rate evaluation of the schedule ({!Slo.evaluate} over
-    {!slo_samples}); [config] defaults to [Slo.default ~duration]. *)
+(** Burn-rate evaluation of the schedule: {!Slo.evaluate} over one sample
+    per request at the virtual time its fate was decided (completed within
+    deadline is good; late, shed or rejected burns the error budget).
+    [config] defaults to [Slo.default ~duration]. *)
 
 type report = {
   schedule : schedule;

@@ -20,14 +20,6 @@ let strategy_to_string = function
   | Tensor Reduce -> "tensor-reduce"
   | Pipeline { microbatches } -> Printf.sprintf "pipeline:%d" microbatches
 
-let strategy_of_string ?(microbatches = 4) s =
-  match String.lowercase_ascii s with
-  | "data" -> Some Data
-  | "tensor" | "tensor-gather" -> Some (Tensor Gather)
-  | "tensor-reduce" -> Some (Tensor Reduce)
-  | "pipeline" -> Some (Pipeline { microbatches })
-  | _ -> None
-
 let bit_exact = function Tensor Reduce -> false | _ -> true
 
 type stage_exec = {

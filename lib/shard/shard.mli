@@ -38,9 +38,6 @@ type strategy =
       (** stage the graph across devices and stream microbatches *)
 
 val strategy_to_string : strategy -> string
-val strategy_of_string : ?microbatches:int -> string -> strategy option
-(** ["data"], ["tensor"]/["tensor-gather"], ["tensor-reduce"],
-    ["pipeline"] (with [?microbatches], default 4). *)
 
 val bit_exact : strategy -> bool
 (** Whether the strategy preserves reduction order (everything except

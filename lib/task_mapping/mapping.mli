@@ -65,9 +65,6 @@ val tasks : t -> int -> (int list) list
 (** [tasks f w]: the ordered task list of worker [w].
     Raises [Invalid_argument] if [w] is out of range. *)
 
-val all_assignments : t -> (int * int list) list
-(** All (worker, task) pairs, worker-major. *)
-
 val is_partition : t -> bool
 (** True iff every point of the task domain is assigned exactly once. Holds
     for any composition of [spatial] / [repeat] atoms. *)

@@ -50,7 +50,6 @@ let init shape f =
   let n = numel_of shape in
   { shape; data = Array.init n (fun i -> f (unflatten shape i)) }
 
-let scalar v = { shape = [ 1 ]; data = [| v |] }
 let full shape v =
   check_shape shape;
   { shape; data = Array.make (numel_of shape) v }
@@ -92,20 +91,6 @@ let transpose t perm =
       let old_idx = Array.make rank 0 in
       List.iteri (fun pos p -> old_idx.(p) <- idx_arr.(pos)) perm;
       get t (Array.to_list old_idx))
-
-let pad2d t p =
-  match t.shape with
-  | [ n; c; h; w ] ->
-    init
-      [ n; c; h + (2 * p); w + (2 * p) ]
-      (fun idx ->
-        match idx with
-        | [ ni; ci; hi; wi ] ->
-          let hi = hi - p and wi = wi - p in
-          if hi < 0 || hi >= h || wi < 0 || wi >= w then 0.
-          else get t [ ni; ci; hi; wi ]
-        | _ -> assert false)
-  | _ -> invalid_arg "Tensor.pad2d: expected NCHW"
 
 let slice t windows =
   if List.length windows <> List.length t.shape then
@@ -421,14 +406,3 @@ let allclose ?(rtol = 1e-4) ?(atol = 1e-5) a b =
   && Array.for_all2
        (fun x y -> Float.abs (x -. y) <= atol +. (rtol *. Float.abs y))
        a.data b.data
-
-let pp fmt t =
-  Format.fprintf fmt "tensor[%s]"
-    (String.concat "x" (List.map string_of_int t.shape));
-  if numel t <= 16 then begin
-    Format.fprintf fmt " = [";
-    Array.iteri
-      (fun i x -> Format.fprintf fmt "%s%.4g" (if i > 0 then "; " else "") x)
-      t.data;
-    Format.fprintf fmt "]"
-  end

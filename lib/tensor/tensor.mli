@@ -14,9 +14,6 @@ val create : int list -> t
 
 val init : int list -> (int list -> float) -> t
 val of_array : int list -> float array -> t
-val scalar : float -> t
-(** One-element tensor of shape [1]. *)
-
 val full : int list -> float -> t
 val rand : ?seed:int -> int list -> t
 (** Uniform in [-1, 1), deterministic for a given seed. *)
@@ -38,9 +35,6 @@ val reshape : t -> int list -> t
 
 val transpose : t -> int list -> t
 (** [transpose t perm] permutes dimensions. *)
-
-val pad2d : t -> int -> t
-(** Zero-pad the last two dims of an NCHW tensor by [p] on each side. *)
 
 val slice : t -> (int * int) list -> t
 (** Per-dimension [(start, length)] windows. *)
@@ -107,4 +101,3 @@ val im2col_hw :
 
 val allclose : ?rtol:float -> ?atol:float -> t -> t -> bool
 val max_abs_diff : t -> t -> float
-val pp : Format.formatter -> t -> unit

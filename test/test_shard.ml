@@ -400,18 +400,18 @@ let test_sample_matmul_clamps () =
     (Space.sample_matmul (Random.State.make [| 9 |]) 25
     = Space.sample_matmul (Random.State.make [| 9 |]) 25)
 
-(* --- strategy parsing -------------------------------------------------------- *)
+(* --- strategy names ---------------------------------------------------------- *)
 
 let test_strategy_strings () =
-  let round s = Option.map Shard.strategy_to_string (Shard.strategy_of_string s) in
-  Alcotest.(check (option string)) "data" (Some "data") (round "data");
-  Alcotest.(check (option string)) "tensor" (Some "tensor-gather")
-    (round "tensor");
-  Alcotest.(check (option string)) "tensor-reduce" (Some "tensor-reduce")
-    (round "tensor-reduce");
-  Alcotest.(check (option string)) "pipeline" (Some "pipeline:4")
-    (round "pipeline");
-  Alcotest.(check (option string)) "unknown" None (round "model-parallel");
+  Alcotest.(check (list string)) "names"
+    [ "data"; "tensor-gather"; "tensor-reduce"; "pipeline:4" ]
+    (List.map Shard.strategy_to_string
+       [
+         Shard.Data;
+         Shard.Tensor Shard.Gather;
+         Shard.Tensor Shard.Reduce;
+         Shard.Pipeline { microbatches = 4 };
+       ]);
   Alcotest.(check bool) "bit-exactness per strategy" true
     (Shard.bit_exact Shard.Data
     && Shard.bit_exact (Shard.Tensor Shard.Gather)
@@ -456,5 +456,5 @@ let () =
             test_sample_matmul_clamps;
         ] );
       ( "strategy",
-        [ Alcotest.test_case "string round-trip" `Quick test_strategy_strings ] );
+        [ Alcotest.test_case "names and bit-exactness" `Quick test_strategy_strings ] );
     ]

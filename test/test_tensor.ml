@@ -62,13 +62,6 @@ let test_slice_concat_roundtrip () =
   let left = T.slice t [ (0, 2); (0, 3) ] and right = T.slice t [ (0, 2); (3, 3) ] in
   check_tensor "concat(slice)" t (T.concat [ left; right ] ~axis:1)
 
-let test_pad2d () =
-  let t = T.full [ 1; 1; 2; 2 ] 1. in
-  let p = T.pad2d t 1 in
-  Alcotest.(check (list int)) "shape" [ 1; 1; 4; 4 ] (T.shape p);
-  close "corner" 0. (T.get p [ 0; 0; 0; 0 ]);
-  close "center" 1. (T.get p [ 0; 0; 1; 1 ])
-
 (* --- elementwise / broadcast ---------------------------------------------- *)
 
 let test_broadcast_add () =
@@ -244,7 +237,6 @@ let () =
           Alcotest.test_case "transpose involution" `Quick test_transpose_involution;
           Alcotest.test_case "transpose 2d" `Quick test_transpose_2d;
           Alcotest.test_case "slice/concat" `Quick test_slice_concat_roundtrip;
-          Alcotest.test_case "pad2d" `Quick test_pad2d;
         ] );
       ( "elementwise",
         [

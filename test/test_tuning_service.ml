@@ -1,7 +1,7 @@
 (* Tests for the tuning service: parallel/sequential determinism of the
    tuner, the process-global schedule cache (hit/miss, stale entries,
-   persistence), the engine's warm-start behaviour, and the occupancy-limit
-   guard for register-free kernels. *)
+   persistence and its line digest), the engine's cache-served recompile,
+   and the occupancy-limit guard for register-free kernels. *)
 
 module MT = Hidet_sched.Matmul_template
 module Space = Hidet_sched.Space
@@ -250,6 +250,20 @@ let with_temp_file f =
   let path = Filename.temp_file "hidet_cache_test" ".cache" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A v3 data line: the nine columns, then the MD5 of those columns. *)
+let signed body = body ^ "\t" ^ Digest.to_hex (Digest.string body) ^ "\n"
+
 let test_persistence_round_trip () =
   SC.clear ();
   let e =
@@ -310,13 +324,17 @@ let test_persistence_refuses_v1 () =
       close_out oc;
       Alcotest.(check bool) "v1 refused" true (Result.is_error (SC.load path)))
 
+let test_persistence_refuses_v2 () =
+  (* A v2 line has no digest, so an edited key cannot be told apart from a
+     genuine one: the whole file is refused and the run retunes once. *)
+  with_temp_file (fun path ->
+      write_file path
+        "HIDET-SCHEDULE-CACHE v2\nrtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025\n";
+      Alcotest.(check bool) "v2 refused" true (Result.is_error (SC.load path)))
+
 let test_persistence_rejects_foreign_and_stale () =
   with_temp_file (fun path ->
-      let write s =
-        let oc = open_out path in
-        output_string oc s;
-        close_out oc
-      in
+      let write = write_file path in
       write "not a cache file\njunk\n";
       Alcotest.(check bool) "foreign file rejected" true
         (Result.is_error (SC.load path));
@@ -330,17 +348,24 @@ let test_persistence_rejects_foreign_and_stale () =
 let test_persistence_skips_corrupt_lines () =
   SC.clear ();
   with_temp_file (fun path ->
-      let oc = open_out path in
-      output_string oc "HIDET-SCHEDULE-CACHE v2\n";
-      output_string oc "rtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025\n";
-      output_string oc "rtx3090\ttruncated\t2\t10\n";
-      output_string oc "total garbage line\n";
-      output_string oc "rtx3090\tbad_index\t12\t10\tc\t9\t1\t13.5\t0.00025\n";
-      output_string oc "rtx3090\tv1_line\t2\t10\t9\t1\t13.5\t0.00025\n";
-      output_string oc "rtx3090\talso_good\t0\t4\t\t4\t0\t6\t0.001\n";
-      close_out oc;
+      (* Every malformed line but the last two carries a valid digest, so
+         the field checks themselves are exercised. *)
+      write_file path
+        (String.concat ""
+           [
+             "HIDET-SCHEDULE-CACHE v3\n";
+             signed "rtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025";
+             signed "rtx3090\ttruncated\t2\t10";
+             signed "total garbage line";
+             signed "rtx3090\tbad_index\t12\t10\tc\t9\t1\t13.5\t0.00025";
+             signed "rtx3090\tv1_line\t2\t10\t9\t1\t13.5\t0.00025";
+             signed "rtx3090\talso_good\t0\t4\t\t4\t0\t6\t0.001";
+             "rtx3090\tunsigned\t2\t10\tc\t9\t1\t13.5\t0.00025\n";
+             "rtx3090\twrong_digest\t2\t10\tc\t9\t1\t13.5\t0.00025\t"
+             ^ Digest.to_hex (Digest.string "something else") ^ "\n";
+           ]);
       (match SC.load path with
-      | Ok n -> Alcotest.(check int) "only well-formed lines load" 2 n
+      | Ok n -> Alcotest.(check int) "only well-formed, signed lines load" 2 n
       | Error msg -> Alcotest.failf "load failed: %s" msg);
       match SC.find ~device:"rtx3090" ~key:"good" with
       | Some e ->
@@ -351,17 +376,19 @@ let test_persistence_skips_corrupt_lines () =
 let test_persistence_rejects_nonfinite_floats () =
   SC.clear ();
   with_temp_file (fun path ->
-      let oc = open_out path in
-      output_string oc "HIDET-SCHEDULE-CACHE v2\n";
       (* "nan" and "inf" parse as floats; negatives parse as ints/floats —
          all must be rejected, not loaded into the stats. *)
-      output_string oc "rtx3090\tnan_sim\t2\t10\tc\t9\t1\tnan\t0.00025\n";
-      output_string oc "rtx3090\tnan_lat\t2\t10\tc\t9\t1\t13.5\tnan\n";
-      output_string oc "rtx3090\tinf_sim\t2\t10\tc\t9\t1\tinf\t0.00025\n";
-      output_string oc "rtx3090\tneg_sim\t2\t10\tc\t9\t1\t-13.5\t0.00025\n";
-      output_string oc "rtx3090\tneg_lat\t2\t10\tc\t9\t1\t13.5\t-0.00025\n";
-      output_string oc "rtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025\n";
-      close_out oc;
+      write_file path
+        (String.concat ""
+           [
+             "HIDET-SCHEDULE-CACHE v3\n";
+             signed "rtx3090\tnan_sim\t2\t10\tc\t9\t1\tnan\t0.00025";
+             signed "rtx3090\tnan_lat\t2\t10\tc\t9\t1\t13.5\tnan";
+             signed "rtx3090\tinf_sim\t2\t10\tc\t9\t1\tinf\t0.00025";
+             signed "rtx3090\tneg_sim\t2\t10\tc\t9\t1\t-13.5\t0.00025";
+             signed "rtx3090\tneg_lat\t2\t10\tc\t9\t1\t13.5\t-0.00025";
+             signed "rtx3090\tgood\t2\t10\tc\t9\t1\t13.5\t0.00025";
+           ]);
       (match SC.load path with
       | Ok n -> Alcotest.(check int) "only the finite line loads" 1 n
       | Error msg -> Alcotest.failf "load failed: %s" msg);
@@ -369,6 +396,166 @@ let test_persistence_rejects_nonfinite_floats () =
         (SC.find ~device:"rtx3090" ~key:"good" <> None);
       Alcotest.(check bool) "nan entry rejected" true
         (SC.find ~device:"rtx3090" ~key:"nan_sim" = None))
+
+(* An edited line must not load, even when it still parses. Here the key
+   of a 2048x2048x64 winner is rewritten to 2048x2048x4096: the space
+   depends only on (m, n), so the index/config fingerprint still matches,
+   and without a line digest the k = 64 winner was served as a hit. *)
+let test_persistence_rewritten_key_retunes () =
+  let device = dev.Hidet_gpu.Device.name in
+  let tune k =
+    SC.tune ~show:MT.config_to_string ~device:dev
+      ~workload:(Printf.sprintf "mm_2048x2048x%d" k)
+      ~candidates:(Space.matmul_with_split_k ~m:2048 ~n:2048)
+      ~compile:(fun cfg -> MT.compile ~m:2048 ~n:2048 ~k cfg)
+      ()
+  in
+  let winner = function
+    | Some (cfg, _, SC.Fresh _) -> MT.config_to_string cfg
+    | Some (_, _, SC.Hit _) -> Alcotest.fail "served from the cache"
+    | None -> Alcotest.fail "tune found nothing"
+  in
+  SC.clear ();
+  let true_winner = winner (tune 4096) in
+  SC.clear ();
+  let k64_winner = winner (tune 64) in
+  Alcotest.(check bool) "the two shapes have different winners" true
+    (k64_winner <> true_winner);
+  with_temp_file (fun path ->
+      SC.save path;
+      let rewrite line =
+        match String.split_on_char '\t' line with
+        | d :: "mm_2048x2048x64" :: rest ->
+          String.concat "\t" (d :: "mm_2048x2048x4096" :: rest)
+        | _ -> line
+      in
+      write_file path
+        (String.concat "\n"
+           (List.map rewrite (String.split_on_char '\n' (read_file path))));
+      SC.clear ();
+      (match SC.load path with
+      | Ok n -> Alcotest.(check int) "the rewritten line is skipped" 0 n
+      | Error msg -> Alcotest.failf "load failed: %s" msg);
+      Alcotest.(check bool) "no entry under the rewritten key" true
+        (SC.find ~device ~key:"mm_2048x2048x4096" = None);
+      Alcotest.(check string) "retuned to the true winner" true_winner
+        (winner (tune 4096));
+      Alcotest.(check int) "no hit" 0 (SC.hits ());
+      Alcotest.(check int) "no stale entry either" 0 (SC.stale ()))
+
+(* Mutations of a saved file: flip one byte, truncate, duplicate a line,
+   swap two lines, or swap two fields of a line. [load] may refuse the
+   file, but every entry it does load must be an original entry under its
+   original (device, key). *)
+type mutation =
+  | Flip of int * int
+  | Truncate of int
+  | Duplicate of int
+  | Swap_lines of int * int
+  | Swap_fields of int * int * int
+
+let show_mutation = function
+  | Flip (p, x) -> Printf.sprintf "flip byte %d ^ %d" p x
+  | Truncate p -> Printf.sprintf "truncate at %d" p
+  | Duplicate i -> Printf.sprintf "duplicate line %d" i
+  | Swap_lines (i, j) -> Printf.sprintf "swap lines %d and %d" i j
+  | Swap_fields (i, a, b) -> Printf.sprintf "swap fields %d and %d of line %d" a b i
+
+let mutate m text =
+  let len = String.length text in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let nl = Array.length lines in
+  let join a = String.concat "\n" (Array.to_list a) in
+  match m with
+  | Flip (p, x) ->
+    let b = Bytes.of_string text in
+    let p = p mod len in
+    Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 + (x mod 255))));
+    Bytes.to_string b
+  | Truncate p -> String.sub text 0 (p mod (len + 1))
+  | Duplicate i ->
+    let i = i mod nl in
+    join (Array.concat [ Array.sub lines 0 (i + 1); Array.sub lines i (nl - i) ])
+  | Swap_lines (i, j) ->
+    let i = i mod nl and j = j mod nl in
+    let t = lines.(i) in
+    lines.(i) <- lines.(j);
+    lines.(j) <- t;
+    join lines
+  | Swap_fields (i, a, b) ->
+    let i = i mod nl in
+    let f = Array.of_list (String.split_on_char '\t' lines.(i)) in
+    let nf = Array.length f in
+    let a = a mod nf and b = b mod nf in
+    let t = f.(a) in
+    f.(a) <- f.(b);
+    f.(b) <- t;
+    lines.(i) <- String.concat "\t" (Array.to_list f);
+    join lines
+
+(* Small alphabets so neighbouring entries share devices, keys and field
+   values, as a k = 64 and a k = 4096 entry of one space do. *)
+let gen_entries =
+  let open QCheck.Gen in
+  let entry =
+    let* device = oneofl [ "rtx3090"; "a100" ]
+    and* key = oneofl [ "mm_64"; "mm_4096"; "mm_64#cycle"; "conv" ]
+    and* space_size = int_range 1 3
+    and* config = oneofl [ ""; "c"; "b64" ]
+    and* trials = int_range 0 3
+    and* rejected = int_range 0 3
+    and* simulated_seconds = oneofl [ 0.; 1.5; 3. ]
+    and* best_latency = oneofl [ 1e-4; 2.5e-4; 1.5 ] in
+    let+ best_index = int_range 0 (space_size - 1) in
+    ( (device, key),
+      { SC.best_index; space_size; config; trials; rejected; simulated_seconds;
+        best_latency } )
+  in
+  list_size (int_range 1 5) entry
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let n = int_range 0 10_000 in
+  oneof
+    [
+      map2 (fun p x -> Flip (p, x)) n n;
+      map (fun p -> Truncate p) n;
+      map (fun i -> Duplicate i) n;
+      map2 (fun i j -> Swap_lines (i, j)) n n;
+      map3 (fun i a b -> Swap_fields (i, a, b)) n n n;
+    ]
+
+let prop_mutated_file_loads_no_wrong_entry =
+  QCheck.Test.make ~name:"mutated cache file loads no wrong entry" ~count:500
+    (QCheck.make
+       ~print:(fun (es, m) ->
+         Printf.sprintf "%d entries, %s" (List.length es) (show_mutation m))
+       (QCheck.Gen.pair gen_entries gen_mutation))
+    (fun (entries, m) ->
+      SC.clear ();
+      List.iter (fun ((device, key), e) -> SC.add ~device ~key e) entries;
+      (* later adds replace earlier ones under the same key *)
+      let originals =
+        List.sort_uniq compare
+          (List.map
+             (fun ((device, key), _) ->
+               ((device, key), Option.get (SC.find ~device ~key)))
+             entries)
+      in
+      with_temp_file (fun path ->
+          SC.save path;
+          write_file path (mutate m (read_file path));
+          SC.clear ();
+          match SC.load path with
+          | Error _ -> SC.size () = 0
+          | Ok _ ->
+            let found =
+              List.filter_map
+                (fun ((device, key), e) ->
+                  Option.map (fun got -> got = e) (SC.find ~device ~key))
+                originals
+            in
+            List.for_all Fun.id found && List.length found = SC.size ()))
 
 let test_concurrent_saves_leave_loadable_file () =
   SC.clear ();
@@ -440,8 +627,8 @@ let test_cache_counters_agree_on_stale () =
 (* --- the key and the fingerprint --------------------------------------------- *)
 
 let test_guided_key_names_the_whole_search () =
-  (* A guided winner is only the best of what that seed, budget and warm
-     start measured: a run differing in any of them must tune fresh. *)
+  (* A guided winner is only the best of what that seed and budget
+     measured: a run differing in either must tune fresh. *)
   let module Se = Hidet_sched.Search in
   SC.clear ();
   let candidates = List.filteri (fun i _ -> i mod 10 = 0) (Space.matmul ()) in
@@ -459,20 +646,15 @@ let test_guided_key_names_the_whole_search () =
   let params seed = { Se.default_guided_params with Se.seed } in
   let seed1 = Se.guided_matmul ~params:(params 1) () in
   let seed2 = Se.guided_matmul ~params:(params 2) () in
-  let warm =
-    Se.guided_matmul ~params:(params 2)
-      ~warm:[ (List.hd candidates, 1e-4); (List.nth candidates 3, 2e-4) ]
-      ()
-  in
   List.iter
     (fun (name, search) ->
       Alcotest.(check bool) (name ^ " tunes fresh") true (tune search = `Fresh))
-    [ ("seed 1", seed1); ("seed 2", seed2); ("warm start", warm) ];
+    [ ("seed 1", seed1); ("seed 2", seed2) ];
   List.iter
     (fun (name, search) ->
       Alcotest.(check bool) (name ^ " repeated hits") true (tune search = `Hit))
-    [ ("seed 1", seed1); ("seed 2", seed2); ("warm start", warm) ];
-  Alcotest.(check int) "three entries" 3 (SC.size ())
+    [ ("seed 1", seed1); ("seed 2", seed2) ];
+  Alcotest.(check int) "two entries" 2 (SC.size ())
 
 let test_reordered_space_is_stale () =
   (* Same size, different order: the stored index now names another
@@ -613,12 +795,16 @@ let () =
           Alcotest.test_case "config column" `Quick
             test_persistence_config_column;
           Alcotest.test_case "v1 refused" `Quick test_persistence_refuses_v1;
+          Alcotest.test_case "v2 refused" `Quick test_persistence_refuses_v2;
           Alcotest.test_case "foreign/stale headers" `Quick
             test_persistence_rejects_foreign_and_stale;
           Alcotest.test_case "corrupt lines skipped" `Quick
             test_persistence_skips_corrupt_lines;
           Alcotest.test_case "non-finite floats rejected" `Quick
             test_persistence_rejects_nonfinite_floats;
+          Alcotest.test_case "rewritten key retunes" `Quick
+            test_persistence_rewritten_key_retunes;
+          QCheck_alcotest.to_alcotest prop_mutated_file_loads_no_wrong_entry;
           Alcotest.test_case "concurrent saves stay loadable" `Quick
             test_concurrent_saves_leave_loadable_file;
         ] );
