@@ -129,9 +129,10 @@ let tuning_log_arg =
     & opt (some string) None
     & info [ "tuning-log" ] ~docv:"FILE"
         ~doc:
-          "Write a TSV with one record per tuning trial (engine, workload, \
-           candidate index, config, outcome, estimated latency) — the raw \
-           material of the Fig 14/15 reproductions.")
+          "Write a TSV with one record per tuning candidate (engine, \
+           workload, candidate index, config, outcome, estimated latency), \
+           including those the lower bound skipped (outcome pruned) — the \
+           raw material of the Fig 14/15 reproductions.")
 
 (* Install collectors per the flags, run [f], then export. [--summary]
    needs span events too, so it also turns the recorder on. *)
@@ -148,9 +149,9 @@ let with_observability ~trace ~tuning_log ~summary f =
   | None -> ());
   (match tuning_log with
   | Some path ->
-    let trials = Obs.Tuning_log.stop () in
-    Obs.Tuning_log.save_tsv path trials;
-    Printf.printf "tuning log: wrote %d trials to %s\n" (List.length trials)
+    let records = Obs.Tuning_log.stop () in
+    Obs.Tuning_log.save_tsv path records;
+    Printf.printf "tuning log: wrote %d records to %s\n" (List.length records)
       path
   | None -> ());
   if summary then Format.printf "@.%a@." Obs.Summary.pp events;

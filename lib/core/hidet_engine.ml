@@ -51,18 +51,20 @@ type tuning_stats = {
    all candidates within one minute"), so each measured candidate costs a
    fraction of the sequential measure-one-at-a-time price the loop-oriented
    tuners pay. Candidates the template rejects are free (they never reach
-   the device); cache hits perform zero fresh trials. *)
+   the device); candidates the matmul lower bound skips are billed as
+   measured, since the paper's exhaustive tuner measures them; cache hits
+   perform zero fresh trials. *)
 let hidet_seconds_per_trial = Hidet_sched.Tuner.seconds_per_trial /. 4.
 
 (* The tuning service: the process-global schedule cache in front of the
    parallel tuner. Winners are re-instantiated per call site. *)
-let tuned ~show ?search options (stats : tuning_stats) ~device ~key
-    ~candidates ~compile =
+let tuned ~show ?search ?lower_bound options (stats : tuning_stats) ~device
+    ~key ~candidates ~compile =
   let t0 = Unix.gettimeofday () in
   let r =
     Cache.tune ~seconds_per_trial:hidet_seconds_per_trial ~engine:"hidet" ~show
-      ?search ~fidelity:options.fidelity ~device ~workload:key ~candidates
-      ~compile ()
+      ?search ~fidelity:options.fidelity ?lower_bound ~device ~workload:key
+      ~candidates ~compile ()
   in
   stats.tuner_wall <- stats.tuner_wall +. (Unix.gettimeofday () -. t0);
   (if not (Hashtbl.mem stats.billed key) then (
@@ -129,8 +131,9 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
   (* Matmul spaces are the only ones big enough for guided search to pay;
      the row/reduce spaces (a handful of block sizes) stay exhaustive. *)
   let compiled =
-    tuned ~show:MT.config_to_string ~search:options.search options stats
-      ~device ~key ~candidates:space
+    tuned ~show:MT.config_to_string ~search:options.search
+      ~lower_bound:(MT.lower_bound device ~batch ~m ~n ~k)
+      options stats ~device ~key ~candidates:space
       ~compile:(fun cfg -> MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg)
   in
   match compiled with

@@ -116,15 +116,15 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
       c.Traffic.syncs *. d.sync_latency *. d.sm_clock_hz
     in
     (* Memory pipeline: bandwidth shared by the SMs that actually have
-       blocks, floored at 1.5x an even per-SM split (an SM's own LSU/L2
-       port limit, as in the analytic model). *)
+       blocks, floored at the analytic model's per-SM bandwidth cap (an
+       SM's own LSU/L2 port limit). *)
     let active_sms = max 1 (min d.num_sms active_blocks) in
     let dram_service =
       Float.max
         (float_of_int line *. d.sm_clock_hz *. float_of_int active_sms
         /. d.mem_bandwidth)
         (float_of_int line *. d.sm_clock_hz *. float_of_int d.num_sms
-        /. (1.5 *. d.mem_bandwidth))
+        /. (Perf_model.per_sm_bandwidth_cap *. d.mem_bandwidth))
     in
     let work =
       {

@@ -45,6 +45,38 @@ let blocks_per_sm_limit (d : Device.t) ~block_dim ~smem ~regs =
     if bps <= 0 then Error "zero resident blocks per SM" else Ok bps
   end
 
+(* Model constants shared by [kernel] and [lower_bound]. *)
+
+(* Sublinear saturation: latency hiding degrades gracefully below the
+   saturation point rather than proportionally. *)
+let sat_curve x = Float.min 1. (Float.pow x 0.6)
+
+(* Memory latency is hidden at three quarters of the threads compute
+   needs. *)
+let mem_saturation (d : Device.t) resident_threads =
+  sat_curve (resident_threads /. (0.75 *. float_of_int d.saturation_threads_per_sm))
+
+let comp_saturation (d : Device.t) resident_threads =
+  sat_curve (resident_threads /. float_of_int d.saturation_threads_per_sm)
+
+(* One block can pull at most 1.5x an even per-SM share of DRAM bandwidth. *)
+let per_sm_bandwidth_cap = 1.5
+
+(* Pipelined kernels overlap memory and compute; the barrier at each stage
+   boundary still exposes a residue of the shorter phase, smaller for
+   deeper pipelines: double buffering still stalls on every other tile's
+   latency, 3 stages hide most of it, 4 stages nearly all (at the price of
+   the extra shared-memory stage, which the occupancy limits already
+   charge). Without a pipeline the two phases serialize. *)
+let overlap ~stages ~mem ~compute =
+  let residue =
+    if stages >= 4 then 0.02
+    else if stages >= 3 then 0.05
+    else if stages >= 2 then 0.15
+    else 1.
+  in
+  Float.max mem compute +. (residue *. Float.min mem compute)
+
 let occupancy_limits (d : Device.t) (k : Kernel.t) =
   blocks_per_sm_limit d ~block_dim:k.block_dim ~smem:(Kernel.shared_bytes k)
     ~regs:(Kernel.regs_per_thread k)
@@ -89,27 +121,18 @@ let kernel (d : Device.t) (k : Kernel.t) =
     in
     (* Bandwidth share per block, capped by what one SM's LSUs can pull and
        degraded when too few threads are resident to hide DRAM latency. *)
-    (* Sublinear saturation: latency hiding degrades gracefully below the
-       saturation point rather than proportionally. *)
-    let sat_curve x = Float.min 1. (Float.pow x 0.6) in
-    let mem_saturation =
-      sat_curve (resident_threads /. (0.75 *. float_of_int d.saturation_threads_per_sm))
-    in
     let bw_per_block =
       Float.min
         (d.mem_bandwidth /. float_of_int active_blocks)
-        (1.5 *. d.mem_bandwidth /. float_of_int d.num_sms)
-      *. mem_saturation
+        (per_sm_bandwidth_cap *. d.mem_bandwidth /. float_of_int d.num_sms)
+      *. mem_saturation d resident_threads
     in
     let mem_time = bytes_block /. bw_per_block in
     (* Compute: peak per SM shared among co-resident blocks, degraded when
        the SM has too few threads to saturate issue ports. *)
-    let comp_saturation =
-      sat_curve (resident_threads /. float_of_int d.saturation_threads_per_sm)
-    in
     let cuda_per_block =
       Device.fp32_flops d /. float_of_int d.num_sms
-      /. float_of_int blocks_on_sm *. comp_saturation
+      /. float_of_int blocks_on_sm *. comp_saturation d resident_threads
     in
     let tensor_saturation =
       Float.min 1. (float_of_int (warps_per_block * blocks_on_sm) /. 8.)
@@ -130,21 +153,8 @@ let kernel (d : Device.t) (k : Kernel.t) =
       +. (shared_block /. shared_per_block)
     in
     let sync_time = c.syncs *. d.sync_latency in
-    (* Pipelined kernels overlap memory and compute; the barrier at each
-       stage boundary still exposes a residue of the shorter phase, smaller
-       for deeper pipelines: double buffering still stalls on every other
-       tile's latency, 3 stages hide most of it, 4 stages nearly all (at
-       the price of the extra shared-memory stage, which the occupancy
-       limits above already charge). *)
     let block_time =
-      if pipelined then
-        let residue =
-          if stages >= 4 then 0.02 else if stages >= 3 then 0.05 else 0.15
-        in
-        Float.max mem_time compute_time
-        +. (residue *. Float.min mem_time compute_time)
-        +. sync_time
-      else mem_time +. compute_time +. sync_time
+      overlap ~stages ~mem:mem_time ~compute:compute_time +. sync_time
     in
     let latency =
       d.kernel_launch_overhead +. (float_of_int waves *. block_time)
@@ -168,6 +178,44 @@ let kernel (d : Device.t) (k : Kernel.t) =
       feasible = true;
       note;
     }
+
+(* --- a lower bound from launch shape and per-block floors ----------------------
+
+   Every term of [kernel] above, bounded from below without the kernel:
+   - resident blocks per SM ignore registers, so [bps_ub] >= [blocks_per_sm]
+     and the resident threads, hence both saturations, are at most their
+     [resident_ub] values;
+   - [waves * blocks_on_sm >= ceil(grid / SMs)] bounds the compute waves,
+     and [waves * active_blocks >= grid] and
+     [waves >= ceil(grid / (SMs * bps_ub))] the two bandwidth shares;
+   - L2 reuse never exceeds its window, at most [min(l2_reuse_window, grid)]
+     blocks, and coalescing never makes a load cheaper than its bytes;
+   - the pipeline residue shrinks with depth, and [overlap] grows in both
+     phases, so the declared depth and the floors give at most the kernel's
+     block time (sync time is dropped). *)
+
+let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~stages ~flops
+    ~shared_bytes ~load_bytes ~store_bytes =
+  match blocks_per_sm_limit d ~block_dim ~smem ~regs:0 with
+  | Error _ -> infinity
+  | Ok bps_ub ->
+    let f = float_of_int and sms = d.num_sms in
+    let resident_ub = f (block_dim * ceil_div (min grid (sms * bps_ub)) sms) in
+    let compute =
+      f (ceil_div grid sms)
+      *. ((flops *. f sms /. Device.fp32_flops d
+          /. comp_saturation d resident_ub)
+         +. (shared_bytes /. d.shared_bandwidth_per_sm))
+    in
+    let bytes = (load_bytes /. f (min d.l2_reuse_window grid)) +. store_bytes in
+    let mem =
+      Float.max
+        (f grid *. bytes /. d.mem_bandwidth)
+        (f (ceil_div grid (sms * bps_ub)) *. bytes *. f sms
+        /. (per_sm_bandwidth_cap *. d.mem_bandwidth))
+      /. mem_saturation d resident_ub
+    in
+    d.kernel_launch_overhead +. overlap ~stages ~mem ~compute
 
 (* --- fidelity dispatch ------------------------------------------------------
 

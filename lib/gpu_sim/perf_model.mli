@@ -46,6 +46,31 @@ val blocks_per_sm_limit :
 val kernel : Device.t -> Hidet_ir.Kernel.t -> estimate
 (** Estimate one kernel launch. *)
 
+val per_sm_bandwidth_cap : float
+(** 1.5: the most DRAM bandwidth one SM can pull, as a multiple of an even
+    per-SM share. The cycle model uses the same cap. *)
+
+val lower_bound :
+  Device.t ->
+  grid:int ->
+  block_dim:int ->
+  smem:int ->
+  stages:int ->
+  flops:float ->
+  shared_bytes:float ->
+  load_bytes:float ->
+  store_bytes:float ->
+  float
+(** A floor on {!kernel}'s latency for every kernel with this launch shape
+    ([grid], [block_dim], [smem] shared bytes per block, [stages] declared
+    pipeline depth) whose blocks each do at least the given work: CUDA-core
+    [flops], [shared_bytes] of shared-memory traffic, [load_bytes] of global
+    loads (before L2 reuse) and [store_bytes] of global stores. Computed
+    from those numbers alone, with no kernel; [infinity] when the shape is
+    infeasible whatever the registers. Launch plus the overlap of a memory
+    floor at the best possible L2 reuse and a compute floor, each at the
+    largest resident thread count the shape admits. *)
+
 (** {1 Fidelity modes}
 
     [`Analytic] is the model above (the paper's mode, and the default).

@@ -1,4 +1,4 @@
-type outcome = Measured | Infeasible | Rejected
+type outcome = Measured | Infeasible | Rejected | Pruned
 
 type proposer = Exhaustive | Seed | Mutation | Crossover
 
@@ -16,6 +16,7 @@ let outcome_to_string = function
   | Measured -> "measured"
   | Infeasible -> "infeasible"
   | Rejected -> "rejected"
+  | Pruned -> "pruned"
 
 let proposer_to_string = function
   | Exhaustive -> "exhaustive"

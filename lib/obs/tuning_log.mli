@@ -1,7 +1,8 @@
 (** The tuning log: one structured record per tuning trial.
 
     This is the AutoTVM/Ansor-style "tuning records" artifact: every
-    candidate a tuner evaluates is logged with its workload signature,
+    candidate a tuner evaluates, or skips by a lower bound, is logged with
+    its workload signature,
     candidate index, printable config, outcome and estimated latency —
     enough to regenerate the Fig 14 (cost) and Fig 15 (schedule-latency
     distribution) quantities offline.
@@ -14,6 +15,9 @@ type outcome =
   | Measured  (** compiled and measured, finite latency *)
   | Infeasible  (** compiled, but the device model rejected it *)
   | Rejected  (** the template refused the config; never measured *)
+  | Pruned
+      (** a lower bound proved it cannot win; never instantiated, billed
+          as a measurement *)
 
 type proposer =
   | Exhaustive  (** the exhaustive enumeration proposed this candidate *)

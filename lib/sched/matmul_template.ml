@@ -78,6 +78,38 @@ let config_to_string cfg =
     (if cfg.use_tensor_core then "_tc" else "")
     (if cfg.swizzle then "_swz" else "")
 
+(* Per-block floors of what [compile] below emits, in f32 words: block 0
+   runs [trips] k-tiles (the split-k chunk), staging each A and B tile
+   through shared memory; the CUDA-core path then reads [tm + tn] fragment
+   words per thread per kk and issues [tm * tn] FMAs; the writeback stores
+   the block tile once. The split-k reduce kernel costs at least a launch. *)
+let lower_bound (d : Hidet_gpu.Device.t) ?(batch = 1) ~m ~n ~k cfg =
+  match check cfg with
+  | Error _ -> 0. (* [compile] rejects it: never skip it *)
+  | Ok () ->
+    let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
+    let trips = ceil_div (ceil_div k bk) cfg.split_k in
+    let bd = block_dim cfg in
+    let f = float_of_int in
+    let staged = f (trips * (bm + bn) * bk) in
+    let fragments, fmas =
+      if cfg.use_tensor_core then (0., 0.)
+      else
+        ( f (trips * bk * bd * ((cfg.warp_m / 4) + (cfg.warp_n / 8))),
+          f (trips * bm * bn * bk) )
+    in
+    let main =
+      Hidet_gpu.Perf_model.lower_bound d
+        ~grid:(batch * cfg.split_k * ceil_div m bm * ceil_div n bn)
+        ~block_dim:bd
+        ~smem:(4 * cfg.stages * (bm + bn) * bk)
+        ~stages:cfg.stages ~flops:(2. *. fmas)
+        ~shared_bytes:(4. *. (staged +. fragments))
+        ~load_bytes:(4. *. staged)
+        ~store_bytes:(4. *. f (bm * bn))
+    in
+    if cfg.split_k > 1 then main +. d.kernel_launch_overhead else main
+
 let lets bindings body =
   List.fold_right (fun (v, e) acc -> Stmt.let_ v e acc) bindings body
 

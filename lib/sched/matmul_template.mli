@@ -68,3 +68,11 @@ val compile :
     (default false) selects a [batch, k, n] second operand versus shared
     [k, n] weights. Implicit-GEMM convolution uses [a_batched:false]
     (weights) with [b_batched:true] (im2col columns per image). *)
+
+val lower_bound :
+  Hidet_gpu.Device.t -> ?batch:int -> m:int -> n:int -> k:int -> config -> float
+(** A floor on the analytic {!Compiled.latency} of [compile ~batch ~m ~n ~k
+    cfg] on the device, from the config and shape alone (no IR): it never
+    exceeds that latency, for either operand layout. [0.] for a config
+    [check] refuses, so a tuner that skips on it still sees the rejection;
+    [infinity] for one no device occupancy admits. *)

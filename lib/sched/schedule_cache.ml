@@ -231,8 +231,8 @@ let m_misses = Metrics.counter "schedule_cache.misses"
 let m_stale = Metrics.counter "schedule_cache.stale"
 
 let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
-    ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ~device ~workload
-    ~candidates ~compile () =
+    ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ?lower_bound ~device
+    ~workload ~candidates ~compile () =
   let device_name = device.Hidet_gpu.Device.name in
   let key = Key.to_string (Key.make ~workload ~search ~fidelity) in
   let fingerprint cand = sanitize (show cand) in
@@ -249,7 +249,7 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
     count miss_count m_misses "schedule_cache.miss";
     match
       Tuner.tune ?seconds_per_trial ?parallel ?workers ?engine ~key ~show
-        ~search ~fidelity ~device ~candidates ~compile ()
+        ~search ~fidelity ?lower_bound ~device ~candidates ~compile ()
     with
     | None -> None
     | Some (cand, compiled, st) ->

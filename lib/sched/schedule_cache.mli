@@ -54,6 +54,7 @@ val tune :
   show:('a -> string) ->
   ?search:'a Search.t ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
+  ?lower_bound:('a -> float) ->
   device:Hidet_gpu.Device.t ->
   workload:string ->
   candidates:'a list ->
@@ -65,7 +66,8 @@ val tune :
     name.
     On a hit, only the stored winner is re-instantiated (zero fresh
     trials); on a miss or a stale entry the tuner runs (with [?search],
-    default {!Search.Exhaustive}, and [?fidelity], default [`Analytic])
+    default {!Search.Exhaustive}, [?fidelity], default [`Analytic], and
+    [?lower_bound], which changes no entry field but [trials])
     and its result is stored with [show winner] as the fingerprint. The
     tuner's spans and log records carry the key string. Each call bumps
     the ["schedule_cache.hits"/"misses"/"stale"] metrics and, when

@@ -3,8 +3,9 @@
    (bit for bit, on every non-tensor-core matmul candidate of two shapes
    and on random affine kernels with block-dependent bindings), the
    one-pass [Simplify.stmt] against the substitute-per-Let reference
-   (structure and counter delta), modeled latencies pinned for two zoo
-   models, and every committed BENCH_*.json parsing as JSON. *)
+   (structure and counter delta), the tuner's lower bound against the
+   latency it bounds, modeled latencies pinned for two zoo models, and
+   every committed BENCH_*.json parsing as JSON. *)
 
 module Buffer = Hidet_ir.Buffer
 module Expr = Hidet_ir.Expr
@@ -402,6 +403,60 @@ let test_simplify_template_bodies () =
         Alcotest.failf "%s: Simplify.stmt disagrees with the oracle" k.Kernel.name)
     kernels
 
+(* --- the tuner's lower bound ----------------------------------------------------
+
+   [Matmul_template.lower_bound] may skip a candidate only if it never
+   exceeds the candidate's analytic latency: checked on every candidate of
+   the full space (tensor-core and split-k configs included) for every
+   matmul the zoo tunes, and for random shapes on both devices. *)
+
+(* The worst bound / latency ratio over a shape's full space, failing on
+   the first candidate whose bound exceeds its latency. *)
+let bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k =
+  List.fold_left
+    (fun worst (cfg : MT.config) ->
+      match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
+      | exception Invalid_argument _ -> worst
+      | c ->
+        let lat = Compiled.latency dev c in
+        let bound = MT.lower_bound dev ~batch ~m ~n ~k cfg in
+        if not (bound <= lat) then
+          Alcotest.failf "%s %dx%dx%dx%d %s: bound %h > latency %h"
+            dev.Hidet_gpu.Device.name batch m n k (MT.config_to_string cfg)
+            bound lat;
+        if lat < infinity then Float.max worst (bound /. lat) else worst)
+    0. (Space.matmul_with_split_k ~m ~n)
+
+let test_bound_zoo () =
+  let shapes = Zoo.matmuls dev Hidet_models.Models.all in
+  Alcotest.(check int) "distinct zoo matmuls" 84 (List.length shapes);
+  let worst =
+    List.fold_left
+      (fun worst { Zoo.batch; a_batched; b_batched; m; n; k } ->
+        Float.max worst (bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k))
+      0. shapes
+  in
+  (* Tight enough to prune: the best candidates come within 10%. *)
+  Alcotest.(check bool) "some bound within 10% of its latency" true (worst > 0.9)
+
+let prop_bound_random =
+  let gen =
+    let open QCheck.Gen in
+    let* dev = oneofl Hidet_gpu.Device.[ rtx3090; a100 ] in
+    let* batch = int_range 1 16 in
+    let* a_batched = bool and* b_batched = bool in
+    let* m = int_range 1 4096 and* n = int_range 1 4096 and* k = int_range 1 4096 in
+    return (dev, batch, a_batched, b_batched, m, n, k)
+  in
+  let print (dev, batch, a, b, m, n, k) =
+    Printf.sprintf "%s batch=%d a_batched=%b b_batched=%b %dx%dx%d"
+      dev.Hidet_gpu.Device.name batch a b m n k
+  in
+  QCheck.Test.make ~name:"lower bound <= latency on random shapes" ~count:20
+    (QCheck.make ~print gen)
+    (fun (dev, batch, a_batched, b_batched, m, n, k) ->
+      bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k <= 1.)
+
 (* --- pinned modeled latencies ------------------------------------------------- *)
 
 (* Plan.latency of a cold analytic compile, printed with %h. Any change to
@@ -459,6 +514,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_simplify_oracle;
           Alcotest.test_case "template bodies = oracle" `Quick
             test_simplify_template_bodies;
+        ] );
+      ( "lower bound",
+        [
+          Alcotest.test_case "every zoo candidate" `Quick test_bound_zoo;
+          QCheck_alcotest.to_alcotest prop_bound_random;
         ] );
       ( "pinned",
         [ Alcotest.test_case "Plan.latency bert, resnet50" `Quick test_pinned_latency ] );

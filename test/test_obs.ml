@@ -176,16 +176,20 @@ let test_tuner_spans_and_log () =
             (ts <= cts && cts +. cdur <= ts +. dur +. 1e-6))
         trials)
 
-(* One traced cold compile: the trial spans, the tuner counters and the
-   tuning log count the same trials; the trial spans time the work, so
-   together they fit in the tune spans times the workers; and
-   plan.kernels_emitted counts the launches the result reports. *)
+(* One traced cold compile: the tuning log has a row per candidate of the
+   tune spans, each one instantiated (a trial span, counted as a trial or
+   a rejection) or skipped by the lower bound (counted as pruned); the
+   trial spans time the work, so together they fit in the tune spans times
+   the workers; and plan.kernels_emitted counts the launches the result
+   reports. *)
 let test_compile_counters_agree () =
   let trials = Metrics.counter "tuner.trials"
   and rejected = Metrics.counter "tuner.rejected"
+  and pruned = Metrics.counter "tuner.pruned"
   and emitted = Metrics.counter "plan.kernels_emitted" in
   let t0 = Metrics.value trials
   and r0 = Metrics.value rejected
+  and p0 = Metrics.value pruned
   and e0 = Metrics.value emitted in
   Hidet_sched.Schedule_cache.clear ();
   let g = (List.assoc "tiny_separable" Hidet_models.Models.tiny_all) () in
@@ -202,11 +206,27 @@ let test_compile_counters_agree () =
       (0, 0.) spans
   in
   let n_trial, trial_us = total "trial" and _, tune_us = total "tune" in
+  let tune_attr a =
+    List.fold_left
+      (fun acc (nm, _, _, _, attrs) ->
+        if nm = "tune" then acc + int_of_string (List.assoc a attrs) else acc)
+      0 spans
+  in
+  let n_pruned = Metrics.value pruned - p0 in
   Alcotest.(check bool) "the compile tuned something" true (n_trial > 0);
+  Alcotest.(check bool) "the bound skipped something" true (n_pruned > 0);
   Alcotest.(check int) "trial spans = trials + rejected"
     (Metrics.value trials - t0 + (Metrics.value rejected - r0))
     n_trial;
-  Alcotest.(check int) "tuning-log rows = trial spans" n_trial (List.length logged);
+  Alcotest.(check int) "tune spans' pruned = tuner.pruned" n_pruned
+    (tune_attr "pruned");
+  Alcotest.(check int) "tuning-log rows = trials + rejected + pruned"
+    (n_trial + n_pruned) (List.length logged);
+  Alcotest.(check int) "tuning-log rows = candidates" (tune_attr "candidates")
+    (List.length logged);
+  Alcotest.(check int) "pruned rows = tuner.pruned" n_pruned
+    (List.length
+       (List.filter (fun (t : Tlog.trial) -> t.Tlog.outcome = Tlog.Pruned) logged));
   let workers = Hidet_parallel.Parallel.default_workers () in
   Alcotest.(check bool)
     (Printf.sprintf "trial spans %.0f us <= tune %.0f us x %d workers" trial_us
@@ -243,27 +263,33 @@ let arb_case =
     gen_case
 
 let counter_deltas f =
-  let t = Metrics.counter "tuner.trials" in
-  let rj = Metrics.counter "tuner.rejected" in
-  let t0 = Metrics.value t and r0 = Metrics.value rj in
+  let counters =
+    List.map Metrics.counter [ "tuner.trials"; "tuner.rejected"; "tuner.pruned" ]
+  in
+  let before = List.map Metrics.value counters in
   f ();
-  (Metrics.value t - t0, Metrics.value rj - r0)
+  List.map2 (fun c v -> Metrics.value c - v) counters before
 
+(* With and without the lower bound: the counts also cover every
+   candidate exactly once. *)
 let prop_parallel_counter_parity =
   QCheck.Test.make ~name:"parallel metric deltas = sequential" ~count:8
     arb_case (fun (m, n, k, stride, offset) ->
       let candidates = sub_space ~m ~n ~stride ~offset in
       QCheck.assume (candidates <> []);
       let compile cfg = MT.compile ~m ~n ~k cfg in
-      let seq =
-        counter_deltas (fun () ->
-            ignore (Tu.tune ~parallel:false ~device:dev ~candidates ~compile ()))
-      in
-      let par =
-        counter_deltas (fun () ->
-            ignore (Tu.tune ~workers:4 ~device:dev ~candidates ~compile ()))
-      in
-      seq = par && fst seq = List.length candidates - snd seq)
+      List.for_all
+        (fun lower_bound ->
+          let deltas ?workers ~parallel () =
+            counter_deltas (fun () ->
+                ignore
+                  (Tu.tune ~parallel ?workers ?lower_bound ~device:dev
+                     ~candidates ~compile ()))
+          in
+          let seq = deltas ~parallel:false () in
+          seq = deltas ~parallel:true ~workers:4 ()
+          && List.fold_left ( + ) 0 seq = List.length candidates)
+        [ None; Some (MT.lower_bound dev ~m ~n ~k) ])
 
 (* --- Chrome trace export ------------------------------------------------------ *)
 

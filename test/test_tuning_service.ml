@@ -1,5 +1,5 @@
 (* Tests for the tuning service: parallel/sequential determinism of the
-   tuner, the process-global schedule cache (hit/miss, stale entries,
+   tuner, its lower-bound skips, the process-global schedule cache (hit/miss, stale entries,
    persistence and its line digest), the engine's cache-served recompile,
    and the occupancy-limit guard for register-free kernels. *)
 
@@ -114,6 +114,102 @@ let test_parallel_map_propagates_errors () =
     (fun () ->
       ignore (Par.map ~workers:4 (fun i -> if i = 5 then failwith "boom" else i)
                 (Array.init 32 Fun.id)))
+
+(* --- branch-and-bound -------------------------------------------------------- *)
+
+(* The lower bound changes which candidates are instantiated, never the
+   result: with and without it, and on one or four workers, the tuner picks
+   the same winner with the same latency, bills the same simulated seconds,
+   and the bound's skips account for exactly the trials it saved. *)
+
+let bits = Int64.bits_of_float
+
+let same_result (c1, _, (s1 : Tu.stats)) (c2, _, (s2 : Tu.stats)) =
+  c1 = c2
+  && s1.best_index = s2.best_index
+  && Int64.equal (bits s1.best_latency) (bits s2.best_latency)
+  && Int64.equal (bits s1.simulated_seconds) (bits s2.simulated_seconds)
+  && s1.rejected = s2.rejected
+  && s1.trials + s1.pruned = s2.trials + s2.pruned
+
+let test_bound_keeps_winner () =
+  let tiny = Zoo.matmuls dev M.tiny_all in
+  let zoo = List.filteri (fun i _ -> i mod 8 = 0) (Zoo.matmuls dev M.all) in
+  let pruned = ref 0 and total = ref 0 in
+  List.iter
+    (fun { Zoo.batch; a_batched; b_batched; m; n; k } ->
+      let name = Printf.sprintf "%dx%dx%dx%d" batch m n k in
+      let candidates = Space.matmul_with_split_k ~m ~n in
+      let tune ?lower_bound ?workers ~parallel () =
+        Tu.tune ~parallel ?workers ?lower_bound ~device:dev ~candidates
+          ~compile:(MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k)
+          ()
+        |> Option.get
+      in
+      let lower_bound = MT.lower_bound dev ~batch ~m ~n ~k in
+      let full = tune ~parallel:false () in
+      let (_, _, s1) as seq = tune ~lower_bound ~parallel:false () in
+      let (_, _, s4) as par = tune ~lower_bound ~parallel:true ~workers:4 () in
+      Alcotest.(check bool) (name ^ ": same winner as without the bound") true
+        (same_result seq full);
+      Alcotest.(check bool) (name ^ ": workers 1 = workers 4") true
+        (same_result seq par && s1.Tu.trials = s4.Tu.trials
+        && s1.Tu.pruned = s4.Tu.pruned);
+      pruned := !pruned + s1.Tu.pruned;
+      total := !total + List.length candidates)
+    (tiny @ zoo);
+  Alcotest.(check bool)
+    (Printf.sprintf "the bound skips most candidates (%d of %d)" !pruned !total)
+    true
+    (2 * !pruned > !total)
+
+(* The bound is a floor on the analytic latency only: a cycle-fidelity or
+   guided tune ignores it, even one that would skip everything. *)
+let test_bound_scope () =
+  let m = 96 and n = 64 and k = 128 in
+  let candidates = sub_space ~m ~n ~stride:24 ~offset:0 in
+  let pruned ?fidelity ?search () =
+    match
+      Tu.tune ?fidelity ?search ~lower_bound:(fun _ -> infinity) ~device:dev
+        ~candidates ~compile:(MT.compile ~m ~n ~k) ()
+    with
+    | Some (_, _, st) -> st.Tu.pruned
+    | None -> Alcotest.fail "tuner found nothing"
+  in
+  Alcotest.(check bool) "analytic exhaustive skips" true (pruned () > 0);
+  Alcotest.(check int) "cycle fidelity" 0 (pruned ~fidelity:`Cycle ());
+  Alcotest.(check int) "guided search" 0
+    (pruned ~search:(Hidet_sched.Search.guided_matmul ()) ())
+
+(* A device whose shared memory admits no config: with no finite best the
+   threshold stays infinite, so nothing is skipped, and the failure stays
+   visible. *)
+let test_no_feasible_config () =
+  let dev =
+    {
+      dev with
+      Hidet_gpu.Device.name = "no_smem";
+      shared_mem_per_block = 512;
+      shared_mem_per_sm = 512;
+    }
+  in
+  let pruned = Hidet_obs.Metrics.counter "tuner.pruned" in
+  let p0 = Hidet_obs.Metrics.value pruned in
+  let m = 64 and n = 64 and k = 64 in
+  Alcotest.(check bool) "Tuner.tune returns None" true
+    (Tu.tune ~device:dev ~lower_bound:(MT.lower_bound dev ~m ~n ~k)
+       ~candidates:(Space.matmul_with_split_k ~m ~n)
+       ~compile:(MT.compile ~m ~n ~k) ()
+    = None);
+  let g = Hidet_graph.Graph.create () in
+  let x = Hidet_graph.Graph.input g [ m; k ] in
+  let w = Hidet_graph.Graph.constant_rand g [ k; n ] in
+  Hidet_graph.Graph.set_outputs g [ Hidet_graph.Graph.matmul g x w ];
+  SC.clear ();
+  Alcotest.check_raises "the engine names the failure"
+    (Failure "hidet: no feasible matmul schedule") (fun () ->
+      ignore (HE.compile_plan dev g));
+  Alcotest.(check int) "tuner.pruned" 0 (Hidet_obs.Metrics.value pruned - p0)
 
 (* --- schedule cache -------------------------------------------------------- *)
 
@@ -772,6 +868,13 @@ let () =
             test_parallel_speedup;
           Alcotest.test_case "worker errors propagate" `Quick
             test_parallel_map_propagates_errors;
+        ] );
+      ( "branch-and-bound",
+        [
+          Alcotest.test_case "same winner, any worker count" `Quick
+            test_bound_keeps_winner;
+          Alcotest.test_case "analytic exhaustive only" `Quick test_bound_scope;
+          Alcotest.test_case "no feasible config" `Quick test_no_feasible_config;
         ] );
       ( "schedule cache",
         [
