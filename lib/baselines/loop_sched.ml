@@ -204,7 +204,7 @@ let gemm_generic ~name ~batch ~ins ~out ~temps ~m ~n ~k ~load_a ~load_b
       ~params:(ins @ temps @ [ out ])
       ~grid_dim:grid ~block_dim body
   in
-  { Compiled.name; kernels = [ kernel ]; ins; out; temps; key = None }
+  { Compiled.name; kernels = [ kernel ]; ins; out; temps }
 
 let gemm ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k s =
   let a = Buffer.create "A" (if a_batched then [ batch; m; k ] else [ m; k ]) in
@@ -367,5 +367,5 @@ let depthwise ~x_shape ~w_shape ~stride ~padding s =
       Kernel.create ~regs:[ wregs; acc ] ~name ~params:[ x; wt; out ]
         ~grid_dim:grid ~block_dim:threads (Simplify.stmt body)
     in
-    { Compiled.name; kernels = [ kernel ]; ins = [ x; wt ]; out; temps = []; key = None }
+    { Compiled.name; kernels = [ kernel ]; ins = [ x; wt ]; out; temps = [] }
   | _ -> invalid_arg "Loop_sched.depthwise: expected NCHW x [c,1,kh,kw]"

@@ -33,6 +33,10 @@ type gstate = {
   mutable tmp : int;  (** fresh-name counter *)
 }
 
+(* Every generated name, IR loop and let variables included, comes from the
+   per-kernel counter in emission order, never from the process-global
+   [Var.id]: alpha-equivalent kernels print to byte-equal source and so
+   share one memoized unit. *)
 let fresh st base =
   st.tmp <- st.tmp + 1;
   Printf.sprintf "%s%d" base st.tmp
@@ -112,8 +116,6 @@ let bound_check slot p nm bname =
     (dim_name slot p) nm (dim_name slot p) bname
 
 type vty = T_int | T_float | T_bool | T_dyn
-
-let var_name (v : Var.t) = Printf.sprintf "v%d" v.Var.id
 
 let rec comp st venv (e : Expr.t) : gexpr =
   match e with
@@ -288,7 +290,7 @@ let rec emit_stmt st venv out ind (s : Stmt.t) : unit =
   | For { var; extent; body; _ } ->
     let ext = as_int (comp st venv extent) in
     let n = fresh st "n" in
-    let v = var_name var in
+    let v = fresh st "v" in
     add out (Printf.sprintf "%sincr stmts;\n" pad);
     add out (Printf.sprintf "%s(let %s = %s in\n" pad n ext);
     add out (Printf.sprintf "%s for %s = 0 to %s - 1 do\n" pad v n);
@@ -307,7 +309,7 @@ let rec emit_stmt st venv out ind (s : Stmt.t) : unit =
       add out (Printf.sprintf "%s  ()\n%send);\n" pad pad))
   | Let { var; value; body } ->
     let x = comp st venv value in
-    let v = var_name var in
+    let v = fresh st "v" in
     let ty =
       match x with
       | G_int _ -> T_int
@@ -524,8 +526,9 @@ let assign_slots (k : Kernel.t) =
 (* The generated unit: [body tid bid bufs] runs one thread and returns its
    statement count. Buffer arrays and their dimensions are hoisted to
    let-bound locals in the prelude; the registration trailer (which embeds
-   the unique unit name) is appended at build time so the source digest
-   memoizing compilation is stable across processes. *)
+   the unique unit name) is appended at build time, so the source that keys
+   the compile memo holds no process-global id. Slot numbers and dims are
+   literals in it: equal source means an equal slot layout. *)
 let codegen (k : Kernel.t) : string * slots =
   let buf_slot, slots = assign_slots k in
   let st = { buf_slot; tmp = 0 } in
@@ -749,10 +752,12 @@ type compiled = {
 let kernel c = c.kernel
 let parallel_grid c = c.parallel_ok
 
+(* Keyed on the source text itself: a hit means byte-equal source, which
+   no digest collision can fake. *)
 let memo : (string, Exec_registry.entry) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
-let compile ?key (k : Kernel.t) : compiled =
+let compile (k : Kernel.t) : compiled =
   let tc =
     match Lazy.force toolchain_once with
     | Ok tc -> tc
@@ -767,26 +772,20 @@ let compile ?key (k : Kernel.t) : compiled =
           "sim.native.codegen"
           (fun _ -> codegen k))
   in
-  (* Codegen is cheap and runs every call; ocamlopt + dynlink are memoized
-     on the workload key plus the source digest (the digest alone is
-     sufficient for correctness — the key prefix scopes eviction and
-     observability to the schedule-cache workload). *)
-  let memo_key =
-    (match key with Some s -> s ^ ":" | None -> "")
-    ^ Digest.to_hex (Digest.string src)
-  in
+  (* Codegen is cheap and runs every call; ocamlopt + dynlink run once per
+     distinct source. *)
   let entry =
     Mutex.lock memo_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock memo_lock)
       (fun () ->
-        match Hashtbl.find_opt memo memo_key with
+        match Hashtbl.find_opt memo src with
         | Some e ->
           Metrics.incr m_memo_hits;
           e
         | None ->
           let e = build tc src in
-          Hashtbl.replace memo memo_key e;
+          Hashtbl.replace memo src e;
           e)
   in
   {
@@ -900,12 +899,12 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
     (if use_domains then m_par_blocks else m_seq_blocks)
     k.Kernel.grid_dim
 
-let run ?parallel ?key (k : Kernel.t) bindings =
-  run_compiled ?parallel (compile ?key k) bindings
+let run ?parallel (k : Kernel.t) bindings =
+  run_compiled ?parallel (compile k) bindings
 
-let run_alloc ?parallel ?key k ~inputs ~outputs =
+let run_alloc ?parallel k ~inputs ~outputs =
   let out_arrays =
     List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
   in
-  run ?parallel ?key k (inputs @ List.combine outputs out_arrays);
+  run ?parallel k (inputs @ List.combine outputs out_arrays);
   out_arrays

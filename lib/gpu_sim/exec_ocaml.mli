@@ -15,10 +15,13 @@
     {!Compile_exec} (property-tested in [test_exec_ocaml] and cross-checked
     by the fuzzer's [native] path); only the execution model differs.
 
-    Compiled units are memoized per process on the generated source digest,
-    optionally prefixed by the schedule-cache workload key ([?key]), so a
-    kernel pays ocamlopt + dynlink once and every later launch reuses the
-    loaded entry point.
+    Compiled units are memoized per process on the generated source text.
+    The source holds no process-global id: loop and let variables are named
+    in binding order, buffers by slot number. Alpha-equivalent kernels (a
+    recompile after [Schedule_cache.clear], the same kernel in two plans)
+    therefore print to byte-equal source, and a distinct kernel pays
+    ocamlopt + dynlink once per process. A hit means byte-equal source, so
+    it can never return another kernel's unit.
 
     The backend degrades, never fails, when the toolchain is missing:
     {!available} probes once per process (native [Dynlink], [ocamlfind] on
@@ -37,11 +40,11 @@ val source : Hidet_ir.Kernel.t -> string
 (** The generated unit body (without the registration trailer) — for
     debugging and golden tests. Does not require the toolchain. *)
 
-val compile : ?key:string -> Hidet_ir.Kernel.t -> compiled
-(** Verify, codegen, and compile+load (memoized on [?key] plus the source
-    digest). Raises [Failure] when {!available} is an [Error] or the
-    toolchain misbehaves — callers wanting graceful degradation check
-    {!available} first. *)
+val compile : Hidet_ir.Kernel.t -> compiled
+(** Verify, codegen, and compile+load (memoized on the source text; a hit
+    bumps ["sim.native.memo_hits"], a build ["sim.native.units"]). Raises
+    [Failure] when {!available} is an [Error] or the toolchain misbehaves —
+    callers wanting graceful degradation check {!available} first. *)
 
 val kernel : compiled -> Hidet_ir.Kernel.t
 val parallel_grid : compiled -> bool
@@ -55,14 +58,12 @@ val run_compiled :
 
 val run :
   ?parallel:bool ->
-  ?key:string ->
   Hidet_ir.Kernel.t ->
   (Hidet_ir.Buffer.t * float array) list ->
   unit
 
 val run_alloc :
   ?parallel:bool ->
-  ?key:string ->
   Hidet_ir.Kernel.t ->
   inputs:(Hidet_ir.Buffer.t * float array) list ->
   outputs:Hidet_ir.Buffer.t list ->

@@ -7,14 +7,14 @@ type t = {
   ins : Buffer.t list;
   out : Buffer.t;
   temps : Buffer.t list;
-  key : string option;
 }
 
 type backend = [ `Closure | `Native ]
 
 (* The native backend degrades, never fails: one stderr line the first
-   time a run falls back, then silence. *)
+   time a run falls back, then only the counter, bumped per launch. *)
 let fallback_logged = ref false
+let m_fallbacks = Hidet_obs.Metrics.counter "sim.native.fallbacks"
 
 let log_fallback reason =
   if not !fallback_logged then begin
@@ -46,8 +46,9 @@ let verify c = List.iter Verify.kernel_exn c.kernels
 let run ?(legacy = false) ?(backend = `Closure) c inputs =
   if List.length inputs <> List.length c.ins then
     invalid_arg (Printf.sprintf "Compiled.run %s: input count mismatch" c.name);
+  let want_native = (not legacy) && backend = `Native in
   let use_native =
-    (not legacy) && backend = `Native
+    want_native
     &&
     match Hidet_gpu.Exec_ocaml.available () with
     | Ok () -> true
@@ -84,14 +85,11 @@ let run ?(legacy = false) ?(backend = `Closure) c inputs =
           k.Kernel.params
       in
       if legacy then Hidet_gpu.Interp.run k kernel_bindings
-      else if use_native then
-        (* Scope the compile memo to the schedule-cache workload when we
-           know it: each kernel of a tuned operator dynlinks once per
-           process. *)
-        Hidet_gpu.Exec_ocaml.run
-          ?key:(Option.map (fun key -> key ^ "#" ^ k.Kernel.name) c.key)
-          k kernel_bindings
-      else Hidet_gpu.Compile_exec.run k kernel_bindings)
+      else if use_native then Hidet_gpu.Exec_ocaml.run k kernel_bindings
+      else begin
+        if want_native then Hidet_obs.Metrics.incr m_fallbacks;
+        Hidet_gpu.Compile_exec.run k kernel_bindings
+      end)
     c.kernels;
   Tensor.of_array c.out.Buffer.dims out_arr
 

@@ -9,18 +9,16 @@ type t = {
   ins : Hidet_ir.Buffer.t list;  (** bind input tensors to these *)
   out : Hidet_ir.Buffer.t;  (** final output *)
   temps : Hidet_ir.Buffer.t list;  (** intermediate global buffers *)
-  key : string option;
-      (** schedule-cache workload key, set by the tuning service; scopes
-          the native backend's per-kernel compile memo *)
 }
 
 (** {1 Execution backend}
 
     Which simulator executes {!run}'s kernels. [`Closure] is
     {!Hidet_gpu.Compile_exec}; [`Native] is {!Hidet_gpu.Exec_ocaml}
-    (codegen → [ocamlopt] → [Dynlink]) and silently degrades to the
-    closure backend — with the reason logged once — when the toolchain is
-    unavailable. All backends produce bit-identical results. *)
+    (codegen → [ocamlopt] → [Dynlink]) and degrades to the closure backend
+    when the toolchain is unavailable: the reason goes to stderr once per
+    process and every kernel launch that falls back bumps
+    ["sim.native.fallbacks"]. All backends produce bit-identical results. *)
 
 type backend = [ `Closure | `Native ]
 

@@ -418,7 +418,6 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
       ins = [ a_buf; b_buf ];
       out = c_buf;
       temps = [];
-      key = None;
     }
   | Some cp ->
     (* Second kernel: C[b,i,j] = sum_z Cp[z,b,i,j]. *)
@@ -465,5 +464,4 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
       ins = [ a_buf; b_buf ];
       out = c_buf;
       temps = [ cp ];
-      key = None;
     }

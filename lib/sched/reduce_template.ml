@@ -96,4 +96,4 @@ let schedule ?(config = default_config) (d : Def.t) =
       ~params:(ins @ [ out ])
       ~grid_dim:numel ~block_dim:block (Simplify.stmt body)
   in
-  { Compiled.name; kernels = [ kernel ]; ins; out; temps = []; key = None }
+  { Compiled.name; kernels = [ kernel ]; ins; out; temps = [] }

@@ -84,7 +84,7 @@ let softmax ?(block_size = 128) ~rows ~cols () =
     Kernel.create ~shared:[ smem ] ~regs:[ acc; rmax; rsum ] ~name
       ~params:[ x; out ] ~grid_dim:rows ~block_dim:block (Simplify.stmt body)
   in
-  { Compiled.name; kernels = [ kernel ]; ins = [ x ]; out; temps = []; key = None }
+  { Compiled.name; kernels = [ kernel ]; ins = [ x ]; out; temps = [] }
 
 let layernorm ?(block_size = 128) ?(eps = 1e-5) ~rows ~cols () =
   if not (is_pow2 block_size) then invalid_arg "Row_templates.layernorm: block size";
@@ -139,5 +139,4 @@ let layernorm ?(block_size = 128) ?(eps = 1e-5) ~rows ~cols () =
     ins = [ x; gamma; beta ];
     out;
     temps = [];
-    key = None;
   }

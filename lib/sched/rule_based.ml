@@ -83,4 +83,4 @@ let schedule ?(block_dim = 256) (d : Def.t) =
       ~params:(ins @ [ out ])
       ~grid_dim:grid ~block_dim (Simplify.stmt body)
   in
-  { Compiled.name; kernels = [ kernel ]; ins; out; temps = []; key = None }
+  { Compiled.name; kernels = [ kernel ]; ins; out; temps = [] }

@@ -237,9 +237,6 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
   let key = Key.to_string (Key.make ~workload ~search ~fidelity) in
   let fingerprint cand = sanitize (show cand) in
   let space_size = List.length candidates in
-  (* Returned operators carry the workload key so the native execution
-     backend can scope its per-kernel compile memo to this workload. *)
-  let tag (compiled : Compiled.t) = { compiled with Compiled.key = Some key } in
   let count n metric event =
     locked (fun () -> incr n);
     Metrics.incr metric;
@@ -263,7 +260,7 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
           simulated_seconds = st.Tuner.simulated_seconds;
           best_latency = st.Tuner.best_latency;
         };
-      Some (cand, tag compiled, Fresh st)
+      Some (cand, compiled, Fresh st)
   in
   (* Servable: same space size, the candidate at the stored index prints
      as the stored winner, and it still instantiates. *)
@@ -283,7 +280,7 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
     match servable e with
     | Some (cand, compiled) ->
       count hit_count m_hits "schedule_cache.hit";
-      Some (cand, tag compiled, Hit e)
+      Some (cand, compiled, Hit e)
     | None ->
       count stale_count m_stale "schedule_cache.stale";
       fresh ())

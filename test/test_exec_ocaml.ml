@@ -181,6 +181,16 @@ let same_result r1 r2 =
   | _ -> false
 
 let stmts_counter = Hidet_obs.Metrics.counter "sim.statements"
+let m_units = Hidet_obs.Metrics.counter "sim.native.units"
+let m_hits = Hidet_obs.Metrics.counter "sim.native.memo_hits"
+let m_fallbacks = Hidet_obs.Metrics.counter "sim.native.fallbacks"
+
+let contains sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (* --- qcheck properties ----------------------------------------------------- *)
 
@@ -253,9 +263,13 @@ let runtime_divergence_kernel () =
   in
   (k, fun () -> [ (c, Array.make 32 0.) ])
 
+(* The index goes through a let, so each build carries a fresh variable id. *)
 let oob_store_kernel () =
   let c = Buffer.create "C" [ 8 ] in
-  let body = Stmt.store c [ Expr.Thread_idx ] (Expr.float 1.) in
+  let x = Var.fresh "x" in
+  let body =
+    Stmt.let_ x Expr.Thread_idx (Stmt.store c [ Expr.var x ] (Expr.float 1.))
+  in
   let k =
     Kernel.create ~name:"oob" ~params:[ c ] ~grid_dim:1 ~block_dim:32 body
   in
@@ -397,8 +411,6 @@ let vadd_kernel () =
 let test_compile_is_memoized () =
   let k, a, c = vadd_kernel () in
   let v = Hidet_obs.Metrics.value in
-  let m_units = Hidet_obs.Metrics.counter "sim.native.units" in
-  let m_hits = Hidet_obs.Metrics.counter "sim.native.memo_hits" in
   let c1 = EO.compile k in
   let units_after_first = v m_units in
   let hits0 = v m_hits in
@@ -413,30 +425,11 @@ let test_compile_is_memoized () =
   Alcotest.(check (float 0.)) "first launch" 2. cv1.(5);
   Alcotest.(check (float 0.)) "memoized unit still correct" 3. cv2.(5)
 
-let test_key_scopes_memo () =
-  (* Distinct workload keys compile distinct units even for identical
-     source; the digest alone would have shared them. *)
-  let k, _, _ = vadd_kernel () in
-  let v = Hidet_obs.Metrics.value in
-  let m_units = Hidet_obs.Metrics.counter "sim.native.units" in
-  let u0 = v m_units in
-  ignore (EO.compile ~key:"wk-a" k);
-  ignore (EO.compile ~key:"wk-b" k);
-  ignore (EO.compile ~key:"wk-a" k);
-  Alcotest.(check int) "two keys, two units" (u0 + 2) (v m_units)
-
 let test_source_mentions_no_dispatch () =
   (* The generated source is type-specialized: a pure float/int kernel
      never references the boxed fallback. *)
   let k, _, _ = vadd_kernel () in
   let src = EO.source k in
-  let contains sub s =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "no dyn_binop in specialized source" false
     (contains "dyn_binop" src);
   Alcotest.(check bool) "uses unsafe accesses" true
@@ -451,6 +444,126 @@ let test_native_metrics_counters () =
   Alcotest.(check int) "threads counted" (Kernel.num_threads k)
     (v m_threads - t0);
   Alcotest.(check bool) "statements counted" true (v stmts_counter - s0 >= 128)
+
+(* --- memo hits across fresh ids -------------------------------------------- *)
+
+module Gen = Hidet_check.Gen
+module Plan = Hidet_runtime.Plan
+
+(* Rule-based kernel sources of a generated definition; [None] when the
+   schedule does not apply. Each call mints fresh variable and buffer ids. *)
+let def_sources spec =
+  match Hidet_sched.Rule_based.schedule (Gen.build_def spec) with
+  | c -> Some (List.map EO.source c.Hidet_sched.Compiled.kernels)
+  | exception Invalid_argument _ -> None
+
+(* The first definition case at or after index [i] of the fuzzer's stream
+   for [seed] that the rule-based schedule lowers. *)
+let rec def_case seed i =
+  match Gen.gen_case (Random.State.make [| seed; i |]) ~max_size:8 with
+  | Gen.C_def { spec; _ } when def_sources spec <> None -> spec
+  | _ -> def_case seed (i + 1)
+
+(* Lowering the same case twice gives fresh ids but byte-equal source; one
+   changed dim or constant gives different source. *)
+let prop_source_alpha_invariant =
+  QCheck.Test.make ~count:100 ~name:"generated source is alpha-invariant"
+    QCheck.(pair (0 -- 1000) (0 -- 1000))
+    (fun (seed, i) ->
+      let spec = def_case seed i in
+      let again = def_case seed i in
+      let dims =
+        match spec.Gen.ds_out with
+        | d :: rest -> { spec with Gen.ds_out = (d + 1) :: rest }
+        | [] -> spec
+      in
+      let plus c =
+        {
+          spec with
+          Gen.ds_body = Gen.B_bin (Expr.Add, spec.Gen.ds_body, Gen.B_const c);
+        }
+      in
+      def_sources spec = def_sources again
+      && def_sources spec <> def_sources dims
+      && def_sources (plus 0.5) <> def_sources (plus 0.75))
+
+(* A recompile after [Schedule_cache.clear] mints new ids for every kernel;
+   its native run must reuse the units the first compile loaded. *)
+let test_recompile_hits_memo () =
+  let v = Hidet_obs.Metrics.value in
+  let compile () =
+    Hidet_sched.Schedule_cache.clear ();
+    let g = Hidet_models.Models.Tiny.cnn () in
+    (g, fst (Hidet.Hidet_engine.compile_plan Hidet_gpu.Device.rtx3090 g))
+  in
+  let g, first = compile () in
+  let inputs =
+    List.map
+      (fun id ->
+        Hidet_tensor.Tensor.rand ~seed:3 (Hidet_graph.Graph.node_shape g id))
+      (Hidet_graph.Graph.input_ids g)
+  in
+  ignore (Plan.run1 ~backend:`Native first inputs);
+  let _, second = compile () in
+  let u0 = v m_units and h0 = v m_hits and f0 = v m_fallbacks in
+  let native = Plan.run1 ~backend:`Native second inputs in
+  Alcotest.(check int) "no unit built" u0 (v m_units);
+  Alcotest.(check int) "one memo hit per kernel" (Plan.kernel_count second)
+    (v m_hits - h0);
+  Alcotest.(check int) "no fallback" f0 (v m_fallbacks);
+  let closure = Plan.run1 ~backend:`Closure second inputs in
+  Alcotest.(check bool) "native output bit-equal to closure output" true
+    (arrays_equal_bits
+       (Hidet_tensor.Tensor.data closure)
+       (Hidet_tensor.Tensor.data native))
+
+(* The out-of-bounds case built twice: the second build is a memo hit and
+   raises the closure backend's exception all the same. *)
+let test_error_parity_through_hit () =
+  let v = Hidet_obs.Metrics.value in
+  let go runner =
+    let k, bindings_of = oob_store_kernel () in
+    try
+      runner k (bindings_of ());
+      Ok ()
+    with e -> Error e
+  in
+  let first = go (EO.run ~parallel:false) in
+  let u0 = v m_units and h0 = v m_hits in
+  let second = go (EO.run ~parallel:false) in
+  Alcotest.(check int) "no unit built" u0 (v m_units);
+  Alcotest.(check int) "memo hit" (h0 + 1) (v m_hits);
+  Alcotest.(check bool) "raises" true (Result.is_error second);
+  Alcotest.(check bool) "same exception as the first run" true (first = second);
+  Alcotest.(check bool) "same exception as the closure backend" true
+    (go (CE.run ~parallel:false) = second)
+
+(* The toolchain probe runs once per process, so the missing-toolchain path
+   runs in a child whose PATH holds no ocamlfind. *)
+let test_missing_toolchain_falls_back () =
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun e -> not (String.starts_with ~prefix:"PATH=" e))
+    |> List.cons "PATH=" |> Array.of_list
+  in
+  let prog =
+    Filename.concat (Filename.dirname Sys.executable_name) "native_fallback.exe"
+  in
+  let ((out, inp, err) as chans) =
+    Unix.open_process_args_full prog [| prog |] env
+  in
+  close_out inp;
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  let status = Unix.close_process_full chans in
+  Alcotest.(check bool) "child exits 0" true (status = Unix.WEXITED 0);
+  let line = "native backend unavailable (ocamlfind not found on PATH)" in
+  Alcotest.(check int) "one stderr line" 1
+    (List.length
+       (List.filter (contains line) (String.split_on_char '\n' stderr)));
+  Scanf.sscanf stdout "fallbacks=%d launches=%d" (fun fallbacks launches ->
+      Alcotest.(check bool) "launched kernels" true (launches > 0);
+      Alcotest.(check int) "one fallback per launch" launches fallbacks)
 
 (* --------------------------------------------------------------------------- *)
 
@@ -469,6 +582,9 @@ let () =
             Alcotest.test_case "source generates" `Quick (fun () ->
                 Alcotest.(check bool) "non-empty" true
                   (String.length (EO.source k) > 0));
+            QCheck_alcotest.to_alcotest prop_source_alpha_invariant;
+            Alcotest.test_case "missing toolchain falls back visibly" `Quick
+              test_missing_toolchain_falls_back;
           ] );
       ]
   | Ok () ->
@@ -497,10 +613,15 @@ let () =
           [
             Alcotest.test_case "compile is memoized" `Quick
               test_compile_is_memoized;
-            Alcotest.test_case "workload key scopes the memo" `Quick
-              test_key_scopes_memo;
+            Alcotest.test_case "recompile reuses every loaded unit" `Quick
+              test_recompile_hits_memo;
+            Alcotest.test_case "error parity through a memo hit" `Quick
+              test_error_parity_through_hit;
             Alcotest.test_case "source is type-specialized" `Quick
               test_source_mentions_no_dispatch;
+            QCheck_alcotest.to_alcotest prop_source_alpha_invariant;
+            Alcotest.test_case "missing toolchain falls back visibly" `Quick
+              test_missing_toolchain_falls_back;
           ] );
         ( "observability",
           [
