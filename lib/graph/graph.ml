@@ -2,28 +2,55 @@ module Tensor = Hidet_tensor.Tensor
 
 type node = { id : int; op : Op.t; inputs : int list; shape : int list }
 
+(* Ids are dense (node [i] is the [i]-th appended), so the nodes live in a
+   growable array indexed by id, and each id's consumers are recorded as
+   its consumers are appended. Slots at and past [next_id] are unused
+   capacity. *)
 type t = {
-  mutable rev_nodes : node list;
+  mutable by_id : node array;
+  mutable users : int list array;  (* consumer ids, newest first *)
   mutable next_id : int;
   mutable outs : int list;
   mutable gname : string;
 }
 
-let create () = { rev_nodes = []; next_id = 0; outs = []; gname = "graph" }
+let unused = { id = -1; op = Op.Input; inputs = []; shape = [] }
+
+let create () =
+  {
+    by_id = Array.make 16 unused;
+    users = Array.make 16 [];
+    next_id = 0;
+    outs = [];
+    gname = "graph";
+  }
+
 let name g s = g.gname <- s
 let get_name g = g.gname
 
 let node g id =
-  match List.find_opt (fun n -> n.id = id) g.rev_nodes with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Graph.node: no node %d" id)
+  if id < 0 || id >= g.next_id then
+    invalid_arg (Printf.sprintf "Graph.node: no node %d" id);
+  g.by_id.(id)
 
 let node_shape g id = (node g id).shape
 
+let grow a fill =
+  let a' = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
 let append g op inputs shape =
   let id = g.next_id in
+  if id = Array.length g.by_id then begin
+    g.by_id <- grow g.by_id unused;
+    g.users <- grow g.users []
+  end;
+  g.by_id.(id) <- { id; op; inputs; shape };
+  List.iter
+    (fun i -> g.users.(i) <- id :: g.users.(i))
+    (List.sort_uniq compare inputs);
   g.next_id <- id + 1;
-  g.rev_nodes <- { id; op; inputs; shape } :: g.rev_nodes;
   (* Every new node is an output until overridden; keeps small graphs easy. *)
   g.outs <- [ id ];
   id
@@ -76,7 +103,9 @@ let avgpool g x ~kernel ~stride ~padding =
 
 let global_avgpool g x = add_op g Op.Global_avg_pool [ x ]
 let set_outputs g ids = g.outs <- ids
-let nodes g = List.rev g.rev_nodes
+let nodes g =
+  let rec from i acc = if i < 0 then acc else from (i - 1) (g.by_id.(i) :: acc) in
+  from (g.next_id - 1) []
 let outputs g = g.outs
 
 let input_ids g =
@@ -85,11 +114,9 @@ let input_ids g =
     (nodes g)
 
 let consumers g id =
-  List.filter_map
-    (fun n -> if List.mem id n.inputs then Some n.id else None)
-    (nodes g)
+  if id < 0 || id >= g.next_id then [] else List.rev g.users.(id)
 
-let num_nodes g = List.length g.rev_nodes
+let num_nodes g = g.next_id
 
 let flops g =
   List.fold_left

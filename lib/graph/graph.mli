@@ -2,7 +2,10 @@
 
     A graph is a DAG of operator nodes in topological order. Nodes are
     referred to by integer ids; the builder functions append nodes and
-    return the new node's id. Shapes are inferred at construction. *)
+    return the new node's id, handing out [0, 1, 2, ...] in order. Shapes
+    are inferred at construction. Nodes are stored in an array indexed by
+    id, with each node's consumers recorded as they are appended, so the
+    lookups below take constant time. *)
 
 type node = {
   id : int;
@@ -54,16 +57,24 @@ val set_outputs : t -> int list -> unit
 (** {1 Inspection} *)
 
 val node : t -> int -> node
+(** O(1). Raises [Invalid_argument "Graph.node: no node N"] for an id
+    outside [0 .. num_nodes - 1]. *)
+
 val nodes : t -> node list
 (** In topological (= creation) order. *)
 
 val node_shape : t -> int -> int list
+(** O(1); raises like {!node}. *)
+
 val outputs : t -> int list
 val input_ids : t -> int list
 (** Graph inputs in creation order. *)
 
 val consumers : t -> int -> int list
-(** Node ids that consume the given node's output. *)
+(** Node ids that consume the given node's output, in ascending order,
+    each listed once (even when it takes the node twice, as [add x x]
+    does); [[]] for an id that is not in the graph. O(number of
+    consumers). *)
 
 val num_nodes : t -> int
 val flops : t -> float

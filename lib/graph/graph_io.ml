@@ -104,13 +104,14 @@ let s2f s = try float_of_string s with _ -> failwith ("bad float " ^ s)
 let i2a i = Atom (string_of_int i)
 let ints_of = List.map (fun i -> i2a i)
 
-let op_to_sexp (op : Op.t) : sexp =
+(* [shape] is the node's: a constant too large to inline is never forced. *)
+let op_to_sexp ~shape (op : Op.t) : sexp =
   let l name args = List (Atom name :: args) in
   match op with
   | Op.Input -> l "input" []
   | Op.Constant { value } ->
-    let t = Lazy.force value in
-    if Tensor.numel t <= inline_data_threshold then
+    if List.fold_left ( * ) 1 shape <= inline_data_threshold then
+      let t = Lazy.force value in
       l "constant"
         [ List (Atom "data" :: Array.to_list (Array.map (fun v -> Atom (f2s v)) (Tensor.data t))) ]
     else l "constant" [ Atom "random" ]
@@ -159,6 +160,8 @@ let op_of_sexp ~shape ~node_id (s : sexp) : Op.t =
         Array.of_list
           (List.map (function Atom a -> s2f a | List _ -> failwith "bad data") values)
       in
+      if Array.length data <> List.fold_left ( * ) 1 shape then
+        failwith "constant data disagrees with its shape";
       Op.Constant { value = lazy (Tensor.of_array shape data) }
     | "matmul", [] -> Op.Matmul
     | "conv2d", [ a; b; c ] ->
@@ -208,25 +211,34 @@ let escape_name s =
     s;
   Buffer.contents b
 
+(* Every line is one s-expression, a tab and the MD5 of that s-expression,
+   as in the schedule-cache file, so that a changed byte is caught on its
+   own line instead of being read as a different graph. *)
+let signed body = body ^ "\t" ^ Digest.to_hex (Digest.string body)
+
 let to_string (g : Graph.t) =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "(graph \"%s\"\n" (escape_name (Graph.get_name g)));
+  let line body =
+    Buffer.add_string buf (signed body);
+    Buffer.add_char buf '\n'
+  in
+  let sexp s =
+    let b = Buffer.create 64 in
+    print_sexp b s;
+    line (Buffer.contents b)
+  in
+  line (Printf.sprintf "(graph \"%s\")" (escape_name (Graph.get_name g)));
   List.iter
     (fun (n : Graph.node) ->
       let fields =
-        [ i2a n.Graph.id; op_to_sexp n.Graph.op ]
+        [ i2a n.Graph.id; op_to_sexp ~shape:n.Graph.shape n.Graph.op ]
         @ (if n.Graph.inputs = [] then []
            else [ List (Atom "inputs" :: ints_of n.Graph.inputs) ])
         @ [ List (Atom "shape" :: ints_of n.Graph.shape) ]
       in
-      Buffer.add_string buf "  ";
-      print_sexp buf (List (Atom "node" :: fields));
-      Buffer.add_char buf '\n')
+      sexp (List (Atom "node" :: fields)))
     (Graph.nodes g);
-  Buffer.add_string buf "  ";
-  print_sexp buf (List (Atom "outputs" :: ints_of (Graph.outputs g)));
-  Buffer.add_string buf ")\n";
+  sexp (List (Atom "outputs" :: ints_of (Graph.outputs g)));
   Buffer.contents buf
 
 let field name items =
@@ -234,66 +246,77 @@ let field name items =
     (function List (Atom n :: rest) when n = name -> Some rest | _ -> None)
     items
 
+(* Node ids are dense and in order (node [i] is on line [i + 2]), so a
+   duplicated, dropped or reordered line cannot renumber the graph. *)
 let of_string s =
-  let top =
-    match parse_sexps s with
-    | [ List (Atom "graph" :: Atom name :: rest) ] -> (name, rest)
-    | _ -> failwith "Graph_io.of_string: expected (graph \"name\" ...)"
+  let lines = String.split_on_char '\n' s in
+  let lines = match List.rev lines with "" :: rest -> List.rev rest | _ -> lines in
+  let fail i fmt =
+    Printf.ksprintf
+      (fun msg -> failwith (Printf.sprintf "Graph_io.of_string: line %d: %s" i msg))
+      fmt
   in
-  let name, items = top in
+  let parse i line =
+    let body =
+      match String.rindex_opt line '\t' with
+      | None -> fail i "no line digest"
+      | Some k ->
+        let body = String.sub line 0 k in
+        if Digest.to_hex (Digest.string body)
+           <> String.sub line (k + 1) (String.length line - k - 1)
+        then fail i "line digest mismatch";
+        body
+    in
+    match parse_sexps body with
+    | [ sexp ] -> sexp
+    | _ -> fail i "expected one s-expression"
+    | exception Parse_error (pos, msg) -> fail i "column %d: %s" (pos + 1) msg
+  in
   let g = Graph.create () in
-  Graph.name g name;
-  let remap = Hashtbl.create 64 in
-  let outputs = ref [] in
-  List.iter
-    (fun item ->
-      match item with
-      | List (Atom "node" :: i2a_id :: op_sexp :: fields) ->
-        let id = int_of i2a_id in
-        let inputs =
-          match field "inputs" fields with Some l -> ints_from l | None -> []
-        in
-        let shape =
-          match field "shape" fields with
-          | Some l -> ints_from l
-          | None -> failwith "node without shape"
-        in
-        let op = op_of_sexp ~shape ~node_id:id op_sexp in
-        let new_id =
-          match op with
-          | Op.Input -> Graph.input g shape
-          | Op.Constant { value } -> Graph.constant_lazy g shape value
-          | op ->
-            let mapped =
-              List.map
-                (fun i ->
-                  match Hashtbl.find_opt remap i with
-                  | Some x -> x
-                  | None -> failwith (Printf.sprintf "forward reference to node %d" i))
-                inputs
-            in
-            let nid = Graph.add_op g op mapped in
-            let got = Graph.node_shape g nid in
-            if got <> shape then
-              failwith
-                (Printf.sprintf "node %d: recorded shape disagrees with inference" id);
-            nid
-        in
-        Hashtbl.replace remap id new_id
+  let node ~id op_sexp fields =
+    if id <> Graph.num_nodes g then
+      failwith (Printf.sprintf "node %d where node %d was expected" id (Graph.num_nodes g));
+    let shape =
+      match field "shape" fields with
+      | Some l -> ints_from l
+      | None -> failwith "node without shape"
+    in
+    match op_of_sexp ~shape ~node_id:id op_sexp with
+    | Op.Input -> ignore (Graph.input g shape)
+    | Op.Constant { value } -> ignore (Graph.constant_lazy g shape value)
+    | op ->
+      let inputs =
+        match field "inputs" fields with Some l -> ints_from l | None -> []
+      in
+      if Graph.node_shape g (Graph.add_op g op inputs) <> shape then
+        failwith "recorded shape disagrees with inference"
+  in
+  let rec nodes i = function
+    | [] -> fail i "missing (outputs ...)"
+    | line :: rest -> (
+      match parse i line with
+      | List (Atom "node" :: id :: op_sexp :: fields) ->
+        (try node ~id:(int_of id) op_sexp fields
+         with Failure msg | Invalid_argument msg -> fail i "%s" msg);
+        nodes (i + 1) rest
       | List (Atom "outputs" :: ids) ->
-        outputs := List.map (fun i -> Hashtbl.find remap (int_of i)) ids
-      | _ -> failwith "unexpected item in graph")
-    items;
-  if !outputs = [] then failwith "graph without outputs";
-  Graph.set_outputs g !outputs;
-  g
-
-let of_string s =
-  try of_string s with
-  | Parse_error (pos, msg) ->
-    failwith (Printf.sprintf "Graph_io.of_string: parse error at %d: %s" pos msg)
-  | Failure msg -> failwith ("Graph_io.of_string: " ^ msg)
-  | Invalid_argument msg -> failwith ("Graph_io.of_string: invalid graph: " ^ msg)
+        if rest <> [] then fail (i + 1) "line after (outputs ...)";
+        let ids = try ints_from ids with Failure msg -> fail i "%s" msg in
+        if ids = [] then fail i "graph without outputs";
+        List.iter
+          (fun id -> if id < 0 || id >= Graph.num_nodes g then fail i "no node %d" id)
+          ids;
+        Graph.set_outputs g ids
+      | _ -> fail i "expected (node ...) or (outputs ...)")
+  in
+  match lines with
+  | [] -> fail 1 "empty input"
+  | header :: rest ->
+    (match parse 1 header with
+    | List [ Atom "graph"; Atom name ] -> Graph.name g name
+    | _ -> fail 1 "expected (graph \"name\")");
+    nodes 2 rest;
+    g
 
 let save g path =
   let oc = open_out path in
@@ -301,6 +324,6 @@ let save g path =
       output_string oc (to_string g))
 
 let load path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
       of_string (really_input_string ic (in_channel_length ic)))

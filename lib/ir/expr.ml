@@ -31,7 +31,10 @@ type t =
 
 type value = V_int of int | V_float of float | V_bool of bool
 
-let int n = Int n
+(* Small constants are shared: index arithmetic is full of them, and a
+   compiled plan keeps its kernels' IR alive. *)
+let small_ints = Array.init 258 (fun i -> Int (i - 1))
+let int n = if n >= -1 && n <= 256 then small_ints.(n + 1) else Int n
 let float f = Float f
 let bool b = Bool b
 let var v = Var v
@@ -43,7 +46,7 @@ let imod a b = a mod b
 
 let add a b =
   match (a, b) with
-  | Int x, Int y -> Int (x + y)
+  | Int x, Int y -> int (x + y)
   | Float x, Float y -> Float (x +. y)
   | Int 0, e | e, Int 0 -> e
   | Float 0., e | e, Float 0. -> e
@@ -51,7 +54,7 @@ let add a b =
 
 let sub a b =
   match (a, b) with
-  | Int x, Int y -> Int (x - y)
+  | Int x, Int y -> int (x - y)
   | Float x, Float y -> Float (x -. y)
   | e, Int 0 -> e
   | e, Float 0. -> e
@@ -59,7 +62,7 @@ let sub a b =
 
 let mul a b =
   match (a, b) with
-  | Int x, Int y -> Int (x * y)
+  | Int x, Int y -> int (x * y)
   | Float x, Float y -> Float (x *. y)
   | Int 0, _ | _, Int 0 -> Int 0
   | Int 1, e | e, Int 1 -> e
@@ -68,7 +71,7 @@ let mul a b =
 
 let div a b =
   match (a, b) with
-  | Int x, Int y when y <> 0 -> Int (idiv x y)
+  | Int x, Int y when y <> 0 -> int (idiv x y)
   | Float x, Float y when y <> 0. -> Float (x /. y)
   | e, Int 1 -> e
   | e, Float 1. -> e
@@ -76,19 +79,19 @@ let div a b =
 
 let modulo a b =
   match (a, b) with
-  | Int x, Int y when y <> 0 -> Int (imod x y)
+  | Int x, Int y when y <> 0 -> int (imod x y)
   | _, Int 1 -> Int 0
   | _ -> Binop (Mod, a, b)
 
 let min_ a b =
   match (a, b) with
-  | Int x, Int y -> Int (min x y)
+  | Int x, Int y -> int (min x y)
   | Float x, Float y -> Float (Float.min x y)
   | _ -> Binop (Min, a, b)
 
 let max_ a b =
   match (a, b) with
-  | Int x, Int y -> Int (max x y)
+  | Int x, Int y -> int (max x y)
   | Float x, Float y -> Float (Float.max x y)
   | _ -> Binop (Max, a, b)
 
@@ -123,7 +126,7 @@ let not_ = function
   | e -> Unop (Not, e)
 
 let neg = function
-  | Int n -> Int (-n)
+  | Int n -> int (-n)
   | Float f -> Float (-.f)
   | e -> Unop (Neg, e)
 
@@ -162,7 +165,7 @@ let unop op a =
   | Sqrt, Float f -> Float (Stdlib.sqrt f)
   | Tanh, Float f -> Float (Stdlib.tanh f)
   | Abs, Float f -> Float (Float.abs f)
-  | Abs, Int n -> Int (Stdlib.abs n)
+  | Abs, Int n -> int (Stdlib.abs n)
   | (Exp | Log | Sqrt | Tanh | Erf | Abs), _ -> Unop (op, a)
 
 module Infix = struct

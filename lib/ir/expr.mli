@@ -41,6 +41,9 @@ type value = V_int of int | V_float of float | V_bool of bool
 (** {1 Smart constructors} *)
 
 val int : int -> t
+(** Constants in [-1 .. 256] are preallocated and shared; the folding
+    constructors below return them too. *)
+
 val float : float -> t
 val bool : bool -> t
 val var : Var.t -> t

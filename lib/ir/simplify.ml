@@ -27,10 +27,10 @@ and binop op a b =
   (* (x * c + r) reassociation: fold constants across nested adds. *)
   | Expr.Add, Expr.Binop (Add, x, Expr.Int c1), Expr.Int c2 ->
     Hidet_obs.Metrics.incr m_simplified;
-    Expr.add x (Expr.Int (c1 + c2))
+    Expr.add x (Expr.int (c1 + c2))
   | Expr.Mul, Expr.Binop (Mul, x, Expr.Int c1), Expr.Int c2 ->
     Hidet_obs.Metrics.incr m_simplified;
-    Expr.mul x (Expr.Int (c1 * c2))
+    Expr.mul x (Expr.int (c1 * c2))
   (* (x % c) % c = x % c  and  (x % c1) / c1 = 0 only when c1 = c; keep the
      safe same-divisor cases. *)
   | Expr.Mod, (Expr.Binop (Mod, _, Expr.Int c1) as inner), Expr.Int c2

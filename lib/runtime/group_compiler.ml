@@ -59,9 +59,8 @@ let standalone_step g (n : G.node) =
     out_node = n.G.id;
   }
 
-let compile_group cfg g (grp : Passes.group) : Plan.step list =
-  let anchor = G.node g grp.Passes.anchor in
-  let compiled = ref (cfg.schedule_anchor g anchor) in
+let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
+  let compiled = ref compiled in
   let slots = ref anchor.G.inputs in
   let out_node = ref grp.Passes.anchor in
   let pre_steps = ref [] in
@@ -160,20 +159,29 @@ let compile_group cfg g (grp : Passes.group) : Plan.step list =
   in
   pre_steps @ [ anchor_step ] @ !post_steps
 
+(* Two child spans split the group's time: [schedule_anchor] (tuning on a
+   cache miss, re-instantiating the winner on a hit) and [fuse] (prologue
+   and epilogue fusion and the standalone fallback kernels). *)
 let compile_group cfg g (grp : Passes.group) : Plan.step list =
   Metrics.incr m_groups;
-  if not (Trace.enabled ()) then compile_group cfg g grp
+  let anchor = G.node g grp.Passes.anchor in
+  let compile () =
+    let compiled =
+      Trace.span "schedule_anchor" (fun _ -> cfg.schedule_anchor g anchor)
+    in
+    Trace.span "fuse" (fun _ -> fuse_group cfg g grp anchor compiled)
+  in
+  if not (Trace.enabled ()) then compile ()
   else
     Trace.span
       ~attrs:(fun () ->
-        let anchor = G.node g grp.Passes.anchor in
         [
           ("anchor", Op.name anchor.G.op);
           ("prologues", string_of_int (List.length grp.Passes.prologues));
           ("epilogues", string_of_int (List.length grp.Passes.epilogues));
         ])
       "compile_group"
-      (fun _sp -> compile_group cfg g grp)
+      (fun _sp -> compile ())
 
 let compile_graph cfg g =
   let groups =

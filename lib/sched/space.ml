@@ -99,38 +99,70 @@ let widen base =
   in
   with_deep @ swizzled
 
+(* Split-k is a first-class dimension of the shape-aware space: factors are
+   chosen by how far the m x n tile grid is from saturating the device, and
+   applied across tile sizes and pipeline depths (not just the small-tile
+   double-buffered corner). The latency model charges the partial-sum
+   traffic and the reduction epilogue through the second kernel the
+   template emits, so these variants compete on modeled cost like any
+   other config. The space depends on the problem size only through the
+   factor class: 0 has no factors, 1 has [2; 4] and 2 has [2; 4; 8]. *)
+let split_k_class ~m ~n =
+  let tiles64 = (m + 63) / 64 * ((n + 63) / 64) in
+  if tiles64 >= 256 then 0 else if tiles64 >= 64 then 1 else 2
+
+(* Swizzle targets big grids; split-k targets small ones — combining them
+   would only pad the space. *)
+let split_k_variants base sk =
+  List.filter_map
+    (fun (c : MT.config) ->
+      if c.MT.stages >= 2 && not c.MT.swizzle then Some { c with MT.split_k = sk }
+      else None)
+    base
+
+(* The space of each factor class. Class 2 extends class 1, since
+   [dedup (dedup a @ b) = dedup (a @ b)], so the two share their factor-2
+   and factor-4 configs. *)
+let build () =
+  let base =
+    dedup
+      (widen
+         (List.filter
+            (fun c -> keep c && Result.is_ok (MT.check c))
+            (cartesian_configs ())))
+  in
+  let extend space sks = dedup (space @ List.concat_map (split_k_variants base) sks) in
+  let sk24 = extend base [ 2; 4 ] in
+  [| base; sk24; extend sk24 [ 8 ] |]
+
 (* Lazily constructed and memoized: subcommands that never tune (trace
    checking, export, log inspection) must not pay for enumerating and
-   checking the widened space at module initialization. *)
-(* Domain-safe memoization: [Lazy.force] from two domains at once raises
+   checking the widened space at module initialization. The memo is
+   domain-safe: [Lazy.force] from two domains at once raises
    [Lazy.Undefined] (OCaml 5 lazies are not thread-safe), and tuner workers
    plus concurrently compiling engines can both be the first caller. The
-   result is published through an [Atomic] (read without locking on the hot
-   path) and built at most once under a mutex (double-checked). *)
-let matmul_memo : MT.config list option Atomic.t = Atomic.make None
-let matmul_lock = Mutex.create ()
+   spaces are published through an [Atomic] (read without locking on the
+   hot path) and built at most once under a mutex (double-checked). *)
+let memo : MT.config list array option Atomic.t = Atomic.make None
+let memo_lock = Mutex.create ()
 
-let build_matmul () =
-  dedup
-    (widen
-       (List.filter
-          (fun c -> keep c && Result.is_ok (MT.check c))
-          (cartesian_configs ())))
-
-let matmul () =
-  match Atomic.get matmul_memo with
-  | Some configs -> configs
+let spaces () =
+  match Atomic.get memo with
+  | Some spaces -> spaces
   | None ->
-    Mutex.lock matmul_lock;
+    Mutex.lock memo_lock;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock matmul_lock)
+      ~finally:(fun () -> Mutex.unlock memo_lock)
       (fun () ->
-        match Atomic.get matmul_memo with
-        | Some configs -> configs
+        match Atomic.get memo with
+        | Some spaces -> spaces
         | None ->
-          let configs = build_matmul () in
-          Atomic.set matmul_memo (Some configs);
-          configs)
+          let spaces = build () in
+          Atomic.set memo (Some spaces);
+          spaces)
+
+let matmul () = (spaces ()).(0)
+let matmul_with_split_k ~m ~n = (spaces ()).(split_k_class ~m ~n)
 
 let size () = List.length (matmul ())
 
@@ -152,35 +184,3 @@ let sample_matmul rs count =
     done;
     Array.to_list (Array.sub a 0 count)
   end
-
-(* Split-k is a first-class dimension of the shape-aware space: factors are
-   chosen by how far the m x n tile grid is from saturating the device, and
-   applied across tile sizes and pipeline depths (not just the small-tile
-   double-buffered corner). The latency model charges the partial-sum
-   traffic and the reduction epilogue through the second kernel the
-   template emits, so these variants compete on modeled cost like any
-   other config. *)
-let split_k_factors ~m ~n =
-  let tiles64 = (m + 63) / 64 * ((n + 63) / 64) in
-  if tiles64 >= 256 then []
-  else if tiles64 >= 64 then [ 2; 4 ]
-  else [ 2; 4; 8 ]
-
-let matmul_with_split_k ~m ~n =
-  let base = matmul () in
-  match split_k_factors ~m ~n with
-  | [] -> base
-  | sks ->
-    dedup
-      (base
-      @ List.concat_map
-          (fun sk ->
-            List.filter_map
-              (fun (c : MT.config) ->
-                (* Swizzle targets big grids; split-k targets small ones —
-                   combining them would only pad the space. *)
-                if c.MT.stages >= 2 && not c.MT.swizzle then
-                  Some { c with MT.split_k = sk }
-                else None)
-              base)
-          sks)

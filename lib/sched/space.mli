@@ -26,7 +26,10 @@ val matmul_with_split_k : m:int -> n:int -> Matmul_template.config list
     parallel-k-reduction optimization of §6.2.4) — the factor set grows as
     the grid shrinks ([[]] when 64x64 tiles already saturate the device, up
     to [[2; 4; 8]] for tiny grids), and the result carries no duplicate
-    configs. *)
+    configs. The space depends on [m] and [n] only through that factor
+    set, so the three spaces are built once, together with {!matmul} in
+    the same domain-safe memo: every call for one factor set returns the
+    same (physically equal) list, and [[]] returns {!matmul} itself. *)
 
 val dedup : Matmul_template.config list -> Matmul_template.config list
 (** Canonical structural dedup, first occurrence wins, order preserved. *)

@@ -1,8 +1,9 @@
 (* Reference implementations kept as differential-test oracles: the
    straightforward versions of the traffic analyses (one walk for the
-   counts plus one walk per block id for the L2 block reuse) and of the
+   counts plus one walk per block id for the L2 block reuse), of the
    statement simplifier (one [Stmt.subst] over the remaining body per
-   trivially bound [Let]). The library's single-walk versions must agree
+   trivially bound [Let]) and of the graph lookups (linear scans of the
+   node list). The library's single-walk and indexed versions must agree
    with them bit for bit. *)
 
 module Buffer = Hidet_ir.Buffer
@@ -276,3 +277,18 @@ let rec simplify_stmt (s : Stmt.t) : Stmt.t =
         c_off = List.map expr m.c_off;
       }
   | Sync_threads | Comment _ -> s
+
+(* --- Graph.node and Graph.consumers --------------------------------------- *)
+
+module Graph = Hidet_graph.Graph
+
+let graph_node g id =
+  match List.find_opt (fun (n : Graph.node) -> n.Graph.id = id) (Graph.nodes g) with
+  | Some n -> n
+  | None -> invalid_arg (Printf.sprintf "Graph.node: no node %d" id)
+
+let graph_consumers g id =
+  List.filter_map
+    (fun (n : Graph.node) ->
+      if List.mem id n.Graph.inputs then Some n.Graph.id else None)
+    (Graph.nodes g)

@@ -122,6 +122,75 @@ let test_consumers () =
   Alcotest.(check (list int)) "x consumers" [ a; b ] (G.consumers g x);
   Alcotest.(check (list int)) "a consumers" [ c ] (G.consumers g a)
 
+(* --- the node index: indexed lookups against linear scans ----------------- *)
+
+let invalid_msg f = match f () with _ -> None | exception Invalid_argument m -> Some m
+
+let check_index what g =
+  let n = G.num_nodes g in
+  Alcotest.(check (list int))
+    (what ^ ": ids are dense and in order")
+    (List.init n Fun.id)
+    (List.map (fun (nd : G.node) -> nd.G.id) (G.nodes g));
+  for id = 0 to n - 1 do
+    if G.node g id != Oracle.graph_node g id then
+      Alcotest.failf "%s: node %d differs from the linear scan" what id;
+    if G.node_shape g id != (Oracle.graph_node g id).G.shape then
+      Alcotest.failf "%s: shape of node %d differs" what id;
+    let want = Oracle.graph_consumers g id and got = G.consumers g id in
+    if got <> want then
+      Alcotest.failf "%s: consumers of %d are [%s], the scan says [%s]" what id
+        (String.concat " " (List.map string_of_int got))
+        (String.concat " " (List.map string_of_int want))
+  done;
+  List.iter
+    (fun id ->
+      let want = invalid_msg (fun () -> Oracle.graph_node g id) in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: node %d raises like the scan" what id)
+        want
+        (invalid_msg (fun () -> G.node g id));
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: node_shape %d raises like the scan" what id)
+        want
+        (invalid_msg (fun () -> G.node_shape g id));
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: consumers of %d" what id)
+        (Oracle.graph_consumers g id) (G.consumers g id))
+    [ -1; n ]
+
+(* Every zoo and tiny graph, as built, after each pass that rebuilds it and
+   after an HGF round trip. *)
+let test_index_agrees_with_scans () =
+  let models = Hidet_models.Models.all @ Hidet_models.Models.tiny_all in
+  List.iter
+    (fun (name, mk) ->
+      let g = mk () in
+      let lowered = Passes.lower_conv_to_gemm g in
+      List.iter
+        (fun (what, g) -> check_index (name ^ " " ^ what) g)
+        [
+          ("built", g);
+          ("lowered", lowered);
+          ("folded", Passes.constant_fold lowered);
+          ("optimized", Passes.optimize lowered);
+          ("rebatched", Passes.rebatch g 2);
+          ("reloaded", Hidet_graph.Graph_io.of_string (Hidet_graph.Graph_io.to_string g));
+        ])
+    models
+
+let test_consumers_repeated_input () =
+  let g = G.create () in
+  let x = G.input g [ 4 ] in
+  let y = G.add g x x in
+  let z = G.relu g x in
+  let w = G.add g y y in
+  G.set_outputs g [ z; w ];
+  Alcotest.(check (list int)) "x listed once per consumer" [ y; z ] (G.consumers g x);
+  Alcotest.(check (list int)) "y" [ w ] (G.consumers g y);
+  Alcotest.(check (list int)) "w" [] (G.consumers g w);
+  check_index "add x x" g
+
 (* --- passes ------------------------------------------------------------------- *)
 
 let test_constant_folding () =
@@ -304,22 +373,132 @@ let test_roundtrip_twice_stable () =
   let once = Gio.to_string (Gio.of_string (Gio.to_string g)) in
   Alcotest.(check string) "fixpoint" (Gio.to_string g) once
 
+(* An HGF line as [Graph_io.to_string] writes it: the s-expression, a tab
+   and its MD5. *)
+let signed body = body ^ "\t" ^ Digest.to_hex (Digest.string body)
+let hgf lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+(* The line number a [Graph_io.of_string] failure names, if any. *)
+let failing_line s =
+  match Gio.of_string s with
+  | _ -> None
+  | exception Failure msg -> (
+    try Scanf.sscanf msg "Graph_io.of_string: line %d: %_s@\n" (fun n -> Some n)
+    with Scanf.Scan_failure _ | End_of_file | Failure _ -> Some (-1))
+
 let test_malformed_rejected () =
+  let header = signed "(graph \"x\")" in
   List.iter
-    (fun s ->
-      Alcotest.(check bool) ("rejects " ^ String.escaped s) true
-        (try
-           ignore (Gio.of_string s);
-           false
-         with Failure _ -> true))
+    (fun (text, line) ->
+      Alcotest.(check (option int)) ("rejects " ^ String.escaped text) (Some line)
+        (failing_line text))
     [
-      "";
-      "(graph \"x\"";
-      "(graph \"x\" (node 0 (input) (shape 4)))";
-      "(graph \"x\" (node 0 (wat) (shape 4)) (outputs 0))";
-      "(graph \"x\" (node 0 (relu) (inputs 5) (shape 4)) (outputs 0))";
-      "(graph \"x\" (node 0 (input) (shape 2 2)) (node 1 (reshape 5) (inputs 0) (shape 5)) (outputs 1))";
-    ]
+      ("", 1);
+      (hgf [ signed "(graph \"x\"" ], 1);
+      (hgf [ "(graph \"x\")" ], 1);
+      (hgf [ header; signed "(node 0 (input) (shape 4))" ], 3);
+      (hgf [ header; signed "(node 0 (wat) (shape 4))"; signed "(outputs 0)" ], 2);
+      ( hgf
+          [ header; signed "(node 0 (relu) (inputs 5) (shape 4))"; signed "(outputs 0)" ],
+        2 );
+      ( hgf
+          [
+            header;
+            signed "(node 0 (input) (shape 2 2))";
+            signed "(node 1 (reshape 5) (inputs 0) (shape 5))";
+            signed "(outputs 1)";
+          ],
+        3 );
+      ( hgf [ header; signed "(node 1 (input) (shape 4))"; signed "(outputs 1)" ], 2 );
+      ( hgf [ header; signed "(node 0 (input) (shape 4))"; signed "(outputs 1)" ], 3 );
+      ( hgf
+          [
+            header;
+            signed "(node 0 (input) (shape 4))";
+            signed "(outputs 0)";
+            signed "(outputs 0)";
+          ],
+        4 );
+      ( hgf
+          [ header; signed "(node 0 (constant (data 1 2)) (shape 3))"; signed "(outputs 0)" ],
+        2 );
+      ( hgf [ header; "(node 0 (input) (shape 4))\t0123"; signed "(outputs 0)" ], 2 );
+    ];
+  Alcotest.(check (option int)) "a signed file loads" None
+    (failing_line
+       (hgf [ header; signed "(node 0 (input) (shape 4))"; signed "(outputs 0)" ]))
+
+(* The HGF text of every zoo and tiny model, built on first use. *)
+let hgf_texts =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (name, mk) -> (name, Gio.to_string (mk ())))
+          (Hidet_models.Models.all @ Hidet_models.Models.tiny_all)))
+
+type mutation =
+  | Flip of int * int  (* byte offset, xor mask in 1..255 *)
+  | Truncate of int
+  | Duplicate of int  (* line index *)
+  | Swap of int * int
+
+let apply text = function
+  | Flip (pos, mask) ->
+    let b = Bytes.of_string text in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+    Bytes.to_string b
+  | Truncate len -> String.sub text 0 len
+  | Duplicate i ->
+    let lines = String.split_on_char '\n' text in
+    String.concat "\n" (List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) lines))
+  | Swap (i, j) ->
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let t = lines.(i) in
+    lines.(i) <- lines.(j);
+    lines.(j) <- t;
+    String.concat "\n" (Array.to_list lines)
+
+let show_mutation = function
+  | Flip (p, m) -> Printf.sprintf "flip byte %d with xor 0x%02x" p m
+  | Truncate n -> Printf.sprintf "truncate to %d bytes" n
+  | Duplicate i -> Printf.sprintf "duplicate line %d" (i + 1)
+  | Swap (i, j) -> Printf.sprintf "swap lines %d and %d" (i + 1) (j + 1)
+
+let gen_mutated =
+  QCheck.Gen.delay (fun () ->
+      let open QCheck.Gen in
+      let texts = Lazy.force hgf_texts in
+      let* k = int_bound (Array.length texts - 1) in
+      let text = snd texts.(k) in
+      let len = String.length text in
+      (* Lines of the text; the final newline leaves an empty last element. *)
+      let lines = List.length (String.split_on_char '\n' text) - 1 in
+      let* m =
+        oneof
+          [
+            map2 (fun p x -> Flip (p, 1 + x)) (int_bound (len - 1)) (int_bound 254);
+            map (fun n -> Truncate n) (int_bound (len - 1));
+            map (fun i -> Duplicate i) (int_bound (lines - 1));
+            map2 (fun i j -> Swap (i, j)) (int_bound (lines - 1)) (int_bound (lines - 1));
+          ]
+      in
+      return (k, m))
+
+(* A mutated HGF file either fails naming a line of it (or the line after
+   its last) or loads as the graph that was saved. *)
+let prop_hgf_mutation =
+  QCheck.Test.make ~count:150 ~name:"HGF mutations fail on a line or load the same graph"
+    (QCheck.make
+       ~print:(fun (k, m) ->
+         Printf.sprintf "%s: %s" (fst (Lazy.force hgf_texts).(k)) (show_mutation m))
+       gen_mutated)
+    (fun (k, m) ->
+      let _, text = (Lazy.force hgf_texts).(k) in
+      let mutated = apply text m in
+      let lines = List.length (String.split_on_char '\n' mutated) in
+      match failing_line mutated with
+      | Some n -> n >= 1 && n <= lines + 1
+      | None -> Gio.to_string (Gio.of_string mutated) = text)
 
 (* --- embedding ----------------------------------------------------------------- *)
 
@@ -361,6 +540,10 @@ let () =
         [
           Alcotest.test_case "builder + reference" `Quick test_builder_and_reference;
           Alcotest.test_case "consumers" `Quick test_consumers;
+          Alcotest.test_case "consumers of a repeated input" `Quick
+            test_consumers_repeated_input;
+          Alcotest.test_case "index agrees with linear scans" `Quick
+            test_index_agrees_with_scans;
         ] );
       ( "passes",
         [
@@ -382,6 +565,7 @@ let () =
           Alcotest.test_case "structural roundtrip" `Quick test_roundtrip_structure;
           Alcotest.test_case "fixpoint" `Quick test_roundtrip_twice_stable;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
+          QCheck_alcotest.to_alcotest prop_hgf_mutation;
         ] );
       ( "embedding",
         [

@@ -14,7 +14,13 @@ let test_constant_folding () =
   Alcotest.check e_int "div trunc" (Expr.int 2) (Expr.div (Expr.int 7) (Expr.int 3));
   Alcotest.check e_int "mod" (Expr.int 1) (Expr.modulo (Expr.int 7) (Expr.int 3));
   Alcotest.check e_int "min" (Expr.int 3) (Expr.min_ (Expr.int 3) (Expr.int 4));
-  Alcotest.check e_int "max" (Expr.int 4) (Expr.max_ (Expr.int 3) (Expr.int 4))
+  Alcotest.check e_int "max" (Expr.int 4) (Expr.max_ (Expr.int 3) (Expr.int 4));
+  Alcotest.check e_int "large" (Expr.int 100_000) (Expr.mul (Expr.int 1000) (Expr.int 100));
+  (* Constants in [-1, 256] are shared, folded ones included. *)
+  Alcotest.(check bool) "small constants shared" true
+    (Expr.int 7 == Expr.add (Expr.int 3) (Expr.int 4)
+    && Expr.int (-1) == Expr.neg (Expr.int 1)
+    && Expr.int 256 == Expr.sub (Expr.int 300) (Expr.int 44))
 
 let test_identities () =
   let v = Expr.var (Var.fresh "x") in

@@ -55,7 +55,29 @@ let test_span_nesting () =
   | ("outer", _, _, _, _) :: _ -> ()
   | _ -> Alcotest.fail "outer span must sort first");
   let _, _, _, _, attrs = find "inner1" in
-  Alcotest.(check (list (pair string string))) "attrs" [ ("k", "v") ] attrs
+  Alcotest.(check (list (pair string string))) "attrs" [ ("k", "v") ] attrs;
+  (* A compile: every compile_group span holds one schedule_anchor and one
+     fuse span on its own track. *)
+  let g = (List.assoc "tiny_cnn" Hidet_models.Models.tiny_all) () in
+  let _, evs = Trace.with_collector (fun () -> Hidet.Hidet_engine.compile_plan dev g) in
+  Hidet_sched.Schedule_cache.clear ();
+  let spans = span_tuples evs in
+  let named n = List.filter (fun (name, _, _, _, _) -> name = n) spans in
+  let groups = named "compile_group" in
+  Alcotest.(check bool) "the compile has groups" true (groups <> []);
+  List.iter
+    (fun child ->
+      Alcotest.(check int) (child ^ " spans, one per group") (List.length groups)
+        (List.length (named child));
+      List.iter
+        (fun (_, track, ts, dur, _) ->
+          let inside (_, t, cts, cdur, _) =
+            t = track && ts <= cts && cts +. cdur <= ts +. dur +. 1e-6
+          in
+          Alcotest.(check int) (child ^ " inside its compile_group") 1
+            (List.length (List.filter inside (named child))))
+        groups)
+    [ "schedule_anchor"; "fuse" ]
 
 let test_span_error_attr () =
   let (), evs =

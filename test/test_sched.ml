@@ -16,6 +16,20 @@ module Pipeline = Hidet_gpu.Pipeline
 
 let dev = Hidet_gpu.Device.rtx3090
 
+(* Two domains race the split-k space memo's first call. This runs when the
+   test program starts, before any other code in it asks for a space. *)
+let raced_first_calls =
+  let go = Atomic.make false in
+  let first_call () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Space.matmul_with_split_k ~m:64 ~n:64
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn first_call) in
+  Atomic.set go true;
+  List.map Domain.join domains
+
 let matmul_ok ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
   let a = T.rand ~seed:1 (if a_batched then [ batch; m; k ] else [ m; k ]) in
   let b = T.rand ~seed:2 (if b_batched then [ batch; k; n ] else [ k; n ]) in
@@ -163,6 +177,84 @@ let test_space_split_k_extension () =
     (List.length small > List.length large);
   Alcotest.(check bool) "large grids keep the base space" true
     (List.length large = List.length (Space.matmul ()))
+
+(* The memoized split-k spaces against a fresh build of each factor class,
+   element for element and in order: the schedule cache stores indices. *)
+let test_space_split_k_memo () =
+  let fresh sks =
+    let base = Space.matmul () in
+    Space.dedup
+      (base
+      @ List.concat_map
+          (fun sk ->
+            List.filter_map
+              (fun (c : MT.config) ->
+                if c.MT.stages >= 2 && not c.MT.swizzle then
+                  Some { c with MT.split_k = sk }
+                else None)
+              base)
+          sks)
+  in
+  List.iter
+    (fun (m, n, sks) ->
+      let what = Printf.sprintf "%dx%d" m n in
+      let got = Space.matmul_with_split_k ~m ~n and want = fresh sks in
+      Alcotest.(check (list string))
+        (what ^ " equals a fresh build")
+        (List.map MT.config_to_string want)
+        (List.map MT.config_to_string got);
+      Alcotest.(check bool) (what ^ " structurally equal") true (got = want);
+      Alcotest.(check bool) (what ^ " built once") true
+        (got == Space.matmul_with_split_k ~m ~n))
+    [ (4096, 4096, []); (1024, 512, [ 2; 4 ]); (64, 64, [ 2; 4; 8 ]) ];
+  Alcotest.(check bool) "no factors: the base space itself" true
+    (Space.matmul_with_split_k ~m:4096 ~n:4096 == Space.matmul ())
+
+let test_space_memo_race () =
+  match raced_first_calls with
+  | [ a; b ] ->
+    Alcotest.(check bool) "both domains got one list" true (a == b);
+    Alcotest.(check bool) "later calls get it too" true
+      (a == Space.matmul_with_split_k ~m:64 ~n:64)
+  | _ -> Alcotest.fail "expected two results"
+
+(* A schedule cache filled by a cold compile of the zoo before the split-k
+   spaces were memoized serves every entry: no stale entry, no miss, no new
+   entry. *)
+let test_space_serves_older_cache () =
+  let module Cache = Hidet_sched.Schedule_cache in
+  let module Trace = Hidet_obs.Trace in
+  Cache.clear ();
+  let loaded =
+    match Cache.load "golden/zoo_schedule.cache" with
+    | Ok n -> n
+    | Error msg -> Alcotest.failf "load: %s" msg
+  in
+  let (), evs =
+    Trace.with_collector (fun () ->
+        List.iter
+          (fun (name, _) ->
+            ignore
+              (Hidet.Hidet_engine.compile_plan dev
+                 (Hidet_models.Models.by_name name)))
+          Hidet_models.Models.all)
+  in
+  let served =
+    List.sort_uniq compare
+      (List.filter_map
+         (function
+           | Trace.Instant { name = "schedule_cache.hit"; attrs; _ } ->
+             List.assoc_opt "workload" attrs
+           | _ -> None)
+         evs)
+  in
+  let stale = Cache.stale () and misses = Cache.misses () and size = Cache.size () in
+  let keys = Cache.keys_for_device dev.Hidet_gpu.Device.name in
+  Cache.clear ();
+  Alcotest.(check int) "stale entries" 0 stale;
+  Alcotest.(check int) "misses" 0 misses;
+  Alcotest.(check int) "no new entries" loaded size;
+  Alcotest.(check (list string)) "every entry served" keys served
 
 let test_space_dedup () =
   (* Both enumerations are duplicate-free: the cache stores winner indices,
@@ -567,6 +659,10 @@ let () =
           Alcotest.test_case "all valid" `Quick test_space_all_valid;
           Alcotest.test_case "input agnostic" `Quick test_space_input_agnostic;
           Alcotest.test_case "split-k extension" `Quick test_space_split_k_extension;
+          Alcotest.test_case "split-k spaces built once" `Quick test_space_split_k_memo;
+          Alcotest.test_case "first calls racing" `Quick test_space_memo_race;
+          Alcotest.test_case "serves a cache saved before the memo" `Quick
+            test_space_serves_older_cache;
           Alcotest.test_case "duplicate-free" `Quick test_space_dedup;
           Alcotest.test_case "widened dimensions" `Quick test_space_widened;
         ] );
