@@ -1,5 +1,77 @@
-let buf_c_name (b : Buffer.t) = Printf.sprintf "%s_%d" b.Buffer.name b.Buffer.id
-let var_c_name v = Var.name v
+(* Every buffer and variable is printed as its name hint plus a per-kernel
+   number, assigned before printing in binding order: buffers as the kernel
+   declares them (params, shared, warp, registers), then variables as their
+   loops and lets bind them (a free variable, or an undeclared buffer, at
+   its first occurrence). No process-global [Buffer.id] or [Var.id] reaches
+   the text, so alpha-equivalent kernels print byte-identical source. One
+   counter serves both kinds, so a buffer and a variable sharing a hint
+   never collide. *)
+type names = {
+  bufs : (int, string) Hashtbl.t;
+  vars : (int, string) Hashtbl.t;
+  mutable next : int;
+}
+
+let assign tbl names id hint =
+  if not (Hashtbl.mem tbl id) then begin
+    names.next <- names.next + 1;
+    Hashtbl.add tbl id (Printf.sprintf "%s_%d" hint names.next)
+  end
+
+let name_buf names (b : Buffer.t) = assign names.bufs names b.Buffer.id b.Buffer.name
+let name_var names (v : Var.t) = assign names.vars names v.Var.id v.Var.name
+
+let rec name_expr names (e : Expr.t) =
+  match e with
+  | Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> ()
+  | Var v -> name_var names v
+  | Binop (_, a, b) ->
+    name_expr names a;
+    name_expr names b
+  | Unop (_, a) -> name_expr names a
+  | Select (c, a, b) ->
+    name_expr names c;
+    name_expr names a;
+    name_expr names b
+  | Load (b, indices) ->
+    name_buf names b;
+    List.iter (name_expr names) indices
+
+let rec name_stmt names (s : Stmt.t) =
+  match s with
+  | Seq ss -> List.iter (name_stmt names) ss
+  | For { var; extent; body; _ } ->
+    name_var names var;
+    name_expr names extent;
+    name_stmt names body
+  | If { cond; then_; else_ } ->
+    name_expr names cond;
+    name_stmt names then_;
+    Option.iter (name_stmt names) else_
+  | Let { var; value; body } ->
+    name_var names var;
+    name_expr names value;
+    name_stmt names body
+  | Store { buf; indices; value } ->
+    name_buf names buf;
+    List.iter (name_expr names) indices;
+    name_expr names value
+  | Mma m ->
+    List.iter
+      (fun (b, off) ->
+        name_buf names b;
+        List.iter (name_expr names) off)
+      [ (m.c, m.c_off); (m.a, m.a_off); (m.b, m.b_off) ]
+  | Sync_threads | Comment _ -> ()
+
+let kernel_names (k : Kernel.t) =
+  let names = { bufs = Hashtbl.create 16; vars = Hashtbl.create 64; next = 0 } in
+  List.iter (name_buf names) (k.params @ k.shared @ k.warp_bufs @ k.regs);
+  name_stmt names k.body;
+  names
+
+let buf_c_name names (b : Buffer.t) = Hashtbl.find names.bufs b.Buffer.id
+let var_c_name names (v : Var.t) = Hashtbl.find names.vars v.Var.id
 
 let binop_symbol = function
   | Expr.Add -> "+"
@@ -20,7 +92,7 @@ let binop_symbol = function
 (* Global buffers are passed as flat pointers, so a multi-dim access is
    linearized; scope buffers are declared as C arrays and keep their
    multi-dim bracket form. *)
-let rec access (b : Buffer.t) indices =
+let rec access names (b : Buffer.t) indices =
   match b.Buffer.scope with
   | Buffer.Global ->
     let flat =
@@ -28,19 +100,20 @@ let rec access (b : Buffer.t) indices =
         (fun acc idx dim -> Expr.add (Expr.mul acc (Expr.int dim)) idx)
         (Expr.int 0) indices b.Buffer.dims
     in
-    Printf.sprintf "%s[%s]" (buf_c_name b) (expr flat)
+    Printf.sprintf "%s[%s]" (buf_c_name names b) (expr names flat)
   | Buffer.Shared | Buffer.Warp | Buffer.Register ->
-    Printf.sprintf "%s%s" (buf_c_name b)
-      (String.concat "" (List.map (fun i -> "[" ^ expr i ^ "]") indices))
+    Printf.sprintf "%s%s" (buf_c_name names b)
+      (String.concat "" (List.map (fun i -> "[" ^ expr names i ^ "]") indices))
 
-and expr (e : Expr.t) =
+and expr names (e : Expr.t) =
+  let expr = expr names in
   match e with
   | Int n -> string_of_int n
   | Float f ->
     let s = Printf.sprintf "%.9g" f in
     if String.contains s '.' || String.contains s 'e' then s ^ "f" else s ^ ".0f"
   | Bool b -> if b then "true" else "false"
-  | Var v -> var_c_name v
+  | Var v -> var_c_name names v
   | Thread_idx -> "threadIdx.x"
   | Block_idx -> "blockIdx.x"
   | Binop (Min, a, b) -> Printf.sprintf "min(%s, %s)" (expr a) (expr b)
@@ -57,12 +130,14 @@ and expr (e : Expr.t) =
   | Unop (Abs, a) -> Printf.sprintf "fabsf(%s)" (expr a)
   | Select (c, a, b) ->
     Printf.sprintf "(%s ? %s : %s)" (expr c) (expr a) (expr b)
-  | Load (b, indices) -> access b indices
+  | Load (b, indices) -> access names b indices
 
 let pad n = String.make (2 * n) ' '
 
-let rec stmt_lines indent (s : Stmt.t) : string list =
+let rec stmt_lines names indent (s : Stmt.t) : string list =
   let p = pad indent in
+  let expr = expr names and var_c_name = var_c_name names in
+  let stmt_lines = stmt_lines names and access = access names in
   match s with
   | Seq ss -> List.concat_map (stmt_lines indent) ss
   | For { var; extent; unroll; body } ->
@@ -97,23 +172,22 @@ let rec stmt_lines indent (s : Stmt.t) : string list =
   | Sync_threads -> [ p ^ "__syncthreads();" ]
   | Comment c -> [ Printf.sprintf "%s// %s" p c ]
 
-let stmt ?(indent = 0) s = String.concat "\n" (stmt_lines indent s)
-
-let decl prefix (b : Buffer.t) =
+let decl names prefix (b : Buffer.t) =
   Printf.sprintf "  %s%s %s%s;" prefix
     (Dtype.cuda_name b.Buffer.elt)
-    (buf_c_name b)
+    (buf_c_name names b)
     (String.concat ""
        (List.map (fun d -> Printf.sprintf "[%d]" d) b.Buffer.dims))
 
 let kernel (k : Kernel.t) =
+  let names = kernel_names k in
   let params =
     String.concat ", "
       (List.map
          (fun (b : Buffer.t) ->
            Printf.sprintf "%s* __restrict__ %s"
              (Dtype.cuda_name b.Buffer.elt)
-             (buf_c_name b))
+             (buf_c_name names b))
          k.params)
   in
   let lines =
@@ -123,10 +197,10 @@ let kernel (k : Kernel.t) =
       Printf.sprintf "__global__ void __launch_bounds__(%d) %s(%s) {"
         k.block_dim k.name params;
     ]
-    @ List.map (decl "__shared__ ") k.shared
-    @ List.map (decl "/* warp-distributed */ ") k.warp_bufs
-    @ List.map (decl "") k.regs
-    @ stmt_lines 1 k.body
+    @ List.map (decl names "__shared__ ") k.shared
+    @ List.map (decl names "/* warp-distributed */ ") k.warp_bufs
+    @ List.map (decl names "") k.regs
+    @ stmt_lines names 1 k.body
     @ [ "}" ]
   in
   String.concat "\n" lines

@@ -8,11 +8,11 @@
     predicated accesses and an mma.sync-style intrinsic call for tensor-core
     tiles. *)
 
-val expr : Expr.t -> string
-val stmt : ?indent:int -> Stmt.t -> string
-
 val kernel : Kernel.t -> string
-(** Full [__global__] function definition. *)
+(** Full [__global__] function definition. Buffers and variables are named
+    per kernel in binding order (name hint plus a number), never by their
+    process-global ids, so instantiating one config twice prints the same
+    text. *)
 
 val program : Kernel.t list -> string
 (** A translation unit: header comment, helpers, then all kernels. *)

@@ -1,8 +1,8 @@
 (* Emits CUDA C for the golden-file tests (test/golden/*.cu).
 
-   Run as a standalone executable — one compile per invocation — because
-   generated buffer names embed process-global ids: a fresh process makes
-   the output deterministic, a shared test process would not.
+   Run as a standalone executable, one compile per invocation. Generated
+   names are numbered per kernel in binding order, so the output depends
+   only on the kernel, not on what else the process instantiated.
 
    To refresh the goldens after an intentional codegen change:
      dune build @golden-regen   (or: dune promote after a failing diff) *)

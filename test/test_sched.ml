@@ -613,6 +613,23 @@ let test_layernorm_template () =
            got))
     [ (4, 64); (2, 100); (5, 7) ]
 
+(* CUDA names come from the kernel, not from process-global ids: the same
+   config instantiated twice (fresh buffers and variables each time) prints
+   byte-identical source, split-k's two kernels and the tensor-core path
+   included. *)
+let test_cuda_source_id_free () =
+  let twice what compile =
+    let a = C.cuda_source (compile ()) and b = C.cuda_source (compile ()) in
+    Alcotest.(check string) what a b
+  in
+  twice "matmul 123x77x45" (fun () -> MT.compile ~m:123 ~n:77 ~k:45 base);
+  twice "split-k 4-stage" (fun () ->
+      MT.compile ~m:33 ~n:47 ~k:100 { base with MT.stages = 4; split_k = 4 });
+  twice "tensor core" (fun () ->
+      MT.compile ~m:64 ~n:64 ~k:32
+        { base with MT.use_tensor_core = true; warp_m = 32; warp_n = 32; block_k = 16 });
+  twice "layernorm" (fun () -> RT.layernorm ~rows:5 ~cols:7 ())
+
 let test_compiled_plumbing () =
   let c = MT.compile ~m:32 ~n:32 ~k:32 { base with MT.block_m = 32; block_n = 32; warp_m = 16; warp_n = 16 } in
   Alcotest.(check bool) "cuda source mentions kernel" true
@@ -692,5 +709,6 @@ let () =
           Alcotest.test_case "softmax rows" `Quick test_softmax_template;
           Alcotest.test_case "layernorm rows" `Quick test_layernorm_template;
           Alcotest.test_case "compiled plumbing" `Quick test_compiled_plumbing;
+          Alcotest.test_case "CUDA source is id-free" `Quick test_cuda_source_id_free;
         ] );
     ]
