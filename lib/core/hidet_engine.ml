@@ -44,6 +44,10 @@ type tuning_stats = {
       (* workload keys already accounted for in this compile: tuning cost is
          per unique workload (the paper's Fig 14 quantity), so a model
          reusing one shape across many layers pays for it once *)
+  reshaped : (string, Compiled.t * Compiled.t) Hashtbl.t;
+      (* matmul key -> (template kernel, its rank-2 reshape): a rank-2
+         anchor whose template kernel is the one already reshaped gets the
+         same reshaped kernel, so its group can reuse fused steps *)
 }
 
 (* Hidet's per-measured-candidate cost: candidate compilation and
@@ -57,14 +61,15 @@ type tuning_stats = {
 let hidet_seconds_per_trial = Hidet_sched.Tuner.seconds_per_trial /. 4.
 
 (* The tuning service: the process-global schedule cache in front of the
-   parallel tuner. Winners are re-instantiated per call site. *)
-let tuned ~show ?search ?lower_bound options (stats : tuning_stats) ~device
-    ~key ~candidates ~compile =
+   parallel tuner. Every call site of one key (and [?instance]) gets the
+   cache's one instantiated winner. *)
+let tuned ~show ?search ?lower_bound ?instance options (stats : tuning_stats)
+    ~device ~key ~candidates ~compile =
   let t0 = Unix.gettimeofday () in
   let r =
     Cache.tune ~seconds_per_trial:hidet_seconds_per_trial ~engine:"hidet" ~show
-      ?search ~fidelity:options.fidelity ?lower_bound ~device ~workload:key
-      ~candidates ~compile ()
+      ?search ~fidelity:options.fidelity ?lower_bound ?instance ~device
+      ~workload:key ~candidates ~compile ()
   in
   stats.tuner_wall <- stats.tuner_wall +. (Unix.gettimeofday () -. t0);
   (if not (Hashtbl.mem stats.billed key) then (
@@ -103,6 +108,24 @@ let options_sig options =
     options.allow_double_buffer
     (if options.deterministic_reduce then "_det" else "")
 
+(* The restricted matmul space of each (split-k class, options signature),
+   filtered once per process: it depends on the shape only through the
+   class. *)
+let restricted : (int * string, MT.config list) Hashtbl.t = Hashtbl.create 8
+let restricted_lock = Mutex.create ()
+
+let matmul_space options ~m ~n =
+  let key = (Hidet_sched.Space.split_k_class ~m ~n, options_sig options) in
+  Mutex.protect restricted_lock (fun () ->
+      match Hashtbl.find_opt restricted key with
+      | Some space -> space
+      | None ->
+        let space =
+          restrict_space options (Hidet_sched.Space.matmul_with_split_k ~m ~n)
+        in
+        Hashtbl.add restricted key space;
+        space)
+
 (* Deterministic mode pins the row/reduction templates to one block size:
    the combine-tree shape then depends only on the row length, never on
    how many rows the workload happens to have (i.e. the batch), so batch-
@@ -127,7 +150,7 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
     Printf.sprintf "matmul_%d_%b_%b_%d_%d_%d_%s" batch a_batched b_batched m n
       k (options_sig options)
   in
-  let space = restrict_space options (Hidet_sched.Space.matmul_with_split_k ~m ~n) in
+  let space = matmul_space options ~m ~n in
   (* Matmul spaces are the only ones big enough for guided search to pay;
      the row/reduce spaces (a handful of block sizes) stay exhaustive. *)
   let compiled =
@@ -138,11 +161,15 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
   in
   match compiled with
   | None -> failwith "hidet: no feasible matmul schedule"
-  | Some c ->
+  | Some c when out_rank = 2 -> (
     (* The template always produces [batch, m, n]; adapt rank-2 graphs. *)
-    if out_rank = 2 then
-      Fuse.fuse_epilogue c (Op.to_def (Op.Reshape [ m; n ]) [ [ 1; m; n ] ])
-    else c
+    match Hashtbl.find_opt stats.reshaped key with
+    | Some (src, r) when src == c -> r
+    | _ ->
+      let r = Fuse.fuse_epilogue c (Op.to_def (Op.Reshape [ m; n ]) [ [ 1; m; n ] ]) in
+      Hashtbl.replace stats.reshaped key (c, r);
+      r)
+  | Some c -> c
 
 let block_candidates = [ 64; 128; 256 ]
 
@@ -168,8 +195,11 @@ let schedule_anchor options device stats g (anchor : G.node) =
     let candidates =
       if options.deterministic_reduce then [ 128 ] else block_candidates
     in
+    (* [eps] is not part of the tuning key (it does not change the
+       schedule's cost), but the kernel reads it. *)
     Option.get
-      (tuned ~show:(Printf.sprintf "block=%d") options stats ~device
+      (tuned ~show:(Printf.sprintf "block=%d") ~instance:(Printf.sprintf "eps=%h" eps)
+         options stats ~device
          ~key:(Printf.sprintf "layernorm_%d_%d%s" rows cols (det_sig options))
          ~candidates
          ~compile:(fun b ->
@@ -196,13 +226,34 @@ let schedule_anchor options device stats g (anchor : G.node) =
         ~compile:(fun cfg ->
           Hidet_sched.Reduce_template.schedule ~config:cfg def)
     in
-    Option.value compiled ~default:(Hidet_sched.Rule_based.schedule def)
+    (match compiled with
+     | Some c -> c
+     | None -> Hidet_sched.Rule_based.schedule def)
   | _ ->
     (* Direct convolutions, depthwise, pooling, leftover injective chains,
        concat: rule-based scheduling from the computation definition. *)
     Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes)
 
 (* --- the engine ---------------------------------------------------------------- *)
+
+let new_stats () =
+  {
+    fresh_cost = 0.;
+    cached_cost = 0.;
+    tuner_wall = 0.;
+    billed = Hashtbl.create 16;
+    reshaped = Hashtbl.create 16;
+  }
+
+let config options device stats =
+  {
+    GC.schedule_anchor = (fun g n -> schedule_anchor options device stats g n);
+    may_fuse_prologue = (fun _ -> options.fuse);
+    may_fuse_epilogue = (fun _ -> options.fuse);
+  }
+
+let group_config ?(options = default_options) device =
+  config options device (new_stats ())
 
 let compile_plan ?(options = default_options) device g =
   Trace.span
@@ -217,23 +268,8 @@ let compile_plan ?(options = default_options) device g =
         else g
       in
       let g = Trace.span "graph_optimize" (fun _ -> Passes.optimize g) in
-      let stats =
-        {
-          fresh_cost = 0.;
-          cached_cost = 0.;
-          tuner_wall = 0.;
-          billed = Hashtbl.create 16;
-        }
-      in
-      let gc_config =
-        {
-          GC.schedule_anchor =
-            (fun g n -> schedule_anchor options device stats g n);
-          may_fuse_prologue = (fun _ -> options.fuse);
-          may_fuse_epilogue = (fun _ -> options.fuse);
-        }
-      in
-      let plan = GC.compile_graph gc_config g in
+      let stats = new_stats () in
+      let plan = GC.compile_graph (config options device stats) g in
       let latency =
         Trace.span "estimate_latency" (fun _ ->
             Plan.latency ~fidelity:options.fidelity device plan)

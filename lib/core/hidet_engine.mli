@@ -55,4 +55,11 @@ val compile_plan :
     process — perform zero fresh trials and report the avoided cost as
     [result.cached_tuning_cost]. *)
 
+val group_config :
+  ?options:options -> Hidet_gpu.Device.t -> Hidet_runtime.Group_compiler.config
+(** The anchor scheduler and fusion predicates that {!compile_plan} hands
+    to {!Hidet_runtime.Group_compiler.compile_graph} after its graph passes,
+    for one compile; the tuning costs it incurs are not reported anywhere.
+    Differential tests wrap it to compile without the memos. *)
+
 include Hidet_runtime.Engine.S

@@ -14,6 +14,18 @@ let m_fused_epilogues = Metrics.counter "fusion.fused_epilogues"
 let m_fallback = Metrics.counter "fusion.fallback_kernels"
 let m_kernels = Metrics.counter "plan.kernels_emitted"
 
+(* Groups whose fused steps were copied from an earlier, identical group of
+   the same compile instead of being fused again. *)
+let m_group_reuses = Metrics.counter "fusion.group_reuses"
+
+(* What one group's fusion added to the three fusion counters; a group the
+   memo answers adds its builder's tally again. *)
+type tally = {
+  mutable prologues : int;
+  mutable epilogues : int;
+  mutable fallbacks : int;
+}
+
 type config = {
   schedule_anchor : G.t -> G.node -> Compiled.t;
   may_fuse_prologue : G.node -> bool;
@@ -50,8 +62,8 @@ let epilogue_def g (e : G.node) out_buffer_dims =
   | def -> Some def
   | exception Invalid_argument _ -> None
 
-let standalone_step g (n : G.node) =
-  Metrics.incr m_fallback;
+let standalone_step tally g (n : G.node) =
+  tally.fallbacks <- tally.fallbacks + 1;
   let def = Op.to_def n.G.op (List.map (G.node_shape g) n.G.inputs) in
   {
     Plan.compiled = Hidet_sched.Rule_based.schedule def;
@@ -59,7 +71,7 @@ let standalone_step g (n : G.node) =
     out_node = n.G.id;
   }
 
-let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
+let fuse_group cfg tally g (grp : Passes.group) anchor compiled : Plan.step list =
   let compiled = ref compiled in
   let slots = ref anchor.G.inputs in
   let out_node = ref grp.Passes.anchor in
@@ -80,7 +92,7 @@ let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
       let buffer = List.nth !compiled.Compiled.ins i in
       let fallback () =
         Hashtbl.remove prologue_set p.G.id;
-        pre_steps := standalone_step g p :: !pre_steps
+        pre_steps := standalone_step tally g p :: !pre_steps
       in
       (if not (cfg.may_fuse_prologue p) then fallback ()
        else
@@ -88,7 +100,7 @@ let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
          | Some def -> (
            match Fuse.fuse_prologue !compiled ~input_index:i def with
            | fused ->
-             Metrics.incr m_fused_prologues;
+             tally.prologues <- tally.prologues + 1;
              compiled := fused;
              slots :=
                List.concat
@@ -113,7 +125,7 @@ let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
     | [] -> ()
     | id :: _ ->
       Hashtbl.remove prologue_set id;
-      pre_steps := standalone_step g (G.node g id) :: !pre_steps;
+      pre_steps := standalone_step tally g (G.node g id) :: !pre_steps;
       emit_remaining ()
   in
   emit_remaining ();
@@ -130,7 +142,7 @@ let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
     (fun e_id ->
       let e = G.node g e_id in
       let fallback () =
-        post_steps := !post_steps @ [ standalone_step g e ];
+        post_steps := !post_steps @ [ standalone_step tally g e ];
         out_node := e.G.id;
         fusing := false
       in
@@ -139,7 +151,7 @@ let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
         | Some def -> (
           match Fuse.fuse_epilogue !compiled def with
           | fused ->
-            Metrics.incr m_fused_epilogues;
+            tally.epilogues <- tally.epilogues + 1;
             compiled := fused;
             slots := !slots @ List.tl e.G.inputs;
             out_node := e.G.id
@@ -159,17 +171,121 @@ let fuse_group cfg g (grp : Passes.group) anchor compiled : Plan.step list =
   in
   pre_steps @ [ anchor_step ] @ !post_steps
 
+(* --- the group memo ------------------------------------------------------------
+
+   Repeated blocks (a transformer's layers, a ResNet's bottlenecks) give
+   many groups that differ only in their node ids. [fuse_group] reads a
+   group through its members' ops, shapes and inputs, its external inputs'
+   shapes and the fusion predicates' verdicts, and compares ids only for
+   order. So two groups with equal signatures, in ids relabeled by rank,
+   fuse the same anchor kernel into the same steps, up to that relabeling.
+   One memo lives for one [compile_graph] call. *)
+
+type signature = {
+  anchor_label : int;
+  prologue_labels : int list;
+  epilogue_labels : int list;
+  members : (int * Op.t * int list * int list * bool) list;
+      (** label, op, shape, input labels, predicate verdict: the anchor,
+          then the prologues, then the epilogues *)
+  externals : (int * int list) list;  (** label, shape; by label *)
+}
+
+module Sig_tbl = Hashtbl.Make (struct
+  type t = signature
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+type built = {
+  from : Compiled.t;  (** the anchor kernel the steps were fused from *)
+  steps : Plan.step list;  (** args and [out_node] as labels *)
+  tally : tally;
+}
+
+(* The group's ids (members and external inputs), ascending, and its
+   signature over their ranks. *)
+let signature cfg g (grp : Passes.group) =
+  let member_ids = (grp.Passes.anchor :: grp.Passes.prologues) @ grp.Passes.epilogues in
+  let members = List.map (G.node g) member_ids in
+  let is_member id = List.mem id member_ids in
+  let externals =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (n : G.node) -> List.filter (fun i -> not (is_member i)) n.G.inputs)
+         members)
+  in
+  let ids = Array.of_list (List.sort compare (member_ids @ externals)) in
+  let label id =
+    let rec find i =
+      if i = Array.length ids then raise Not_found
+      else if ids.(i) = id then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let verdict (n : G.node) =
+    if List.mem n.G.id grp.Passes.prologues then cfg.may_fuse_prologue n
+    else if List.mem n.G.id grp.Passes.epilogues then cfg.may_fuse_epilogue n
+    else true
+  in
+  let member (n : G.node) =
+    (label n.G.id, n.G.op, n.G.shape, List.map label n.G.inputs, verdict n)
+  in
+  ( ids,
+    label,
+    {
+      anchor_label = label grp.Passes.anchor;
+      prologue_labels = List.map label grp.Passes.prologues;
+      epilogue_labels = List.map label grp.Passes.epilogues;
+      members = List.map member members;
+      externals = List.map (fun id -> (label id, G.node_shape g id)) externals;
+    } )
+
+let relabel f (steps : Plan.step list) =
+  List.map
+    (fun (s : Plan.step) ->
+      { s with Plan.args = List.map f s.Plan.args; out_node = f s.Plan.out_node })
+    steps
+
+let count_fusion (t : tally) =
+  Metrics.add m_fused_prologues t.prologues;
+  Metrics.add m_fused_epilogues t.epilogues;
+  Metrics.add m_fallback t.fallbacks
+
+(* Fuse [grp] around [compiled], or copy the steps of an earlier group with
+   the same signature whose anchor kernel was this very [compiled]. *)
+let fuse_or_reuse cfg memo g grp anchor compiled =
+  let ids, label, sg = signature cfg g grp in
+  match Sig_tbl.find_opt memo sg with
+  | Some b when b.from == compiled ->
+    Metrics.incr m_group_reuses;
+    count_fusion b.tally;
+    relabel (Array.get ids) b.steps
+  | _ ->
+    let tally = { prologues = 0; epilogues = 0; fallbacks = 0 } in
+    let steps = fuse_group cfg tally g grp anchor compiled in
+    count_fusion tally;
+    (* Every step reads and writes group ids only; [Not_found] would mean
+       one does not, and such steps are not worth remembering. *)
+    (match relabel label steps with
+     | labeled -> Sig_tbl.replace memo sg { from = compiled; steps = labeled; tally }
+     | exception Not_found -> ());
+    steps
+
 (* Two child spans split the group's time: [schedule_anchor] (tuning on a
-   cache miss, re-instantiating the winner on a hit) and [fuse] (prologue
-   and epilogue fusion and the standalone fallback kernels). *)
-let compile_group cfg g (grp : Passes.group) : Plan.step list =
+   cache miss, the cache's instantiated winner on a hit) and [fuse]
+   (prologue and epilogue fusion and the standalone fallback kernels, or
+   their copy from the group memo). *)
+let compile_group cfg memo g (grp : Passes.group) : Plan.step list =
   Metrics.incr m_groups;
   let anchor = G.node g grp.Passes.anchor in
   let compile () =
     let compiled =
       Trace.span "schedule_anchor" (fun _ -> cfg.schedule_anchor g anchor)
     in
-    Trace.span "fuse" (fun _ -> fuse_group cfg g grp anchor compiled)
+    Trace.span "fuse" (fun _ -> fuse_or_reuse cfg memo g grp anchor compiled)
   in
   if not (Trace.enabled ()) then compile ()
   else
@@ -193,7 +309,8 @@ let compile_graph cfg g =
   let plan =
     Trace.span "schedule_and_fuse" (fun sp ->
         let plan =
-          { Plan.graph = g; steps = List.concat_map (compile_group cfg g) groups }
+          let memo = Sig_tbl.create 64 in
+          { Plan.graph = g; steps = List.concat_map (compile_group cfg memo g) groups }
         in
         Trace.add sp "kernels" (string_of_int (Plan.kernel_count plan));
         plan)

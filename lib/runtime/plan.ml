@@ -6,10 +6,26 @@ module Tensor = Hidet_tensor.Tensor
 type step = { compiled : Compiled.t; args : int list; out_node : int }
 type t = { graph : Graph.t; steps : step list }
 
+(* Compiled operators by physical identity: steps that share one (a cached
+   winner at many call sites, a reused fusion group) share its estimate. *)
+module Shared = Hashtbl.Make (struct
+  type t = Compiled.t
+
+  let equal = ( == )
+  let hash (c : t) = Hashtbl.hash c.Compiled.name
+end)
+
 let latency ?fidelity device plan =
-  List.fold_left
-    (fun acc s -> acc +. Compiled.latency ?fidelity device s.compiled)
-    0. plan.steps
+  let memo = Shared.create 64 in
+  let estimate c =
+    match Shared.find_opt memo c with
+    | Some l -> l
+    | None ->
+      let l = Compiled.latency ?fidelity device c in
+      Shared.add memo c l;
+      l
+  in
+  List.fold_left (fun acc s -> acc +. estimate s.compiled) 0. plan.steps
 
 let kernel_count plan =
   List.fold_left

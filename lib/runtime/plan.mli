@@ -17,7 +17,8 @@ val latency :
   ?fidelity:Hidet_gpu.Perf_model.fidelity -> Hidet_gpu.Device.t -> t -> float
 (** Sum of per-step estimates (serial kernel launches, as in single-stream
     inference) under [?fidelity] (default [`Analytic]); [infinity] if any
-    kernel is infeasible. *)
+    kernel is infeasible. Steps sharing one physical {!Hidet_sched.Compiled.t}
+    are estimated once per call. *)
 
 val kernel_count : t -> int
 

@@ -5,7 +5,9 @@
    of the (deterministic) enumeration won, its printed config and the tuner
    stats. Storing the winner's *index* keeps the cache generic over
    candidate types; the printed config catches a space that changed
-   underneath the key.
+   underneath the key. Each entry also keeps, for this process only, the
+   winner as instantiated (the instance memo), so a later hit returns that
+   kernel instead of building it again.
 
    The table is mutex-protected: tuner workers run on separate domains, and
    nothing stops two engines from compiling concurrently. *)
@@ -61,7 +63,12 @@ type outcome = Fresh of Tuner.stats | Hit of entry
 let magic = "HIDET-SCHEDULE-CACHE"
 let version = 3
 
-let table : (string * string, entry) Hashtbl.t = Hashtbl.create 64
+(* [instances] maps the [?instance] string of [tune] to the winner
+   instantiated under it. A slot is replaced whenever its entry is, so the
+   memo never outlives the entry it was built from, and [clear] drops it. *)
+type slot = { entry : entry; mutable instances : (string * Compiled.t) list }
+
+let table : (string * string, slot) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
 let hit_count = ref 0
 let miss_count = ref 0
@@ -75,10 +82,13 @@ let locked f =
    (space still matches, winner still instantiates) is only known to
    [tune], so [tune] owns the hit/miss/stale accounting — the raw counters
    below and the [schedule_cache.*] metrics therefore always agree. *)
-let find ~device ~key = locked (fun () -> Hashtbl.find_opt table (device, key))
+let find_slot ~device ~key = locked (fun () -> Hashtbl.find_opt table (device, key))
+let find ~device ~key = Option.map (fun s -> s.entry) (find_slot ~device ~key)
 
-let add ~device ~key entry =
-  locked (fun () -> Hashtbl.replace table (device, key) entry)
+let add_slot ~device ~key entry instances =
+  locked (fun () -> Hashtbl.replace table (device, key) { entry; instances })
+
+let add ~device ~key entry = add_slot ~device ~key entry []
 
 let clear () =
   locked (fun () ->
@@ -124,7 +134,7 @@ let tmp_counter = Atomic.make 0
 
 let save path =
   let entries =
-    locked (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+    locked (fun () -> Hashtbl.fold (fun k s acc -> (k, s.entry) :: acc) table [])
   in
   let entries = List.sort compare entries in
   let tmp =
@@ -230,9 +240,13 @@ let m_hits = Metrics.counter "schedule_cache.hits"
 let m_misses = Metrics.counter "schedule_cache.misses"
 let m_stale = Metrics.counter "schedule_cache.stale"
 
+(* Hits that returned the kernel the instance memo already held; the other
+   hits instantiated the winner and stored it. *)
+let m_instance_reuses = Metrics.counter "schedule_cache.instance_reuses"
+
 let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
-    ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ?lower_bound ~device
-    ~workload ~candidates ~compile () =
+    ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ?lower_bound
+    ?(instance = "") ~device ~workload ~candidates ~compile () =
   let device_name = device.Hidet_gpu.Device.name in
   let key = Key.to_string (Key.make ~workload ~search ~fidelity) in
   let fingerprint cand = sanitize (show cand) in
@@ -250,7 +264,8 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
     with
     | None -> None
     | Some (cand, compiled, st) ->
-      add ~device:device_name ~key
+      (* The tuner already built the winner: it seeds the instance memo. *)
+      add_slot ~device:device_name ~key
         {
           best_index = st.Tuner.best_index;
           space_size;
@@ -259,28 +274,46 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
           rejected = st.Tuner.rejected;
           simulated_seconds = st.Tuner.simulated_seconds;
           best_latency = st.Tuner.best_latency;
-        };
+        }
+        [ (instance, compiled) ];
       Some (cand, compiled, Fresh st)
+  in
+  (* The first instantiation stored under [instance] wins, so concurrent
+     first hits still return one shared kernel. *)
+  let instantiate slot cand =
+    match locked (fun () -> List.assoc_opt instance slot.instances) with
+    | Some compiled ->
+      Metrics.incr m_instance_reuses;
+      Some compiled
+    | None -> (
+      match compile cand with
+      | exception Invalid_argument _ -> None
+      | compiled ->
+        Some
+          (locked (fun () ->
+               match List.assoc_opt instance slot.instances with
+               | Some first -> first
+               | None ->
+                 slot.instances <- (instance, compiled) :: slot.instances;
+                 compiled)))
   in
   (* Servable: same space size, the candidate at the stored index prints
      as the stored winner, and it still instantiates. *)
-  let servable e =
+  let servable slot =
+    let e = slot.entry in
     if e.space_size <> space_size || e.best_index >= space_size then None
     else
       let cand = List.nth candidates e.best_index in
       if fingerprint cand <> e.config then None
-      else
-        match compile cand with
-        | compiled -> Some (cand, compiled)
-        | exception Invalid_argument _ -> None
+      else Option.map (fun compiled -> (cand, compiled)) (instantiate slot cand)
   in
-  match find ~device:device_name ~key with
+  match find_slot ~device:device_name ~key with
   | None -> fresh ()
-  | Some e -> (
-    match servable e with
+  | Some slot -> (
+    match servable slot with
     | Some (cand, compiled) ->
       count hit_count m_hits "schedule_cache.hit";
-      Some (cand, compiled, Hit e)
+      Some (cand, compiled, Hit slot.entry)
     | None ->
       count stale_count m_stale "schedule_cache.stale";
       fresh ())

@@ -10,6 +10,13 @@
     [space_size] mismatch, a candidate at that index that prints
     differently, or a winner that no longer instantiates retunes.
 
+    Each entry also holds, in this process only, the winner's kernel: the
+    {e instance memo}. A fresh tune stores the kernel the tuner built; the
+    first hit stores its instantiation; later hits return that same
+    (physically equal) {!Compiled.t}. Replacing the entry ({!add}, {!load},
+    a retune) or {!clear} drops the memo, and {!save} never writes it, so a
+    new process instantiates once per distinct key.
+
     All operations are safe to call from any domain (mutex-protected). *)
 
 (** Everything besides the device that decides a tuning run's winner.
@@ -42,7 +49,9 @@ type entry = {
 
 type outcome =
   | Fresh of Tuner.stats  (** this call ran the tuner *)
-  | Hit of entry  (** served from the cache; only the winner was compiled *)
+  | Hit of entry
+      (** served from the cache: the instance memo's kernel, or the winner
+          instantiated once to fill it *)
 
 (** {1 The tuning service} *)
 
@@ -55,6 +64,7 @@ val tune :
   ?search:'a Search.t ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
   ?lower_bound:('a -> float) ->
+  ?instance:string ->
   device:Hidet_gpu.Device.t ->
   workload:string ->
   candidates:'a list ->
@@ -64,14 +74,18 @@ val tune :
 (** Like {!Tuner.tune}, but consults the cache first under
     the {!Key.t} of [workload], [search] and [fidelity] and the device
     name.
-    On a hit, only the stored winner is re-instantiated (zero fresh
-    trials); on a miss or a stale entry the tuner runs (with [?search],
+    On a hit (zero fresh trials) the instance memo under [?instance]
+    answers; if it is empty, the stored winner is instantiated once and
+    kept there. [?instance] (default [""]) must name everything [compile]
+    reads that [workload] does not (a layernorm's [eps], say): it keys the
+    memo only, never the entry or the saved file. On a miss or a stale entry the tuner runs (with [?search],
     default {!Search.Exhaustive}, [?fidelity], default [`Analytic], and
     [?lower_bound], which changes no entry field but [trials])
     and its result is stored with [show winner] as the fingerprint. The
     tuner's spans and log records carry the key string. Each call bumps
     the ["schedule_cache.hits"/"misses"/"stale"] metrics and, when
-    tracing, drops a matching instant event. *)
+    tracing, drops a matching instant event; a hit the memo answers also
+    bumps ["schedule_cache.instance_reuses"]. *)
 
 (** {1 Direct cache access} *)
 

@@ -31,6 +31,11 @@ val matmul_with_split_k : m:int -> n:int -> Matmul_template.config list
     the same domain-safe memo: every call for one factor set returns the
     same (physically equal) list, and [[]] returns {!matmul} itself. *)
 
+val split_k_class : m:int -> n:int -> int
+(** The factor set {!matmul_with_split_k} uses for an [m x n] output, as an
+    index: 0 for [[]], 1 for [[2; 4]], 2 for [[2; 4; 8]]. Equal classes give
+    the same (physically equal) space. *)
+
 val dedup : Matmul_template.config list -> Matmul_template.config list
 (** Canonical structural dedup, first occurrence wins, order preserved. *)
 

@@ -2,9 +2,10 @@
    straightforward versions of the traffic analyses (one walk for the
    counts plus one walk per block id for the L2 block reuse), of the
    statement simplifier (one [Stmt.subst] over the remaining body per
-   trivially bound [Let]) and of the graph lookups (linear scans of the
-   node list). The library's single-walk and indexed versions must agree
-   with them bit for bit. *)
+   trivially bound [Let]), of the graph lookups (linear scans of the
+   node list) and of a compile that rebuilds every kernel, fusion and
+   estimate. The library's single-walk, indexed and memoized versions must
+   agree with them bit for bit. *)
 
 module Buffer = Hidet_ir.Buffer
 module Dtype = Hidet_ir.Dtype
@@ -292,3 +293,39 @@ let graph_consumers g id =
     (fun (n : Graph.node) ->
       if List.mem id n.Graph.inputs then Some n.Graph.id else None)
     (Graph.nodes g)
+
+(* --- A compile without its memos ------------------------------------------ *)
+
+module Cache = Hidet_sched.Schedule_cache
+module Compiled = Hidet_sched.Compiled
+module GC = Hidet_runtime.Group_compiler
+module HE = Hidet.Hidet_engine
+module Passes = Hidet_graph.Passes
+module Plan = Hidet_runtime.Plan
+
+(* Re-adding an entry replaces its slot, which drops its instance memo. *)
+let drop_instance_memos (device : Hidet_gpu.Device.t) =
+  let device = device.Hidet_gpu.Device.name in
+  List.iter
+    (fun key -> Option.iter (Cache.add ~device ~key) (Cache.find ~device ~key))
+    (Cache.keys_for_device device)
+
+(* [Hidet_engine.compile_plan]'s plan, with the instance memos dropped
+   before every anchor is scheduled: every cache hit instantiates its
+   winner anew, so no two groups get the same anchor kernel and neither the
+   group memo nor a shared estimate can apply. *)
+let compile_plan ?(options = HE.default_options) device g =
+  let g = if options.HE.lower_convs then Passes.lower_conv_to_gemm g else g in
+  let g = Passes.optimize g in
+  let cfg = HE.group_config ~options device in
+  let schedule_anchor g n =
+    drop_instance_memos device;
+    cfg.GC.schedule_anchor g n
+  in
+  GC.compile_graph { cfg with GC.schedule_anchor } g
+
+(* Plan.latency without its memo: every step estimated. *)
+let plan_latency ?fidelity device (plan : Plan.t) =
+  List.fold_left
+    (fun acc (s : Plan.step) -> acc +. Compiled.latency ?fidelity device s.Plan.compiled)
+    0. plan.Plan.steps

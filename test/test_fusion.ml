@@ -205,6 +205,152 @@ let prop_epilogue_chain =
       let got = C.run fused [ a; b ] in
       T.allclose ~rtol:1e-3 ~atol:1e-4 expect (T.reshape got (T.shape expect)))
 
+(* --- memoized compiles ------------------------------------------------------- *)
+
+module G = Hidet_graph.Graph
+module GC = Hidet_runtime.Group_compiler
+module Plan = Hidet_runtime.Plan
+module HE = Hidet.Hidet_engine
+module Metrics = Hidet_obs.Metrics
+
+let dev = Hidet_gpu.Device.rtx3090
+let counter = Metrics.counter
+
+let fusion_counters =
+  [
+    "fusion.groups";
+    "fusion.fused_prologues";
+    "fusion.fused_epilogues";
+    "fusion.fallback_kernels";
+    "plan.kernels_emitted";
+  ]
+
+(* [f ()] and how far it moved each of [names]. *)
+let with_deltas names f =
+  let before = List.map (fun n -> Metrics.value (counter n)) names in
+  let r = f () in
+  (r, List.map2 (fun n b -> (n, Metrics.value (counter n) - b)) names before)
+
+let bits_equal a b =
+  T.shape a = T.shape b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (T.data a) (T.data b)
+
+(* Every zoo and tiny model, under three option sets: the memoized compile
+   and the oracle that rebuilds every kernel, fusion and estimate give the
+   same steps, the same CUDA per step, the same fusion counter deltas and a
+   bit-identical latency; a tiny plan's outputs are bit-equal on both
+   simulator backends. *)
+let test_memo_matches_oracle () =
+  let variants =
+    [
+      ("default", HE.default_options);
+      ("fuse=false", { HE.default_options with HE.fuse = false });
+      ("deterministic_reduce", { HE.default_options with HE.deterministic_reduce = true });
+    ]
+  in
+  let models =
+    List.map (fun m -> (m, false)) Hidet_models.Models.all
+    @ List.map (fun m -> (m, true)) Hidet_models.Models.tiny_all
+  in
+  Hidet_sched.Schedule_cache.clear ();
+  List.iter
+    (fun ((name, mk), tiny) ->
+      let g = mk () in
+      List.iter
+        (fun (variant, options) ->
+          let what = Printf.sprintf "%s, %s" name variant in
+          let (plan, _), memo_deltas =
+            with_deltas
+              ("fusion.group_reuses" :: fusion_counters)
+              (fun () -> HE.compile_plan ~options dev g)
+          in
+          let oracle, oracle_deltas =
+            with_deltas
+              ("fusion.group_reuses" :: "schedule_cache.instance_reuses" :: fusion_counters)
+              (fun () -> Oracle.compile_plan ~options dev g)
+          in
+          (match oracle_deltas with
+          | (_, 0) :: (_, 0) :: oracle_fusion ->
+            Alcotest.(check (list (pair string int)))
+              (what ^ ": fusion counters") (List.tl memo_deltas) oracle_fusion
+          | _ -> Alcotest.failf "%s: the oracle reused a memo" what);
+          if (not tiny) && options.HE.fuse then
+            Alcotest.(check bool)
+              (what ^ ": repeated groups are reused") true
+              (List.assoc "fusion.group_reuses" memo_deltas > 0);
+          Alcotest.(check int) (what ^ ": steps")
+            (List.length oracle.Plan.steps) (List.length plan.Plan.steps);
+          List.iteri
+            (fun i ((s : Plan.step), (o : Plan.step)) ->
+              let at = Printf.sprintf "%s: step %d" what i in
+              Alcotest.(check (list int)) (at ^ " args") o.Plan.args s.Plan.args;
+              Alcotest.(check int) (at ^ " out_node") o.Plan.out_node s.Plan.out_node;
+              Alcotest.(check string) (at ^ " CUDA")
+                (C.cuda_source o.Plan.compiled) (C.cuda_source s.Plan.compiled))
+            (List.combine plan.Plan.steps oracle.Plan.steps);
+          let bits l = Int64.bits_of_float l in
+          Alcotest.(check int64) (what ^ ": latency")
+            (bits (Oracle.plan_latency dev oracle)) (bits (Plan.latency dev plan));
+          if tiny then
+            let inputs =
+              List.mapi (fun i id -> T.rand ~seed:(31 + i) (G.node_shape g id)) (G.input_ids g)
+            in
+            List.iter
+              (fun backend ->
+                let run p = Plan.run ~backend p (List.combine (G.input_ids g) inputs) in
+                Alcotest.(check bool) (what ^ ": outputs bit-equal") true
+                  (List.for_all2 bits_equal (run oracle) (run plan)))
+              [ `Closure; `Native ])
+        variants)
+    models;
+  Hidet_sched.Schedule_cache.clear ()
+
+(* A chain of three identical matmul+relu layers and one of another width:
+   4 groups and 2 signatures, so the memo builds 2 and reuses 2, and every
+   reused group still reports its fused epilogue. *)
+let test_group_memo_counts () =
+  let g = G.create () in
+  let x = G.input g [ 4; 16 ] in
+  let layer x n = G.relu g (G.matmul g x (G.constant_rand g ~seed:n [ 16; n ])) in
+  let y = layer (layer (layer x 16) 16) 16 in
+  G.set_outputs g [ layer y 8 ];
+  let anchors = ref 0 in
+  (* One kernel per anchor shape, shared like the schedule cache's. *)
+  let kernels = Hashtbl.create 4 in
+  let cfg =
+    {
+      GC.schedule_anchor =
+        (fun g (n : G.node) ->
+          incr anchors;
+          let shapes = List.map (G.node_shape g) n.G.inputs in
+          match Hashtbl.find_opt kernels shapes with
+          | Some c -> c
+          | None ->
+            let c = RB.schedule (Op.to_def n.G.op shapes) in
+            Hashtbl.add kernels shapes c;
+            c);
+      may_fuse_prologue = (fun _ -> true);
+      may_fuse_epilogue = (fun _ -> true);
+    }
+  in
+  let plan, deltas =
+    with_deltas
+      [ "fusion.groups"; "fusion.group_reuses"; "fusion.fused_epilogues" ]
+      (fun () -> GC.compile_graph cfg g)
+  in
+  let calls = List.assoc "fusion.groups" deltas in
+  let reuses = List.assoc "fusion.group_reuses" deltas in
+  let builds = Hashtbl.length kernels in
+  Alcotest.(check int) "one group per anchor call" !anchors calls;
+  Alcotest.(check int) "reuses + builds = calls" calls (reuses + builds);
+  Alcotest.(check int) "reused" 2 reuses;
+  Alcotest.(check int) "every group fused its relu" 4
+    (List.assoc "fusion.fused_epilogues" deltas);
+  let xv = T.rand ~seed:5 [ 4; 16 ] in
+  check "plan = reference" (Hidet_graph.Reference.run1 g [ xv ]) (Plan.run1 plan [ xv ])
+
 let () =
   Alcotest.run "hidet_fusion"
     [
@@ -225,4 +371,10 @@ let () =
           Alcotest.test_case "rule-based anchor" `Quick test_prologue_on_rule_based_anchor;
         ] );
       ("errors", [ Alcotest.test_case "rejections" `Quick test_fusion_error_cases ]);
+      ( "memoized compile",
+        [
+          Alcotest.test_case "group memo counts" `Quick test_group_memo_counts;
+          Alcotest.test_case "equals the un-memoized oracle" `Slow
+            test_memo_matches_oracle;
+        ] );
     ]

@@ -262,6 +262,91 @@ let test_cache_miss_then_hit () =
     Alcotest.(check int) "two entries" 2 (SC.size ())
   | _ -> Alcotest.fail "distinct key must tune fresh"
 
+(* The instance memo: a fresh tune keeps the kernel the tuner built, and
+   each later hit returns it; another [?instance] instantiates once and is
+   then reused too; re-adding the entry (as a load does) drops the memo.
+   Hits the memo answered plus instantiations equal hits. *)
+let test_instance_memo () =
+  SC.clear ();
+  let candidates = List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ()) in
+  let builds = ref 0 in
+  let tune ?instance () =
+    match
+      SC.tune ~show:MT.config_to_string ?instance ~device:dev ~workload:"memo"
+        ~candidates
+        ~compile:(fun cfg ->
+          incr builds;
+          MT.compile ~m:64 ~n:64 ~k:64 cfg)
+        ()
+    with
+    | Some (_, c, _) -> c
+    | None -> Alcotest.fail "no schedule"
+  in
+  let reuses = Hidet_obs.Metrics.counter "schedule_cache.instance_reuses" in
+  let fresh = tune () in
+  builds := 0;
+  let reuses0 = Hidet_obs.Metrics.value reuses and hits0 = SC.hits () in
+  List.iter
+    (fun c -> Alcotest.(check bool) "the tuner's kernel" true (c == fresh))
+    (List.init 3 (fun _ -> tune ()));
+  Alcotest.(check int) "no instantiation" 0 !builds;
+  let other = List.init 3 (fun _ -> tune ~instance:"eps=0x1p-2" ()) in
+  Alcotest.(check int) "another instance instantiates once" 1 !builds;
+  Alcotest.(check bool) "and is shared" true
+    (List.for_all (( == ) (List.hd other)) other && not (List.hd other == fresh));
+  Alcotest.(check int) "reuses + builds = hits" (SC.hits () - hits0)
+    (Hidet_obs.Metrics.value reuses - reuses0 + !builds);
+  let device = dev.Hidet_gpu.Device.name in
+  SC.add ~device ~key:"memo" (Option.get (SC.find ~device ~key:"memo"));
+  Alcotest.(check bool) "a replaced entry instantiates anew" false (tune () == fresh);
+  Alcotest.(check int) "once" 2 !builds;
+  SC.clear ();
+  ignore (tune ());
+  Alcotest.(check bool) "clear drops the memo: the tuner builds" true (!builds > 2);
+  SC.clear ()
+
+(* The layernorm key omits [eps], which the kernel reads: two same-shape
+   layernorms with different [eps] share a tuning entry but get distinct
+   kernels, cold and warm, and the plan matches the reference. *)
+let test_layernorm_eps_instances () =
+  SC.clear ();
+  let module G = Hidet_graph.Graph in
+  let g = G.create () in
+  let x = G.input g [ 4; 32 ] in
+  let ln eps seed =
+    G.layernorm g ~eps x ~gamma:(G.constant_rand g ~seed [ 32 ])
+      ~beta:(G.constant_rand g ~seed:(seed + 1) [ 32 ])
+  in
+  G.set_outputs g [ ln 1e-5 1; ln 1e-2 3 ];
+  let xv = Hidet_tensor.Tensor.rand ~seed:7 [ 4; 32 ] in
+  let expect = Hidet_graph.Reference.run g [ (x, xv) ] in
+  List.iter
+    (fun pass ->
+      let plan, _ = HE.compile_plan dev g in
+      let layernorms =
+        List.filter
+          (fun (s : Hidet_runtime.Plan.step) ->
+            match (G.node g s.Hidet_runtime.Plan.out_node).G.op with
+            | Hidet_graph.Op.Layernorm _ -> true
+            | _ -> false)
+          plan.Hidet_runtime.Plan.steps
+      in
+      (match layernorms with
+      | [ a; b ] ->
+        Alcotest.(check bool) (pass ^ ": distinct kernels") false
+          (C.cuda_source a.Hidet_runtime.Plan.compiled
+          = C.cuda_source b.Hidet_runtime.Plan.compiled)
+      | _ -> Alcotest.failf "%s: want two layernorm steps" pass);
+      List.iter2
+        (fun e got ->
+          Alcotest.(check bool) (pass ^ ": matches the reference") true
+            (Hidet_tensor.Tensor.allclose ~rtol:1e-4 ~atol:1e-5 e got))
+        expect
+        (Hidet_runtime.Plan.run plan [ (x, xv) ]))
+    [ "cold"; "warm" ];
+  Alcotest.(check int) "one tuning entry" 1 (SC.size ());
+  SC.clear ()
+
 let test_cache_search_modes_do_not_alias () =
   (* A guided winner must never answer for the exhaustive oracle (or vice
      versa): the search mode is folded into the cache key. *)
@@ -879,6 +964,9 @@ let () =
       ( "schedule cache",
         [
           Alcotest.test_case "miss then hit" `Quick test_cache_miss_then_hit;
+          Alcotest.test_case "instance memo" `Quick test_instance_memo;
+          Alcotest.test_case "layernorm eps instances" `Quick
+            test_layernorm_eps_instances;
           Alcotest.test_case "search modes do not alias" `Quick
             test_cache_search_modes_do_not_alias;
           Alcotest.test_case "stale space retunes" `Quick
