@@ -205,7 +205,8 @@ type built = {
 }
 
 (* The group's ids (members and external inputs), ascending, and its
-   signature over their ranks. *)
+   signature over their ranks. Every step of the group reads and writes
+   only these ids. *)
 let signature cfg g (grp : Passes.group) =
   let member_ids = (grp.Passes.anchor :: grp.Passes.prologues) @ grp.Passes.epilogues in
   let members = List.map (G.node g) member_ids in
@@ -267,11 +268,7 @@ let fuse_or_reuse cfg memo g grp anchor compiled =
     let tally = { prologues = 0; epilogues = 0; fallbacks = 0 } in
     let steps = fuse_group cfg tally g grp anchor compiled in
     count_fusion tally;
-    (* Every step reads and writes group ids only; [Not_found] would mean
-       one does not, and such steps are not worth remembering. *)
-    (match relabel label steps with
-     | labeled -> Sig_tbl.replace memo sg { from = compiled; steps = labeled; tally }
-     | exception Not_found -> ());
+    Sig_tbl.replace memo sg { from = compiled; steps = relabel label steps; tally };
     steps
 
 (* Two child spans split the group's time: [schedule_anchor] (tuning on a

@@ -349,7 +349,23 @@ let test_group_memo_counts () =
   Alcotest.(check int) "every group fused its relu" 4
     (List.assoc "fusion.fused_epilogues" deltas);
   let xv = T.rand ~seed:5 [ 4; 16 ] in
-  check "plan = reference" (Hidet_graph.Reference.run1 g [ xv ]) (Plan.run1 plan [ xv ])
+  check "plan = reference" (Hidet_graph.Reference.run1 g [ xv ]) (Plan.run1 plan [ xv ]);
+  (* Equal signatures but a new kernel from every call: nothing is reused,
+     and each step keeps a kernel of its own. *)
+  let cfg =
+    {
+      cfg with
+      GC.schedule_anchor =
+        (fun g (n : G.node) ->
+          RB.schedule (Op.to_def n.G.op (List.map (G.node_shape g) n.G.inputs)));
+    }
+  in
+  let plan, deltas = with_deltas [ "fusion.group_reuses" ] (fun () -> GC.compile_graph cfg g) in
+  Alcotest.(check int) "no reuse across distinct kernels" 0
+    (List.assoc "fusion.group_reuses" deltas);
+  let kernels = List.map (fun (s : Plan.step) -> s.Plan.compiled) plan.Plan.steps in
+  Alcotest.(check bool) "each step its own kernel" true
+    (List.for_all (fun c -> List.length (List.filter (( == ) c) kernels) = 1) kernels)
 
 let () =
   Alcotest.run "hidet_fusion"
