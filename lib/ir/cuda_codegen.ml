@@ -1,77 +1,37 @@
 (* Every buffer and variable is printed as its name hint plus a per-kernel
-   number, assigned before printing in binding order: buffers as the kernel
-   declares them (params, shared, warp, registers), then variables as their
-   loops and lets bind them (a free variable, or an undeclared buffer, at
-   its first occurrence). No process-global [Buffer.id] or [Var.id] reaches
-   the text, so alpha-equivalent kernels print byte-identical source. One
+   number, assigned in binding order: buffers as the kernel declares them
+   (params, shared, warp, registers), then variables as their loops and
+   lets bind them. No process-global [Buffer.id] or [Var.id] reaches the
+   text, so alpha-equivalent kernels print byte-identical source. One
    counter serves both kinds, so a buffer and a variable sharing a hint
-   never collide. *)
-type names = {
-  bufs : (int, string) Hashtbl.t;
-  vars : (int, string) Hashtbl.t;
-  mutable next : int;
-}
-
-let assign tbl names id hint =
-  if not (Hashtbl.mem tbl id) then begin
-    names.next <- names.next + 1;
-    Hashtbl.add tbl id (Printf.sprintf "%s_%d" hint names.next)
-  end
-
-let name_buf names (b : Buffer.t) = assign names.bufs names b.Buffer.id b.Buffer.name
-let name_var names (v : Var.t) = assign names.vars names v.Var.id v.Var.name
-
-let rec name_expr names (e : Expr.t) =
-  match e with
-  | Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> ()
-  | Var v -> name_var names v
-  | Binop (_, a, b) ->
-    name_expr names a;
-    name_expr names b
-  | Unop (_, a) -> name_expr names a
-  | Select (c, a, b) ->
-    name_expr names c;
-    name_expr names a;
-    name_expr names b
-  | Load (b, indices) ->
-    name_buf names b;
-    List.iter (name_expr names) indices
-
-let rec name_stmt names (s : Stmt.t) =
-  match s with
-  | Seq ss -> List.iter (name_stmt names) ss
-  | For { var; extent; body; _ } ->
-    name_var names var;
-    name_expr names extent;
-    name_stmt names body
-  | If { cond; then_; else_ } ->
-    name_expr names cond;
-    name_stmt names then_;
-    Option.iter (name_stmt names) else_
-  | Let { var; value; body } ->
-    name_var names var;
-    name_expr names value;
-    name_stmt names body
-  | Store { buf; indices; value } ->
-    name_buf names buf;
-    List.iter (name_expr names) indices;
-    name_expr names value
-  | Mma m ->
-    List.iter
-      (fun (b, off) ->
-        name_buf names b;
-        List.iter (name_expr names) off)
-      [ (m.c, m.c_off); (m.a, m.a_off); (m.b, m.b_off) ]
-  | Sync_threads | Comment _ -> ()
-
+   never collide. A kernel that fails {!Verify} can hold an undeclared
+   buffer or an unbound variable; those print with their global ids. *)
 let kernel_names (k : Kernel.t) =
-  let names = { bufs = Hashtbl.create 16; vars = Hashtbl.create 64; next = 0 } in
-  List.iter (name_buf names) (k.params @ k.shared @ k.warp_bufs @ k.regs);
-  name_stmt names k.body;
+  let names = Hashtbl.create 64 in
+  let name key hint =
+    if not (Hashtbl.mem names key) then
+      Hashtbl.add names key (Printf.sprintf "%s_%d" hint (Hashtbl.length names + 1))
+  in
+  List.iter
+    (fun (b : Buffer.t) -> name (`Buf b.Buffer.id) b.Buffer.name)
+    (k.params @ k.shared @ k.warp_bufs @ k.regs);
+  Stmt.fold
+    (fun () (s : Stmt.t) ->
+      match s with
+      | For { var; _ } | Let { var; _ } -> name (`Var var.Var.id) var.Var.name
+      | _ -> ())
+    () k.body;
   names
 
-let buf_c_name names (b : Buffer.t) = Hashtbl.find names.bufs b.Buffer.id
-let var_c_name names (v : Var.t) = Hashtbl.find names.vars v.Var.id
+let buf_c_name names (b : Buffer.t) =
+  match Hashtbl.find_opt names (`Buf b.Buffer.id) with
+  | Some n -> n
+  | None -> Printf.sprintf "%s_%d" b.Buffer.name b.Buffer.id
+
+let var_c_name names (v : Var.t) =
+  match Hashtbl.find_opt names (`Var v.Var.id) with
+  | Some n -> n
+  | None -> Var.name v
 
 let binop_symbol = function
   | Expr.Add -> "+"
