@@ -11,19 +11,27 @@ module Int_map = Map.Make (Int)
    compiled closures themselves are immutable and safe to share across the
    domains running different blocks. *)
 type rt = {
-  tid : int;
-  bid : int;
   bufs : float array array;  (** buffer slot -> backing storage *)
-  ints : int array;  (** int-typed variable frame *)
+  ints : int array;  (** int frame: the pinned slots below, then variables *)
   floats : float array;
   bools : bool array;
   vals : Expr.value array;  (** boxed fallback frame (rare) *)
   mutable stmts : int;  (** statements executed by this thread *)
 }
 
+(* Pinned int-frame slots, written once when a thread's frame is built:
+   [threadIdx] and [blockIdx] are then ordinary slot operands, and the zero
+   slot pads an access with fewer than two slot-indexed dimensions. *)
+let tid_slot = 0
+let bid_slot = 1
+let zero_slot = 2
+let pinned_ints = 3
+
 let invalid_access msg = raise (Interp.Invalid_access msg)
 
-let oob i d name =
+(* Kept out of line: the bounds checks it ends are inlined into every hot
+   closure. *)
+let[@inline never] oob i d name =
   invalid_access
     (Printf.sprintf "Buffer.flat_index: index %d out of bound %d on %s" i d
        name)
@@ -79,17 +87,67 @@ let push_dyn st =
   s
 
 (* ------------------------------------------------------------------ *)
+(* Operands                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* An int operand, classified at compile time: a constant, an int frame
+   slot (variables, [threadIdx], [blockIdx]) or a general closure. A parent
+   reads the first two inline, so a leaf costs no closure call. *)
+type iop = K of int | S of int | F of (rt -> int)
+
+let[@inline] rd o rt =
+  match o with K n -> n | S s -> Array.unsafe_get rt.ints s | F f -> f rt
+
+(* A buffer access whose indices are all constants or frame slots, at most
+   two of them slots: the flat offset is [base] (the constant indices) plus
+   two strided slot terms, padded with the zero slot (extent 1, stride 0).
+   The slot terms keep dimension order, so the bounds checks fail on the
+   reference's first failing index; constant indices are checked at compile
+   time (an out-of-bounds one keeps the general path). *)
+type acc = {
+  buf : int;  (** bufs slot *)
+  base : int;
+  s0 : int;
+  d0 : int;
+  st0 : int;
+  s1 : int;
+  d1 : int;
+  st1 : int;
+  name : string;
+}
+
+let[@inline] addr a rt =
+  let i0 = Array.unsafe_get rt.ints a.s0 in
+  let i1 = Array.unsafe_get rt.ints a.s1 in
+  if i0 < 0 || i0 >= a.d0 then oob i0 a.d0 a.name;
+  if i1 < 0 || i1 >= a.d1 then oob i1 a.d1 a.name;
+  a.base + (i0 * a.st0) + (i1 * a.st1)
+
+(* A float operand: a constant, a float frame slot, a slot-indexed load or
+   a general closure. Without flambda a closure returning [float] boxes its
+   result; a parent that reads its operands through [frd] keeps the first
+   three unboxed end to end. *)
+type fop = Fk of float | Fs of int | Fa of acc | Ff of (rt -> float)
+
+let[@inline] frd o rt =
+  match o with
+  | Fk x -> x
+  | Fs s -> Array.unsafe_get rt.floats s
+  | Fa a -> Array.unsafe_get (Array.unsafe_get rt.bufs a.buf) (addr a rt)
+  | Ff f -> f rt
+
+(* ------------------------------------------------------------------ *)
 (* Expression compilation                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A compiled expression is an unboxed closure at its statically inferred
-   type. [C_dyn] is the boxed escape hatch for expressions whose type
-   depends on runtime control flow (e.g. a [Select] mixing bool and
-   numeric branches); it dispatches exactly like [Expr.eval], so parity
-   with the reference interpreter holds even there. *)
+(* A compiled expression at its statically inferred type. [C_dyn] is the
+   boxed escape hatch for expressions whose type depends on runtime control
+   flow (e.g. a [Select] mixing bool and numeric branches); it dispatches
+   exactly like [Expr.eval], so parity with the reference interpreter holds
+   even there. *)
 type cexpr =
-  | C_int of (rt -> int)
-  | C_float of (rt -> float)
+  | C_int of iop
+  | C_float of fop
   | C_bool of (rt -> bool)
   | C_dyn of (rt -> Expr.value)
 
@@ -97,85 +155,116 @@ type cexpr =
    [bool_of_value] exactly: int_of_float truncates, bools read as 1/0,
    numbers test as <> 0. *)
 let as_int = function
-  | C_int f -> f
-  | C_float f -> fun rt -> int_of_float (f rt)
-  | C_bool f -> fun rt -> if f rt then 1 else 0
-  | C_dyn f -> fun rt -> Expr.int_of_value (f rt)
+  | C_int o -> o
+  | C_float o -> F (fun rt -> int_of_float (frd o rt))
+  | C_bool f -> F (fun rt -> if f rt then 1 else 0)
+  | C_dyn f -> F (fun rt -> Expr.int_of_value (f rt))
 
 let as_float = function
-  | C_float f -> f
-  | C_int f -> fun rt -> float_of_int (f rt)
-  | C_bool f -> fun rt -> if f rt then 1. else 0.
-  | C_dyn f -> fun rt -> Expr.float_of_value (f rt)
+  | C_float o -> o
+  | C_int (K n) -> Fk (float_of_int n)
+  | C_int o -> Ff (fun rt -> float_of_int (rd o rt))
+  | C_bool f -> Ff (fun rt -> if f rt then 1. else 0.)
+  | C_dyn f -> Ff (fun rt -> Expr.float_of_value (f rt))
 
 let as_bool = function
   | C_bool f -> f
-  | C_int f -> fun rt -> f rt <> 0
-  | C_float f -> fun rt -> f rt <> 0.
+  | C_int o -> fun rt -> rd o rt <> 0
+  | C_float o -> fun rt -> frd o rt <> 0.
   | C_dyn f -> fun rt -> Expr.bool_of_value (f rt)
 
 let as_value = function
-  | C_int f -> fun rt -> Expr.V_int (f rt)
-  | C_float f -> fun rt -> Expr.V_float (f rt)
+  | C_int o -> fun rt -> Expr.V_int (rd o rt)
+  | C_float o -> fun rt -> Expr.V_float (frd o rt)
   | C_bool f -> fun rt -> Expr.V_bool (f rt)
   | C_dyn f -> f
+
+(* The slot-indexed form of an access, when it has one. *)
+let access (buf : Buffer.t) slot (cidx : iop array) : acc option =
+  let dims = Array.of_list buf.Buffer.dims in
+  let r = Array.length dims in
+  if Array.length cidx <> r then None
+  else begin
+    let strides = Array.make r 1 in
+    for p = r - 2 downto 0 do
+      strides.(p) <- strides.(p + 1) * dims.(p + 1)
+    done;
+    let rec go p base terms =
+      if p = r then Some (base, List.rev terms)
+      else
+        match cidx.(p) with
+        | K i when i >= 0 && i < dims.(p) ->
+          go (p + 1) (base + (i * strides.(p))) terms
+        | S s -> go (p + 1) base ((s, dims.(p), strides.(p)) :: terms)
+        | K _ | F _ -> None
+    in
+    let pad = (zero_slot, 1, 0) in
+    let mk base (s0, d0, st0) (s1, d1, st1) =
+      Some { buf = slot; base; s0; d0; st0; s1; d1; st1; name = buf.Buffer.name }
+    in
+    match go 0 0 [] with
+    | Some (base, []) -> mk base pad pad
+    | Some (base, [ t0 ]) -> mk base t0 pad
+    | Some (base, [ t0; t1 ]) -> mk base t0 t1
+    | _ -> None
+  end
 
 (* Flat index with [Buffer.flat_index]'s exact left-to-right per-dimension
    bounds checks, strength-reduced to stride arithmetic. All indices are
    evaluated (left to right) before any check runs, matching the reference
    interpreter's [List.map eval_int]-then-[flat_index] order. Ranks 1-4
    get dedicated closures with no per-call allocation. *)
-let comp_flat_read (buf : Buffer.t) (cidx : (rt -> int) array) slot :
-    rt -> float =
+let comp_flat_read (buf : Buffer.t) (cidx : iop array) slot : rt -> float =
   let name = buf.Buffer.name in
   let dims = Array.of_list buf.Buffer.dims in
   if Array.length cidx <> Array.length dims then fun rt ->
-    Array.iter (fun c -> ignore (c rt)) cidx;
+    Array.iter (fun c -> ignore (rd c rt)) cidx;
     invalid_access (Printf.sprintf "Buffer.flat_index: rank mismatch on %s" name)
   else
     match dims with
     | [| d0 |] ->
       let c0 = cidx.(0) in
       fun rt ->
-        let i0 = c0 rt in
+        let i0 = rd c0 rt in
         if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-        rt.bufs.(slot).(i0)
+        Array.unsafe_get rt.bufs.(slot) i0
     | [| d0; d1 |] ->
       let c0 = cidx.(0) and c1 = cidx.(1) in
       fun rt ->
-        let i0 = c0 rt in
-        let i1 = c1 rt in
+        let i0 = rd c0 rt in
+        let i1 = rd c1 rt in
         if i0 < 0 || i0 >= d0 then oob i0 d0 name;
         if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-        rt.bufs.(slot).((i0 * d1) + i1)
+        Array.unsafe_get rt.bufs.(slot) ((i0 * d1) + i1)
     | [| d0; d1; d2 |] ->
       let c0 = cidx.(0) and c1 = cidx.(1) and c2 = cidx.(2) in
       fun rt ->
-        let i0 = c0 rt in
-        let i1 = c1 rt in
-        let i2 = c2 rt in
+        let i0 = rd c0 rt in
+        let i1 = rd c1 rt in
+        let i2 = rd c2 rt in
         if i0 < 0 || i0 >= d0 then oob i0 d0 name;
         if i1 < 0 || i1 >= d1 then oob i1 d1 name;
         if i2 < 0 || i2 >= d2 then oob i2 d2 name;
-        rt.bufs.(slot).((((i0 * d1) + i1) * d2) + i2)
+        Array.unsafe_get rt.bufs.(slot) ((((i0 * d1) + i1) * d2) + i2)
     | [| d0; d1; d2; d3 |] ->
       let c0 = cidx.(0) and c1 = cidx.(1) and c2 = cidx.(2) and c3 = cidx.(3) in
       fun rt ->
-        let i0 = c0 rt in
-        let i1 = c1 rt in
-        let i2 = c2 rt in
-        let i3 = c3 rt in
+        let i0 = rd c0 rt in
+        let i1 = rd c1 rt in
+        let i2 = rd c2 rt in
+        let i3 = rd c3 rt in
         if i0 < 0 || i0 >= d0 then oob i0 d0 name;
         if i1 < 0 || i1 >= d1 then oob i1 d1 name;
         if i2 < 0 || i2 >= d2 then oob i2 d2 name;
         if i3 < 0 || i3 >= d3 then oob i3 d3 name;
-        rt.bufs.(slot).((((((i0 * d1) + i1) * d2) + i2) * d3) + i3)
+        Array.unsafe_get rt.bufs.(slot)
+          ((((((i0 * d1) + i1) * d2) + i2) * d3) + i3)
     | _ ->
       let n = Array.length dims in
       fun rt ->
         let idx = Array.make n 0 in
         for p = 0 to n - 1 do
-          idx.(p) <- cidx.(p) rt
+          idx.(p) <- rd cidx.(p) rt
         done;
         let acc = ref 0 in
         for p = 0 to n - 1 do
@@ -185,17 +274,155 @@ let comp_flat_read (buf : Buffer.t) (cidx : (rt -> int) array) slot :
         done;
         rt.bufs.(slot).(!acc)
 
+let[@inline] sl rt s = Array.unsafe_get rt.ints s
+
+(* Int arithmetic gets one closure per operator and operand forms, so the
+   closure never dispatches on a form at run time (a shared dispatch point
+   is a poorly predicted branch). Forms with no case of their own read
+   through [rd]. The right operand is read first, as OCaml evaluates
+   [f a + f b], so a pair of failing operands raises what it always did. *)
+let add a b =
+  match (a, b) with
+  | S x, K n -> F (fun rt -> sl rt x + n)
+  | F f, K n -> F (fun rt -> f rt + n)
+  | S x, S y -> F (fun rt -> sl rt x + sl rt y)
+  | S x, F g -> F (fun rt -> let y = g rt in sl rt x + y)
+  | F f, S y -> F (fun rt -> f rt + sl rt y)
+  | F f, F g -> F (fun rt -> let y = g rt in f rt + y)
+  | _ -> F (fun rt -> let y = rd b rt in rd a rt + y)
+
+let sub a b =
+  match (a, b) with
+  | S x, K n -> F (fun rt -> sl rt x - n)
+  | F f, K n -> F (fun rt -> f rt - n)
+  | S x, S y -> F (fun rt -> sl rt x - sl rt y)
+  | S x, F g -> F (fun rt -> let y = g rt in sl rt x - y)
+  | F f, S y -> F (fun rt -> f rt - sl rt y)
+  | F f, F g -> F (fun rt -> let y = g rt in f rt - y)
+  | _ -> F (fun rt -> let y = rd b rt in rd a rt - y)
+
+let mul a b =
+  match (a, b) with
+  | S x, K n -> F (fun rt -> sl rt x * n)
+  | F f, K n -> F (fun rt -> f rt * n)
+  | S x, S y -> F (fun rt -> sl rt x * sl rt y)
+  | S x, F g -> F (fun rt -> let y = g rt in sl rt x * y)
+  | F f, S y -> F (fun rt -> f rt * sl rt y)
+  | F f, F g -> F (fun rt -> let y = g rt in f rt * y)
+  | _ -> F (fun rt -> let y = rd b rt in rd a rt * y)
+
+let pow2 d = d > 0 && d land (d - 1) = 0
+
+let log2 d =
+  let rec go k = if 1 lsl k = d then k else go (k + 1) in
+  go 0
+
+(* By a positive power-of-two constant, a non-negative dividend shifts or
+   masks: the same value as [/] and [mod] there. *)
+let div a b =
+  match (a, b) with
+  | S x, K d when pow2 d ->
+    let k = log2 d in
+    F (fun rt -> let v = sl rt x in if v >= 0 then v asr k else v / d)
+  | F f, K d when pow2 d ->
+    let k = log2 d in
+    F (fun rt -> let v = f rt in if v >= 0 then v asr k else v / d)
+  | S x, K d -> F (fun rt -> sl rt x / d)
+  | F f, K d -> F (fun rt -> f rt / d)
+  | _ -> F (fun rt -> let y = rd b rt in rd a rt / y)
+
+let rem a b =
+  match (a, b) with
+  | S x, K d when pow2 d ->
+    let m = d - 1 in
+    F (fun rt -> let v = sl rt x in if v >= 0 then v land m else v mod d)
+  | F f, K d when pow2 d ->
+    let m = d - 1 in
+    F (fun rt -> let v = f rt in if v >= 0 then v land m else v mod d)
+  | S x, K d -> F (fun rt -> sl rt x mod d)
+  | F f, K d -> F (fun rt -> f rt mod d)
+  | _ -> F (fun rt -> let y = rd b rt in rd a rt mod y)
+
+let int_binop op a b : cexpr =
+  match op with
+  | Expr.Add -> C_int (add a b)
+  | Sub -> C_int (sub a b)
+  | Mul -> C_int (mul a b)
+  | Div -> C_int (div a b)
+  | Mod -> C_int (rem a b)
+  | Min ->
+    C_int (F (fun rt -> let y = rd b rt in let x = rd a rt in if x <= y then x else y))
+  | Max ->
+    C_int (F (fun rt -> let y = rd b rt in let x = rd a rt in if x >= y then x else y))
+  | Lt -> C_bool (fun rt -> let y = rd b rt in rd a rt < y)
+  | Le -> C_bool (fun rt -> let y = rd b rt in rd a rt <= y)
+  | Gt -> C_bool (fun rt -> let y = rd b rt in rd a rt > y)
+  | Ge -> C_bool (fun rt -> let y = rd b rt in rd a rt >= y)
+  | Eq -> C_bool (fun rt -> let y = rd b rt in rd a rt = y)
+  | Ne -> C_bool (fun rt -> let y = rd b rt in rd a rt <> y)
+  | And | Or -> assert false
+
+(* Float arithmetic over [frd] operands: one closure, one boxed result. *)
+let float_binop op a b : cexpr =
+  match op with
+  | Expr.Add -> C_float (Ff (fun rt -> let y = frd b rt in frd a rt +. y))
+  | Sub -> C_float (Ff (fun rt -> let y = frd b rt in frd a rt -. y))
+  | Mul -> C_float (Ff (fun rt -> let y = frd b rt in frd a rt *. y))
+  | Div -> C_float (Ff (fun rt -> let y = frd b rt in frd a rt /. y))
+  | Mod -> C_float (Ff (fun rt -> let y = frd b rt in Float.rem (frd a rt) y))
+  | Min -> C_float (Ff (fun rt -> let y = frd b rt in Float.min (frd a rt) y))
+  | Max -> C_float (Ff (fun rt -> let y = frd b rt in Float.max (frd a rt) y))
+  | Lt -> C_bool (fun rt -> let y = frd b rt in frd a rt < y)
+  | Le -> C_bool (fun rt -> let y = frd b rt in frd a rt <= y)
+  | Gt -> C_bool (fun rt -> let y = frd b rt in frd a rt > y)
+  | Ge -> C_bool (fun rt -> let y = frd b rt in frd a rt >= y)
+  | Eq -> C_bool (fun rt -> let y = frd b rt in frd a rt = y)
+  | Ne -> C_bool (fun rt -> let y = frd b rt in frd a rt <> y)
+  | And | Or -> assert false
+
+(* An arithmetic or comparison binop over compiled operands, with
+   [Expr.eval]'s typing: int x int stays int, a mix promotes to float. *)
+let arith op xa xb =
+  match (xa, xb) with
+  | (C_dyn _, _ | _, C_dyn _) ->
+    (* Statically untypeable operand: fall back to [Expr.eval]'s exact
+       dynamic dispatch (including the bool-operand rejection). *)
+    let fa = as_value xa and fb = as_value xb in
+    C_dyn
+      (fun rt ->
+        let va = fa rt in
+        let vb = fb rt in
+        match (va, vb) with
+        | Expr.V_int x, Expr.V_int y -> Expr.eval_int_binop op x y
+        | (V_float _ | V_int _), (V_float _ | V_int _) ->
+          Expr.eval_float_binop op (Expr.float_of_value va)
+            (Expr.float_of_value vb)
+        | _ -> invalid_arg "Expr.eval: bool operand to arithmetic binop")
+  | (C_bool _, _ | _, C_bool _) ->
+    (* [Expr.eval] evaluates both operands first, then rejects. *)
+    let fa = as_value xa and fb = as_value xb in
+    C_int
+      (F
+         (fun rt ->
+           ignore (fa rt);
+           ignore (fb rt);
+           invalid_arg "Expr.eval: bool operand to arithmetic binop"))
+  | C_int oa, C_int ob -> int_binop op oa ob
+  | _ ->
+    (* Mixed int/float promotes to float, exactly like [eval_binop]. *)
+    float_binop op (as_float xa) (as_float xb)
+
 let rec comp st (venv : vslot Int_map.t) (e : Expr.t) : cexpr =
   match e with
-  | Expr.Int n -> C_int (fun _ -> n)
-  | Float f -> C_float (fun _ -> f)
+  | Expr.Int n -> C_int (K n)
+  | Float f -> C_float (Fk f)
   | Bool b -> C_bool (fun _ -> b)
-  | Thread_idx -> C_int (fun rt -> rt.tid)
-  | Block_idx -> C_int (fun rt -> rt.bid)
+  | Thread_idx -> C_int (S tid_slot)
+  | Block_idx -> C_int (S bid_slot)
   | Var v -> (
     match Int_map.find_opt v.Var.id venv with
-    | Some (S_int s) -> C_int (fun rt -> rt.ints.(s))
-    | Some (S_float s) -> C_float (fun rt -> rt.floats.(s))
+    | Some (S_int s) -> C_int (S s)
+    | Some (S_float s) -> C_float (Fs s)
     | Some (S_bool s) -> C_bool (fun rt -> rt.bools.(s))
     | Some (S_dyn s) -> C_dyn (fun rt -> rt.vals.(s))
     | None ->
@@ -203,31 +430,35 @@ let rec comp st (venv : vslot Int_map.t) (e : Expr.t) : cexpr =
          error should an unverified kernel ever reach execution. *)
       let msg = Printf.sprintf "unbound variable %s" (Var.name v) in
       C_dyn (fun _ -> invalid_access msg))
-  | Load (buf, idx) -> (
-    let cidx =
-      Array.of_list (List.map (fun i -> as_int (comp st venv i)) idx)
-    in
-    match Hashtbl.find_opt st.buf_slot buf.Buffer.id with
-    | Some slot -> C_float (comp_flat_read buf cidx slot)
-    | None ->
-      C_float
-        (fun rt ->
-          Array.iter (fun c -> ignore (c rt)) cidx;
-          not_allocated buf))
+  | Load (buf, idx) -> C_float (comp_load st venv buf idx)
   | Select (c, a, b) -> (
     let cc = as_bool (comp st venv c) in
     let xa = comp st venv a and xb = comp st venv b in
     match (xa, xb) with
-    | C_int fa, C_int fb -> C_int (fun rt -> if cc rt then fa rt else fb rt)
+    | C_int oa, C_int ob ->
+      C_int (F (fun rt -> if cc rt then rd oa rt else rd ob rt))
     | C_bool fa, C_bool fb -> C_bool (fun rt -> if cc rt then fa rt else fb rt)
     | (C_float _ | C_int _), (C_float _ | C_int _) ->
-      let fa = as_float xa and fb = as_float xb in
-      C_float (fun rt -> if cc rt then fa rt else fb rt)
+      let oa = as_float xa and ob = as_float xb in
+      C_float (Ff (fun rt -> if cc rt then frd oa rt else frd ob rt))
     | _ ->
       let fa = as_value xa and fb = as_value xb in
       C_dyn (fun rt -> if cc rt then fa rt else fb rt))
   | Unop (op, a) -> comp_unop st venv op a
   | Binop (op, a, b) -> comp_binop st venv op a b
+
+and comp_load st venv (buf : Buffer.t) idx : fop =
+  let cidx = Array.of_list (List.map (fun i -> as_int (comp st venv i)) idx) in
+  match Hashtbl.find_opt st.buf_slot buf.Buffer.id with
+  | Some slot -> (
+    match access buf slot cidx with
+    | Some a -> Fa a
+    | None -> Ff (comp_flat_read buf cidx slot))
+  | None ->
+    Ff
+      (fun rt ->
+        Array.iter (fun c -> ignore (rd c rt)) cidx;
+        not_allocated buf)
 
 and comp_unop st venv op a =
   match op with
@@ -236,14 +467,15 @@ and comp_unop st venv op a =
     C_bool (fun rt -> not (f rt))
   | Neg -> (
     match comp st venv a with
-    | C_int f -> C_int (fun rt -> -f rt)
-    | C_float f -> C_float (fun rt -> -.f rt)
+    | C_int o -> C_int (F (fun rt -> -rd o rt))
+    | C_float o -> C_float (Ff (fun rt -> -.frd o rt))
     | C_bool f ->
       (* [Expr.eval] evaluates the operand, then rejects it. *)
       C_int
-        (fun rt ->
-          ignore (f rt);
-          invalid_arg "Expr.eval: neg of bool")
+        (F
+           (fun rt ->
+             ignore (f rt);
+             invalid_arg "Expr.eval: neg of bool"))
     | C_dyn f ->
       C_dyn
         (fun rt ->
@@ -253,13 +485,14 @@ and comp_unop st venv op a =
           | V_bool _ -> invalid_arg "Expr.eval: neg of bool"))
   | Abs -> (
     match comp st venv a with
-    | C_int f -> C_int (fun rt -> Stdlib.abs (f rt))
-    | C_float f -> C_float (fun rt -> Float.abs (f rt))
+    | C_int o -> C_int (F (fun rt -> Stdlib.abs (rd o rt)))
+    | C_float o -> C_float (Ff (fun rt -> Float.abs (frd o rt)))
     | C_bool f ->
       C_int
-        (fun rt ->
-          ignore (f rt);
-          invalid_arg "Expr.eval: abs of bool")
+        (F
+           (fun rt ->
+             ignore (f rt);
+             invalid_arg "Expr.eval: abs of bool"))
     | C_dyn f ->
       C_dyn
         (fun rt ->
@@ -268,20 +501,20 @@ and comp_unop st venv op a =
           | V_float x -> V_float (Float.abs x)
           | V_bool _ -> invalid_arg "Expr.eval: abs of bool"))
   | Exp ->
-    let f = as_float (comp st venv a) in
-    C_float (fun rt -> Stdlib.exp (f rt))
+    let o = as_float (comp st venv a) in
+    C_float (Ff (fun rt -> Stdlib.exp (frd o rt)))
   | Log ->
-    let f = as_float (comp st venv a) in
-    C_float (fun rt -> Stdlib.log (f rt))
+    let o = as_float (comp st venv a) in
+    C_float (Ff (fun rt -> Stdlib.log (frd o rt)))
   | Sqrt ->
-    let f = as_float (comp st venv a) in
-    C_float (fun rt -> Stdlib.sqrt (f rt))
+    let o = as_float (comp st venv a) in
+    C_float (Ff (fun rt -> Stdlib.sqrt (frd o rt)))
   | Tanh ->
-    let f = as_float (comp st venv a) in
-    C_float (fun rt -> Stdlib.tanh (f rt))
+    let o = as_float (comp st venv a) in
+    C_float (Ff (fun rt -> Stdlib.tanh (frd o rt)))
   | Erf ->
-    let f = as_float (comp st venv a) in
-    C_float (fun rt -> Expr.erf (f rt))
+    let o = as_float (comp st venv a) in
+    C_float (Ff (fun rt -> Expr.erf (frd o rt)))
 
 and comp_binop st venv op a b =
   match op with
@@ -291,65 +524,7 @@ and comp_binop st venv op a b =
   | Or ->
     let fa = as_bool (comp st venv a) and fb = as_bool (comp st venv b) in
     C_bool (fun rt -> fa rt || fb rt)
-  | _ -> (
-    let xa = comp st venv a and xb = comp st venv b in
-    match (xa, xb) with
-    | (C_dyn _, _ | _, C_dyn _) ->
-      (* Statically untypeable operand: fall back to [Expr.eval]'s exact
-         dynamic dispatch (including the bool-operand rejection). *)
-      let fa = as_value xa and fb = as_value xb in
-      C_dyn
-        (fun rt ->
-          let va = fa rt in
-          let vb = fb rt in
-          match (va, vb) with
-          | Expr.V_int x, Expr.V_int y -> Expr.eval_int_binop op x y
-          | (V_float _ | V_int _), (V_float _ | V_int _) ->
-            Expr.eval_float_binop op (Expr.float_of_value va)
-              (Expr.float_of_value vb)
-          | _ -> invalid_arg "Expr.eval: bool operand to arithmetic binop")
-    | (C_bool _, _ | _, C_bool _) ->
-      (* [Expr.eval] evaluates both operands first, then rejects. *)
-      let fa = as_value xa and fb = as_value xb in
-      C_int
-        (fun rt ->
-          ignore (fa rt);
-          ignore (fb rt);
-          invalid_arg "Expr.eval: bool operand to arithmetic binop")
-    | C_int fa, C_int fb -> (
-      match op with
-      | Add -> C_int (fun rt -> fa rt + fb rt)
-      | Sub -> C_int (fun rt -> fa rt - fb rt)
-      | Mul -> C_int (fun rt -> fa rt * fb rt)
-      | Div -> C_int (fun rt -> fa rt / fb rt)
-      | Mod -> C_int (fun rt -> fa rt mod fb rt)
-      | Min -> C_int (fun rt -> min (fa rt) (fb rt))
-      | Max -> C_int (fun rt -> max (fa rt) (fb rt))
-      | Lt -> C_bool (fun rt -> fa rt < fb rt)
-      | Le -> C_bool (fun rt -> fa rt <= fb rt)
-      | Gt -> C_bool (fun rt -> fa rt > fb rt)
-      | Ge -> C_bool (fun rt -> fa rt >= fb rt)
-      | Eq -> C_bool (fun rt -> fa rt = fb rt)
-      | Ne -> C_bool (fun rt -> fa rt <> fb rt)
-      | And | Or -> assert false)
-    | _ -> (
-      (* Mixed int/float promotes to float, exactly like [eval_binop]. *)
-      let fa = as_float xa and fb = as_float xb in
-      match op with
-      | Add -> C_float (fun rt -> fa rt +. fb rt)
-      | Sub -> C_float (fun rt -> fa rt -. fb rt)
-      | Mul -> C_float (fun rt -> fa rt *. fb rt)
-      | Div -> C_float (fun rt -> fa rt /. fb rt)
-      | Mod -> C_float (fun rt -> Float.rem (fa rt) (fb rt))
-      | Min -> C_float (fun rt -> Float.min (fa rt) (fb rt))
-      | Max -> C_float (fun rt -> Float.max (fa rt) (fb rt))
-      | Lt -> C_bool (fun rt -> fa rt < fb rt)
-      | Le -> C_bool (fun rt -> fa rt <= fb rt)
-      | Gt -> C_bool (fun rt -> fa rt > fb rt)
-      | Ge -> C_bool (fun rt -> fa rt >= fb rt)
-      | Eq -> C_bool (fun rt -> fa rt = fb rt)
-      | Ne -> C_bool (fun rt -> fa rt <> fb rt)
-      | And | Or -> assert false))
+  | _ -> arith op (comp st venv a) (comp st venv b)
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                              *)
@@ -357,62 +532,117 @@ and comp_binop st venv op a b =
 
 let noop (_ : rt) = ()
 
+
 (* Store evaluates all indices (left to right), then the value, then
    resolves the buffer, then bounds-checks — the reference interpreter's
    exact order, so a failing statement raises the same error at the same
-   point. *)
+   point. A slot-indexed store has no index to evaluate, and reads its
+   value inline; when that value is the register FMA [c + a * b] over float
+   operands, as [Matmul_template] emits it, the whole statement is one
+   closure with no boxed intermediate ([b], then [a], then [c]: the order
+   OCaml evaluates [c +. (a *. b)] in). *)
 let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
   let cidx =
     Array.of_list (List.map (fun i -> as_int (comp st venv i)) indices)
   in
-  let cv = as_float (comp st venv value) in
+  let fma, cv =
+    match value with
+    | Expr.Binop (Add, x, Binop (Mul, y, z)) -> (
+      match (comp st venv x, comp st venv y, comp st venv z) with
+      | C_float x, C_float y, C_float z ->
+        ( Some (x, y, z),
+          Ff
+            (fun rt ->
+              let vz = frd z rt in
+              let vy = frd y rt in
+              frd x rt +. (vy *. vz)) )
+      | cx, cy, cz -> (None, as_float (arith Add cx (arith Mul cy cz))))
+    | _ -> (None, as_float (comp st venv value))
+  in
   let name = buf.Buffer.name in
   let dims = Array.of_list buf.Buffer.dims in
   let generic_fail fail rt =
     rt.stmts <- rt.stmts + 1;
-    Array.iter (fun c -> ignore (c rt)) cidx;
-    ignore (cv rt);
+    Array.iter (fun c -> ignore (rd c rt)) cidx;
+    ignore (frd cv rt);
     fail ()
   in
   match Hashtbl.find_opt st.buf_slot buf.Buffer.id with
   | None -> generic_fail (fun () -> not_allocated buf)
-  | Some slot ->
-    if Array.length cidx <> Array.length dims then
+  | Some slot -> (
+    match (access buf slot cidx, fma, cv) with
+    | Some a, Some (Fa x, Fa y, Fa z), _ ->
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        let bufs = rt.bufs in
+        let vz = Array.unsafe_get (Array.unsafe_get bufs z.buf) (addr z rt) in
+        let vy = Array.unsafe_get (Array.unsafe_get bufs y.buf) (addr y rt) in
+        let vx = Array.unsafe_get (Array.unsafe_get bufs x.buf) (addr x rt) in
+        let off = addr a rt in
+        Array.unsafe_set (Array.unsafe_get bufs a.buf) off (vx +. (vy *. vz))
+    | Some a, Some (x, y, z), _ ->
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        let vz = frd z rt in
+        let vy = frd y rt in
+        let v = frd x rt +. (vy *. vz) in
+        let off = addr a rt in
+        Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
+    | Some a, None, Ff f ->
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        let v = f rt in
+        let off = addr a rt in
+        Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
+    | Some a, None, Fa b ->
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        let bufs = rt.bufs in
+        let v = Array.unsafe_get (Array.unsafe_get bufs b.buf) (addr b rt) in
+        let off = addr a rt in
+        Array.unsafe_set (Array.unsafe_get bufs a.buf) off v
+    | Some a, None, _ ->
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        let v = frd cv rt in
+        let off = addr a rt in
+        Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
+    | None, _, _ when Array.length cidx <> Array.length dims ->
       generic_fail (fun () ->
           invalid_access
             (Printf.sprintf "Buffer.flat_index: rank mismatch on %s" name))
-    else (
+    | None, _, _ -> (
       match dims with
       | [| d0 |] ->
         let c0 = cidx.(0) in
         fun rt ->
           rt.stmts <- rt.stmts + 1;
-          let i0 = c0 rt in
-          let v = cv rt in
+          let i0 = rd c0 rt in
+          let v = frd cv rt in
           if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-          rt.bufs.(slot).(i0) <- v
+          Array.unsafe_set rt.bufs.(slot) i0 v
       | [| d0; d1 |] ->
         let c0 = cidx.(0) and c1 = cidx.(1) in
         fun rt ->
           rt.stmts <- rt.stmts + 1;
-          let i0 = c0 rt in
-          let i1 = c1 rt in
-          let v = cv rt in
+          let i0 = rd c0 rt in
+          let i1 = rd c1 rt in
+          let v = frd cv rt in
           if i0 < 0 || i0 >= d0 then oob i0 d0 name;
           if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-          rt.bufs.(slot).((i0 * d1) + i1) <- v
+          Array.unsafe_set rt.bufs.(slot) ((i0 * d1) + i1) v
       | [| d0; d1; d2 |] ->
         let c0 = cidx.(0) and c1 = cidx.(1) and c2 = cidx.(2) in
         fun rt ->
           rt.stmts <- rt.stmts + 1;
-          let i0 = c0 rt in
-          let i1 = c1 rt in
-          let i2 = c2 rt in
-          let v = cv rt in
+          let i0 = rd c0 rt in
+          let i1 = rd c1 rt in
+          let i2 = rd c2 rt in
+          let v = frd cv rt in
           if i0 < 0 || i0 >= d0 then oob i0 d0 name;
           if i1 < 0 || i1 >= d1 then oob i1 d1 name;
           if i2 < 0 || i2 >= d2 then oob i2 d2 name;
-          rt.bufs.(slot).((((i0 * d1) + i1) * d2) + i2) <- v
+          Array.unsafe_set rt.bufs.(slot) ((((i0 * d1) + i1) * d2) + i2) v
       | [| d0; d1; d2; d3 |] ->
         let c0 = cidx.(0)
         and c1 = cidx.(1)
@@ -420,40 +650,42 @@ let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
         and c3 = cidx.(3) in
         fun rt ->
           rt.stmts <- rt.stmts + 1;
-          let i0 = c0 rt in
-          let i1 = c1 rt in
-          let i2 = c2 rt in
-          let i3 = c3 rt in
-          let v = cv rt in
+          let i0 = rd c0 rt in
+          let i1 = rd c1 rt in
+          let i2 = rd c2 rt in
+          let i3 = rd c3 rt in
+          let v = frd cv rt in
           if i0 < 0 || i0 >= d0 then oob i0 d0 name;
           if i1 < 0 || i1 >= d1 then oob i1 d1 name;
           if i2 < 0 || i2 >= d2 then oob i2 d2 name;
           if i3 < 0 || i3 >= d3 then oob i3 d3 name;
-          rt.bufs.(slot).((((((i0 * d1) + i1) * d2) + i2) * d3) + i3) <- v
+          Array.unsafe_set rt.bufs.(slot)
+            ((((((i0 * d1) + i1) * d2) + i2) * d3) + i3)
+            v
       | _ ->
         let n = Array.length dims in
         fun rt ->
           rt.stmts <- rt.stmts + 1;
           let idx = Array.make n 0 in
           for p = 0 to n - 1 do
-            idx.(p) <- cidx.(p) rt
+            idx.(p) <- rd cidx.(p) rt
           done;
-          let v = cv rt in
+          let v = frd cv rt in
           let acc = ref 0 in
           for p = 0 to n - 1 do
             let i = idx.(p) and d = dims.(p) in
             if i < 0 || i >= d then oob i d name;
             acc := (!acc * d) + i
           done;
-          rt.bufs.(slot).(!acc) <- v)
+          rt.bufs.(slot).(!acc) <- v))
 
 (* Evaluate an offset list left to right into a fresh array (fresh per
    execution: compiled closures are shared across domains). *)
-let eval_offs (co : (rt -> int) array) rt =
+let eval_offs (co : iop array) rt =
   let n = Array.length co in
   let o = Array.make n 0 in
   for p = 0 to n - 1 do
-    o.(p) <- co.(p) rt
+    o.(p) <- rd co.(p) rt
   done;
   o
 
@@ -506,7 +738,7 @@ let comp_mma st venv (m : Stmt.mma) : rt -> unit =
     let mm = m.m and nn = m.n and kk = m.k in
     fun rt ->
       rt.stmts <- rt.stmts + 1;
-      if rt.tid mod Interp.warp_size = 0 then begin
+      if rt.ints.(tid_slot) mod Interp.warp_size = 0 then begin
         let ao = eval_offs ca_off rt in
         let bo = eval_offs cb_off rt in
         let co = eval_offs cc_off rt in
@@ -552,7 +784,7 @@ let comp_mma st venv (m : Stmt.mma) : rt -> unit =
     in
     fun rt ->
       rt.stmts <- rt.stmts + 1;
-      if rt.tid mod Interp.warp_size = 0 then begin
+      if rt.ints.(tid_slot) mod Interp.warp_size = 0 then begin
         ignore (eval_offs ca_off rt);
         ignore (eval_offs cb_off rt);
         ignore (eval_offs cc_off rt);
@@ -592,7 +824,7 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
     st.next_int <- st.next_int - 1;
     fun rt ->
       rt.stmts <- rt.stmts + 1;
-      let n = cext rt in
+      let n = rd cext rt in
       let ints = rt.ints in
       for i = 0 to n - 1 do
         ints.(s0) <- i;
@@ -607,15 +839,15 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
       if cc rt then ct rt else ce rt
   | Let { var; value; body } -> (
     match comp st venv value with
-    | C_int f ->
+    | C_int o ->
       let s0 = push_int st in
       let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
       st.next_int <- st.next_int - 1;
       fun rt ->
         rt.stmts <- rt.stmts + 1;
-        rt.ints.(s0) <- f rt;
+        Array.unsafe_set rt.ints s0 (rd o rt);
         cbody rt
-    | C_float f ->
+    | C_float o ->
       let s0 = push_float st in
       let cbody =
         comp_stmt st (Int_map.add var.Var.id (S_float s0) venv) body
@@ -623,7 +855,7 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
       st.next_float <- st.next_float - 1;
       fun rt ->
         rt.stmts <- rt.stmts + 1;
-        rt.floats.(s0) <- f rt;
+        Array.unsafe_set rt.floats s0 (frd o rt);
         cbody rt
     | C_bool f ->
       let s0 = push_bool st in
@@ -665,6 +897,7 @@ type compiled = {
   n_bools : int;
   n_dyns : int;
   body : rt -> unit;
+  has_sync : bool;
   parallel_ok : bool;
 }
 
@@ -705,8 +938,8 @@ let compile (k : Kernel.t) : compiled =
         let st =
           {
             buf_slot;
-            next_int = 0;
-            max_int = 0;
+            next_int = pinned_ints;
+            max_int = pinned_ints;
             next_float = 0;
             max_float = 0;
             next_bool = 0;
@@ -728,6 +961,9 @@ let compile (k : Kernel.t) : compiled =
           n_bools = st.max_bool;
           n_dyns = st.max_dyn;
           body;
+          has_sync =
+            Stmt.count (function Stmt.Sync_threads -> true | _ -> false) k.body
+            > 0;
           parallel_ok = Verify.block_disjoint_writes k;
         })
   in
@@ -736,8 +972,11 @@ let compile (k : Kernel.t) : compiled =
   res
 
 (* Run one block; returns the number of statements its threads executed.
-   Thread fibers start in ascending tid order and advance phase by phase
-   through [Interp]'s barrier machinery, exactly like the reference. *)
+   With a barrier, thread fibers start in ascending tid order and advance
+   phase by phase through [Interp]'s barrier machinery, exactly like the
+   reference. A kernel without [Sync_threads] runs its threads to
+   completion one after another, as [Exec_ocaml] does: no barrier can be
+   reached, so the fiber would change nothing but the cost. *)
 let exec_block (c : compiled) (proto : float array array) bid : int =
   let k = c.kernel in
   let bufs_block = Array.copy proto in
@@ -751,33 +990,45 @@ let exec_block (c : compiled) (proto : float array array) bid : int =
     Array.init num_warps (fun _ ->
         Array.map (fun (_, b) -> Array.make (Buffer.num_elems b) 0.) c.warp_slots)
   in
-  let rts =
-    Array.init k.Kernel.block_dim (fun tid ->
-        let bufs = Array.copy bufs_block in
-        let ws = warp_storage.(tid / Interp.warp_size) in
-        Array.iteri (fun i (s, _) -> bufs.(s) <- ws.(i)) c.warp_slots;
-        Array.iter
-          (fun (s, b) -> bufs.(s) <- Array.make (Buffer.num_elems b) 0.)
-          c.reg_slots;
-        {
-          tid;
-          bid;
-          bufs;
-          ints = Array.make (max 1 c.n_ints) 0;
-          floats = Array.make (max 1 c.n_floats) 0.;
-          bools = Array.make (max 1 c.n_bools) false;
-          vals = Array.make (max 1 c.n_dyns) (Expr.V_int 0);
-          stmts = 0;
-        })
+  let make_rt tid =
+    let bufs = Array.copy bufs_block in
+    let ws = warp_storage.(tid / Interp.warp_size) in
+    Array.iteri (fun i (s, _) -> bufs.(s) <- ws.(i)) c.warp_slots;
+    Array.iter
+      (fun (s, b) -> bufs.(s) <- Array.make (Buffer.num_elems b) 0.)
+      c.reg_slots;
+    let ints = Array.make c.n_ints 0 in
+    ints.(tid_slot) <- tid;
+    ints.(bid_slot) <- bid;
+    {
+      bufs;
+      ints;
+      floats = Array.make (max 1 c.n_floats) 0.;
+      bools = Array.make (max 1 c.n_bools) false;
+      vals = Array.make (max 1 c.n_dyns) (Expr.V_int 0);
+      stmts = 0;
+    }
   in
-  let statuses =
-    Array.init k.Kernel.block_dim (fun tid ->
-        Interp.start_thread (fun () -> c.body rts.(tid)))
-  in
-  Interp.barrier_loop ~kernel_name:k.Kernel.name ~bid statuses;
-  Array.fold_left (fun acc rt -> acc + rt.stmts) 0 rts
+  if not c.has_sync then begin
+    let total = ref 0 in
+    for tid = 0 to k.Kernel.block_dim - 1 do
+      let rt = make_rt tid in
+      c.body rt;
+      total := !total + rt.stmts
+    done;
+    !total
+  end
+  else begin
+    let rts = Array.init k.Kernel.block_dim make_rt in
+    let statuses =
+      Array.init k.Kernel.block_dim (fun tid ->
+          Interp.start_thread (fun () -> c.body rts.(tid)))
+    in
+    Interp.barrier_loop ~kernel_name:k.Kernel.name ~bid statuses;
+    Array.fold_left (fun acc rt -> acc + rt.stmts) 0 rts
+  end
 
-let run_compiled ?(parallel = true) (c : compiled) bindings =
+let run_compiled ?workers (c : compiled) bindings =
   let k = c.kernel in
   Interp.check_bindings k bindings;
   let proto = Array.make (max 1 c.nbufs) [||] in
@@ -787,7 +1038,10 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
       | Some (_, arr) -> proto.(s) <- arr
       | None -> assert false (* every parameter is bound: check_bindings *))
     c.global_slots;
-  let use_domains = parallel && c.parallel_ok && k.Kernel.grid_dim > 1 in
+  let use_domains =
+    Option.fold ~none:true ~some:(fun w -> w > 1) workers
+    && c.parallel_ok && k.Kernel.grid_dim > 1
+  in
   let t0 = Unix.gettimeofday () in
   let counts =
     Trace.span
@@ -800,7 +1054,7 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
       "sim.exec"
       (fun _ ->
         if use_domains then
-          Hidet_parallel.Parallel.map
+          Hidet_parallel.Parallel.map ?workers
             (fun bid -> exec_block c proto bid)
             (Array.init k.Kernel.grid_dim Fun.id)
         else begin
@@ -818,12 +1072,12 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
     (if use_domains then m_par_blocks else m_seq_blocks)
     k.Kernel.grid_dim
 
-let run ?parallel (k : Kernel.t) bindings =
-  run_compiled ?parallel (compile k) bindings
+let run ?workers (k : Kernel.t) bindings =
+  run_compiled ?workers (compile k) bindings
 
-let run_alloc ?parallel k ~inputs ~outputs =
+let run_alloc ?workers k ~inputs ~outputs =
   let out_arrays =
     List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
   in
-  run ?parallel k (inputs @ List.combine outputs out_arrays);
+  run ?workers k (inputs @ List.combine outputs out_arrays);
   out_arrays

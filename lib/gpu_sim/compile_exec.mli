@@ -7,6 +7,7 @@
 
     - variables live in per-thread unboxed frames ([int array] /
       [float array] / [bool array]) at slots fixed at compile time;
+      [threadIdx] and [blockIdx] sit in two pinned int slots;
     - buffers are resolved at compile time to slots in a per-thread
       [float array array] (no [Hashtbl] in the hot loop);
     - [Buffer.flat_index] is strength-reduced to precomputed strides with
@@ -18,19 +19,50 @@
     - MMA tiles index by stride arithmetic instead of per-element list
       rebuilding.
 
+    {b Operand forms.} A closure call per AST node is what this backend
+    pays most for, so leaves are not closures. Each int operand is
+    classified at compile time as a constant, a frame slot or a general
+    closure, and each float operand as a constant, a frame slot, a
+    slot-indexed load or a general closure. A parent closure reads the
+    non-closure forms inline: an int binop or comparison over a variable
+    and a constant is one closure, and a load whose indices are constants
+    or slots (at most two slots, any rank) is a precomputed base plus two
+    strided terms, read inline by its parent with the reference's checks
+    in the reference's order. A division or remainder by a positive
+    power-of-two constant shifts or masks a non-negative dividend.
+
+    {b Unboxed floats.} Without flambda, every closure returning a [float]
+    boxes it, which is a minor-heap allocation per call. Float arithmetic
+    reads its operands inline, so only its result is boxed, and a store
+    reads its value inline. The register FMA
+    [c\[i\]\[j\] = c\[i\]\[j\] + a\[i\] * b\[j\]] that [Matmul_template]
+    emits compiles to a single closure that allocates nothing.
+
+    Every form keeps the evaluation order of the nested closures it
+    replaces (indices left to right, then the value; a binop's right
+    operand before its left), so results, statement counts and raised
+    exceptions are unchanged. The closures capture no scratch state: all
+    of it is in the per-thread record, so a compiled kernel is shared by
+    the domains running its blocks.
+
     [Sync_threads] still runs on {!Interp}'s effect-handler barrier
     machinery ({!Interp.start_thread} / {!Interp.barrier_loop}), so
     {!Interp.Barrier_divergence} and {!Interp.Invalid_access} semantics are
-    bit-identical to the legacy interpreter, which remains the reference.
+    bit-identical to the legacy interpreter, which remains the reference. A
+    kernel with no [Sync_threads] skips the per-thread fiber and runs its
+    threads one after another, like {!Exec_ocaml}.
 
     The grid loop runs blocks on concurrent domains when the verifier
     proves blocks write disjoint global memory
-    ({!Verify.block_disjoint_writes}); otherwise — or with
-    [~parallel:false] — blocks run sequentially, exactly like the
-    reference. *)
+    ({!Verify.block_disjoint_writes}); otherwise — or with [~workers:1] —
+    blocks run sequentially, exactly like the reference.
+
+    A {!compiled} value is a launch handle: [Compiled.run] builds one per
+    kernel on first launch and reuses it on every later one. *)
 
 type compiled
-(** A kernel compiled to thread programs; reusable across launches. *)
+(** A kernel compiled to thread programs; reusable across launches and
+    shareable across domains. *)
 
 val compile : Hidet_ir.Kernel.t -> compiled
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
@@ -44,26 +76,27 @@ val parallel_grid : compiled -> bool
     {!run_compiled} may launch blocks on concurrent domains. *)
 
 val run_compiled :
-  ?parallel:bool ->
+  ?workers:int ->
   compiled ->
   (Hidet_ir.Buffer.t * float array) list ->
   unit
 (** Execute a compiled kernel. [bindings] follow the [Interp.run] contract
     (one array per parameter, mutated in place) and failures raise the same
-    exceptions with the same messages. [parallel] (default [true]) permits
-    domain-parallel block execution when {!parallel_grid} holds. Updates
-    the [sim.threads], [sim.statements], [sim.exec_us] metrics and a
-    [sim.exec] trace span. *)
+    exceptions with the same messages. When {!parallel_grid} holds, blocks
+    run on [workers] domains through [Hidet_parallel.Parallel.map]
+    (default {!Hidet_parallel.Parallel.default_workers}); [~workers:1] runs
+    them sequentially. Updates the [sim.threads], [sim.statements],
+    [sim.exec_us] metrics and a [sim.exec] trace span. *)
 
 val run :
-  ?parallel:bool ->
+  ?workers:int ->
   Hidet_ir.Kernel.t ->
   (Hidet_ir.Buffer.t * float array) list ->
   unit
 (** [compile] + [run_compiled]: drop-in replacement for [Interp.run]. *)
 
 val run_alloc :
-  ?parallel:bool ->
+  ?workers:int ->
   Hidet_ir.Kernel.t ->
   inputs:(Hidet_ir.Buffer.t * float array) list ->
   outputs:Hidet_ir.Buffer.t list ->

@@ -857,7 +857,7 @@ let exec_block (c : compiled) (proto : float array array) bid : int =
     Array.fold_left ( + ) 0 counts
   end
 
-let run_compiled ?(parallel = true) (c : compiled) bindings =
+let run_compiled ?workers (c : compiled) bindings =
   let k = c.kernel in
   Interp.check_bindings k bindings;
   let proto = Array.make (max 1 c.slots.nbufs) [||] in
@@ -867,7 +867,10 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
       | Some (_, arr) -> proto.(s) <- arr
       | None -> assert false (* every parameter is bound: check_bindings *))
     c.slots.global_slots;
-  let use_domains = parallel && c.parallel_ok && k.Kernel.grid_dim > 1 in
+  let use_domains =
+    Option.fold ~none:true ~some:(fun w -> w > 1) workers
+    && c.parallel_ok && k.Kernel.grid_dim > 1
+  in
   let t0 = Unix.gettimeofday () in
   let counts =
     Trace.span
@@ -881,7 +884,7 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
       "sim.exec"
       (fun _ ->
         if use_domains then
-          Hidet_parallel.Parallel.map
+          Hidet_parallel.Parallel.map ?workers
             (fun bid -> exec_block c proto bid)
             (Array.init k.Kernel.grid_dim Fun.id)
         else begin
@@ -899,12 +902,12 @@ let run_compiled ?(parallel = true) (c : compiled) bindings =
     (if use_domains then m_par_blocks else m_seq_blocks)
     k.Kernel.grid_dim
 
-let run ?parallel (k : Kernel.t) bindings =
-  run_compiled ?parallel (compile k) bindings
+let run ?workers (k : Kernel.t) bindings =
+  run_compiled ?workers (compile k) bindings
 
-let run_alloc ?parallel k ~inputs ~outputs =
+let run_alloc ?workers k ~inputs ~outputs =
   let out_arrays =
     List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
   in
-  run ?parallel k (inputs @ List.combine outputs out_arrays);
+  run ?workers k (inputs @ List.combine outputs out_arrays);
   out_arrays

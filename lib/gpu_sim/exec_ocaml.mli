@@ -50,20 +50,21 @@ val kernel : compiled -> Hidet_ir.Kernel.t
 val parallel_grid : compiled -> bool
 
 val run_compiled :
-  ?parallel:bool -> compiled -> (Hidet_ir.Buffer.t * float array) list -> unit
+  ?workers:int -> compiled -> (Hidet_ir.Buffer.t * float array) list -> unit
 (** Launch with the same semantics, metrics (["sim.threads"],
     ["sim.statements"], ["sim.exec_us"], parallel/sequential block
     counters) and ["sim.exec"] span as [Compile_exec.run_compiled]; blocks
-    run across domains under the same conditions. *)
+    run across [workers] domains under the same conditions ([~workers:1]
+    runs them sequentially). *)
 
 val run :
-  ?parallel:bool ->
+  ?workers:int ->
   Hidet_ir.Kernel.t ->
   (Hidet_ir.Buffer.t * float array) list ->
   unit
 
 val run_alloc :
-  ?parallel:bool ->
+  ?workers:int ->
   Hidet_ir.Kernel.t ->
   inputs:(Hidet_ir.Buffer.t * float array) list ->
   outputs:Hidet_ir.Buffer.t list ->

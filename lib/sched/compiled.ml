@@ -43,6 +43,37 @@ let feasible device c = latency device c < infinity
 
 let verify c = List.iter Verify.kernel_exn c.kernels
 
+(* Launch handles: each kernel's executable, built on its first launch on a
+   backend and reused by every later one, so a launch neither re-verifies
+   the kernel, nor rebuilds its closures, nor regenerates its native source
+   to find the loaded unit. The tables key kernels by physical identity and
+   hold them weakly (ephemerons): a handle lives as long as its kernel.
+   Plans run on several domains at once ([Hidet_serve.Pool]), so the tables
+   sit behind a lock; a build runs outside it, and when two domains race on
+   one kernel the first handle stored wins. *)
+module Handles = Ephemeron.K1.Make (struct
+  type t = Kernel.t
+
+  let equal = ( == )
+  let hash (k : Kernel.t) = Hashtbl.hash (k.name, k.grid_dim, k.block_dim)
+end)
+
+let handles_lock = Mutex.create ()
+let closure_handles : Hidet_gpu.Compile_exec.compiled Handles.t = Handles.create 64
+let native_handles : Hidet_gpu.Exec_ocaml.compiled Handles.t = Handles.create 64
+
+let handle table build k =
+  match Mutex.protect handles_lock (fun () -> Handles.find_opt table k) with
+  | Some h -> h
+  | None ->
+    let h = build k in
+    Mutex.protect handles_lock (fun () ->
+        match Handles.find_opt table k with
+        | Some first -> first
+        | None ->
+          Handles.replace table k h;
+          h)
+
 let run ?(legacy = false) ?(backend = `Closure) c inputs =
   if List.length inputs <> List.length c.ins then
     invalid_arg (Printf.sprintf "Compiled.run %s: input count mismatch" c.name);
@@ -85,10 +116,15 @@ let run ?(legacy = false) ?(backend = `Closure) c inputs =
           k.Kernel.params
       in
       if legacy then Hidet_gpu.Interp.run k kernel_bindings
-      else if use_native then Hidet_gpu.Exec_ocaml.run k kernel_bindings
+      else if use_native then
+        Hidet_gpu.Exec_ocaml.run_compiled
+          (handle native_handles Hidet_gpu.Exec_ocaml.compile k)
+          kernel_bindings
       else begin
         if want_native then Hidet_obs.Metrics.incr m_fallbacks;
-        Hidet_gpu.Compile_exec.run k kernel_bindings
+        Hidet_gpu.Compile_exec.run_compiled
+          (handle closure_handles Hidet_gpu.Compile_exec.compile k)
+          kernel_bindings
       end)
     c.kernels;
   Tensor.of_array c.out.Buffer.dims out_arr

@@ -197,7 +197,7 @@ let prop_compiled_eq_legacy =
       let k, a, b, c, n = build_kernel s in
       let r_legacy = capture Interp.run k ~a ~b ~c ~n ~seed:s.input_seed in
       let r_compiled =
-        capture (CE.run ~parallel:false) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (CE.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       same_result r_legacy r_compiled)
 
@@ -206,10 +206,10 @@ let prop_parallel_eq_sequential =
     (fun s ->
       let k, a, b, c, n = build_kernel s in
       let r_par =
-        capture (CE.run ~parallel:true) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (CE.run ~workers:4) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let r_seq =
-        capture (CE.run ~parallel:false) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (CE.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       same_result r_par r_seq)
 
@@ -233,7 +233,7 @@ let both_raise_same name mk =
           Ok ()
         with e -> Error e
       in
-      let r1 = go Interp.run and r2 = go (CE.run ~parallel:false) in
+      let r1 = go Interp.run and r2 = go (CE.run ~workers:1) in
       (match r1 with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "legacy interpreter did not raise");
@@ -291,7 +291,7 @@ let check_same_outputs name k bindings_of outputs =
         runner k bs;
         List.map (fun b -> List.assq b bs) outputs
       in
-      let o1 = run Interp.run and o2 = run (CE.run ~parallel:false) in
+      let o1 = run Interp.run and o2 = run (CE.run ~workers:1) in
       List.iter2
         (fun x y ->
           Alcotest.(check bool) "outputs bit-identical" true

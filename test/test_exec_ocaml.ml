@@ -205,12 +205,12 @@ let prop_native_eq_compiled =
       let v = Hidet_obs.Metrics.value in
       let s0 = v stmts_counter in
       let r_closure =
-        capture (CE.run ~parallel:false) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (CE.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let closure_stmts = v stmts_counter - s0 in
       let s1 = v stmts_counter in
       let r_native =
-        capture (EO.run ~parallel:false) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (EO.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let native_stmts = v stmts_counter - s1 in
       same_result r_closure r_native && closure_stmts = native_stmts)
@@ -220,10 +220,10 @@ let prop_native_parallel_eq_sequential =
     arb_spec (fun s ->
       let k, a, b, c, n = build_kernel s in
       let r_par =
-        capture (EO.run ~parallel:true) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (EO.run ~workers:4) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let r_seq =
-        capture (EO.run ~parallel:false) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (EO.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       same_result r_par r_seq)
 
@@ -238,8 +238,8 @@ let both_raise_same name mk =
           Ok ()
         with e -> Error e
       in
-      let r1 = go (CE.run ~parallel:false)
-      and r2 = go (EO.run ~parallel:false) in
+      let r1 = go (CE.run ~workers:1)
+      and r2 = go (EO.run ~workers:1) in
       (match r1 with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "closure backend did not raise");
@@ -312,8 +312,8 @@ let check_same_outputs name k bindings_of outputs =
         runner k bs;
         List.map (fun b -> List.assq b bs) outputs
       in
-      let o1 = run (CE.run ~parallel:false)
-      and o2 = run (EO.run ~parallel:false) in
+      let o1 = run (CE.run ~workers:1)
+      and o2 = run (EO.run ~workers:1) in
       List.iter2
         (fun x y ->
           Alcotest.(check bool) "outputs bit-identical" true
@@ -528,15 +528,15 @@ let test_error_parity_through_hit () =
       Ok ()
     with e -> Error e
   in
-  let first = go (EO.run ~parallel:false) in
+  let first = go (EO.run ~workers:1) in
   let u0 = v m_units and h0 = v m_hits in
-  let second = go (EO.run ~parallel:false) in
+  let second = go (EO.run ~workers:1) in
   Alcotest.(check int) "no unit built" u0 (v m_units);
   Alcotest.(check int) "memo hit" (h0 + 1) (v m_hits);
   Alcotest.(check bool) "raises" true (Result.is_error second);
   Alcotest.(check bool) "same exception as the first run" true (first = second);
   Alcotest.(check bool) "same exception as the closure backend" true
-    (go (CE.run ~parallel:false) = second)
+    (go (CE.run ~workers:1) = second)
 
 (* The toolchain probe runs once per process, so the missing-toolchain path
    runs in a child whose PATH holds no ocamlfind. *)
