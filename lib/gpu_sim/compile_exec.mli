@@ -21,15 +21,18 @@
 
     {b Operand forms.} A closure call per AST node is what this backend
     pays most for, so leaves are not closures. Each int operand is
-    classified at compile time as a constant, a frame slot or a general
-    closure, and each float operand as a constant, a frame slot, a
-    slot-indexed load or a general closure. A parent closure reads the
-    non-closure forms inline: an int binop or comparison over a variable
-    and a constant is one closure, and a load whose indices are constants
-    or slots (at most two slots, any rank) is a precomputed base plus two
-    strided terms, read inline by its parent with the reference's checks
-    in the reference's order. A division or remainder by a positive
-    power-of-two constant shifts or masks a non-negative dividend.
+    classified at compile time as a constant, a frame slot (variables,
+    [threadIdx], [blockIdx]) or a general closure, and each float operand
+    as a constant, a frame slot, a slot-indexed load or a general closure.
+    A parent closure reads the non-closure forms inline. Int arithmetic
+    gets one closure per operator and pair of operand forms, so the hot
+    closures never branch on a form at run time (such a branch, shared by
+    every instance of the closure, predicts badly). A load or store whose
+    indices are constants or slots, at most two of them slots, of any rank,
+    is a precomputed base plus two strided slot terms, checked in the
+    reference's order and read inline by its parent. A division or
+    remainder by a positive power-of-two constant shifts or masks a
+    non-negative dividend.
 
     {b Unboxed floats.} Without flambda, every closure returning a [float]
     boxes it, which is a minor-heap allocation per call. Float arithmetic

@@ -21,7 +21,9 @@
     recompile after [Schedule_cache.clear], the same kernel in two plans)
     therefore print to byte-equal source, and a distinct kernel pays
     ocamlopt + dynlink once per process. A hit means byte-equal source, so
-    it can never return another kernel's unit.
+    it can never return another kernel's unit. [Compiled.run] keeps each
+    kernel's {!compiled} value as its launch handle, so codegen and the
+    memo lookup run once per kernel, not once per launch.
 
     The backend degrades, never fails, when the toolchain is missing:
     {!available} probes once per process (native [Dynlink], [ocamlfind] on

@@ -171,9 +171,9 @@ type measured_row = {
 let measure ?backend plan inputs =
   let threads_c = Metrics.counter "sim.threads" in
   let stmts_c = Metrics.counter "sim.statements" in
-  (* Compile wall: the closure backend's per-launch compile, plus — on the
-     native backend — codegen, ocamlopt and dynlink. Memoized launches add
-     back only the (cheap) codegen share. *)
+  (* Compile wall: the closure backend's compile, plus — on the native
+     backend — codegen, ocamlopt and dynlink; only a kernel's first launch
+     on a backend pays it. *)
   let compile_counters =
     List.map Metrics.counter
       [

@@ -74,9 +74,10 @@ type measured_row = {
   m_statements : int;  (** IR statements executed across all threads *)
   m_compile_us : int;
       (** backend compile wall attributed to this step: the closure
-          backend's per-launch compile, plus — on the native backend —
-          codegen, [ocamlopt] and [Dynlink] (memoized launches pay only
-          codegen again) *)
+          backend's compile, plus — on the native backend — codegen,
+          [ocamlopt] and [Dynlink]. Only a kernel's first launch on a
+          backend compiles; later launches reuse its launch handle and
+          attribute 0 *)
 }
 
 val measure :

@@ -43,7 +43,11 @@ val run :
     Kernels run on [?backend] (default [`Closure], the closure-compiling
     {!Hidet_gpu.Compile_exec}); [~legacy:true] forces the
     reference tree-walking interpreter ({!Hidet_gpu.Interp}) regardless —
-    same results bit for bit, an order of magnitude slower. *)
+    same results bit for bit, an order of magnitude slower.
+
+    A kernel is verified and compiled on its first launch on a backend; the
+    executable (its launch handle) stays with the kernel value, so every
+    later launch of it, from any plan and any domain, runs it directly. *)
 
 val verify : t -> unit
 (** Verifies every kernel; raises [Failure] on the first invalid one. *)

@@ -380,6 +380,255 @@ let select_guard_kernel () =
   in
   (k, bindings_of, [ c ])
 
+(* --- specialized closure forms ---------------------------------------------- *)
+
+(* The register-accumulator FMA as [Matmul_template] emits it, run through
+   the real template on a ragged problem (partial tiles, predicated loads). *)
+let test_template_fma () =
+  let c =
+    Hidet_sched.Matmul_template.compile ~batch:1 ~m:20 ~n:24 ~k:12
+      Hidet_sched.Matmul_template.default_config
+  in
+  let fma (s : Stmt.t) =
+    match s with
+    | Stmt.Store
+        { value = Expr.Binop (Add, Load (acc, _), Binop (Mul, Load _, Load _)); buf; _ }
+      ->
+      Buffer.equal acc buf && Buffer.rank buf = 2
+    | _ -> false
+  in
+  Alcotest.(check bool) "the template emits the rank-2 register FMA" true
+    (List.exists (fun (k : Kernel.t) -> Stmt.count fma k.Kernel.body > 0)
+       c.Hidet_sched.Compiled.kernels);
+  let inputs =
+    List.map
+      (fun (b : Buffer.t) -> Hidet_tensor.Tensor.rand ~seed:b.Buffer.id b.Buffer.dims)
+      c.Hidet_sched.Compiled.ins
+  in
+  let reference = Hidet_sched.Compiled.run ~legacy:true c inputs in
+  let closure = Hidet_sched.Compiled.run c inputs in
+  Alcotest.(check bool) "bit-identical to the reference" true
+    (arrays_equal_bits
+       (Hidet_tensor.Tensor.data reference)
+       (Hidet_tensor.Tensor.data closure))
+
+(* The same accumulator shape by hand, with [RegsAF] one row short: the FMA
+   fails on its [a] operand, the only access out of bounds. *)
+let fma_kernel ~af_rows () =
+  let tm = 2 and tn = 4 in
+  let a = Buffer.create "A" [ 32 * tm ] and b = Buffer.create "B" [ 32 * tn ] in
+  let c = Buffer.create "C" [ 32 * tm * tn ] in
+  let regs_c = Buffer.create ~scope:Buffer.Register "RegsC" [ tm; tn ] in
+  let regs_af = Buffer.create ~scope:Buffer.Register "RegsAF" [ af_rows ] in
+  let regs_bf = Buffer.create ~scope:Buffer.Register "RegsBF" [ tn ] in
+  let i = Var.fresh "i" and j = Var.fresh "j" and kk = Var.fresh "kk" in
+  let vi = Expr.var i and vj = Expr.var j in
+  let tid = Expr.Thread_idx in
+  let for_ = Stmt.for_ ~unroll:true in
+  let body =
+    Stmt.seq
+      [
+        for_ i (Expr.int tm)
+          (for_ j (Expr.int tn) (Stmt.store regs_c [ vi; vj ] (Expr.float 0.)));
+        Stmt.for_ kk (Expr.int 3)
+          (Stmt.seq
+             [
+               for_ i (Expr.int (min tm af_rows))
+                 (Stmt.store regs_af [ vi ]
+                    (Expr.load a [ Expr.add (Expr.mul tid (Expr.int tm)) vi ]));
+               for_ j (Expr.int tn)
+                 (Stmt.store regs_bf [ vj ]
+                    (Expr.mul
+                       (Expr.load b [ Expr.add (Expr.mul tid (Expr.int tn)) vj ])
+                       (Expr.add (Expr.var kk) (Expr.float 0.5))));
+               for_ i (Expr.int tm)
+                 (for_ j (Expr.int tn)
+                    (Stmt.store regs_c [ vi; vj ]
+                       (Expr.add
+                          (Expr.load regs_c [ vi; vj ])
+                          (Expr.mul (Expr.load regs_af [ vi ]) (Expr.load regs_bf [ vj ])))));
+             ]);
+        for_ i (Expr.int tm)
+          (for_ j (Expr.int tn)
+             (Stmt.store c
+                [ Expr.add (Expr.mul tid (Expr.int (tm * tn)))
+                    (Expr.add (Expr.mul vi (Expr.int tn)) vj) ]
+                (Expr.load regs_c [ vi; vj ])));
+      ]
+  in
+  let k =
+    Kernel.create ~regs:[ regs_c; regs_af; regs_bf ] ~name:"fma"
+      ~params:[ a; b; c ] ~grid_dim:1 ~block_dim:32 body
+  in
+  let bindings_of () =
+    [
+      (a, make_inputs 1 (32 * tm)); (b, make_inputs 2 (32 * tn));
+      (c, Array.make (32 * tm * tn) 0.);
+    ]
+  in
+  (k, bindings_of, [ c ])
+
+(* Rank-1 and rank-2 accesses whose indices are constants and slots: every
+   index combination of [A : 8] and [M : 4 x 6] read and written, in
+   bounds. [x] and [y] are let-bound slots, [i] a loop slot. *)
+let slot_access_kernel () =
+  let a = Buffer.create "A" [ 8 ] and m = Buffer.create "M" [ 4; 6 ] in
+  let c = Buffer.create "C" [ 32; 8 ] in
+  let sm = Buffer.create ~scope:Buffer.Shared "Sm" [ 4; 6 ] in
+  let x = Var.fresh "x" and y = Var.fresh "y" and i = Var.fresh "i" in
+  let vx = Expr.var x and vy = Expr.var y and vi = Expr.var i in
+  let tid = Expr.Thread_idx in
+  let out col v = Stmt.store c [ tid; Expr.int col ] v in
+  let body =
+    Stmt.let_ x (Expr.modulo tid (Expr.int 4))
+      (Stmt.let_ y (Expr.modulo tid (Expr.int 6))
+         (Stmt.seq
+            [
+              Stmt.store sm [ vx; vy ] (Expr.load m [ vx; vy ]);
+              Stmt.store sm [ Expr.int 3; vy ] (Expr.load m [ Expr.int 0; vy ]);
+              Stmt.store sm [ vx; Expr.int 5 ] (Expr.load m [ vx; Expr.int 2 ]);
+              Stmt.sync;
+              out 0 (Expr.load a [ vx ]);
+              out 1 (Expr.load a [ Expr.int 7 ]);
+              out 2 (Expr.load m [ vx; vy ]);
+              out 3 (Expr.load sm [ Expr.int 3; vy ]);
+              out 4 (Expr.load sm [ vx; Expr.int 5 ]);
+              out 5 (Expr.load m [ Expr.int 1; Expr.int 4 ]);
+              Stmt.for_ i (Expr.int 2)
+                (out 6
+                   (Expr.add (Expr.load sm [ vi; vy ]) (Expr.load a [ vi ])));
+              out 7
+                (Expr.mul (Expr.load m [ vx; vy ]) (Expr.load sm [ vx; vy ]));
+            ]))
+  in
+  let k =
+    Kernel.create ~shared:[ sm ] ~name:"slots" ~params:[ a; m; c ]
+      ~grid_dim:1 ~block_dim:32 body
+  in
+  let bindings_of () =
+    [ (a, make_inputs 3 8); (m, make_inputs 4 24); (c, Array.make 256 0.) ]
+  in
+  (k, bindings_of, [ c ])
+
+(* Out-of-bounds accesses of each form, on [A : 8] and [M : 4 x 6] in a
+   32-thread block. The let-bound slots are [v = tid], [w = tid + 2] and
+   [u = tid + 4], so [M\[v; w\]] first fails at thread 4 on both dims at
+   once and [M\[u; 6\]] fails at thread 0 on both: the reference names the
+   first dim, and so must every form. *)
+let oob_access_kernel access () =
+  let a = Buffer.create "A" [ 8 ] and m = Buffer.create "M" [ 4; 6 ] in
+  let c = Buffer.create "C" [ 32 ] in
+  let v = Var.fresh "v" and w = Var.fresh "w" and u = Var.fresh "u" in
+  let tid = Expr.Thread_idx in
+  let body =
+    Stmt.let_ v tid
+      (Stmt.let_ w (Expr.add tid (Expr.int 2))
+         (Stmt.let_ u (Expr.add tid (Expr.int 4))
+            (access ~a ~m ~c ~v:(Expr.var v) ~w:(Expr.var w) ~u:(Expr.var u))))
+  in
+  let k =
+    Kernel.create ~name:"oob_access" ~params:[ a; m; c ] ~grid_dim:1
+      ~block_dim:32 body
+  in
+  ( k,
+    fun () ->
+      [ (a, make_inputs 5 8); (m, make_inputs 6 24); (c, Array.make 32 0.) ] )
+
+let load_into ~c e = Stmt.store c [ Expr.Thread_idx ] e
+
+let oob_cases =
+  [
+    ( "rank-1 slot load",
+      fun ~a ~m:_ ~c ~v ~w:_ ~u:_ -> load_into ~c (Expr.load a [ v ]) );
+    ( "rank-1 constant load",
+      fun ~a ~m:_ ~c ~v:_ ~w:_ ~u:_ -> load_into ~c (Expr.load a [ Expr.int 8 ]) );
+    ( "rank-2 slot load, both dims",
+      fun ~a:_ ~m ~c ~v ~w ~u:_ -> load_into ~c (Expr.load m [ v; w ]) );
+    ( "rank-2 slot load, second dim",
+      fun ~a:_ ~m ~c ~v:_ ~w ~u:_ -> load_into ~c (Expr.load m [ Expr.int 2; w ]) );
+    ( "rank-2 slot and constant load, both dims",
+      fun ~a:_ ~m ~c ~v:_ ~w:_ ~u -> load_into ~c (Expr.load m [ u; Expr.int 6 ]) );
+    ( "rank-1 slot store",
+      fun ~a ~m:_ ~c:_ ~v ~w:_ ~u:_ -> Stmt.store a [ v ] (Expr.float 1.) );
+    ( "rank-1 constant store",
+      fun ~a ~m:_ ~c:_ ~v:_ ~w:_ ~u:_ ->
+        Stmt.store a [ Expr.int (-1) ] (Expr.float 1.) );
+    ( "rank-2 slot store, both dims",
+      fun ~a:_ ~m ~c:_ ~v ~w ~u:_ -> Stmt.store m [ v; w ] (Expr.float 1.) );
+    ( "rank-2 slot store, second dim",
+      fun ~a:_ ~m ~c:_ ~v:_ ~w ~u:_ -> Stmt.store m [ Expr.int 0; w ] (Expr.float 1.) );
+    ( "rank-2 slot and constant store, both dims",
+      fun ~a:_ ~m ~c:_ ~v:_ ~w:_ ~u -> Stmt.store m [ u; Expr.int 9 ] (Expr.float 1.) );
+  ]
+
+(* Int binops over every pair of operand forms: a constant, a let-bound
+   slot, [threadIdx], and a general expression. Built with the raw
+   constructors, so nothing folds. Divisors here are never zero; the
+   dividends include negative values (the power-of-two fast path's other
+   branch). Every result lands in [C], bools as 1/0. *)
+let int_ops =
+  Expr.[ Add; Sub; Mul; Div; Mod; Min; Max; Lt; Le; Gt; Ge; Eq; Ne ]
+
+let int_binop_kernel () =
+  let s = Var.fresh "s" and d = Var.fresh "d" in
+  let tid = Expr.Thread_idx in
+  let general = Expr.Binop (Sub, Binop (Mul, tid, Int 3), Int 50) in
+  let lefts = [ Expr.Int 7; Int (-9); Expr.var s; tid; general ] in
+  let nonzero_general = Expr.Binop (Add, Binop (Mod, tid, Int 5), Int 1) in
+  let rights ~divides =
+    [ Expr.Int 4; Int 3; Int (-2); Int 1; Expr.var d; nonzero_general ]
+    @ if divides then [] else [ tid; Expr.var s ]
+  in
+  let exprs =
+    List.concat_map
+      (fun op ->
+        let divides = op = Expr.Div || op = Expr.Mod in
+        List.concat_map
+          (fun l -> List.map (fun r -> Expr.Binop (op, l, r)) (rights ~divides))
+          lefts)
+      int_ops
+  in
+  let n = List.length exprs in
+  let c = Buffer.create "C" [ 32; n ] in
+  let body =
+    Stmt.let_ s (Expr.Binop (Sub, tid, Int 16))
+      (Stmt.let_ d (Expr.Binop (Add, tid, Int 1))
+         (Stmt.seq (List.mapi (fun i e -> Stmt.store c [ tid; Expr.int i ] e) exprs)))
+  in
+  let k =
+    Kernel.create ~name:"int_binops" ~params:[ c ] ~grid_dim:1 ~block_dim:32 body
+  in
+  (k, (fun () -> [ (c, Array.make (32 * n) 0.) ]), [ c ])
+
+(* [Div] and [Mod] by a constant 0 (the IR keeps it: only a non-zero
+   divisor folds), and by [threadIdx], which is 0 on thread 0. *)
+let div_by_zero_cases =
+  let s = Var.fresh "s" in
+  let tid = Expr.Thread_idx in
+  let general = Expr.Binop (Add, tid, Int 2) in
+  List.concat_map
+    (fun (op, op_name) ->
+      List.concat_map
+        (fun (l, l_name) ->
+          List.map
+            (fun (r, r_name) ->
+              ( Printf.sprintf "%s %s by %s" l_name op_name r_name,
+                fun () ->
+                  let c = Buffer.create "C" [ 32 ] in
+                  let body =
+                    Stmt.let_ s (Expr.Binop (Add, tid, Int 5))
+                      (Stmt.store c [ tid ] (Expr.Binop (op, l, r)))
+                  in
+                  ( Kernel.create ~name:"div0" ~params:[ c ] ~grid_dim:1
+                      ~block_dim:32 body,
+                    fun () -> [ (c, Array.make 32 0.) ] ) ))
+            [ (Expr.Int 0, "constant 0"); (tid, "threadIdx") ])
+        [
+          (Expr.Int 5, "constant"); (Expr.var s, "slot"); (tid, "threadIdx");
+          (general, "general");
+        ])
+    [ (Expr.Div, "div"); (Expr.Mod, "mod") ]
+
 (* --- parallel-grid gate unit checks --------------------------------------- *)
 
 let vadd_kernel () =
@@ -490,6 +739,27 @@ let () =
           (let k, b, o = select_guard_kernel () in
            check_same_outputs "select guards OOB" k b o);
         ] );
+      ( "closure forms",
+        [
+          Alcotest.test_case "template register FMA" `Quick test_template_fma;
+          (let k, b, o = fma_kernel ~af_rows:2 () in
+           check_same_outputs "register FMA" k b o);
+          both_raise_same "register FMA, operand out of bounds"
+            (fun () ->
+              let k, b, _ = fma_kernel ~af_rows:1 () in
+              (k, b));
+          (let k, b, o = slot_access_kernel () in
+           check_same_outputs "slot and constant indices" k b o);
+          (let k, b, o = int_binop_kernel () in
+           check_same_outputs "int binop operand forms" k b o);
+        ]
+        @ List.map
+            (fun (name, access) ->
+              both_raise_same ("out of bounds: " ^ name) (oob_access_kernel access))
+            oob_cases
+        @ List.map
+            (fun (name, mk) -> both_raise_same name mk)
+            div_by_zero_cases );
       ( "parallel gate",
         [
           Alcotest.test_case "block-indexed accepted" `Quick

@@ -517,6 +517,48 @@ let test_recompile_hits_memo () =
        (Hidet_tensor.Tensor.data closure)
        (Hidet_tensor.Tensor.data native))
 
+(* [Compiled.run] keeps a launch handle per kernel and backend: the second
+   run of a plan compiles nothing (no [sim.compile] or
+   [sim.native.codegen] span, no compile counter moves) and gives the first
+   run's output bit for bit. *)
+let test_launch_handles () =
+  let counters =
+    List.map Hidet_obs.Metrics.counter
+      [ "sim.compile_us"; "sim.native.codegen_us"; "sim.native.memo_hits" ]
+  in
+  let values () = List.map Hidet_obs.Metrics.value counters in
+  let g = Hidet_models.Models.Tiny.separable () in
+  let plan, _ = Hidet.Hidet_engine.compile_plan Hidet_gpu.Device.rtx3090 g in
+  let inputs =
+    List.map
+      (fun id ->
+        Hidet_tensor.Tensor.rand ~seed:5 (Hidet_graph.Graph.node_shape g id))
+      (Hidet_graph.Graph.input_ids g)
+  in
+  List.iter
+    (fun backend ->
+      let first = Plan.run1 ~backend plan inputs in
+      let before = values () in
+      let second, events =
+        Hidet_obs.Trace.with_collector (fun () ->
+            Plan.run1 ~backend plan inputs)
+      in
+      Alcotest.(check (list int)) "compile counters unchanged" before
+        (values ());
+      Alcotest.(check int) "no compile span" 0
+        (List.length
+           (List.filter
+              (function
+                | Hidet_obs.Trace.Span { name; _ } ->
+                  name = "sim.compile" || name = "sim.native.codegen"
+                | _ -> false)
+              events));
+      Alcotest.(check bool) "second output bit-equal to the first" true
+        (arrays_equal_bits
+           (Hidet_tensor.Tensor.data first)
+           (Hidet_tensor.Tensor.data second)))
+    [ `Closure; `Native ]
+
 (* The out-of-bounds case built twice: the second build is a memo hit and
    raises the closure backend's exception all the same. *)
 let test_error_parity_through_hit () =
@@ -617,6 +659,8 @@ let () =
               test_recompile_hits_memo;
             Alcotest.test_case "error parity through a memo hit" `Quick
               test_error_parity_through_hit;
+            Alcotest.test_case "a second run reuses every launch handle"
+              `Quick test_launch_handles;
             Alcotest.test_case "source is type-specialized" `Quick
               test_source_mentions_no_dispatch;
             QCheck_alcotest.to_alcotest prop_source_alpha_invariant;
