@@ -536,29 +536,24 @@ let noop (_ : rt) = ()
 (* Store evaluates all indices (left to right), then the value, then
    resolves the buffer, then bounds-checks — the reference interpreter's
    exact order, so a failing statement raises the same error at the same
-   point. A slot-indexed store has no index to evaluate, and reads its
-   value inline; when that value is the register FMA [c + a * b] over float
-   operands, as [Matmul_template] emits it, the whole statement is one
-   closure with no boxed intermediate ([b], then [a], then [c]: the order
-   OCaml evaluates [c +. (a *. b)] in). *)
+   point. A slot-indexed store has no index to evaluate. When its value is
+   the register FMA [c + a * b] over slot-indexed loads, as
+   [Matmul_template] emits it, the whole statement is one closure with no
+   boxed intermediate, reading [b], then [a], then [c]: the order OCaml
+   evaluates [c +. (a *. b)] in. *)
 let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
   let cidx =
     Array.of_list (List.map (fun i -> as_int (comp st venv i)) indices)
   in
-  let fma, cv =
+  let fma =
     match value with
     | Expr.Binop (Add, x, Binop (Mul, y, z)) -> (
       match (comp st venv x, comp st venv y, comp st venv z) with
-      | C_float x, C_float y, C_float z ->
-        ( Some (x, y, z),
-          Ff
-            (fun rt ->
-              let vz = frd z rt in
-              let vy = frd y rt in
-              frd x rt +. (vy *. vz)) )
-      | cx, cy, cz -> (None, as_float (arith Add cx (arith Mul cy cz))))
-    | _ -> (None, as_float (comp st venv value))
+      | C_float (Fa x), C_float (Fa y), C_float (Fa z) -> Some (x, y, z)
+      | _ -> None)
+    | _ -> None
   in
+  let cv = as_float (comp st venv value) in
   let name = buf.Buffer.name in
   let dims = Array.of_list buf.Buffer.dims in
   let generic_fail fail rt =
@@ -571,7 +566,7 @@ let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
   | None -> generic_fail (fun () -> not_allocated buf)
   | Some slot -> (
     match (access buf slot cidx, fma, cv) with
-    | Some a, Some (Fa x, Fa y, Fa z), _ ->
+    | Some a, Some (x, y, z), _ ->
       fun rt ->
         rt.stmts <- rt.stmts + 1;
         let bufs = rt.bufs in
@@ -580,28 +575,13 @@ let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
         let vx = Array.unsafe_get (Array.unsafe_get bufs x.buf) (addr x rt) in
         let off = addr a rt in
         Array.unsafe_set (Array.unsafe_get bufs a.buf) off (vx +. (vy *. vz))
-    | Some a, Some (x, y, z), _ ->
-      fun rt ->
-        rt.stmts <- rt.stmts + 1;
-        let vz = frd z rt in
-        let vy = frd y rt in
-        let v = frd x rt +. (vy *. vz) in
-        let off = addr a rt in
-        Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
     | Some a, None, Ff f ->
       fun rt ->
         rt.stmts <- rt.stmts + 1;
         let v = f rt in
         let off = addr a rt in
         Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
-    | Some a, None, Fa b ->
-      fun rt ->
-        rt.stmts <- rt.stmts + 1;
-        let bufs = rt.bufs in
-        let v = Array.unsafe_get (Array.unsafe_get bufs b.buf) (addr b rt) in
-        let off = addr a rt in
-        Array.unsafe_set (Array.unsafe_get bufs a.buf) off v
-    | Some a, None, _ ->
+    | Some a, _, _ ->
       fun rt ->
         rt.stmts <- rt.stmts + 1;
         let v = frd cv rt in
