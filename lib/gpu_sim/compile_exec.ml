@@ -95,8 +95,8 @@ let push_dyn st =
    reads the first two inline, so a leaf costs no closure call. *)
 type iop = K of int | S of int | F of (rt -> int)
 
-let[@inline] rd o rt =
-  match o with K n -> n | S s -> Array.unsafe_get rt.ints s | F f -> f rt
+let[@inline] sl rt s = Array.unsafe_get rt.ints s
+let[@inline] rd o rt = match o with K n -> n | S s -> sl rt s | F f -> f rt
 
 (* A buffer access whose indices are all constants or frame slots, at most
    two of them slots: the flat offset is [base] (the constant indices) plus
@@ -117,8 +117,8 @@ type acc = {
 }
 
 let[@inline] addr a rt =
-  let i0 = Array.unsafe_get rt.ints a.s0 in
-  let i1 = Array.unsafe_get rt.ints a.s1 in
+  let i0 = sl rt a.s0 in
+  let i1 = sl rt a.s1 in
   if i0 < 0 || i0 >= a.d0 then oob i0 a.d0 a.name;
   if i1 < 0 || i1 >= a.d1 then oob i1 a.d1 a.name;
   a.base + (i0 * a.st0) + (i1 * a.st1)
@@ -273,8 +273,6 @@ let comp_flat_read (buf : Buffer.t) (cidx : iop array) slot : rt -> float =
           acc := (!acc * d) + i
         done;
         rt.bufs.(slot).(!acc)
-
-let[@inline] sl rt s = Array.unsafe_get rt.ints s
 
 (* Int arithmetic gets one closure per operator and operand forms, so the
    closure never dispatches on a form at run time (a shared dispatch point
@@ -531,7 +529,6 @@ and comp_binop st venv op a b =
 (* ------------------------------------------------------------------ *)
 
 let noop (_ : rt) = ()
-
 
 (* Store evaluates all indices (left to right), then the value, then
    resolves the buffer, then bounds-checks — the reference interpreter's
