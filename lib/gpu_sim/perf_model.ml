@@ -192,9 +192,12 @@ let kernel (d : Device.t) (k : Kernel.t) =
      blocks, and coalescing never makes a load cheaper than its bytes;
    - the pipeline residue shrinks with depth, and [overlap] grows in both
      phases, so the declared depth and the floors give at most the kernel's
-     block time (sync time is dropped). *)
+     overlapped time;
+   - [kernel] charges [waves * c.syncs * sync_latency] on top of that, and
+     [waves >= ceil(grid / (SMs * bps_ub))], so [syncs] barriers per block
+     (at most [c.syncs]) cost at least that many waves of them. *)
 
-let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~stages ~flops
+let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~stages ~syncs ~flops
     ~shared_bytes ~load_bytes ~store_bytes =
   match blocks_per_sm_limit d ~block_dim ~smem ~regs:0 with
   | Error _ -> infinity
@@ -207,15 +210,16 @@ let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~stages ~flops
           /. comp_saturation d resident_ub)
          +. (shared_bytes /. d.shared_bandwidth_per_sm))
     in
+    let waves_lb = f (ceil_div grid (sms * bps_ub)) in
     let bytes = (load_bytes /. f (min d.l2_reuse_window grid)) +. store_bytes in
     let mem =
       Float.max
         (f grid *. bytes /. d.mem_bandwidth)
-        (f (ceil_div grid (sms * bps_ub)) *. bytes *. f sms
-        /. (per_sm_bandwidth_cap *. d.mem_bandwidth))
+        (waves_lb *. bytes *. f sms /. (per_sm_bandwidth_cap *. d.mem_bandwidth))
       /. mem_saturation d resident_ub
     in
     d.kernel_launch_overhead +. overlap ~stages ~mem ~compute
+    +. (waves_lb *. float_of_int syncs *. d.sync_latency)
 
 (* --- fidelity dispatch ------------------------------------------------------
 

@@ -56,6 +56,7 @@ val lower_bound :
   block_dim:int ->
   smem:int ->
   stages:int ->
+  syncs:int ->
   flops:float ->
   shared_bytes:float ->
   load_bytes:float ->
@@ -63,13 +64,15 @@ val lower_bound :
   float
 (** A floor on {!kernel}'s latency for every kernel with this launch shape
     ([grid], [block_dim], [smem] shared bytes per block, [stages] declared
-    pipeline depth) whose blocks each do at least the given work: CUDA-core
-    [flops], [shared_bytes] of shared-memory traffic, [load_bytes] of global
-    loads (before L2 reuse) and [store_bytes] of global stores. Computed
+    pipeline depth) whose blocks each do at least the given work: [syncs]
+    barriers, CUDA-core [flops], [shared_bytes] of shared-memory traffic,
+    [load_bytes] of global loads (before L2 reuse) and [store_bytes] of
+    global stores. Computed
     from those numbers alone, with no kernel; [infinity] when the shape is
     infeasible whatever the registers. Launch plus the overlap of a memory
     floor at the best possible L2 reuse and a compute floor, each at the
-    largest resident thread count the shape admits. *)
+    largest resident thread count the shape admits, plus the barriers of
+    the fewest waves the shape admits. *)
 
 (** {1 Fidelity modes}
 

@@ -1,10 +1,5 @@
 open Hidet_ir
 
-type event =
-  | Prefetch  (** global memory loaded into registers *)
-  | Compute  (** MMA or accumulation reading shared memory *)
-  | Stage  (** registers stored to shared memory *)
-
 let rec contains_load_from scope (e : Expr.t) =
   match e with
   | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> false
@@ -16,41 +11,42 @@ let rec contains_load_from scope (e : Expr.t) =
   | Load (buf, idx) ->
     buf.Buffer.scope = scope || List.exists (contains_load_from scope) idx
 
-(* Flatten a statement into its ordered event sequence. *)
-let rec events (s : Stmt.t) : event list =
+(* The ordered subsequence prefetch (a register or warp store reading
+   global memory) ... compute (an MMA, or such a store reading shared
+   memory) ... stage (a shared store not reading global memory; a direct
+   global -> shared copy is not a pipelined pattern), fed statement by
+   statement in program order. A store that both prefetches and computes
+   counts as the prefetch, then the compute. *)
+type state = Want_prefetch | Want_compute | Want_stage | Found
+
+let rec scan state (s : Stmt.t) =
   match s with
-  | Seq ss -> List.concat_map events ss
-  | For { body; _ } -> events body
+  | _ when state = Found -> Found
+  | Seq ss -> List.fold_left scan state ss
+  | For { body; _ } | Let { body; _ } -> scan state body
   | If { then_; else_; _ } -> (
-    events then_ @ match else_ with Some e -> events e | None -> [])
-  | Let { body; _ } -> events body
+    let state = scan state then_ in
+    match else_ with Some e -> scan state e | None -> state)
   | Store { buf; value; _ } -> (
     match buf.Buffer.scope with
     | Buffer.Register | Buffer.Warp ->
-      let g = contains_load_from Buffer.Global value in
-      let c = contains_load_from Buffer.Shared value in
-      (if g then [ Prefetch ] else []) @ if c then [ Compute ] else []
+      let state =
+        if state = Want_prefetch && contains_load_from Buffer.Global value
+        then Want_compute
+        else state
+      in
+      if state = Want_compute && contains_load_from Buffer.Shared value then
+        Want_stage
+      else state
     | Buffer.Shared ->
-      if contains_load_from Buffer.Global value then []
-        (* direct global->shared copy: not a pipelined pattern *)
-      else [ Stage ]
-    | Buffer.Global -> [])
-  | Mma _ -> [ Compute ]
-  | Sync_threads | Comment _ -> []
+      if state = Want_stage && not (contains_load_from Buffer.Global value)
+      then Found
+      else state
+    | Buffer.Global -> state)
+  | Mma _ -> if state = Want_compute then Want_stage else state
+  | Sync_threads | Comment _ -> state
 
-let loop_has_pattern body =
-  let evs = events body in
-  (* Ordered subsequence Prefetch ... Compute ... Stage. *)
-  let rec scan state = function
-    | [] -> false
-    | ev :: rest -> (
-      match (state, ev) with
-      | `Want_prefetch, Prefetch -> scan `Want_compute rest
-      | `Want_compute, Compute -> scan `Want_stage rest
-      | `Want_stage, Stage -> true
-      | _ -> scan state rest)
-  in
-  scan `Want_prefetch evs
+let loop_has_pattern body = scan Want_prefetch body = Found
 
 let rec has_overlap_pattern (s : Stmt.t) =
   match s with

@@ -30,13 +30,19 @@ let default_config =
 let ceil_div a b = (a + b - 1) / b
 
 (* Cooperative loading of a (rows x cols) tile by [threads] threads: each
-   thread handles rows*cols/threads elements via repeat ∘ spatial. *)
+   thread handles rows*cols/threads elements via repeat ∘ spatial, either
+   [threads / cols] whole rows at a time or a slice of each row. *)
+let splits_rows ~rows ~cols ~threads =
+  threads <= rows * cols && threads mod cols = 0 && rows mod (threads / cols) = 0
+
+let loadable ~rows ~cols ~threads =
+  splits_rows ~rows ~cols ~threads || cols mod threads = 0
+
 let load_mapping ~rows ~cols ~threads =
-  if threads <= rows * cols && threads mod cols = 0 && rows mod (threads / cols) = 0
-  then Some M.(repeat [ rows / (threads / cols); 1 ] *> spatial [ threads / cols; cols ])
-  else if cols mod threads = 0 then
-    Some M.(repeat [ rows; cols / threads ] *> spatial [ 1; threads ])
-  else None
+  if not (loadable ~rows ~cols ~threads) then None
+  else if splits_rows ~rows ~cols ~threads then
+    Some M.(repeat [ rows / (threads / cols); 1 ] *> spatial [ threads / cols; cols ])
+  else Some M.(repeat [ rows; cols / threads ] *> spatial [ 1; threads ])
 
 let num_warps cfg = cfg.block_m / cfg.warp_m * (cfg.block_n / cfg.warp_n)
 let block_dim cfg = num_warps cfg * 32
@@ -60,9 +66,9 @@ let check cfg =
   else if cfg.stages < 1 || cfg.stages > 4 then err "stages out of [1, 4]"
   else
     let bd = block_dim cfg in
-    if load_mapping ~rows:cfg.block_m ~cols:cfg.block_k ~threads:bd = None then
+    if not (loadable ~rows:cfg.block_m ~cols:cfg.block_k ~threads:bd) then
       err "no cooperative load mapping for the A tile"
-    else if load_mapping ~rows:cfg.block_k ~cols:cfg.block_n ~threads:bd = None
+    else if not (loadable ~rows:cfg.block_k ~cols:cfg.block_n ~threads:bd)
     then err "no cooperative load mapping for the B tile"
     else if
       (not cfg.use_tensor_core)
@@ -71,24 +77,38 @@ let check cfg =
     else Ok ()
 
 let config_to_string cfg =
-  Printf.sprintf "b%dx%dx%d_w%dx%d%s%s%s%s" cfg.block_m cfg.block_n cfg.block_k
-    cfg.warp_m cfg.warp_n
-    (match cfg.stages with 2 -> "_db" | 3 -> "_s3" | 4 -> "_s4" | _ -> "")
-    (if cfg.split_k > 1 then Printf.sprintf "_sk%d" cfg.split_k else "")
-    (if cfg.use_tensor_core then "_tc" else "")
-    (if cfg.swizzle then "_swz" else "")
+  let i = string_of_int in
+  String.concat ""
+    [
+      "b"; i cfg.block_m; "x"; i cfg.block_n; "x"; i cfg.block_k;
+      "_w"; i cfg.warp_m; "x"; i cfg.warp_n;
+      (match cfg.stages with 2 -> "_db" | 3 -> "_s3" | 4 -> "_s4" | _ -> "");
+      (if cfg.split_k > 1 then "_sk" ^ i cfg.split_k else "");
+      (if cfg.use_tensor_core then "_tc" else "");
+      (if cfg.swizzle then "_swz" else "");
+    ]
+
+(* The k-tiles block 0 of [compile]'s main kernel runs: the split-k chunk. *)
+let trips ~k cfg = ceil_div (ceil_div k cfg.block_k) cfg.split_k
+
+(* Block 0's barriers in [compile]'s main kernel: a pipelined main loop
+   syncs once after the preload and once per trip, an unpipelined one
+   twice per trip. *)
+let syncs ~k cfg =
+  if cfg.stages >= 2 then 1 + trips ~k cfg else 2 * trips ~k cfg
 
 (* Per-block floors of what [compile] below emits, in f32 words: block 0
-   runs [trips] k-tiles (the split-k chunk), staging each A and B tile
-   through shared memory; the CUDA-core path then reads [tm + tn] fragment
-   words per thread per kk and issues [tm * tn] FMAs; the writeback stores
-   the block tile once. The split-k reduce kernel costs at least a launch. *)
+   runs [trips] k-tiles, staging each A and B tile through shared memory;
+   the CUDA-core path then reads [tm + tn] fragment words per thread per kk
+   and issues [tm * tn] FMAs; the writeback stores the block tile once.
+   Block 0's barrier count is exact. The split-k reduce kernel costs at
+   least a launch. *)
 let lower_bound (d : Hidet_gpu.Device.t) ?(batch = 1) ~m ~n ~k cfg =
   match check cfg with
   | Error _ -> 0. (* [compile] rejects it: never skip it *)
   | Ok () ->
     let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
-    let trips = ceil_div (ceil_div k bk) cfg.split_k in
+    let trips = trips ~k cfg in
     let bd = block_dim cfg in
     let f = float_of_int in
     let staged = f (trips * (bm + bn) * bk) in
@@ -103,7 +123,7 @@ let lower_bound (d : Hidet_gpu.Device.t) ?(batch = 1) ~m ~n ~k cfg =
         ~grid:(batch * cfg.split_k * ceil_div m bm * ceil_div n bn)
         ~block_dim:bd
         ~smem:(4 * cfg.stages * (bm + bn) * bk)
-        ~stages:cfg.stages ~flops:(2. *. fmas)
+        ~stages:cfg.stages ~syncs:(syncs ~k cfg) ~flops:(2. *. fmas)
         ~shared_bytes:(4. *. (staged +. fragments))
         ~load_bytes:(4. *. staged)
         ~store_bytes:(4. *. f (bm * bn))
@@ -393,7 +413,8 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
   let body = header (Stmt.seq [ init_acc; main_loop; writeback ]) in
   let body = Simplify.stmt body in
   let name =
-    Printf.sprintf "matmul_%dx%dx%dx%d_%s" batch m n k (config_to_string cfg)
+    "matmul_" ^ String.concat "x" (List.map string_of_int [ batch; m; n; k ])
+    ^ "_" ^ config_to_string cfg
   in
   let shared = [ smem_a; smem_b ] in
   let regs =

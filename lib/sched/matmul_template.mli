@@ -69,6 +69,11 @@ val compile :
     [k, n] weights. Implicit-GEMM convolution uses [a_batched:false]
     (weights) with [b_batched:true] (im2col columns per image). *)
 
+val syncs : k:int -> config -> int
+(** The barriers block 0 of [compile ~k cfg]'s main kernel executes, in
+    closed form: [1 + trips] with a pipeline ([stages >= 2]), [2 * trips]
+    without, where [trips] is the block's split-k chunk of k-tiles. *)
+
 val lower_bound :
   Hidet_gpu.Device.t -> ?batch:int -> m:int -> n:int -> k:int -> config -> float
 (** A floor on the analytic {!Compiled.latency} of [compile ~batch ~m ~n ~k

@@ -15,9 +15,12 @@ type stats = {
 
 let seconds_per_trial = 1.5
 
-(* Candidates per branch-and-bound step. A constant, so which candidates
-   are skipped never depends on the worker count. *)
-let chunk_size = 16
+(* Candidates in branch-and-bound step [s]: 1, 2, 4, 8, then 16 each. A
+   step measures against the best latency found before it began, so the
+   first steps are small to get a threshold after one trial, and the later
+   ones wide enough to keep the workers busy. A fixed schedule, so which
+   candidates are skipped never depends on the worker count. *)
+let chunk_size s = 1 lsl min s 4
 
 (* Trials, rejections and skips are counted where they happen — inside the
    worker domains — so the observability tests can check that parallel
@@ -138,7 +141,7 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
     (* Exhaustive: ties break toward the lowest index. Without a bound
        every candidate is measured, in one step. With one (it bounds the
        analytic latency only), candidates are visited in ascending (bound,
-       index) order, [chunk_size] per step: one whose bound is strictly
+       index) order, [chunk_size s] in step [s]: one whose bound is strictly
        above the best latency measured before its step began has a latency
        above the final best, so it can neither win nor tie and is skipped
        uninstantiated. *)
@@ -150,11 +153,12 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
         let bound = Array.map lb cands in
         Array.stable_sort (fun i j -> Float.compare bound.(i) bound.(j)) order;
         (chunk_size, fun threshold i -> bound.(i) > threshold)
-      | _ -> (max 1 n, fun _ _ -> false)
+      | _ -> ((fun _ -> max 1 n), fun _ _ -> false)
     in
-    let pos = ref 0 in
+    let pos = ref 0 and steps = ref 0 in
     while !pos < n do
-      let visit = Array.sub order !pos (min step (n - !pos)) in
+      let visit = Array.sub order !pos (min (step !steps) (n - !pos)) in
+      incr steps;
       let threshold = match !best with Some (b, _) -> b | None -> infinity in
       let prune_or_measure i =
         if skip threshold i then begin

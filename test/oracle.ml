@@ -3,9 +3,12 @@
    counts plus one walk per block id for the L2 block reuse), of the
    statement simplifier (one [Stmt.subst] over the remaining body per
    trivially bound [Let]), of the graph lookups (linear scans of the
-   node list) and of a compile that rebuilds every kernel, fusion and
-   estimate. The library's single-walk, indexed and memoized versions must
-   agree with them bit for bit. *)
+   node list), of a compile that rebuilds every kernel, fusion and
+   estimate, of the pipeline-pattern check (one event list per loop body)
+   and of the matmul template's config check (building the load mappings)
+   and config names (Printf). The library's single-walk, indexed, memoized,
+   streaming and allocation-free versions must agree with them bit for
+   bit. *)
 
 module Buffer = Hidet_ir.Buffer
 module Dtype = Hidet_ir.Dtype
@@ -329,3 +332,113 @@ let plan_latency ?fidelity device (plan : Plan.t) =
   List.fold_left
     (fun acc (s : Plan.step) -> acc +. Compiled.latency ?fidelity device s.Plan.compiled)
     0. plan.Plan.steps
+
+(* --- Pipeline.effective_stages: flatten each loop body to an event list --- *)
+
+type event = Prefetch | Compute | Stage
+
+let rec contains_load_from scope (e : Expr.t) =
+  match e with
+  | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> false
+  | Binop (_, a, b) -> contains_load_from scope a || contains_load_from scope b
+  | Unop (_, a) -> contains_load_from scope a
+  | Select (c, a, b) ->
+    contains_load_from scope c || contains_load_from scope a
+    || contains_load_from scope b
+  | Load (buf, idx) ->
+    buf.Buffer.scope = scope || List.exists (contains_load_from scope) idx
+
+let rec events (s : Stmt.t) : event list =
+  match s with
+  | Seq ss -> List.concat_map events ss
+  | For { body; _ } -> events body
+  | If { then_; else_; _ } -> (
+    events then_ @ match else_ with Some e -> events e | None -> [])
+  | Let { body; _ } -> events body
+  | Store { buf; value; _ } -> (
+    match buf.Buffer.scope with
+    | Buffer.Register | Buffer.Warp ->
+      let g = contains_load_from Buffer.Global value in
+      let c = contains_load_from Buffer.Shared value in
+      (if g then [ Prefetch ] else []) @ if c then [ Compute ] else []
+    | Buffer.Shared ->
+      if contains_load_from Buffer.Global value then [] else [ Stage ]
+    | Buffer.Global -> [])
+  | Mma _ -> [ Compute ]
+  | Sync_threads | Comment _ -> []
+
+let loop_has_pattern body =
+  let rec scan state = function
+    | [] -> false
+    | ev :: rest -> (
+      match (state, ev) with
+      | `Want_prefetch, Prefetch -> scan `Want_compute rest
+      | `Want_compute, Compute -> scan `Want_stage rest
+      | `Want_stage, Stage -> true
+      | _ -> scan state rest)
+  in
+  scan `Want_prefetch (events body)
+
+let rec has_overlap_pattern (s : Stmt.t) =
+  match s with
+  | Seq ss -> List.exists has_overlap_pattern ss
+  | For { body; _ } -> loop_has_pattern body || has_overlap_pattern body
+  | If { then_; else_; _ } -> (
+    has_overlap_pattern then_
+    || match else_ with Some e -> has_overlap_pattern e | None -> false)
+  | Let { body; _ } -> has_overlap_pattern body
+  | Store _ | Mma _ | Sync_threads | Comment _ -> false
+
+let effective_stages (k : Kernel.t) =
+  if k.pipeline_stages <= 1 then 1
+  else if has_overlap_pattern k.body then k.pipeline_stages
+  else 1
+
+(* --- Matmul_template.check and config_to_string --------------------------- *)
+
+module MT = Hidet_sched.Matmul_template
+module Mapping = Hidet_task.Mapping
+
+let load_mapping ~rows ~cols ~threads =
+  if threads <= rows * cols && threads mod cols = 0 && rows mod (threads / cols) = 0
+  then Some Mapping.(repeat [ rows / (threads / cols); 1 ] *> spatial [ threads / cols; cols ])
+  else if cols mod threads = 0 then
+    Some Mapping.(repeat [ rows; cols / threads ] *> spatial [ 1; threads ])
+  else None
+
+let check (cfg : MT.config) =
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  if cfg.block_m <= 0 || cfg.block_n <= 0 || cfg.block_k <= 0 then
+    err "non-positive block tile"
+  else if cfg.block_m mod cfg.warp_m <> 0 || cfg.block_n mod cfg.warp_n <> 0 then
+    err "warp tile does not divide block tile"
+  else if cfg.use_tensor_core && (cfg.warp_m mod 16 <> 0 || cfg.warp_n mod 16 <> 0)
+  then err "tensor-core warp tile must be a multiple of 16x16"
+  else if cfg.use_tensor_core && cfg.block_k mod 8 <> 0 then
+    err "tensor-core block_k must be a multiple of 8"
+  else if (not cfg.use_tensor_core)
+          && (cfg.warp_m mod 4 <> 0 || cfg.warp_n mod 8 <> 0)
+  then err "CUDA-core warp tile must be a multiple of 4x8"
+  else if MT.num_warps cfg < 1 || MT.num_warps cfg > 16 then
+    err "warps per block out of [1, 16]"
+  else if cfg.split_k < 1 || cfg.split_k > 16 then err "split_k out of range"
+  else if cfg.stages < 1 || cfg.stages > 4 then err "stages out of [1, 4]"
+  else
+    let bd = MT.block_dim cfg in
+    if load_mapping ~rows:cfg.block_m ~cols:cfg.block_k ~threads:bd = None then
+      err "no cooperative load mapping for the A tile"
+    else if load_mapping ~rows:cfg.block_k ~cols:cfg.block_n ~threads:bd = None
+    then err "no cooperative load mapping for the B tile"
+    else if
+      (not cfg.use_tensor_core)
+      && cfg.warp_m / 4 * (cfg.warp_n / 8) > 128
+    then err "register tile too large"
+    else Ok ()
+
+let config_to_string (cfg : MT.config) =
+  Printf.sprintf "b%dx%dx%d_w%dx%d%s%s%s%s" cfg.block_m cfg.block_n cfg.block_k
+    cfg.warp_m cfg.warp_n
+    (match cfg.stages with 2 -> "_db" | 3 -> "_s3" | 4 -> "_s4" | _ -> "")
+    (if cfg.split_k > 1 then Printf.sprintf "_sk%d" cfg.split_k else "")
+    (if cfg.use_tensor_core then "_tc" else "")
+    (if cfg.swizzle then "_swz" else "")

@@ -3,9 +3,11 @@
    (bit for bit, on every non-tensor-core matmul candidate of two shapes
    and on random affine kernels with block-dependent bindings), the
    one-pass [Simplify.stmt] against the substitute-per-Let reference
-   (structure and counter delta), the tuner's lower bound against the
-   latency it bounds, modeled latencies pinned for two zoo models, and
-   every committed BENCH_*.json parsing as JSON. *)
+   (structure and counter delta), the streaming pipeline check and the
+   matmul template's allocation-free config check and names against their
+   reference versions, the tuner's lower bound against the latency it
+   bounds, modeled latencies pinned for two zoo models, and every committed
+   BENCH_*.json parsing as JSON. *)
 
 module Buffer = Hidet_ir.Buffer
 module Expr = Hidet_ir.Expr
@@ -403,21 +405,139 @@ let test_simplify_template_bodies () =
         Alcotest.failf "%s: Simplify.stmt disagrees with the oracle" k.Kernel.name)
     kernels
 
+(* --- the streaming pipeline check ----------------------------------------------- *)
+
+let same_stages (k : Kernel.t) =
+  Hidet_gpu.Pipeline.has_overlap_pattern k.body
+  = Oracle.has_overlap_pattern k.body
+  && Hidet_gpu.Pipeline.effective_stages k = Oracle.effective_stages k
+
+let test_stages_template () =
+  (* Every config of two zoo shapes' spaces (a bert FFN and a resnet50
+     implicit-GEMM conv): both core kinds, split-k and 1-4 stages, so both
+     verdicts of the check. *)
+  let kernels ~a_batched ~b_batched ~m ~n ~k =
+    List.concat_map
+      (fun cfg ->
+        match MT.compile ~a_batched ~b_batched ~m ~n ~k cfg with
+        | c -> c.Compiled.kernels
+        | exception Invalid_argument _ -> [])
+      (Space.matmul_with_split_k ~m ~n)
+  in
+  let kernels =
+    kernels ~a_batched:true ~b_batched:false ~m:128 ~n:3072 ~k:768
+    @ kernels ~a_batched:false ~b_batched:true ~m:2048 ~n:49 ~k:1024
+  in
+  let pipelined =
+    List.filter (fun k -> Hidet_gpu.Pipeline.effective_stages k > 1) kernels
+  in
+  Alcotest.(check bool) "both verdicts" true
+    (pipelined <> [] && List.length pipelined < List.length kernels);
+  List.iter
+    (fun (k : Kernel.t) ->
+      if not (same_stages k) then
+        Alcotest.failf "%s: effective_stages disagrees with the oracle"
+          k.Kernel.name)
+    kernels
+
+(* Random fuzzer cases: rule-based kernels of generated definitions and
+   template kernels of sampled configs at random shapes. *)
+let prop_stages_random =
+  QCheck.Test.make ~name:"effective_stages = oracle on generated kernels"
+    ~count:100
+    QCheck.(pair (0 -- 1000) (0 -- 1000))
+    (fun (seed, i) ->
+      let module Gen = Hidet_check.Gen in
+      let kernels =
+        match Gen.gen_case (Random.State.make [| seed; i |]) ~max_size:8 with
+        | Gen.C_def { spec; _ } -> (
+          match Hidet_sched.Rule_based.schedule (Gen.build_def spec) with
+          | c -> c.Compiled.kernels
+          | exception Invalid_argument _ -> [])
+        | Gen.C_matmul { batch; m; n; k; n_cfgs; _ } ->
+          List.concat_map
+            (fun cfg -> (MT.compile ~batch ~m ~n ~k cfg).Compiled.kernels)
+            (Space.sample_matmul (Random.State.make [| seed; i |]) n_cfgs)
+        | Gen.C_conv _ | Gen.C_graph _ -> []
+      in
+      List.for_all same_stages kernels)
+
+(* --- allocation-free template checks ------------------------------------------- *)
+
+let test_config_names () =
+  (* One shape per split-k class. *)
+  List.iter
+    (fun (m, n) ->
+      List.iter
+        (fun cfg ->
+          Alcotest.(check string) "config_to_string = Printf oracle"
+            (Oracle.config_to_string cfg) (MT.config_to_string cfg))
+        (Space.matmul_with_split_k ~m ~n))
+    [ (4096, 4096); (1024, 512); (64, 64) ]
+
+let test_check_product () =
+  (* Rejected configs included: a zero tile, warp tiles that do not divide
+     or break the core kind's multiples, too many warps, out-of-range
+     split-k and depths, and loads no mapping covers. *)
+  let ( let* ) l f = List.concat_map f l in
+  let tiles = [ 16; 32; 64; 128 ] and warps = [ 4; 8; 12; 16; 32; 64; 128 ] in
+  let configs =
+    let* block_m = tiles in
+    let* block_n = tiles in
+    let* block_k = 0 :: 4 :: tiles in
+    let* warp_m = warps in
+    let* warp_n = warps in
+    let* stages = [ 0; 1; 2; 3; 4; 5 ] in
+    let* split_k = [ 0; 1; 2; 16; 17 ] in
+    let* use_tensor_core = [ false; true ] in
+    [
+      {
+        MT.block_m;
+        block_n;
+        block_k;
+        warp_m;
+        warp_n;
+        stages;
+        split_k;
+        use_tensor_core;
+        swizzle = false;
+      };
+    ]
+  in
+  let outcomes = Hashtbl.create 16 in
+  List.iter
+    (fun cfg ->
+      let want = Oracle.check cfg in
+      Hashtbl.replace outcomes want ();
+      if MT.check cfg <> want then
+        Alcotest.failf "%s: check disagrees" (Oracle.config_to_string cfg))
+    configs;
+  (* Ok and each of the eleven rejection reasons. *)
+  Alcotest.(check int) "distinct outcomes" 12 (Hashtbl.length outcomes)
+
 (* --- the tuner's lower bound ----------------------------------------------------
 
    [Matmul_template.lower_bound] may skip a candidate only if it never
    exceeds the candidate's analytic latency: checked on every candidate of
    the full space (tensor-core and split-k configs included) for every
-   matmul the zoo tunes, and for random shapes on both devices. *)
+   matmul the zoo tunes, and for random shapes on both devices. The bound
+   charges [MT.syncs] barriers, so the same walks check that closed form
+   against the barriers [Traffic] counts in the main kernel. *)
 
 (* The worst bound / latency ratio over a shape's full space, failing on
-   the first candidate whose bound exceeds its latency. *)
-let bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k =
+   the first candidate whose bound exceeds its latency or whose barrier
+   count differs from [MT.syncs]. [seen] gets every instantiated config. *)
+let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
   List.fold_left
     (fun worst (cfg : MT.config) ->
       match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
       | exception Invalid_argument _ -> worst
       | c ->
+        let syncs = (Traffic.kernel (List.hd c.Compiled.kernels)).syncs in
+        if syncs <> float_of_int (MT.syncs ~k cfg) then
+          Alcotest.failf "%dx%dx%dx%d %s: %g barriers, MT.syncs %d" batch m n
+            k (MT.config_to_string cfg) syncs (MT.syncs ~k cfg);
+        seen cfg;
         let lat = Compiled.latency dev c in
         let bound = MT.lower_bound dev ~batch ~m ~n ~k cfg in
         if not (bound <= lat) then
@@ -430,12 +550,30 @@ let bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k =
 let test_bound_zoo () =
   let shapes = Zoo.matmuls dev Hidet_models.Models.all in
   Alcotest.(check int) "distinct zoo matmuls" 84 (List.length shapes);
+  let classes = Hashtbl.create 16 in
+  let seen (cfg : MT.config) =
+    Hashtbl.replace classes (cfg.use_tensor_core, cfg.split_k > 1, cfg.stages) ()
+  in
   let worst =
     List.fold_left
       (fun worst { Zoo.batch; a_batched; b_batched; m; n; k } ->
-        Float.max worst (bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k))
+        Float.max worst
+          (bound_ratio ~seen dev ~batch ~a_batched ~b_batched ~m ~n ~k))
       0. shapes
   in
+  (* The barrier check covers both core kinds, split-k and every depth. *)
+  List.iter
+    (fun (name, covered) ->
+      Alcotest.(check bool) name true
+        (Hashtbl.fold (fun key () acc -> acc || covered key) classes false))
+    ([
+       ("tensor-core configs", fun (tc, _, _) -> tc);
+       ("CUDA-core configs", fun (tc, _, _) -> not tc);
+       ("split-k configs", fun (_, sk, _) -> sk);
+     ]
+    @ List.map
+        (fun d -> (Printf.sprintf "%d-stage configs" d, fun (_, _, s) -> s = d))
+        [ 1; 2; 3; 4 ]);
   (* Tight enough to prune: the best candidates come within 10%. *)
   Alcotest.(check bool) "some bound within 10% of its latency" true (worst > 0.9)
 
@@ -514,6 +652,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_simplify_oracle;
           Alcotest.test_case "template bodies = oracle" `Quick
             test_simplify_template_bodies;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "template kernels = oracle" `Quick
+            test_stages_template;
+          QCheck_alcotest.to_alcotest prop_stages_random;
+        ] );
+      ( "template checks",
+        [
+          Alcotest.test_case "config names = oracle" `Quick test_config_names;
+          Alcotest.test_case "check = oracle on a product" `Quick
+            test_check_product;
         ] );
       ( "lower bound",
         [

@@ -163,6 +163,39 @@ let test_bound_keeps_winner () =
     true
     (2 * !pruned > !total)
 
+(* The saving, pinned: branch-and-bound over every distinct zoo matmul, in
+   the CUDA-core space the engine tunes by default, measures at most this
+   many candidates, so a change that loses part of it fails here. *)
+let zoo_trials_cap = 2615
+
+let test_bound_trial_count () =
+  let shapes = Zoo.matmuls dev M.all in
+  Alcotest.(check int) "distinct zoo matmuls" 84 (List.length shapes);
+  let trials, candidates =
+    List.fold_left
+      (fun (trials, candidates) { Zoo.batch; a_batched; b_batched; m; n; k } ->
+        let space =
+          List.filter
+            (fun (c : MT.config) -> not c.use_tensor_core)
+            (Space.matmul_with_split_k ~m ~n)
+        in
+        match
+          Tu.tune ~lower_bound:(MT.lower_bound dev ~batch ~m ~n ~k) ~device:dev
+            ~candidates:space
+            ~compile:(MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k)
+            ()
+        with
+        | Some (_, _, st) ->
+          (trials + st.Tu.trials, candidates + List.length space)
+        | None -> Alcotest.failf "%dx%dx%dx%d: nothing feasible" batch m n k)
+      (0, 0) shapes
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d candidates measured, at most %d" trials
+       candidates zoo_trials_cap)
+    true
+    (trials <= zoo_trials_cap)
+
 (* The bound is a floor on the analytic latency only: a cycle-fidelity or
    guided tune ignores it, even one that would skip everything. *)
 let test_bound_scope () =
@@ -959,6 +992,7 @@ let () =
           Alcotest.test_case "same winner, any worker count" `Quick
             test_bound_keeps_winner;
           Alcotest.test_case "analytic exhaustive only" `Quick test_bound_scope;
+          Alcotest.test_case "zoo trial count" `Quick test_bound_trial_count;
           Alcotest.test_case "no feasible config" `Quick test_no_feasible_config;
         ] );
       ( "schedule cache",
