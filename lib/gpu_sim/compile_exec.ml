@@ -41,31 +41,59 @@ let not_allocated (b : Buffer.t) =
     (Printf.sprintf "buffer %s (%s) not allocated" b.Buffer.name
        (Buffer.scope_name b.Buffer.scope))
 
+(* An int operand, classified at compile time: a constant, an int frame
+   slot (variables, [threadIdx], [blockIdx]) or a general closure. A parent
+   reads the first two inline, so a leaf costs no closure call. *)
+type iop = K of int | S of int | F of (rt -> int)
+
 (* ------------------------------------------------------------------ *)
 (* Compile-time state                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Frame slots are allocated with stack discipline while walking the
    statement tree: sibling scopes reuse the same slots, and the high-water
-   mark gives the frame size. *)
+   mark gives the frame size. Binder int slots stay below the kernel's
+   deepest [For]/[Let] nesting, and hoisted ones are numbered from there
+   up. *)
 type cstate = {
   buf_slot : (int, int) Hashtbl.t;  (** Buffer.id -> bufs slot *)
   mutable next_int : int;
-  mutable max_int : int;
   mutable next_float : int;
   mutable max_float : int;
   mutable next_bool : int;
   mutable max_bool : int;
   mutable next_dyn : int;
   mutable max_dyn : int;
+  scopes : scope array;  (** the open hoisting scopes, by depth *)
+  mutable depth : int;  (** depth of the innermost open scope *)
+  slot_depth : (int, int) Hashtbl.t;
+      (** int slot -> depth of the scope that sets it *)
+  mutable next_hoist : int;
+  mutable fma_nests : int;
 }
+
+(* A hoisting scope: the thread entry (depth 0), one [For] iteration or an
+   int [Let]. An invariant int subexpression of the scope's body is
+   computed once per entry into its own slot, above the binder stack, so no
+   sibling scope can reuse it. [memo] makes equal subexpressions share one
+   slot; [inits] lists (slot, computation), newest first, each after the
+   subexpressions it reads. *)
+and scope = {
+  memo : (hkey, int) Hashtbl.t;
+  mutable inits : (int * (rt -> int)) list;
+}
+
+(* A hoisted subexpression: its operator over operands already compiled to
+   constants or slots (never [F]). A slot, not a variable, names an operand:
+   within a scope a slot holds one binding, while a variable name can be
+   bound twice. *)
+and hkey = Bin of Expr.binop * iop * iop | Un of Expr.unop * iop
 
 type vslot = S_int of int | S_float of int | S_bool of int | S_dyn of int
 
 let push_int st =
   let s = st.next_int in
   st.next_int <- s + 1;
-  if st.next_int > st.max_int then st.max_int <- st.next_int;
   s
 
 let push_float st =
@@ -90,20 +118,15 @@ let push_dyn st =
 (* Operands                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An int operand, classified at compile time: a constant, an int frame
-   slot (variables, [threadIdx], [blockIdx]) or a general closure. A parent
-   reads the first two inline, so a leaf costs no closure call. *)
-type iop = K of int | S of int | F of (rt -> int)
-
 let[@inline] sl rt s = Array.unsafe_get rt.ints s
 let[@inline] rd o rt = match o with K n -> n | S s -> sl rt s | F f -> f rt
 
 (* A buffer access whose indices are all constants or frame slots, at most
-   two of them slots: the flat offset is [base] (the constant indices) plus
-   two strided slot terms, padded with the zero slot (extent 1, stride 0).
-   The slot terms keep dimension order, so the bounds checks fail on the
-   reference's first failing index; constant indices are checked at compile
-   time (an out-of-bounds one keeps the general path). *)
+   three of them slots: the flat offset is [base] (the constant indices)
+   plus three strided slot terms, padded with the zero slot (extent 1,
+   stride 0). The slot terms keep dimension order, so the bounds checks fail
+   on the reference's first failing index; constant indices are checked at
+   compile time (an out-of-bounds one keeps the general path). *)
 type acc = {
   buf : int;  (** bufs slot *)
   base : int;
@@ -113,15 +136,20 @@ type acc = {
   s1 : int;
   d1 : int;
   st1 : int;
+  s2 : int;
+  d2 : int;
+  st2 : int;
   name : string;
 }
 
 let[@inline] addr a rt =
   let i0 = sl rt a.s0 in
   let i1 = sl rt a.s1 in
+  let i2 = sl rt a.s2 in
   if i0 < 0 || i0 >= a.d0 then oob i0 a.d0 a.name;
   if i1 < 0 || i1 >= a.d1 then oob i1 a.d1 a.name;
-  a.base + (i0 * a.st0) + (i1 * a.st1)
+  if i2 < 0 || i2 >= a.d2 then oob i2 a.d2 a.name;
+  a.base + (i0 * a.st0) + (i1 * a.st1) + (i2 * a.st2)
 
 (* A float operand: a constant, a float frame slot, a slot-indexed load or
    a general closure. Without flambda a closure returning [float] boxes its
@@ -199,13 +227,16 @@ let access (buf : Buffer.t) slot (cidx : iop array) : acc option =
         | K _ | F _ -> None
     in
     let pad = (zero_slot, 1, 0) in
-    let mk base (s0, d0, st0) (s1, d1, st1) =
-      Some { buf = slot; base; s0; d0; st0; s1; d1; st1; name = buf.Buffer.name }
+    let mk base (s0, d0, st0) (s1, d1, st1) (s2, d2, st2) =
+      Some
+        { buf = slot; base; s0; d0; st0; s1; d1; st1; s2; d2; st2;
+          name = buf.Buffer.name }
     in
     match go 0 0 [] with
-    | Some (base, []) -> mk base pad pad
-    | Some (base, [ t0 ]) -> mk base t0 pad
-    | Some (base, [ t0; t1 ]) -> mk base t0 t1
+    | Some (base, []) -> mk base pad pad pad
+    | Some (base, [ t0 ]) -> mk base t0 pad pad
+    | Some (base, [ t0; t1 ]) -> mk base t0 t1 pad
+    | Some (base, [ t0; t1; t2 ]) -> mk base t0 t1 t2
     | _ -> None
   end
 
@@ -410,6 +441,49 @@ let arith op xa xb =
     (* Mixed int/float promotes to float, exactly like [eval_binop]. *)
     float_binop op (as_float xa) (as_float xb)
 
+(* Index arithmetic computed once per scope. An int operand is invariant in
+   a scope when it is a constant or a slot that scope or an enclosing one
+   sets; its depth is the innermost such scope. Only [Add], [Sub], [Mul],
+   [Min], [Max], [Neg], [Abs] and [Div]/[Mod] by a non-zero constant
+   combine invariant operands: none of them can raise, so computing one
+   early, or when its statement is never reached, changes nothing a thread
+   can observe. *)
+let opnd_depth st = function
+  | K _ -> Some 0
+  | S s -> Hashtbl.find_opt st.slot_depth s
+  | F _ -> None
+
+let hoist_depth st op oa ob =
+  let pure =
+    match (op, ob) with
+    | (Expr.Add | Sub | Mul | Min | Max), _ -> true
+    | (Div | Mod), K d -> d <> 0
+    | _ -> false
+  in
+  match (pure, opnd_depth st oa, opnd_depth st ob) with
+  | true, Some da, Some db -> Some (max da db)
+  | _ -> None
+
+(* The slot holding [key] in scope [d]: shared with an equal subexpression
+   already there, or a new one that the scope's entry computes by [mk ()]. *)
+let hoist st d key (mk : unit -> iop) =
+  let sc = st.scopes.(d) in
+  match Hashtbl.find_opt sc.memo key with
+  | Some s -> S s
+  | None ->
+    let f = match mk () with F f -> f | o -> fun rt -> rd o rt in
+    let s = st.next_hoist in
+    st.next_hoist <- s + 1;
+    Hashtbl.replace sc.memo key s;
+    Hashtbl.replace st.slot_depth s d;
+    sc.inits <- (s, f) :: sc.inits;
+    S s
+
+let hoist_unop st op o f =
+  match opnd_depth st o with
+  | Some d -> hoist st d (Un (op, o)) (fun () -> F f)
+  | None -> F f
+
 let rec comp st (venv : vslot Int_map.t) (e : Expr.t) : cexpr =
   match e with
   | Expr.Int n -> C_int (K n)
@@ -465,7 +539,7 @@ and comp_unop st venv op a =
     C_bool (fun rt -> not (f rt))
   | Neg -> (
     match comp st venv a with
-    | C_int o -> C_int (F (fun rt -> -rd o rt))
+    | C_int o -> C_int (hoist_unop st op o (fun rt -> -rd o rt))
     | C_float o -> C_float (Ff (fun rt -> -.frd o rt))
     | C_bool f ->
       (* [Expr.eval] evaluates the operand, then rejects it. *)
@@ -483,7 +557,7 @@ and comp_unop st venv op a =
           | V_bool _ -> invalid_arg "Expr.eval: neg of bool"))
   | Abs -> (
     match comp st venv a with
-    | C_int o -> C_int (F (fun rt -> Stdlib.abs (rd o rt)))
+    | C_int o -> C_int (hoist_unop st op o (fun rt -> Stdlib.abs (rd o rt)))
     | C_float o -> C_float (Ff (fun rt -> Float.abs (frd o rt)))
     | C_bool f ->
       C_int
@@ -522,7 +596,16 @@ and comp_binop st venv op a b =
   | Or ->
     let fa = as_bool (comp st venv a) and fb = as_bool (comp st venv b) in
     C_bool (fun rt -> fa rt || fb rt)
-  | _ -> arith op (comp st venv a) (comp st venv b)
+  | _ -> (
+    match (comp st venv a, comp st venv b) with
+    | C_int oa, C_int ob -> (
+      match hoist_depth st op oa ob with
+      | Some d ->
+        C_int
+          (hoist st d (Bin (op, oa, ob)) (fun () ->
+               match int_binop op oa ob with C_int o -> o | _ -> assert false))
+      | None -> int_binop op oa ob)
+    | xa, xb -> arith op xa xb)
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                              *)
@@ -772,6 +855,138 @@ let comp_mma st venv (m : Stmt.mma) : rt -> unit =
             (Printf.sprintf "mma operand of rank < 2 on %s" m.c.Buffer.name)
       end
 
+(* Scopes open and close around a binder's body, which sees the binder's
+   [slot] at the new depth. Closing one gives the code its entry runs, if
+   it hoisted anything. *)
+let new_scope () = { memo = Hashtbl.create 8; inits = [] }
+
+let enter_scope st slot =
+  st.depth <- st.depth + 1;
+  st.scopes.(st.depth) <- new_scope ();
+  Hashtbl.replace st.slot_depth slot st.depth
+
+let leave_scope st : (rt -> unit) option =
+  let sc = st.scopes.(st.depth) in
+  st.depth <- st.depth - 1;
+  match List.rev sc.inits with
+  | [] -> None
+  | [ (s, f) ] -> Some (fun rt -> Array.unsafe_set rt.ints s (f rt))
+  | inits ->
+    let slots = Array.of_list (List.map fst inits) in
+    let fs = Array.of_list (List.map snd inits) in
+    let n = Array.length slots in
+    Some
+      (fun rt ->
+        for j = 0 to n - 1 do
+          let v = (Array.unsafe_get fs j) rt in
+          Array.unsafe_set rt.ints (Array.unsafe_get slots j) v
+        done)
+
+let with_init init body =
+  match init with
+  | None -> body
+  | Some init ->
+    fun rt ->
+      init rt;
+      body rt
+
+(* A larger nest keeps the general path: this bounds the table a nest
+   holds. *)
+let max_nest_stores = 4096
+
+(* The array and offset of the (bufs slot, offset) pair at [code.(p)]. *)
+let[@inline] arr bufs code p = Array.unsafe_get bufs (Array.unsafe_get code p)
+let[@inline] off code p = Array.unsafe_get code (p + 1)
+
+(* An index over the nest's loop variables, bound in [env], as a constant:
+   the hoisting set's operators, with [Expr.eval]'s own arithmetic. *)
+let rec const_index env (e : Expr.t) =
+  match e with
+  | Expr.Int n -> Some n
+  | Var v -> List.assoc_opt v.Var.id env
+  | Binop (((Add | Sub | Mul | Min | Max | Div | Mod) as op), a, b) -> (
+    match (const_index env a, const_index env b) with
+    | Some _, Some 0 when op = Div || op = Mod -> None
+    | Some x, Some y -> (
+      match Expr.eval_int_binop op x y with V_int n -> Some n | _ -> None)
+    | _ -> None)
+  | Unop (Neg, a) -> Option.map (fun x -> -x) (const_index env a)
+  | Unop (Abs, a) -> Option.map Stdlib.abs (const_index env a)
+  | _ -> None
+
+(* The register FMA nest: [unroll] loops of constant extent at most
+   [Unroll.default_threshold] around stores [c = x + y * z] whose indices
+   are in-bounds constants once the loop variables are replaced by their
+   values, as [Matmul_template] emits [RegsC\[r\]\[c\] += RegsAF\[r\] *
+   RegsBF\[c\]]. The nest is one closure: it counts the statements the
+   nested closures would (1 per [For] execution, 1 per store), then runs
+   the stores from precomputed (bufs slot, offset) pairs, reading [z], [y],
+   then [x] like the single FMA store. Every address is checked here, so
+   nothing in it can raise; any other nest keeps the general path. *)
+let fma_nest st (s : Stmt.t) : (rt -> unit) option =
+  let unrolled n = n >= 0 && n <= Unroll.default_threshold in
+  let code = ref [] and stores = ref 0 in
+  let operand env (b : Buffer.t) idx =
+    let rec go dims idx off =
+      match (dims, idx) with
+      | [], [] -> off
+      | d :: dims, i :: idx -> (
+        match const_index env i with
+        | Some v when v >= 0 && v < d -> go dims idx ((off * d) + v)
+        | _ -> raise Exit)
+      | _ -> raise Exit
+    in
+    match Hashtbl.find_opt st.buf_slot b.Buffer.id with
+    | Some slot -> (slot, go b.Buffer.dims idx 0)
+    | None -> raise Exit
+  in
+  (* Statements executed; the stores' pairs go to [code], last first. *)
+  let rec walk env (s : Stmt.t) =
+    match s with
+    | Stmt.For { var; extent = Int n; unroll = true; body } when unrolled n ->
+      let c = ref 1 in
+      for i = 0 to n - 1 do
+        c := !c + walk ((var.Var.id, i) :: env) body
+      done;
+      !c
+    | Seq ss -> List.fold_left (fun c s -> c + walk env s) 0 ss
+    | Store
+        {
+          buf;
+          indices;
+          value = Binop (Add, Load (bx, ix), Binop (Mul, Load (by, iy), Load (bz, iz)));
+        } ->
+      incr stores;
+      if !stores > max_nest_stores then raise Exit;
+      let cb, co = operand env buf indices in
+      let xb, xo = operand env bx ix in
+      let yb, yo = operand env by iy in
+      let zb, zo = operand env bz iz in
+      code := [| cb; co; xb; xo; yb; yo; zb; zo |] :: !code;
+      1
+    | _ -> raise Exit
+  in
+  match s with
+  | Stmt.For { extent = Int n; unroll = true; _ } when unrolled n -> (
+    match walk [] s with
+    | exception Exit -> None
+    | count ->
+      st.fma_nests <- st.fma_nests + 1;
+      let code = Array.concat (List.rev !code) in
+      let n = Array.length code / 8 in
+      Some
+        (fun rt ->
+          rt.stmts <- rt.stmts + count;
+          let bufs = rt.bufs in
+          for j = 0 to n - 1 do
+            let p = j * 8 in
+            let vz = Array.unsafe_get (arr bufs code (p + 6)) (off code (p + 6)) in
+            let vy = Array.unsafe_get (arr bufs code (p + 4)) (off code (p + 4)) in
+            let vx = Array.unsafe_get (arr bufs code (p + 2)) (off code (p + 2)) in
+            Array.unsafe_set (arr bufs code p) (off code p) (vx +. (vy *. vz))
+          done))
+  | _ -> None
+
 let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   match s with
   | Stmt.Seq ss -> (
@@ -794,19 +1009,36 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
         for i = 0 to n - 1 do
           arr.(i) rt
         done)
-  | For { var; extent; body; _ } ->
-    let cext = as_int (comp st venv extent) in
-    let s0 = push_int st in
-    let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
-    st.next_int <- st.next_int - 1;
-    fun rt ->
-      rt.stmts <- rt.stmts + 1;
-      let n = rd cext rt in
-      let ints = rt.ints in
-      for i = 0 to n - 1 do
-        ints.(s0) <- i;
-        cbody rt
-      done
+  | For { var; extent; body; _ } -> (
+    match fma_nest st s with
+    | Some nest -> nest
+    | None -> (
+      let cext = as_int (comp st venv extent) in
+      let s0 = push_int st in
+      enter_scope st s0;
+      let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
+      let init = leave_scope st in
+      st.next_int <- st.next_int - 1;
+      match init with
+      | None ->
+        fun rt ->
+          rt.stmts <- rt.stmts + 1;
+          let n = rd cext rt in
+          let ints = rt.ints in
+          for i = 0 to n - 1 do
+            ints.(s0) <- i;
+            cbody rt
+          done
+      | Some init ->
+        fun rt ->
+          rt.stmts <- rt.stmts + 1;
+          let n = rd cext rt in
+          let ints = rt.ints in
+          for i = 0 to n - 1 do
+            ints.(s0) <- i;
+            init rt;
+            cbody rt
+          done))
   | If { cond; then_; else_ } ->
     let cc = as_bool (comp st venv cond) in
     let ct = comp_stmt st venv then_ in
@@ -816,9 +1048,18 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
       if cc rt then ct rt else ce rt
   | Let { var; value; body } -> (
     match comp st venv value with
+    | C_int (S v) ->
+      (* An invariant value already has a slot, set before this statement
+         and unchanged within it: the variable shares it, and its scope. *)
+      let cbody = comp_stmt st (Int_map.add var.Var.id (S_int v) venv) body in
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        cbody rt
     | C_int o ->
       let s0 = push_int st in
+      enter_scope st s0;
       let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
+      let cbody = with_init (leave_scope st) cbody in
       st.next_int <- st.next_int - 1;
       fun rt ->
         rt.stmts <- rt.stmts + 1;
@@ -883,10 +1124,22 @@ let m_stmts = Metrics.counter "sim.statements"
 let m_compile_us = Metrics.counter "sim.compile_us"
 let m_exec_us = Metrics.counter "sim.exec_us"
 let m_par_blocks = Metrics.counter "sim.parallel_blocks"
+let m_fma_nests = Metrics.counter "sim.compile.fma_nests"
+let m_hoisted = Metrics.counter "sim.compile.hoisted"
 let m_seq_blocks = Metrics.counter "sim.sequential_blocks"
 
 let kernel c = c.kernel
 let parallel_grid c = c.parallel_ok
+
+(* The deepest nesting of [For]/[Let] binders: the binder stack never grows
+   past it, so hoisted slots start above. *)
+let rec binder_depth (s : Stmt.t) =
+  match s with
+  | Stmt.Seq ss -> List.fold_left (fun d s -> max d (binder_depth s)) 0 ss
+  | For { body; _ } | Let { body; _ } -> 1 + binder_depth body
+  | If { then_; else_; _ } ->
+    max (binder_depth then_) (Option.fold ~none:0 ~some:binder_depth else_)
+  | Store _ | Mma _ | Sync_threads | Comment _ -> 0
 
 let compile (k : Kernel.t) : compiled =
   Verify.kernel_exn k;
@@ -912,20 +1165,32 @@ let compile (k : Kernel.t) : compiled =
         let shared_slots = assign k.shared in
         let warp_slots = assign k.warp_bufs in
         let reg_slots = assign k.regs in
+        let depth = binder_depth k.body in
+        let hoist_base = pinned_ints + depth in
+        let slot_depth = Hashtbl.create 64 in
+        Hashtbl.replace slot_depth tid_slot 0;
+        Hashtbl.replace slot_depth bid_slot 0;
         let st =
           {
             buf_slot;
             next_int = pinned_ints;
-            max_int = pinned_ints;
             next_float = 0;
             max_float = 0;
             next_bool = 0;
             max_bool = 0;
             next_dyn = 0;
             max_dyn = 0;
+            scopes = Array.init (depth + 1) (fun _ -> new_scope ());
+            depth = 0;
+            slot_depth;
+            next_hoist = hoist_base;
+            fma_nests = 0;
           }
         in
         let body = comp_stmt st Int_map.empty k.body in
+        let body = with_init (leave_scope st) body in
+        Metrics.add m_fma_nests st.fma_nests;
+        Metrics.add m_hoisted (st.next_hoist - hoist_base);
         {
           kernel = k;
           nbufs = !next;
@@ -933,7 +1198,7 @@ let compile (k : Kernel.t) : compiled =
           shared_slots;
           warp_slots;
           reg_slots;
-          n_ints = st.max_int;
+          n_ints = st.next_hoist;
           n_floats = st.max_float;
           n_bools = st.max_bool;
           n_dyns = st.max_dyn;

@@ -28,18 +28,46 @@
     gets one closure per operator and pair of operand forms, so the hot
     closures never branch on a form at run time (such a branch, shared by
     every instance of the closure, predicts badly). A load or store whose
-    indices are constants or slots, at most two of them slots, of any rank,
-    is a precomputed base plus two strided slot terms, checked in the
-    reference's order and read inline by its parent. A division or
+    indices are constants or slots, at most three of them slots, of any
+    rank, is a precomputed base plus three strided slot terms, checked in
+    the reference's order and read inline by its parent. A division or
     remainder by a positive power-of-two constant shifts or masks a
     non-negative dividend.
+
+    {b Invariant index arithmetic.} Task mappings lower to index
+    arithmetic over [threadIdx] and loop variables, such as
+    [((threadIdx.x % 32) / 16) % 2], that most statements would recompute.
+    An int subexpression whose leaves are constants, [threadIdx],
+    [blockIdx] or int variables, built with [Add], [Sub], [Mul], [Min],
+    [Max], [Neg], [Abs] or [Div]/[Mod] by a non-zero constant, cannot raise.
+    It is computed into its own frame slot once per entry of the innermost
+    scope that binds one of its variables (the thread entry, one [For]
+    iteration or an int [Let]), and equal subexpressions of a scope share
+    one slot. Hoisted slots sit above the binder stack (pinned slots plus
+    the kernel's deepest [For]/[Let] nesting), so no sibling scope reuses
+    them. An int [Let] of such a value shares its slot. Loads, selects,
+    bools and divisions by anything but a non-zero constant are never
+    hoisted, so no error moves.
+
+    {b The register FMA nest.} A nest of [unroll] loops of constant extent
+    at most [Unroll.default_threshold] whose leaves are all stores
+    [c\[..\] = x\[..\] + y\[..\] * z\[..\]] with in-bounds constant indices,
+    once the loop variables take their values, runs as one closure (at most
+    4096 stores). That is [Matmul_template]'s
+    [RegsC\[r\]\[c\] += RegsAF\[r\] * RegsBF\[c\]]. The closure adds the
+    nest's statement count in one step, then runs the stores from
+    precomputed (buffer slot, offset) pairs. Every address was checked at
+    compile time, so nothing in it can raise; any other nest (a slot index,
+    an out-of-bounds constant) keeps the general path and its errors.
+    [compile] counts the nests in [sim.compile.fma_nests] and the hoisted
+    subexpressions in [sim.compile.hoisted].
 
     {b Unboxed floats.} Without flambda, every closure returning a [float]
     boxes it, which is a minor-heap allocation per call. Float arithmetic
     reads its operands inline, so only its result is boxed, and a store
-    reads its value inline. The register FMA
-    [c\[i\]\[j\] = c\[i\]\[j\] + a\[i\] * b\[j\]] that [Matmul_template]
-    emits compiles to a single closure that allocates nothing.
+    reads its value inline. A register FMA
+    [c\[i\]\[j\] = c\[i\]\[j\] + a\[i\] * b\[j\]] outside a nest is a
+    single closure that allocates nothing.
 
     Every form keeps the evaluation order of the nested closures it
     replaces (indices left to right, then the value; a binop's right
@@ -70,7 +98,8 @@ type compiled
 val compile : Hidet_ir.Kernel.t -> compiled
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
     kernel. Records compile wall time in the [sim.compile_us] metric and a
-    [sim.compile] trace span. *)
+    [sim.compile] trace span, and bumps [sim.compile.fma_nests] and
+    [sim.compile.hoisted]. *)
 
 val kernel : compiled -> Hidet_ir.Kernel.t
 

@@ -9,6 +9,9 @@
     indices and (b) the emitted CUDA C can be fully straight-line.
     Semantics preservation is property-tested in [test/test_ir.ml]. *)
 
+val default_threshold : int
+(** [16]: the largest constant extent {!stmt} unrolls by default. *)
+
 val stmt : ?threshold:int -> Stmt.t -> Stmt.t
 (** Unroll marked loops with constant extent at most [threshold] (default
     16), innermost-first, then re-simplify. Unmarked or large loops are left

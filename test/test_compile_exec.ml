@@ -629,6 +629,268 @@ let div_by_zero_cases =
         ])
     [ (Expr.Div, "div"); (Expr.Mod, "mod") ]
 
+(* --- hoisting and FMA-nest forms -------------------------------------------- *)
+
+(* Each case runs on the reference, the closure backend and the native
+   backend: outputs must be bit-identical to [Interp.run]'s and the closure
+   backend must count the statements [Exec_ocaml] counts. Without a native
+   toolchain the count check is skipped visibly. *)
+module EO = Hidet_gpu.Exec_ocaml
+
+let counter name = Hidet_obs.Metrics.(value (counter name))
+
+let native_ok =
+  lazy
+    (match EO.available () with
+    | Ok () -> true
+    | Error reason ->
+      Printf.printf "SKIP native statement counts: toolchain unavailable (%s)\n%!"
+        reason;
+      false)
+
+(* Run [k] on [bindings_of ()] through [runner]; the [outputs] arrays, or
+   the exception, and the [sim.statements] delta. *)
+let run_counted runner k bindings_of outputs =
+  let bs = bindings_of () in
+  let s0 = counter "sim.statements" in
+  let r =
+    try
+      runner k bs;
+      Ok (List.map (fun b -> List.assq b bs) outputs)
+    with e -> Error e
+  in
+  (r, counter "sim.statements" - s0)
+
+let same_outputs r1 r2 =
+  match (r1, r2) with
+  | Ok x, Ok y -> List.for_all2 arrays_equal_bits x y
+  | Error e1, Error e2 -> e1 = e2
+  | _ -> false
+
+let check_form_parity k bindings_of outputs =
+  let legacy, _ = run_counted Interp.run k bindings_of outputs in
+  let closure, n_closure = run_counted (CE.run ~workers:1) k bindings_of outputs in
+  Alcotest.(check bool) "outputs bit-identical to the reference" true
+    (same_outputs legacy closure);
+  if Lazy.force native_ok then begin
+    let native, n_native = run_counted (EO.run ~workers:1) k bindings_of outputs in
+    Alcotest.(check bool) "native outputs bit-identical" true
+      (same_outputs closure native);
+    Alcotest.(check int) "statements counted as native counts them" n_native
+      n_closure
+  end
+
+let form_case name mk =
+  Alcotest.test_case name `Quick (fun () ->
+      let k, b, o = mk () in
+      check_form_parity k b o)
+
+(* Every parameter bound to its own reproducible random array; all of them
+   compared afterwards. *)
+let random_params (k : Kernel.t) () =
+  List.mapi
+    (fun i (b : Buffer.t) -> (b, make_inputs (17 * (i + 1)) (Buffer.num_elems b)))
+    k.Kernel.params
+
+(* CUDA-core template configs covering register tiles [tm_], [tn_] of 1, 2,
+   4, 8 and 16, stages 1-4 and split-k 1 and 2, on a ragged problem. *)
+let template_configs =
+  let cfg ~tm ~tn ~warps_m ~warps_n ~stages ~split_k =
+    {
+      Hidet_sched.Matmul_template.default_config with
+      block_m = 4 * tm * warps_m;
+      block_n = 8 * tn * warps_n;
+      block_k = 8;
+      warp_m = 4 * tm;
+      warp_n = 8 * tn;
+      stages;
+      split_k;
+    }
+  in
+  [
+    cfg ~tm:1 ~tn:1 ~warps_m:1 ~warps_n:1 ~stages:1 ~split_k:1;
+    cfg ~tm:2 ~tn:16 ~warps_m:1 ~warps_n:1 ~stages:2 ~split_k:2;
+    cfg ~tm:4 ~tn:2 ~warps_m:2 ~warps_n:2 ~stages:3 ~split_k:1;
+    cfg ~tm:8 ~tn:4 ~warps_m:1 ~warps_n:2 ~stages:4 ~split_k:2;
+    cfg ~tm:16 ~tn:1 ~warps_m:1 ~warps_n:2 ~stages:2 ~split_k:1;
+    cfg ~tm:16 ~tn:8 ~warps_m:1 ~warps_n:1 ~stages:1 ~split_k:2;
+    cfg ~tm:1 ~tn:16 ~warps_m:1 ~warps_n:1 ~stages:3 ~split_k:2;
+  ]
+
+let template_case (cfg : Hidet_sched.Matmul_template.config) =
+  let name = "template " ^ Hidet_sched.Matmul_template.config_to_string cfg in
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check bool) "valid config" true
+        (Hidet_sched.Matmul_template.check cfg = Ok ());
+      let c = Hidet_sched.Matmul_template.compile ~batch:1 ~m:13 ~n:37 ~k:19 cfg in
+      List.iter
+        (fun (k : Kernel.t) -> check_form_parity k (random_params k) k.Kernel.params)
+        c.Hidet_sched.Compiled.kernels)
+
+(* [fma_kernel] with [RegsBF] indexed by [(j + tid) % tn]: a slot index, so
+   the nest keeps the general path. *)
+let fma_slot_kernel () =
+  let tm = 2 and tn = 4 in
+  let a = Buffer.create "A" [ 32 * tm ] and b = Buffer.create "B" [ 32 * tn ] in
+  let c = Buffer.create "C" [ 32 * tm * tn ] in
+  let regs_c = Buffer.create ~scope:Buffer.Register "RegsC" [ tm; tn ] in
+  let regs_af = Buffer.create ~scope:Buffer.Register "RegsAF" [ tm ] in
+  let regs_bf = Buffer.create ~scope:Buffer.Register "RegsBF" [ tn ] in
+  let i = Var.fresh "i" and j = Var.fresh "j" in
+  let vi = Expr.var i and vj = Expr.var j in
+  let tid = Expr.Thread_idx in
+  let for_ = Stmt.for_ ~unroll:true in
+  let rotated = Expr.Binop (Mod, Binop (Add, vj, tid), Int tn) in
+  let body =
+    Stmt.seq
+      [
+        for_ i (Expr.int tm)
+          (Stmt.store regs_af [ vi ]
+             (Expr.load a [ Expr.add (Expr.mul tid (Expr.int tm)) vi ]));
+        for_ j (Expr.int tn)
+          (Stmt.store regs_bf [ vj ]
+             (Expr.load b [ Expr.add (Expr.mul tid (Expr.int tn)) vj ]));
+        for_ i (Expr.int tm)
+          (for_ j (Expr.int tn)
+             (Stmt.store regs_c [ vi; vj ]
+                (Expr.add
+                   (Expr.load regs_c [ vi; vj ])
+                   (Expr.mul (Expr.load regs_af [ vi ]) (Expr.load regs_bf [ rotated ])))));
+        for_ i (Expr.int tm)
+          (for_ j (Expr.int tn)
+             (Stmt.store c
+                [ Expr.add (Expr.mul tid (Expr.int (tm * tn)))
+                    (Expr.add (Expr.mul vi (Expr.int tn)) vj) ]
+                (Expr.load regs_c [ vi; vj ])));
+      ]
+  in
+  let k =
+    Kernel.create ~regs:[ regs_c; regs_af; regs_bf ] ~name:"fma_slot"
+      ~params:[ a; b; c ] ~grid_dim:1 ~block_dim:32 body
+  in
+  (k, random_params k, [ c ])
+
+(* How many FMA nests compiling [k] found. *)
+let nests_of k =
+  let n0 = counter "sim.compile.fma_nests" in
+  ignore (CE.compile k);
+  counter "sim.compile.fma_nests" - n0
+
+let nest_case name mk ~nests =
+  Alcotest.test_case name `Quick (fun () ->
+      let k, b, o = mk () in
+      Alcotest.(check int) "FMA nests" nests (nests_of k);
+      check_form_parity k b o)
+
+(* A 64-thread block writing [cols] values per thread into [C : 64 x cols];
+   [body ~out] builds the statements from [out col value]. *)
+let per_thread_kernel ~name ~cols body =
+  let c = Buffer.create "C" [ 64; cols ] in
+  let out col v = Stmt.store c [ Expr.Thread_idx; col ] v in
+  let k = Kernel.create ~name ~params:[ c ] ~grid_dim:2 ~block_dim:64 (body ~out) in
+  (k, (fun () -> [ (c, Array.make (64 * cols) (-1.)) ]), [ c ])
+
+let tid = Expr.Thread_idx
+
+(* A division by [threadIdx] in a branch thread 0 never takes: hoisted, it
+   would raise on thread 0. *)
+let div_by_tid_in_branch () =
+  per_thread_kernel ~name:"div_tid" ~cols:1 (fun ~out ->
+      Stmt.if_
+        (Expr.Binop (Gt, tid, Int 0))
+        (out (Expr.int 0)
+           (Expr.Binop (Div, Binop (Add, Binop (Mul, tid, Int 100), Int 7), tid))))
+
+(* Constant-divisor arithmetic in a branch no thread takes, indexing far
+   out of bounds, next to a modulo by a constant 0. *)
+let const_div_in_dead_branch () =
+  per_thread_kernel ~name:"dead_branch" ~cols:2 (fun ~out ->
+      Stmt.seq
+        [
+          out (Expr.int 0) (Expr.Binop (Div, Binop (Sub, tid, Int 40), Int 3));
+          Stmt.if_
+            (Expr.Binop (Gt, tid, Int 1000))
+            (Stmt.seq
+               [
+                 out
+                   (Expr.Binop (Add, Binop (Div, Binop (Mul, tid, Int 3), Int 7), Int 1000))
+                   (Expr.float 1.);
+                 out (Expr.int 1) (Expr.Binop (Mod, Binop (Add, tid, Int 1), Int 0));
+               ]);
+        ])
+
+(* One expression over the loop variable in two sibling loops binding the
+   same variable: each loop needs its own slot, computed per iteration. The
+   thread-invariant [(tid / 8) % 4] may share one. *)
+let sibling_loops () =
+  let i = Var.fresh "i" in
+  let vi = Expr.var i in
+  let e =
+    Expr.Binop
+      (Add,
+       Binop (Mod, Binop (Div, Binop (Add, Binop (Mul, vi, Int 3), tid), Int 2), Int 5),
+       Binop (Mod, Binop (Div, tid, Int 8), Int 4))
+  in
+  per_thread_kernel ~name:"siblings" ~cols:7 (fun ~out ->
+      Stmt.seq
+        [
+          Stmt.for_ i (Expr.int 4) (out vi e);
+          Stmt.for_ i (Expr.int 3) (out (Expr.Binop (Add, vi, Int 4)) e);
+        ])
+
+(* One variable bound by four sibling [Let]s: two to invariant values (the
+   variable shares the value's slot), two to a [Select] (a binder slot). *)
+let rebound_let () =
+  let x = Var.fresh "x" in
+  let vx = Expr.var x in
+  let sel a b = Expr.Select (Expr.Binop (Lt, tid, Int 16), a, b) in
+  per_thread_kernel ~name:"rebound" ~cols:4 (fun ~out ->
+      let use col =
+        out (Expr.int col)
+          (Expr.Binop (Add, Binop (Mod, Binop (Div, vx, Int 3), Int 4), vx))
+      in
+      Stmt.seq
+        [
+          Stmt.let_ x (Expr.Binop (Add, Binop (Mul, tid, Int 2), Int 1)) (use 0);
+          Stmt.let_ x (Expr.Binop (Add, Binop (Mul, tid, Int 5), Int 2)) (use 1);
+          Stmt.let_ x (sel (Expr.Binop (Mul, tid, Int 7)) (Expr.Int 3)) (use 2);
+          Stmt.let_ x (sel (Expr.Int 11) (Expr.Binop (Sub, tid, Int 9))) (use 3);
+        ])
+
+(* The task-mapping chain [lane = tid % 32], [q = lane / 8 % 4], and the
+   same arithmetic again inside a loop. *)
+let lane_chain () =
+  let lane = Var.fresh "lane" and q = Var.fresh "q" and r = Var.fresh "r" in
+  let vlane = Expr.var lane and vr = Expr.var r in
+  let quad = Expr.Binop (Mod, Binop (Div, vlane, Int 8), Int 4) in
+  per_thread_kernel ~name:"lane" ~cols:3 (fun ~out ->
+      Stmt.let_ lane (Expr.Binop (Mod, tid, Int 32))
+        (Stmt.let_ q quad
+           (Stmt.seq
+              [
+                out (Expr.int 0)
+                  (Expr.Binop
+                     (Add, Binop (Mul, Expr.var q, Int 10), Binop (Mod, vlane, Int 8)));
+                Stmt.for_ r (Expr.int 2)
+                  (out
+                     (Expr.Binop (Add, vr, Int 1))
+                     (Expr.Binop
+                        (Add, Binop (Mul, quad, vr),
+                         Binop (Div, Binop (Mod, vlane, Int 8), Int 2))));
+              ])))
+
+(* The [Matmul_template] kernel exercises both forms. *)
+let test_template_counters () =
+  let c =
+    Hidet_sched.Matmul_template.compile ~batch:1 ~m:20 ~n:24 ~k:12
+      Hidet_sched.Matmul_template.default_config
+  in
+  let k = List.hd c.Hidet_sched.Compiled.kernels in
+  let h0 = counter "sim.compile.hoisted" in
+  Alcotest.(check bool) "FMA nests" true (nests_of k > 0);
+  Alcotest.(check bool) "hoisted subexpressions" true
+    (counter "sim.compile.hoisted" - h0 > 0)
+
 (* --- parallel-grid gate unit checks --------------------------------------- *)
 
 let vadd_kernel () =
@@ -752,7 +1014,21 @@ let () =
            check_same_outputs "slot and constant indices" k b o);
           (let k, b, o = int_binop_kernel () in
            check_same_outputs "int binop operand forms" k b o);
+          nest_case "FMA nest" (fma_kernel ~af_rows:2) ~nests:1;
+          nest_case "FMA nest with a slot index falls back" fma_slot_kernel
+            ~nests:0;
+          Alcotest.test_case "FMA nest out of bounds falls back" `Quick
+            (fun () ->
+              let k, _, _ = fma_kernel ~af_rows:1 () in
+              Alcotest.(check int) "FMA nests" 0 (nests_of k));
+          form_case "division by threadIdx in a branch not taken"
+            div_by_tid_in_branch;
+          form_case "constant divisors in a dead branch" const_div_in_dead_branch;
+          form_case "one expression in sibling loops" sibling_loops;
+          form_case "let rebound in sibling scopes" rebound_let;
+          form_case "lane chain" lane_chain;
         ]
+        @ List.map template_case template_configs
         @ List.map
             (fun (name, access) ->
               both_raise_same ("out of bounds: " ^ name) (oob_access_kernel access))
@@ -778,5 +1054,7 @@ let () =
           Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
           Alcotest.test_case "compile once, run many" `Quick
             test_compile_once_run_many;
+          Alcotest.test_case "template fires nests and hoisting" `Quick
+            test_template_counters;
         ] );
     ]

@@ -517,6 +517,47 @@ let test_recompile_hits_memo () =
        (Hidet_tensor.Tensor.data closure)
        (Hidet_tensor.Tensor.data native))
 
+(* Every kernel of the four tiny models' plans, each parameter bound to its
+   own random array: the closure backend must count the statements the
+   native one counts, kernel by kernel, and write the same bits (or raise
+   the same exception). *)
+let test_tiny_kernel_counts () =
+  let v = Hidet_obs.Metrics.value in
+  let run runner (k : Kernel.t) =
+    let bs =
+      List.mapi
+        (fun i (b : Buffer.t) -> (b, make_inputs (31 * (i + 1)) (Buffer.num_elems b)))
+        k.Kernel.params
+    in
+    let s0 = v stmts_counter in
+    let r =
+      try
+        runner k bs;
+        Ok (List.map snd bs)
+      with e -> Error e
+    in
+    (r, v stmts_counter - s0)
+  in
+  List.iter
+    (fun (model, mk) ->
+      let plan, _ = Hidet.Hidet_engine.compile_plan Hidet_gpu.Device.rtx3090 (mk ()) in
+      List.iter
+        (fun (step : Plan.step) ->
+          List.iter
+            (fun (k : Kernel.t) ->
+              let name = model ^ "/" ^ k.Kernel.name in
+              let closure, n_closure = run (CE.run ~workers:1) k in
+              let native, n_native = run (EO.run ~workers:1) k in
+              Alcotest.(check int) (name ^ ": statements") n_native n_closure;
+              Alcotest.(check bool) (name ^ ": outputs") true
+                (match (closure, native) with
+                | Ok x, Ok y -> List.for_all2 arrays_equal_bits x y
+                | Error e1, Error e2 -> e1 = e2
+                | _ -> false))
+            step.Plan.compiled.Hidet_sched.Compiled.kernels)
+        plan.Plan.steps)
+    Hidet_models.Models.tiny_all
+
 (* [Compiled.run] keeps a launch handle per kernel and backend. The first
    launches race on four domains, as [Hidet_serve.Pool]'s workers do, and
    agree bit for bit; a later run compiles nothing (no [sim.compile] or
@@ -649,6 +690,8 @@ let () =
           [
             QCheck_alcotest.to_alcotest prop_native_eq_compiled;
             QCheck_alcotest.to_alcotest prop_native_parallel_eq_sequential;
+            Alcotest.test_case "tiny-model kernels count the same statements"
+              `Quick test_tiny_kernel_counts;
           ] );
         ( "error parity",
           [
