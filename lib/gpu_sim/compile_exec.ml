@@ -894,10 +894,6 @@ let with_init init body =
    holds. *)
 let max_nest_stores = 4096
 
-(* The array and offset of the (bufs slot, offset) pair at [code.(p)]. *)
-let[@inline] arr bufs code p = Array.unsafe_get bufs (Array.unsafe_get code p)
-let[@inline] off code p = Array.unsafe_get code (p + 1)
-
 (* An index over the nest's loop variables, bound in [env], as a constant:
    the hoisting set's operators, with [Expr.eval]'s own arithmetic. *)
 let rec const_index env (e : Expr.t) =
@@ -915,17 +911,18 @@ let rec const_index env (e : Expr.t) =
   | _ -> None
 
 (* The register FMA nest: [unroll] loops of constant extent at most
-   [Unroll.default_threshold] around stores [c = x + y * z] whose indices
-   are in-bounds constants once the loop variables are replaced by their
-   values, as [Matmul_template] emits [RegsC\[r\]\[c\] += RegsAF\[r\] *
-   RegsBF\[c\]]. The nest is one closure: it counts the statements the
-   nested closures would (1 per [For] execution, 1 per store), then runs
-   the stores from precomputed (bufs slot, offset) pairs, reading [z], [y],
-   then [x] like the single FMA store. Every address is checked here, so
-   nothing in it can raise; any other nest keeps the general path. *)
+   [Unroll.default_threshold] around stores [c = x + y * z], all over the
+   same four buffers, whose indices are in-bounds constants once the loop
+   variables are replaced by their values, as [Matmul_template] emits
+   [RegsC\[r\]\[c\] += RegsAF\[r\] * RegsBF\[c\]]. The nest is one
+   closure: it counts the statements the nested closures would (1 per
+   [For] execution, 1 per store), then runs the stores from precomputed
+   offsets, reading [z], [y], then [x] like the single FMA store. Every
+   address is checked here, so nothing in it can raise; any other nest
+   keeps the general path. *)
 let fma_nest st (s : Stmt.t) : (rt -> unit) option =
   let unrolled n = n >= 0 && n <= Unroll.default_threshold in
-  let code = ref [] and stores = ref 0 in
+  let slots = ref None and offs = ref [] and stores = ref 0 in
   let operand env (b : Buffer.t) idx =
     let rec go dims idx off =
       match (dims, idx) with
@@ -940,7 +937,7 @@ let fma_nest st (s : Stmt.t) : (rt -> unit) option =
     | Some slot -> (slot, go b.Buffer.dims idx 0)
     | None -> raise Exit
   in
-  (* Statements executed; the stores' pairs go to [code], last first. *)
+  (* Statements executed; the stores' offsets go to [offs], last first. *)
   let rec walk env (s : Stmt.t) =
     match s with
     | Stmt.For { var; extent = Int n; unroll = true; body } when unrolled n ->
@@ -962,7 +959,10 @@ let fma_nest st (s : Stmt.t) : (rt -> unit) option =
       let xb, xo = operand env bx ix in
       let yb, yo = operand env by iy in
       let zb, zo = operand env bz iz in
-      code := [| cb; co; xb; xo; yb; yo; zb; zo |] :: !code;
+      (match !slots with
+      | None -> slots := Some (cb, xb, yb, zb)
+      | Some s -> if s <> (cb, xb, yb, zb) then raise Exit);
+      offs := [| co; xo; yo; zo |] :: !offs;
       1
     | _ -> raise Exit
   in
@@ -970,21 +970,26 @@ let fma_nest st (s : Stmt.t) : (rt -> unit) option =
   | Stmt.For { extent = Int n; unroll = true; _ } when unrolled n -> (
     match walk [] s with
     | exception Exit -> None
-    | count ->
+    | count -> (
       st.fma_nests <- st.fma_nests + 1;
-      let code = Array.concat (List.rev !code) in
-      let n = Array.length code / 8 in
-      Some
-        (fun rt ->
-          rt.stmts <- rt.stmts + count;
-          let bufs = rt.bufs in
-          for j = 0 to n - 1 do
-            let p = j * 8 in
-            let vz = Array.unsafe_get (arr bufs code (p + 6)) (off code (p + 6)) in
-            let vy = Array.unsafe_get (arr bufs code (p + 4)) (off code (p + 4)) in
-            let vx = Array.unsafe_get (arr bufs code (p + 2)) (off code (p + 2)) in
-            Array.unsafe_set (arr bufs code p) (off code p) (vx +. (vy *. vz))
-          done))
+      let offs = Array.concat (List.rev !offs) in
+      match !slots with
+      | None -> Some (fun rt -> rt.stmts <- rt.stmts + count)
+      | Some (cb, xb, yb, zb) ->
+        let n = Array.length offs / 4 in
+        Some
+          (fun rt ->
+            rt.stmts <- rt.stmts + count;
+            let bufs = rt.bufs in
+            let c = Array.unsafe_get bufs cb and x = Array.unsafe_get bufs xb in
+            let y = Array.unsafe_get bufs yb and z = Array.unsafe_get bufs zb in
+            for j = 0 to n - 1 do
+              let p = 4 * j in
+              let vz = Array.unsafe_get z (Array.unsafe_get offs (p + 3)) in
+              let vy = Array.unsafe_get y (Array.unsafe_get offs (p + 2)) in
+              let vx = Array.unsafe_get x (Array.unsafe_get offs (p + 1)) in
+              Array.unsafe_set c (Array.unsafe_get offs p) (vx +. (vy *. vz))
+            done)))
   | _ -> None
 
 let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =

@@ -51,14 +51,14 @@
 
     {b The register FMA nest.} A nest of [unroll] loops of constant extent
     at most [Unroll.default_threshold] whose leaves are all stores
-    [c\[..\] = x\[..\] + y\[..\] * z\[..\]] with in-bounds constant indices,
-    once the loop variables take their values, runs as one closure (at most
-    4096 stores). That is [Matmul_template]'s
-    [RegsC\[r\]\[c\] += RegsAF\[r\] * RegsBF\[c\]]. The closure adds the
-    nest's statement count in one step, then runs the stores from
-    precomputed (buffer slot, offset) pairs. Every address was checked at
-    compile time, so nothing in it can raise; any other nest (a slot index,
-    an out-of-bounds constant) keeps the general path and its errors.
+    [c\[..\] = x\[..\] + y\[..\] * z\[..\]] over the same four buffers, with
+    in-bounds constant indices once the loop variables take their values,
+    runs as one closure (at most 4096 stores). That is
+    [Matmul_template]'s [RegsC\[r\]\[c\] += RegsAF\[r\] * RegsBF\[c\]]. The
+    closure adds the nest's statement count in one step, then runs the
+    stores from precomputed offsets. Every address was checked at compile
+    time, so nothing in it can raise; any other nest (a slot index, an
+    out-of-bounds constant) keeps the general path and its errors.
     [compile] counts the nests in [sim.compile.fma_nests] and the hoisted
     subexpressions in [sim.compile.hoisted].
 
