@@ -727,9 +727,11 @@ let template_case (cfg : Hidet_sched.Matmul_template.config) =
         (fun (k : Kernel.t) -> check_form_parity k (random_params k) k.Kernel.params)
         c.Hidet_sched.Compiled.kernels)
 
-(* [fma_kernel] with [RegsBF] indexed by [(j + tid) % tn]: a slot index, so
-   the nest keeps the general path. *)
-let fma_slot_kernel () =
+(* [fma_kernel]'s nest in two forms that keep the general path: [RegsBF]
+   indexed by [(j + tid) % tn], a slot index; or ([mixed]) a second store
+   with its product's operands swapped, so the stores use two buffer
+   sets. *)
+let fma_fallback_kernel ~mixed () =
   let tm = 2 and tn = 4 in
   let a = Buffer.create "A" [ 32 * tm ] and b = Buffer.create "B" [ 32 * tn ] in
   let c = Buffer.create "C" [ 32 * tm * tn ] in
@@ -740,7 +742,15 @@ let fma_slot_kernel () =
   let vi = Expr.var i and vj = Expr.var j in
   let tid = Expr.Thread_idx in
   let for_ = Stmt.for_ ~unroll:true in
-  let rotated = Expr.Binop (Mod, Binop (Add, vj, tid), Int tn) in
+  let fma y z =
+    Stmt.store regs_c [ vi; vj ]
+      (Expr.add (Expr.load regs_c [ vi; vj ]) (Expr.mul y z))
+  in
+  let af = Expr.load regs_af [ vi ] and bf = Expr.load regs_bf [ vj ] in
+  let nest_body =
+    if mixed then Stmt.seq [ fma af bf; fma bf af ]
+    else fma af (Expr.load regs_bf [ Expr.Binop (Mod, Binop (Add, vj, tid), Int tn) ])
+  in
   let body =
     Stmt.seq
       [
@@ -750,12 +760,7 @@ let fma_slot_kernel () =
         for_ j (Expr.int tn)
           (Stmt.store regs_bf [ vj ]
              (Expr.load b [ Expr.add (Expr.mul tid (Expr.int tn)) vj ]));
-        for_ i (Expr.int tm)
-          (for_ j (Expr.int tn)
-             (Stmt.store regs_c [ vi; vj ]
-                (Expr.add
-                   (Expr.load regs_c [ vi; vj ])
-                   (Expr.mul (Expr.load regs_af [ vi ]) (Expr.load regs_bf [ rotated ])))));
+        for_ i (Expr.int tm) (for_ j (Expr.int tn) nest_body);
         for_ i (Expr.int tm)
           (for_ j (Expr.int tn)
              (Stmt.store c
@@ -765,7 +770,7 @@ let fma_slot_kernel () =
       ]
   in
   let k =
-    Kernel.create ~regs:[ regs_c; regs_af; regs_bf ] ~name:"fma_slot"
+    Kernel.create ~regs:[ regs_c; regs_af; regs_bf ] ~name:"fma_fallback"
       ~params:[ a; b; c ] ~grid_dim:1 ~block_dim:32 body
   in
   (k, random_params k, [ c ])
@@ -1015,8 +1020,10 @@ let () =
           (let k, b, o = int_binop_kernel () in
            check_same_outputs "int binop operand forms" k b o);
           nest_case "FMA nest" (fma_kernel ~af_rows:2) ~nests:1;
-          nest_case "FMA nest with a slot index falls back" fma_slot_kernel
-            ~nests:0;
+          nest_case "FMA nest with a slot index falls back"
+            (fma_fallback_kernel ~mixed:false) ~nests:0;
+          nest_case "FMA nest over two buffer sets falls back"
+            (fma_fallback_kernel ~mixed:true) ~nests:0;
           Alcotest.test_case "FMA nest out of bounds falls back" `Quick
             (fun () ->
               let k, _, _ = fma_kernel ~af_rows:1 () in
