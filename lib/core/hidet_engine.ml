@@ -155,7 +155,7 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
      the row/reduce spaces (a handful of block sizes) stay exhaustive. *)
   let compiled =
     tuned ~show:MT.config_to_string ~search:options.search
-      ~lower_bound:(MT.lower_bound device ~batch ~m ~n ~k)
+      ~lower_bound:(MT.lower_bound device ~batch ~a_batched ~b_batched ~m ~n ~k)
       options stats ~device ~key ~candidates:space
       ~compile:(fun cfg -> MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg)
   in

@@ -179,47 +179,54 @@ let kernel (d : Device.t) (k : Kernel.t) =
       note;
     }
 
-(* --- a lower bound from launch shape and per-block floors ----------------------
+(* --- a lower bound from the launch shape and per-thread floors ----------------
 
-   Every term of [kernel] above, bounded from below without the kernel:
-   - resident blocks per SM ignore registers, so [bps_ub] >= [blocks_per_sm]
-     and the resident threads, hence both saturations, are at most their
-     [resident_ub] values;
-   - [waves * blocks_on_sm >= ceil(grid / SMs)] bounds the compute waves,
-     and [waves * active_blocks >= grid] and
-     [waves >= ceil(grid / (SMs * bps_ub))] the two bandwidth shares;
-   - L2 reuse never exceeds its window, at most [min(l2_reuse_window, grid)]
-     blocks, and coalescing never makes a load cheaper than its bytes;
-   - the pipeline residue shrinks with depth, and [overlap] grows in both
-     phases, so the declared depth and the floors give at most the kernel's
-     overlapped time;
-   - [kernel] charges [waves * c.syncs * sync_latency] on top of that, and
-     [waves >= ceil(grid / (SMs * bps_ub))], so [syncs] barriers per block
-     (at most [c.syncs]) cost at least that many waves of them. *)
+   [kernel] above, term by term, from numbers instead of a kernel. The
+   registers make the occupancy exact, so the resident blocks, waves,
+   active blocks, [blocks_on_sm] and both saturations are [kernel]'s own.
+   Each remaining input is at most [kernel]'s (the reuse at least), and the
+   floor evaluates [kernel]'s expressions in [kernel]'s order, so it stays
+   at or below the latency in floating point, not only in the reals:
+   rounding is monotone in each operand, and the dropped terms only add.
+   - coalescing never makes a load cheaper than its bytes
+     ([Float.max 1. ld_eff >= 1]);
+   - tensor-core FLOPs add a non-negative compute term;
+   - the pipeline residue shrinks with depth, and the effective depth is at
+     most the declared one. *)
 
-let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~stages ~syncs ~flops
-    ~shared_bytes ~load_bytes ~store_bytes =
-  match blocks_per_sm_limit d ~block_dim ~smem ~regs:0 with
+let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~regs ~stages ~syncs
+    ~flops ~shared_bytes ~load_bytes ~store_bytes ~reuse =
+  match blocks_per_sm_limit d ~block_dim ~smem ~regs with
   | Error _ -> infinity
-  | Ok bps_ub ->
-    let f = float_of_int and sms = d.num_sms in
-    let resident_ub = f (block_dim * ceil_div (min grid (sms * bps_ub)) sms) in
+  | Ok blocks_per_sm ->
+    let f = float_of_int in
+    let concurrent = d.num_sms * blocks_per_sm in
+    let active_blocks = min grid concurrent in
+    let waves = ceil_div grid concurrent in
+    let blocks_on_sm = ceil_div active_blocks d.num_sms in
+    let resident_threads = f (block_dim * blocks_on_sm) in
+    let l2_reuse =
+      if load_bytes > 0. then reuse (min d.l2_reuse_window active_blocks) else 1.
+    in
+    let bytes_block = ((load_bytes /. l2_reuse) +. store_bytes) *. f block_dim in
+    let bw_per_block =
+      Float.min
+        (d.mem_bandwidth /. f active_blocks)
+        (per_sm_bandwidth_cap *. d.mem_bandwidth /. f d.num_sms)
+      *. mem_saturation d resident_threads
+    in
+    let mem = bytes_block /. bw_per_block in
+    let cuda_per_block =
+      Device.fp32_flops d /. f d.num_sms /. f blocks_on_sm
+      *. comp_saturation d resident_threads
+    in
+    let shared_per_block = d.shared_bandwidth_per_sm /. f blocks_on_sm in
     let compute =
-      f (ceil_div grid sms)
-      *. ((flops *. f sms /. Device.fp32_flops d
-          /. comp_saturation d resident_ub)
-         +. (shared_bytes /. d.shared_bandwidth_per_sm))
+      (flops *. f block_dim /. cuda_per_block)
+      +. (shared_bytes *. f block_dim /. shared_per_block)
     in
-    let waves_lb = f (ceil_div grid (sms * bps_ub)) in
-    let bytes = (load_bytes /. f (min d.l2_reuse_window grid)) +. store_bytes in
-    let mem =
-      Float.max
-        (f grid *. bytes /. d.mem_bandwidth)
-        (waves_lb *. bytes *. f sms /. (per_sm_bandwidth_cap *. d.mem_bandwidth))
-      /. mem_saturation d resident_ub
-    in
-    d.kernel_launch_overhead +. overlap ~stages ~mem ~compute
-    +. (waves_lb *. float_of_int syncs *. d.sync_latency)
+    d.kernel_launch_overhead
+    +. (f waves *. (overlap ~stages ~mem ~compute +. (f syncs *. d.sync_latency)))
 
 (* --- fidelity dispatch ------------------------------------------------------
 

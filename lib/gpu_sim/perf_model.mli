@@ -55,24 +55,31 @@ val lower_bound :
   grid:int ->
   block_dim:int ->
   smem:int ->
+  regs:int ->
   stages:int ->
   syncs:int ->
   flops:float ->
   shared_bytes:float ->
   load_bytes:float ->
   store_bytes:float ->
+  reuse:(int -> float) ->
   float
 (** A floor on {!kernel}'s latency for every kernel with this launch shape
-    ([grid], [block_dim], [smem] shared bytes per block, [stages] declared
-    pipeline depth) whose blocks each do at least the given work: [syncs]
-    barriers, CUDA-core [flops], [shared_bytes] of shared-memory traffic,
-    [load_bytes] of global loads (before L2 reuse) and [store_bytes] of
-    global stores. Computed
-    from those numbers alone, with no kernel; [infinity] when the shape is
-    infeasible whatever the registers. Launch plus the overlap of a memory
-    floor at the best possible L2 reuse and a compute floor, each at the
-    largest resident thread count the shape admits, plus the barriers of
-    the fewest waves the shape admits. *)
+    and footprint ([grid], [block_dim], [smem] shared bytes per block,
+    [regs] registers per thread as {!Hidet_ir.Kernel.regs_per_thread}
+    counts them, [stages] declared pipeline depth) whose threads each do at
+    least the given work: CUDA-core [flops], [shared_bytes] of shared-memory
+    traffic, [load_bytes] of global loads (before L2 reuse) and
+    [store_bytes] of global stores, all per thread, and whose blocks each
+    run exactly [syncs] barriers. [reuse w] must be at least the kernel's
+    {!Traffic.block_reuse} at [~window:w]; it is asked once, at the window
+    {!kernel} uses.
+
+    Computed from those numbers alone, with no kernel; [infinity] when the
+    footprint admits no resident block. With the exact footprint the
+    occupancy, waves and saturations are {!kernel}'s own, and the floor
+    evaluates {!kernel}'s expressions in its order with each input on the
+    safe side, so it never exceeds the latency in floating point. *)
 
 (** {1 Fidelity modes}
 

@@ -97,38 +97,208 @@ let trips ~k cfg = ceil_div (ceil_div k cfg.block_k) cfg.split_k
 let syncs ~k cfg =
   if cfg.stages >= 2 then 1 + trips ~k cfg else 2 * trips ~k cfg
 
-(* Per-block floors of what [compile] below emits, in f32 words: block 0
-   runs [trips] k-tiles, staging each A and B tile through shared memory;
-   the CUDA-core path then reads [tm + tn] fragment words per thread per kk
-   and issues [tm * tn] FMAs; the writeback stores the block tile once.
-   Block 0's barrier count is exact. The split-k reduce kernel costs at
-   least a launch. *)
-let lower_bound (d : Hidet_gpu.Device.t) ?(batch = 1) ~m ~n ~k cfg =
-  match check cfg with
-  | Error _ -> 0. (* [compile] rejects it: never skip it *)
-  | Ok () ->
-    let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
-    let trips = trips ~k cfg in
-    let bd = block_dim cfg in
-    let f = float_of_int in
-    let staged = f (trips * (bm + bn) * bk) in
-    let fragments, fmas =
-      if cfg.use_tensor_core then (0., 0.)
-      else
-        ( f (trips * bk * bd * ((cfg.warp_m / 4) + (cfg.warp_n / 8))),
-          f (trips * bm * bn * bk) )
+(* [Kernel.regs_per_thread] of [compile]'s main kernel: the accumulator
+   (the CUDA-core register tile and its two operand fragments, or the
+   tensor-core warp fragment in 32-lane words), the pipelined path's
+   staging registers (one tile's share per thread), and 24. *)
+let regs_per_thread cfg =
+  let bd = block_dim cfg in
+  let acc =
+    if cfg.use_tensor_core then ceil_div (cfg.warp_m * cfg.warp_n) 32
+    else
+      let tm = cfg.warp_m / 4 and tn = cfg.warp_n / 8 in
+      (tm * tn) + tm + tn
+  in
+  let staging =
+    if cfg.stages >= 2 then
+      (cfg.block_m * cfg.block_k / bd) + (cfg.block_k * cfg.block_n / bd)
+    else 0
+  in
+  acc + staging + 24
+
+(* The relative margin [block_reuse] adds to its closed form: [Traffic]
+   sums the same ratio site by site in another order, a few hundred
+   roundings of 2^-53 at most, so the result is never below [Traffic]'s. *)
+let reuse_margin = 5e-13
+
+(* [block_reuse] (see the interface) before memoising: over a prefix of
+   [p] blocks with [da] distinct A bases and [db] distinct B bases, the
+   ratio [Traffic] computes is [p (bm + bn) / (bm da + bn db)], capped at
+   [p], and the reuse is the best prefix. *)
+let closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg =
+  let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
+  let gm = ceil_div m bm and gn = ceil_div n bn in
+  let chunk = ceil_div (ceil_div k bk) cfg.split_k in
+  let w = max 1 (min window (batch * cfg.split_k * gm * gn)) in
+  if w = 1 then 1.
+  else
+    (* Block [bid]'s batch, tile row, tile column and first k-tile in
+       [compile]'s launch order: row-major, or with [swizzle] the panelized
+       order (4 tile rows per column) when they divide [gm], else
+       column-major. *)
+    let order =
+      if not cfg.swizzle then `Row_major
+      else if gm mod 4 = 0 then `Panels
+      else `Column_major
     in
-    let main =
-      Hidet_gpu.Perf_model.lower_bound d
-        ~grid:(batch * cfg.split_k * ceil_div m bm * ceil_div n bn)
-        ~block_dim:bd
-        ~smem:(4 * cfg.stages * (bm + bn) * bk)
-        ~stages:cfg.stages ~syncs:(syncs ~k cfg) ~flops:(2. *. fmas)
-        ~shared_bytes:(4. *. (staged +. fragments))
-        ~load_bytes:(4. *. staged)
-        ~store_bytes:(4. *. f (bm * bn))
+    let r bid = bid mod (gm * gn) in
+    let im bid =
+      match order with
+      | `Row_major -> bid / gn mod gm
+      | `Panels -> (r bid / (4 * gn) * 4) + (r bid mod (4 * gn) mod 4)
+      | `Column_major -> r bid mod gm
     in
-    if cfg.split_k > 1 then main +. d.kernel_launch_overhead else main
+    let jn bid =
+      match order with
+      | `Row_major -> bid mod gn
+      | `Panels -> r bid mod (4 * gn) / 4
+      | `Column_major -> r bid / gm
+    in
+    let b bid = bid / (gm * gn * cfg.split_k) in
+    let kstart bid = bid / (gm * gn) mod cfg.split_k * chunk in
+    (* distinct.(p - 1): the distinct bases among the first [p] blocks *)
+    let prefix_distinct base =
+      let seen = Array.make w 0 and distinct = Array.make w 0 in
+      let d = ref 0 in
+      for bid = 0 to w - 1 do
+        let v = base bid in
+        let rec fresh j = j = !d || (seen.(j) <> v && fresh (j + 1)) in
+        if fresh 0 then begin
+          seen.(!d) <- v;
+          incr d
+        end;
+        distinct.(bid) <- !d
+      done;
+      distinct
+    in
+    let layouts = function None -> [ true; false ] | Some l -> [ l ] in
+    let bases_a =
+      List.map
+        (fun batched ->
+          prefix_distinct (fun bid ->
+              (((if batched then b bid * m else 0) + (im bid * bm)) * k)
+              + (kstart bid * bk)))
+        (layouts a_batched)
+    and bases_b =
+      List.map
+        (fun batched ->
+          prefix_distinct (fun bid ->
+              (((if batched then b bid * k else 0) + (kstart bid * bk)) * n)
+              + (jn bid * bn)))
+        (layouts b_batched)
+    in
+    let best = ref 1. in
+    List.iter
+      (fun da ->
+        List.iter
+          (fun db ->
+            for p = 1 to w do
+              let ratio =
+                float_of_int (p * (bm + bn))
+                /. float_of_int ((bm * da.(p - 1)) + (bn * db.(p - 1)))
+              in
+              best := Float.max !best (Float.min (float_of_int p) ratio)
+            done)
+          bases_b)
+      bases_a;
+    !best *. (1. +. reuse_margin)
+
+(* [f] of a table's key, computed once per key. The tables live in the
+   closures the partial applications below return. *)
+let memo table key f =
+  match Hashtbl.find_opt table key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add table key v;
+    v
+
+let block_reuse ?(batch = 1) ?a_batched ?b_batched ~m ~n ~k =
+  let reuses = Hashtbl.create 64 in
+  fun cfg ~window ->
+    (* the closed form reads only the block tile, split-k and swizzle *)
+    memo reuses
+      (cfg.block_m, cfg.block_n, cfg.block_k, cfg.split_k, cfg.swizzle, window)
+      (fun () ->
+        closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg)
+
+(* The split-k reduce kernel, C[b,i,j] = sum_z Cp[z,b,i,j]: it depends on
+   (batch, m, n, split_k) alone. *)
+let splitk_reduce ~name ~batch ~m ~n ~split_k cp c_buf =
+  let ( +: ) = Expr.add and ( /: ) = Expr.div and ( %: ) = Expr.modulo in
+  let total = batch * m * n in
+  let rb = 256 in
+  let v_gid = Var.fresh "gid" in
+  let gid = Expr.var v_gid in
+  let v_zz = Var.fresh "zz" in
+  let acc = Buffer.create ~scope:Buffer.Register "acc" [ 1 ] in
+  let idx = [ gid /: Expr.int (m * n); gid /: Expr.int n %: Expr.int m; gid %: Expr.int n ] in
+  let reduce_body =
+    Stmt.let_ v_gid
+      ((Expr.mul Expr.Block_idx (Expr.int rb)) +: Expr.Thread_idx)
+      (Stmt.if_ (Expr.lt gid (Expr.int total))
+         (Stmt.seq
+            [
+              Stmt.store acc [ Expr.int 0 ] (Expr.float 0.);
+              Stmt.for_ ~unroll:true v_zz (Expr.int split_k)
+                (Stmt.store acc [ Expr.int 0 ]
+                   (Expr.add
+                      (Expr.load acc [ Expr.int 0 ])
+                      (Expr.load cp (Expr.var v_zz :: idx))));
+              Stmt.store c_buf idx (Expr.load acc [ Expr.int 0 ]);
+            ]))
+  in
+  Kernel.create ~regs:[ acc ] ~name ~params:[ cp; c_buf ]
+    ~grid_dim:(ceil_div total rb) ~block_dim:rb (Simplify.stmt reduce_body)
+
+let reduce_latency d ~batch ~m ~n =
+  let latencies = Hashtbl.create 4 in
+  fun split_k ->
+    memo latencies split_k (fun () ->
+        let cp = Buffer.create "Cp" [ split_k; batch; m; n ] in
+        let c = Buffer.create "C" [ batch; m; n ] in
+        (Hidet_gpu.Perf_model.kernel d
+           (splitk_reduce ~name:"splitk_reduce" ~batch ~m ~n ~split_k cp c))
+          .latency)
+
+(* Per-thread floors of what [compile] below emits: block 0 runs [trips]
+   k-tiles (the pipeline's preloaded tiles are left out), staging its
+   share of each A and B tile through shared memory; the CUDA-core path
+   then reads [tm + tn] fragment words per kk and issues [tm * tn] FMAs
+   (the tensor-core MMAs are left out); the writeback stores its share of
+   the block tile once. The barriers, registers and L2 reuse are exact. *)
+let lower_bound ?(batch = 1) ?a_batched ?b_batched (d : Hidet_gpu.Device.t) ~m
+    ~n ~k =
+  let reduce_latency = reduce_latency d ~batch ~m ~n in
+  let block_reuse = block_reuse ~batch ?a_batched ?b_batched ~m ~n ~k in
+  fun cfg ->
+    match check cfg with
+    | Error _ -> 0. (* [compile] rejects it: never skip it *)
+    | Ok () ->
+      let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
+      let trips = trips ~k cfg in
+      let bd = block_dim cfg in
+      let f = float_of_int in
+      let staged = f (trips * ((bm * bk / bd) + (bk * bn / bd))) in
+      let fragments, fmas =
+        if cfg.use_tensor_core then (0., 0.)
+        else
+          let tm = cfg.warp_m / 4 and tn = cfg.warp_n / 8 in
+          (f (trips * bk * (tm + tn)), f (trips * bk * tm * tn))
+      in
+      let main =
+        Hidet_gpu.Perf_model.lower_bound d
+          ~grid:(batch * cfg.split_k * ceil_div m bm * ceil_div n bn)
+          ~block_dim:bd
+          ~smem:(4 * cfg.stages * (bm + bn) * bk)
+          ~regs:(regs_per_thread cfg) ~stages:cfg.stages ~syncs:(syncs ~k cfg)
+          ~flops:(2. *. fmas)
+          ~shared_bytes:(4. *. (staged +. fragments))
+          ~load_bytes:(4. *. staged)
+          ~store_bytes:(4. *. f (bm * bn / bd))
+          ~reuse:(fun window -> block_reuse cfg ~window)
+      in
+      if cfg.split_k > 1 then main +. reduce_latency cfg.split_k else main
 
 let lets bindings body =
   List.fold_right (fun (v, e) acc -> Stmt.let_ v e acc) bindings body
@@ -441,43 +611,9 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
       temps = [];
     }
   | Some cp ->
-    (* Second kernel: C[b,i,j] = sum_z Cp[z,b,i,j]. *)
-    let total = batch * m * n in
-    let rb = 256 in
-    let v_gid = Var.fresh "gid" in
-    let gid = Expr.var v_gid in
-    let v_zz = Var.fresh "zz" in
-    let acc = Buffer.create ~scope:Buffer.Register "acc" [ 1 ] in
-    let idx b_i r c = [ b_i; r; c ] in
-    let reduce_body =
-      Stmt.let_ v_gid
-        ((Expr.mul Expr.Block_idx (Expr.int rb)) +: Expr.Thread_idx)
-        (Stmt.if_ (gid <: Expr.int total)
-           (Stmt.seq
-              [
-                Stmt.store acc [ Expr.int 0 ] (Expr.float 0.);
-                Stmt.for_ ~unroll:true v_zz (Expr.int cfg.split_k)
-                  (Stmt.store acc [ Expr.int 0 ]
-                     (Expr.add
-                        (Expr.load acc [ Expr.int 0 ])
-                        (Expr.load cp
-                           (Expr.var v_zz
-                           :: idx
-                                (gid /: Expr.int (m * n))
-                                (gid /: Expr.int n %: Expr.int m)
-                                (gid %: Expr.int n)))));
-                Stmt.store c_buf
-                  (idx
-                     (gid /: Expr.int (m * n))
-                     (gid /: Expr.int n %: Expr.int m)
-                     (gid %: Expr.int n))
-                  (Expr.load acc [ Expr.int 0 ]);
-              ]))
-    in
     let reduce_kernel =
-      Kernel.create ~regs:[ acc ] ~name:(name ^ "_splitk_reduce")
-        ~params:[ cp; c_buf ] ~grid_dim:(ceil_div total rb) ~block_dim:rb
-        (Simplify.stmt reduce_body)
+      splitk_reduce ~name:(name ^ "_splitk_reduce") ~batch ~m ~n
+        ~split_k:cfg.split_k cp c_buf
     in
     {
       Compiled.name;

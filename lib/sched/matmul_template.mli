@@ -74,10 +74,75 @@ val syncs : k:int -> config -> int
     closed form: [1 + trips] with a pipeline ([stages >= 2]), [2 * trips]
     without, where [trips] is the block's split-k chunk of k-tiles. *)
 
+val regs_per_thread : config -> int
+(** {!Hidet_ir.Kernel.regs_per_thread} of [compile]'s main kernel, in
+    closed form: [tm*tn + tm + tn] on the CUDA-core path ([tm = warp_m/4],
+    [tn = warp_n/8]) or [⌈warp_m*warp_n/32⌉] on the tensor-core path, plus
+    one A and one B tile's share per thread of staging registers when
+    [stages >= 2], plus 24. For a config [check] accepts. *)
+
+val block_reuse :
+  ?batch:int ->
+  ?a_batched:bool ->
+  ?b_batched:bool ->
+  m:int ->
+  n:int ->
+  k:int ->
+  config ->
+  window:int ->
+  float
+(** [block_reuse ~batch ~a_batched ~b_batched ~m ~n ~k cfg ~window] is
+    {!Hidet_gpu.Traffic.block_reuse} [~window] of [compile]'s main kernel,
+    in closed form. At thread 0 with loop indices 0, every A load of a
+    block reads [base_A + c] and every B load [base_B + c'] (c, c' fixed
+    per load site), with
+    - [base_A = (b*m + im*block_m)*k + kstart*block_k] ([b*m] only when A
+      is batched),
+    - [base_B = (b*k + kstart*block_k)*n + jn*block_n] ([b*k] only when B
+      is batched),
+    and the A and B sites weigh [block_m : block_n]. So the distinct bases
+    of each prefix of the window's blocks, decoded in [compile]'s launch
+    order (row-major, panelized swizzle or column-major), give the reuse.
+    It is raised by a relative [5e-13], so it is never below [Traffic]'s
+    value and within [1e-12] of it. An operand layout left out takes the
+    larger reuse of its two layouts, so the result bounds both.
+
+    Partially applied up to [~k] with every optional argument given, it
+    computes each (block tile, split-k, swizzle, window) once; call the
+    closure from one domain. *)
+
+val reduce_latency :
+  Hidet_gpu.Device.t -> batch:int -> m:int -> n:int -> int -> float
+(** [reduce_latency d ~batch ~m ~n split_k] is the analytic latency of the
+    split-k reduce kernel that [compile ~batch ~m ~n] emits for a config
+    with this [split_k] (> 1). The kernel depends on nothing else, and
+    both build it with one builder. Partially applied up to [~n], it
+    estimates each split-k factor once; call the closure from one
+    domain. *)
+
 val lower_bound :
-  Hidet_gpu.Device.t -> ?batch:int -> m:int -> n:int -> k:int -> config -> float
-(** A floor on the analytic {!Compiled.latency} of [compile ~batch ~m ~n ~k
-    cfg] on the device, from the config and shape alone (no IR): it never
-    exceeds that latency, for either operand layout. [0.] for a config
-    [check] refuses, so a tuner that skips on it still sees the rejection;
-    [infinity] for one no device occupancy admits. *)
+  ?batch:int ->
+  ?a_batched:bool ->
+  ?b_batched:bool ->
+  Hidet_gpu.Device.t ->
+  m:int ->
+  n:int ->
+  k:int ->
+  config ->
+  float
+(** A floor on the analytic {!Compiled.latency} of [compile ~batch
+    ~a_batched ~b_batched ~m ~n ~k cfg] on the device, from the config and
+    shape alone (no main-kernel IR). The registers ({!regs_per_thread}),
+    hence the occupancy, waves and saturations, the barriers ({!syncs})
+    and the L2 reuse ({!block_reuse}) are exact, and a split-k config adds
+    the reduce kernel's exact latency ({!reduce_latency}). The loads,
+    shared-memory traffic and FLOPs are floors, and the terms are combined
+    as {!Hidet_gpu.Perf_model.lower_bound} describes, so the floor never
+    exceeds the latency in floating point. Partially applied up to [~k],
+    it estimates each reduce kernel and computes each reuse once; call
+    the closure from one domain.
+
+    An operand layout left out bounds both of its layouts. [0.] for a
+    config [check] refuses, so a tuner that skips on it still sees the
+    rejection; [infinity] for one no device occupancy admits, registers
+    included. *)

@@ -520,30 +520,63 @@ let test_check_product () =
    [Matmul_template.lower_bound] may skip a candidate only if it never
    exceeds the candidate's analytic latency: checked on every candidate of
    the full space (tensor-core and split-k configs included) for every
-   matmul the zoo tunes, and for random shapes on both devices. The bound
-   charges [MT.syncs] barriers, so the same walks check that closed form
-   against the barriers [Traffic] counts in the main kernel. *)
+   matmul the zoo tunes, and for random shapes on both devices. The bound's
+   exact terms are closed forms, so the same walks check each against the
+   instantiated kernels: [MT.syncs] against the barriers [Traffic] counts
+   in the main kernel, [MT.regs_per_thread] against its registers,
+   [MT.block_reuse] against [Traffic.block_reuse] at the window
+   [Perf_model.kernel] uses, and the memoised [MT.reduce_latency] against
+   the estimate of the split-k reduce kernel. *)
 
 (* The worst bound / latency ratio over a shape's full space, failing on
-   the first candidate whose bound exceeds its latency or whose barrier
-   count differs from [MT.syncs]. [seen] gets every instantiated config. *)
+   the first candidate whose bound exceeds its latency or whose closed
+   forms differ from its kernels. [seen] gets every instantiated config. *)
 let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
+  let lower_bound = MT.lower_bound ~batch ~a_batched ~b_batched dev ~m ~n ~k in
+  let block_reuse = MT.block_reuse ~batch ~a_batched ~b_batched ~m ~n ~k in
+  let reduce_latency = MT.reduce_latency dev ~batch ~m ~n in
   List.fold_left
     (fun worst (cfg : MT.config) ->
       match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
       | exception Invalid_argument _ -> worst
       | c ->
-        let syncs = (Traffic.kernel (List.hd c.Compiled.kernels)).syncs in
+        let fail fmt =
+          Alcotest.failf
+            ("%s %dx%dx%dx%d a_batched=%b b_batched=%b %s: " ^^ fmt)
+            dev.Hidet_gpu.Device.name batch m n k a_batched b_batched
+            (MT.config_to_string cfg)
+        in
+        let main = List.hd c.Compiled.kernels in
+        let syncs = (Traffic.kernel main).syncs in
         if syncs <> float_of_int (MT.syncs ~k cfg) then
-          Alcotest.failf "%dx%dx%dx%d %s: %g barriers, MT.syncs %d" batch m n
-            k (MT.config_to_string cfg) syncs (MT.syncs ~k cfg);
+          fail "%g barriers, MT.syncs %d" syncs (MT.syncs ~k cfg);
+        let regs = Kernel.regs_per_thread main in
+        if regs <> MT.regs_per_thread cfg then
+          fail "%d registers, MT.regs_per_thread %d" regs (MT.regs_per_thread cfg);
+        (match
+           Hidet_gpu.Perf_model.blocks_per_sm_limit dev
+             ~block_dim:main.Kernel.block_dim ~smem:(Kernel.shared_bytes main)
+             ~regs
+         with
+        | Error _ -> ()
+        | Ok bps ->
+          let active = min main.Kernel.grid_dim (dev.num_sms * bps) in
+          let window = min dev.l2_reuse_window active in
+          let want = Traffic.block_reuse ~window main in
+          let got = block_reuse cfg ~window in
+          if not (got >= want && got <= want *. (1. +. 1e-12)) then
+            fail "window %d: reuse %h, MT.block_reuse %h" window want got);
+        (match c.Compiled.kernels with
+        | [ _; reduce ] ->
+          let want = (Hidet_gpu.Perf_model.kernel dev reduce).latency in
+          let got = reduce_latency cfg.split_k in
+          if not (Float.equal got want) then
+            fail "reduce latency %h, MT.reduce_latency %h" want got
+        | _ -> ());
         seen cfg;
         let lat = Compiled.latency dev c in
-        let bound = MT.lower_bound dev ~batch ~m ~n ~k cfg in
-        if not (bound <= lat) then
-          Alcotest.failf "%s %dx%dx%dx%d %s: bound %h > latency %h"
-            dev.Hidet_gpu.Device.name batch m n k (MT.config_to_string cfg)
-            bound lat;
+        let bound = lower_bound cfg in
+        if not (bound <= lat) then fail "bound %h > latency %h" bound lat;
         if lat < infinity then Float.max worst (bound /. lat) else worst)
     0. (Space.matmul_with_split_k ~m ~n)
 
@@ -551,31 +584,46 @@ let test_bound_zoo () =
   let shapes = Zoo.matmuls dev Hidet_models.Models.all in
   Alcotest.(check int) "distinct zoo matmuls" 84 (List.length shapes);
   let classes = Hashtbl.create 16 in
-  let seen (cfg : MT.config) =
-    Hashtbl.replace classes (cfg.use_tensor_core, cfg.split_k > 1, cfg.stages) ()
+  let seen ~batch ~a_batched ~b_batched (cfg : MT.config) =
+    Hashtbl.replace classes
+      ( (cfg.use_tensor_core, cfg.split_k, cfg.stages, cfg.swizzle),
+        (batch > 1 && a_batched, batch > 1 && b_batched) )
+      ()
   in
   let worst =
     List.fold_left
       (fun worst { Zoo.batch; a_batched; b_batched; m; n; k } ->
         Float.max worst
-          (bound_ratio ~seen dev ~batch ~a_batched ~b_batched ~m ~n ~k))
+          (bound_ratio
+             ~seen:(seen ~batch ~a_batched ~b_batched)
+             dev ~batch ~a_batched ~b_batched ~m ~n ~k))
       0. shapes
   in
-  (* The barrier check covers both core kinds, split-k and every depth. *)
+  (* The checks cover both core kinds, every depth, the swizzled launch
+     order, both batched operands and every split-k factor. *)
   List.iter
     (fun (name, covered) ->
       Alcotest.(check bool) name true
         (Hashtbl.fold (fun key () acc -> acc || covered key) classes false))
     ([
-       ("tensor-core configs", fun (tc, _, _) -> tc);
-       ("CUDA-core configs", fun (tc, _, _) -> not tc);
-       ("split-k configs", fun (_, sk, _) -> sk);
+       ("tensor-core configs", fun ((tc, _, _, _), _) -> tc);
+       ("CUDA-core configs", fun ((tc, _, _, _), _) -> not tc);
+       ("swizzled configs", fun ((_, _, _, swz), _) -> swz);
+       ("batched-A shapes", fun (_, (a, _)) -> a);
+       ("batched-B shapes", fun (_, (_, b)) -> b);
      ]
     @ List.map
-        (fun d -> (Printf.sprintf "%d-stage configs" d, fun (_, _, s) -> s = d))
-        [ 1; 2; 3; 4 ]);
-  (* Tight enough to prune: the best candidates come within 10%. *)
-  Alcotest.(check bool) "some bound within 10% of its latency" true (worst > 0.9)
+        (fun d ->
+          (Printf.sprintf "%d-stage configs" d, fun ((_, _, s, _), _) -> s = d))
+        [ 1; 2; 3; 4 ]
+    @ List.map
+        (fun f ->
+          ( Printf.sprintf "split-k %d configs" f,
+            fun ((_, sk, _, _), _) -> sk = f ))
+        [ 2; 4; 8 ]);
+  (* Tight enough to prune: the best candidates come within 0.1%. *)
+  Alcotest.(check bool) "some bound within 0.1% of its latency" true
+    (worst > 0.999)
 
 let prop_bound_random =
   let gen =
