@@ -81,116 +81,125 @@ let occupancy_limits (d : Device.t) (k : Kernel.t) =
   blocks_per_sm_limit d ~block_dim:k.block_dim ~smem:(Kernel.shared_bytes k)
     ~regs:(Kernel.regs_per_thread k)
 
+(* The estimate of a launch of [grid_dim] blocks of [block_dim] threads,
+   [blocks_per_sm] of them resident per SM, from [analyze ~window]: the
+   per-thread counts and the L2 block reuse over [window] consecutively
+   launched blocks. [kernel] walks the kernel once for both; [lower_bound]
+   passes floors. *)
+let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
+    ~stages ~analyze =
+  let pipelined = stages >= 2 in
+  let concurrent = d.num_sms * blocks_per_sm in
+  let active_blocks = min grid_dim concurrent in
+  (* the reuse window: the co-resident blocks, at most the device's *)
+  let t = analyze ~window:(min d.l2_reuse_window active_blocks) in
+  let c = t.Traffic.counts in
+  let waves = ceil_div grid_dim concurrent in
+  let blocks_on_sm = ceil_div active_blocks d.num_sms in
+  let resident_threads = float_of_int (block_dim * blocks_on_sm) in
+  let occupancy =
+    Float.min 1.
+      (float_of_int (block_dim * blocks_per_sm)
+      /. float_of_int d.max_threads_per_sm)
+  in
+  (* Per-block memory traffic: weight raw bytes by the transaction factor
+     so strided access pays for wasted cache-line sectors. *)
+  let ld_eff =
+    if c.global_load_bytes > 0. then
+      c.global_ld_transactions *. 4. /. c.global_load_bytes
+    else 1.
+  in
+  (* L2 locality: load traffic shared by a window of consecutively
+     launched blocks (bounded by what is actually co-resident) is fetched
+     from DRAM once, not once per block. Swizzled launch orders shrink
+     the window's union working set and show up here. *)
+  let l2_reuse = if c.global_load_bytes > 0. then t.Traffic.reuse else 1. in
+  let bytes_block =
+    ((c.global_load_bytes *. Float.max 1. ld_eff /. l2_reuse)
+    +. c.global_store_bytes)
+    *. float_of_int block_dim
+  in
+  (* Bandwidth share per block, capped by what one SM's LSUs can pull and
+     degraded when too few threads are resident to hide DRAM latency. *)
+  let bw_per_block =
+    Float.min
+      (d.mem_bandwidth /. float_of_int active_blocks)
+      (per_sm_bandwidth_cap *. d.mem_bandwidth /. float_of_int d.num_sms)
+    *. mem_saturation d resident_threads
+  in
+  let mem_time = bytes_block /. bw_per_block in
+  (* Compute: peak per SM shared among co-resident blocks, degraded when
+     the SM has too few threads to saturate issue ports. *)
+  let cuda_per_block =
+    Device.fp32_flops d /. float_of_int d.num_sms
+    /. float_of_int blocks_on_sm *. comp_saturation d resident_threads
+  in
+  let tensor_saturation =
+    Float.min 1. (float_of_int (warps_per_block * blocks_on_sm) /. 8.)
+  in
+  let tensor_per_block =
+    Device.tensor_flops d /. float_of_int d.num_sms
+    /. float_of_int blocks_on_sm *. tensor_saturation
+  in
+  let shared_per_block =
+    d.shared_bandwidth_per_sm /. float_of_int blocks_on_sm
+  in
+  let flops_block = c.flops *. float_of_int block_dim in
+  let mma_block = c.mma_flops *. float_of_int warps_per_block in
+  let shared_block = c.shared_bytes *. float_of_int block_dim in
+  let compute_time =
+    (flops_block /. cuda_per_block)
+    +. (mma_block /. Float.max tensor_per_block 1.)
+    +. (shared_block /. shared_per_block)
+  in
+  let sync_time = c.syncs *. d.sync_latency in
+  let block_time =
+    overlap ~stages ~mem:mem_time ~compute:compute_time +. sync_time
+  in
+  let latency =
+    d.kernel_launch_overhead +. (float_of_int waves *. block_time)
+  in
+  (* The binding bottleneck, nsight-style: launch overhead dominating the
+     whole run, else the larger of the two per-wave components. *)
+  let note =
+    if d.kernel_launch_overhead >= float_of_int waves *. block_time then
+      "launch-bound"
+    else if mem_time >= compute_time then "memory-bound"
+    else "compute-bound"
+  in
+  {
+    latency;
+    mem_time;
+    compute_time;
+    waves;
+    blocks_per_sm;
+    occupancy;
+    pipelined;
+    feasible = true;
+    note;
+  }
+
 let kernel (d : Device.t) (k : Kernel.t) =
   match occupancy_limits d k with
   | Error note -> infeasible note
   | Ok blocks_per_sm ->
-    let stages = Pipeline.effective_stages k in
-    let pipelined = stages >= 2 in
-    let warps_per_block = Kernel.num_warps_per_block k in
-    let concurrent = d.num_sms * blocks_per_sm in
-    let active_blocks = min k.grid_dim concurrent in
-    (* One walk gives the traffic counts and the L2 block reuse over the
-       window of consecutively launched blocks that are co-resident. *)
-    let t = Traffic.analyze ~window:(min d.l2_reuse_window active_blocks) k in
-    let c = t.Traffic.counts in
-    let waves = ceil_div k.grid_dim concurrent in
-    let blocks_on_sm = ceil_div active_blocks d.num_sms in
-    let resident_threads = float_of_int (k.block_dim * blocks_on_sm) in
-    let occupancy =
-      Float.min 1.
-        (float_of_int (k.block_dim * blocks_per_sm)
-        /. float_of_int d.max_threads_per_sm)
-    in
-    (* Per-block memory traffic: weight raw bytes by the transaction factor
-       so strided access pays for wasted cache-line sectors. *)
-    let ld_eff =
-      if c.global_load_bytes > 0. then
-        c.global_ld_transactions *. 4. /. c.global_load_bytes
-      else 1.
-    in
-    (* L2 locality: load traffic shared by a window of consecutively
-       launched blocks (bounded by what is actually co-resident) is fetched
-       from DRAM once, not once per block. Swizzled launch orders shrink
-       the window's union working set and show up here. *)
-    let l2_reuse = if c.global_load_bytes > 0. then t.Traffic.reuse else 1. in
-    let bytes_block =
-      ((c.global_load_bytes *. Float.max 1. ld_eff /. l2_reuse)
-      +. c.global_store_bytes)
-      *. float_of_int k.block_dim
-    in
-    (* Bandwidth share per block, capped by what one SM's LSUs can pull and
-       degraded when too few threads are resident to hide DRAM latency. *)
-    let bw_per_block =
-      Float.min
-        (d.mem_bandwidth /. float_of_int active_blocks)
-        (per_sm_bandwidth_cap *. d.mem_bandwidth /. float_of_int d.num_sms)
-      *. mem_saturation d resident_threads
-    in
-    let mem_time = bytes_block /. bw_per_block in
-    (* Compute: peak per SM shared among co-resident blocks, degraded when
-       the SM has too few threads to saturate issue ports. *)
-    let cuda_per_block =
-      Device.fp32_flops d /. float_of_int d.num_sms
-      /. float_of_int blocks_on_sm *. comp_saturation d resident_threads
-    in
-    let tensor_saturation =
-      Float.min 1. (float_of_int (warps_per_block * blocks_on_sm) /. 8.)
-    in
-    let tensor_per_block =
-      Device.tensor_flops d /. float_of_int d.num_sms
-      /. float_of_int blocks_on_sm *. tensor_saturation
-    in
-    let shared_per_block =
-      d.shared_bandwidth_per_sm /. float_of_int blocks_on_sm
-    in
-    let flops_block = c.flops *. float_of_int k.block_dim in
-    let mma_block = c.mma_flops *. float_of_int warps_per_block in
-    let shared_block = c.shared_bytes *. float_of_int k.block_dim in
-    let compute_time =
-      (flops_block /. cuda_per_block)
-      +. (mma_block /. Float.max tensor_per_block 1.)
-      +. (shared_block /. shared_per_block)
-    in
-    let sync_time = c.syncs *. d.sync_latency in
-    let block_time =
-      overlap ~stages ~mem:mem_time ~compute:compute_time +. sync_time
-    in
-    let latency =
-      d.kernel_launch_overhead +. (float_of_int waves *. block_time)
-    in
-    (* The binding bottleneck, nsight-style: launch overhead dominating the
-       whole run, else the larger of the two per-wave components. *)
-    let note =
-      if d.kernel_launch_overhead >= float_of_int waves *. block_time then
-        "launch-bound"
-      else if mem_time >= compute_time then "memory-bound"
-      else "compute-bound"
-    in
-    {
-      latency;
-      mem_time;
-      compute_time;
-      waves;
-      blocks_per_sm;
-      occupancy;
-      pipelined;
-      feasible = true;
-      note;
-    }
+    model d ~grid_dim:k.grid_dim ~block_dim:k.block_dim
+      ~warps_per_block:(Kernel.num_warps_per_block k) ~blocks_per_sm
+      ~stages:(Pipeline.effective_stages k)
+      ~analyze:(fun ~window -> Traffic.analyze ~window k)
 
-(* --- a lower bound from the launch shape and per-thread floors ----------------
+(* --- a lower bound from the launch footprint and per-thread floors -------------
 
-   [kernel] above, term by term, from numbers instead of a kernel. The
-   registers make the occupancy exact, so the resident blocks, waves,
-   active blocks, [blocks_on_sm] and both saturations are [kernel]'s own.
-   Each remaining input is at most [kernel]'s (the reuse at least), and the
-   floor evaluates [kernel]'s expressions in [kernel]'s order, so it stays
-   at or below the latency in floating point, not only in the reals:
-   rounding is monotone in each operand, and the dropped terms only add.
+   [model] on floors: with the exact registers the occupancy, hence the
+   resident blocks, waves, active blocks, [blocks_on_sm] and both
+   saturations, are [kernel]'s own, and every other input is on the safe
+   side of [kernel]'s (the reuse at least, the rest at most). [model]
+   evaluates the same expressions in the same order, and rounding is
+   monotone in each operand, so the floor stays at or below the latency in
+   floating point, not only in the reals:
    - coalescing never makes a load cheaper than its bytes
-     ([Float.max 1. ld_eff >= 1]);
-   - tensor-core FLOPs add a non-negative compute term;
+     ([Float.max 1. ld_eff >= 1], and the floor's [ld_eff] is exactly 1);
+   - the floor has no tensor-core FLOPs, whose term only adds;
    - the pipeline residue shrinks with depth, and the effective depth is at
      most the declared one. *)
 
@@ -199,34 +208,22 @@ let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~regs ~stages ~syncs
   match blocks_per_sm_limit d ~block_dim ~smem ~regs with
   | Error _ -> infinity
   | Ok blocks_per_sm ->
-    let f = float_of_int in
-    let concurrent = d.num_sms * blocks_per_sm in
-    let active_blocks = min grid concurrent in
-    let waves = ceil_div grid concurrent in
-    let blocks_on_sm = ceil_div active_blocks d.num_sms in
-    let resident_threads = f (block_dim * blocks_on_sm) in
-    let l2_reuse =
-      if load_bytes > 0. then reuse (min d.l2_reuse_window active_blocks) else 1.
+    let counts =
+      {
+        Traffic.zero with
+        global_load_bytes = load_bytes;
+        global_store_bytes = store_bytes;
+        global_ld_transactions = load_bytes /. 4.;
+        shared_bytes;
+        flops;
+        syncs = float_of_int syncs;
+      }
     in
-    let bytes_block = ((load_bytes /. l2_reuse) +. store_bytes) *. f block_dim in
-    let bw_per_block =
-      Float.min
-        (d.mem_bandwidth /. f active_blocks)
-        (per_sm_bandwidth_cap *. d.mem_bandwidth /. f d.num_sms)
-      *. mem_saturation d resident_threads
-    in
-    let mem = bytes_block /. bw_per_block in
-    let cuda_per_block =
-      Device.fp32_flops d /. f d.num_sms /. f blocks_on_sm
-      *. comp_saturation d resident_threads
-    in
-    let shared_per_block = d.shared_bandwidth_per_sm /. f blocks_on_sm in
-    let compute =
-      (flops *. f block_dim /. cuda_per_block)
-      +. (shared_bytes *. f block_dim /. shared_per_block)
-    in
-    d.kernel_launch_overhead
-    +. (f waves *. (overlap ~stages ~mem ~compute +. (f syncs *. d.sync_latency)))
+    (model d ~grid_dim:grid ~block_dim
+       ~warps_per_block:(ceil_div block_dim 32)
+       ~blocks_per_sm ~stages
+       ~analyze:(fun ~window -> { Traffic.counts; reuse = reuse window }))
+      .latency
 
 (* --- fidelity dispatch ------------------------------------------------------
 

@@ -76,10 +76,11 @@ val lower_bound :
     {!kernel} uses.
 
     Computed from those numbers alone, with no kernel; [infinity] when the
-    footprint admits no resident block. With the exact footprint the
-    occupancy, waves and saturations are {!kernel}'s own, and the floor
-    evaluates {!kernel}'s expressions in its order with each input on the
-    safe side, so it never exceeds the latency in floating point. *)
+    footprint admits no resident block. It runs {!kernel}'s model on them:
+    with the exact footprint the occupancy, waves and saturations are
+    {!kernel}'s own, every other input is on the safe side, and rounding is
+    monotone in each operand, so the floor never exceeds the latency in
+    floating point. *)
 
 (** {1 Fidelity modes}
 
