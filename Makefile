@@ -32,7 +32,8 @@ fuzz-smoke:
 	  --paths rule,template,fused,baseline,compiled,native,sharded
 
 # Reported-experiment smoke test: the five gated bench experiments
-# (simulator backends, serving, sharding, guided tuning, cycle fidelity;
+# (simulator backends, serving, sharding, branch-and-bound tuning under
+# both latency models, cycle fidelity;
 # gates in bench/reported.ml) in quick mode. Each writes BENCH_<name>.json
 # under $(BENCH_SMOKE), never over a committed full-mode report (refresh
 # one with `./_build/default/bench/main.exe --only <name>`); the bench
@@ -102,11 +103,12 @@ shard-smoke:
 	./_build/default/bin/hidetc.exe compile --file _build/shard-smoke.hgf \
 	  --devices 2 --parallel tensor --verify-shard > /dev/null
 
-# Guided-tuner CLI smoke test: a guided, cycle-fidelity compile of a tiny
-# model that writes a tuning log and a schedule cache, then the same
-# compile again, which must be served entirely from the saved cache (zero
-# fresh tuning seconds), so guided and cycle keys persist across
-# processes. The tune bench gates run in bench-smoke.
+# Cycle-model tuner CLI smoke test: a cold cycle-fidelity compile of a
+# tiny model (branch-and-bound under the cycle floor) that writes a tuning
+# log and a schedule cache, then the same compile again, which must be
+# served entirely from the saved cache (zero fresh tuning seconds), so
+# cycle keys persist across processes. The tune bench gates run in
+# bench-smoke.
 TUNE_SMOKE := _build/tune-smoke
 
 tune-smoke:
@@ -115,10 +117,10 @@ tune-smoke:
 	  -o $(TUNE_SMOKE).hgf > /dev/null
 	rm -f $(TUNE_SMOKE).cache
 	./_build/default/bin/hidetc.exe compile --file $(TUNE_SMOKE).hgf \
-	  --search guided --fidelity cycle --tuning-log $(TUNE_SMOKE).tsv \
+	  --fidelity cycle --tuning-log $(TUNE_SMOKE).tsv \
 	  --cache $(TUNE_SMOKE).cache > /dev/null
 	./_build/default/bin/hidetc.exe compile --file $(TUNE_SMOKE).hgf \
-	  --search guided --fidelity cycle --cache $(TUNE_SMOKE).cache \
+	  --fidelity cycle --cache $(TUNE_SMOKE).cache \
 	  > $(TUNE_SMOKE).out
 	grep -q 'tuning cost:  0 simulated seconds (0.00 h), fresh' \
 	  $(TUNE_SMOKE).out
@@ -156,7 +158,7 @@ bench-compile:
 # report in its own file; the serving telemetry (events, flows,
 # exposition, flight recorder, burn-rate alerts) must validate end to
 # end; a sharded compile must match the single-device baseline; and a
-# guided, cycle-fidelity CLI compile must be served from its saved cache.
+# cycle-fidelity CLI compile must be served from its saved cache.
 check:
 	dune build @all && dune runtest && $(MAKE) trace-smoke && \
 	  $(MAKE) fuzz-smoke && $(MAKE) bench-smoke && \

@@ -484,23 +484,42 @@ let shard_gates r =
 let shard = { R.name = "shard"; run = shard_run; gates = shard_gates }
 
 (* ------------------------------------------------------------------ *)
-(* Guided search vs the exhaustive oracle on the widened space         *)
+(* Branch-and-bound vs exhaustive search under both latency models     *)
 (* ------------------------------------------------------------------ *)
+
+(* The interp quickstart matmul, two Table 1 GEMMs, the bandwidth-bound
+   GEMM of the widened gate, and four zoo-like shapes (tiny, cubic, a BERT
+   FFN and a low-parallelism ResNet GEMM). *)
+let tune_shapes =
+  [
+    (123, 77, 45);
+    (1024, 1024, 1024);
+    (512, 512, 4096);
+    (2048, 2048, 64);
+    (64, 49, 32);
+    (256, 256, 256);
+    (768, 3072, 768);
+    (49, 512, 4608);
+  ]
+
+let fidelities = [ ("analytic", `Analytic); ("cycle", `Cycle) ]
+
+(* Quick mode strides a space down to <= 48 candidates: both searches (or
+   both rankings) still run over the same configs, just fewer of them. *)
+let strided ~quick all =
+  if not quick then all
+  else
+    let stride = max 1 (List.length all / 48) in
+    List.filteri (fun i _ -> i mod stride = 0) all
 
 let tune_run ~quick =
   R.section
-    "bench: tune — guided search vs the exhaustive oracle on the widened \
-     schedule space";
-  let module Se = Hidet_sched.Search in
+    "bench: tune — branch-and-bound vs exhaustive search under both latency \
+     models";
   let module Space = Hidet_sched.Space in
-  (* The interp quickstart matmul plus two Table 1 GEMMs. *)
-  let shapes =
-    if quick then [ (123, 77, 45) ]
-    else [ (123, 77, 45); (1024, 1024, 1024); (512, 512, 4096) ]
-  in
-  let tune ?search ~m ~n ~k candidates =
+  let tune ?fidelity ?lower_bound ~m ~n ~k candidates =
     match
-      Tu.tune ?search ~device:dev ~candidates
+      Tu.tune ?fidelity ?lower_bound ~device:dev ~candidates
         ~compile:(fun cfg -> MT.compile ~m ~n ~k cfg)
         ()
     with
@@ -511,38 +530,44 @@ let tune_run ~quick =
     Json.Obj
       [
         ("trials", R.int st.Tu.trials);
+        ("pruned", R.int st.Tu.pruned);
         ("best_config", Json.Str (MT.config_to_string cfg));
         ("best_latency_us", Json.Num (us st.Tu.best_latency));
+        ("simulated_seconds", Json.Num st.Tu.simulated_seconds);
+        ("wall_s", Json.Num st.Tu.wall_seconds);
       ]
   in
-  Printf.printf "%-18s %6s %8s %12s %8s %12s %7s %7s\n" "shape" "cands"
-    "ex.tr" "ex.best(us)" "gu.tr" "gu.best(us)" "ratio" "frac";
+  Printf.printf "%-16s %6s %-9s %7s %7s %12s %s\n" "shape" "cands" "fidelity"
+    "ex.tr" "bb.tr" "best(us)" "bb=ex";
   let rows =
     List.map
       (fun (m, n, k) ->
-        let candidates = Space.matmul_with_split_k ~m ~n in
-        let ncand = List.length candidates in
-        let ((_, est) as ex) = tune ~m ~n ~k candidates in
-        let ((_, gst) as gu) = tune ~search:(Se.guided_matmul ()) ~m ~n ~k candidates in
-        let ratio = gst.Tu.best_latency /. est.Tu.best_latency in
-        let frac = float_of_int gst.Tu.trials /. float_of_int ncand in
-        Printf.printf "%-18s %6d %8d %12.2f %8d %12.2f %6.3fx %6.1f%%\n%!"
-          (shape_name (m, n, k))
-          ncand est.Tu.trials
-          (us est.Tu.best_latency)
-          gst.Tu.trials
-          (us gst.Tu.best_latency)
-          ratio (100. *. frac);
+        let candidates = strided ~quick (Space.matmul_with_split_k ~m ~n) in
+        let by_fidelity (name, fidelity) =
+          let lower_bound =
+            match fidelity with
+            | `Analytic -> MT.lower_bound dev ~m ~n ~k
+            | `Cycle ->
+              Tu.cycle_lower_bound dev ~compile:(fun cfg ->
+                  MT.compile ~m ~n ~k cfg)
+          in
+          let ((_, est) as ex) = tune ~fidelity ~m ~n ~k candidates in
+          let ((_, bst) as bb) = tune ~fidelity ~lower_bound ~m ~n ~k candidates in
+          Printf.printf "%-16s %6d %-9s %7d %7d %12.3f %b\n%!"
+            (shape_name (m, n, k))
+            (List.length candidates) name est.Tu.trials bst.Tu.trials
+            (us est.Tu.best_latency)
+            (MT.config_to_string (fst ex) = MT.config_to_string (fst bb)
+            && est.Tu.best_latency = bst.Tu.best_latency);
+          (name, Json.Obj [ ("exhaustive", side ex); ("bnb", side bb) ])
+        in
         Json.Obj
-          [
-            ("shape", Json.Str (shape_name (m, n, k)));
-            ("candidates", R.int ncand);
-            ("exhaustive", side ex);
-            ("guided", side gu);
-            ("latency_ratio", Json.Num ratio);
-            ("measured_fraction", Json.Num frac);
-          ])
-      shapes
+          ([
+             ("shape", Json.Str (shape_name (m, n, k)));
+             ("candidates", R.int (List.length candidates));
+           ]
+          @ List.map by_fidelity fidelities))
+      tune_shapes
   in
   (* The widened dimensions must pay for themselves: on a bandwidth-bound
      GEMM (large output, tiny k) the best schedule of the full space must
@@ -581,24 +606,46 @@ let tune_run ~quick =
           ] );
     ]
 
+(* Cycle-model trials must fall at least this much against exhaustive
+   search, summed over the shapes. Quick mode's strided spaces hold ~50
+   candidates, of which the first four steps (1 + 2 + 4 + 8) are measured
+   before a threshold can skip anything, so it asks for less. *)
+let min_trial_reduction ~quick = if quick then 2. else 4.
+
 let tune_gates r =
   let w = R.field "widened_gate" r in
   let winner = R.str "widened_best_config" w in
+  let shapes = R.list "shapes" r in
+  let search s fid mode = R.field mode (R.field fid s) in
+  let trials fid mode =
+    List.fold_left
+      (fun acc s -> acc +. R.num "trials" (search s fid mode))
+      0. shapes
+  in
+  let reduction = trials "cycle" "exhaustive" /. trials "cycle" "bnb" in
+  let min_reduction = min_trial_reduction ~quick:(R.bool "quick" r) in
   List.concat_map
     (fun s ->
-      let shape = R.str "shape" s in
-      let ratio = R.num "latency_ratio" s and frac = R.num "measured_fraction" s in
-      [
-        ( sprintf
-            "guided must land within 5%% of the exhaustive best on %s (got %.3fx)"
-            shape ratio,
-          ratio <= 1.05 );
-        ( sprintf "guided must measure <= 25%% of the candidates on %s (got %.1f%%)"
-            shape (100. *. frac),
-          frac <= 0.25 );
-      ])
-    (R.list "shapes" r)
+      List.map
+        (fun (fid, _) ->
+          let ex = search s fid "exhaustive" and bb = search s fid "bnb" in
+          ( sprintf
+              "branch-and-bound must return the exhaustive winner under %s on \
+               %s (%s %.6g us vs %s %.6g us)"
+              fid (R.str "shape" s) (R.str "best_config" bb)
+              (R.num "best_latency_us" bb) (R.str "best_config" ex)
+              (R.num "best_latency_us" ex),
+            R.str "best_config" bb = R.str "best_config" ex
+            && R.num "best_latency_us" bb = R.num "best_latency_us" ex
+            && R.num "simulated_seconds" bb = R.num "simulated_seconds" ex ))
+        fidelities)
+    shapes
   @ [
+      ( sprintf
+          "cycle-model branch-and-bound must measure >= %gx fewer candidates \
+           than exhaustive search (got %.2fx)"
+          min_reduction reduction,
+        reduction >= min_reduction );
       ( "a widened-space schedule must beat the pre-widening best on the \
          bandwidth-bound GEMM",
         R.num "widened_best_latency_us" w < R.num "old_best_latency_us" w );
@@ -693,17 +740,7 @@ let fidelity_run ~quick =
   Printf.printf "%-14s %6s %6s %9s %12s %12s %8s %s\n" "shape" "cands" "feas"
     "spearman" "an.best(us)" "cy.best(us)" "changed" "attribution";
   let eval (m, n, k) =
-    let all = Space.matmul_with_split_k ~m ~n in
-    (* Quick mode strides the space down to <= 48 candidates — still both
-       rankings over the same configs, just fewer of them. *)
-    let candidates =
-      if not quick then all
-      else begin
-        let arr = Array.of_list all in
-        let stride = max 1 (Array.length arr / 48) in
-        List.filteri (fun i _ -> i mod stride = 0) (Array.to_list arr)
-      end
-    in
+    let candidates = strided ~quick (Space.matmul_with_split_k ~m ~n) in
     let measured =
       List.filter_map
         (fun cfg ->

@@ -50,7 +50,15 @@ let cases =
     );
     ( Reported.tune,
       [
-        (perturbed, [ K "shapes"; I 0; K "latency_ratio" ], Json.Num 1.2, "within 5%");
+        ( "branch-and-bound winner differs from exhaustive",
+          [ K "shapes"; I 0; K "cycle"; K "bnb"; K "best_config" ],
+          Json.Str "b64x64x8_w32x32",
+          "exhaustive winner under cycle on 123x77x45" );
+        (* the first shape's cycle-model tune measuring everything *)
+        ( "cycle branch-and-bound measuring too much fails its gate",
+          [ K "shapes"; I 0; K "cycle"; K "bnb"; K "trials" ],
+          Json.Num 986.,
+          "fewer candidates" );
         (* the committed winner with its "swz" token dropped *)
         ( "non-widened winner fails its gate",
           [ K "widened_gate"; K "widened_best_config" ],

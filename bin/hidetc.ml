@@ -224,37 +224,18 @@ let fidelity_arg =
     & opt (enum [ ("analytic", `Analytic); ("cycle", `Cycle) ]) `Analytic
     & info [ "fidelity" ] ~docv:"MODE" ~doc)
 
-let search_arg =
-  let doc =
-    "Schedule search strategy for the matmul space: $(b,exhaustive) \
-     (the paper's mode: measure every candidate) or $(b,guided) (seeded \
-     evolutionary search over the widened space — swizzle, split-k, deep \
-     pipelines — measuring a bounded fraction of the candidates). Guided \
-     and exhaustive results are cached under distinct keys."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("exhaustive", `Exhaustive); ("guided", `Guided) ]) `Exhaustive
-    & info [ "search" ] ~docv:"MODE" ~doc)
-
-(* The hidet compile options that --search and --fidelity select. A
-   baseline engine ignores them, and says so. *)
-let hidet_options ~engine ~search ~fidelity =
+(* The hidet compile options that --fidelity selects. A baseline engine
+   ignores it, and says so. *)
+let hidet_options ~engine ~fidelity =
   if engine <> "hidet" then begin
-    if search <> `Exhaustive || fidelity <> `Analytic then
+    if fidelity <> `Analytic then
       Printf.eprintf
-        "note: --fidelity/--search apply to the hidet engine (--engine %s \
-         ignores them)\n"
+        "note: --fidelity applies to the hidet engine (--engine %s ignores \
+         it)\n"
         engine;
     HE.default_options
   end
-  else
-    let search =
-      match search with
-      | `Exhaustive -> Hidet_sched.Search.Exhaustive
-      | `Guided -> Hidet_sched.Search.guided_matmul ()
-    in
-    { HE.default_options with HE.fidelity; search }
+  else { HE.default_options with HE.fidelity }
 
 (* The named engine; "hidet" compiles with [options]. *)
 let engine_with options = function
@@ -386,13 +367,13 @@ let compile_cmd =
              $(b,tensor-reduce)); exits non-zero on mismatch.")
   in
   let run model batch engine dump_cuda breakdown file cache trace profile
-      summary tuning_log backend search fidelity devices parallel microbatches
+      summary tuning_log backend fidelity devices parallel microbatches
       do_verify =
     let options =
       (* Sharded compiles always use the hidet engine (see below). *)
       hidet_options
         ~engine:(if devices > 1 then "hidet" else engine)
-        ~search ~fidelity
+        ~fidelity
     in
     let fidelity = options.HE.fidelity in
     let g = graph_of model file batch in
@@ -454,7 +435,7 @@ let compile_cmd =
     Term.(
       const run $ model_opt_arg $ batch_arg $ engine_arg $ dump_cuda_arg
       $ breakdown_arg $ file_arg $ cache_arg $ trace_arg $ profile_arg
-      $ summary_arg $ tuning_log_arg $ backend_arg $ search_arg $ fidelity_arg
+      $ summary_arg $ tuning_log_arg $ backend_arg $ fidelity_arg
       $ devices_arg $ parallel_arg $ microbatches_arg $ verify_shard_arg)
 
 let bench_cmd =
@@ -496,7 +477,7 @@ let profile_cmd =
              sim.* observability counters).")
   in
   let run model batch engine file cache measure backend fidelity =
-    let options = hidet_options ~engine ~search:`Exhaustive ~fidelity in
+    let options = hidet_options ~engine ~fidelity in
     let g = graph_of model file batch in
     let (module Eng : E.S) = engine_with options engine in
     let r = ref None in
@@ -943,13 +924,8 @@ let serve_cmd =
   let run model file engine buckets workers rps clients think_ms duration
       deadline_ms max_wait_ms queue_cap max_inflight scale burst seed out
       no_batching virtual_ no_check events prom flight_size flight_out cache
-      trace summary backend search devices parallel microbatches =
-    let options =
-      (* Sharded serving always uses the hidet engine. *)
-      hidet_options
-        ~engine:(if devices > 1 then "hidet" else engine)
-        ~search ~fidelity:`Analytic
-    in
+      trace summary backend devices parallel microbatches =
+    let options = HE.default_options in
     let source =
       match (model, file) with
       | _, Some path -> S.Registry.File path
@@ -1114,7 +1090,7 @@ let serve_cmd =
       $ scale_arg $ burst_arg $ seed_arg $ out_arg $ no_batching_arg
       $ virtual_arg $ no_check_arg $ events_arg $ prom_arg $ flight_size_arg
       $ flight_out_arg $ cache_arg $ trace_arg $ summary_arg $ backend_arg
-      $ search_arg $ devices_arg $ parallel_arg $ microbatches_arg)
+      $ devices_arg $ parallel_arg $ microbatches_arg)
 
 let () =
   let info =

@@ -124,7 +124,7 @@ let plausible_gemm (s : Loop_sched.sched) =
   && s.Loop_sched.thread_m * s.Loop_sched.thread_n <= 64
   && s.Loop_sched.tile_k <= 64 && s.Loop_sched.use_shared
 
-let guided_sample ~plausible sample rng =
+let plausible_sample ~plausible sample rng =
   let rec go n =
     let s = sample rng in
     if n = 0 || plausible s then s else go (n - 1)
@@ -216,9 +216,6 @@ let generic_tune ?(key = "") ?(show = fun _ -> "") ~strategy ~budget ~device
               | `Infeasible -> Tuning_log.Infeasible
               | `Measured -> Tuning_log.Measured);
             latency = lat;
-            (* Input-centric tuners sample their space exhaustively within
-               a budget; there is no guided proposer to attribute. *)
-            proposer = Tuning_log.Exhaustive;
           };
       Option.map snd r
     end
@@ -305,7 +302,7 @@ let tune_gemm ?key ~strategy ~trials ~device ~seed ~m ~n ~k ~compile () =
   generic_tune ?key ~show:show_gemm ~strategy ~budget:trials ~device ~seed
     ~space_size:(matmul_space_size ~m ~n ~k)
     ~sample:
-      (guided_sample ~plausible:plausible_gemm (fun rng ->
+      (plausible_sample ~plausible:plausible_gemm (fun rng ->
            sample_gemm_sched rng ~m ~n ~k))
     ~mutate:(mutate_gemm ~m ~n ~k) ~compile ()
 

@@ -17,7 +17,6 @@ type options = {
   allow_double_buffer : bool;
   deterministic_reduce : bool;
   fidelity : Hidet_gpu.Perf_model.fidelity;
-  search : MT.config Hidet_sched.Search.t;
 }
 
 let default_options =
@@ -31,7 +30,6 @@ let default_options =
     allow_double_buffer = true;
     deterministic_reduce = false;
     fidelity = `Analytic;
-    search = Hidet_sched.Search.Exhaustive;
   }
 
 module Cache = Hidet_sched.Schedule_cache
@@ -63,12 +61,12 @@ let hidet_seconds_per_trial = Hidet_sched.Tuner.seconds_per_trial /. 4.
 (* The tuning service: the process-global schedule cache in front of the
    parallel tuner. Every call site of one key (and [?instance]) gets the
    cache's one instantiated winner. *)
-let tuned ~show ?search ?lower_bound ?instance options (stats : tuning_stats)
+let tuned ~show ?lower_bound ?instance options (stats : tuning_stats)
     ~device ~key ~candidates ~compile =
   let t0 = Unix.gettimeofday () in
   let r =
     Cache.tune ~seconds_per_trial:hidet_seconds_per_trial ~engine:"hidet" ~show
-      ?search ~fidelity:options.fidelity ?lower_bound ?instance ~device
+      ~fidelity:options.fidelity ?lower_bound ?instance ~device
       ~workload:key ~candidates ~compile ()
   in
   stats.tuner_wall <- stats.tuner_wall +. (Unix.gettimeofday () -. t0);
@@ -151,13 +149,18 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
       k (options_sig options)
   in
   let space = matmul_space options ~m ~n in
-  (* Matmul spaces are the only ones big enough for guided search to pay;
-     the row/reduce spaces (a handful of block sizes) stay exhaustive. *)
+  let compile cfg = MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg in
+  (* Branch-and-bound under the floor of the compile's latency model; the
+     row and reduction spaces (a handful of block sizes) are measured
+     whole. *)
+  let lower_bound =
+    match options.fidelity with
+    | `Analytic -> MT.lower_bound device ~batch ~a_batched ~b_batched ~m ~n ~k
+    | `Cycle -> Tuner.cycle_lower_bound device ~compile
+  in
   let compiled =
-    tuned ~show:MT.config_to_string ~search:options.search
-      ~lower_bound:(MT.lower_bound device ~batch ~a_batched ~b_batched ~m ~n ~k)
-      options stats ~device ~key ~candidates:space
-      ~compile:(fun cfg -> MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg)
+    tuned ~show:MT.config_to_string ~lower_bound options stats ~device ~key
+      ~candidates:space ~compile
   in
   match compiled with
   | None -> failwith "hidet: no feasible matmul schedule"

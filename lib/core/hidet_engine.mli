@@ -33,10 +33,8 @@ type options = {
           preserves reduction extents. *)
   fidelity : Hidet_gpu.Perf_model.fidelity;
       (** latency model for tuning measurements and the plan latency
-          (default [`Analytic]) *)
-  search : Hidet_sched.Matmul_template.config Hidet_sched.Search.t;
-      (** search strategy for matmul spaces (default [Exhaustive]); the
-          row and reduction spaces are always searched exhaustively *)
+          (default [`Analytic]); matmul spaces are tuned by
+          branch-and-bound under its floor *)
 }
 
 val default_options : options
@@ -49,7 +47,7 @@ val compile_plan :
 (** Compile to an executable plan plus the engine result record (latency,
     tuning cost, kernel count). Tuning goes through the process-global
     {!Hidet_sched.Schedule_cache} keyed by (device, workload signature,
-    space-restricting options, search, fidelity): the first compile of a
+    space-restricting options, fidelity): the first compile of a
     workload pays fresh trials ([result.tuning_cost]); later compiles —
     same model again, another model sharing shapes, or a warm-started
     process — perform zero fresh trials and report the avoided cost as

@@ -40,25 +40,61 @@ let m_traced = Metrics.counter "cycle.traced_sites"
 
 let ceil_div a b = (a + b - 1) / b
 
+(* What the estimate and its floor share, so the two cannot drift: the
+   launch shape (occupancy, waves, the resident warp set, taken from the
+   analytic model's occupancy limit) and one warp's compute and barrier
+   cycles over the whole kernel. *)
+type shape = {
+  blocks_per_sm : int;
+  warps_per_block : int;
+  active_blocks : int;  (** blocks resident at once, device-wide *)
+  waves : int;
+  resident_warps : int;  (** warps resident on one SM *)
+}
+
+let shape (d : Device.t) (k : Kernel.t) =
+  Result.map
+    (fun blocks_per_sm ->
+      let warps_per_block = Kernel.num_warps_per_block k in
+      let active_blocks = min k.Kernel.grid_dim (d.num_sms * blocks_per_sm) in
+      let blocks_on_sm = max 1 (ceil_div active_blocks d.num_sms) in
+      {
+        blocks_per_sm;
+        warps_per_block;
+        active_blocks;
+        waves = ceil_div k.Kernel.grid_dim (d.num_sms * blocks_per_sm);
+        resident_warps = warps_per_block * blocks_on_sm;
+      })
+    (Perf_model.blocks_per_sm_limit d ~block_dim:k.Kernel.block_dim
+       ~smem:(Kernel.shared_bytes k) ~regs:(Kernel.regs_per_thread k))
+
+(* One warp's CUDA-core plus tensor-core cycles, and its barrier cycles,
+   over the whole kernel. *)
+let warp_cycles (d : Device.t) (c : Traffic.counts) =
+  let slots = float_of_int Warp_sched.compute_slots in
+  let fp32_per_slot =
+    Device.fp32_flops d /. (float_of_int d.num_sms *. d.sm_clock_hz) /. slots
+  in
+  let tensor_per_slot =
+    Device.tensor_flops d /. (float_of_int d.num_sms *. d.sm_clock_hz) /. slots
+  in
+  let compute =
+    (c.Traffic.flops *. 32. /. Float.max fp32_per_slot 1e-9)
+    +. (c.Traffic.mma_flops /. Float.max tensor_per_slot 1e-9)
+  in
+  (compute, c.Traffic.syncs *. d.sync_latency *. d.sm_clock_hz)
+
 let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
-  match
-    Perf_model.blocks_per_sm_limit d ~block_dim:k.Kernel.block_dim
-      ~smem:(Kernel.shared_bytes k) ~regs:(Kernel.regs_per_thread k)
-  with
+  match shape d k with
   | Error note -> (Perf_model.infeasible note, no_extras)
-  | Ok blocks_per_sm ->
+  | Ok { blocks_per_sm; warps_per_block; active_blocks; waves; resident_warps }
+    ->
     Metrics.incr m_estimates;
     let a = Access.analyze ~line:d.cache_line_bytes k in
     Metrics.add m_traced a.Access.n_traced;
     let stages = Pipeline.effective_stages k in
-    let warps_per_block = Kernel.num_warps_per_block k in
-    let concurrent = d.num_sms * blocks_per_sm in
-    let active_blocks = min k.Kernel.grid_dim concurrent in
     let t = Traffic.analyze ~window:(min d.l2_reuse_window active_blocks) k in
     let c = t.Traffic.counts in
-    let waves = ceil_div k.Kernel.grid_dim concurrent in
-    let blocks_on_sm = max 1 (ceil_div active_blocks d.num_sms) in
-    let resident_warps = warps_per_block * blocks_on_sm in
     let occupancy =
       Float.min 1.
         (float_of_int (k.Kernel.block_dim * blocks_per_sm)
@@ -98,23 +134,7 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
     let iters = max 1 (int_of_float (Float.round a.Access.main_trips)) in
     let fiters = float_of_int iters in
     let slots = float_of_int Warp_sched.compute_slots in
-    let fp32_per_slot =
-      Device.fp32_flops d /. (float_of_int d.num_sms *. d.sm_clock_hz) /. slots
-    in
-    let tensor_per_slot =
-      Device.tensor_flops d
-      /. (float_of_int d.num_sms *. d.sm_clock_hz)
-      /. slots
-    in
-    let flops_warp = c.Traffic.flops *. 32. in
-    let mma_warp = c.Traffic.mma_flops in
-    let compute_cycles_total =
-      (flops_warp /. Float.max fp32_per_slot 1e-9)
-      +. (mma_warp /. Float.max tensor_per_slot 1e-9)
-    in
-    let sync_cycles_total =
-      c.Traffic.syncs *. d.sync_latency *. d.sm_clock_hz
-    in
+    let compute_cycles_total, sync_cycles_total = warp_cycles d c in
     (* Memory pipeline: bandwidth shared by the SMs that actually have
        blocks, floored at the analytic model's per-SM bandwidth cap (an
        SM's own LSU/L2 port limit). *)
@@ -188,12 +208,28 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
 
 let estimate d k = fst (kernel d k)
 
-let latency d k =
-  let e = estimate d k in
-  if e.Perf_model.feasible then e.Perf_model.latency else infinity
+(* Relative slack for floating point: the simulation charges each round a
+   share of the totals below ([total / iters], added once per round and
+   warp), and those sums may round a little under the totals. *)
+let slack = 1. -. 1e-9
 
-let install () = Perf_model.register_cycle_model estimate
-
-(* Register at link time: any program linking hidet_cycle (hidet_sched
-   does) gets Perf_model.estimate ~fidelity:`Cycle routed here. *)
-let () = install ()
+(* [Warp_sched.simulate] runs every compute phase on one of
+   [compute_slots] sub-partitions, one phase at a time per slot, so its
+   cycles are at least [compute_busy / compute_slots]; and one warp's
+   rounds run in order, so they are at least that warp's own phases.
+   Every warp's phases hold at least its compute and barrier cycles; the
+   shared-memory, tail and memory cycles only add. *)
+let lower_bound (d : Device.t) (k : Kernel.t) =
+  match shape d k with
+  | Error _ -> infinity
+  | Ok s ->
+    let compute, sync = warp_cycles d (Traffic.kernel k) in
+    let chain = compute +. sync in
+    let cycles =
+      Float.max chain
+        (float_of_int s.resident_warps *. chain
+        /. float_of_int Warp_sched.compute_slots)
+    in
+    slack
+    *. (d.kernel_launch_overhead
+       +. (float_of_int s.waves *. (cycles /. d.sm_clock_hz)))

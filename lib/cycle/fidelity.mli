@@ -3,8 +3,8 @@
     Combines the {!Access} coalescing/bank-conflict analysis, the
     {!Cache_model} L1/L2 replay of the sampled address stream and the
     {!Warp_sched} latency-hiding simulation into a
-    {!Hidet_gpu.Perf_model.estimate}, and registers itself as
-    [Perf_model]'s cycle model at link time. *)
+    {!Hidet_gpu.Perf_model.estimate}. [Hidet_sched.Compiled.latency]
+    selects it under [`Cycle]. *)
 
 type extras = {
   txn_per_access : float;  (** mean coalesced transactions per warp access *)
@@ -24,9 +24,11 @@ val kernel :
 val estimate :
   Hidet_gpu.Device.t -> Hidet_ir.Kernel.t -> Hidet_gpu.Perf_model.estimate
 
-val latency : Hidet_gpu.Device.t -> Hidet_ir.Kernel.t -> float
-(** [estimate]'s latency, or [infinity] when infeasible. *)
-
-val install : unit -> unit
-(** Register {!estimate} as [Perf_model]'s cycle model. Called at link
-    time by this module's initializer; safe to call again. *)
+val lower_bound : Hidet_gpu.Device.t -> Hidet_ir.Kernel.t -> float
+(** A floor on {!estimate}'s latency ([infinity] when infeasible), without
+    the access analysis, cache replay or warp simulation: launch overhead
+    plus waves times the larger of the resident warps' compute and barrier
+    cycles spread over {!Warp_sched.compute_slots} and one warp's own. It
+    shares {!kernel}'s occupancy, waves, resident warps and per-warp
+    compute cycles, and keeps a relative slack of 1e-9 for the rounding of
+    the simulation's per-round sums. *)

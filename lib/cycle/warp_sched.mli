@@ -32,3 +32,7 @@ val compute_slots : int
 (** Warp schedulers (compute sub-partitions) per SM. *)
 
 val simulate : work -> result
+(** [cycles] is at least [compute_busy / compute_slots] (each slot runs
+    one compute phase at a time) and at least one warp's own compute
+    phases (a warp's rounds run in order). {!Fidelity.lower_bound} relies
+    on both. *)

@@ -225,25 +225,12 @@ let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~regs ~stages ~syncs
        ~analyze:(fun ~window -> { Traffic.counts; reuse = reuse window }))
       .latency
 
-(* --- fidelity dispatch ------------------------------------------------------
+(* --- fidelity ---------------------------------------------------------------
 
-   The analytic model above is the paper's mode and stays the default; the
-   cycle-approximate model lives in [Hidet_cycle] (which depends on this
-   library) and registers itself here at link time. With no model registered
-   [`Cycle] degrades to the analytic estimate, so nothing in this library's
-   behavior depends on whether the cycle library is linked. *)
+   The analytic model above is the paper's mode and the default; the
+   cycle-approximate model lives in [Hidet_cycle], which depends on this
+   library. [Hidet_sched.Compiled.latency] picks between them. *)
 
 type fidelity = [ `Analytic | `Cycle ]
 
-let cycle_model : (Device.t -> Kernel.t -> estimate) option Atomic.t =
-  Atomic.make None
-
-let register_cycle_model f = Atomic.set cycle_model (Some f)
-
-let estimate ?(fidelity = `Analytic) d k =
-  match fidelity with
-  | `Analytic -> kernel d k
-  | `Cycle -> (
-    match Atomic.get cycle_model with
-    | Some f -> f d k
-    | None -> kernel d k)
+let estimate = kernel

@@ -85,17 +85,12 @@ val lower_bound :
 (** {1 Fidelity modes}
 
     [`Analytic] is the model above (the paper's mode, and the default).
-    [`Cycle] routes to the cycle-approximate model of the [Hidet_cycle]
-    library — per-warp coalescing, shared-memory bank conflicts, an L1/L2
-    cache simulation and a latency-hiding warp scheduler — which registers
-    itself via {!register_cycle_model} at link time. When no cycle model is
-    registered, [`Cycle] degrades to the analytic estimate. *)
+    [`Cycle] is the cycle-approximate model of the [Hidet_cycle] library —
+    per-warp coalescing, shared-memory bank conflicts, an L1/L2 cache
+    simulation and a latency-hiding warp scheduler. Both are selected by
+    [Hidet_sched.Compiled.latency ?fidelity]. *)
 
 type fidelity = [ `Analytic | `Cycle ]
 
-val register_cycle_model : (Device.t -> Hidet_ir.Kernel.t -> estimate) -> unit
-(** Called by [Hidet_cycle.Fidelity] at module initialization. *)
-
-val estimate : ?fidelity:fidelity -> Device.t -> Hidet_ir.Kernel.t -> estimate
-(** {!kernel} under [`Analytic] (the default; bit-identical); the
-    registered cycle model under [`Cycle]. *)
+val estimate : Device.t -> Hidet_ir.Kernel.t -> estimate
+(** The analytic estimate: {!kernel}. *)

@@ -1,7 +1,5 @@
 type outcome = Measured | Infeasible | Rejected | Pruned
 
-type proposer = Exhaustive | Seed | Mutation | Crossover
-
 type trial = {
   engine : string;
   workload : string;
@@ -9,7 +7,6 @@ type trial = {
   config : string;
   outcome : outcome;
   latency : float;
-  proposer : proposer;
 }
 
 let outcome_to_string = function
@@ -17,12 +14,6 @@ let outcome_to_string = function
   | Infeasible -> "infeasible"
   | Rejected -> "rejected"
   | Pruned -> "pruned"
-
-let proposer_to_string = function
-  | Exhaustive -> "exhaustive"
-  | Seed -> "seed"
-  | Mutation -> "mutation"
-  | Crossover -> "crossover"
 
 type sink = { lock : Mutex.t; mutable entries : trial list }
 
@@ -63,13 +54,12 @@ let save_tsv path entries =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc
-        "engine\tworkload\tindex\tconfig\toutcome\tlatency_us\tproposer\n";
+        "engine\tworkload\tindex\tconfig\toutcome\tlatency_us\n";
       List.iter
         (fun t ->
-          Printf.fprintf oc "%s\t%s\t%d\t%s\t%s\t%.3f\t%s\n" (sanitize t.engine)
+          Printf.fprintf oc "%s\t%s\t%d\t%s\t%s\t%.3f\n" (sanitize t.engine)
             (sanitize t.workload) t.index (sanitize t.config)
             (outcome_to_string t.outcome)
-            (if t.latency < infinity then t.latency *. 1e6 else -1.)
-            (proposer_to_string t.proposer))
+            (if t.latency < infinity then t.latency *. 1e6 else -1.))
         entries);
   Sys.rename tmp path

@@ -2,8 +2,8 @@
 
     This is the AutoTVM/Ansor-style "tuning records" artifact: every
     candidate a tuner evaluates, or skips by a lower bound, is logged with
-    its workload signature,
-    candidate index, printable config, outcome and estimated latency —
+    its workload signature, candidate index, printable config, outcome and
+    estimated latency —
     enough to regenerate the Fig 14 (cost) and Fig 15 (schedule-latency
     distribution) quantities offline.
 
@@ -19,12 +19,6 @@ type outcome =
       (** a lower bound proved it cannot win; never instantiated, billed
           as a measurement *)
 
-type proposer =
-  | Exhaustive  (** the exhaustive enumeration proposed this candidate *)
-  | Seed  (** guided search: initial population member *)
-  | Mutation  (** guided search: single-field mutation of an elite *)
-  | Crossover  (** guided search: field-wise mix of two elites *)
-
 type trial = {
   engine : string;  (** "hidet", "autotvm", "ansor", ... *)
   workload : string;  (** workload signature, e.g. the schedule-cache key *)
@@ -32,11 +26,9 @@ type trial = {
   config : string;  (** printable schedule config ("" if unavailable) *)
   outcome : outcome;
   latency : float;  (** estimated seconds; [infinity] unless [Measured] *)
-  proposer : proposer;  (** which search stage proposed the candidate *)
 }
 
 val outcome_to_string : outcome -> string
-val proposer_to_string : proposer -> string
 
 val enabled : unit -> bool
 val start : unit -> unit
@@ -51,5 +43,4 @@ val stop : unit -> trial list
 
 val save_tsv : string -> trial list -> unit
 (** Tab-separated export: engine, workload, index, config, outcome,
-    latency in microseconds ([-1] unless [Measured]), proposer. One header
-    line. *)
+    latency in microseconds ([-1] unless [Measured]). One header line. *)

@@ -26,15 +26,15 @@ let log_fallback reason =
       reason
   end
 
-(* Force hidet_cycle's link-time registration: every program that can tune
-   links this module, so [Perf_model.estimate ~fidelity:`Cycle] is always
-   routed to the cycle model rather than the analytic fallback. *)
-let () = Hidet_cycle.Fidelity.install ()
-
-let latency ?fidelity device c =
+let latency ?(fidelity = `Analytic) device c =
+  let estimate =
+    match fidelity with
+    | `Analytic -> Hidet_gpu.Perf_model.kernel
+    | `Cycle -> Hidet_cycle.Fidelity.estimate
+  in
   List.fold_left
     (fun acc k ->
-      let e = Hidet_gpu.Perf_model.estimate ?fidelity device k in
+      let e = estimate device k in
       if e.Hidet_gpu.Perf_model.feasible then acc +. e.Hidet_gpu.Perf_model.latency
       else infinity)
     0. c.kernels

@@ -25,7 +25,8 @@ type backend = [ `Closure | `Native ]
 val latency :
   ?fidelity:Hidet_gpu.Perf_model.fidelity -> Hidet_gpu.Device.t -> t -> float
 (** Sum of per-kernel estimates (each includes launch overhead); [infinity]
-    if any kernel is infeasible. [?fidelity] defaults to [`Analytic]. *)
+    if any kernel is infeasible. [?fidelity] (default [`Analytic]) picks
+    {!Hidet_gpu.Perf_model.kernel} or {!Hidet_cycle.Fidelity.estimate}. *)
 
 val feasible : Hidet_gpu.Device.t -> t -> bool
 

@@ -16,36 +16,13 @@ module Trace = Hidet_obs.Trace
 module Metrics = Hidet_obs.Metrics
 
 module Key = struct
-  type search = Exhaustive | Guided of Search.guided_params
+  type t = { workload : string; fidelity : Hidet_gpu.Perf_model.fidelity }
 
-  type t = {
-    workload : string;
-    search : search;
-    fidelity : Hidet_gpu.Perf_model.fidelity;
-  }
-
-  let make ~workload ~(search : _ Search.t) ~fidelity =
-    let search =
-      match search with
-      | Search.Exhaustive -> Exhaustive
-      | Search.Guided { params; _ } -> Guided params
-    in
-    { workload; search; fidelity }
-
-  (* Exhaustive + analytic is the bare workload, so those keys never
-     change. *)
+  (* Analytic is the bare workload, so those keys never change. *)
   let to_string k =
     if String.contains k.workload '#' then
       invalid_arg ("Schedule_cache.Key: '#' in workload " ^ k.workload);
-    let search =
-      match k.search with
-      | Exhaustive -> ""
-      | Guided p ->
-        Printf.sprintf "#guided_s%d_b%h_p%d_e%d_k%d" p.seed p.budget_fraction
-          p.population p.elites p.patience
-    in
-    let fidelity = match k.fidelity with `Analytic -> "" | `Cycle -> "#cycle" in
-    k.workload ^ search ^ fidelity
+    match k.fidelity with `Analytic -> k.workload | `Cycle -> k.workload ^ "#cycle"
 end
 
 type entry = {
@@ -245,10 +222,10 @@ let m_stale = Metrics.counter "schedule_cache.stale"
 let m_instance_reuses = Metrics.counter "schedule_cache.instance_reuses"
 
 let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
-    ?(search = Search.Exhaustive) ?(fidelity = `Analytic) ?lower_bound
+    ?(fidelity = `Analytic) ?lower_bound
     ?(instance = "") ~device ~workload ~candidates ~compile () =
   let device_name = device.Hidet_gpu.Device.name in
-  let key = Key.to_string (Key.make ~workload ~search ~fidelity) in
+  let key = Key.to_string { Key.workload; fidelity } in
   let fingerprint cand = sanitize (show cand) in
   let space_size = List.length candidates in
   let count n metric event =
@@ -260,7 +237,7 @@ let tune ?seconds_per_trial ?parallel ?workers ?engine ~show
     count miss_count m_misses "schedule_cache.miss";
     match
       Tuner.tune ?seconds_per_trial ?parallel ?workers ?engine ~key ~show
-        ~search ~fidelity ?lower_bound ~device ~candidates ~compile ()
+        ~fidelity ?lower_bound ~device ~candidates ~compile ()
     with
     | None -> None
     | Some (cand, compiled, st) ->

@@ -22,17 +22,13 @@
 (** Everything besides the device that decides a tuning run's winner.
     {!to_string} is the only code that builds key strings. *)
 module Key : sig
-  type search = Exhaustive | Guided of Search.guided_params
-
   type t = {
     workload : string;  (** workload and candidate restrictions; no ['#'] *)
-    search : search;
     fidelity : Hidet_gpu.Perf_model.fidelity;
   }
 
   val to_string : t -> string
-  (** [workload], then for a guided search ["#guided"] and the five guided
-      parameters, then ["#cycle"] under the cycle fidelity. Distinct keys
+  (** [workload], then ["#cycle"] under the cycle fidelity. Distinct keys
       give distinct strings. Raises [Invalid_argument] if [workload]
       contains ['#']. *)
 end
@@ -61,7 +57,6 @@ val tune :
   ?workers:int ->
   ?engine:string ->
   show:('a -> string) ->
-  ?search:'a Search.t ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
   ?lower_bound:('a -> float) ->
   ?instance:string ->
@@ -71,17 +66,15 @@ val tune :
   compile:('a -> Compiled.t) ->
   unit ->
   ('a * Compiled.t * outcome) option
-(** Like {!Tuner.tune}, but consults the cache first under
-    the {!Key.t} of [workload], [search] and [fidelity] and the device
-    name.
+(** Like {!Tuner.tune}, but consults the cache first under the {!Key.t}
+    of [workload] and [fidelity] and the device name.
     On a hit (zero fresh trials) the instance memo under [?instance]
     answers; if it is empty, the stored winner is instantiated once and
     kept there. [?instance] (default [""]) must name everything [compile]
     reads that [workload] does not (a layernorm's [eps], say): it keys the
-    memo only, never the entry or the saved file. On a miss or a stale entry the tuner runs (with [?search],
-    default {!Search.Exhaustive}, [?fidelity], default [`Analytic], and
-    [?lower_bound], which changes no entry field but [trials])
-    and its result is stored with [show winner] as the fingerprint. The
+    memo only, never the entry or the saved file. On a miss or a stale
+    entry the tuner runs (with [?fidelity], default [`Analytic], and
+    [?lower_bound], which changes no entry field but [trials]) and its result is stored with [show winner] as the fingerprint. The
     tuner's spans and log records carry the key string. Each call bumps
     the ["schedule_cache.hits"/"misses"/"stale"] metrics and, when
     tracing, drops a matching instant event; a hit the memo answers also

@@ -70,7 +70,7 @@ let keep (c : MT.config) =
   if c.MT.use_tensor_core then c.MT.block_k = 16 && c.MT.block_m >= 32
   else c.MT.warp_m * c.MT.warp_n >= 512 && c.MT.block_k <= 16
 
-(* The widened dimensions (this is the space the guided tuner exists for):
+(* The widened dimensions (branch-and-bound keeps them exact to search):
 
    - deep pipelines: 3- and 4-stage circular-buffer variants of the larger
      double-buffered tiles, where the extra shared-memory stage can pay for

@@ -6,10 +6,10 @@
     180 matmul schedules; the widened space adds the dimensions production
     GEMMs live on — thread-block swizzle for L2 locality, 3/4-stage
     software pipelines, and shape-aware split-k factors — which grows it
-    past comfortable exhaustive enumeration and is what
-    {!Hidet_sched.Search}'s guided mode exists for. Still orders of
-    magnitude below the 10^5–10^8 candidate input-centric spaces of
-    AutoTVM/Ansor (their Fig. 7). *)
+    to several times the paper's size. {!Tuner.tune}'s branch-and-bound
+    keeps the search exact at that size. Still orders of magnitude below
+    the 10^5–10^8 candidate input-centric spaces of AutoTVM/Ansor (their
+    Fig. 7). *)
 
 val matmul : unit -> Matmul_template.config list
 (** The full (widened, deduplicated) matmul space; every element passes

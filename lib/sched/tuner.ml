@@ -46,7 +46,7 @@ let log_outcome = function
   | Measured lat when lat < infinity -> Tuning_log.Measured
   | Measured _ -> Tuning_log.Infeasible
 
-let log_trial ~engine ~key ~show ~index ~cand ~proposer outcome =
+let log_trial ~engine ~key ~show ~index ~cand outcome =
   if Tuning_log.enabled () then
     Tuning_log.record
       {
@@ -56,7 +56,6 @@ let log_trial ~engine ~key ~show ~index ~cand ~proposer outcome =
         config = show cand;
         outcome = log_outcome outcome;
         latency = latency_of outcome;
-        proposer;
       }
 
 (* A trial span covers one candidate's instantiation and estimate, in the
@@ -83,8 +82,7 @@ let traced_trial ~key ~show ~index ~cand ~instantiate ~estimate =
 
 let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
     ?workers ?(engine = "hidet") ?(key = "") ?(show = fun _ -> "")
-    ?(search = Search.Exhaustive) ?fidelity ?lower_bound ~device ~candidates
-    ~compile () =
+    ?fidelity ?lower_bound ~device ~candidates ~compile () =
   let t0 = Unix.gettimeofday () in
   let cands = Array.of_list candidates in
   let w =
@@ -97,7 +95,6 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
         [
           ("engine", engine);
           ("workload", key);
-          ("search", Search.name search);
           ("candidates", string_of_int (Array.length cands));
         ]
       "tune"
@@ -123,89 +120,63 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
   in
   let trials = ref 0 and rejected = ref 0 and pruned = ref 0 in
   let best = ref None in
-  (* Outcomes are merged in the driver, in a fixed order, and a latency tie
-     keeps the best so far at index [j] over [i] when [keep_on_tie j i], so
-     the parallel and sequential paths always select the same config. *)
-  let merge ~keep_on_tie i = function
+  (* Outcomes are merged in the driver, in visiting order; a latency tie
+     keeps the lower index, so the parallel and sequential paths always
+     select the same config. *)
+  let merge i = function
     | Rejected -> incr rejected
     | Pruned -> incr pruned
     | Measured lat ->
       incr trials;
       if lat < infinity then
         match !best with
-        | Some (b, j) when b < lat || (b = lat && keep_on_tie j i) -> ()
+        | Some (b, j) when b < lat || (b = lat && j < i) -> ()
         | _ -> best := Some (lat, i)
   in
-  (match Search.start search ~candidates:cands with
-  | None ->
-    (* Exhaustive: ties break toward the lowest index. Without a bound
-       every candidate is measured, in one step. With one (it bounds the
-       analytic latency only), candidates are visited in ascending (bound,
-       index) order, [chunk_size s] in step [s]: one whose bound is strictly
-       above the best latency measured before its step began has a latency
-       above the final best, so it can neither win nor tie and is skipped
-       uninstantiated. *)
-    let n = Array.length cands in
-    let order = Array.init n Fun.id in
-    let step, skip =
-      match (lower_bound, fidelity) with
-      | Some lb, (None | Some `Analytic) ->
-        let bound = Array.map lb cands in
-        Array.stable_sort (fun i j -> Float.compare bound.(i) bound.(j)) order;
-        (chunk_size, fun threshold i -> bound.(i) > threshold)
-      | _ -> ((fun _ -> max 1 n), fun _ _ -> false)
+  (* Without a bound every candidate is measured, in one step. With one,
+     candidates are visited in ascending (bound, index) order,
+     [chunk_size s] in step [s]: one whose bound is strictly above the best
+     latency measured before its step began has a latency above the final
+     best, so it can neither win nor tie and is skipped uninstantiated. *)
+  let n = Array.length cands in
+  let order = Array.init n Fun.id in
+  let tb = Unix.gettimeofday () in
+  let step, skip =
+    match lower_bound with
+    | Some lb ->
+      let bound = Array.map lb cands in
+      Array.stable_sort (fun i j -> Float.compare bound.(i) bound.(j)) order;
+      (chunk_size, fun threshold i -> bound.(i) > threshold)
+    | None -> ((fun _ -> max 1 n), fun _ _ -> false)
+  in
+  Trace.add sp "bound_us"
+    (Printf.sprintf "%.1f" ((Unix.gettimeofday () -. tb) *. 1e6));
+  let pos = ref 0 and steps = ref 0 in
+  while !pos < n do
+    let visit = Array.sub order !pos (min (step !steps) (n - !pos)) in
+    incr steps;
+    let threshold = match !best with Some (b, _) -> b | None -> infinity in
+    let prune_or_measure i =
+      if skip threshold i then begin
+        Metrics.incr m_pruned;
+        Pruned
+      end
+      else measure i
     in
-    let pos = ref 0 and steps = ref 0 in
-    while !pos < n do
-      let visit = Array.sub order !pos (min (step !steps) (n - !pos)) in
-      incr steps;
-      let threshold = match !best with Some (b, _) -> b | None -> infinity in
-      let prune_or_measure i =
-        if skip threshold i then begin
-          Metrics.incr m_pruned;
-          Pruned
-        end
-        else measure i
-      in
-      (* Bounds ascend, so a step whose first candidate is skipped is
-         skipped whole: no domains to start. *)
-      let outcomes =
-        if skip threshold visit.(0) then Array.map prune_or_measure visit
-        else Parallel.map ~workers:w prune_or_measure visit
-      in
-      Array.iteri
-        (fun vi outcome ->
-          let i = visit.(vi) in
-          merge ~keep_on_tie:( < ) i outcome;
-          log_trial ~engine ~key ~show ~index:i ~cand:cands.(i)
-            ~proposer:Tuning_log.Exhaustive outcome)
-        outcomes;
-      pos := !pos + Array.length visit
-    done
-  | Some run ->
-    (* Guided: the search proposes generations of candidate indices; each
-       generation is measured (possibly across domains, each trial span in
-       the domain that measures it) and merged — and observed and logged —
-       in batch order, so the whole trial sequence is a function of the
-       seed alone. Ties break toward the earliest proposal. *)
-    let finished = ref false in
-    while not !finished do
-      match Search.next_batch run with
-      | [] -> finished := true
-      | batch ->
-        let barr = Array.of_list batch in
-        let outcomes =
-          Parallel.map ~workers:w (fun (i, _) -> measure i) barr
-        in
-        Array.iteri
-          (fun bi outcome ->
-            let i, proposer = barr.(bi) in
-            merge ~keep_on_tie:(fun _ _ -> true) i outcome;
-            Search.observe run ~index:i ~latency:(latency_of outcome);
-            log_trial ~engine ~key ~show ~index:i ~cand:cands.(i) ~proposer
-              outcome)
-          outcomes
-    done);
+    (* Bounds ascend, so a step whose first candidate is skipped is
+       skipped whole: no domains to start. *)
+    let outcomes =
+      if skip threshold visit.(0) then Array.map prune_or_measure visit
+      else Parallel.map ~workers:w prune_or_measure visit
+    in
+    Array.iteri
+      (fun vi outcome ->
+        let i = visit.(vi) in
+        merge i outcome;
+        log_trial ~engine ~key ~show ~index:i ~cand:cands.(i) outcome)
+      outcomes;
+    pos := !pos + Array.length visit
+  done;
   let wall = Unix.gettimeofday () -. t0 in
   Trace.add sp "trials" (string_of_int !trials);
   Trace.add sp "rejected" (string_of_int !rejected);
@@ -236,9 +207,17 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
         } ))
     !best
 
+let cycle_lower_bound device ~compile cand =
+  match compile cand with
+  | exception Invalid_argument _ -> 0.
+  | (c : Compiled.t) ->
+    List.fold_left
+      (fun acc k -> acc +. Hidet_cycle.Fidelity.lower_bound device k)
+      0. c.kernels
+
 let tune_matmul ~device ?(batch = 1) ?(a_batched = true) ?(b_batched = false)
-    ?parallel ?search ~m ~n ~k () =
-  tune ~device ?parallel ?search
+    ?parallel ~m ~n ~k () =
+  tune ~device ?parallel
     ~key:(Printf.sprintf "matmul_%d_%d_%d_%d" batch m n k)
     ~show:Matmul_template.config_to_string
     ~candidates:(Space.matmul_with_split_k ~m ~n)

@@ -1,20 +1,18 @@
 (** Tuning over the hardware-centric schedule space.
 
-    The default is the paper's exhaustive mode (180 schedules, "simply
-    enumerating all schedules ... can be done within one minute"): every
-    candidate is compiled and measured; the best feasible one wins. The
-    widened space (swizzle, split-k, deep pipelines) also supports
-    {!Search.Guided}, which measures a bounded fraction of the candidates
-    via seeded evolutionary search. In both modes candidates are compiled
-    and measured in parallel across OCaml domains (the paper's parallel
-    candidate compilation), with a deterministic merge so the parallel and
-    sequential paths always select the identical config — for guided runs,
-    the whole trial sequence is a function of the search seed alone.
+    The paper's exhaustive mode (180 schedules, "simply enumerating all
+    schedules ... can be done within one minute"): every candidate is
+    either measured or proved unable to win, and the best feasible one
+    wins. Candidates are compiled and measured in parallel across OCaml
+    domains (the paper's parallel candidate compilation), with a
+    deterministic merge so the parallel and sequential paths always select
+    the identical config.
 
-    Exhaustive analytic tuning can also take a [?lower_bound] on each
-    candidate's latency: it then skips ([pruned]) every candidate the bound
-    proves cannot win, without instantiating it, and returns the same
-    winner with the same stats apart from [trials] and [pruned].
+    With a [?lower_bound] on each candidate's latency under the chosen
+    fidelity, the search is branch-and-bound: it skips ([pruned]) every
+    candidate the bound proves cannot win, without instantiating it, and
+    returns the same winner with the same stats apart from [trials] and
+    [pruned].
 
     Tuning cost accounting: real measurement on the paper's platform costs
     roughly [seconds_per_trial] per candidate (compile + benchmark); we
@@ -45,7 +43,6 @@ val tune :
   ?engine:string ->
   ?key:string ->
   ?show:('a -> string) ->
-  ?search:'a Search.t ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
   ?lower_bound:('a -> float) ->
   device:Hidet_gpu.Device.t ->
@@ -54,23 +51,18 @@ val tune :
   unit ->
   ('a * Compiled.t * stats) option
 (** Generic tuner; [None] if no candidate is feasible. Ties on latency
-    break toward the lowest candidate index (exhaustive) or the earliest
-    proposal (guided). [?search] (default {!Search.Exhaustive}) selects
-    the strategy; a guided search measures at most its budget fraction of
-    [candidates] and reports only those measurements in [stats].
-    [?fidelity] selects the latency model each measurement uses
-    (default [`Analytic]).
+    break toward the lowest candidate index. [?fidelity] selects the
+    latency model each measurement uses (default [`Analytic]).
 
-    [?lower_bound] must never exceed a candidate's analytic
-    {!Compiled.latency} (e.g. {!Matmul_template.lower_bound}); it is used
-    by exhaustive search under the analytic fidelity and ignored otherwise.
-    Candidates are then visited in ascending (bound, index) order, 16 at a
-    time, and one whose bound is strictly above the best latency measured
-    before its group began is skipped: its latency is above the best, so
-    the winner, its tie-break and [best_latency] are those of the full
-    enumeration. The group size is a constant, so every worker count
-    skips the same candidates. With no feasible candidate nothing is
-    skipped.
+    [?lower_bound] must be a floor on each candidate's latency under
+    [?fidelity] ({!Matmul_template.lower_bound} gives one for either).
+    Candidates are then visited in ascending (bound, index) order, 1, 2, 4
+    and 8 in the first four steps and 16 in each later one, and one whose
+    bound is strictly above the best latency measured before its step
+    began is skipped: its latency is above the best, so the winner, its
+    tie-break and [best_latency] are those of the full enumeration. The
+    step sizes are fixed, so every worker count skips the same
+    candidates. With no feasible candidate nothing is skipped.
     [~parallel:false] forces the sequential path (same result, one
     domain); [?workers] overrides {!Parallel.default_workers}. The winning
     candidate is re-instantiated in the calling domain, so the returned
@@ -79,21 +71,28 @@ val tune :
     Observability: every call maintains the ["tuner.trials"],
     ["tuner.rejected"] and ["tuner.pruned"] counters (incremented inside
     the worker domains). When tracing ({!Hidet_obs.Trace.enabled}) is on,
-    the call is wrapped in a ["tune"] span (attributed with the search
-    mode and the three counts) and each instantiated candidate gets a
-    ["trial"] span, opened in the domain that does the work before
-    the candidate is instantiated and closed after its estimate. It
-    carries the workload signature [?key], the candidate index, the
-    printable config from [?show], the outcome (measured / infeasible /
-    rejected), the estimated latency, and the time the two phases took
-    ([instantiate_us], [estimate_us]). When the tuning log
-    ({!Hidet_obs.Tuning_log.enabled}) is on, each candidate, skipped ones
-    included, also gets a record carrying [?engine] (default ["hidet"]),
-    the same fields and the proposer (exhaustive / seed / mutation /
-    crossover). Records are emitted from the driver in visiting order, so
-    the logged trial sequence is deterministic even across domains.
-    Whether a call is traced is decided once per call; with tracing off,
-    the per-candidate path is a bare compile+measure. *)
+    the call is wrapped in a ["tune"] span (attributed with the three
+    counts and [bound_us], the wall time spent computing the bounds) and
+    each instantiated candidate gets a ["trial"] span, opened in the
+    domain that does the work before the candidate is instantiated and
+    closed after its estimate. It carries the workload signature [?key],
+    the candidate index, the printable config from [?show], the outcome
+    (measured / infeasible / rejected), the estimated latency, and the
+    time the two phases took ([instantiate_us], [estimate_us]). When the
+    tuning log ({!Hidet_obs.Tuning_log.enabled}) is on, each candidate,
+    skipped ones included, also gets a record carrying [?engine] (default
+    ["hidet"]) and the same fields. Records are emitted from the driver in
+    visiting order, so the logged trial sequence is deterministic even
+    across domains. Whether a call is traced is decided once per call;
+    with tracing off, the per-candidate path is a bare compile+measure. *)
+
+val cycle_lower_bound :
+  Hidet_gpu.Device.t -> compile:('a -> Compiled.t) -> 'a -> float
+(** A [?lower_bound] for [~fidelity:`Cycle]: the sum of
+    {!Hidet_cycle.Fidelity.lower_bound} over the kernels of [compile cand],
+    a floor on its cycle-model {!Compiled.latency}. It instantiates the
+    candidate; [0.] when [compile] rejects it ([Invalid_argument]), so the
+    tuner still sees the rejection. *)
 
 val tune_matmul :
   device:Hidet_gpu.Device.t ->
@@ -101,7 +100,6 @@ val tune_matmul :
   ?a_batched:bool ->
   ?b_batched:bool ->
   ?parallel:bool ->
-  ?search:Matmul_template.config Search.t ->
   m:int ->
   n:int ->
   k:int ->

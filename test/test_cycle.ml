@@ -166,20 +166,25 @@ let test_warp_sched_monotone () =
 
 (* --- opt-in contract ------------------------------------------------------ *)
 
-let template_kernels () =
-  (MT.compile ~m:256 ~n:256 ~k:256 MT.default_config).Hidet_sched.Compiled.kernels
+let template () = MT.compile ~m:256 ~n:256 ~k:256 MT.default_config
+let template_kernels () = (template ()).Hidet_sched.Compiled.kernels
+
+let sum_latency estimate =
+  List.fold_left
+    (fun acc k -> acc +. (estimate dev k).PM.latency)
+    0. (template_kernels ())
 
 let test_analytic_unchanged () =
-  (* With analytic fidelity (explicit or default), estimates are exactly
-     the analytic model's — the cycle subsystem must not perturb them. *)
-  List.iter
-    (fun k ->
-      let base = PM.kernel dev k in
-      Alcotest.(check bool) "explicit analytic" true
-        (PM.estimate ~fidelity:`Analytic dev k = base);
-      Alcotest.(check bool) "default fidelity" true
-        (PM.estimate dev k = base))
-    (template_kernels ())
+  (* With analytic fidelity (explicit or default), latencies are exactly
+     the analytic model's: the cycle subsystem must not perturb them. *)
+  let base = sum_latency PM.kernel in
+  Alcotest.(check (float 0.)) "explicit analytic" base
+    (Hidet_sched.Compiled.latency ~fidelity:`Analytic dev (template ()));
+  Alcotest.(check (float 0.)) "default fidelity" base
+    (Hidet_sched.Compiled.latency dev (template ()));
+  Alcotest.(check (float 0.)) "cycle fidelity is the cycle model"
+    (sum_latency Fid.estimate)
+    (Hidet_sched.Compiled.latency ~fidelity:`Cycle dev (template ()))
 
 let test_cycle_estimate_sane () =
   List.iter
@@ -188,8 +193,6 @@ let test_cycle_estimate_sane () =
       Alcotest.(check bool) "feasible" true e.PM.feasible;
       Alcotest.(check bool) "finite positive latency" true
         (Float.is_finite e.PM.latency && e.PM.latency > 0.);
-      Alcotest.(check bool) "registered hook agrees" true
-        (PM.estimate ~fidelity:`Cycle dev k = e);
       Alcotest.(check bool) "coalescing derived" true
         (x.Fid.txn_per_access >= 1.);
       Alcotest.(check bool) "conflicts derived" true
@@ -200,6 +203,53 @@ let test_cycle_estimate_sane () =
       Alcotest.(check bool) "main loop analyzed statically" true
         (x.Fid.n_static > 0))
     (template_kernels ())
+
+(* --- the cycle floor -------------------------------------------------------- *)
+
+module Tu = Hidet_sched.Tuner
+module C = Hidet_sched.Compiled
+
+(* [None] when the template rejects the config; else (floor, latency). *)
+let floor_and_latency ?(batch = 1) ?(a_batched = true) ?(b_batched = false)
+    ~m ~n ~k cfg =
+  match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
+  | exception Invalid_argument _ -> None
+  | c ->
+    Some (Tu.cycle_lower_bound dev ~compile:Fun.id c, C.latency ~fidelity:`Cycle dev c)
+
+(* Every distinct zoo matmul's space, sampled at a stride; the offset
+   moves with the shape, so together the samples reach the whole space. *)
+let test_cycle_floor_zoo () =
+  let stride = 397 in
+  let checked = ref 0 in
+  List.iteri
+    (fun i { Zoo.batch; a_batched; b_batched; m; n; k } ->
+      List.iteri
+        (fun j cfg ->
+          if j mod stride = i * 37 mod stride then
+            match floor_and_latency ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
+            | None -> ()
+            | Some (floor, lat) ->
+              incr checked;
+              if not (floor <= lat) then
+                Alcotest.failf "%dx%dx%dx%d %s: cycle floor %h > latency %h"
+                  batch m n k (MT.config_to_string cfg) floor lat)
+        (Space.matmul_with_split_k ~m ~n))
+    (Zoo.matmuls dev Hidet_models.Models.all);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d zoo candidates checked" !checked)
+    true (!checked > 100)
+
+let prop_cycle_floor_random =
+  QCheck.Test.make ~name:"cycle floor <= cycle latency on random shapes"
+    ~count:40
+    QCheck.(
+      quad (int_range 1 600) (int_range 1 600) (int_range 1 1200) small_nat)
+    (fun (m, n, k, pick) ->
+      let space = Array.of_list (Space.matmul_with_split_k ~m ~n) in
+      match floor_and_latency ~m ~n ~k space.(pick * 7919 mod Array.length space) with
+      | None -> true
+      | Some (floor, lat) -> floor <= lat)
 
 (* --- domain-safe space memo ----------------------------------------------- *)
 
@@ -267,6 +317,11 @@ let () =
             test_analytic_unchanged;
           Alcotest.test_case "cycle estimate sane" `Quick
             test_cycle_estimate_sane;
+        ] );
+      ( "cycle floor",
+        [
+          Alcotest.test_case "every zoo matmul space" `Quick test_cycle_floor_zoo;
+          QCheck_alcotest.to_alcotest prop_cycle_floor_random;
         ] );
       ( "space",
         [

@@ -198,6 +198,37 @@ let test_tuner_spans_and_log () =
             (ts <= cts && cts +. cdur <= ts +. dur +. 1e-6))
         trials)
 
+(* The tune span names the time spent computing floors, under either
+   latency model (a cycle floor instantiates each candidate), and that
+   time is part of the span. *)
+let test_tune_span_bound_us () =
+  let m = 96 and n = 64 and k = 128 in
+  let candidates = sub_space ~m ~n ~stride:24 ~offset:0 in
+  let compile cfg = MT.compile ~m ~n ~k cfg in
+  List.iter
+    (fun (name, fidelity, lower_bound) ->
+      let r, evs =
+        Trace.with_collector (fun () ->
+            Tu.tune ~fidelity ~lower_bound ~device:dev ~candidates ~compile ())
+      in
+      if r = None then Alcotest.fail "tuner found nothing";
+      match
+        List.find_opt (fun (nm, _, _, _, _) -> nm = "tune") (span_tuples evs)
+      with
+      | None -> Alcotest.fail "missing tune span"
+      | Some (_, _, _, dur, attrs) -> (
+        match Option.bind (List.assoc_opt "bound_us" attrs) float_of_string_opt with
+        | None -> Alcotest.failf "%s: tune span has no numeric bound_us" name
+        | Some b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: 0 <= bound_us %.1f <= span %.1f us" name b dur)
+            true
+            (b >= 0. && b <= dur)))
+    [
+      ("analytic", `Analytic, MT.lower_bound dev ~m ~n ~k);
+      ("cycle", `Cycle, Tu.cycle_lower_bound dev ~compile);
+    ]
+
 (* One traced cold compile: the tuning log has a row per candidate of the
    tune spans, each one instantiated (a trial span, counted as a trial or
    a rejection) or skipped by the lower bound (counted as pruned); the
@@ -945,7 +976,6 @@ let test_tuning_log_tsv () =
         config = "cfg";
         outcome = Tlog.Measured;
         latency = 1.5e-6;
-        proposer = Tlog.Exhaustive;
       };
       {
         Tlog.engine = "ansor";
@@ -954,7 +984,6 @@ let test_tuning_log_tsv () =
         config = "";
         outcome = Tlog.Rejected;
         latency = infinity;
-        proposer = Tlog.Mutation;
       };
     ]
   in
@@ -970,19 +999,16 @@ let test_tuning_log_tsv () =
       let lines = List.rev !lines in
       Alcotest.(check int) "header + 2 records" 3 (List.length lines);
       Alcotest.(check string) "header"
-        "engine\tworkload\tindex\tconfig\toutcome\tlatency_us\tproposer"
+        "engine\tworkload\tindex\tconfig\toutcome\tlatency_us"
         (List.hd lines);
       let fields l = String.split_on_char '\t' l in
-      Alcotest.(check int) "sanitized record width" 7
+      Alcotest.(check int) "sanitized record width" 6
         (List.length (fields (List.nth lines 1)));
       Alcotest.(check string) "rejected latency sentinel" "-1.000"
         (List.nth (fields (List.nth lines 2)) 5);
-      Alcotest.(check string) "proposer is the last column" "mutation"
-        (List.nth (fields (List.nth lines 2)) 6);
       let row1 = fields (List.nth lines 1) in
       Alcotest.(check string) "workload sanitized" "w with tabs" (List.nth row1 1);
-      Alcotest.(check string) "latency in microseconds" "1.500" (List.nth row1 5);
-      Alcotest.(check string) "exhaustive proposer" "exhaustive" (List.nth row1 6))
+      Alcotest.(check string) "latency in microseconds" "1.500" (List.nth row1 5))
 
 let () =
   Alcotest.run "hidet_obs"
@@ -1002,6 +1028,8 @@ let () =
         [
           Alcotest.test_case "per-candidate spans and log records" `Quick
             test_tuner_spans_and_log;
+          Alcotest.test_case "tune span times its floors" `Quick
+            test_tune_span_bound_us;
           Alcotest.test_case "one compile: spans, counters, log agree" `Quick
             test_compile_counters_agree;
           QCheck_alcotest.to_alcotest prop_parallel_counter_parity;

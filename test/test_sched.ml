@@ -342,149 +342,19 @@ let test_tune_matmul_end_to_end () =
     Alcotest.(check bool) "config valid" true (Result.is_ok (MT.check cfg))
   | None -> Alcotest.fail "no schedule for 256^3"
 
-(* --- guided search -------------------------------------------------------------- *)
-
-module Se = Hidet_sched.Search
-module Tlog = Hidet_obs.Tuning_log
-
-(* Drive the guided run protocol directly against a synthetic, deterministic
-   latency landscape over the real widened space — no compilation, so the
-   qcheck property can afford many seeds. *)
-let guided_candidates = Array.of_list (Space.matmul_with_split_k ~m:64 ~n:49)
-
-let synthetic_latency (c : MT.config) =
-  let l x = log (float_of_int (max 1 x)) in
-  (* a couple of infeasible pockets so observe sees infinities too *)
-  if c.MT.block_m = 128 && c.MT.split_k > 1 then infinity
-  else
-    l c.MT.block_m +. (2. *. l c.MT.block_n) +. (3. *. l c.MT.block_k)
-    +. l c.MT.warp_m +. (2. *. l c.MT.warp_n)
-    +. float_of_int c.MT.stages +. (2. *. l c.MT.split_k)
-    +. (if c.MT.use_tensor_core then 0. else 1.)
-    +. if c.MT.swizzle then 0. else 0.5
-
-let drive_guided ~seed =
-  let t = Se.guided_matmul ~params:{ Se.default_guided_params with Se.seed } () in
-  match Se.start t ~candidates:guided_candidates with
-  | None -> Alcotest.fail "guided start returned no run"
-  | Some run ->
-    let trail = ref [] in
-    let continue = ref true in
-    while !continue do
-      match Se.next_batch run with
-      | [] -> continue := false
-      | batch ->
-        List.iter
-          (fun (i, p) ->
-            let lat = synthetic_latency guided_candidates.(i) in
-            trail := (i, Tlog.proposer_to_string p, lat) :: !trail;
-            Se.observe run ~index:i ~latency:lat)
-          batch
-    done;
-    List.rev !trail
-
-let prop_guided_deterministic =
-  QCheck.Test.make ~count:25
-    ~name:"guided search: same seed => identical trial sequence and winner"
-    QCheck.small_nat (fun seed ->
-      let a = drive_guided ~seed and b = drive_guided ~seed in
-      let n = Array.length guided_candidates in
-      let budget =
-        max Se.default_guided_params.Se.population
-          (int_of_float
-             (Se.default_guided_params.Se.budget_fraction *. float_of_int n))
-      in
-      let indices = List.map (fun (i, _, _) -> i) a in
-      let distinct = List.sort_uniq compare indices in
-      a = b
-      && List.length a <= budget
-      && List.length distinct = List.length indices
-      && List.for_all (fun i -> i >= 0 && i < n) indices)
-
-let trial_key (t : Tlog.trial) =
-  ( t.Tlog.index,
-    t.Tlog.config,
-    Tlog.proposer_to_string t.Tlog.proposer,
-    t.Tlog.latency )
-
-let test_guided_parallel_eq_sequential () =
-  (* The real tuner: the guided trial sequence and the winner must not
-     depend on whether measurement ran across domains. *)
-  let tune ~parallel =
-    Tlog.start ();
-    let r =
-      Tu.tune_matmul ~device:dev ~parallel ~search:(Se.guided_matmul ())
-        ~m:64 ~n:49 ~k:32 ()
-    in
-    (r, Tlog.stop ())
-  in
-  let r_seq, log_seq = tune ~parallel:false in
-  let r_par, log_par = tune ~parallel:true in
-  match (r_seq, r_par) with
-  | Some (c1, _, st1), Some (c2, _, st2) ->
-    Alcotest.(check string) "same winner" (MT.config_to_string c1)
-      (MT.config_to_string c2);
-    Alcotest.(check int) "same best index" st1.Tu.best_index st2.Tu.best_index;
-    Alcotest.(check int) "same trials" st1.Tu.trials st2.Tu.trials;
-    Alcotest.(check bool) "same logged trial sequence" true
-      (List.map trial_key log_seq = List.map trial_key log_par)
-  | _ -> Alcotest.fail "guided tune_matmul found nothing"
-
-let test_guided_within_budget_and_quality () =
-  (* Guided measures a bounded fraction and, on this small problem, must
-     land close to the exhaustive winner (the bench gates check 5% on the
-     quickstart shapes; here we assert a loose 10% to keep the unit test
-     robust to space curation changes). *)
-  let exh = Tu.tune_matmul ~device:dev ~m:64 ~n:49 ~k:32 () in
-  let gui =
-    Tu.tune_matmul ~device:dev ~search:(Se.guided_matmul ()) ~m:64 ~n:49 ~k:32
-      ()
-  in
-  match (exh, gui) with
-  | Some (_, _, st_e), Some (_, _, st_g) ->
-    let n = List.length (Space.matmul_with_split_k ~m:64 ~n:49) in
-    Alcotest.(check bool)
-      (Printf.sprintf "guided trials %d <= 30%% of %d" st_g.Tu.trials n)
-      true
-      (float_of_int st_g.Tu.trials <= 0.30 *. float_of_int n);
-    Alcotest.(check bool)
-      (Printf.sprintf "guided %.3g within 10%% of exhaustive %.3g"
-         st_g.Tu.best_latency st_e.Tu.best_latency)
-      true
-      (st_g.Tu.best_latency <= 1.10 *. st_e.Tu.best_latency)
-  | _ -> Alcotest.fail "tuning found nothing"
-
 (* --- schedule-cache keys ---------------------------------------------------------- *)
 
 module Key = Hidet_sched.Schedule_cache.Key
 
-(* Small alphabets so equal fields are drawn often: the property must then
-   tell apart keys that differ in a single field. Workloads never contain
-   '#', which separates the key's suffixes. *)
+(* A small alphabet so equal workloads are drawn often: the property must
+   then tell apart keys that differ in a single field. Workloads never
+   contain '#', which separates the key's suffix. *)
 let gen_key =
   let open QCheck.Gen in
-  let text =
+  let* workload =
     string_size ~gen:(oneofl [ 'a'; '1'; '_'; ':'; '='; ' ' ]) (int_range 0 4)
-  in
-  let params =
-    let* seed = int_range 0 2
-    and* budget_fraction = oneofl [ 0.2; 0.25; 1. /. 3. ]
-    and* population = int_range 1 2
-    and* elites = int_range 1 2
-    and* patience = int_range 1 2 in
-    return { Se.seed; budget_fraction; population; elites; patience }
-  in
-  let search =
-    frequency
-      [
-        (1, return Key.Exhaustive);
-        (3, map (fun p -> Key.Guided p) params);
-      ]
-  in
-  let* workload = text
-  and* search = search
   and* fidelity = oneofl [ `Analytic; `Cycle ] in
-  return { Key.workload; search; fidelity }
+  return { Key.workload; fidelity }
 
 let arb_key_pair =
   QCheck.make
@@ -497,19 +367,15 @@ let prop_key_strings =
     (fun (a, b) ->
       (* distinct key records give distinct strings *)
       (a = b || Key.to_string a <> Key.to_string b)
-      (* exhaustive keys are the workload byte for byte, plus the
-         unchanged cycle suffix *)
-      && Key.to_string { a with Key.search = Key.Exhaustive; fidelity = `Analytic }
-         = a.Key.workload
-      && Key.to_string { a with Key.search = Key.Exhaustive; fidelity = `Cycle }
-         = a.Key.workload ^ "#cycle")
+      (* analytic keys are the workload byte for byte, cycle keys add the
+         unchanged suffix *)
+      && Key.to_string { a with Key.fidelity = `Analytic } = a.Key.workload
+      && Key.to_string { a with Key.fidelity = `Cycle } = a.Key.workload ^ "#cycle")
 
 let test_key_rejects_separator () =
   Alcotest.check_raises "'#' in a workload"
     (Invalid_argument "Schedule_cache.Key: '#' in workload a#cycle") (fun () ->
-      ignore
-        (Key.to_string
-           { Key.workload = "a#cycle"; search = Key.Exhaustive; fidelity = `Analytic }))
+      ignore (Key.to_string { Key.workload = "a#cycle"; fidelity = `Analytic }))
 
 (* --- rule-based, reduce and row templates -------------------------------------- *)
 
@@ -690,13 +556,8 @@ let () =
           Alcotest.test_case "skips invalid" `Quick test_tuner_skips_invalid;
           Alcotest.test_case "matmul end-to-end" `Quick test_tune_matmul_end_to_end;
         ] );
-      ( "guided search",
+      ( "schedule-cache keys",
         [
-          QCheck_alcotest.to_alcotest prop_guided_deterministic;
-          Alcotest.test_case "parallel == sequential" `Quick
-            test_guided_parallel_eq_sequential;
-          Alcotest.test_case "budget and quality" `Quick
-            test_guided_within_budget_and_quality;
           QCheck_alcotest.to_alcotest prop_key_strings;
           Alcotest.test_case "key separator" `Quick test_key_rejects_separator;
         ] );

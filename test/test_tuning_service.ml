@@ -196,23 +196,57 @@ let test_bound_trial_count () =
     true
     (trials <= zoo_trials_cap)
 
-(* The bound is a floor on the analytic latency only: a cycle-fidelity or
-   guided tune ignores it, even one that would skip everything. *)
+(* The bound applies under either latency model: a floor above every
+   latency leaves one candidate measured (the threshold starts infinite)
+   and skips the rest. *)
 let test_bound_scope () =
   let m = 96 and n = 64 and k = 128 in
   let candidates = sub_space ~m ~n ~stride:24 ~offset:0 in
-  let pruned ?fidelity ?search () =
-    match
-      Tu.tune ?fidelity ?search ~lower_bound:(fun _ -> infinity) ~device:dev
-        ~candidates ~compile:(MT.compile ~m ~n ~k) ()
-    with
-    | Some (_, _, st) -> st.Tu.pruned
-    | None -> Alcotest.fail "tuner found nothing"
-  in
-  Alcotest.(check bool) "analytic exhaustive skips" true (pruned () > 0);
-  Alcotest.(check int) "cycle fidelity" 0 (pruned ~fidelity:`Cycle ());
-  Alcotest.(check int) "guided search" 0
-    (pruned ~search:(Hidet_sched.Search.guided_matmul ()) ())
+  List.iter
+    (fun (name, fidelity) ->
+      match
+        Tu.tune ~fidelity ~lower_bound:(fun _ -> infinity) ~device:dev
+          ~candidates ~compile:(MT.compile ~m ~n ~k) ()
+      with
+      | Some (_, _, st) ->
+        Alcotest.(check int) (name ^ ": one trial") 1 st.Tu.trials;
+        Alcotest.(check int) (name ^ ": the rest skipped")
+          (List.length candidates - 1)
+          st.Tu.pruned
+      | None -> Alcotest.fail "tuner found nothing")
+    [ ("analytic", `Analytic); ("cycle", `Cycle) ]
+
+(* Branch-and-bound under the cycle model: with the cycle floor the tuner
+   returns the exhaustive winner bit for bit and bills the same simulated
+   seconds, on one worker or four. Strided spaces of the tiny models'
+   matmuls keep the exhaustive cycle-model tunes affordable. *)
+let test_cycle_bound_keeps_winner () =
+  let pruned = ref 0 and total = ref 0 in
+  List.iter
+    (fun { Zoo.batch; a_batched; b_batched; m; n; k } ->
+      let name = Printf.sprintf "%dx%dx%dx%d" batch m n k in
+      let candidates = sub_space ~m ~n ~stride:32 ~offset:(k mod 32) in
+      let compile = MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k in
+      let tune ?lower_bound ?workers ~parallel () =
+        Tu.tune ~fidelity:`Cycle ~parallel ?workers ?lower_bound ~device:dev
+          ~candidates ~compile ()
+        |> Option.get
+      in
+      let lower_bound = Tu.cycle_lower_bound dev ~compile in
+      let full = tune ~parallel:true () in
+      let (_, _, s1) as seq = tune ~lower_bound ~parallel:false () in
+      let (_, _, s4) as par = tune ~lower_bound ~parallel:true ~workers:4 () in
+      Alcotest.(check bool) (name ^ ": same winner as exhaustive") true
+        (same_result seq full);
+      Alcotest.(check bool) (name ^ ": workers 1 = workers 4") true
+        (same_result seq par && s1.Tu.trials = s4.Tu.trials
+        && s1.Tu.pruned = s4.Tu.pruned);
+      pruned := !pruned + s1.Tu.pruned;
+      total := !total + List.length candidates)
+    (Zoo.matmuls dev M.tiny_all);
+  Alcotest.(check bool)
+    (Printf.sprintf "the cycle floor skips candidates (%d of %d)" !pruned !total)
+    true (!pruned > 0)
 
 (* A device whose shared memory admits no config: with no finite best the
    threshold stays infinite, so nothing is skipped, and the failure stays
@@ -380,34 +414,32 @@ let test_layernorm_eps_instances () =
   Alcotest.(check int) "one tuning entry" 1 (SC.size ());
   SC.clear ()
 
-let test_cache_search_modes_do_not_alias () =
-  (* A guided winner must never answer for the exhaustive oracle (or vice
-     versa): the search mode is folded into the cache key. *)
-  let module Se = Hidet_sched.Search in
+let test_cache_fidelities_do_not_alias () =
+  (* A cycle-model winner must never answer for the analytic one (or vice
+     versa): the fidelity is folded into the cache key. *)
   SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 10 = 0) (Space.matmul ()) in
-  let tune ~search =
-    SC.tune ~show:MT.config_to_string ~device:dev ~workload:"modes" ~search
+  let candidates = List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ()) in
+  let tune fidelity =
+    SC.tune ~show:MT.config_to_string ~device:dev ~workload:"modes" ~fidelity
       ~candidates
       ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
       ()
   in
-  (match tune ~search:Se.Exhaustive with
+  (match tune `Analytic with
   | Some (_, _, SC.Fresh _) -> ()
-  | _ -> Alcotest.fail "exhaustive first call must be fresh");
-  (match tune ~search:(Se.guided_matmul ()) with
+  | _ -> Alcotest.fail "analytic first call must be fresh");
+  (match tune `Cycle with
   | Some (_, _, SC.Fresh _) ->
-    Alcotest.(check int) "guided gets its own entry" 2 (SC.size ())
-  | Some (_, _, SC.Hit _) ->
-    Alcotest.fail "guided call served the exhaustive entry"
-  | None -> Alcotest.fail "guided call found nothing");
-  (* Both modes now hit their own entries. *)
-  (match tune ~search:Se.Exhaustive with
+    Alcotest.(check int) "cycle gets its own entry" 2 (SC.size ())
+  | Some (_, _, SC.Hit _) -> Alcotest.fail "cycle call served the analytic entry"
+  | None -> Alcotest.fail "cycle call found nothing");
+  (* Both fidelities now hit their own entries. *)
+  (match tune `Analytic with
   | Some (_, _, SC.Hit _) -> ()
-  | _ -> Alcotest.fail "exhaustive re-tune should hit");
-  match tune ~search:(Se.guided_matmul ()) with
+  | _ -> Alcotest.fail "analytic re-tune should hit");
+  match tune `Cycle with
   | Some (_, _, SC.Hit _) -> ()
-  | _ -> Alcotest.fail "guided re-tune should hit"
+  | _ -> Alcotest.fail "cycle re-tune should hit"
 
 let test_cache_stale_space_retunes () =
   SC.clear ();
@@ -840,36 +872,6 @@ let test_cache_counters_agree_on_stale () =
 
 (* --- the key and the fingerprint --------------------------------------------- *)
 
-let test_guided_key_names_the_whole_search () =
-  (* A guided winner is only the best of what that seed and budget
-     measured: a run differing in either must tune fresh. *)
-  let module Se = Hidet_sched.Search in
-  SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 10 = 0) (Space.matmul ()) in
-  let tune search =
-    match
-      SC.tune ~show:MT.config_to_string ~device:dev ~workload:"guided" ~search
-        ~candidates
-        ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
-        ()
-    with
-    | Some (_, _, SC.Fresh _) -> `Fresh
-    | Some (_, _, SC.Hit _) -> `Hit
-    | None -> Alcotest.fail "guided tune found nothing"
-  in
-  let params seed = { Se.default_guided_params with Se.seed } in
-  let seed1 = Se.guided_matmul ~params:(params 1) () in
-  let seed2 = Se.guided_matmul ~params:(params 2) () in
-  List.iter
-    (fun (name, search) ->
-      Alcotest.(check bool) (name ^ " tunes fresh") true (tune search = `Fresh))
-    [ ("seed 1", seed1); ("seed 2", seed2) ];
-  List.iter
-    (fun (name, search) ->
-      Alcotest.(check bool) (name ^ " repeated hits") true (tune search = `Hit))
-    [ ("seed 1", seed1); ("seed 2", seed2) ];
-  Alcotest.(check int) "two entries" 2 (SC.size ())
-
 let test_reordered_space_is_stale () =
   (* Same size, different order: the stored index now names another
      config, so the entry must be judged stale, not served. *)
@@ -908,25 +910,13 @@ let test_engine_warm_start () =
   Alcotest.(check (float 1e-9)) "same predicted latency" cold.E.latency
     warm.E.latency
 
-(* Compile options travel with the compile: a cycle-fidelity guided compile
+(* Compile options travel with the compile: a cycle-fidelity compile
    running next to a default one on another domain changes nothing about
    the default compile, and neither depends on which runs first. *)
 let test_options_do_not_leak () =
   let tuned =
-    {
-      HE.default_options with
-      HE.fidelity = `Cycle;
-      (* a small budget keeps the cycle-model compile quick *)
-      search =
-        Hidet_sched.Search.guided_matmul
-          ~params:
-            {
-              Hidet_sched.Search.default_guided_params with
-              budget_fraction = 0.05;
-              population = 8;
-            }
-          ();
-    }
+    (* single-stage schedules only keep the cycle-model compile quick *)
+    { HE.default_options with HE.fidelity = `Cycle; allow_double_buffer = false }
   in
   let compile options =
     let _, r = HE.compile_plan ~options dev (M.Tiny.separable ()) in
@@ -991,7 +981,9 @@ let () =
         [
           Alcotest.test_case "same winner, any worker count" `Quick
             test_bound_keeps_winner;
-          Alcotest.test_case "analytic exhaustive only" `Quick test_bound_scope;
+          Alcotest.test_case "either fidelity" `Quick test_bound_scope;
+          Alcotest.test_case "cycle floor keeps the winner" `Quick
+            test_cycle_bound_keeps_winner;
           Alcotest.test_case "zoo trial count" `Quick test_bound_trial_count;
           Alcotest.test_case "no feasible config" `Quick test_no_feasible_config;
         ] );
@@ -1001,16 +993,14 @@ let () =
           Alcotest.test_case "instance memo" `Quick test_instance_memo;
           Alcotest.test_case "layernorm eps instances" `Quick
             test_layernorm_eps_instances;
-          Alcotest.test_case "search modes do not alias" `Quick
-            test_cache_search_modes_do_not_alias;
+          Alcotest.test_case "fidelities do not alias" `Quick
+            test_cache_fidelities_do_not_alias;
           Alcotest.test_case "stale space retunes" `Quick
             test_cache_stale_space_retunes;
           Alcotest.test_case "uninstantiable winner retunes" `Quick
             test_cache_uninstantiable_winner_retunes;
           Alcotest.test_case "counters agree on stale" `Quick
             test_cache_counters_agree_on_stale;
-          Alcotest.test_case "guided key names the whole search" `Quick
-            test_guided_key_names_the_whole_search;
           Alcotest.test_case "reordered space is stale" `Quick
             test_reordered_space_is_stale;
         ] );
