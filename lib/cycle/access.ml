@@ -2,40 +2,28 @@ open Hidet_ir
 
 (* Per-warp access-pattern analysis.
 
-   Two walkers produce the same numbered list of memory-access sites:
+   [traced_sites] executes the kernel body for one sampled warp (warp 0 of
+   block 0) with real loop iterations and per-lane predication, and records
+   the addresses each memory-access site actually touches. That covers
+   affine indices, loop-dependent predicates and indirect (gather)
+   addressing alike, and yields the address stream the cache model replays.
+   Loops are capped at a few iterations with counts scaled back up, which
+   is exact for loop-uniform access patterns: the qcheck property in
+   test_cycle checks capped against uncapped traces on affine kernels.
 
-   - [static_sites] derives each site's per-warp footprint symbolically: let
-     bindings are substituted into the index expression, which then only
-     mentions [Thread_idx], [Block_idx] and enclosing loop variables. A site
-     is "static" when the per-lane address offsets are invariant in every
-     enclosing loop variable (affine-in-tid accesses with additive loop
-     terms), so probing one iteration characterizes all of them.
-
-   - [traced_sites] executes the kernel body for one sampled warp with real
-     loop iterations (optionally capped, counts scaled back up) and records
-     the addresses each site actually touches — the fallback that covers
-     non-affine indices, loop-dependent predicates and indirect (gather)
-     addressing, and the source of the address stream the cache model
-     replays.
-
-   Site numbering is structural (traversal order, each syntactic site once
-   per enclosing-region pass), so the two lists align index-for-index; on
-   affine kernels the derived transaction and conflict counts agree exactly
-   (the qcheck cross-check in test_cycle). *)
+   Sites are numbered structurally (traversal order, each syntactic site
+   once per enclosing-loop pass), so every pass of a loop adds into the
+   same site records. *)
 
 type kind = Global_load | Global_store | Shared_load | Shared_store
 
 type site = {
-  id : int;
   kind : kind;
-  buffer : string;
-  elt_bytes : int;
   weight : float;  (** loop-scaled executions of the site per warp *)
   transactions : float;
       (** global sites: coalesced line segments per execution, per warp *)
   conflict : float;
       (** shared sites: bank-conflict degree per execution (1 = free) *)
-  static : bool;  (** derived statically; false = needs the trace *)
   in_main_loop : bool;
 }
 
@@ -49,8 +37,8 @@ let bank_word_bytes = 4
 
 (* Distinct cache-line segments touched by one warp access, translation
    invariant (offsets from the warp's minimum address): an affine access
-   produces the same count on every loop iteration, which is what lets the
-   static probe stand in for the whole loop. *)
+   produces the same count on every loop iteration, which is what makes a
+   capped trace exact for loop-uniform patterns. *)
 let segments ~line addrs =
   match addrs with
   | [] -> 0
@@ -91,53 +79,8 @@ let flatten_index (b : Buffer.t) indices =
     (fun acc idx dim -> Expr.add (Expr.mul acc (Expr.int dim)) idx)
     (Expr.int 0) indices b.Buffer.dims
 
-(* --- expression utilities --------------------------------------------------- *)
-
-let rec subst (s : (int * Expr.t) list) (e : Expr.t) : Expr.t =
-  match e with
-  | Expr.Var v -> (
-    match List.assoc_opt v.Var.id s with Some e' -> e' | None -> e)
-  | Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> e
-  | Binop (op, a, b) -> Binop (op, subst s a, subst s b)
-  | Unop (op, a) -> Unop (op, subst s a)
-  | Select (c, a, b) -> Select (subst s c, subst s a, subst s b)
-  | Load (buf, idx) -> Load (buf, List.map (subst s) idx)
-
-let rec has_load = function
-  | Expr.Load _ -> true
-  | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> false
-  | Binop (_, a, b) -> has_load a || has_load b
-  | Unop (_, a) -> has_load a
-  | Select (c, a, b) -> has_load c || has_load a || has_load b
-
-let rec free_vars acc = function
-  | Expr.Var v -> v.Var.id :: acc
-  | Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> acc
-  | Binop (_, a, b) -> free_vars (free_vars acc a) b
-  | Unop (_, a) -> free_vars acc a
-  | Select (c, a, b) -> free_vars (free_vars (free_vars acc c) a) b
-  | Load (_, idx) -> List.fold_left free_vars acc idx
-
-(* Evaluate a closed expression (free vars restricted to the loop
-   assignment) for one lane of warp 0, block 0. Unassigned variables raise,
-   so a genuinely free variable disqualifies the static path instead of
-   silently reading 0. *)
-exception Unbound
-
-let lane_env ~assign lane =
-  {
-    Expr.lookup =
-      (fun v ->
-        match List.assoc_opt v.Var.id assign with
-        | Some n -> Expr.V_int n
-        | None -> raise Unbound);
-    load = (fun _ _ -> Expr.V_float 0.);
-    thread_idx = lane;
-    block_idx = 0;
-  }
-
-(* The kernel's dominant round structure: the first outermost [For] whose
-   body issues global-memory accesses is taken as the main loop; its trip
+(* The kernel's dominant round structure: an outermost [For] whose body
+   issues global-memory accesses is a main loop; the largest such trip
    count is the number of prefetch/compute rounds the warp scheduler
    interleaves. *)
 let rec stmt_has_global_access (s : Stmt.t) =
@@ -164,238 +107,33 @@ let rec stmt_has_global_access (s : Stmt.t) =
   | Mma _ -> false
   | Sync_threads | Comment _ -> false
 
-(* --- static walker ---------------------------------------------------------- *)
-
-type static_result = { sites : site list; main_trips : float }
-
-let static_sites ?(line = 128) (k : Kernel.t) : static_result =
-  let out = ref [] in
-  let next = ref 0 in
-  let main_trips = ref 1. in
-  let record ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main kind buf
-      indices =
-    let id = !next in
-    incr next;
-    let elt = Dtype.size_bytes buf.Buffer.elt in
-    let closed = List.map (subst subst_env) indices in
-    let zeros = List.map (fun v -> (v, 0)) loop_ids in
-    let lanes =
-      match mask with
-      | None -> List.init warp_lanes Fun.id
-      | Some m ->
-        List.filteri (fun _ l -> m.(l)) (List.init warp_lanes Fun.id)
-    in
-    let addrs_at assign =
-      let flat = flatten_index buf closed in
-      List.map (fun l -> Expr.eval_int (lane_env ~assign l) flat * elt) lanes
-    in
-    let analysis =
-      if poison || List.exists has_load closed then None
-      else if
-        List.exists
-          (fun v -> not (List.mem v loop_ids))
-          (List.fold_left free_vars [] closed)
-      then None
-      else
-        match addrs_at zeros with
-        | exception _ -> None
-        | addrs0 ->
-          let rel base l = List.map (fun a -> a - base) l in
-          let offsets0 =
-            match addrs0 with
-            | [] -> []
-            | _ -> rel (List.fold_left min max_int addrs0) addrs0
-          in
-          let uniform =
-            List.for_all
-              (fun v ->
-                let assign =
-                  List.map (fun u -> (u, if u = v then 1 else 0)) loop_ids
-                in
-                match addrs_at assign with
-                | exception _ -> false
-                | addrs ->
-                  let offs =
-                    match addrs with
-                    | [] -> []
-                    | _ -> rel (List.fold_left min max_int addrs) addrs
-                  in
-                  offs = offsets0)
-              loop_ids
-          in
-          if uniform then Some addrs0 else None
-    in
-    let site =
-      match analysis with
-      | Some addrs ->
-        {
-          id;
-          kind;
-          buffer = buf.Buffer.name;
-          elt_bytes = elt;
-          weight = scale;
-          transactions =
-            (match kind with
-            | Global_load | Global_store -> float_of_int (segments ~line addrs)
-            | _ -> 0.);
-          conflict =
-            (match kind with
-            | Shared_load | Shared_store ->
-              float_of_int (conflict_degree addrs)
-            | _ -> 1.);
-          static = true;
-          in_main_loop = in_main;
-        }
-      | None ->
-        {
-          id;
-          kind;
-          buffer = buf.Buffer.name;
-          elt_bytes = elt;
-          weight = scale;
-          transactions = 0.;
-          conflict = 1.;
-          static = false;
-          in_main_loop = in_main;
-        }
-    in
-    out := site :: !out
-  in
-  let trip ~subst_env ~loop_ids extent =
-    let e = subst subst_env extent in
-    let zeros = List.map (fun v -> (v, 0)) loop_ids in
-    match Expr.const_int e with
-    | Some n -> float_of_int (max n 0)
-    | None -> (
-      try float_of_int (max (Expr.eval_int (lane_env ~assign:zeros 0) e) 0)
-      with _ -> 1.)
-  in
-  let rec expr ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main (e : Expr.t)
-      =
-    let go = expr ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main in
-    match e with
-    | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> ()
-    | Binop (_, a, b) ->
-      go a;
-      go b
-    | Unop (_, a) -> go a
-    | Select (c, a, b) ->
-      go c;
-      go a;
-      go b
-    | Load (buf, idx) -> (
-      List.iter go idx;
-      match buf.Buffer.scope with
-      | Buffer.Global ->
-        record ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main Global_load
-          buf idx
-      | Buffer.Shared ->
-        record ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main Shared_load
-          buf idx
-      | Buffer.Warp | Buffer.Register -> ())
-  in
-  let rec stmt ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main (s : Stmt.t)
-      =
-    let goe = expr ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main in
-    match s with
-    | Seq ss ->
-      List.iter (stmt ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main) ss
-    | For { var; extent; body; _ } ->
-      goe extent;
-      let n = trip ~subst_env ~loop_ids extent in
-      let in_main' =
-        if (not in_main) && stmt_has_global_access body then begin
-          main_trips := Float.max !main_trips n;
-          true
-        end
-        else in_main
-      in
-      stmt ~subst_env
-        ~loop_ids:(var.Var.id :: loop_ids)
-        ~scale:(scale *. n) ~mask ~poison ~in_main:in_main' body
-    | If { cond; then_; else_ } -> (
-      goe cond;
-      let ccl = subst subst_env cond in
-      let static_cond =
-        (not (has_load ccl)) && free_vars [] ccl = [] && not poison
-      in
-      let masks =
-        if not static_cond then None
-        else
-          match
-            Array.init warp_lanes (fun l ->
-                Expr.eval_bool (lane_env ~assign:[] l) ccl)
-          with
-          | m -> Some m
-          | exception _ -> None
-      in
-      match masks with
-      | Some cm ->
-        let base = match mask with None -> Array.make warp_lanes true | Some m -> m in
-        let then_mask = Array.mapi (fun l a -> a && cm.(l)) base in
-        let else_mask = Array.mapi (fun l a -> a && not cm.(l)) base in
-        stmt ~subst_env ~loop_ids ~scale ~mask:(Some then_mask) ~poison
-          ~in_main then_;
-        (match else_ with
-        | Some e ->
-          stmt ~subst_env ~loop_ids ~scale ~mask:(Some else_mask) ~poison
-            ~in_main e
-        | None -> ())
-      | None ->
-        (* Loop-dependent or unevaluable predicate: both branches are
-           walked with the sites poisoned to the trace fallback. *)
-        stmt ~subst_env ~loop_ids ~scale ~mask ~poison:true ~in_main then_;
-        (match else_ with
-        | Some e ->
-          stmt ~subst_env ~loop_ids ~scale ~mask ~poison:true ~in_main e
-        | None -> ()))
-    | Let { var; value; body } ->
-      goe value;
-      let vcl = subst subst_env value in
-      stmt
-        ~subst_env:((var.Var.id, vcl) :: subst_env)
-        ~loop_ids ~scale ~mask ~poison ~in_main body
-    | Store { buf; indices; value } -> (
-      List.iter goe indices;
-      goe value;
-      match buf.Buffer.scope with
-      | Buffer.Global ->
-        record ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main Global_store
-          buf indices
-      | Buffer.Shared ->
-        record ~subst_env ~loop_ids ~scale ~mask ~poison ~in_main Shared_store
-          buf indices
-      | Buffer.Warp | Buffer.Register -> ())
-    | Mma _ | Sync_threads | Comment _ -> ()
-  in
-  stmt ~subst_env:[] ~loop_ids:[] ~scale:1. ~mask:None ~poison:false
-    ~in_main:false k.Kernel.body;
-  { sites = List.rev !out; main_trips = !main_trips }
 
 (* --- trace sampler ---------------------------------------------------------- *)
 
 type traced = {
-  t_sites : site list;
+  sites : site list;
   stream : int array;
       (** absolute cache-line ids of the sampled warp's global transactions,
           in program order (buffers placed at disjoint line-aligned bases) *)
+  main_trips : float;
 }
+
+(* Lines of the address stream kept for the cache model. *)
+let stream_cap = 8192
 
 type acc = {
   mutable execs : float;
   mutable txn : float;
   mutable conf : float;
   a_kind : kind;
-  a_buffer : string;
-  a_elt : int;
-  mutable a_in_main : bool;
+  a_in_main : bool;
 }
 
-let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
-    ?(block = 0) ?(warp = 0) (k : Kernel.t) : traced =
+let traced_sites ?(line = 128) ?(loop_cap = max_int) (k : Kernel.t) : traced =
   let accs : (int, acc) Hashtbl.t = Hashtbl.create 32 in
   let stream = ref [] in
   let stream_len = ref 0 in
+  let main_trips = ref 1. in
   let bases : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let next_base = ref 0 in
   let base_of (buf : Buffer.t) =
@@ -407,7 +145,6 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
       next_base := b + Buffer.size_bytes buf;
       b
   in
-  let tid_base = warp * warp_lanes in
   let vals : (int, Expr.value) Hashtbl.t array =
     Array.init warp_lanes (fun _ -> Hashtbl.create 32)
   in
@@ -419,8 +156,8 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
           | Some x -> x
           | None -> Expr.V_int 0);
       load = (fun _ _ -> Expr.V_float 0.);
-      thread_idx = tid_base + lane;
-      block_idx = block;
+      thread_idx = lane;
+      block_idx = 0;
     }
   in
   (* Structural site numbering across repeated loop passes: the counter is
@@ -435,15 +172,7 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
       | Some a -> a
       | None ->
         let a =
-          {
-            execs = 0.;
-            txn = 0.;
-            conf = 0.;
-            a_kind = kind;
-            a_buffer = buf.Buffer.name;
-            a_elt = Dtype.size_bytes buf.Buffer.elt;
-            a_in_main = in_main;
-          }
+          { execs = 0.; txn = 0.; conf = 0.; a_kind = kind; a_in_main = in_main }
         in
         Hashtbl.add accs id a;
         a
@@ -501,6 +230,14 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
       | Buffer.Shared -> record ~scale ~mask ~in_main Shared_load buf idx
       | Buffer.Warp | Buffer.Register -> ())
   in
+  let restore var saved =
+    Array.iteri
+      (fun l saved_v ->
+        match saved_v with
+        | Some v -> Hashtbl.replace vals.(l) var.Var.id v
+        | None -> Hashtbl.remove vals.(l) var.Var.id)
+      saved
+  in
   let rec tstmt ~scale ~mask ~in_main (s : Stmt.t) =
     match s with
     | Stmt.Seq ss -> List.iter (tstmt ~scale ~mask ~in_main) ss
@@ -512,15 +249,19 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
         | None -> (
           try max (Expr.eval_int (env 0) extent) 0 with _ -> 0)
       in
+      (* The first global-access loop on a path is a main loop. It is never
+         nested in another loop (that loop's body would access global
+         memory too), so it is walked once. *)
       let in_main' = in_main || stmt_has_global_access body in
+      if in_main' && not in_main then
+        main_trips := Float.max !main_trips (float_of_int n);
       let iters = min n loop_cap in
-      let saved =
-        Array.map (fun t -> Hashtbl.find_opt t var.Var.id) vals
-      in
+      let saved = Array.map (fun t -> Hashtbl.find_opt t var.Var.id) vals in
       let entry = !next in
       if iters = 0 then begin
-        (* Keep site numbering aligned with the static walker: one pass at
-           zero weight with no active lanes. *)
+        (* Keep the numbering structural: one pass at zero weight with no
+           active lanes, so the body's sites exist in every pass of an
+           enclosing loop. *)
         Array.iter (fun t -> Hashtbl.replace t var.Var.id (Expr.V_int 0)) vals;
         tstmt ~scale:0. ~mask:(Array.make warp_lanes false) ~in_main:in_main'
           body
@@ -535,12 +276,7 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
           tstmt ~scale:sc ~mask ~in_main:in_main' body
         done
       end;
-      Array.iteri
-        (fun l saved_v ->
-          match saved_v with
-          | Some v -> Hashtbl.replace vals.(l) var.Var.id v
-          | None -> Hashtbl.remove vals.(l) var.Var.id)
-        saved
+      restore var saved
     | If { cond; then_; else_ } ->
       texpr ~scale ~mask ~in_main cond;
       (* Per-lane predication: a lane whose predicate fails to evaluate is
@@ -571,12 +307,7 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
           | exception _ -> ())
         vals;
       tstmt ~scale ~mask ~in_main body;
-      Array.iteri
-        (fun l saved_v ->
-          match saved_v with
-          | Some v -> Hashtbl.replace vals.(l) var.Var.id v
-          | None -> Hashtbl.remove vals.(l) var.Var.id)
-        saved
+      restore var saved
     | Store { buf; indices; value } -> (
       List.iter (texpr ~scale ~mask ~in_main) indices;
       texpr ~scale ~mask ~in_main value;
@@ -588,49 +319,34 @@ let traced_sites ?(line = 128) ?(loop_cap = max_int) ?(stream_cap = 65536)
   in
   tstmt ~scale:1. ~mask:(Array.make warp_lanes true) ~in_main:false
     k.Kernel.body;
-  let n_sites = !next in
   let sites =
-    List.init n_sites (fun id ->
-        match Hashtbl.find_opt accs id with
-        | None ->
-          {
-            id;
-            kind = Global_load;
-            buffer = "";
-            elt_bytes = 4;
-            weight = 0.;
-            transactions = 0.;
-            conflict = 1.;
-            static = false;
-            in_main_loop = false;
-          }
-        | Some a ->
-          let per_exec total = if a.execs > 0. then total /. a.execs else 0. in
-          {
-            id;
-            kind = a.a_kind;
-            buffer = a.a_buffer;
-            elt_bytes = a.a_elt;
-            weight = a.execs;
-            transactions =
-              (match a.a_kind with
-              | Global_load | Global_store -> per_exec a.txn
-              | _ -> 0.);
-            conflict =
-              (match a.a_kind with
-              | Shared_load | Shared_store ->
-                if a.execs > 0. then a.conf /. a.execs else 1.
-              | _ -> 1.);
-            static = false;
-            in_main_loop = a.a_in_main;
-          })
+    List.init !next (fun id ->
+        let a = Hashtbl.find accs id in
+        {
+          kind = a.a_kind;
+          weight = a.execs;
+          transactions =
+            (match a.a_kind with
+            | Global_load | Global_store ->
+              if a.execs > 0. then a.txn /. a.execs else 0.
+            | _ -> 0.);
+          conflict =
+            (match a.a_kind with
+            | Shared_load | Shared_store ->
+              if a.execs > 0. then a.conf /. a.execs else 1.
+            | _ -> 1.);
+          in_main_loop = a.a_in_main;
+        })
   in
-  { t_sites = sites; stream = Array.of_list (List.rev !stream) }
+  {
+    sites;
+    stream = Array.of_list (List.rev !stream);
+    main_trips = !main_trips;
+  }
 
-(* --- combined analysis ------------------------------------------------------ *)
+(* --- aggregate -------------------------------------------------------------- *)
 
 type summary = {
-  sites : site list;
   main_trips : float;
   load_txn_main : float;
   load_txn_other : float;
@@ -640,27 +356,12 @@ type summary = {
   global_accesses : float;
   txn_per_access : float;
   conflict_factor : float;
-  n_static : int;
-  n_traced : int;
   stream : int array;
 }
 
-(* Caps chosen so tuning-time analysis of one schedule stays around a
-   millisecond; counts are scaled back to full trip counts, which is exact
-   for loop-uniform (affine) access patterns. *)
-let analyze ?(line = 128) ?(loop_cap = 8) ?(stream_cap = 8192) (k : Kernel.t)
-    : summary =
-  let s = static_sites ~line k in
-  let t = traced_sites ~line ~loop_cap ~stream_cap k in
-  let merged =
-    List.map2
-      (fun (ss : site) (ts : site) ->
-        if ss.static then { ss with in_main_loop = ss.in_main_loop || ts.in_main_loop }
-        else { ts with id = ss.id; static = false })
-      s.sites t.t_sites
-  in
-  let n_static = List.length (List.filter (fun x -> x.static) merged) in
-  let fold f init = List.fold_left f init merged in
+let analyze ?(line = 128) (k : Kernel.t) : summary =
+  let t = traced_sites ~line ~loop_cap:8 k in
+  let fold f init = List.fold_left f init t.sites in
   let load_txn_main =
     fold
       (fun acc x ->
@@ -706,8 +407,7 @@ let analyze ?(line = 128) ?(loop_cap = 8) ?(stream_cap = 8192) (k : Kernel.t)
       0.
   in
   {
-    sites = merged;
-    main_trips = s.main_trips;
+    main_trips = t.main_trips;
     load_txn_main;
     load_txn_other;
     store_txn;
@@ -718,7 +418,5 @@ let analyze ?(line = 128) ?(loop_cap = 8) ?(stream_cap = 8192) (k : Kernel.t)
       (if global_accesses > 0. then global_txn /. global_accesses else 0.);
     conflict_factor =
       (if shared_weight > 0. then shared_conf /. shared_weight else 1.);
-    n_static;
-    n_traced = List.length merged - n_static;
     stream = t.stream;
   }

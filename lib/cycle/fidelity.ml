@@ -17,10 +17,6 @@ type extras = {
   conflict_factor : float;  (** weighted mean bank-conflict degree *)
   l1_hit : float;
   l2_hit : float;  (** includes cross-block reuse of the L2 window *)
-  n_static : int;
-  n_traced : int;
-  sim_cycles : float;  (** modeled cycles for one wave's resident warp set *)
-  iters : int;
 }
 
 let no_extras =
@@ -29,14 +25,9 @@ let no_extras =
     conflict_factor = 1.;
     l1_hit = 0.;
     l2_hit = 0.;
-    n_static = 0;
-    n_traced = 0;
-    sim_cycles = 0.;
-    iters = 0;
   }
 
 let m_estimates = Metrics.counter "cycle.estimates"
-let m_traced = Metrics.counter "cycle.traced_sites"
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -91,7 +82,6 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
     ->
     Metrics.incr m_estimates;
     let a = Access.analyze ~line:d.cache_line_bytes k in
-    Metrics.add m_traced a.Access.n_traced;
     let stages = Pipeline.effective_stages k in
     let t = Traffic.analyze ~window:(min d.l2_reuse_window active_blocks) k in
     let c = t.Traffic.counts in
@@ -200,10 +190,6 @@ let kernel (d : Device.t) (k : Kernel.t) : Perf_model.estimate * extras =
         conflict_factor = a.Access.conflict_factor;
         l1_hit = h1;
         l2_hit = h2;
-        n_static = a.Access.n_static;
-        n_traced = a.Access.n_traced;
-        sim_cycles = r.Warp_sched.cycles;
-        iters;
       } )
 
 let estimate d k = fst (kernel d k)

@@ -11,10 +11,6 @@ type extras = {
   conflict_factor : float;  (** weighted mean bank-conflict degree *)
   l1_hit : float;
   l2_hit : float;  (** includes cross-block reuse of the L2 window *)
-  n_static : int;  (** sites proven affine and derived statically *)
-  n_traced : int;  (** sites that fell back to the sampled trace *)
-  sim_cycles : float;  (** modeled cycles for one wave's resident warps *)
-  iters : int;  (** main-loop rounds per warp *)
 }
 
 val kernel :

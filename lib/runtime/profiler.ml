@@ -3,15 +3,7 @@ module Device = Hidet_gpu.Device
 module Perf_model = Hidet_gpu.Perf_model
 module Traffic = Hidet_gpu.Traffic
 module Kernel = Hidet_ir.Kernel
-
-(* Cycle-model columns, populated only under [`Cycle] fidelity so the
-   analytic profiler output stays byte-identical. *)
-type cycle_cols = {
-  txn_per_access : float;
-  conflict_factor : float;
-  l1_hit : float;
-  l2_hit : float;
-}
+module Fidelity = Hidet_cycle.Fidelity
 
 type row = {
   step : int;
@@ -32,7 +24,7 @@ type row = {
   global_bytes : float;
   flops : float;
   note : string;
-  cycle : cycle_cols option;
+  cycle : Fidelity.extras option;
 }
 
 let kernel_row ?(fidelity = `Analytic) device ~step ~op (k : Kernel.t) =
@@ -40,15 +32,8 @@ let kernel_row ?(fidelity = `Analytic) device ~step ~op (k : Kernel.t) =
     match fidelity with
     | `Analytic -> (Perf_model.kernel device k, None)
     | `Cycle ->
-      let e, x = Hidet_cycle.Fidelity.kernel device k in
-      ( e,
-        Some
-          {
-            txn_per_access = x.Hidet_cycle.Fidelity.txn_per_access;
-            conflict_factor = x.Hidet_cycle.Fidelity.conflict_factor;
-            l1_hit = x.Hidet_cycle.Fidelity.l1_hit;
-            l2_hit = x.Hidet_cycle.Fidelity.l2_hit;
-          } )
+      let e, x = Fidelity.kernel device k in
+      (e, Some x)
   in
   let c = Traffic.kernel k in
   (* Wave quantization: the final wave launches [concurrent] block slots but
@@ -102,56 +87,36 @@ let total_latency rows = List.fold_left (fun a r -> a +. r.latency) 0. rows
 let truncate n s = if String.length s <= n then s else String.sub s 0 (n - 1) ^ "~"
 
 let pp_rows fmt rows =
-  (* The extra columns appear only when at least one row was estimated
-     under cycle fidelity; the analytic table is unchanged byte for byte. *)
+  (* The cycle columns appear only when some row was estimated under cycle
+     fidelity; the analytic table is unchanged byte for byte. *)
   let cycle_mode = List.exists (fun r -> r.cycle <> None) rows in
-  if cycle_mode then begin
-    Format.fprintf fmt
-      "@[<v>fidelity: cycle@,%-4s %-26s %7s %6s %9s %8s %8s %5s %5s %6s %7s %7s %8s %5s %7s %5s %5s %5s %s@,"
-      "step" "kernel" "grid" "block" "lat(us)" "mem(us)" "cmp(us)" "pipe"
-      "occ%" "waves" "blk/SM" "waste%" "smem(B)" "regs" "txn/acc" "bank"
-      "L1%" "L2%" "bottleneck";
-    List.iter
-      (fun r ->
-        let x =
-          Option.value r.cycle
-            ~default:
-              {
-                txn_per_access = 0.;
-                conflict_factor = 1.;
-                l1_hit = 0.;
-                l2_hit = 0.;
-              }
-        in
-        Format.fprintf fmt
-          "%-4d %-26s %7d %6d %9.1f %8.1f %8.1f %5s %5.0f %6d %7d %7.1f %8d %5d %7.2f %5.2f %5.0f %5.0f %s@,"
-          r.step (truncate 26 r.kernel) r.grid_dim r.block_dim
-          (r.latency *. 1e6) (r.mem_time *. 1e6) (r.compute_time *. 1e6)
-          (if r.pipelined then "yes" else "no")
-          (r.occupancy *. 100.) r.waves r.blocks_per_sm (r.tail_waste *. 100.)
-          r.smem_bytes r.regs_per_thread x.txn_per_access x.conflict_factor
-          (x.l1_hit *. 100.) (x.l2_hit *. 100.) r.note)
-      rows;
-    Format.fprintf fmt "%-4s %-26s %7s %6s %9.1f@,@]" "" "total" "" ""
-      (total_latency rows *. 1e6)
-  end
-  else begin
-    Format.fprintf fmt "@[<v>%-4s %-26s %7s %6s %9s %8s %8s %5s %5s %6s %7s %7s %8s %5s %s@,"
-      "step" "kernel" "grid" "block" "lat(us)" "mem(us)" "cmp(us)" "pipe"
-      "occ%" "waves" "blk/SM" "waste%" "smem(B)" "regs" "bottleneck";
-    List.iter
-      (fun r ->
-        Format.fprintf fmt
-          "%-4d %-26s %7d %6d %9.1f %8.1f %8.1f %5s %5.0f %6d %7d %7.1f %8d %5d %s@,"
-          r.step (truncate 26 r.kernel) r.grid_dim r.block_dim
-          (r.latency *. 1e6) (r.mem_time *. 1e6) (r.compute_time *. 1e6)
-          (if r.pipelined then "yes" else "no")
-          (r.occupancy *. 100.) r.waves r.blocks_per_sm (r.tail_waste *. 100.)
-          r.smem_bytes r.regs_per_thread r.note)
-      rows;
-    Format.fprintf fmt "%-4s %-26s %7s %6s %9.1f@,@]" "" "total"
-      "" "" (total_latency rows *. 1e6)
-  end
+  Format.fprintf fmt "@[<v>";
+  if cycle_mode then Format.fprintf fmt "fidelity: cycle@,";
+  Format.fprintf fmt
+    "%-4s %-26s %7s %6s %9s %8s %8s %5s %5s %6s %7s %7s %8s %5s " "step"
+    "kernel" "grid" "block" "lat(us)" "mem(us)" "cmp(us)" "pipe" "occ%"
+    "waves" "blk/SM" "waste%" "smem(B)" "regs";
+  if cycle_mode then
+    Format.fprintf fmt "%7s %5s %5s %5s " "txn/acc" "bank" "L1%" "L2%";
+  Format.fprintf fmt "bottleneck@,";
+  List.iter
+    (fun r ->
+      Format.fprintf fmt
+        "%-4d %-26s %7d %6d %9.1f %8.1f %8.1f %5s %5.0f %6d %7d %7.1f %8d %5d "
+        r.step (truncate 26 r.kernel) r.grid_dim r.block_dim
+        (r.latency *. 1e6) (r.mem_time *. 1e6) (r.compute_time *. 1e6)
+        (if r.pipelined then "yes" else "no")
+        (r.occupancy *. 100.) r.waves r.blocks_per_sm (r.tail_waste *. 100.)
+        r.smem_bytes r.regs_per_thread;
+      Option.iter
+        (fun (x : Fidelity.extras) ->
+          Format.fprintf fmt "%7.2f %5.2f %5.0f %5.0f " x.txn_per_access
+            x.conflict_factor (x.l1_hit *. 100.) (x.l2_hit *. 100.))
+        r.cycle;
+      Format.fprintf fmt "%s@," r.note)
+    rows;
+  Format.fprintf fmt "%-4s %-26s %7s %6s %9.1f@,@]" "" "total" "" ""
+    (total_latency rows *. 1e6)
 
 let pp ?fidelity device fmt plan = pp_rows fmt (report ?fidelity device plan)
 

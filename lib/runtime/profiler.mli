@@ -4,8 +4,9 @@
     the performance model ({!Hidet_gpu.Perf_model}, analytic or cycle
     fidelity) and the structural traffic counts ({!Hidet_gpu.Traffic}) — no
     execution involved, so profiling a plan is instant and deterministic.
-    Under [`Cycle] fidelity each row additionally carries {!cycle_cols}
-    (coalescing, bank conflicts, cache hit rates).
+    Under [`Cycle] fidelity each row additionally carries the cycle model's
+    {!Hidet_cycle.Fidelity.extras} (coalescing, bank conflicts, cache hit
+    rates).
 
     [tail_waste] is the wave-quantization loss: the fraction of launched
     block slots the final, partially filled wave leaves idle
@@ -13,15 +14,6 @@
     cousin of the partial-tile waste the hardware-centric schedule space
     trades against — a grid that does not divide the machine pays for the
     remainder just like a tile that does not divide the tensor. *)
-
-(** Cycle-fidelity columns; present only when the row was estimated with
-    [`Cycle] fidelity, so the analytic table stays byte-identical. *)
-type cycle_cols = {
-  txn_per_access : float;  (** mean coalesced transactions per warp access *)
-  conflict_factor : float;  (** weighted mean shared-memory conflict degree *)
-  l1_hit : float;  (** 0..1 *)
-  l2_hit : float;  (** 0..1, incl. cross-block L2 reuse *)
-}
 
 type row = {
   step : int;  (** plan step index this kernel belongs to *)
@@ -42,7 +34,9 @@ type row = {
   global_bytes : float;  (** total global load+store bytes, whole grid *)
   flops : float;  (** total scalar FLOPs, whole grid *)
   note : string;  (** binding bottleneck, or the infeasibility reason *)
-  cycle : cycle_cols option;  (** [Some] iff estimated under [`Cycle] *)
+  cycle : Hidet_cycle.Fidelity.extras option;
+      (** [Some] iff estimated under [`Cycle]; the analytic table stays
+          byte-identical *)
 }
 
 val report :
@@ -52,8 +46,9 @@ val report :
     [`Analytic]. *)
 
 val pp_rows : Format.formatter -> row list -> unit
-(** The table, with a totals line. Rows carrying cycle columns switch the
-    table to the wider cycle layout (txn/acc, bank, L1%, L2%). *)
+(** The table, with a totals line. Rows carrying cycle extras print them
+    (txn/acc, bank, L1%, L2%) and switch the header to the wider cycle
+    layout. *)
 
 val pp :
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->

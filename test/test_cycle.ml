@@ -1,6 +1,6 @@
 (* Tests for the cycle-approximate fidelity model: coalescing segments and
-   bank-conflict degrees, the static-vs-traced exact-match property on
-   affine kernels, the LRU cache model, warp-scheduler monotonicity, the
+   bank-conflict degrees, the capped-vs-uncapped trace exact-match property
+   on affine kernels, the LRU cache model, warp-scheduler monotonicity, the
    opt-in contract (analytic estimates unchanged), the domain-safe space
    memo and Traffic.block_reuse edge cases. *)
 
@@ -51,34 +51,26 @@ let test_conflict_degree () =
   (* broadcast of one word is conflict-free. *)
   Alcotest.(check int) "broadcast free" 1 (cd (List.init 32 (fun _ -> 64)))
 
-(* --- static vs traced: exact match on affine kernels ---------------------- *)
+(* --- capped vs uncapped trace: exact on affine kernels --------------------- *)
 
 (* The random affine kernels come from [Affine], shared with the analysis
-   tests. *)
+   tests. Their loops run 5x the generated extent (5..20 iterations), so
+   most cross the cap of 8 that [Access.analyze] uses. *)
 
-let prop_static_matches_trace =
-  QCheck.Test.make ~name:"static = traced on affine kernels" ~count:300
+let prop_capped_matches_uncapped =
+  QCheck.Test.make ~name:"capped trace = uncapped trace on affine kernels"
+    ~count:300
     (QCheck.make ~print:Affine.show_case Affine.kernel_gen)
-    (fun case ->
-      let k = Affine.build_kernel case in
-      let st = Access.static_sites k in
-      let tr = Access.traced_sites k in
-      List.length st.Access.sites = List.length tr.Access.t_sites
-      && List.for_all2
-           (fun (s : Access.site) (t : Access.site) ->
-             (* every generated site is affine, so the static walker must
-                not have fallen back... *)
-             s.Access.static
-             (* ...and its counts must match the executed trace exactly. *)
-             && s.Access.kind = t.Access.kind
-             && s.Access.weight = t.Access.weight
-             && s.Access.transactions = t.Access.transactions
-             && s.Access.conflict = t.Access.conflict)
-           st.Access.sites tr.Access.t_sites)
+    (fun ((ext, _, _) as case) ->
+      let k = Affine.build_kernel ~extent:(Expr.int (5 * ext)) case in
+      let capped = Access.traced_sites ~loop_cap:8 k in
+      let full = Access.traced_sites k in
+      (* Loop-uniform patterns: the scaled-back counts of 8 iterations are
+         those of all of them, bit for bit. *)
+      capped.Access.sites = full.Access.sites
+      && capped.Access.main_trips = full.Access.main_trips)
 
-let test_zero_trip_alignment () =
-  (* A loop that never runs still contributes (zero-weight) sites in the
-     same structural order from both walkers. *)
+let test_zero_trip () =
   let k =
     Affine.build_kernel
       (1, false, [ { Affine.glb = true; store = false; a = 1; b = 0; c = 0 } ])
@@ -86,7 +78,7 @@ let test_zero_trip_alignment () =
   let g = List.hd k.Kernel.params in
   let j = Var.fresh "j" in
   (* Stmt.for_ folds extent-0 loops away; build the node directly so the
-     walkers see a genuine zero-trip loop. *)
+     walker sees a genuine zero-trip loop. *)
   let dead =
     Stmt.For
       {
@@ -96,13 +88,51 @@ let test_zero_trip_alignment () =
         body = Stmt.store g [ Expr.var j ] (Expr.float 0.);
       }
   in
-  let k = Kernel.map_body (fun b -> Stmt.seq [ dead; b ]) k in
-  let st = Access.static_sites k in
-  let tr = Access.traced_sites k in
-  Alcotest.(check int) "site counts align" (List.length st.Access.sites)
-    (List.length tr.Access.t_sites);
-  let dead_site = List.hd st.Access.sites in
-  Alcotest.(check (float 0.)) "zero-trip weight" 0. dead_site.Access.weight
+  let live = (Access.traced_sites k).Access.sites in
+  let tr =
+    Access.traced_sites (Kernel.map_body (fun b -> Stmt.seq [ dead; b ]) k)
+  in
+  (* A loop that never runs still yields its body's site, at zero weight,
+     and leaves the other sites as they were. *)
+  Alcotest.(check int) "one more site" (List.length live + 1)
+    (List.length tr.Access.sites);
+  Alcotest.(check (float 0.)) "zero-trip weight" 0.
+    (List.hd tr.Access.sites).Access.weight;
+  Alcotest.(check bool) "other sites unchanged" true
+    (List.tl tr.Access.sites = live);
+  (* A triangular nest: the inner loop is zero-trip on the first outer
+     pass only. The shared store after it keeps its own site on every
+     pass, so it sees all 4 executions. *)
+  let s = Buffer.create ~scope:Buffer.Shared "s" [ 32 ] in
+  let i = Var.fresh "i" and j = Var.fresh "j" in
+  let body =
+    Stmt.for_ i (Expr.int 4)
+      (Stmt.seq
+         [
+           Stmt.For
+             {
+               var = j;
+               extent = Expr.var i;
+               unroll = false;
+               body = Stmt.store g [ Expr.var j ] (Expr.float 0.);
+             };
+           Stmt.store s [ Expr.var i ] (Expr.float 0.);
+         ])
+  in
+  let tri =
+    Access.traced_sites
+      (Kernel.create ~name:"tri" ~params:[ g ] ~grid_dim:1 ~block_dim:32 body)
+  in
+  match tri.Access.sites with
+  | [ inner; after ] ->
+    Alcotest.(check bool) "inner is the global store" true
+      (inner.Access.kind = Access.Global_store);
+    Alcotest.(check (float 0.)) "inner runs 0+1+2+3 times" 6.
+      inner.Access.weight;
+    Alcotest.(check bool) "after is the shared store" true
+      (after.Access.kind = Access.Shared_store);
+    Alcotest.(check (float 0.)) "after runs 4 times" 4. after.Access.weight
+  | l -> Alcotest.failf "triangular nest: %d sites, expected 2" (List.length l)
 
 (* --- cache model ---------------------------------------------------------- *)
 
@@ -200,8 +230,9 @@ let test_cycle_estimate_sane () =
       Alcotest.(check bool) "hit rates in range" true
         (x.Fid.l1_hit >= 0. && x.Fid.l1_hit <= 1. && x.Fid.l2_hit >= 0.
        && x.Fid.l2_hit <= 1.);
-      Alcotest.(check bool) "main loop analyzed statically" true
-        (x.Fid.n_static > 0))
+      (* K = 256 spans 32 tiles of block_k = 8: the main loop is found. *)
+      Alcotest.(check bool) "main loop found" true
+        ((Access.analyze k).Access.main_trips >= 2.))
     (template_kernels ())
 
 (* --- the cycle floor -------------------------------------------------------- *)
@@ -304,9 +335,8 @@ let () =
         [
           Alcotest.test_case "coalescing segments" `Quick test_segments;
           Alcotest.test_case "bank conflicts" `Quick test_conflict_degree;
-          QCheck_alcotest.to_alcotest prop_static_matches_trace;
-          Alcotest.test_case "zero-trip alignment" `Quick
-            test_zero_trip_alignment;
+          QCheck_alcotest.to_alcotest prop_capped_matches_uncapped;
+          Alcotest.test_case "zero-trip loops" `Quick test_zero_trip;
         ] );
       ("cache", [ Alcotest.test_case "set-assoc LRU" `Quick test_cache_lru ]);
       ( "warp scheduler",

@@ -1,6 +1,7 @@
 (* Tests for the runtime layer: execution plans (argument wiring, constant
-   forcing, intermediate reshaping, multi-output graphs) and the shared
-   group compiler (fusion predicates, fallback to standalone kernels). *)
+   forcing, intermediate reshaping, multi-output graphs), the shared group
+   compiler (fusion predicates, fallback to standalone kernels) and the
+   profiler report. *)
 
 module G = Hidet_graph.Graph
 module Op = Hidet_graph.Op
@@ -11,6 +12,7 @@ module RB = Hidet_sched.Rule_based
 module C = Hidet_sched.Compiled
 module T = Hidet_tensor.Tensor
 module Ref = Hidet_graph.Reference
+module Profiler = Hidet_runtime.Profiler
 
 let dev = Hidet_gpu.Device.rtx3090
 
@@ -157,6 +159,40 @@ let test_prepare_forces_constants_eagerly () =
   ignore (Plan.run1 plan [ T.rand ~seed:2 [ 4; 8 ] ]);
   Alcotest.(check int) "run reuses the forced value" 1 (Atomic.get forced)
 
+(* The profiler's rows are the latency model's per-kernel estimates: per
+   step, in launch order, they add up to [Plan.latency] bit for bit under
+   either fidelity, and only cycle rows carry the cycle model's extras. *)
+let test_profiler_sums_to_plan_latency () =
+  List.iter
+    (fun (name, mk) ->
+      let plan, _ = Hidet.Hidet_engine.compile_plan dev (mk ()) in
+      List.iter
+        (fun fidelity ->
+          let rows = Profiler.report ~fidelity dev plan in
+          let per_step =
+            List.mapi
+              (fun i _ ->
+                List.fold_left
+                  (fun acc (r : Profiler.row) ->
+                    if r.step = i then acc +. r.latency else acc)
+                  0. rows)
+              plan.Plan.steps
+          in
+          let label =
+            name ^ match fidelity with `Analytic -> " analytic" | `Cycle -> " cycle"
+          in
+          Alcotest.(check int) (label ^ ": one row per kernel")
+            (Plan.kernel_count plan) (List.length rows);
+          Alcotest.(check (float 0.)) (label ^ ": rows sum to Plan.latency")
+            (Plan.latency ~fidelity dev plan)
+            (List.fold_left ( +. ) 0. per_step);
+          Alcotest.(check bool) (label ^ ": cycle extras iff cycle") true
+            (List.for_all
+               (fun (r : Profiler.row) -> (r.cycle <> None) = (fidelity = `Cycle))
+               rows))
+        [ `Analytic; `Cycle ])
+    Hidet_models.Models.tiny_all
+
 let () =
   Alcotest.run "hidet_runtime"
     [
@@ -175,5 +211,10 @@ let () =
         [
           Alcotest.test_case "fusion predicate" `Quick test_fusion_predicate_controls_kernels;
           Alcotest.test_case "standalone fallback" `Quick test_standalone_fallback_on_unfusable;
+        ] );
+      ( "profiler",
+        [
+          Alcotest.test_case "rows sum to plan latency" `Quick
+            test_profiler_sums_to_plan_latency;
         ] );
     ]
