@@ -213,14 +213,32 @@ let memo table key f =
     Hashtbl.add table key v;
     v
 
+(* The closed form reads only the block tile, split-k and swizzle, so
+   those and the window key the memo, hashed and compared as ints. *)
+module Reuse_memo = Hashtbl.Make (struct
+  type t = int * int * int * int * bool * int
+
+  let equal ((bm, bn, bk, sk, sw, w) : t) (bm', bn', bk', sk', sw', w') =
+    bm = bm' && bn = bn' && bk = bk' && sk = sk' && Bool.equal sw sw' && w = w'
+
+  let hash ((bm, bn, bk, sk, sw, w) : t) =
+    (((((((bm * 31) + bn) * 31) + bk) * 31) + sk) * 62) + (Bool.to_int sw * 31) + w
+end)
+
 let block_reuse ?(batch = 1) ?a_batched ?b_batched ~m ~n ~k =
-  let reuses = Hashtbl.create 64 in
+  let reuses = Reuse_memo.create 64 in
   fun cfg ~window ->
-    (* the closed form reads only the block tile, split-k and swizzle *)
-    memo reuses
+    let key =
       (cfg.block_m, cfg.block_n, cfg.block_k, cfg.split_k, cfg.swizzle, window)
-      (fun () ->
-        closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg)
+    in
+    match Reuse_memo.find_opt reuses key with
+    | Some v -> v
+    | None ->
+      let v =
+        closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg
+      in
+      Reuse_memo.add reuses key v;
+      v
 
 (* The split-k reduce kernel, C[b,i,j] = sum_z Cp[z,b,i,j]: it depends on
    (batch, m, n, split_k) alone. *)

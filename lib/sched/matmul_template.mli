@@ -109,7 +109,9 @@ val block_reuse :
 
     Partially applied up to [~k] with every optional argument given, it
     computes each (block tile, split-k, swizzle, window) once; call the
-    closure from one domain. *)
+    closure from one domain. {!lower_bound} looks the memo up once per
+    candidate, so it hashes and compares those six fields as ints rather
+    than walking a tuple with the polymorphic [Hashtbl]. *)
 
 val reduce_latency :
   Hidet_gpu.Device.t -> batch:int -> m:int -> n:int -> int -> float

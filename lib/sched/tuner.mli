@@ -63,16 +63,34 @@ val tune :
     tie-break and [best_latency] are those of the full enumeration. The
     step sizes are fixed, so every worker count skips the same
     candidates. With no feasible candidate nothing is skipped.
+
+    Only the order that can matter is computed. Step 0 is the argmin of
+    (bound, index), found in one scan. If its latency [t0] is finite,
+    every candidate whose bound is above [t0] would be skipped in any
+    later step, since the thresholds only fall: one pass skips them all
+    at once (their tuning-log records come right after step 0's, in index
+    order), and only the survivors, bound at most [t0], are sorted. They
+    are a prefix of the full order, so every later step visits and
+    measures what the full sort would have. If [t0] is infinite (the
+    argmin was rejected or infeasible), everything is sorted.
+
     [~parallel:false] forces the sequential path (same result, one
-    domain); [?workers] overrides {!Parallel.default_workers}. The winning
-    candidate is re-instantiated in the calling domain, so the returned
-    [Compiled.t] does not depend on domain scheduling.
+    domain); [?workers] overrides {!Parallel.default_workers}. The
+    returned [Compiled.t] is the one the winning trial measured, built in
+    whichever domain ran it; [compile] is not called again. That is safe
+    because nothing in a kernel depends on its domain: the only
+    process-global state it carries is [Var] and [Buffer] ids, which CUDA
+    codegen and the native backend rename per kernel in binding order, so
+    the kernel's output, latency and generated source are those of a fresh
+    [compile] of the winner.
 
     Observability: every call maintains the ["tuner.trials"],
     ["tuner.rejected"] and ["tuner.pruned"] counters (incremented inside
     the worker domains). When tracing ({!Hidet_obs.Trace.enabled}) is on,
     the call is wrapped in a ["tune"] span (attributed with the three
-    counts and [bound_us], the wall time spent computing the bounds) and
+    counts, [bound_us], the wall time spent on ordering — bounds, argmin,
+    the cut and the survivors' sort — and [survivors], the candidates
+    left to visit after step 0: all but one without a bound) and
     each instantiated candidate gets a ["trial"] span, opened in the
     domain that does the work before the candidate is instantiated and
     closed after its estimate. It carries the workload signature [?key],

@@ -198,9 +198,11 @@ let test_tuner_spans_and_log () =
             (ts <= cts && cts +. cdur <= ts +. dur +. 1e-6))
         trials)
 
-(* The tune span names the time spent computing floors, under either
-   latency model (a cycle floor instantiates each candidate), and that
-   time is part of the span. *)
+(* The tune span names the time spent ordering candidates (floors, under
+   either latency model — a cycle floor instantiates each candidate — and
+   the sort), and that time is part of the span. It also counts the
+   survivors, the candidates left to visit after the first measurement:
+   every instantiated candidate is the first one or a survivor. *)
 let test_tune_span_bound_us () =
   let m = 96 and n = 64 and k = 128 in
   let candidates = sub_space ~m ~n ~stride:24 ~offset:0 in
@@ -217,13 +219,25 @@ let test_tune_span_bound_us () =
       with
       | None -> Alcotest.fail "missing tune span"
       | Some (_, _, _, dur, attrs) -> (
-        match Option.bind (List.assoc_opt "bound_us" attrs) float_of_string_opt with
-        | None -> Alcotest.failf "%s: tune span has no numeric bound_us" name
-        | Some b ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: 0 <= bound_us %.1f <= span %.1f us" name b dur)
-            true
-            (b >= 0. && b <= dur)))
+        let attr conv key =
+          match Option.bind (List.assoc_opt key attrs) conv with
+          | Some v -> v
+          | None -> Alcotest.failf "%s: tune span has no numeric %s" name key
+        in
+        let b = attr float_of_string_opt "bound_us" in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: 0 <= bound_us %.1f <= span %.1f us" name b dur)
+          true
+          (b >= 0. && b <= dur);
+        let int = attr int_of_string_opt in
+        let instantiated = int "trials" + int "rejected"
+        and survivors = int "survivors" in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: trials + rejected %d <= 1 + survivors %d <= %d"
+             name instantiated survivors (List.length candidates))
+          true
+          (instantiated <= 1 + survivors
+          && 1 + survivors <= List.length candidates)))
     [
       ("analytic", `Analytic, MT.lower_bound dev ~m ~n ~k);
       ("cycle", `Cycle, Tu.cycle_lower_bound dev ~compile);

@@ -168,8 +168,11 @@ let test_bound_keeps_winner () =
    many candidates, so a change that loses part of it fails here. *)
 let zoo_trials_cap = 256
 
+(* Every distinct matmul the zoo models tune cold. *)
+let zoo_shapes = lazy (Zoo.matmuls dev M.all)
+
 let test_bound_trial_count () =
-  let shapes = Zoo.matmuls dev M.all in
+  let shapes = Lazy.force zoo_shapes in
   Alcotest.(check int) "distinct zoo matmuls" 84 (List.length shapes);
   let trials, candidates =
     List.fold_left
@@ -277,6 +280,219 @@ let test_no_feasible_config () =
     (Failure "hidet: no feasible matmul schedule") (fun () ->
       ignore (HE.compile_plan dev g));
   Alcotest.(check int) "tuner.pruned" 0 (Hidet_obs.Metrics.value pruned - p0)
+
+(* --- visit order ------------------------------------------------------------ *)
+
+(* The branch-and-bound the tuner must reproduce, written plainly: sort
+   every candidate by (floor, index), visit them 1, 2, 4, 8 and then 16 per
+   step, and skip one whose floor is above the best latency measured
+   before its step began. It returns the winner (index, latency), the
+   counts, and the indices it measured (feasible or not) in order. *)
+type reference = {
+  winner : (int * float) option;
+  r_trials : int;
+  r_pruned : int;
+  r_rejected : int;
+  visits : int list;
+}
+
+let reference ~lower_bound ~candidates ~compile =
+  let cands = Array.of_list candidates in
+  let n = Array.length cands in
+  let bound = Array.map lower_bound cands in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Float.compare bound.(i) bound.(j)) order;
+  let winner = ref None and visits = ref [] in
+  let trials = ref 0 and pruned = ref 0 and rejected = ref 0 in
+  let pos = ref 0 and step = ref 0 in
+  while !pos < n do
+    let len = min (1 lsl min !step 4) (n - !pos) in
+    let threshold = match !winner with Some (_, b) -> b | None -> infinity in
+    for p = !pos to !pos + len - 1 do
+      let i = order.(p) in
+      if bound.(i) > threshold then incr pruned
+      else
+        match compile cands.(i) with
+        | exception Invalid_argument _ -> incr rejected
+        | c -> (
+          incr trials;
+          visits := i :: !visits;
+          let lat = C.latency dev c in
+          if lat < infinity then
+            match !winner with
+            | Some (j, b) when b < lat || (b = lat && j < i) -> ()
+            | _ -> winner := Some (i, lat))
+    done;
+    pos := !pos + len;
+    incr step
+  done;
+  {
+    winner = !winner;
+    r_trials = !trials;
+    r_pruned = !pruned;
+    r_rejected = !rejected;
+    visits = List.rev !visits;
+  }
+
+(* The tuner, with the indices its tuning log records as measured or
+   infeasible, in log order. *)
+let logged_tune ~workers ~lower_bound ~candidates ~compile =
+  let module Log = Hidet_obs.Tuning_log in
+  Log.start ();
+  let r =
+    Tu.tune ~parallel:(workers > 1) ~workers ~lower_bound ~device:dev
+      ~candidates ~compile ()
+  in
+  let visits =
+    List.filter_map
+      (fun (t : Log.trial) ->
+        match t.outcome with
+        | Measured | Infeasible -> Some t.index
+        | Rejected | Pruned -> None)
+      (Log.stop ())
+  in
+  (r, visits)
+
+(* On one and two workers the tuner matches the reference in the winner,
+   its bits, every count, and the measured sequence. *)
+let same_visits ~name ~lower_bound ~candidates ~compile =
+  let want = reference ~lower_bound ~candidates ~compile in
+  List.for_all
+    (fun workers ->
+      let r, visits = logged_tune ~workers ~lower_bound ~candidates ~compile in
+      let ok =
+        match (r, want.winner) with
+        | None, None -> true
+        | Some (_, _, st), Some (i, lat) ->
+          st.Tu.best_index = i
+          && Int64.equal (bits st.Tu.best_latency) (bits lat)
+          && st.Tu.trials = want.r_trials
+          && st.Tu.pruned = want.r_pruned
+          && st.Tu.rejected = want.r_rejected
+        | _ -> false
+      in
+      let ok = ok && visits = want.visits in
+      if not ok then
+        Printf.printf "%s, %d workers: tuner differs from the reference\n" name
+          workers;
+      ok)
+    [ 1; 2 ]
+
+let matmul_case { Zoo.batch; a_batched; b_batched; m; n; k } =
+  ( Printf.sprintf "%dx%dx%dx%d" batch m n k,
+    MT.lower_bound dev ~batch ~a_batched ~b_batched ~m ~n ~k,
+    MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k,
+    Space.matmul_with_split_k ~m ~n )
+
+let test_visit_order_zoo () =
+  let shapes = Lazy.force zoo_shapes in
+  Alcotest.(check int) "distinct zoo matmuls" 84 (List.length shapes);
+  List.iter
+    (fun shape ->
+      let name, lower_bound, compile, candidates = matmul_case shape in
+      Alcotest.(check bool) (name ^ ": same visits as the reference") true
+        (same_visits ~name ~lower_bound ~candidates ~compile))
+    shapes
+
+let prop_visit_order =
+  let size = QCheck.Gen.oneofa [| 1; 7; 17; 32; 49; 64; 96; 128; 384; 1000 |] in
+  QCheck.Test.make ~name:"visit order = reference on random shapes" ~count:25
+    (QCheck.make
+       ~print:(fun (batch, a_batched, m, n, k) ->
+         Printf.sprintf "batch=%d a_batched=%b m=%d n=%d k=%d" batch a_batched
+           m n k)
+       QCheck.Gen.(
+         let* batch = oneofl [ 1; 2; 12 ] and* a_batched = bool in
+         let* m = size and* n = size and* k = size in
+         return (batch, a_batched, m, n, k)))
+    (fun (batch, a_batched, m, n, k) ->
+      let name, lower_bound, compile, candidates =
+        matmul_case { Zoo.batch; a_batched; b_batched = false; m; n; k }
+      in
+      same_visits ~name ~lower_bound ~candidates ~compile)
+
+(* A floor equal to the exact latency, over a space listed twice: every
+   candidate, the first one measured included, has a twin whose floor
+   equals its latency, so the cut after the first measurement meets a
+   floor equal to its threshold on every shape. *)
+let test_visit_order_ties () =
+  List.iter
+    (fun shape ->
+      let name, _, compile, space = matmul_case shape in
+      let candidates = space @ space in
+      let exact cfg =
+        match compile cfg with
+        | exception Invalid_argument _ -> 0.
+        | c -> C.latency dev c
+      in
+      let floors = Hashtbl.create 1024 in
+      let lower_bound cfg =
+        match Hashtbl.find_opt floors cfg with
+        | Some f -> f
+        | None ->
+          let f = exact cfg in
+          Hashtbl.add floors cfg f;
+          f
+      in
+      Alcotest.(check bool) (name ^ ": ties visit as the reference") true
+        (same_visits ~name ~lower_bound ~candidates ~compile);
+      match Tu.tune ~lower_bound ~device:dev ~candidates ~compile () with
+      | Some (_, _, st) ->
+        Alcotest.(check bool) (name ^ ": the twin of the winner is measured")
+          true (st.Tu.trials >= 2)
+      | None -> Alcotest.failf "%s: nothing feasible" name)
+    (List.filteri (fun i _ -> i mod 12 = 0) (Lazy.force zoo_shapes))
+
+(* A refused config with floor 0 comes first: its rejection leaves the
+   threshold infinite, so nothing is cut and the whole space is sorted. *)
+let test_visit_order_rejected_first () =
+  let refused = { MT.default_config with MT.stages = 9 } in
+  Alcotest.(check bool) "the template refuses it" true
+    (Result.is_error (MT.check refused));
+  List.iter
+    (fun shape ->
+      let name, lower_bound, compile, space = matmul_case shape in
+      let candidates = space @ [ refused ] in
+      Alcotest.(check (float 0.)) (name ^ ": floor 0") 0. (lower_bound refused);
+      Alcotest.(check bool) (name ^ ": same visits as the reference") true
+        (same_visits ~name ~lower_bound ~candidates ~compile);
+      match Tu.tune ~lower_bound ~device:dev ~candidates ~compile () with
+      | Some (_, _, st) -> Alcotest.(check int) (name ^ ": rejected") 1 st.Tu.rejected
+      | None -> Alcotest.failf "%s: nothing feasible" name)
+    (List.filteri (fun i _ -> i mod 12 = 5) (Lazy.force zoo_shapes))
+
+(* The returned kernel is the one the tuner measured: [compile] runs once
+   per trial or rejection and never again for the winner, and the kernel
+   prints the CUDA a fresh compile of the winner prints. *)
+let test_returns_measured_kernel () =
+  List.iter
+    (fun shape ->
+      let name, lower_bound, compile, candidates = matmul_case shape in
+      List.iter
+        (fun workers ->
+          let calls = Atomic.make 0 in
+          let counting cfg =
+            Atomic.incr calls;
+            compile cfg
+          in
+          match
+            Tu.tune ~parallel:(workers > 1) ~workers ~lower_bound ~device:dev
+              ~candidates ~compile:counting ()
+          with
+          | None -> Alcotest.failf "%s: nothing feasible" name
+          | Some (cfg, kernel, st) ->
+            let name = Printf.sprintf "%s, %d workers" name workers in
+            Alcotest.(check int) (name ^ ": compiles = trials + rejected")
+              (st.Tu.trials + st.Tu.rejected)
+              (Atomic.get calls);
+            Alcotest.(check string) (name ^ ": CUDA of a fresh compile")
+              (C.cuda_source (compile cfg))
+              (C.cuda_source kernel);
+            Alcotest.(check bool) (name ^ ": it measures best_latency") true
+              (Int64.equal (bits (C.latency dev kernel))
+                 (bits st.Tu.best_latency)))
+        [ 1; 2 ])
+    (List.filteri (fun i _ -> i mod 7 = 3) (Lazy.force zoo_shapes))
 
 (* --- schedule cache -------------------------------------------------------- *)
 
@@ -986,6 +1202,18 @@ let () =
             test_cycle_bound_keeps_winner;
           Alcotest.test_case "zoo trial count" `Quick test_bound_trial_count;
           Alcotest.test_case "no feasible config" `Quick test_no_feasible_config;
+        ] );
+      ( "visit order",
+        [
+          Alcotest.test_case "zoo shapes = reference" `Quick
+            test_visit_order_zoo;
+          QCheck_alcotest.to_alcotest prop_visit_order;
+          Alcotest.test_case "floor ties with the threshold" `Quick
+            test_visit_order_ties;
+          Alcotest.test_case "rejected argmin" `Quick
+            test_visit_order_rejected_first;
+          Alcotest.test_case "returns the measured kernel" `Quick
+            test_returns_measured_kernel;
         ] );
       ( "schedule cache",
         [
