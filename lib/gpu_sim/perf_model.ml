@@ -28,7 +28,8 @@ let infeasible note =
 let ceil_div a b = (a + b - 1) / b
 
 let blocks_per_sm_limit (d : Device.t) ~block_dim ~smem ~regs =
-  if block_dim > 1024 then Error "block_dim exceeds 1024"
+  if block_dim <= 0 then Error "non-positive block_dim"
+  else if block_dim > 1024 then Error "block_dim exceeds 1024"
   else if smem > d.shared_mem_per_block then
     Error (Printf.sprintf "shared memory %d B exceeds per-block cap %d B" smem d.shared_mem_per_block)
   else if regs > d.max_registers_per_thread then
@@ -41,7 +42,9 @@ let blocks_per_sm_limit (d : Device.t) ~block_dim ~smem ~regs =
       if regs = 0 then d.max_blocks_per_sm
       else d.registers_per_sm / (regs * block_dim)
     in
-    let bps = min (min by_threads by_smem) (min by_regs d.max_blocks_per_sm) in
+    let bps =
+      Int.min (Int.min by_threads by_smem) (Int.min by_regs d.max_blocks_per_sm)
+    in
     if bps <= 0 then Error "zero resident blocks per SM" else Ok bps
   end
 
@@ -51,13 +54,61 @@ let blocks_per_sm_limit (d : Device.t) ~block_dim ~smem ~regs =
    saturation point rather than proportionally. *)
 let sat_curve x = Float.min 1. (Float.pow x 0.6)
 
-(* Memory latency is hidden at three quarters of the threads compute
-   needs. *)
-let mem_saturation (d : Device.t) resident_threads =
-  sat_curve (resident_threads /. (0.75 *. float_of_int d.saturation_threads_per_sm))
+(* The two saturations at every resident-thread count [0 ..
+   max_threads_per_sm], the range of [model]'s (an SM holds at most its
+   occupancy limit's blocks). They depend on the device only
+   through those two thread counts, so each pair's table is built once per
+   process, from the same expressions, and published through an [Atomic]
+   (a list read without locking; a domain that loses the race to publish
+   looks again). *)
+type saturations = {
+  threads : int;  (** [saturation_threads_per_sm] *)
+  limit : int;  (** [max_threads_per_sm] *)
+  mem : float array;
+      (** memory latency is hidden at three quarters of the threads compute
+          needs *)
+  comp : float array;
+}
 
-let comp_saturation (d : Device.t) resident_threads =
-  sat_curve (resident_threads /. float_of_int d.saturation_threads_per_sm)
+let published : saturations list Atomic.t = Atomic.make []
+
+let rec find_saturations (d : Device.t) = function
+  | [] -> raise Not_found
+  | s :: rest ->
+    if s.threads = d.saturation_threads_per_sm && s.limit = d.max_threads_per_sm
+    then s
+    else find_saturations d rest
+
+let rec saturations (d : Device.t) =
+  let known = Atomic.get published in
+  match find_saturations d known with
+  | s -> s
+  | exception Not_found ->
+    let table scale =
+      Array.init (d.max_threads_per_sm + 1) (fun resident_threads ->
+          sat_curve
+            (float_of_int resident_threads
+            /. (scale *. float_of_int d.saturation_threads_per_sm)))
+    in
+    let s =
+      {
+        threads = d.saturation_threads_per_sm;
+        limit = d.max_threads_per_sm;
+        mem = table 0.75;
+        comp = table 1.;
+      }
+    in
+    if Atomic.compare_and_set published known (s :: known) then s
+    else saturations d
+
+let mem_saturation d resident_threads = (saturations d).mem.(resident_threads)
+let comp_saturation d resident_threads = (saturations d).comp.(resident_threads)
+
+(* [Float.min] and [Float.max] but inlined, so no float is boxed. They
+   differ only on a -0. operand or two NaNs; the model's operands are
+   products and quotients of non-negative quantities. *)
+let[@inline] fmin (x : float) y = if x < y || Float.is_nan x then x else y
+let[@inline] fmax (x : float) y = if x > y || Float.is_nan x then x else y
 
 (* One block can pull at most 1.5x an even per-SM share of DRAM bandwidth. *)
 let per_sm_bandwidth_cap = 1.5
@@ -68,40 +119,47 @@ let per_sm_bandwidth_cap = 1.5
    latency, 3 stages hide most of it, 4 stages nearly all (at the price of
    the extra shared-memory stage, which the occupancy limits already
    charge). Without a pipeline the two phases serialize. *)
-let overlap ~stages ~mem ~compute =
+let[@inline] overlap ~stages ~mem ~compute =
   let residue =
     if stages >= 4 then 0.02
     else if stages >= 3 then 0.05
     else if stages >= 2 then 0.15
     else 1.
   in
-  Float.max mem compute +. (residue *. Float.min mem compute)
+  fmax mem compute +. (residue *. fmin mem compute)
 
 let occupancy_limits (d : Device.t) (k : Kernel.t) =
   blocks_per_sm_limit d ~block_dim:k.block_dim ~smem:(Kernel.shared_bytes k)
     ~regs:(Kernel.regs_per_thread k)
 
+let reuse_window (d : Device.t) ~grid_dim ~blocks_per_sm =
+  Int.min d.l2_reuse_window (Int.min grid_dim (d.num_sms * blocks_per_sm))
+
+let waves (d : Device.t) ~grid_dim ~blocks_per_sm =
+  ceil_div grid_dim (d.num_sms * blocks_per_sm)
+
+(* [model]'s result: all floats, so it is one flat block. [busy] is the
+   waves' time, [latency] adds the launch to it. *)
+type terms = {
+  latency : float;
+  busy : float;
+  mem_time : float;
+  compute_time : float;
+}
+
 (* The estimate of a launch of [grid_dim] blocks of [block_dim] threads,
-   [blocks_per_sm] of them resident per SM, from [analyze ~window]: the
-   per-thread counts and the L2 block reuse over [window] consecutively
-   launched blocks. [kernel] walks the kernel once for both; [lower_bound]
-   passes floors. *)
+   [blocks_per_sm] of them resident per SM, from the per-thread counts [c]
+   and the L2 block [reuse] over the {!reuse_window}'s consecutively
+   launched blocks. [kernel] passes the kernel's own, [lower_bound]
+   floors. *)
 let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
-    ~stages ~analyze =
-  let pipelined = stages >= 2 in
+    ~stages (c : Traffic.counts) ~reuse =
   let concurrent = d.num_sms * blocks_per_sm in
-  let active_blocks = min grid_dim concurrent in
-  (* the reuse window: the co-resident blocks, at most the device's *)
-  let t = analyze ~window:(min d.l2_reuse_window active_blocks) in
-  let c = t.Traffic.counts in
-  let waves = ceil_div grid_dim concurrent in
+  let active_blocks = Int.min grid_dim concurrent in
+  let waves = waves d ~grid_dim ~blocks_per_sm in
   let blocks_on_sm = ceil_div active_blocks d.num_sms in
-  let resident_threads = float_of_int (block_dim * blocks_on_sm) in
-  let occupancy =
-    Float.min 1.
-      (float_of_int (block_dim * blocks_per_sm)
-      /. float_of_int d.max_threads_per_sm)
-  in
+  let resident_threads = block_dim * blocks_on_sm in
+  let sat = saturations d in
   (* Per-block memory traffic: weight raw bytes by the transaction factor
      so strided access pays for wasted cache-line sectors. *)
   let ld_eff =
@@ -113,29 +171,29 @@ let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
      launched blocks (bounded by what is actually co-resident) is fetched
      from DRAM once, not once per block. Swizzled launch orders shrink
      the window's union working set and show up here. *)
-  let l2_reuse = if c.global_load_bytes > 0. then t.Traffic.reuse else 1. in
+  let l2_reuse = if c.global_load_bytes > 0. then reuse else 1. in
   let bytes_block =
-    ((c.global_load_bytes *. Float.max 1. ld_eff /. l2_reuse)
+    ((c.global_load_bytes *. fmax 1. ld_eff /. l2_reuse)
     +. c.global_store_bytes)
     *. float_of_int block_dim
   in
   (* Bandwidth share per block, capped by what one SM's LSUs can pull and
      degraded when too few threads are resident to hide DRAM latency. *)
   let bw_per_block =
-    Float.min
+    fmin
       (d.mem_bandwidth /. float_of_int active_blocks)
       (per_sm_bandwidth_cap *. d.mem_bandwidth /. float_of_int d.num_sms)
-    *. mem_saturation d resident_threads
+    *. sat.mem.(resident_threads)
   in
   let mem_time = bytes_block /. bw_per_block in
   (* Compute: peak per SM shared among co-resident blocks, degraded when
      the SM has too few threads to saturate issue ports. *)
   let cuda_per_block =
     Device.fp32_flops d /. float_of_int d.num_sms
-    /. float_of_int blocks_on_sm *. comp_saturation d resident_threads
+    /. float_of_int blocks_on_sm *. sat.comp.(resident_threads)
   in
   let tensor_saturation =
-    Float.min 1. (float_of_int (warps_per_block * blocks_on_sm) /. 8.)
+    fmin 1. (float_of_int (warps_per_block * blocks_on_sm) /. 8.)
   in
   let tensor_per_block =
     Device.tensor_flops d /. float_of_int d.num_sms
@@ -149,44 +207,49 @@ let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
   let shared_block = c.shared_bytes *. float_of_int block_dim in
   let compute_time =
     (flops_block /. cuda_per_block)
-    +. (mma_block /. Float.max tensor_per_block 1.)
+    +. (mma_block /. fmax tensor_per_block 1.)
     +. (shared_block /. shared_per_block)
   in
   let sync_time = c.syncs *. d.sync_latency in
   let block_time =
     overlap ~stages ~mem:mem_time ~compute:compute_time +. sync_time
   in
-  let latency =
-    d.kernel_launch_overhead +. (float_of_int waves *. block_time)
-  in
-  (* The binding bottleneck, nsight-style: launch overhead dominating the
-     whole run, else the larger of the two per-wave components. *)
-  let note =
-    if d.kernel_launch_overhead >= float_of_int waves *. block_time then
-      "launch-bound"
-    else if mem_time >= compute_time then "memory-bound"
-    else "compute-bound"
-  in
-  {
-    latency;
-    mem_time;
-    compute_time;
-    waves;
-    blocks_per_sm;
-    occupancy;
-    pipelined;
-    feasible = true;
-    note;
-  }
+  let busy = float_of_int waves *. block_time in
+  { latency = d.kernel_launch_overhead +. busy; busy; mem_time; compute_time }
 
 let kernel (d : Device.t) (k : Kernel.t) =
   match occupancy_limits d k with
   | Error note -> infeasible note
   | Ok blocks_per_sm ->
-    model d ~grid_dim:k.grid_dim ~block_dim:k.block_dim
-      ~warps_per_block:(Kernel.num_warps_per_block k) ~blocks_per_sm
-      ~stages:(Pipeline.effective_stages k)
-      ~analyze:(fun ~window -> Traffic.analyze ~window k)
+    let grid_dim = k.grid_dim and block_dim = k.block_dim in
+    let stages = Pipeline.effective_stages k in
+    let t =
+      Traffic.analyze ~window:(reuse_window d ~grid_dim ~blocks_per_sm) k
+    in
+    let m =
+      model d ~grid_dim ~block_dim
+        ~warps_per_block:(Kernel.num_warps_per_block k) ~blocks_per_sm
+        ~stages t.counts ~reuse:t.reuse
+    in
+    {
+      latency = m.latency;
+      mem_time = m.mem_time;
+      compute_time = m.compute_time;
+      waves = waves d ~grid_dim ~blocks_per_sm;
+      blocks_per_sm;
+      occupancy =
+        Float.min 1.
+          (float_of_int (block_dim * blocks_per_sm)
+          /. float_of_int d.max_threads_per_sm);
+      pipelined = stages >= 2;
+      feasible = true;
+      (* The binding bottleneck, nsight-style: launch overhead dominating
+         the whole run, else the larger of the two per-wave components. *)
+      note =
+        (if d.kernel_launch_overhead >= m.busy then "launch-bound"
+         else if m.mem_time >= m.compute_time then "memory-bound"
+         else "compute-bound");
+    }
 
 (* --- a lower bound from the launch footprint and per-thread floors -------------
 
@@ -198,31 +261,21 @@ let kernel (d : Device.t) (k : Kernel.t) =
    monotone in each operand, so the floor stays at or below the latency in
    floating point, not only in the reals:
    - coalescing never makes a load cheaper than its bytes
-     ([Float.max 1. ld_eff >= 1], and the floor's [ld_eff] is exactly 1);
-   - the floor has no tensor-core FLOPs, whose term only adds;
+     ([fmax 1. ld_eff >= 1], and a floor's [ld_eff] is at most 1);
+   - a floor's tensor-core FLOPs are at most the kernel's, and their term
+     only adds;
    - the pipeline residue shrinks with depth, and the effective depth is at
      most the declared one. *)
 
-let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~regs ~stages ~syncs
-    ~flops ~shared_bytes ~load_bytes ~store_bytes ~reuse =
+let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~regs ~stages ~reuse
+    counts =
   match blocks_per_sm_limit d ~block_dim ~smem ~regs with
   | Error _ -> infinity
   | Ok blocks_per_sm ->
-    let counts =
-      {
-        Traffic.zero with
-        global_load_bytes = load_bytes;
-        global_store_bytes = store_bytes;
-        global_ld_transactions = load_bytes /. 4.;
-        shared_bytes;
-        flops;
-        syncs = float_of_int syncs;
-      }
-    in
     (model d ~grid_dim:grid ~block_dim
        ~warps_per_block:(ceil_div block_dim 32)
-       ~blocks_per_sm ~stages
-       ~analyze:(fun ~window -> { Traffic.counts; reuse = reuse window }))
+       ~blocks_per_sm ~stages counts
+       ~reuse:(reuse (reuse_window d ~grid_dim:grid ~blocks_per_sm)))
       .latency
 
 (* --- fidelity ---------------------------------------------------------------

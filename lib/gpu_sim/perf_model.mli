@@ -40,15 +40,45 @@ val infeasible : string -> estimate
 val blocks_per_sm_limit :
   Device.t -> block_dim:int -> smem:int -> regs:int -> (int, string) result
 (** Resident blocks per SM given a block's resource footprint, or the
-    infeasibility reason. A kernel with [regs = 0] is not register-limited
-    (the thread / shared-memory limits still apply). *)
+    infeasibility reason (a [block_dim] outside [1, 1024] included). A
+    kernel with [regs = 0] is not register-limited (the thread /
+    shared-memory limits still apply). *)
 
 val kernel : Device.t -> Hidet_ir.Kernel.t -> estimate
-(** Estimate one kernel launch. *)
+(** Estimate one kernel launch: one {!Traffic.analyze} walk at
+    the {!reuse_window}, then the model below on its counts and reuse. *)
 
 val per_sm_bandwidth_cap : float
 (** 1.5: the most DRAM bandwidth one SM can pull, as a multiple of an even
     per-SM share. The cycle model uses the same cap. *)
+
+val reuse_window : Device.t -> grid_dim:int -> blocks_per_sm:int -> int
+(** The window the model reads the L2 block reuse at: the co-resident
+    blocks of a launch of [grid_dim] blocks, [blocks_per_sm] per SM, at
+    most the device's [l2_reuse_window]. *)
+
+(** {1 Saturations}
+
+    Latency hiding degrades sublinearly below a device's
+    [saturation_threads_per_sm]: [sat_curve x = min 1 (x ** 0.6)] of the
+    resident threads over three quarters of it (memory) or over all of it
+    (compute). The model reads both from a table over every resident-thread
+    count [0 .. max_threads_per_sm], built once per process for each
+    ([saturation_threads_per_sm], [max_threads_per_sm]) pair from the same
+    expressions, so no estimate calls [Float.pow]. *)
+
+val sat_curve : float -> float
+(** [min 1 (x ** 0.6)]. *)
+
+val mem_saturation : Device.t -> int -> float
+(** [mem_saturation d r] is the table's
+    [sat_curve (r / (0.75 * saturation_threads_per_sm))], for [r] in
+    [0 .. max_threads_per_sm]. *)
+
+val comp_saturation : Device.t -> int -> float
+(** [comp_saturation d r] is the table's
+    [sat_curve (r / saturation_threads_per_sm)], for [r] in
+    [0 .. max_threads_per_sm]. *)
 
 val lower_bound :
   Device.t ->
@@ -57,30 +87,29 @@ val lower_bound :
   smem:int ->
   regs:int ->
   stages:int ->
-  syncs:int ->
-  flops:float ->
-  shared_bytes:float ->
-  load_bytes:float ->
-  store_bytes:float ->
   reuse:(int -> float) ->
+  Traffic.counts ->
   float
-(** A floor on {!kernel}'s latency for every kernel with this launch shape
-    and footprint ([grid], [block_dim], [smem] shared bytes per block,
-    [regs] registers per thread as {!Hidet_ir.Kernel.regs_per_thread}
-    counts them, [stages] declared pipeline depth) whose threads each do at
-    least the given work: CUDA-core [flops], [shared_bytes] of shared-memory
-    traffic, [load_bytes] of global loads (before L2 reuse) and
-    [store_bytes] of global stores, all per thread, and whose blocks each
-    run exactly [syncs] barriers. [reuse w] must be at least the kernel's
-    {!Traffic.block_reuse} at [~window:w]; it is asked once, at the window
-    {!kernel} uses.
+(** [lower_bound d ~grid ~block_dim ~smem ~regs ~stages ~reuse counts] is a
+    floor on {!kernel}'s latency for every kernel with this launch shape and
+    footprint ([grid], [block_dim], [smem] shared bytes per block, [regs]
+    registers per thread as {!Hidet_ir.Kernel.regs_per_thread} counts them,
+    [stages] declared pipeline depth) whose {!Traffic.kernel} counts are at
+    least [counts], field by field, with exactly [counts.syncs] barriers per
+    block and [counts.global_ld_transactions] at most
+    [counts.global_load_bytes / 4] (no coalescing credit). [reuse w] must be
+    at least the kernel's {!Traffic.block_reuse} at [~window:w]; it is asked
+    once, at the {!reuse_window}.
 
     Computed from those numbers alone, with no kernel; [infinity] when the
     footprint admits no resident block. It runs {!kernel}'s model on them:
     with the exact footprint the occupancy, waves and saturations are
     {!kernel}'s own, every other input is on the safe side, and rounding is
     monotone in each operand, so the floor never exceeds the latency in
-    floating point. *)
+    floating point. Beyond the [reuse] call, a floor allocates the
+    occupancy's [Ok], the model's flat float result, the boxed
+    {!Device.fp32_flops} and {!Device.tensor_flops} and the boxed
+    result. *)
 
 (** {1 Fidelity modes}
 

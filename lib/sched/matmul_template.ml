@@ -94,8 +94,8 @@ let trips ~k cfg = ceil_div (ceil_div k cfg.block_k) cfg.split_k
 (* Block 0's barriers in [compile]'s main kernel: a pipelined main loop
    syncs once after the preload and once per trip, an unpipelined one
    twice per trip. *)
-let syncs ~k cfg =
-  if cfg.stages >= 2 then 1 + trips ~k cfg else 2 * trips ~k cfg
+let barriers ~stages trips = if stages >= 2 then 1 + trips else 2 * trips
+let syncs ~k cfg = barriers ~stages:cfg.stages (trips ~k cfg)
 
 (* [Kernel.regs_per_thread] of [compile]'s main kernel: the accumulator
    (the CUDA-core register tile and its two operand fragments, or the
@@ -121,6 +121,10 @@ let regs_per_thread cfg =
    roundings of 2^-53 at most, so the result is never below [Traffic]'s. *)
 let reuse_margin = 5e-13
 
+(* [v] is none of [seen.(j .. len - 1)]. *)
+let rec absent seen len v j =
+  j = len || (seen.(j) <> v && absent seen len v (j + 1))
+
 (* [block_reuse] (see the interface) before memoising: over a prefix of
    [p] blocks with [da] distinct A bases and [db] distinct B bases, the
    ratio [Traffic] computes is [p (bm + bn) / (bm da + bn db)], capped at
@@ -129,116 +133,128 @@ let closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg =
   let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
   let gm = ceil_div m bm and gn = ceil_div n bn in
   let chunk = ceil_div (ceil_div k bk) cfg.split_k in
-  let w = max 1 (min window (batch * cfg.split_k * gm * gn)) in
+  let w = Int.max 1 (Int.min window (batch * cfg.split_k * gm * gn)) in
   if w = 1 then 1.
   else
-    (* Block [bid]'s batch, tile row, tile column and first k-tile in
-       [compile]'s launch order: row-major, or with [swizzle] the panelized
-       order (4 tile rows per column) when they divide [gm], else
-       column-major. *)
-    let order =
-      if not cfg.swizzle then `Row_major
-      else if gm mod 4 = 0 then `Panels
-      else `Column_major
-    in
-    let r bid = bid mod (gm * gn) in
-    let im bid =
-      match order with
-      | `Row_major -> bid / gn mod gm
-      | `Panels -> (r bid / (4 * gn) * 4) + (r bid mod (4 * gn) mod 4)
-      | `Column_major -> r bid mod gm
-    in
-    let jn bid =
-      match order with
-      | `Row_major -> bid mod gn
-      | `Panels -> r bid mod (4 * gn) / 4
-      | `Column_major -> r bid / gm
-    in
-    let b bid = bid / (gm * gn * cfg.split_k) in
-    let kstart bid = bid / (gm * gn) mod cfg.split_k * chunk in
-    (* distinct.(p - 1): the distinct bases among the first [p] blocks *)
-    let prefix_distinct base =
-      let seen = Array.make w 0 and distinct = Array.make w 0 in
-      let d = ref 0 in
+    let panels = gm mod 4 = 0 in
+    (* The best prefix for one pair of operand layouts, with each prefix's
+       distinct bases in [seen_a] and [seen_b]. *)
+    let seen_a = Array.make w 0 and seen_b = Array.make w 0 in
+    let best ~a_batched ~b_batched =
+      let da = ref 0 and db = ref 0 and best = ref 1. in
       for bid = 0 to w - 1 do
-        let v = base bid in
-        let rec fresh j = j = !d || (seen.(j) <> v && fresh (j + 1)) in
-        if fresh 0 then begin
-          seen.(!d) <- v;
-          incr d
+        (* Block [bid]'s tile row and column in [compile]'s launch order
+           (row-major, or with [swizzle] the panelized order, 4 tile rows
+           per column, when they divide [gm], else column-major), its
+           batch and its first k-tile. *)
+        let q = bid / (gm * gn) in
+        let r = bid - (q * gm * gn) in
+        let im =
+          if not cfg.swizzle then r / gn
+          else if panels then (r / (4 * gn) * 4) + (r mod (4 * gn) mod 4)
+          else r mod gm
+        and jn =
+          if not cfg.swizzle then r mod gn
+          else if panels then r mod (4 * gn) / 4
+          else r / gm
+        and b = q / cfg.split_k
+        and kstart = q mod cfg.split_k * chunk in
+        let base_a =
+          (((if a_batched then b * m else 0) + (im * bm)) * k) + (kstart * bk)
+        and base_b =
+          (((if b_batched then b * k else 0) + (kstart * bk)) * n) + (jn * bn)
+        in
+        if absent seen_a !da base_a 0 then begin
+          seen_a.(!da) <- base_a;
+          incr da
         end;
-        distinct.(bid) <- !d
+        if absent seen_b !db base_b 0 then begin
+          seen_b.(!db) <- base_b;
+          incr db
+        end;
+        (* [Float.min] and [Float.max] of positive floats *)
+        let p = float_of_int (bid + 1) in
+        let ratio =
+          float_of_int ((bid + 1) * (bm + bn))
+          /. float_of_int ((bm * !da) + (bn * !db))
+        in
+        let capped = if ratio < p then ratio else p in
+        if capped > !best then best := capped
       done;
-      distinct
+      !best
     in
+    (* An operand layout left out takes the larger reuse of its two. *)
     let layouts = function None -> [ true; false ] | Some l -> [ l ] in
-    let bases_a =
-      List.map
-        (fun batched ->
-          prefix_distinct (fun bid ->
-              (((if batched then b bid * m else 0) + (im bid * bm)) * k)
-              + (kstart bid * bk)))
-        (layouts a_batched)
-    and bases_b =
-      List.map
-        (fun batched ->
-          prefix_distinct (fun bid ->
-              (((if batched then b bid * k else 0) + (kstart bid * bk)) * n)
-              + (jn bid * bn)))
-        (layouts b_batched)
-    in
-    let best = ref 1. in
-    List.iter
-      (fun da ->
-        List.iter
-          (fun db ->
-            for p = 1 to w do
-              let ratio =
-                float_of_int (p * (bm + bn))
-                /. float_of_int ((bm * da.(p - 1)) + (bn * db.(p - 1)))
-              in
-              best := Float.max !best (Float.min (float_of_int p) ratio)
-            done)
-          bases_b)
-      bases_a;
-    !best *. (1. +. reuse_margin)
+    List.fold_left
+      (fun acc a_batched ->
+        List.fold_left
+          (fun acc b_batched -> Float.max acc (best ~a_batched ~b_batched))
+          acc (layouts b_batched))
+      1. (layouts a_batched)
+    *. (1. +. reuse_margin)
 
-(* [f] of a table's key, computed once per key. The tables live in the
-   closures the partial applications below return. *)
-let memo table key f =
-  match Hashtbl.find_opt table key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    Hashtbl.add table key v;
-    v
+(* Int-keyed tables: the multiply spreads every key bit into the high
+   half, and the shift folds it into the low bits [Hashtbl] indexes by. *)
+module Int_table = Hashtbl.Make (struct
+  type t = int
 
-(* The closed form reads only the block tile, split-k and swizzle, so
-   those and the window key the memo, hashed and compared as ints. *)
-module Reuse_memo = Hashtbl.Make (struct
-  type t = int * int * int * int * bool * int
+  let equal = Int.equal
 
-  let equal ((bm, bn, bk, sk, sw, w) : t) (bm', bn', bk', sk', sw', w') =
-    bm = bm' && bn = bn' && bk = bk' && sk = sk' && Bool.equal sw sw' && w = w'
-
-  let hash ((bm, bn, bk, sk, sw, w) : t) =
-    (((((((bm * 31) + bn) * 31) + bk) * 31) + sk) * 62) + (Bool.to_int sw * 31) + w
+  let hash key =
+    let h = key * 0x9e3779b97f4a7c1 in
+    h lxor (h lsr 32)
 end)
 
-let block_reuse ?(batch = 1) ?a_batched ?b_batched ~m ~n ~k =
-  let reuses = Reuse_memo.create 64 in
-  fun cfg ~window ->
+(* A config as one int, or -1 when a field does not fit its bits (tiles
+   below 256, up to 7 stages, split-k below 32). *)
+let config_id cfg =
+  if (cfg.block_m lor cfg.block_n lor cfg.block_k lor cfg.warp_m lor cfg.warp_n)
+     lsr 8 <> 0
+     || cfg.stages lsr 3 <> 0 || cfg.split_k lsr 5 <> 0
+  then -1
+  else
+    let id = (cfg.block_m lsl 8) lor cfg.block_n in
+    let id = (id lsl 8) lor cfg.block_k in
+    let id = (id lsl 8) lor cfg.warp_m in
+    let id = (id lsl 8) lor cfg.warp_n in
+    let id = (id lsl 3) lor cfg.stages in
+    let id = (id lsl 5) lor cfg.split_k in
+    let id = (id lsl 1) lor Bool.to_int cfg.use_tensor_core in
+    (id lsl 1) lor Bool.to_int cfg.swizzle
+
+(* The [config_id] of what [closed_form_reuse] reads of a config: without
+   split-k every block starts at k-tile 0, so [block_k] is left out too. *)
+let reuse_id cfg =
+  config_id
+    {
+      cfg with
+      block_k = (if cfg.split_k = 1 then 0 else cfg.block_k);
+      warp_m = 0;
+      warp_n = 0;
+      stages = 0;
+      use_tensor_core = false;
+    }
+
+(* [block_reuse] given the config's [reuse_id], memoised on it and the
+   window ([config_id]s take 50 bits, so a window below 4096 fits). *)
+let reuse_memo ~batch ~a_batched ~b_batched ~m ~n ~k =
+  let reuses = Int_table.create 64 in
+  fun cfg id ~window ->
     let key =
-      (cfg.block_m, cfg.block_n, cfg.block_k, cfg.split_k, cfg.swizzle, window)
+      if id < 0 || window lsr 12 <> 0 then -1 else (id lsl 12) lor window
     in
-    match Reuse_memo.find_opt reuses key with
-    | Some v -> v
-    | None ->
+    match Int_table.find reuses key with
+    | v -> v
+    | exception Not_found ->
       let v =
         closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg
       in
-      Reuse_memo.add reuses key v;
+      if key >= 0 then Int_table.add reuses key v;
       v
+
+let block_reuse ?(batch = 1) ?a_batched ?b_batched ~m ~n ~k =
+  let reuse = reuse_memo ~batch ~a_batched ~b_batched ~m ~n ~k in
+  fun cfg ~window -> reuse cfg (reuse_id cfg) ~window
 
 (* The split-k reduce kernel, C[b,i,j] = sum_z Cp[z,b,i,j]: it depends on
    (batch, m, n, split_k) alone. *)
@@ -270,14 +286,73 @@ let splitk_reduce ~name ~batch ~m ~n ~split_k cp c_buf =
     ~grid_dim:(ceil_div total rb) ~block_dim:rb (Simplify.stmt reduce_body)
 
 let reduce_latency d ~batch ~m ~n =
-  let latencies = Hashtbl.create 4 in
+  let latencies = Int_table.create 4 in
   fun split_k ->
-    memo latencies split_k (fun () ->
-        let cp = Buffer.create "Cp" [ split_k; batch; m; n ] in
-        let c = Buffer.create "C" [ batch; m; n ] in
+    match Int_table.find latencies split_k with
+    | latency -> latency
+    | exception Not_found ->
+      let cp = Buffer.create "Cp" [ split_k; batch; m; n ] in
+      let c = Buffer.create "C" [ batch; m; n ] in
+      let latency =
         (Hidet_gpu.Perf_model.kernel d
            (splitk_reduce ~name:"splitk_reduce" ~batch ~m ~n ~split_k cp c))
-          .latency)
+          .latency
+      in
+      Int_table.add latencies split_k latency;
+      latency
+
+(* The terms of a config's floor that depend on neither the shape nor
+   the device: [compile]'s block size, registers, shared bytes and
+   stores per thread, and per k-tile the words each thread stages through
+   shared memory, its fragment reads and its FMAs. *)
+type footprint = {
+  threads : int;
+  regs : int;
+  smem : int;
+  stores : int;
+  staged : int;
+  fragments : int;
+  fmas : int;
+  reuse_id : int;
+}
+
+(* [None] for a config [check] refuses. *)
+let footprint_of cfg =
+  match check cfg with
+  | Error _ -> None
+  | Ok () ->
+    let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
+    let bd = block_dim cfg in
+    let tm = if cfg.use_tensor_core then 0 else cfg.warp_m / 4 in
+    let tn = if cfg.use_tensor_core then 0 else cfg.warp_n / 8 in
+    Some
+      {
+        threads = bd;
+        regs = regs_per_thread cfg;
+        smem = 4 * cfg.stages * (bm + bn) * bk;
+        stores = bm * bn / bd;
+        staged = (bm * bk / bd) + (bk * bn / bd);
+        fragments = bk * (tm + tn);
+        fmas = bk * tm * tn;
+        reuse_id = reuse_id cfg;
+      }
+
+(* The keys of a cold compile floor the same few spaces, so each domain
+   keeps the footprints it has computed, keyed on [config_id]: a table per
+   domain needs no lock. *)
+let footprints = Domain.DLS.new_key (fun () -> Int_table.create 1024)
+
+let footprint cfg =
+  let id = config_id cfg in
+  if id < 0 then footprint_of cfg
+  else
+    let table = Domain.DLS.get footprints in
+    match Int_table.find table id with
+    | fp -> fp
+    | exception Not_found ->
+      let fp = footprint_of cfg in
+      Int_table.add table id fp;
+      fp
 
 (* Per-thread floors of what [compile] below emits: block 0 runs [trips]
    k-tiles (the pipeline's preloaded tiles are left out), staging its
@@ -288,33 +363,31 @@ let reduce_latency d ~batch ~m ~n =
 let lower_bound ?(batch = 1) ?a_batched ?b_batched (d : Hidet_gpu.Device.t) ~m
     ~n ~k =
   let reduce_latency = reduce_latency d ~batch ~m ~n in
-  let block_reuse = block_reuse ~batch ?a_batched ?b_batched ~m ~n ~k in
+  let reuse = reuse_memo ~batch ~a_batched ~b_batched ~m ~n ~k in
   fun cfg ->
-    match check cfg with
-    | Error _ -> 0. (* [compile] rejects it: never skip it *)
-    | Ok () ->
-      let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
+    match footprint cfg with
+    | None -> 0. (* [compile] rejects it: never skip it *)
+    | Some fp ->
       let trips = trips ~k cfg in
-      let bd = block_dim cfg in
       let f = float_of_int in
-      let staged = f (trips * ((bm * bk / bd) + (bk * bn / bd))) in
-      let fragments, fmas =
-        if cfg.use_tensor_core then (0., 0.)
-        else
-          let tm = cfg.warp_m / 4 and tn = cfg.warp_n / 8 in
-          (f (trips * bk * (tm + tn)), f (trips * bk * tm * tn))
+      let staged = f (trips * fp.staged) in
+      let load_bytes = 4. *. staged in
+      let grid =
+        batch * cfg.split_k * ceil_div m cfg.block_m * ceil_div n cfg.block_n
       in
       let main =
-        Hidet_gpu.Perf_model.lower_bound d
-          ~grid:(batch * cfg.split_k * ceil_div m bm * ceil_div n bn)
-          ~block_dim:bd
-          ~smem:(4 * cfg.stages * (bm + bn) * bk)
-          ~regs:(regs_per_thread cfg) ~stages:cfg.stages ~syncs:(syncs ~k cfg)
-          ~flops:(2. *. fmas)
-          ~shared_bytes:(4. *. (staged +. fragments))
-          ~load_bytes:(4. *. staged)
-          ~store_bytes:(4. *. f (bm * bn / bd))
-          ~reuse:(fun window -> block_reuse cfg ~window)
+        Hidet_gpu.Perf_model.lower_bound d ~grid ~block_dim:fp.threads
+          ~smem:fp.smem ~regs:fp.regs ~stages:cfg.stages
+          ~reuse:(fun window -> reuse cfg fp.reuse_id ~window)
+          {
+            Hidet_gpu.Traffic.global_load_bytes = load_bytes;
+            global_store_bytes = 4. *. f fp.stores;
+            global_ld_transactions = load_bytes /. 4.;
+            shared_bytes = 4. *. (staged +. f (trips * fp.fragments));
+            flops = 2. *. f (trips * fp.fmas);
+            mma_flops = 0.;
+            syncs = f (barriers ~stages:cfg.stages trips);
+          }
       in
       if cfg.split_k > 1 then main +. reduce_latency cfg.split_k else main
 

@@ -108,10 +108,12 @@ val block_reuse :
     larger reuse of its two layouts, so the result bounds both.
 
     Partially applied up to [~k] with every optional argument given, it
-    computes each (block tile, split-k, swizzle, window) once; call the
-    closure from one domain. {!lower_bound} looks the memo up once per
-    candidate, so it hashes and compares those six fields as ints rather
-    than walking a tuple with the polymorphic [Hashtbl]. *)
+    computes each (block tile, split-k, swizzle, window) once, with
+    [block_k] left out of the key when [split_k = 1] (every block then
+    starts at k-tile 0); call the closure from one domain. {!lower_bound}
+    looks the memo up once per candidate, so the key is those fields
+    packed into one int (a config or window too large to pack is not
+    memoised). *)
 
 val reduce_latency :
   Hidet_gpu.Device.t -> batch:int -> m:int -> n:int -> int -> float
@@ -143,6 +145,16 @@ val lower_bound :
     exceeds the latency in floating point. Partially applied up to [~k],
     it estimates each reduce kernel and computes each reuse once; call
     the closure from one domain.
+
+    What depends on the config alone ([check], {!block_dim},
+    {!regs_per_thread}, the shared bytes and the per-k-tile words staged,
+    read and multiplied per thread) is computed once per config and domain
+    and kept in a per-domain table, so the keys of a compile that floor
+    the same space share it. A memo hit then allocates only the counts
+    record, the reuse closure and what
+    {!Hidet_gpu.Perf_model.lower_bound} allocates (the occupancy's [Ok],
+    the model's flat record, the device's boxed FLOP rates) plus the boxed
+    result.
 
     An operand layout left out bounds both of its layouts. [0.] for a
     config [check] refuses, so a tuner that skips on it still sees the

@@ -6,7 +6,9 @@
    (structure and counter delta), the streaming pipeline check and the
    matmul template's allocation-free config check and names against their
    reference versions, the tuner's lower bound against the latency it
-   bounds, modeled latencies pinned for two zoo models, and every committed
+   bounds (and neither growing with the bandwidth), the floors of a cold
+   zoo pass, the model's saturation tables and the floors' allocation
+   pinned, modeled latencies pinned for two zoo models, and every committed
    BENCH_*.json parsing as JSON. *)
 
 module Buffer = Hidet_ir.Buffer
@@ -526,13 +528,20 @@ let test_check_product () =
    in the main kernel, [MT.regs_per_thread] against its registers,
    [MT.block_reuse] against [Traffic.block_reuse] at the window
    [Perf_model.kernel] uses, and the memoised [MT.reduce_latency] against
-   the estimate of the split-k reduce kernel. *)
+   the estimate of the split-k reduce kernel. The walks also check a
+   metamorphic property of the model: every operation in it is monotone in
+   the bandwidth, so on a device with twice the [mem_bandwidth] neither a
+   kernel's latency nor the floor may grow. *)
 
 (* The worst bound / latency ratio over a shape's full space, failing on
    the first candidate whose bound exceeds its latency or whose closed
    forms differ from its kernels. [seen] gets every instantiated config. *)
 let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
   let lower_bound = MT.lower_bound ~batch ~a_batched ~b_batched dev ~m ~n ~k in
+  let fast =
+    { dev with mem_bandwidth = 2. *. dev.Hidet_gpu.Device.mem_bandwidth }
+  in
+  let fast_bound = MT.lower_bound ~batch ~a_batched ~b_batched fast ~m ~n ~k in
   let block_reuse = MT.block_reuse ~batch ~a_batched ~b_batched ~m ~n ~k in
   let reduce_latency = MT.reduce_latency dev ~batch ~m ~n in
   List.fold_left
@@ -559,9 +568,11 @@ let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
              ~regs
          with
         | Error _ -> ()
-        | Ok bps ->
-          let active = min main.Kernel.grid_dim (dev.num_sms * bps) in
-          let window = min dev.l2_reuse_window active in
+        | Ok blocks_per_sm ->
+          let window =
+            Hidet_gpu.Perf_model.reuse_window dev
+              ~grid_dim:main.Kernel.grid_dim ~blocks_per_sm
+          in
           let want = Traffic.block_reuse ~window main in
           let got = block_reuse cfg ~window in
           if not (got >= want && got <= want *. (1. +. 1e-12)) then
@@ -577,6 +588,17 @@ let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
         let lat = Compiled.latency dev c in
         let bound = lower_bound cfg in
         if not (bound <= lat) then fail "bound %h > latency %h" bound lat;
+        List.iter
+          (fun (kern : Kernel.t) ->
+            let slow = (Hidet_gpu.Perf_model.kernel dev kern).latency in
+            let quick = (Hidet_gpu.Perf_model.kernel fast kern).latency in
+            if not (quick <= slow) then
+              fail "%s: latency %h at twice the bandwidth, %h at once" kern.name
+                quick slow)
+          c.Compiled.kernels;
+        let quick = fast_bound cfg in
+        if not (quick <= bound) then
+          fail "bound %h at twice the bandwidth, %h at once" quick bound;
         if lat < infinity then Float.max worst (bound /. lat) else worst)
     0. (Space.matmul_with_split_k ~m ~n)
 
@@ -642,6 +664,113 @@ let prop_bound_random =
     (QCheck.make ~print gen)
     (fun (dev, batch, a_batched, b_batched, m, n, k) ->
       bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k <= 1.)
+
+(* A block of no threads has no occupancy: no floor, not a
+   [Division_by_zero]. *)
+let test_zero_block () =
+  List.iter
+    (fun block_dim ->
+      (match
+         Hidet_gpu.Perf_model.blocks_per_sm_limit dev ~block_dim ~smem:0 ~regs:0
+       with
+      | Error _ -> ()
+      | Ok bps -> Alcotest.failf "block_dim %d: %d resident blocks" block_dim bps);
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "floor at block_dim %d" block_dim)
+        infinity
+        (Hidet_gpu.Perf_model.lower_bound dev ~grid:1 ~block_dim ~smem:0 ~regs:0
+           ~stages:1 ~reuse:(fun _ -> 1.) Traffic.zero))
+    [ 0; -32 ]
+
+(* --- the floors of a cold zoo pass, pinned ---------------------------------
+
+   Every floor a cold zoo compile pass computes: each model compiled on an
+   empty cache, and for each of its matmul keys the engine's space (the
+   CUDA-core configs, split-k included) in space order. The floors' bits
+   are folded into one digest, so a floor that drifts fails here even when
+   no winner moves; the same keys' full spaces (tensor-core configs
+   included) on the a100 cover the other device and core kind. Regenerate
+   the digests only with an intended model change. *)
+
+let pass_spaces =
+  lazy
+    (List.map
+       (fun (mm : Zoo.matmul) ->
+         let space ~tc =
+           Array.of_list
+             (List.filter
+                (fun (c : MT.config) -> tc || not c.MT.use_tensor_core)
+                (Space.matmul_with_split_k ~m:mm.m ~n:mm.n))
+         in
+         (mm, space ~tc:false, space ~tc:true))
+       (Zoo.cold_pass dev Hidet_models.Models.all))
+
+(* One pass of floors on [d], over the engine spaces or the full ones. *)
+let pass_floors d ~full =
+  List.map
+    (fun ({ Zoo.batch; a_batched; b_batched; m; n; k }, engine, all) ->
+      Array.map
+        (MT.lower_bound ~batch ~a_batched ~b_batched d ~m ~n ~k)
+        (if full then all else engine))
+    (Lazy.force pass_spaces)
+
+let test_floor_digest () =
+  List.iter
+    (fun (name, d, full, count, digest) ->
+      let floors = pass_floors d ~full in
+      Alcotest.(check int) (name ^ ": floors") count
+        (List.fold_left (fun acc a -> acc + Array.length a) 0 floors);
+      Alcotest.(check string) (name ^ ": digest") digest
+        (Printf.sprintf "%Lx"
+           (List.fold_left
+              (Array.fold_left (fun h x ->
+                   Int64.(add (mul h 0x100000001b3L) (bits x))))
+              0L floors)))
+    [
+      ("rtx3090 engine spaces", dev, false, 51192, "13ecac25a08e4599");
+      ( "a100 full spaces", Hidet_gpu.Device.a100, true, 84112,
+        "c43e510641901bbe" );
+    ]
+
+(* The model reads its saturations from a table: bit for bit [sat_curve]
+   of the resident threads over three quarters of the device's saturation
+   threads (memory) or all of them (compute), at every count an SM can
+   hold. *)
+let test_saturation_tables () =
+  let module P = Hidet_gpu.Perf_model in
+  List.iter
+    (fun (d : Hidet_gpu.Device.t) ->
+      let sat = float_of_int d.saturation_threads_per_sm in
+      for r = 0 to d.max_threads_per_sm do
+        let want_mem = P.sat_curve (float_of_int r /. (0.75 *. sat)) in
+        let want_comp = P.sat_curve (float_of_int r /. sat) in
+        if
+          not
+            (same_float (P.mem_saturation d r) want_mem
+            && same_float (P.comp_saturation d r) want_comp)
+        then
+          Alcotest.failf "%s, %d resident threads: table differs from sat_curve"
+            d.name r
+      done)
+    Hidet_gpu.Device.[ rtx3090; a100 ]
+
+(* The floor path's minor allocation per candidate over one warm pass
+   (the domain's footprints and the saturation tables already built),
+   measured at 46.5 and rounded up: a boxed float or a closure more per
+   floor fails it. What a floor allocates is listed in
+   [Matmul_template.lower_bound]'s interface; the per-key memos and reduce
+   kernels make up the rest. *)
+let floor_words_budget = 47.
+
+let test_floor_allocation () =
+  ignore (pass_floors dev ~full:false);
+  let before = Gc.minor_words () in
+  let floors = pass_floors dev ~full:false in
+  let words = Gc.minor_words () -. before in
+  let count = List.fold_left (fun acc a -> acc + Array.length a) 0 floors in
+  let per = words /. float_of_int count in
+  if per > floor_words_budget then
+    Alcotest.failf "%.2f minor words per floor, budget %g" per floor_words_budget
 
 (* --- pinned modeled latencies ------------------------------------------------- *)
 
@@ -717,6 +846,13 @@ let () =
         [
           Alcotest.test_case "every zoo candidate" `Quick test_bound_zoo;
           QCheck_alcotest.to_alcotest prop_bound_random;
+          Alcotest.test_case "zero block size" `Quick test_zero_block;
+          Alcotest.test_case "cold zoo pass floors pinned" `Quick
+            test_floor_digest;
+          Alcotest.test_case "saturation tables = sat_curve" `Quick
+            test_saturation_tables;
+          Alcotest.test_case "floor allocation budget" `Quick
+            test_floor_allocation;
         ] );
       ( "pinned",
         [ Alcotest.test_case "Plan.latency bert, resnet50" `Quick test_pinned_latency ] );

@@ -10,6 +10,21 @@ type matmul = {
   k : int;
 }
 
+let parse key =
+  match String.split_on_char '_' key with
+  | [ "matmul"; batch; a_b; b_b; m; n; k; _; _ ] ->
+    Some
+      {
+        batch = int_of_string batch;
+        a_batched = bool_of_string a_b;
+        b_batched = bool_of_string b_b;
+        m = int_of_string m;
+        n = int_of_string n;
+        k = int_of_string k;
+      }
+  | _ -> None
+
+(* The distinct matmuls of one cold compile of every model, in key order. *)
 let matmuls dev models =
   let module Cache = Hidet_sched.Schedule_cache in
   Cache.clear ();
@@ -18,18 +33,8 @@ let matmuls dev models =
     models;
   let keys = Cache.keys_for_device dev.Hidet_gpu.Device.name in
   Cache.clear ();
-  List.filter_map
-    (fun key ->
-      match String.split_on_char '_' key with
-      | [ "matmul"; batch; a_b; b_b; m; n; k; _; _ ] ->
-        Some
-          {
-            batch = int_of_string batch;
-            a_batched = bool_of_string a_b;
-            b_batched = bool_of_string b_b;
-            m = int_of_string m;
-            n = int_of_string n;
-            k = int_of_string k;
-          }
-      | _ -> None)
-    keys
+  List.filter_map parse keys
+
+(* What a cold compile pass tunes: each model compiled on an empty cache,
+   its matmuls in key order, so a shape two models share comes twice. *)
+let cold_pass dev models = List.concat_map (fun model -> matmuls dev [ model ]) models
