@@ -209,7 +209,7 @@ let generic_tune ?(key = "") ?(show = fun _ -> "") ~strategy ~budget ~device
             Tuning_log.engine;
             workload = key;
             index = i;
-            config = show sched;
+            config = (fun () -> show sched);
             outcome =
               (match status with
               | `Rejected -> Tuning_log.Rejected

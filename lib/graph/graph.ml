@@ -47,9 +47,13 @@ let append g op inputs shape =
     g.users <- grow g.users []
   end;
   g.by_id.(id) <- { id; op; inputs; shape };
+  (* A repeated input already has [id] at the head of its users. *)
   List.iter
-    (fun i -> g.users.(i) <- id :: g.users.(i))
-    (List.sort_uniq compare inputs);
+    (fun i ->
+      match g.users.(i) with
+      | j :: _ when j = id -> ()
+      | us -> g.users.(i) <- id :: us)
+    inputs;
   g.next_id <- id + 1;
   (* Every new node is an output until overridden; keeps small graphs easy. *)
   g.outs <- [ id ];

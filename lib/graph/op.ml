@@ -65,8 +65,10 @@ let name = function
 let numel shape = List.fold_left ( * ) 1 shape
 let conv_out h k stride padding = ((h + (2 * padding) - k) / stride) + 1
 
+(* The op's name is formatted only when raising: [infer_shape] runs on
+   every [Graph.add_op]. *)
 let bad op fmt =
-  Printf.ksprintf (fun s -> invalid_arg (Printf.sprintf "Op %s: %s" op s)) fmt
+  Printf.ksprintf (fun s -> invalid_arg (Printf.sprintf "Op %s: %s" (name op) s)) fmt
 
 let resolve_reshape op in_numel target =
   match List.filter (fun d -> d = -1) target with
@@ -79,69 +81,88 @@ let resolve_reshape op in_numel target =
     List.map (fun d -> if d = -1 then in_numel / known else d) target
   | _ -> bad op "multiple wildcards"
 
-let infer_shape op in_shapes =
-  let n = name op in
+let last_axis op = function
+  | [] -> bad op "rank-0 input has no last axis"
+  | s -> List.nth s (List.length s - 1)
+
+let stride = function
+  | Conv2d { stride; _ }
+  | Depthwise_conv2d { stride; _ }
+  | Pool2d { stride; _ }
+  | Im2col { stride; _ } ->
+    stride
+  | _ -> 1
+
+let infer op in_shapes =
   match (op, in_shapes) with
-  | (Input | Constant _), _ -> bad n "shape is intrinsic, not inferred"
+  | (Input | Constant _), _ -> bad op "shape is intrinsic, not inferred"
   | Matmul, [ [ m; k ]; [ k'; n_ ] ] when k = k' -> [ m; n_ ]
   | Matmul, [ [ b; m; k ]; [ k'; n_ ] ] when k = k' -> [ b; m; n_ ]
   | Matmul, [ [ m; k ]; [ b; k'; n_ ] ] when k = k' -> [ b; m; n_ ]
   | Matmul, [ [ b; m; k ]; [ b'; k'; n_ ] ] when k = k' && b = b' -> [ b; m; n_ ]
-  | Matmul, _ -> bad n "incompatible matmul shapes"
+  | Matmul, _ -> bad op "incompatible matmul shapes"
   | Conv2d { stride; pad_h; pad_w }, [ [ nb; c; h; w ]; [ oc; c'; kh; kw ] ]
     when c = c' ->
     [ nb; oc; conv_out h kh stride pad_h; conv_out w kw stride pad_w ]
-  | Conv2d _, _ -> bad n "expected NCHW x OIHW"
+  | Conv2d _, _ -> bad op "expected NCHW x OIHW"
   | Depthwise_conv2d { stride; padding }, [ [ nb; c; h; w ]; [ c'; 1; kh; kw ] ]
     when c = c' ->
     [ nb; c; conv_out h kh stride padding; conv_out w kw stride padding ]
-  | Depthwise_conv2d _, _ -> bad n "expected NCHW x [c,1,kh,kw]"
+  | Depthwise_conv2d _, _ -> bad op "expected NCHW x [c,1,kh,kw]"
   | Pool2d { kernel; stride; padding; _ }, [ [ nb; c; h; w ] ] ->
     [ nb; c; conv_out h kernel stride padding; conv_out w kernel stride padding ]
-  | Pool2d _, _ -> bad n "expected NCHW"
+  | Pool2d _, _ -> bad op "expected NCHW"
   | Global_avg_pool, [ [ nb; c; _; _ ] ] -> [ nb; c; 1; 1 ]
-  | Global_avg_pool, _ -> bad n "expected NCHW"
+  | Global_avg_pool, _ -> bad op "expected NCHW"
   | Unary _, [ s ] -> s
-  | Unary _, _ -> bad n "expected one input"
+  | Unary _, _ -> bad op "expected one input"
   | Binary _, [ s1; s2 ] when s1 = s2 -> s1
-  | Binary _, _ -> bad n "expected two same-shape inputs"
-  | Bias_add, [ s; [ d ] ] when List.nth s (List.length s - 1) = d -> s
-  | Bias_add, _ -> bad n "bias must match last axis"
+  | Binary _, _ -> bad op "expected two same-shape inputs"
+  | Bias_add, [ s; [ d ] ] when last_axis op s = d -> s
+  | Bias_add, _ -> bad op "bias must match last axis"
   | Scale_shift, [ ([ _; c; _; _ ] as s); [ c1 ]; [ c2 ] ] when c = c1 && c = c2
     ->
     s
-  | Scale_shift, _ -> bad n "expected NCHW with [c] scale and shift"
-  | Softmax, [ s ] -> s
-  | Softmax, _ -> bad n "expected one input"
-  | Layernorm _, [ s; [ d ]; [ d' ] ]
-    when d = d' && List.nth s (List.length s - 1) = d ->
+  | Scale_shift, _ -> bad op "expected NCHW with [c] scale and shift"
+  | Softmax, [ s ] ->
+    ignore (last_axis op s);
     s
-  | Layernorm _, _ -> bad n "expected x, gamma, beta over the last axis"
-  | Reshape target, [ s ] -> resolve_reshape n (numel s) target
-  | Reshape _, _ -> bad n "expected one input"
+  | Softmax, _ -> bad op "expected one input"
+  | Layernorm _, [ s; [ d ]; [ d' ] ] when d = d' && last_axis op s = d -> s
+  | Layernorm _, _ -> bad op "expected x, gamma, beta over the last axis"
+  | Reshape target, [ s ] -> resolve_reshape op (numel s) target
+  | Reshape _, _ -> bad op "expected one input"
   | Transpose perm, [ s ] ->
     if List.sort compare perm <> List.init (List.length s) Fun.id then
-      bad n "not a permutation";
+      bad op "not a permutation";
     List.map (fun p -> List.nth s p) perm
-  | Transpose _, _ -> bad n "expected one input"
+  | Transpose _, _ -> bad op "expected one input"
   | Concat { axis }, (first :: _ as shapes) ->
     let rank = List.length first in
-    if axis < 0 || axis >= rank then bad n "bad axis";
+    if axis < 0 || axis >= rank then bad op "bad axis";
     List.iteri
       (fun _ s ->
-        if List.length s <> rank then bad n "rank mismatch";
+        if List.length s <> rank then bad op "rank mismatch";
         List.iteri
-          (fun i d -> if i <> axis && d <> List.nth first i then bad n "off-axis mismatch")
+          (fun i d -> if i <> axis && d <> List.nth first i then bad op "off-axis mismatch")
           s)
       shapes;
     let total = List.fold_left (fun a s -> a + List.nth s axis) 0 shapes in
     List.mapi (fun i d -> if i = axis then total else d) first
-  | Concat _, [] -> bad n "empty concat"
+  | Concat _, [] -> bad op "empty concat"
   | Im2col { kh; kw; stride; pad_h; pad_w }, [ [ nb; c; h; w ] ] ->
     [ nb; c * kh * kw; conv_out h kh stride pad_h * conv_out w kw stride pad_w ]
-  | Im2col _, _ -> bad n "expected NCHW"
+  | Im2col _, _ -> bad op "expected NCHW"
   | Embedding, [ [ b; s ]; [ _; d ] ] -> [ b; s; d ]
-  | Embedding, _ -> bad n "expected ids [b,s] and table [vocab,d]"
+  | Embedding, _ -> bad op "expected ids [b,s] and table [vocab,d]"
+
+let infer_shape op in_shapes =
+  if stride op <= 0 then bad op "stride %d is not positive" (stride op);
+  let out = infer op in_shapes in
+  if List.exists (fun d -> d <= 0) out then
+    bad op "non-positive output dim in [%s]"
+      (String.concat "; " (List.map string_of_int out));
+  out
 
 let is_anchor = function
   | Matmul | Conv2d _ | Depthwise_conv2d _ | Pool2d _ | Global_avg_pool
@@ -187,10 +208,9 @@ let unary_body u x =
   | Clip (lo, hi) -> maxs (Bin (Expr.Min, x, const hi)) (const lo)
 
 let to_def op in_shapes =
-  let n = name op in
   let out_shape = infer_shape op in_shapes in
   let mk ?reduce ?bijection body =
-    Def.create ?reduce ?bijection ~name:n ~in_shapes ~out_shape body
+    Def.create ?reduce ?bijection ~name:(name op) ~in_shapes ~out_shape body
   in
   match (op, in_shapes) with
   | Matmul, [ sa; sb ] ->
@@ -204,7 +224,7 @@ let to_def op in_shapes =
       | 3, 2 -> ([ axis 0; axis 1; raxis 0 ], [ raxis 0; axis 2 ])
       | 3, 3 -> ([ axis 0; axis 1; raxis 0 ], [ axis 0; raxis 0; axis 2 ])
       | 2, 3 -> ([ axis 1; raxis 0 ], [ axis 0; raxis 0; axis 2 ])
-      | _ -> bad n "unsupported matmul ranks"
+      | _ -> bad op "unsupported matmul ranks"
     in
     mk ~reduce:([ k ], Def.Sum) (input 0 a_idx * input 1 b_idx)
   | Unary u, [ s ] ->
@@ -369,16 +389,15 @@ let to_def op in_shapes =
       ~reduce:([ h; w ], Def.Sum)
       (input 0 [ axis 0; axis 1; raxis 0; raxis 1 ]
       / const (float_of_int (Stdlib.( * ) h w)))
-  | _ -> bad n "no computation definition (template- or graph-level operator)"
+  | _ -> bad op "no computation definition (template- or graph-level operator)"
 
 (* --- reference semantics ------------------------------------------------------ *)
 
 let eval op inputs =
-  let n = name op in
   match (op, inputs) with
-  | Input, _ -> bad n "inputs are bound, not evaluated"
+  | Input, _ -> bad op "inputs are bound, not evaluated"
   | Constant { value }, [] -> Lazy.force value
-  | Constant _, _ -> bad n "constants take no inputs"
+  | Constant _, _ -> bad op "constants take no inputs"
   | Matmul, [ a; b ] -> Tensor.matmul a b
   | Conv2d { stride; pad_h; pad_w }, [ x; w ] ->
     Tensor.conv2d_hw x w ~stride ~pad_h ~pad_w
@@ -403,10 +422,10 @@ let eval op inputs =
           match idx with
           | [ bi; si; di ] ->
             let id = int_of_float (Tensor.get ids [ bi; si ]) in
-            if id < 0 || id >= vocab then bad n "token id out of range"
+            if id < 0 || id >= vocab then bad op "token id out of range"
             else Tensor.get table [ id; di ]
           | _ -> assert false)
-    | _ -> bad n "embedding shapes")
+    | _ -> bad op "embedding shapes")
   | Binary Add, [ x; y ] -> Tensor.add x y
   | Binary Sub, [ x; y ] -> Tensor.sub x y
   | Binary Mul, [ x; y ] -> Tensor.mul x y
@@ -415,9 +434,9 @@ let eval op inputs =
   | Softmax, [ x ] -> Tensor.softmax x ~axis:(List.length (Tensor.shape x) - 1)
   | Layernorm { eps }, [ x; gamma; beta ] -> Tensor.layernorm x ~gamma ~beta ~eps
   | Reshape target, [ x ] ->
-    Tensor.reshape x (resolve_reshape n (Tensor.numel x) target)
+    Tensor.reshape x (resolve_reshape op (Tensor.numel x) target)
   | Transpose perm, [ x ] -> Tensor.transpose x perm
   | Concat { axis }, xs -> Tensor.concat xs ~axis
   | Im2col { kh; kw; stride; pad_h; pad_w }, [ x ] ->
     Tensor.im2col_hw x ~kh ~kw ~stride ~pad_h ~pad_w
-  | _, _ -> bad n "wrong number of inputs"
+  | _, _ -> bad op "wrong number of inputs"

@@ -9,65 +9,63 @@ let foldable (op : Op.t) =
   | Global_avg_pool | Softmax | Layernorm _ | Im2col _ | Embedding ->
     false
 
-let rebuild g ~keep ~fold_value =
-  (* Rebuild the graph; [keep id] decides whether a node survives as-is,
-     [fold_value id] supplies the lazy constant replacing a folded node. *)
+(* Node ids are dense (node [i] is the [i]-th appended, after its
+   inputs), so the passes' per-node tables are arrays indexed by id.
+
+   [rebuild g copy] rebuilds [g] node by node, in id order: [copy g' map_id
+   n] appends what replaces [n] to [g'] and returns its id (or [-1] to drop
+   [n]; nothing kept may read it), [map_id] maps an id of [g] to its copy. *)
+let rebuild g copy =
   let g' = Graph.create () in
   Graph.name g' (Graph.get_name g);
-  let remap = Hashtbl.create 64 in
+  let remap = Array.make (Graph.num_nodes g) (-1) in
+  let map_id = Array.get remap in
   List.iter
-    (fun (n : Graph.node) ->
-      if keep n.Graph.id then begin
-        let new_id =
-          match fold_value n.Graph.id with
-          | Some value -> Graph.constant_lazy g' n.Graph.shape value
-          | None -> (
-            match n.Graph.op with
-            | Op.Input -> Graph.input g' n.Graph.shape
-            | Op.Constant { value } -> Graph.constant_lazy g' n.Graph.shape value
-            | op ->
-              Graph.add_op g' op
-                (List.map (Hashtbl.find remap) n.Graph.inputs))
-        in
-        Hashtbl.replace remap n.Graph.id new_id
-      end)
+    (fun (n : Graph.node) -> remap.(n.Graph.id) <- copy g' map_id n)
     (Graph.nodes g);
-  Graph.set_outputs g' (List.map (Hashtbl.find remap) (Graph.outputs g));
+  Graph.set_outputs g' (List.map map_id (Graph.outputs g));
   g'
 
+(* [n] unchanged; constants share their lazy thunk with [g]. *)
+let copy_node g' map_id (n : Graph.node) =
+  match n.Graph.op with
+  | Op.Input -> Graph.input g' n.Graph.shape
+  | Op.Constant { value } -> Graph.constant_lazy g' n.Graph.shape value
+  | op -> Graph.add_op g' op (List.map map_id n.Graph.inputs)
+
 let constant_fold g =
-  (* folded : id -> lazy tensor, for nodes that became constants. *)
-  let folded : (int, Tensor.t Lazy.t) Hashtbl.t = Hashtbl.create 16 in
+  (* folded.(id): the lazy tensor of a constant or of a node that became
+     one. A constant rebuilds from its own thunk, as it would unfolded. *)
+  let folded : Tensor.t Lazy.t option array =
+    Array.make (Graph.num_nodes g) None
+  in
   List.iter
     (fun (n : Graph.node) ->
       match n.Graph.op with
-      | Op.Constant { value } -> Hashtbl.replace folded n.Graph.id value
+      | Op.Constant { value } -> folded.(n.Graph.id) <- Some value
       | op when foldable op && n.Graph.inputs <> [] ->
-        let inputs_folded =
-          List.filter_map (Hashtbl.find_opt folded) n.Graph.inputs
-        in
-        if List.length inputs_folded = List.length n.Graph.inputs then
-          Hashtbl.replace folded n.Graph.id
-            (lazy (Op.eval op (List.map Lazy.force inputs_folded)))
+        if List.for_all (fun i -> Option.is_some folded.(i)) n.Graph.inputs then
+          let inputs = List.map (fun i -> Option.get folded.(i)) n.Graph.inputs in
+          folded.(n.Graph.id) <-
+            Some (lazy (Op.eval op (List.map Lazy.force inputs)))
       | _ -> ())
     (Graph.nodes g);
-  rebuild g
-    ~keep:(fun _ -> true)
-    ~fold_value:(fun id ->
-      match Graph.node g id with
-      | { Graph.op = Op.Constant _; _ } -> None
-      | _ -> Hashtbl.find_opt folded id)
+  rebuild g (fun g' map_id n ->
+      match folded.(n.Graph.id) with
+      | Some value -> Graph.constant_lazy g' n.Graph.shape value
+      | None -> copy_node g' map_id n)
 
 let dead_code_elim g =
-  let live = Hashtbl.create 64 in
-  let rec mark id =
-    if not (Hashtbl.mem live id) then begin
-      Hashtbl.replace live id ();
-      List.iter mark (Graph.node g id).Graph.inputs
-    end
-  in
-  List.iter mark (Graph.outputs g);
-  rebuild g ~keep:(Hashtbl.mem live) ~fold_value:(fun _ -> None)
+  (* Inputs precede their consumers, so one sweep down the ids marks
+     everything the outputs reach. *)
+  let live = Array.make (Graph.num_nodes g) false in
+  List.iter (fun id -> live.(id) <- true) (Graph.outputs g);
+  for id = Graph.num_nodes g - 1 downto 0 do
+    if live.(id) then
+      List.iter (fun i -> live.(i) <- true) (Graph.node g id).Graph.inputs
+  done;
+  rebuild g (fun g' map_id n ->
+      if live.(n.Graph.id) then copy_node g' map_id n else -1)
 
 let optimize g = dead_code_elim (constant_fold g)
 
@@ -82,17 +80,21 @@ let is_source (n : Graph.node) =
   match n.Graph.op with Op.Input | Op.Constant _ -> true | _ -> false
 
 let partition g =
-  let assigned = Hashtbl.create 64 in
+  (* assigned.(id): the node is a source or in a finished group;
+     member.(id) = a: it is in the group of anchor [a] being built. *)
+  let assigned = Array.make (Graph.num_nodes g) false in
+  let member = Array.make (Graph.num_nodes g) (-1) in
   let topo = Graph.nodes g in
   List.iter
-    (fun (n : Graph.node) -> if is_source n then Hashtbl.replace assigned n.Graph.id ())
+    (fun (n : Graph.node) -> if is_source n then assigned.(n.Graph.id) <- true)
     topo;
   let in_shapes_of (n : Graph.node) =
     List.map (Graph.node_shape g) n.Graph.inputs
   in
   let build_group (anchor : Graph.node) =
-    let members = Hashtbl.create 8 in
-    Hashtbl.replace members anchor.Graph.id ();
+    let a = anchor.Graph.id in
+    let is_member id = member.(id) = a in
+    member.(a) <- a;
     (* Absorb injective producers whose every consumer is inside the group. *)
     let prologues = ref [] in
     let rec absorb nid =
@@ -100,14 +102,14 @@ let partition g =
         (fun p ->
           let pn = Graph.node g p in
           if
-            (not (Hashtbl.mem assigned p))
-            && (not (Hashtbl.mem members p))
+            (not assigned.(p))
+            && (not (is_member p))
             && (not (is_source pn))
             && Op.is_injective pn.Graph.op (in_shapes_of pn)
             && (not (Op.is_anchor pn.Graph.op))
-            && List.for_all (Hashtbl.mem members) (Graph.consumers g p)
+            && List.for_all is_member (Graph.consumers g p)
           then begin
-            Hashtbl.replace members p ();
+            member.(p) <- a;
             prologues := p :: !prologues;
             absorb p
           end)
@@ -123,22 +125,25 @@ let partition g =
       | [ c ] ->
         let cn = Graph.node g c in
         if
-          (not (Hashtbl.mem assigned c))
+          (not assigned.(c))
           && Op.is_bijective cn.Graph.op (in_shapes_of cn)
           && (not (Op.is_anchor cn.Graph.op))
           && List.hd cn.Graph.inputs = !output
           && (not (List.mem !output (Graph.outputs g)))
         then begin
-          Hashtbl.replace members c ();
+          member.(c) <- a;
           epilogues := c :: !epilogues;
           output := c
         end
         else continue_ := false
       | _ -> continue_ := false
     done;
-    Hashtbl.iter (fun id () -> Hashtbl.replace assigned id ()) members;
+    let mark id = assigned.(id) <- true in
+    mark a;
+    List.iter mark !prologues;
+    List.iter mark !epilogues;
     {
-      anchor = anchor.Graph.id;
+      anchor = a;
       prologues = List.sort compare !prologues;
       epilogues = List.rev !epilogues;
       output = !output;
@@ -148,12 +153,12 @@ let partition g =
   let groups = ref [] in
   List.iter
     (fun (n : Graph.node) ->
-      if (not (Hashtbl.mem assigned n.Graph.id)) && Op.is_anchor n.Graph.op then
+      if (not assigned.(n.Graph.id)) && Op.is_anchor n.Graph.op then
         groups := build_group n :: !groups)
     topo;
   List.iter
     (fun (n : Graph.node) ->
-      if not (Hashtbl.mem assigned n.Graph.id) then
+      if not assigned.(n.Graph.id) then
         groups := build_group n :: !groups)
     topo;
   List.sort (fun a b -> compare a.output b.output) !groups
@@ -163,35 +168,22 @@ let partition g =
    reshape constant-folds; im2col and the output reshape fuse into the
    scheduled GEMM. Depthwise convolutions are left untouched. *)
 let lower_conv_to_gemm g =
-  let g' = Graph.create () in
-  Graph.name g' (Graph.get_name g);
-  let remap = Hashtbl.create 64 in
-  let map_id id = Hashtbl.find remap id in
-  List.iter
-    (fun (n : Graph.node) ->
-      let new_id =
-        match (n.Graph.op, n.Graph.inputs) with
-        | Op.Input, _ -> Graph.input g' n.Graph.shape
-        | Op.Constant { value }, _ -> Graph.constant_lazy g' n.Graph.shape value
-        | Op.Conv2d { stride; pad_h; pad_w }, [ x; w ] ->
-          let x_shape = Graph.node_shape g x and w_shape = Graph.node_shape g w in
-          (match (x_shape, w_shape, n.Graph.shape) with
-          | [ nb; c; _; _ ], [ oc; _; kh; kw ], [ _; _; oh; ow ] ->
-            let w_mat = Graph.reshape g' (map_id w) [ oc; c * kh * kw ] in
-            let cols =
-              Graph.add_op g'
-                (Op.Im2col { kh; kw; stride; pad_h; pad_w })
-                [ map_id x ]
-            in
-            let mm = Graph.matmul g' w_mat cols in
-            Graph.reshape g' mm [ nb; oc; oh; ow ]
-          | _ -> assert false)
-        | op, inputs -> Graph.add_op g' op (List.map map_id inputs)
-      in
-      Hashtbl.replace remap n.Graph.id new_id)
-    (Graph.nodes g);
-  Graph.set_outputs g' (List.map map_id (Graph.outputs g));
-  g'
+  rebuild g (fun g' map_id n ->
+      match (n.Graph.op, n.Graph.inputs) with
+      | Op.Conv2d { stride; pad_h; pad_w }, [ x; w ] -> (
+        let x_shape = Graph.node_shape g x and w_shape = Graph.node_shape g w in
+        match (x_shape, w_shape, n.Graph.shape) with
+        | [ nb; c; _; _ ], [ oc; _; kh; kw ], [ _; _; oh; ow ] ->
+          let w_mat = Graph.reshape g' (map_id w) [ oc; c * kh * kw ] in
+          let cols =
+            Graph.add_op g'
+              (Op.Im2col { kh; kw; stride; pad_h; pad_w })
+              [ map_id x ]
+          in
+          let mm = Graph.matmul g' w_mat cols in
+          Graph.reshape g' mm [ nb; oc; oh; ow ]
+        | _ -> assert false)
+      | _ -> copy_node g' map_id n)
 
 (* Extract a subset of compute nodes as a standalone graph. Values flowing
    into the subset from outside (graph inputs or non-member compute nodes)
@@ -207,57 +199,46 @@ type extraction = {
 }
 
 let extract g ~nodes ~outputs =
-  let members = Hashtbl.create 16 in
+  let member = Array.make (Graph.num_nodes g) false in
   List.iter
     (fun id ->
       match (Graph.node g id).Graph.op with
       | Op.Input | Op.Constant _ ->
         invalid_arg "Passes.extract: members must be compute nodes"
-      | _ -> Hashtbl.replace members id ())
+      | _ -> member.(id) <- true)
     nodes;
   let sub = Graph.create () in
   Graph.name sub (Graph.get_name g ^ "_sub");
-  let remap = Hashtbl.create 16 in
+  (* remap.(id): the id in [sub] of a member, feed or constant, or -1. *)
+  let remap = Array.make (Graph.num_nodes g) (-1) in
   let feeds = ref [] in
-  let feed_of id shape =
-    match Hashtbl.find_opt remap id with
-    | Some nid -> nid
-    | None ->
-      let nid = Graph.input sub shape in
-      Hashtbl.replace remap id nid;
-      feeds := id :: !feeds;
-      nid
+  let operand p =
+    if remap.(p) < 0 then begin
+      let pn = Graph.node g p in
+      remap.(p) <-
+        (match pn.Graph.op with
+        | Op.Constant { value } -> Graph.constant_lazy sub pn.Graph.shape value
+        | _ ->
+          feeds := p :: !feeds;
+          Graph.input sub pn.Graph.shape)
+    end;
+    remap.(p)
   in
   List.iter
     (fun (n : Graph.node) ->
-      if Hashtbl.mem members n.Graph.id then begin
-        let ins =
-          List.map
-            (fun p ->
-              match Hashtbl.find_opt remap p with
-              | Some nid -> nid
-              | None -> (
-                let pn = Graph.node g p in
-                match pn.Graph.op with
-                | Op.Constant { value } ->
-                  let nid = Graph.constant_lazy sub pn.Graph.shape value in
-                  Hashtbl.replace remap p nid;
-                  nid
-                | _ -> feed_of p pn.Graph.shape))
-            n.Graph.inputs
-        in
-        Hashtbl.replace remap n.Graph.id (Graph.add_op sub n.Graph.op ins)
-      end)
+      if member.(n.Graph.id) then
+        remap.(n.Graph.id) <-
+          Graph.add_op sub n.Graph.op (List.map operand n.Graph.inputs))
     (Graph.nodes g);
   let yields =
     List.map
       (fun id ->
-        if not (Hashtbl.mem members id) then
+        if id < 0 || id >= Graph.num_nodes g || not member.(id) then
           invalid_arg "Passes.extract: outputs must be member nodes";
         id)
       outputs
   in
-  Graph.set_outputs sub (List.map (Hashtbl.find remap) yields);
+  Graph.set_outputs sub (List.map (Array.get remap) yields);
   { sub; feeds = List.rev !feeds; yields }
 
 (* Rebind the leading (batch) dimension of a graph. Used by the serving
@@ -292,23 +273,11 @@ let rebatch g batch =
     | d :: rest -> scale what d :: rest
     | [] -> invalid_arg "Passes.rebatch: rank-0 shape"
   in
-  let g' = Graph.create () in
-  Graph.name g' (Graph.get_name g);
-  let remap = Hashtbl.create 64 in
-  let map_id id = Hashtbl.find remap id in
-  List.iter
-    (fun (n : Graph.node) ->
-      let new_id =
-        match n.Graph.op with
-        | Op.Input -> Graph.input g' (rescale "input" n.Graph.shape)
-        | Op.Constant { value } -> Graph.constant_lazy g' n.Graph.shape value
-        | Op.Reshape dims ->
-          Graph.add_op g'
-            (Op.Reshape (rescale "reshape" dims))
-            (List.map map_id n.Graph.inputs)
-        | op -> Graph.add_op g' op (List.map map_id n.Graph.inputs)
-      in
-      Hashtbl.replace remap n.Graph.id new_id)
-    (Graph.nodes g);
-  Graph.set_outputs g' (List.map map_id (Graph.outputs g));
-  g'
+  rebuild g (fun g' map_id n ->
+      match n.Graph.op with
+      | Op.Input -> Graph.input g' (rescale "input" n.Graph.shape)
+      | Op.Reshape dims ->
+        Graph.add_op g'
+          (Op.Reshape (rescale "reshape" dims))
+          (List.map map_id n.Graph.inputs)
+      | _ -> copy_node g' map_id n)

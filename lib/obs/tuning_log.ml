@@ -4,7 +4,7 @@ type trial = {
   engine : string;
   workload : string;
   index : int;
-  config : string;
+  config : unit -> string;
   outcome : outcome;
   latency : float;
 }
@@ -58,7 +58,7 @@ let save_tsv path entries =
       List.iter
         (fun t ->
           Printf.fprintf oc "%s\t%s\t%d\t%s\t%s\t%.3f\n" (sanitize t.engine)
-            (sanitize t.workload) t.index (sanitize t.config)
+            (sanitize t.workload) t.index (sanitize (t.config ()))
             (outcome_to_string t.outcome)
             (if t.latency < infinity then t.latency *. 1e6 else -1.))
         entries);

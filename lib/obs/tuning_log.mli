@@ -23,7 +23,10 @@ type trial = {
   engine : string;  (** "hidet", "autotvm", "ansor", ... *)
   workload : string;  (** workload signature, e.g. the schedule-cache key *)
   index : int;  (** candidate index in the enumeration / trial number *)
-  config : string;  (** printable schedule config ("" if unavailable) *)
+  config : unit -> string;
+      (** printable schedule config ("" if unavailable), formatted only
+          when read: most rows of a cold compile are pruned candidates that
+          only {!save_tsv} ever prints *)
   outcome : outcome;
   latency : float;  (** estimated seconds; [infinity] unless [Measured] *)
 }

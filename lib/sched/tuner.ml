@@ -56,7 +56,7 @@ let log_trial ~engine ~key ~show ~index ~cand outcome =
         Tuning_log.engine;
         workload = key;
         index;
-        config = show cand;
+        config = (fun () -> show cand);
         outcome = log_outcome outcome;
         latency = latency_of outcome;
       }

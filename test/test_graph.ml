@@ -342,6 +342,53 @@ let test_graph_outputs_not_absorbed () =
   Alcotest.(check (list int)) "no epilogues past an output" []
     mm_group.Passes.epilogues
 
+(* The graph passes bit for bit: each zoo and tiny model's graph after
+   [lower_conv_to_gemm], after [optimize] and after [rebatch g 2] (each
+   node's id, op name, inputs and shape, and the outputs), plus the
+   [partition] groups of the optimized graph, in one MD5. A drift in ids,
+   order or grouping fails here even when the plans do not move. *)
+let passes_digest g =
+  let b = Buffer.create 65536 in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  let graph_text g =
+    List.iter
+      (fun (n : G.node) ->
+        Printf.bprintf b "%d %s (%s) [%s]\n" n.G.id (Op.name n.G.op)
+          (ints n.G.inputs) (ints n.G.shape))
+      (G.nodes g);
+    Printf.bprintf b "outputs %s\n" (ints (G.outputs g))
+  in
+  let lowered = Passes.lower_conv_to_gemm g in
+  let optimized = Passes.optimize lowered in
+  graph_text lowered;
+  graph_text optimized;
+  graph_text (Passes.rebatch g 2);
+  List.iter
+    (fun (gr : Passes.group) ->
+      Printf.bprintf b "group %d (%s) (%s) %d\n" gr.Passes.anchor
+        (ints gr.Passes.prologues) (ints gr.Passes.epilogues) gr.Passes.output)
+    (Passes.partition optimized);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_passes_pinned () =
+  let pinned =
+    [
+      ("resnet50", "e6361bd1106ee72f4cca7eba059e22ca");
+      ("inception_v3", "36588b4d10d8286d001388415860190e");
+      ("mobilenet_v2", "023ec96e47fa99f089bc3b21363ea4e6");
+      ("bert", "ce6df78e17736764b50019253023c73d");
+      ("gpt2", "b781fe041d07c150369a5f889e69f878");
+      ("tiny_cnn", "147be0272fe1204cc9793e1f3fb941e8");
+      ("tiny_separable", "72e2e2d32e849a8606f72fd784e8b84c");
+      ("tiny_transformer", "cf28e7954ed48eeeb1f3af57aca17a10");
+      ("tiny_inception", "33d1289cf07ffc8f02763f0618be3547");
+    ]
+  in
+  Alcotest.(check (list (pair string string))) "passes digests" pinned
+    (List.map
+       (fun (name, mk) -> (name, passes_digest (mk ())))
+       (Hidet_models.Models.all @ Hidet_models.Models.tiny_all))
+
 (* --- serialization ---------------------------------------------------------- *)
 
 module Gio = Hidet_graph.Graph_io
@@ -427,6 +474,92 @@ let test_malformed_rejected () =
   Alcotest.(check (option int)) "a signed file loads" None
     (failing_line
        (hgf [ header; signed "(node 0 (input) (shape 4))"; signed "(outputs 0)" ]))
+
+(* Shapes [infer_shape] must refuse, each with [Invalid_argument "Op
+   <name>: ..."], and the same node in an HGF file, refused naming its
+   line: a non-positive stride, a non-positive output dim, a rank-0 input
+   where the last axis is read. *)
+let malformed_shape_cases =
+  let conv_on hw =
+    let d = string_of_int hw in
+    [
+      signed (Printf.sprintf "(node 0 (input) (shape 1 3 %s %s))" d d);
+      signed "(node 1 (constant random) (shape 4 3 3 3))";
+      signed "(node 2 (conv2d 1 0 0) (inputs 0 1) (shape 1 4 1 1))";
+    ]
+  in
+  let rank0 op_sexp extra =
+    [
+      signed "(node 0 (input) (shape))";
+      signed "(node 1 (constant (data 1 2 3 4)) (shape 4))";
+      signed
+        (Printf.sprintf "(node 2 (%s) (inputs 0 1%s) (shape))" op_sexp extra);
+    ]
+  in
+  let cases =
+    [
+      ( "zero stride",
+        Op.Conv2d { stride = 0; pad_h = 0; pad_w = 0 },
+        [ [ 1; 3; 8; 8 ]; [ 4; 3; 3; 3 ] ],
+        [
+          signed "(node 0 (input) (shape 1 3 8 8))";
+          signed "(node 1 (constant random) (shape 4 3 3 3))";
+          signed "(node 2 (conv2d 0 0 0) (inputs 0 1) (shape 1 4 8 8))";
+        ] );
+      ( "negative pool stride",
+        Op.Pool2d { kind = Op.Max_pool; kernel = 2; stride = -1; padding = 0 },
+        [ [ 1; 3; 8; 8 ] ],
+        [
+          signed "(node 0 (input) (shape 1 3 8 8))";
+          signed "(node 1 (pool2d max 2 -1 0) (inputs 0) (shape 1 3 8 8))";
+        ] );
+      ( "3x3 conv on 2x2",
+        Op.Conv2d { stride = 1; pad_h = 0; pad_w = 0 },
+        [ [ 1; 3; 2; 2 ]; [ 4; 3; 3; 3 ] ],
+        conv_on 2 );
+      ( "3x3 conv on 1x1",
+        Op.Conv2d { stride = 1; pad_h = 0; pad_w = 0 },
+        [ [ 1; 3; 1; 1 ]; [ 4; 3; 3; 3 ] ],
+        conv_on 1 );
+      ( "negative reshape",
+        Op.Reshape [ -2; -3 ],
+        [ [ 6 ] ],
+        [
+          signed "(node 0 (input) (shape 6))";
+          signed "(node 1 (reshape -2 -3) (inputs 0) (shape -2 -3))";
+        ] );
+      ("rank-0 bias_add", Op.Bias_add, [ []; [ 4 ] ], rank0 "bias_add" "");
+      ( "rank-0 softmax",
+        Op.Softmax,
+        [ [] ],
+        [
+          signed "(node 0 (input) (shape))";
+          signed "(node 1 (softmax) (inputs 0) (shape))";
+        ] );
+      ( "rank-0 layernorm",
+        Op.Layernorm { eps = 1e-5 },
+        [ []; [ 4 ]; [ 4 ] ],
+        rank0 "layernorm 1e-05" " 1" );
+    ]
+  in
+  List.map
+    (fun (label, op, ins, nodes) ->
+      Alcotest.test_case label `Quick (fun () ->
+          let prefix = "Op " ^ Op.name op ^ ": " in
+          (match Op.infer_shape op ins with
+          | s ->
+            Alcotest.failf "inferred [%s]"
+              (String.concat "; " (List.map string_of_int s))
+          | exception Invalid_argument msg ->
+            Alcotest.(check string) ("message: " ^ msg) prefix
+              (String.sub msg 0 (min (String.length msg) (String.length prefix))));
+          let last = List.length nodes + 1 in
+          Alcotest.(check (option int)) "HGF line" (Some last)
+            (failing_line
+               (hgf
+                  ((signed "(graph \"x\")" :: nodes)
+                  @ [ signed (Printf.sprintf "(outputs %d)" (last - 2)) ])))))
+    cases
 
 (* The HGF text of every zoo and tiny model, built on first use. *)
 let hgf_texts =
@@ -535,6 +668,7 @@ let () =
     [
       ("shape inference", infer_shape_cases);
       ("shape inference errors", infer_shape_error_cases);
+      ("malformed shapes", malformed_shape_cases);
       ("ops", [ Alcotest.test_case "classification" `Quick test_classification ]);
       ( "graph",
         [
@@ -551,6 +685,7 @@ let () =
           Alcotest.test_case "dead code elim" `Quick test_dead_code_elim;
           Alcotest.test_case "conv lowering semantics" `Quick test_conv_lowering_semantics;
           Alcotest.test_case "depthwise untouched" `Quick test_conv_lowering_keeps_depthwise;
+          Alcotest.test_case "pinned digests" `Quick test_passes_pinned;
         ] );
       ( "partition",
         [

@@ -183,7 +183,7 @@ let test_tuner_spans_and_log () =
       (fun t ->
         Alcotest.(check string) "engine label" "hidet" t.Tlog.engine;
         Alcotest.(check string) "workload label" "mm_test" t.Tlog.workload;
-        Alcotest.(check bool) "config rendered" true (t.Tlog.config <> ""))
+        Alcotest.(check bool) "config rendered" true (t.Tlog.config () <> ""))
       logged;
     (match
        List.find_opt (fun (name, _, _, _, _) -> name = "tune") spans
@@ -987,7 +987,7 @@ let test_tuning_log_tsv () =
         Tlog.engine = "hidet";
         workload = "w\twith\ttabs";
         index = 0;
-        config = "cfg";
+        config = (fun () -> "cfg");
         outcome = Tlog.Measured;
         latency = 1.5e-6;
       };
@@ -995,7 +995,7 @@ let test_tuning_log_tsv () =
         Tlog.engine = "ansor";
         workload = "w2";
         index = 1;
-        config = "";
+        config = (fun () -> "");
         outcome = Tlog.Rejected;
         latency = infinity;
       };
