@@ -31,24 +31,29 @@ fuzz-smoke:
 	./_build/default/bin/hidetc.exe fuzz --seed 42 --cases 400 --quiet \
 	  --paths rule,template,fused,baseline,compiled,native,sharded
 
-# Reported-experiment smoke test: the five gated bench experiments
-# (simulator backends, serving, sharding, branch-and-bound tuning under
-# both latency models, cycle fidelity;
-# gates in bench/reported.ml) in quick mode. Each writes BENCH_<name>.json
-# under $(BENCH_SMOKE), never over a committed full-mode report (refresh
-# one with `./_build/default/bench/main.exe --only <name>`); the bench
-# exits non-zero if any gate fails. Without ocamlfind/ocamlopt the interp
-# native column is skipped with a note.
+# Bench smoke test: every experiment `--list` prints (the paper's Table 1,
+# Figs. 7 and 13-19 and the ablations; simulator backends, serving,
+# sharding, branch-and-bound tuning under both latency models, cycle
+# fidelity), the infrastructure ones in quick mode. Each writes
+# BENCH_<id>.json under $(BENCH_SMOKE), never over a committed report
+# (refresh one with `./_build/default/bench/main.exe --only <id>`), and the
+# bench exits non-zero if any gate fails. A report with no wall-clock
+# field that was not run in quick mode must then equal its committed copy
+# byte for byte, so a change that moves a modeled number must commit the
+# regenerated report. Without ocamlfind/ocamlopt the interp native column
+# is skipped (null in the report).
 BENCH_SMOKE := _build/bench-smoke
+BENCH := ./_build/default/bench/main.exe
 
 bench-smoke:
 	dune build bench/main.exe
 	rm -rf $(BENCH_SMOKE)
 	mkdir -p $(BENCH_SMOKE)
-	./_build/default/bench/main.exe --quick \
-	  --only interp,serve,shard,tune,fidelity --out $(BENCH_SMOKE)
-	for e in interp serve shard tune fidelity; do \
-	  test -f $(BENCH_SMOKE)/BENCH_$$e.json || exit 1; \
+	$(BENCH) --quick --out $(BENCH_SMOKE)
+	for e in $$($(BENCH) --list); do \
+	  f=$(BENCH_SMOKE)/BENCH_$$e.json; \
+	  test -f $$f || exit 1; \
+	  grep -q -e '"quick"' -e 'wall_s"' $$f || cmp $$f BENCH_$$e.json || exit 1; \
 	done
 
 # Serving telemetry smoke test. Run 1: a short really-executed serve with
@@ -153,9 +158,9 @@ bench-compile:
 # The full gate: everything (libraries, tests, benches, examples) must
 # compile; the test suite must pass, including the committed BENCH_*.json
 # reports against their own gates; the trace pipeline must produce valid
-# output; the differential fuzzer must run clean on every path; the five
-# reported bench experiments must pass their gates in quick mode, each
-# report in its own file; the serving telemetry (events, flows,
+# output; the differential fuzzer must run clean on every path; every
+# bench experiment must pass its gates, each report in its own file, and
+# the modeled reports must equal their committed copies; the serving telemetry (events, flows,
 # exposition, flight recorder, burn-rate alerts) must validate end to
 # end; a sharded compile must match the single-device baseline; and a
 # cycle-fidelity CLI compile must be served from its saved cache.

@@ -1,5 +1,6 @@
-(* The five reported experiments: each prints its table, returns its
-   report (written by Report.drive as BENCH_<name>.json), and gates on the
+(* The five infrastructure experiments (simulator backends, serving,
+   sharding, tuner search, cycle fidelity): each returns its report, which
+   Report.drive prints and writes as BENCH_<name>.json, and gates on the
    report alone. *)
 
 module Json = Hidet_obs.Json
@@ -12,7 +13,6 @@ module Tu = Hidet_sched.Tuner
 module C = Hidet_sched.Compiled
 
 let dev = Hidet_gpu.Device.rtx3090
-let ms s = s *. 1e3
 let us s = s *. 1e6
 let sprintf = Printf.sprintf
 let shape_name (m, n, k) = sprintf "%dx%dx%d" m n k
@@ -22,20 +22,13 @@ let shape_name (m, n, k) = sprintf "%dx%dx%d" m n k
 (* ------------------------------------------------------------------ *)
 
 let interp_run ~quick =
-  R.section
-    "bench: interp — legacy tree-walking vs closure-compiled vs native \
-     execution";
   let module Metrics = Hidet_obs.Metrics in
   let module T = Hidet_tensor.Tensor in
   let stmt_counter = Metrics.counter "sim.statements" in
   let native_ok =
     match Hidet_gpu.Exec_ocaml.available () with
     | Ok () -> true
-    | Error reason ->
-        Printf.printf
-          "note: native backend unavailable (%s); native column skipped\n"
-          reason;
-        false
+    | Error _ -> false
   in
   let matmul =
     let m = 123 and n = 77 and k = 45 in
@@ -62,9 +55,6 @@ let interp_run ~quick =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
-  Printf.printf "%-36s %12s %12s %12s %14s %14s %14s %8s %8s\n" "workload"
-    "stmts/launch" "legacy (ms)" "compiled(ms)" "legacy st/s" "compiled st/s"
-    "native st/s" "speedup" "nat/cmp";
   let rows =
     List.map
       (fun (name, c, inputs) ->
@@ -98,19 +88,6 @@ let interp_run ~quick =
         let legacy_sps = float_of_int stmts /. wall_legacy in
         let compiled_sps = float_of_int stmts /. wall_compiled in
         let speedup = compiled_sps /. legacy_sps in
-        let nat_col =
-          match native_sps with
-          | None -> Printf.sprintf "%14s" "-"
-          | Some n -> Printf.sprintf "%14.3g" n
-        in
-        let ratio_col =
-          match native_sps with
-          | None -> Printf.sprintf "%8s" "-"
-          | Some n -> Printf.sprintf "%7.1fx" (n /. compiled_sps)
-        in
-        Printf.printf "%-36s %12d %12.2f %12.2f %14.3g %14.3g %s %7.1fx %s\n%!"
-          name stmts (ms wall_legacy) (ms wall_compiled) legacy_sps compiled_sps
-          nat_col speedup ratio_col;
         Json.Obj
           ([
              ("name", Json.Str name);
@@ -161,14 +138,19 @@ let interp_gates r =
       | _ -> []))
     (R.list "workloads" r)
 
-let interp = { R.name = "interp"; run = interp_run; gates = interp_gates }
+let interp =
+  {
+    R.name = "interp";
+    title = "legacy tree-walking vs closure-compiled vs native execution";
+    run = interp_run;
+    gates = interp_gates;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Serving: throughput and tail latency vs offered load                *)
 (* ------------------------------------------------------------------ *)
 
 let serve_run ~quick =
-  R.section "bench: serve — dynamic batching vs batch-1 under offered load";
   let module S = Hidet_serve in
   let buckets = [ 1; 2; 4; 8 ] and workers = 2 in
   let model =
@@ -188,9 +170,6 @@ let serve_run ~quick =
   in
   let duration = if quick then 1.5 else 4.0 in
   let rates = if quick then [ 30.; 120.; 360. ] else [ 20.; 60.; 120.; 240.; 480. ] in
-  Printf.printf "%-8s %-8s %8s %8s %6s %6s %10s %10s %10s %8s\n" "rps"
-    "batching" "offered" "done" "shed" "rej" "thru(r/s)" "p99(ms)" "meanB"
-    "alerts";
   (* The sweep runs in virtual time only: the schedule (batch compositions,
      shed sets, latency percentiles) is exact and free; real execution is
      covered by the verified point below. *)
@@ -208,12 +187,6 @@ let serve_run ~quick =
       S.Server.simulate (cfg batching) ~latency:(S.Registry.latency model) lg
     in
     let s = S.Server.stats sched and slo = S.Server.slo_verdict ~duration sched in
-    Printf.printf "%-8.0f %-8b %8d %8d %6d %6d %10.1f %10.1f %10.2f %8s\n" rps
-      batching s.S.Server.offered s.S.Server.completed s.S.Server.shed
-      s.S.Server.rejected s.S.Server.throughput
-      (s.S.Server.e2e_p99 *. 1e3)
-      s.S.Server.mean_batch
-      (if S.Slo.fired slo then "FIRING" else "ok");
     Json.Obj
       [
         ("rps", Json.Num rps);
@@ -243,9 +216,6 @@ let serve_run ~quick =
   let exec_report = S.Server.run (cfg true) model exec_lg in
   let responses = List.length exec_report.S.Server.responses in
   let exec_mismatches = Option.value exec_report.S.Server.mismatches ~default:(-1) in
-  Printf.printf
-    "exec check: %d responses executed, %d mismatches vs batch-1 plan\n"
-    responses exec_mismatches;
   (* An admitted request waits at most the deadline, then runs in at most
      the largest bucket's scaled service time. *)
   let tail_bound = deadline +. (S.Registry.latency model 8 *. scale) in
@@ -300,16 +270,19 @@ let serve_gates r =
       R.num "responses" exec > 0. && R.num "mismatches" exec = 0. );
   ]
 
-let serve = { R.name = "serve"; run = serve_run; gates = serve_gates }
+let serve =
+  {
+    R.name = "serve";
+    title = "dynamic batching vs batch-1 under offered load";
+    run = serve_run;
+    gates = serve_gates;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sharding: tensor/pipeline parallelism under the cluster cost model  *)
 (* ------------------------------------------------------------------ *)
 
 let shard_run ~quick:_ =
-  R.section
-    "bench: shard — multi-device partitioning under the interconnect cost \
-     model";
   let module Shard = Hidet_shard.Shard in
   let module Cluster = Hidet_gpu.Cluster in
   (* Tensor parallelism: one large matmul whose per-device compute dwarfs
@@ -338,14 +311,8 @@ let shard_run ~quick:_ =
     G.set_outputs g [ !h ];
     g
   in
-  Printf.printf "%-28s %-14s %4s %12s %12s %12s %9s\n" "graph" "strategy" "dev"
-    "compute(us)" "comm(us)" "total(us)" "speedup";
   let row name strategy devices g =
     let e = Shard.estimate (Shard.plan ~strategy (Cluster.homogeneous ~n:devices dev) g) in
-    Printf.printf "%-28s %-14s %4d %12.1f %12.1f %12.1f %8.2fx\n%!" name
-      (Shard.strategy_to_string strategy)
-      devices (us e.Shard.compute) (us e.Shard.comm) (us e.Shard.total)
-      e.Shard.speedup;
     Json.Obj
       [
         ("graph", Json.Str name);
@@ -413,10 +380,6 @@ let shard_run ~quick:_ =
       | Ok msg -> (true, msg)
       | Error msg -> (false, msg)
     in
-    Printf.printf "verify %-14s %s: %s%s\n%!" name
-      (Shard.strategy_to_string strategy)
-      (if ok then "" else "FAILED ")
-      msg;
     Json.Obj
       [
         ("graph", Json.Str name);
@@ -426,15 +389,12 @@ let shard_run ~quick:_ =
       ]
   in
   let verifies =
-    (* let-sequenced so the progress lines print in declaration order *)
-    let v1 = verify_point "small_matmul" Shard.Data (small_mm ()) in
-    let v2 = verify_point "small_matmul" (Shard.Tensor Shard.Gather) (small_mm ()) in
-    let v3 = verify_point "small_matmul" (Shard.Tensor Shard.Reduce) (small_mm ()) in
-    let v4 =
-      verify_point "small_mlp" (Shard.Pipeline { microbatches = 4 })
-        (small_mlp ())
-    in
-    [ v1; v2; v3; v4 ]
+    [
+      verify_point "small_matmul" Shard.Data (small_mm ());
+      verify_point "small_matmul" (Shard.Tensor Shard.Gather) (small_mm ());
+      verify_point "small_matmul" (Shard.Tensor Shard.Reduce) (small_mm ());
+      verify_point "small_mlp" (Shard.Pipeline { microbatches = 4 }) (small_mlp ());
+    ]
   in
   Json.Obj
     [
@@ -481,7 +441,13 @@ let shard_gates r =
           R.bool "ok" v ))
       (R.list "verify" r)
 
-let shard = { R.name = "shard"; run = shard_run; gates = shard_gates }
+let shard =
+  {
+    R.name = "shard";
+    title = "multi-device partitioning under the interconnect cost model";
+    run = shard_run;
+    gates = shard_gates;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Branch-and-bound vs exhaustive search under both latency models     *)
@@ -513,9 +479,6 @@ let strided ~quick all =
     List.filteri (fun i _ -> i mod stride = 0) all
 
 let tune_run ~quick =
-  R.section
-    "bench: tune — branch-and-bound vs exhaustive search under both latency \
-     models";
   let module Space = Hidet_sched.Space in
   let tune ?fidelity ?lower_bound ~m ~n ~k candidates =
     match
@@ -537,8 +500,6 @@ let tune_run ~quick =
         ("wall_s", Json.Num st.Tu.wall_seconds);
       ]
   in
-  Printf.printf "%-16s %6s %-9s %7s %7s %12s %s\n" "shape" "cands" "fidelity"
-    "ex.tr" "bb.tr" "best(us)" "bb=ex";
   let rows =
     List.map
       (fun (m, n, k) ->
@@ -551,14 +512,8 @@ let tune_run ~quick =
               Tu.cycle_lower_bound dev ~compile:(fun cfg ->
                   MT.compile ~m ~n ~k cfg)
           in
-          let ((_, est) as ex) = tune ~fidelity ~m ~n ~k candidates in
-          let ((_, bst) as bb) = tune ~fidelity ~lower_bound ~m ~n ~k candidates in
-          Printf.printf "%-16s %6d %-9s %7d %7d %12.3f %b\n%!"
-            (shape_name (m, n, k))
-            (List.length candidates) name est.Tu.trials bst.Tu.trials
-            (us est.Tu.best_latency)
-            (MT.config_to_string (fst ex) = MT.config_to_string (fst bb)
-            && est.Tu.best_latency = bst.Tu.best_latency);
+          let ex = tune ~fidelity ~m ~n ~k candidates in
+          let bb = tune ~fidelity ~lower_bound ~m ~n ~k candidates in
           (name, Json.Obj [ ("exhaustive", side ex); ("bnb", side bb) ])
         in
         Json.Obj
@@ -582,13 +537,6 @@ let tune_run ~quick =
   let wcfg, wst = tune ~m:bm ~n:bn ~k:bk widened in
   let ocfg, ost = tune ~m:bm ~n:bn ~k:bk old_space in
   let gain = ost.Tu.best_latency /. wst.Tu.best_latency in
-  Printf.printf
-    "widened-space gate on %s: old best %s (%.2f us), widened best %s (%.2f \
-     us, %.3fx)\n%!"
-    (shape_name (bm, bn, bk))
-    (MT.config_to_string ocfg) (us ost.Tu.best_latency)
-    (MT.config_to_string wcfg) (us wst.Tu.best_latency)
-    gain;
   Json.Obj
     [
       ("experiment", Json.Str "tune");
@@ -657,7 +605,13 @@ let tune_gates r =
           (String.split_on_char '_' winner) );
     ]
 
-let tune = { R.name = "tune"; run = tune_run; gates = tune_gates }
+let tune =
+  {
+    R.name = "tune";
+    title = "branch-and-bound vs exhaustive search under both latency models";
+    run = tune_run;
+    gates = tune_gates;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Cycle-approximate fidelity vs the analytic ranking                  *)
@@ -702,9 +656,6 @@ let spearman xs ys =
   end
 
 let fidelity_run ~quick =
-  R.section
-    "bench: fidelity — cycle-approximate model (coalescing, bank conflicts, \
-     caches, warp scheduler) vs the analytic ranking";
   let module Space = Hidet_sched.Space in
   let module Fid = Hidet_cycle.Fidelity in
   let module PM = Hidet_gpu.Perf_model in
@@ -737,8 +688,6 @@ let fidelity_run ~quick =
         ("l2_hit", Json.Num x.Fid.l2_hit);
       ]
   in
-  Printf.printf "%-14s %6s %6s %9s %12s %12s %8s %s\n" "shape" "cands" "feas"
-    "spearman" "an.best(us)" "cy.best(us)" "changed" "attribution";
   let eval (m, n, k) =
     let candidates = strided ~quick (Space.matmul_with_split_k ~m ~n) in
     let measured =
@@ -763,8 +712,8 @@ let fidelity_run ~quick =
       Array.iteri (fun i x -> if x < v.(!best) then best := i) v;
       !best
     in
-    let ((acfg, acomp, ala, _) as aw) = List.nth measured (argmin la) in
-    let ((ccfg, ccomp, _, clc) as cw) = List.nth measured (argmin lc) in
+    let ((acfg, acomp, _, _) as aw) = List.nth measured (argmin la) in
+    let ((ccfg, ccomp, _, _) as cw) = List.nth measured (argmin lc) in
     let ax = extras_of acomp and cx = extras_of ccomp in
     let changed = acfg <> ccfg in
     (* When the winners differ, name the cycle-model terms (absent from the
@@ -785,11 +734,6 @@ let fidelity_run ~quick =
                 "cache");
              ])
     in
-    Printf.printf "%-14s %6d %6d %9.3f %12.2f %12.2f %8s %s\n%!"
-      (shape_name (m, n, k))
-      (List.length candidates) (List.length measured) rho (us ala) (us clc)
-      (if changed then "yes" else "no")
-      attribution;
     Json.Obj
       [
         ("shape", Json.Str (shape_name (m, n, k)));
@@ -836,4 +780,12 @@ let fidelity_gates r =
           shapes );
     ]
 
-let fidelity = { R.name = "fidelity"; run = fidelity_run; gates = fidelity_gates }
+let fidelity =
+  {
+    R.name = "fidelity";
+    title =
+      "cycle-approximate model (coalescing, bank conflicts, caches, warp \
+       scheduler) vs the analytic ranking";
+    run = fidelity_run;
+    gates = fidelity_gates;
+  }

@@ -1,5 +1,6 @@
 (* Every committed BENCH_<name>.json passes its own experiment's gates,
-   and perturbing the field a gate guards makes exactly that gate fail. *)
+   perturbing the field a gate guards makes exactly that gate fail, and
+   the EXPERIMENTS.md tables print the committed reports' numbers. *)
 
 module Json = Hidet_obs.Json
 open Hidet_bench
@@ -78,7 +79,187 @@ let cases =
     ( Reported.serve,
       [ (perturbed, [ K "sweep"; I 0; K "stats"; K "shed" ], Json.Num 1., "at low load must meet") ]
     );
+    (* pytorch given hidet's graph optimization *)
+    ( Paper.table1,
+      [ (perturbed, [ K "engines"; I 0; K "graph_opt" ], Json.Str "ooo", "only hidet combines") ] );
+    (* layer 19's AutoTVM space shrunk below 100x Hidet's *)
+    ( Paper.fig7,
+      [ (perturbed, [ K "layers"; I 18; K "autotvm_space" ], Json.Num 40000., ">= 100x below") ] );
+    ( Paper.fig13,
+      [
+        ( perturbed,
+          [ K "models"; I 2; K "hidet_ms" ],
+          Json.Num 0.7,
+          "best baseline on mobilenet_v2" );
+      ] );
+    ( Paper.fig14,
+      [ (perturbed, [ K "models"; I 3; K "ansor_h" ], Json.Num 1.0, "below ansor's on bert") ] );
+    (* the AutoTVM sample's fastest point below Hidet's *)
+    ( Paper.fig15,
+      [ (perturbed, [ K "samples"; I 1; K "min_us" ], Json.Num 20., "fastest schedule") ] );
+    (* AutoTVM finding a schedule at 2039 *)
+    ( Paper.fig16,
+      [ (perturbed, [ K "sizes"; I 5; K "autotvm_us" ], Json.Num 1000., "prime 2039") ] );
+    ( Paper.fig17,
+      [ (perturbed, [ K "batches"; I 2; K "hidet_ms" ], Json.Num 10., "at batch 8") ] );
+    ( Paper.fig18,
+      [ (perturbed, [ K "layers"; I 21; K "hidet_us" ], Json.Num 60., "on layer 22") ] );
+    ( Paper.fig19,
+      [ (perturbed, [ K "models"; I 3; K "tensorrt_ms" ], Json.Num 4., "beat hidet on bert") ] );
+    ( Paper.ablation_double_buffer,
+      [
+        ( perturbed,
+          [ K "shapes"; I 0; K "db_on_us" ],
+          Json.Num 300.,
+          "double buffering must gain > 1x on 1024x1024x1024" );
+      ] );
+    ( Paper.ablation_split_k,
+      [
+        ( perturbed,
+          [ K "shapes"; I 0; K "tuned_us" ],
+          Json.Num 70.,
+          "split-k must gain > 1x on 512x49x4608" );
+      ] );
+    ( Paper.ablation_fusion,
+      [
+        ( perturbed,
+          [ K "models"; I 1; K "fused_ms" ],
+          Json.Num 6.,
+          "fused must gain > 1x on bert" );
+      ] );
+    ( Paper.ablation_tensor_core,
+      [
+        ( perturbed,
+          [ K "models"; I 0; K "tf32_ms" ],
+          Json.Num 2.,
+          "tf32 must gain > 1x on resnet50" );
+      ] );
+    ( Paper.ablation_device_sweep,
+      [
+        ( perturbed,
+          [ K "matmuls"; I 1; K "a100_us" ],
+          Json.Num 30.,
+          "a100 must gain > 1x on 512x49x4608" );
+      ] );
   ]
+
+(* ------------------------------------------------------------------ *)
+(* EXPERIMENTS.md against the committed reports                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [s] with every occurrence of [sub] removed. *)
+let remove sub s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + n <= String.length s && String.sub s !i n = sub then i := !i + n
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let doc =
+  lazy
+    (String.split_on_char '\n'
+       (In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all))
+
+(* The body rows of the first table in the section whose heading starts
+   with [heading], as cells without bold marks or the "×" suffix. *)
+let doc_table heading =
+  let is_row l = String.starts_with ~prefix:"|" l in
+  let rec section = function
+    | [] -> Alcotest.failf "EXPERIMENTS.md: no heading %S" heading
+    | l :: rest when String.starts_with ~prefix:heading l -> rest
+    | _ :: rest -> section rest
+  in
+  let rec skip = function
+    | l :: _ when String.starts_with ~prefix:"## " l -> []
+    | l :: rest when not (is_row l) -> skip rest
+    | ls -> ls
+  in
+  let rec take = function l :: rest when is_row l -> l :: take rest | _ -> [] in
+  let cells l =
+    let l = String.trim l in
+    String.split_on_char '|' (String.sub l 1 (String.length l - 2))
+    |> List.map (fun c -> String.trim (remove "**" (remove "\xc3\x97" c)))
+  in
+  match take (skip (section (Lazy.force doc))) with
+  | _header :: _rule :: rows -> List.map cells rows
+  | _ -> Alcotest.failf "EXPERIMENTS.md: no table under %S" heading
+
+(* A report value as the doc prints it: a number with as many decimals as
+   [printed] has, a tuner failure (null) as FAIL. *)
+let as_printed printed = function
+  | Json.Null -> "FAIL"
+  | Json.Str s -> s
+  | Json.Num x ->
+    let decimals =
+      match String.index_opt printed '.' with
+      | Some i -> String.length printed - i - 1
+      | None -> 0
+    in
+    Printf.sprintf "%.*f" decimals x
+  | _ -> "?"
+
+(* The rows of every table in a report, and the one whose first field a
+   doc row's key cell names (a model, shape, size, ...). *)
+let report_rows r =
+  match r with
+  | Json.Obj fields ->
+    List.concat_map (function _, Json.Arr (Json.Obj _ :: _ as rows) -> rows | _ -> []) fields
+  | _ -> []
+
+let find_row r key =
+  let names = function Json.Obj ((_, v) :: _) -> as_printed "" v = key | _ -> false in
+  match List.find_opt names (report_rows r) with
+  | Some row -> row
+  | None -> Alcotest.failf "no report row for %s" key
+
+(* Per doc table: its section heading, its report ([None]: the first cell
+   names the report), and the report fields of its value columns. *)
+let doc_tables =
+  [
+    ( "## Figure 13",
+      Some Paper.fig13,
+      [ "pytorch_ms"; "onnxruntime_ms"; "autotvm_ms"; "ansor_ms"; "hidet_ms"; "speedup" ] );
+    ( "## Figure 14",
+      Some Paper.fig14,
+      [ "autotvm_h"; "ansor_h"; "hidet_h"; "autotvm_vs_hidet"; "ansor_vs_hidet" ] );
+    ("## Figure 15", Some Paper.fig15, [ "valid"; "min_us"; "median_us"; "under_73us" ]);
+    ("## Figure 16", Some Paper.fig16, [ "autotvm_us"; "ansor_us"; "hidet_us" ]);
+    ("## Figure 17", Some Paper.fig17, [ "onnxruntime_ms"; "autotvm_ms"; "ansor_ms"; "hidet_ms" ]);
+    ("## Figure 19", Some Paper.fig19, [ "tensorrt_ms"; "hidet_ms"; "trt_vs_hidet" ]);
+    ("## Ablations", None, [ "gain" ]);
+  ]
+
+let test_doc_table (heading, report, fields) () =
+  let rows = doc_table heading in
+  let mismatches =
+    List.concat_map
+      (fun cells ->
+        let r, key, values =
+          match (report, cells) with
+          | Some e, key :: values -> (load e, key, values)
+          | None, name :: key :: values ->
+            (load (List.find (fun (e : Report.t) -> e.Report.name = name) Paper.all), key, values)
+          | _ -> Alcotest.fail "short doc row"
+        in
+        let row = find_row r key in
+        List.filter_map
+          (fun (f, printed) ->
+            let want = as_printed printed (Report.field f row) in
+            if want = printed then None
+            else Some (Printf.sprintf "%s %s: %s, report %s" key f printed want))
+          (List.combine fields values))
+      rows
+  in
+  Alcotest.(check (list string)) "doc numbers that differ from the report" [] mismatches;
+  Option.iter
+    (fun e ->
+      Alcotest.(check int) "doc rows" (List.length (report_rows (load e))) (List.length rows))
+    report
 
 let () =
   Alcotest.run "reports"
@@ -91,4 +272,11 @@ let () =
                 (fun (name, path, v, gate) ->
                   Alcotest.test_case name `Quick (test_perturbed e path v ~gate))
                 perturbations ))
-       cases)
+       cases
+    @ [
+        ( "EXPERIMENTS.md",
+          List.map
+            (fun ((heading, _, _) as t) ->
+              Alcotest.test_case (heading ^ " table") `Quick (test_doc_table t))
+            doc_tables );
+      ])

@@ -59,16 +59,22 @@ let append g op inputs shape =
   g.outs <- [ id ];
   id
 
-let input g shape = append g Op.Input [] shape
+(* A leaf's shape is given, not inferred, so it is checked here: the error
+   then names the leaf, not its first consumer. *)
+let leaf g op shape =
+  if List.exists (fun d -> d <= 0) shape then
+    invalid_arg
+      (Printf.sprintf "Graph.%s: non-positive dim in [%s]" (Op.name op)
+         (String.concat "; " (List.map string_of_int shape)));
+  append g op [] shape
 
-let constant g tensor =
-  append g (Op.Constant { value = lazy tensor }) [] (Tensor.shape tensor)
-
-let constant_lazy g shape value = append g (Op.Constant { value }) [] shape
+let input g shape = leaf g Op.Input shape
+let constant g tensor = leaf g (Op.Constant { value = lazy tensor }) (Tensor.shape tensor)
+let constant_lazy g shape value = leaf g (Op.Constant { value }) shape
 
 let constant_rand g ?(seed = 0) shape =
   let seed = seed + (Hashtbl.hash shape * 7919) in
-  append g (Op.Constant { value = lazy (Tensor.rand ~seed shape) }) [] shape
+  leaf g (Op.Constant { value = lazy (Tensor.rand ~seed shape) }) shape
 
 let add_op g op inputs =
   let in_shapes = List.map (node_shape g) inputs in

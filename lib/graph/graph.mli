@@ -23,6 +23,9 @@ val get_name : t -> string
 (** {1 Builders} *)
 
 val input : t -> int list -> int
+(** The leaf constructors ([input] and the [constant]s) raise
+    [Invalid_argument "Graph.<op>: ..."] on a non-positive dim. *)
+
 val constant : t -> Hidet_tensor.Tensor.t -> int
 val constant_rand : t -> ?seed:int -> int list -> int
 val constant_lazy : t -> int list -> Hidet_tensor.Tensor.t Lazy.t -> int

@@ -93,6 +93,27 @@ let stride = function
     stride
   | _ -> 1
 
+let kernel op k = if k <= 0 then bad op "kernel %d is not positive" k
+let padding op p = if p < 0 then bad op "padding %d is negative" p
+
+(* The windowed ops' explicit kernel extents and paddings (a conv's kernel
+   comes from its weight's shape). *)
+let check_window op =
+  match op with
+  | Conv2d { pad_h; pad_w; _ } ->
+    padding op pad_h;
+    padding op pad_w
+  | Depthwise_conv2d { padding = p; _ } -> padding op p
+  | Pool2d { kernel = k; padding = p; _ } ->
+    kernel op k;
+    padding op p
+  | Im2col { kh; kw; pad_h; pad_w; _ } ->
+    kernel op kh;
+    kernel op kw;
+    padding op pad_h;
+    padding op pad_w
+  | _ -> ()
+
 let infer op in_shapes =
   match (op, in_shapes) with
   | (Input | Constant _), _ -> bad op "shape is intrinsic, not inferred"
@@ -158,6 +179,7 @@ let infer op in_shapes =
 
 let infer_shape op in_shapes =
   if stride op <= 0 then bad op "stride %d is not positive" (stride op);
+  check_window op;
   let out = infer op in_shapes in
   if List.exists (fun d -> d <= 0) out then
     bad op "non-positive output dim in [%s]"

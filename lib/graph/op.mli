@@ -52,9 +52,9 @@ val name : t -> string
 
 val infer_shape : t -> int list list -> int list
 (** Output shape from input shapes; raises [Invalid_argument "Op <name>:
-    ..."] on arity or shape errors, a non-positive stride, a non-positive
-    output dim, or a rank-0 input to an op that reads the last axis
-    ([bias_add], [layernorm], [softmax]). *)
+    ..."] on arity or shape errors, a non-positive stride or kernel, a
+    negative padding, a non-positive output dim, or a rank-0 input to an
+    op that reads the last axis ([bias_add], [layernorm], [softmax]). *)
 
 (** {1 Fusion classification (paper §4.2)} *)
 

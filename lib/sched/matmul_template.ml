@@ -445,8 +445,8 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
   let v_kstart = Var.fresh "kstart" and v_trips = Var.fresh "trips" in
   let bid = Expr.Block_idx and tid = Expr.Thread_idx in
   (* Block-index decomposition for im/jn, optionally swizzled: neighboring
-     linear block ids then share operand panels (better L2 locality on real
-     hardware; latency-neutral in the simulator, which has no L2 model). *)
+     linear block ids then share operand panels, which the latency model
+     credits as L2 reuse (Traffic.block_reuse). *)
   let im_binding, jn_binding =
     let r = bid %: Expr.int (gm * gn) in
     if not cfg.swizzle then

@@ -528,6 +528,43 @@ let malformed_shape_cases =
           signed "(node 0 (input) (shape 6))";
           signed "(node 1 (reshape -2 -3) (inputs 0) (shape -2 -3))";
         ] );
+      ( "zero pool kernel",
+        Op.Pool2d { kind = Op.Max_pool; kernel = 0; stride = 1; padding = 0 },
+        [ [ 1; 2; 4; 4 ] ],
+        [
+          signed "(node 0 (input) (shape 1 2 4 4))";
+          signed "(node 1 (pool2d max 0 1 0) (inputs 0) (shape 1 2 5 5))";
+        ] );
+      ( "negative pool padding",
+        Op.Pool2d { kind = Op.Max_pool; kernel = 2; stride = 1; padding = -1 },
+        [ [ 1; 2; 4; 4 ] ],
+        [
+          signed "(node 0 (input) (shape 1 2 4 4))";
+          signed "(node 1 (pool2d max 2 1 -1) (inputs 0) (shape 1 2 1 1))";
+        ] );
+      ( "negative conv padding",
+        Op.Conv2d { stride = 1; pad_h = -1; pad_w = 0 },
+        [ [ 1; 3; 4; 4 ]; [ 3; 3; 1; 1 ] ],
+        [
+          signed "(node 0 (input) (shape 1 3 4 4))";
+          signed "(node 1 (constant random) (shape 3 3 1 1))";
+          signed "(node 2 (conv2d 1 -1 0) (inputs 0 1) (shape 1 3 2 4))";
+        ] );
+      ( "negative depthwise padding",
+        Op.Depthwise_conv2d { stride = 1; padding = -1 },
+        [ [ 1; 3; 6; 6 ]; [ 3; 1; 3; 3 ] ],
+        [
+          signed "(node 0 (input) (shape 1 3 6 6))";
+          signed "(node 1 (constant random) (shape 3 1 3 3))";
+          signed "(node 2 (dwconv2d 1 -1) (inputs 0 1) (shape 1 3 2 2))";
+        ] );
+      ( "negative im2col padding",
+        Op.Im2col { kh = 1; kw = 1; stride = 1; pad_h = -1; pad_w = 0 },
+        [ [ 1; 3; 4; 4 ] ],
+        [
+          signed "(node 0 (input) (shape 1 3 4 4))";
+          signed "(node 1 (im2col 1 1 1 -1 0) (inputs 0) (shape 1 3 8))";
+        ] );
       ("rank-0 bias_add", Op.Bias_add, [ []; [ 4 ] ], rank0 "bias_add" "");
       ( "rank-0 softmax",
         Op.Softmax,
@@ -560,6 +597,23 @@ let malformed_shape_cases =
                   ((signed "(graph \"x\")" :: nodes)
                   @ [ signed (Printf.sprintf "(outputs %d)" (last - 2)) ])))))
     cases
+  @ [
+      (* A leaf's shape is not inferred: the error names the leaf's own
+         line, not its consumer's. *)
+      Alcotest.test_case "non-positive input dim" `Quick (fun () ->
+          Alcotest.check_raises "Graph.input"
+            (Invalid_argument "Graph.input: non-positive dim in [0; 3]")
+            (fun () -> ignore (G.input (G.create ()) [ 0; 3 ]));
+          Alcotest.(check (option int)) "HGF line" (Some 2)
+            (failing_line
+               (hgf
+                  [
+                    signed "(graph \"x\")";
+                    signed "(node 0 (input) (shape 0 3))";
+                    signed "(node 1 (relu) (inputs 0) (shape 0 3))";
+                    signed "(outputs 1)";
+                  ])));
+    ]
 
 (* The HGF text of every zoo and tiny model, built on first use. *)
 let hgf_texts =
