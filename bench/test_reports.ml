@@ -82,9 +82,16 @@ let cases =
     (* pytorch given hidet's graph optimization *)
     ( Paper.table1,
       [ (perturbed, [ K "engines"; I 0; K "graph_opt" ], Json.Str "ooo", "only hidet combines") ] );
-    (* layer 19's AutoTVM space shrunk below 100x Hidet's *)
     ( Paper.fig7,
-      [ (perturbed, [ K "layers"; I 18; K "autotvm_space" ], Json.Num 40000., ">= 100x below") ] );
+      [
+        (* layer 19's AutoTVM space shrunk below 100x Hidet's *)
+        (perturbed, [ K "layers"; I 18; K "autotvm_space" ], Json.Num 40000., ">= 100x below");
+        (* layer 2's space one config off the other split-k class 2 layers' *)
+        ( "a layer's space off its split-k class fails its gate",
+          [ K "layers"; I 1; K "hidet_space" ],
+          Json.Num 601.,
+          "every split-k class 2 layer" );
+      ] );
     ( Paper.fig13,
       [
         ( perturbed,

@@ -107,22 +107,28 @@ let options_sig options =
     (if options.deterministic_reduce then "_det" else "")
 
 (* The restricted matmul space of each (split-k class, options signature),
-   filtered once per process: it depends on the shape only through the
-   class. *)
-let restricted : (int * string, MT.config list) Hashtbl.t = Hashtbl.create 8
+   filtered once per process (it depends on the shape only through the
+   class), with the terms of its floors. *)
+let restricted : (int * string, MT.config list * MT.terms) Hashtbl.t =
+  Hashtbl.create 8
+
 let restricted_lock = Mutex.create ()
 
-let matmul_space options ~m ~n =
+let restricted_space options ~m ~n =
   let key = (Hidet_sched.Space.split_k_class ~m ~n, options_sig options) in
   Mutex.protect restricted_lock (fun () ->
       match Hashtbl.find_opt restricted key with
       | Some space -> space
       | None ->
-        let space =
+        let configs =
           restrict_space options (Hidet_sched.Space.matmul_with_split_k ~m ~n)
         in
+        let space = (configs, MT.terms (Array.of_list configs)) in
         Hashtbl.add restricted key space;
         space)
+
+let matmul_space options ~m ~n =
+  fst (restricted_space options ~m ~n)
 
 (* Deterministic mode pins the row/reduction templates to one block size:
    the combine-tree shape then depends only on the row length, never on
@@ -148,14 +154,15 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
     Printf.sprintf "matmul_%d_%b_%b_%d_%d_%d_%s" batch a_batched b_batched m n
       k (options_sig options)
   in
-  let space = matmul_space options ~m ~n in
+  let space, terms = restricted_space options ~m ~n in
   let compile cfg = MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg in
   (* Branch-and-bound under the floor of the compile's latency model; the
      row and reduction spaces (a handful of block sizes) are measured
      whole. *)
   let lower_bound =
     match options.fidelity with
-    | `Analytic -> MT.lower_bound device ~batch ~a_batched ~b_batched ~m ~n ~k
+    | `Analytic ->
+      MT.lower_bound ~batch ~a_batched ~b_batched ~terms device ~m ~n ~k
     | `Cycle -> Tuner.cycle_lower_bound device ~compile
   in
   let compiled =

@@ -53,6 +53,12 @@ val compile_plan :
     process — perform zero fresh trials and report the avoided cost as
     [result.cached_tuning_cost]. *)
 
+val matmul_space :
+  options -> m:int -> n:int -> Hidet_sched.Matmul_template.config list
+(** The candidates {!compile_plan} tunes a matmul with an [m x n] output
+    over under [options]: {!Hidet_sched.Space.matmul_with_split_k} without
+    the configs the options rule out. *)
+
 val group_config :
   ?options:options -> Hidet_gpu.Device.t -> Hidet_runtime.Group_compiler.config
 (** The anchor scheduler and fusion predicates that {!compile_plan} hands

@@ -48,7 +48,7 @@ let blocks_per_sm_limit (d : Device.t) ~block_dim ~smem ~regs =
     if bps <= 0 then Error "zero resident blocks per SM" else Ok bps
   end
 
-(* Model constants shared by [kernel] and [lower_bound]. *)
+(* Model constants shared by [kernel] and [lower_bounds]. *)
 
 (* Sublinear saturation: latency hiding degrades gracefully below the
    saturation point rather than proportionally. *)
@@ -138,22 +138,42 @@ let reuse_window (d : Device.t) ~grid_dim ~blocks_per_sm =
 let waves (d : Device.t) ~grid_dim ~blocks_per_sm =
   ceil_div grid_dim (d.num_sms * blocks_per_sm)
 
-(* [model]'s result: all floats, so it is one flat block. [busy] is the
-   waves' time, [latency] adds the launch to it. *)
+(* [model]'s result: [busy] is the waves' time, [latency] adds the launch
+   to it. [model] writes it into a record its caller owns, so the floors'
+   loop reuses one record for a whole space. *)
 type terms = {
-  latency : float;
-  busy : float;
-  mem_time : float;
-  compute_time : float;
+  mutable latency : float;
+  mutable busy : float;
+  mutable mem_time : float;
+  mutable compute_time : float;
 }
 
+let terms () = { latency = 0.; busy = 0.; mem_time = 0.; compute_time = 0. }
+
+(* What [model] reads of the device alone, computed once by its caller:
+   one SM's peak CUDA-core and tensor-core FLOP rates and the most DRAM
+   bandwidth one block may pull. *)
+type rates = { sm_fp32 : float; sm_tensor : float; sm_bandwidth : float }
+
+let rates (d : Device.t) =
+  {
+    sm_fp32 = Device.fp32_flops d /. float_of_int d.num_sms;
+    sm_tensor = Device.tensor_flops d /. float_of_int d.num_sms;
+    sm_bandwidth =
+      per_sm_bandwidth_cap *. d.mem_bandwidth /. float_of_int d.num_sms;
+  }
+
 (* The estimate of a launch of [grid_dim] blocks of [block_dim] threads,
-   [blocks_per_sm] of them resident per SM, from the per-thread counts [c]
-   and the L2 block [reuse] over the {!reuse_window}'s consecutively
-   launched blocks. [kernel] passes the kernel's own, [lower_bound]
-   floors. *)
-let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
-    ~stages (c : Traffic.counts) ~reuse =
+   [blocks_per_sm] of them resident per SM, from the per-thread counts and
+   the L2 block [reuse] over the {!reuse_window}'s consecutively launched
+   blocks, written into [out]. [kernel] passes the kernel's own counts,
+   [lower_bounds] floors. It is inlined into both (the dev profile's
+   [-opaque] stops inlining at the module's edge), so its float arguments
+   are never boxed. *)
+let[@inline] model (d : Device.t) (r : rates) ~grid_dim
+    ~block_dim ~warps_per_block ~blocks_per_sm ~stages ~global_load_bytes
+    ~global_store_bytes ~global_ld_transactions ~shared_bytes ~flops
+    ~mma_flops ~syncs ~reuse (out : terms) =
   let concurrent = d.num_sms * blocks_per_sm in
   let active_blocks = Int.min grid_dim concurrent in
   let waves = waves d ~grid_dim ~blocks_per_sm in
@@ -163,18 +183,17 @@ let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
   (* Per-block memory traffic: weight raw bytes by the transaction factor
      so strided access pays for wasted cache-line sectors. *)
   let ld_eff =
-    if c.global_load_bytes > 0. then
-      c.global_ld_transactions *. 4. /. c.global_load_bytes
+    if global_load_bytes > 0. then
+      global_ld_transactions *. 4. /. global_load_bytes
     else 1.
   in
   (* L2 locality: load traffic shared by a window of consecutively
      launched blocks (bounded by what is actually co-resident) is fetched
      from DRAM once, not once per block. Swizzled launch orders shrink
      the window's union working set and show up here. *)
-  let l2_reuse = if c.global_load_bytes > 0. then reuse else 1. in
+  let l2_reuse = if global_load_bytes > 0. then reuse else 1. in
   let bytes_block =
-    ((c.global_load_bytes *. fmax 1. ld_eff /. l2_reuse)
-    +. c.global_store_bytes)
+    ((global_load_bytes *. fmax 1. ld_eff /. l2_reuse) +. global_store_bytes)
     *. float_of_int block_dim
   in
   (* Bandwidth share per block, capped by what one SM's LSUs can pull and
@@ -182,40 +201,41 @@ let model (d : Device.t) ~grid_dim ~block_dim ~warps_per_block ~blocks_per_sm
   let bw_per_block =
     fmin
       (d.mem_bandwidth /. float_of_int active_blocks)
-      (per_sm_bandwidth_cap *. d.mem_bandwidth /. float_of_int d.num_sms)
+      r.sm_bandwidth
     *. sat.mem.(resident_threads)
   in
   let mem_time = bytes_block /. bw_per_block in
   (* Compute: peak per SM shared among co-resident blocks, degraded when
      the SM has too few threads to saturate issue ports. *)
   let cuda_per_block =
-    Device.fp32_flops d /. float_of_int d.num_sms
-    /. float_of_int blocks_on_sm *. sat.comp.(resident_threads)
+    r.sm_fp32 /. float_of_int blocks_on_sm *. sat.comp.(resident_threads)
   in
   let tensor_saturation =
     fmin 1. (float_of_int (warps_per_block * blocks_on_sm) /. 8.)
   in
   let tensor_per_block =
-    Device.tensor_flops d /. float_of_int d.num_sms
-    /. float_of_int blocks_on_sm *. tensor_saturation
+    r.sm_tensor /. float_of_int blocks_on_sm *. tensor_saturation
   in
   let shared_per_block =
     d.shared_bandwidth_per_sm /. float_of_int blocks_on_sm
   in
-  let flops_block = c.flops *. float_of_int block_dim in
-  let mma_block = c.mma_flops *. float_of_int warps_per_block in
-  let shared_block = c.shared_bytes *. float_of_int block_dim in
+  let flops_block = flops *. float_of_int block_dim in
+  let mma_block = mma_flops *. float_of_int warps_per_block in
+  let shared_block = shared_bytes *. float_of_int block_dim in
   let compute_time =
     (flops_block /. cuda_per_block)
     +. (mma_block /. fmax tensor_per_block 1.)
     +. (shared_block /. shared_per_block)
   in
-  let sync_time = c.syncs *. d.sync_latency in
+  let sync_time = syncs *. d.sync_latency in
   let block_time =
     overlap ~stages ~mem:mem_time ~compute:compute_time +. sync_time
   in
   let busy = float_of_int waves *. block_time in
-  { latency = d.kernel_launch_overhead +. busy; busy; mem_time; compute_time }
+  out.latency <- d.kernel_launch_overhead +. busy;
+  out.busy <- busy;
+  out.mem_time <- mem_time;
+  out.compute_time <- compute_time
 
 let kernel (d : Device.t) (k : Kernel.t) =
   match occupancy_limits d k with
@@ -226,11 +246,14 @@ let kernel (d : Device.t) (k : Kernel.t) =
     let t =
       Traffic.analyze ~window:(reuse_window d ~grid_dim ~blocks_per_sm) k
     in
-    let m =
-      model d ~grid_dim ~block_dim
-        ~warps_per_block:(Kernel.num_warps_per_block k) ~blocks_per_sm
-        ~stages t.counts ~reuse:t.reuse
-    in
+    let c = t.counts and m = terms () in
+    model d (rates d) ~grid_dim ~block_dim
+      ~warps_per_block:(Kernel.num_warps_per_block k) ~blocks_per_sm ~stages
+      ~global_load_bytes:c.global_load_bytes
+      ~global_store_bytes:c.global_store_bytes
+      ~global_ld_transactions:c.global_ld_transactions
+      ~shared_bytes:c.shared_bytes ~flops:c.flops ~mma_flops:c.mma_flops
+      ~syncs:c.syncs ~reuse:t.reuse m;
     {
       latency = m.latency;
       mem_time = m.mem_time;
@@ -251,7 +274,8 @@ let kernel (d : Device.t) (k : Kernel.t) =
          else "compute-bound");
     }
 
-(* --- a lower bound from the launch footprint and per-thread floors -------------
+(* --- floors of a space of launches, from their footprints and per-thread
+   floors -------------------------------------------------------------------
 
    [model] on floors: with the exact registers the occupancy, hence the
    resident blocks, waves, active blocks, [blocks_on_sm] and both
@@ -260,23 +284,57 @@ let kernel (d : Device.t) (k : Kernel.t) =
    evaluates the same expressions in the same order, and rounding is
    monotone in each operand, so the floor stays at or below the latency in
    floating point, not only in the reals:
-   - coalescing never makes a load cheaper than its bytes
-     ([fmax 1. ld_eff >= 1], and a floor's [ld_eff] is at most 1);
-   - a floor's tensor-core FLOPs are at most the kernel's, and their term
-     only adds;
+   - coalescing never makes a load cheaper than its bytes (a floor's
+     [ld_eff] is 1, and [kernel]'s [fmax 1. ld_eff >= 1]);
+   - a floor has no tensor-core FLOPs, and their term only adds;
    - the pipeline residue shrinks with depth, and the effective depth is at
      most the declared one. *)
 
-let lower_bound (d : Device.t) ~grid ~block_dim ~smem ~regs ~stages ~reuse
-    counts =
-  match blocks_per_sm_limit d ~block_dim ~smem ~regs with
-  | Error _ -> infinity
-  | Ok blocks_per_sm ->
-    (model d ~grid_dim:grid ~block_dim
-       ~warps_per_block:(ceil_div block_dim 32)
-       ~blocks_per_sm ~stages counts
-       ~reuse:(reuse (reuse_window d ~grid_dim:grid ~blocks_per_sm)))
-      .latency
+type launch = {
+  mutable grid : int;
+  mutable block_dim : int;
+  mutable blocks_per_sm : int;
+  mutable stages : int;
+}
+
+type work = {
+  mutable reuse : float;
+  mutable load_bytes : float;
+  mutable store_bytes : float;
+  mutable shared_bytes : float;
+  mutable flops : float;
+  mutable syncs : float;
+}
+
+let lower_bounds (d : Device.t) n fill =
+  let r = rates d and out = terms () in
+  let l = { grid = 0; block_dim = 0; blocks_per_sm = 0; stages = 0 } in
+  let w =
+    {
+      reuse = 1.;
+      load_bytes = 0.;
+      store_bytes = 0.;
+      shared_bytes = 0.;
+      flops = 0.;
+      syncs = 0.;
+    }
+  in
+  let floors = Array.create_float n in
+  for i = 0 to n - 1 do
+    fill i l w;
+    if l.blocks_per_sm <= 0 then floors.(i) <- infinity
+    else begin
+      model d r ~grid_dim:l.grid ~block_dim:l.block_dim
+        ~warps_per_block:(ceil_div l.block_dim 32)
+        ~blocks_per_sm:l.blocks_per_sm ~stages:l.stages
+        ~global_load_bytes:w.load_bytes ~global_store_bytes:w.store_bytes
+        ~global_ld_transactions:(w.load_bytes /. 4.)
+        ~shared_bytes:w.shared_bytes ~flops:w.flops ~mma_flops:0.
+        ~syncs:w.syncs ~reuse:w.reuse out;
+      floors.(i) <- out.latency
+    end
+  done;
+  floors
 
 (* --- fidelity ---------------------------------------------------------------
 

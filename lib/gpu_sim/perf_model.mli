@@ -80,36 +80,52 @@ val comp_saturation : Device.t -> int -> float
     [sat_curve (r / saturation_threads_per_sm)], for [r] in
     [0 .. max_threads_per_sm]. *)
 
-val lower_bound :
-  Device.t ->
-  grid:int ->
-  block_dim:int ->
-  smem:int ->
-  regs:int ->
-  stages:int ->
-  reuse:(int -> float) ->
-  Traffic.counts ->
-  float
-(** [lower_bound d ~grid ~block_dim ~smem ~regs ~stages ~reuse counts] is a
-    floor on {!kernel}'s latency for every kernel with this launch shape and
-    footprint ([grid], [block_dim], [smem] shared bytes per block, [regs]
-    registers per thread as {!Hidet_ir.Kernel.regs_per_thread} counts them,
-    [stages] declared pipeline depth) whose {!Traffic.kernel} counts are at
-    least [counts], field by field, with exactly [counts.syncs] barriers per
-    block and [counts.global_ld_transactions] at most
-    [counts.global_load_bytes / 4] (no coalescing credit). [reuse w] must be
-    at least the kernel's {!Traffic.block_reuse} at [~window:w]; it is asked
-    once, at the {!reuse_window}.
+type launch = {
+  mutable grid : int;
+  mutable block_dim : int;
+  mutable blocks_per_sm : int;
+      (** {!blocks_per_sm_limit} of the footprint, or [0] where it is an
+          [Error] *)
+  mutable stages : int;  (** declared pipeline depth *)
+}
+(** A launch's shape, as {!lower_bounds} asks for it. *)
 
-    Computed from those numbers alone, with no kernel; [infinity] when the
-    footprint admits no resident block. It runs {!kernel}'s model on them:
-    with the exact footprint the occupancy, waves and saturations are
-    {!kernel}'s own, every other input is on the safe side, and rounding is
-    monotone in each operand, so the floor never exceeds the latency in
-    floating point. Beyond the [reuse] call, a floor allocates the
-    occupancy's [Ok], the model's flat float result, the boxed
-    {!Device.fp32_flops} and {!Device.tensor_flops} and the boxed
-    result. *)
+type work = {
+  mutable reuse : float;
+      (** at least the kernel's {!Traffic.block_reuse} at the
+          {!reuse_window} of the launch *)
+  mutable load_bytes : float;
+  mutable store_bytes : float;
+  mutable shared_bytes : float;
+  mutable flops : float;
+  mutable syncs : float;
+}
+(** Floors on a launch's per-thread {!Traffic.counts}, and its reuse. All
+    floats, so writing a field allocates nothing. *)
+
+val lower_bounds :
+  Device.t -> int -> (int -> launch -> work -> unit) -> float array
+(** [lower_bounds d n fill] is, at each index [i < n], a floor on
+    {!kernel}'s latency for every kernel with the launch and the floors
+    [fill i l w] writes into [l] and [w]: launched as [l.grid] blocks of
+    [l.block_dim] threads with [l.blocks_per_sm] resident blocks per SM
+    (its exact footprint's: shared bytes and registers as
+    {!Hidet_ir.Kernel.regs_per_thread} counts them) and [l.stages]
+    declared stages, whose {!Traffic.kernel} counts are at least [w]'s
+    (global load, store and shared bytes, FLOPs), with exactly [w.syncs]
+    barriers per block, any coalescing and any tensor-core FLOPs, and
+    whose L2 reuse is at most [w.reuse]. [infinity] where [fill] leaves
+    [l.blocks_per_sm = 0], and then no other field is read. [fill] is
+    called once per index, in order, with the same two records each
+    time, and writes [l.blocks_per_sm] and, where it is positive, every
+    other field.
+
+    It runs {!kernel}'s model on those numbers, with no kernel: with the
+    exact footprint the occupancy, waves and saturations are {!kernel}'s
+    own, every other input is on the safe side (no coalescing credit, no
+    tensor-core term), and rounding is monotone in each operand, so the
+    floor never exceeds the latency in floating point. The loop allocates
+    the result array and nothing per index. *)
 
 (** {1 Fidelity modes}
 

@@ -193,68 +193,8 @@ let closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg =
       1. (layouts a_batched)
     *. (1. +. reuse_margin)
 
-(* Int-keyed tables: the multiply spreads every key bit into the high
-   half, and the shift folds it into the low bits [Hashtbl] indexes by. *)
-module Int_table = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash key =
-    let h = key * 0x9e3779b97f4a7c1 in
-    h lxor (h lsr 32)
-end)
-
-(* A config as one int, or -1 when a field does not fit its bits (tiles
-   below 256, up to 7 stages, split-k below 32). *)
-let config_id cfg =
-  if (cfg.block_m lor cfg.block_n lor cfg.block_k lor cfg.warp_m lor cfg.warp_n)
-     lsr 8 <> 0
-     || cfg.stages lsr 3 <> 0 || cfg.split_k lsr 5 <> 0
-  then -1
-  else
-    let id = (cfg.block_m lsl 8) lor cfg.block_n in
-    let id = (id lsl 8) lor cfg.block_k in
-    let id = (id lsl 8) lor cfg.warp_m in
-    let id = (id lsl 8) lor cfg.warp_n in
-    let id = (id lsl 3) lor cfg.stages in
-    let id = (id lsl 5) lor cfg.split_k in
-    let id = (id lsl 1) lor Bool.to_int cfg.use_tensor_core in
-    (id lsl 1) lor Bool.to_int cfg.swizzle
-
-(* The [config_id] of what [closed_form_reuse] reads of a config: without
-   split-k every block starts at k-tile 0, so [block_k] is left out too. *)
-let reuse_id cfg =
-  config_id
-    {
-      cfg with
-      block_k = (if cfg.split_k = 1 then 0 else cfg.block_k);
-      warp_m = 0;
-      warp_n = 0;
-      stages = 0;
-      use_tensor_core = false;
-    }
-
-(* [block_reuse] given the config's [reuse_id], memoised on it and the
-   window ([config_id]s take 50 bits, so a window below 4096 fits). *)
-let reuse_memo ~batch ~a_batched ~b_batched ~m ~n ~k =
-  let reuses = Int_table.create 64 in
-  fun cfg id ~window ->
-    let key =
-      if id < 0 || window lsr 12 <> 0 then -1 else (id lsl 12) lor window
-    in
-    match Int_table.find reuses key with
-    | v -> v
-    | exception Not_found ->
-      let v =
-        closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg
-      in
-      if key >= 0 then Int_table.add reuses key v;
-      v
-
-let block_reuse ?(batch = 1) ?a_batched ?b_batched ~m ~n ~k =
-  let reuse = reuse_memo ~batch ~a_batched ~b_batched ~m ~n ~k in
-  fun cfg ~window -> reuse cfg (reuse_id cfg) ~window
+let block_reuse ?(batch = 1) ?a_batched ?b_batched ~m ~n ~k cfg ~window =
+  closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k ~window cfg
 
 (* The split-k reduce kernel, C[b,i,j] = sum_z Cp[z,b,i,j]: it depends on
    (batch, m, n, split_k) alone. *)
@@ -286,9 +226,9 @@ let splitk_reduce ~name ~batch ~m ~n ~split_k cp c_buf =
     ~grid_dim:(ceil_div total rb) ~block_dim:rb (Simplify.stmt reduce_body)
 
 let reduce_latency d ~batch ~m ~n =
-  let latencies = Int_table.create 4 in
+  let latencies = Hashtbl.create 4 in
   fun split_k ->
-    match Int_table.find latencies split_k with
+    match Hashtbl.find latencies split_k with
     | latency -> latency
     | exception Not_found ->
       let cp = Buffer.create "Cp" [ split_k; batch; m; n ] in
@@ -298,61 +238,114 @@ let reduce_latency d ~batch ~m ~n =
            (splitk_reduce ~name:"splitk_reduce" ~batch ~m ~n ~split_k cp c))
           .latency
       in
-      Int_table.add latencies split_k latency;
+      Hashtbl.add latencies split_k latency;
       latency
 
-(* The terms of a config's floor that depend on neither the shape nor
-   the device: [compile]'s block size, registers, shared bytes and
-   stores per thread, and per k-tile the words each thread stages through
-   shared memory, its fragment reads and its FMAs. *)
-type footprint = {
-  threads : int;
-  regs : int;
-  smem : int;
-  stores : int;
-  staged : int;
-  fragments : int;
-  fmas : int;
-  reuse_id : int;
+(* The terms of a space's floors that depend on the configs alone, an array
+   each: whether [check] accepts the config, [compile]'s block size,
+   registers, shared bytes and stores per thread, per k-tile the words
+   each thread stages through shared memory, its fragment reads and its
+   FMAs (0 for a config [check] refuses), and its reuse group; and, per
+   device, the resident blocks (0 where the footprint admits none).
+   Configs of one reuse group agree on all [closed_form_reuse] reads: the
+   block tile, split-k, swizzle and, with split-k, [block_k] (without it
+   every block starts at k-tile 0). *)
+type terms = {
+  configs : config array;
+  checked : bool array;
+  threads : int array;
+  regs : int array;
+  smem : int array;
+  stores : float array;
+  staged : int array;
+  fragments : int array;
+  fmas : int array;
+  reuse_groups : int array;
+  groups : int;
+  occupancy : (Hidet_gpu.Device.t * int array) list Atomic.t;
 }
 
-(* [None] for a config [check] refuses. *)
-let footprint_of cfg =
-  match check cfg with
-  | Error _ -> None
-  | Ok () ->
-    let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
-    let bd = block_dim cfg in
-    let tm = if cfg.use_tensor_core then 0 else cfg.warp_m / 4 in
-    let tn = if cfg.use_tensor_core then 0 else cfg.warp_n / 8 in
-    Some
-      {
-        threads = bd;
-        regs = regs_per_thread cfg;
-        smem = 4 * cfg.stages * (bm + bn) * bk;
-        stores = bm * bn / bd;
-        staged = (bm * bk / bd) + (bk * bn / bd);
-        fragments = bk * (tm + tn);
-        fmas = bk * tm * tn;
-        reuse_id = reuse_id cfg;
-      }
+let terms configs =
+  let len = Array.length configs in
+  let groups = Hashtbl.create 64 in
+  let group cfg =
+    let key =
+      ( cfg.block_m,
+        cfg.block_n,
+        (if cfg.split_k = 1 then 0 else cfg.block_k),
+        cfg.split_k,
+        cfg.swizzle )
+    in
+    match Hashtbl.find_opt groups key with
+    | Some g -> g
+    | None ->
+      let g = Hashtbl.length groups in
+      Hashtbl.add groups key g;
+      g
+  in
+  let reuse_groups = Array.map group configs in
+  let t =
+    {
+      configs;
+      checked = Array.make len false;
+      threads = Array.make len 0;
+      regs = Array.make len 0;
+      smem = Array.make len 0;
+      stores = Array.make len 0.;
+      staged = Array.make len 0;
+      fragments = Array.make len 0;
+      fmas = Array.make len 0;
+      reuse_groups;
+      groups = Hashtbl.length groups;
+      occupancy = Atomic.make [];
+    }
+  in
+  Array.iteri
+    (fun i cfg ->
+      if Result.is_ok (check cfg) then begin
+        let bm, bn, bk = (cfg.block_m, cfg.block_n, cfg.block_k) in
+        let bd = block_dim cfg in
+        let tm = if cfg.use_tensor_core then 0 else cfg.warp_m / 4 in
+        let tn = if cfg.use_tensor_core then 0 else cfg.warp_n / 8 in
+        t.checked.(i) <- true;
+        t.threads.(i) <- bd;
+        t.regs.(i) <- regs_per_thread cfg;
+        t.smem.(i) <- 4 * cfg.stages * (bm + bn) * bk;
+        t.stores.(i) <- 4. *. float_of_int (bm * bn / bd);
+        t.staged.(i) <- (bm * bk / bd) + (bk * bn / bd);
+        t.fragments.(i) <- bk * (tm + tn);
+        t.fmas.(i) <- bk * tm * tn
+      end)
+    configs;
+  t
 
-(* The keys of a cold compile floor the same few spaces, so each domain
-   keeps the footprints it has computed, keyed on [config_id]: a table per
-   domain needs no lock. *)
-let footprints = Domain.DLS.new_key (fun () -> Int_table.create 1024)
+(* The resident blocks of each config on [d], computed once per device and
+   published through an [Atomic] (a domain that loses the race to publish
+   looks again). *)
+let rec occupancy t (d : Hidet_gpu.Device.t) =
+  let known = Atomic.get t.occupancy in
+  match List.assoc_opt d known with
+  | Some blocks -> blocks
+  | None ->
+    let blocks =
+      Array.mapi
+        (fun i block_dim ->
+          match
+            Hidet_gpu.Perf_model.blocks_per_sm_limit d ~block_dim
+              ~smem:t.smem.(i) ~regs:t.regs.(i)
+          with
+          | Ok blocks -> blocks
+          | Error _ -> 0)
+        t.threads
+    in
+    if Atomic.compare_and_set t.occupancy known ((d, blocks) :: known) then
+      blocks
+    else occupancy t d
 
-let footprint cfg =
-  let id = config_id cfg in
-  if id < 0 then footprint_of cfg
-  else
-    let table = Domain.DLS.get footprints in
-    match Int_table.find table id with
-    | fp -> fp
-    | exception Not_found ->
-      let fp = footprint_of cfg in
-      Int_table.add table id fp;
-      fp
+(* [configs] holds [t]'s configs, the same values in the same order. *)
+let same_configs t configs =
+  Array.length configs = Array.length t.configs
+  && Array.for_all2 ( == ) configs t.configs
 
 (* Per-thread floors of what [compile] below emits: block 0 runs [trips]
    k-tiles (the pipeline's preloaded tiles are left out), staging its
@@ -360,36 +353,63 @@ let footprint cfg =
    then reads [tm + tn] fragment words per kk and issues [tm * tn] FMAs
    (the tensor-core MMAs are left out); the writeback stores its share of
    the block tile once. The barriers, registers and L2 reuse are exact. *)
-let lower_bound ?(batch = 1) ?a_batched ?b_batched (d : Hidet_gpu.Device.t) ~m
-    ~n ~k =
+let lower_bound ?(batch = 1) ?a_batched ?b_batched ?terms:given
+    (d : Hidet_gpu.Device.t) ~m ~n ~k configs =
+  let t =
+    match given with
+    | None -> terms configs
+    | Some t when same_configs t configs -> t
+    | Some _ -> invalid_arg "Matmul_template.lower_bound: terms of other configs"
+  in
+  let blocks_per_sm = occupancy t d in
+  (* Each reuse group's reuse, at the window it was last computed at (0:
+     not yet). The window is the group's grid's, capped at the device's
+     reuse window, unless an SM count times the resident blocks is
+     smaller, which no device model has: so each group's closed form runs
+     once per call. *)
+  let windows = Array.make t.groups 0 and group_reuse = Array.make t.groups 1. in
+  let floors =
+    Hidet_gpu.Perf_model.lower_bounds d (Array.length configs)
+      (fun i (l : Hidet_gpu.Perf_model.launch) w ->
+        (* 0 for a config [check] refuses: it has no threads *)
+        l.blocks_per_sm <- blocks_per_sm.(i);
+        if l.blocks_per_sm > 0 then begin
+          let cfg = configs.(i) in
+          let trips = trips ~k cfg in
+          let f = float_of_int in
+          let staged = f (trips * t.staged.(i)) in
+          let grid =
+            batch * cfg.split_k * ceil_div m cfg.block_m
+            * ceil_div n cfg.block_n
+          in
+          let window =
+            Hidet_gpu.Perf_model.reuse_window d ~grid_dim:grid
+              ~blocks_per_sm:l.blocks_per_sm
+          and g = t.reuse_groups.(i) in
+          if windows.(g) <> window then begin
+            windows.(g) <- window;
+            group_reuse.(g) <-
+              closed_form_reuse ~batch ~a_batched ~b_batched ~m ~n ~k
+                ~window cfg
+          end;
+          l.grid <- grid;
+          l.block_dim <- t.threads.(i);
+          l.stages <- cfg.stages;
+          w.reuse <- group_reuse.(g);
+          w.load_bytes <- 4. *. staged;
+          w.store_bytes <- t.stores.(i);
+          w.shared_bytes <- 4. *. (staged +. f (trips * t.fragments.(i)));
+          w.flops <- 2. *. f (trips * t.fmas.(i));
+          w.syncs <- f (barriers ~stages:cfg.stages trips)
+        end)
+  in
   let reduce_latency = reduce_latency d ~batch ~m ~n in
-  let reuse = reuse_memo ~batch ~a_batched ~b_batched ~m ~n ~k in
-  fun cfg ->
-    match footprint cfg with
-    | None -> 0. (* [compile] rejects it: never skip it *)
-    | Some fp ->
-      let trips = trips ~k cfg in
-      let f = float_of_int in
-      let staged = f (trips * fp.staged) in
-      let load_bytes = 4. *. staged in
-      let grid =
-        batch * cfg.split_k * ceil_div m cfg.block_m * ceil_div n cfg.block_n
-      in
-      let main =
-        Hidet_gpu.Perf_model.lower_bound d ~grid ~block_dim:fp.threads
-          ~smem:fp.smem ~regs:fp.regs ~stages:cfg.stages
-          ~reuse:(fun window -> reuse cfg fp.reuse_id ~window)
-          {
-            Hidet_gpu.Traffic.global_load_bytes = load_bytes;
-            global_store_bytes = 4. *. f fp.stores;
-            global_ld_transactions = load_bytes /. 4.;
-            shared_bytes = 4. *. (staged +. f (trips * fp.fragments));
-            flops = 2. *. f (trips * fp.fmas);
-            mma_flops = 0.;
-            syncs = f (barriers ~stages:cfg.stages trips);
-          }
-      in
-      if cfg.split_k > 1 then main +. reduce_latency cfg.split_k else main
+  for i = 0 to Array.length configs - 1 do
+    let split_k = configs.(i).split_k in
+    if not t.checked.(i) then floors.(i) <- 0. (* [compile] rejects it: never skip it *)
+    else if split_k > 1 then floors.(i) <- floors.(i) +. reduce_latency split_k
+  done;
+  floors
 
 let lets bindings body =
   List.fold_right (fun (v, e) acc -> Stmt.let_ v e acc) bindings body

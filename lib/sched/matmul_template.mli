@@ -105,15 +105,10 @@ val block_reuse :
     order (row-major, panelized swizzle or column-major), give the reuse.
     It is raised by a relative [5e-13], so it is never below [Traffic]'s
     value and within [1e-12] of it. An operand layout left out takes the
-    larger reuse of its two layouts, so the result bounds both.
-
-    Partially applied up to [~k] with every optional argument given, it
-    computes each (block tile, split-k, swizzle, window) once, with
-    [block_k] left out of the key when [split_k = 1] (every block then
-    starts at k-tile 0); call the closure from one domain. {!lower_bound}
-    looks the memo up once per candidate, so the key is those fields
-    packed into one int (a config or window too large to pack is not
-    memoised). *)
+    larger reuse of its two layouts, so the result bounds both. It reads
+    the block tile, [split_k], [swizzle] and, when [split_k > 1],
+    [block_k] of the config (with [split_k = 1] every block starts at
+    k-tile 0). *)
 
 val reduce_latency :
   Hidet_gpu.Device.t -> batch:int -> m:int -> n:int -> int -> float
@@ -124,37 +119,48 @@ val reduce_latency :
     estimates each split-k factor once; call the closure from one
     domain. *)
 
+type terms
+(** The terms of the floors of a config array that depend on the configs
+    alone ([check], {!block_dim}, {!regs_per_thread}, the shared bytes,
+    the stores and the per-k-tile words staged, read and multiplied per
+    thread, and which configs share a {!block_reuse}), and per device the
+    resident blocks of each config, computed by the first {!lower_bound}
+    on that device. Built once per space, a [terms] serves every shape
+    and device that space is floored for, from any domain. *)
+
+val terms : config array -> terms
+
 val lower_bound :
   ?batch:int ->
   ?a_batched:bool ->
   ?b_batched:bool ->
+  ?terms:terms ->
   Hidet_gpu.Device.t ->
   m:int ->
   n:int ->
   k:int ->
-  config ->
-  float
-(** A floor on the analytic {!Compiled.latency} of [compile ~batch
-    ~a_batched ~b_batched ~m ~n ~k cfg] on the device, from the config and
-    shape alone (no main-kernel IR). The registers ({!regs_per_thread}),
-    hence the occupancy, waves and saturations, the barriers ({!syncs})
-    and the L2 reuse ({!block_reuse}) are exact, and a split-k config adds
-    the reduce kernel's exact latency ({!reduce_latency}). The loads,
-    shared-memory traffic and FLOPs are floors, and the terms are combined
-    as {!Hidet_gpu.Perf_model.lower_bound} describes, so the floor never
-    exceeds the latency in floating point. Partially applied up to [~k],
-    it estimates each reduce kernel and computes each reuse once; call
-    the closure from one domain.
+  config array ->
+  float array
+(** [lower_bound ~batch ~a_batched ~b_batched d ~m ~n ~k configs] is, at
+    each index, a floor on the analytic {!Compiled.latency} of [compile
+    ~batch ~a_batched ~b_batched ~m ~n ~k] of that config on the device,
+    from the config and shape alone (no main-kernel IR). The registers
+    ({!regs_per_thread}), hence the occupancy, waves and saturations, the
+    barriers ({!syncs}) and the L2 reuse ({!block_reuse}) are exact, and a
+    split-k config adds the reduce kernel's exact latency
+    ({!reduce_latency}). The loads, shared-memory traffic and FLOPs are
+    floors, and the terms are combined by
+    {!Hidet_gpu.Perf_model.lower_bounds}, so the floor never exceeds the
+    latency in floating point. One call estimates each of the shape's
+    reduce kernels and computes each distinct {!block_reuse} once.
 
-    What depends on the config alone ([check], {!block_dim},
-    {!regs_per_thread}, the shared bytes and the per-k-tile words staged,
-    read and multiplied per thread) is computed once per config and domain
-    and kept in a per-domain table, so the keys of a compile that floor
-    the same space share it. A memo hit then allocates only the counts
-    record, the reuse closure and what
-    {!Hidet_gpu.Perf_model.lower_bound} allocates (the occupancy's [Ok],
-    the model's flat record, the device's boxed FLOP rates) plus the boxed
-    result.
+    [?terms] must be [terms] of [configs]'s very configs (physically, in
+    the same order; [Invalid_argument] otherwise); without it they are
+    built for the call. With them the call runs
+    {!Hidet_gpu.Perf_model.lower_bounds} once over the space, writing
+    each config's launch and per-thread floors into its two records:
+    beyond the result, the reuses' closed forms and the reduce kernels it
+    allocates nothing per config.
 
     An operand layout left out bounds both of its layouts. [0.] for a
     config [check] refuses, so a tuner that skips on it still sees the

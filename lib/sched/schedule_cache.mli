@@ -58,7 +58,7 @@ val tune :
   ?engine:string ->
   show:('a -> string) ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
-  ?lower_bound:('a -> float) ->
+  ?lower_bound:('a array -> float array) ->
   ?instance:string ->
   device:Hidet_gpu.Device.t ->
   workload:string ->

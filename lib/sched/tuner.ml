@@ -185,7 +185,9 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
     | Some lb ->
       let bound, first =
         timed (fun () ->
-            let bound = Array.map lb cands in
+            let bound = lb cands in
+            if Array.length bound <> n then
+              invalid_arg "Tuner.tune: one floor per candidate";
             let first = ref 0 in
             for i = 1 to n - 1 do
               if Float.compare bound.(i) bound.(!first) < 0 then first := i
@@ -245,13 +247,14 @@ let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
         } ))
     !best
 
-let cycle_lower_bound device ~compile cand =
-  match compile cand with
-  | exception Invalid_argument _ -> 0.
-  | (c : Compiled.t) ->
-    List.fold_left
-      (fun acc k -> acc +. Hidet_cycle.Fidelity.lower_bound device k)
-      0. c.kernels
+let cycle_lower_bound device ~compile =
+  Array.map (fun cand ->
+      match compile cand with
+      | exception Invalid_argument _ -> 0.
+      | (c : Compiled.t) ->
+        List.fold_left
+          (fun acc k -> acc +. Hidet_cycle.Fidelity.lower_bound device k)
+          0. c.kernels)
 
 let tune_matmul ~device ?(batch = 1) ?(a_batched = true) ?(b_batched = false)
     ?parallel ~m ~n ~k () =

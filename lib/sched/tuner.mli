@@ -8,8 +8,8 @@
     deterministic merge so the parallel and sequential paths always select
     the identical config.
 
-    With a [?lower_bound] on each candidate's latency under the chosen
-    fidelity, the search is branch-and-bound: it skips ([pruned]) every
+    With a [?lower_bound], a floor on each candidate's latency under the
+    chosen fidelity, the search is branch-and-bound: it skips ([pruned]) every
     candidate the bound proves cannot win, without instantiating it, and
     returns the same winner with the same stats apart from [trials] and
     [pruned].
@@ -44,7 +44,7 @@ val tune :
   ?key:string ->
   ?show:('a -> string) ->
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
-  ?lower_bound:('a -> float) ->
+  ?lower_bound:('a array -> float array) ->
   device:Hidet_gpu.Device.t ->
   candidates:'a list ->
   compile:('a -> Compiled.t) ->
@@ -54,9 +54,12 @@ val tune :
     break toward the lowest candidate index. [?fidelity] selects the
     latency model each measurement uses (default [`Analytic]).
 
-    [?lower_bound] must be a floor on each candidate's latency under
-    [?fidelity] ({!Matmul_template.lower_bound} gives one for either).
-    Candidates are then visited in ascending (bound, index) order, 1, 2, 4
+    [?lower_bound] takes the candidates as an array, in list order, and
+    returns one floor per candidate on its latency under [?fidelity]
+    ({!Matmul_template.lower_bound} gives them for [`Analytic],
+    {!cycle_lower_bound} for [`Cycle]); it is called once, in the
+    calling domain, and [Invalid_argument] is raised if it returns
+    another length. Candidates are then visited in ascending (bound, index) order, 1, 2, 4
     and 8 in the first four steps and 16 in each later one, and one whose
     bound is strictly above the best latency measured before its step
     began is skipped: its latency is above the best, so the winner, its
@@ -105,11 +108,11 @@ val tune :
     with tracing off, the per-candidate path is a bare compile+measure. *)
 
 val cycle_lower_bound :
-  Hidet_gpu.Device.t -> compile:('a -> Compiled.t) -> 'a -> float
-(** A [?lower_bound] for [~fidelity:`Cycle]: the sum of
+  Hidet_gpu.Device.t -> compile:('a -> Compiled.t) -> 'a array -> float array
+(** A [?lower_bound] for [~fidelity:`Cycle]: for each candidate, the sum of
     {!Hidet_cycle.Fidelity.lower_bound} over the kernels of [compile cand],
-    a floor on its cycle-model {!Compiled.latency}. It instantiates the
-    candidate; [0.] when [compile] rejects it ([Invalid_argument]), so the
+    a floor on its cycle-model {!Compiled.latency}. It instantiates every
+    candidate; [0.] for one [compile] rejects ([Invalid_argument]), so the
     tuner still sees the rejection. *)
 
 val tune_matmul :

@@ -544,8 +544,10 @@ let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
   let fast_bound = MT.lower_bound ~batch ~a_batched ~b_batched fast ~m ~n ~k in
   let block_reuse = MT.block_reuse ~batch ~a_batched ~b_batched ~m ~n ~k in
   let reduce_latency = MT.reduce_latency dev ~batch ~m ~n in
-  List.fold_left
-    (fun worst (cfg : MT.config) ->
+  let space = Array.of_list (Space.matmul_with_split_k ~m ~n) in
+  let bounds = lower_bound space and fast_bounds = fast_bound space in
+  Array.fold_left
+    (fun worst (i, (cfg : MT.config)) ->
       match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
       | exception Invalid_argument _ -> worst
       | c ->
@@ -586,7 +588,7 @@ let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
         | _ -> ());
         seen cfg;
         let lat = Compiled.latency dev c in
-        let bound = lower_bound cfg in
+        let bound = bounds.(i) in
         if not (bound <= lat) then fail "bound %h > latency %h" bound lat;
         List.iter
           (fun (kern : Kernel.t) ->
@@ -596,11 +598,11 @@ let bound_ratio ?(seen = ignore) dev ~batch ~a_batched ~b_batched ~m ~n ~k =
               fail "%s: latency %h at twice the bandwidth, %h at once" kern.name
                 quick slow)
           c.Compiled.kernels;
-        let quick = fast_bound cfg in
+        let quick = fast_bounds.(i) in
         if not (quick <= bound) then
           fail "bound %h at twice the bandwidth, %h at once" quick bound;
         if lat < infinity then Float.max worst (bound /. lat) else worst)
-    0. (Space.matmul_with_split_k ~m ~n)
+    0. (Array.mapi (fun i cfg -> (i, cfg)) space)
 
 let test_bound_zoo () =
   let shapes = Zoo.matmuls dev Hidet_models.Models.all in
@@ -665,8 +667,8 @@ let prop_bound_random =
     (fun (dev, batch, a_batched, b_batched, m, n, k) ->
       bound_ratio dev ~batch ~a_batched ~b_batched ~m ~n ~k <= 1.)
 
-(* A block of no threads has no occupancy: no floor, not a
-   [Division_by_zero]. *)
+(* A block of no threads has no occupancy, and a launch with no resident
+   block has no floor: [infinity], not a [Division_by_zero]. *)
 let test_zero_block () =
   List.iter
     (fun block_dim ->
@@ -678,8 +680,12 @@ let test_zero_block () =
       Alcotest.(check (float 0.))
         (Printf.sprintf "floor at block_dim %d" block_dim)
         infinity
-        (Hidet_gpu.Perf_model.lower_bound dev ~grid:1 ~block_dim ~smem:0 ~regs:0
-           ~stages:1 ~reuse:(fun _ -> 1.) Traffic.zero))
+        (Hidet_gpu.Perf_model.lower_bounds dev 1
+           (fun _ (l : Hidet_gpu.Perf_model.launch) _ ->
+             l.grid <- 1;
+             l.block_dim <- block_dim;
+             l.blocks_per_sm <- 0;
+             l.stages <- 1)).(0))
     [ 0; -32 ]
 
 (* --- the floors of a cold zoo pass, pinned ---------------------------------
@@ -694,24 +700,38 @@ let test_zero_block () =
 
 let pass_spaces =
   lazy
-    (List.map
-       (fun (mm : Zoo.matmul) ->
+    (let by_class = Hashtbl.create 3 in
+     (* Each space once, with its terms, as the engine keeps them. *)
+     let spaces (mm : Zoo.matmul) =
+       let split_k_class = Space.split_k_class ~m:mm.m ~n:mm.n in
+       match Hashtbl.find_opt by_class split_k_class with
+       | Some s -> s
+       | None ->
          let space ~tc =
-           Array.of_list
-             (List.filter
-                (fun (c : MT.config) -> tc || not c.MT.use_tensor_core)
-                (Space.matmul_with_split_k ~m:mm.m ~n:mm.n))
+           let configs =
+             Array.of_list
+               (List.filter
+                  (fun (c : MT.config) -> tc || not c.MT.use_tensor_core)
+                  (Space.matmul_with_split_k ~m:mm.m ~n:mm.n))
+           in
+           (configs, MT.terms configs)
          in
-         (mm, space ~tc:false, space ~tc:true))
+         let s = (space ~tc:false, space ~tc:true) in
+         Hashtbl.add by_class split_k_class s;
+         s
+     in
+     List.map
+       (fun mm ->
+         let engine, full = spaces mm in
+         (mm, engine, full))
        (Zoo.cold_pass dev Hidet_models.Models.all))
 
 (* One pass of floors on [d], over the engine spaces or the full ones. *)
 let pass_floors d ~full =
   List.map
     (fun ({ Zoo.batch; a_batched; b_batched; m; n; k }, engine, all) ->
-      Array.map
-        (MT.lower_bound ~batch ~a_batched ~b_batched d ~m ~n ~k)
-        (if full then all else engine))
+      let configs, terms = if full then all else engine in
+      MT.lower_bound ~batch ~a_batched ~b_batched ~terms d ~m ~n ~k configs)
     (Lazy.force pass_spaces)
 
 let test_floor_digest () =
@@ -755,12 +775,12 @@ let test_saturation_tables () =
     Hidet_gpu.Device.[ rtx3090; a100 ]
 
 (* The floor path's minor allocation per candidate over one warm pass
-   (the domain's footprints and the saturation tables already built),
-   measured at 46.5 and rounded up: a boxed float or a closure more per
-   floor fails it. What a floor allocates is listed in
-   [Matmul_template.lower_bound]'s interface; the per-key memos and reduce
-   kernels make up the rest. *)
-let floor_words_budget = 47.
+   (each space's terms, its occupancy and the saturation tables already
+   built), measured at 17.29 and rounded up: a boxed float or a closure
+   more per floor fails it. The floors' loop allocates nothing per
+   candidate; the reuses' closed forms and the reduce kernels make up the
+   rest, and the per-key arrays are too long for the minor heap. *)
+let floor_words_budget = 18.
 
 let test_floor_allocation () =
   ignore (pass_floors dev ~full:false);

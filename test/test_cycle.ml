@@ -246,7 +246,9 @@ let floor_and_latency ?(batch = 1) ?(a_batched = true) ?(b_batched = false)
   match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
   | exception Invalid_argument _ -> None
   | c ->
-    Some (Tu.cycle_lower_bound dev ~compile:Fun.id c, C.latency ~fidelity:`Cycle dev c)
+    Some
+      ( (Tu.cycle_lower_bound dev ~compile:Fun.id [| c |]).(0),
+        C.latency ~fidelity:`Cycle dev c )
 
 (* Every distinct zoo matmul's space, sampled at a stride; the offset
    moves with the shape, so together the samples reach the whole space. *)
@@ -281,6 +283,44 @@ let prop_cycle_floor_random =
       match floor_and_latency ~m ~n ~k space.(pick * 7919 mod Array.length space) with
       | None -> true
       | Some (floor, lat) -> floor <= lat)
+
+(* More device bandwidth never slows a kernel down under the cycle model
+   either: on a device with twice the [mem_bandwidth], neither a kernel's
+   cycle latency nor its cycle floor grows. Checked on a strided sample of
+   the zoo's matmul candidates (both kernels of a split-k config), an
+   offset that moves with the shape. *)
+let test_cycle_bandwidth_monotone () =
+  let stride = 1601 in
+  let fast = { dev with mem_bandwidth = 2. *. dev.mem_bandwidth } in
+  let checked = ref 0 in
+  List.iteri
+    (fun i { Zoo.batch; a_batched; b_batched; m; n; k } ->
+      List.iteri
+        (fun j cfg ->
+          if j mod stride = i * 53 mod stride then
+            match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
+            | exception Invalid_argument _ -> ()
+            | c ->
+              List.iter
+                (fun (kern : Kernel.t) ->
+                  incr checked;
+                  let fail what slow quick =
+                    Alcotest.failf
+                      "%dx%dx%dx%d %s, %s: cycle %s %h at twice the bandwidth, %h at once"
+                      batch m n k (MT.config_to_string cfg) kern.name what quick slow
+                  in
+                  let slow = (Fid.estimate dev kern).PM.latency
+                  and quick = (Fid.estimate fast kern).PM.latency in
+                  if not (quick <= slow) then fail "latency" slow quick;
+                  let slow = Fid.lower_bound dev kern
+                  and quick = Fid.lower_bound fast kern in
+                  if not (quick <= slow) then fail "floor" slow quick)
+                c.C.kernels)
+        (Space.matmul_with_split_k ~m ~n))
+    (Zoo.matmuls dev Hidet_models.Models.all);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d zoo kernels checked" !checked)
+    true (!checked > 50)
 
 (* --- domain-safe space memo ----------------------------------------------- *)
 
@@ -351,6 +391,8 @@ let () =
       ( "cycle floor",
         [
           Alcotest.test_case "every zoo matmul space" `Quick test_cycle_floor_zoo;
+          Alcotest.test_case "twice the bandwidth is never slower" `Quick
+            test_cycle_bandwidth_monotone;
           QCheck_alcotest.to_alcotest prop_cycle_floor_random;
         ] );
       ( "space",

@@ -295,6 +295,47 @@ let test_table1_capabilities () =
   Alcotest.(check bool) "pytorch no graph opt" true
     ((caps (module Lib.Pytorch)).E.graph_opt = E.Low)
 
+(* ResNet-50 retargets from the RTX 3090 to the A100 without changing its
+   plan's shape: the same 56 steps (nodes and arguments), so fusion and
+   the template choices agree. The A100's extra kernels are split-k reduce
+   kernels, one per step whose matmul winner splits k (44 there, 34 on the
+   3090). Its higher modeled latency comes from its lower fp32 CUDA-core
+   peak (19.5 vs 35.6 TFLOPS), the only core the default options tune
+   for: an A100 with the 3090's peak compiles faster than the 3090. *)
+let test_device_retarget () =
+  let module D = Hidet_gpu.Device in
+  let compile d = HE.compile_plan d (M.resnet50 ()) in
+  let shape (p : Plan.t) =
+    List.map (fun (s : Plan.step) -> (s.out_node, s.args)) p.steps
+  in
+  let split_k_steps (p : Plan.t) =
+    List.length
+      (List.filter
+         (fun (s : Plan.step) ->
+           List.exists
+             (fun (k : Hidet_ir.Kernel.t) ->
+               Filename.check_suffix k.name "_splitk_reduce")
+             s.compiled.C.kernels)
+         p.steps)
+  in
+  let p3090, r3090 = compile D.rtx3090 and pa100, ra100 = compile D.a100 in
+  Alcotest.(check int) "steps" 56 (List.length p3090.steps);
+  Alcotest.(check bool) "same steps on both devices" true
+    (shape p3090 = shape pa100);
+  List.iter
+    (fun (name, p, split_k) ->
+      Alcotest.(check int) (name ^ ": split-k steps") split_k (split_k_steps p);
+      Alcotest.(check int)
+        (name ^ ": kernels = steps + split-k reduces")
+        (List.length p.steps + split_k)
+        (Plan.kernel_count p))
+    [ ("rtx3090", p3090, 34); ("a100", pa100, 44) ];
+  Alcotest.(check bool) "the a100 models slower" true
+    (ra100.E.latency > r3090.E.latency);
+  let _, fast = compile { D.a100 with fp32_tflops = D.rtx3090.fp32_tflops } in
+  Alcotest.(check bool) "an a100 with the 3090's fp32 peak models faster" true
+    (fast.E.latency < r3090.E.latency)
+
 let () =
   Alcotest.run "hidet_engines"
     [
@@ -329,5 +370,6 @@ let () =
           Alcotest.test_case "tuners pay" `Quick test_tuners_pay_tuning_cost;
           Alcotest.test_case "cross-engine correctness" `Quick test_cross_engine_correctness;
           Alcotest.test_case "table 1 capabilities" `Quick test_table1_capabilities;
+          Alcotest.test_case "rtx3090 and a100 plans" `Quick test_device_retarget;
         ] );
     ]

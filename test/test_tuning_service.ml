@@ -208,7 +208,9 @@ let test_bound_scope () =
   List.iter
     (fun (name, fidelity) ->
       match
-        Tu.tune ~fidelity ~lower_bound:(fun _ -> infinity) ~device:dev
+        Tu.tune ~fidelity
+          ~lower_bound:(Array.map (fun _ -> infinity))
+          ~device:dev
           ~candidates ~compile:(MT.compile ~m ~n ~k) ()
       with
       | Some (_, _, st) ->
@@ -299,7 +301,7 @@ type reference = {
 let reference ~lower_bound ~candidates ~compile =
   let cands = Array.of_list candidates in
   let n = Array.length cands in
-  let bound = Array.map lower_bound cands in
+  let bound = lower_bound cands in
   let order = Array.init n Fun.id in
   Array.stable_sort (fun i j -> Float.compare bound.(i) bound.(j)) order;
   let winner = ref None and visits = ref [] in
@@ -426,13 +428,14 @@ let test_visit_order_ties () =
         | c -> C.latency dev c
       in
       let floors = Hashtbl.create 1024 in
-      let lower_bound cfg =
-        match Hashtbl.find_opt floors cfg with
-        | Some f -> f
-        | None ->
-          let f = exact cfg in
-          Hashtbl.add floors cfg f;
-          f
+      let lower_bound =
+        Array.map (fun cfg ->
+            match Hashtbl.find_opt floors cfg with
+            | Some f -> f
+            | None ->
+              let f = exact cfg in
+              Hashtbl.add floors cfg f;
+              f)
       in
       Alcotest.(check bool) (name ^ ": ties visit as the reference") true
         (same_visits ~name ~lower_bound ~candidates ~compile);
@@ -453,7 +456,8 @@ let test_visit_order_rejected_first () =
     (fun shape ->
       let name, lower_bound, compile, space = matmul_case shape in
       let candidates = space @ [ refused ] in
-      Alcotest.(check (float 0.)) (name ^ ": floor 0") 0. (lower_bound refused);
+      Alcotest.(check (float 0.)) (name ^ ": floor 0") 0.
+        (lower_bound [| refused |]).(0);
       Alcotest.(check bool) (name ^ ": same visits as the reference") true
         (same_visits ~name ~lower_bound ~candidates ~compile);
       match Tu.tune ~lower_bound ~device:dev ~candidates ~compile () with
