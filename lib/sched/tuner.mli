@@ -59,8 +59,9 @@ val tune :
     ({!Matmul_template.lower_bound} gives them for [`Analytic],
     {!cycle_lower_bound} for [`Cycle]); it is called once, in the
     calling domain, and [Invalid_argument] is raised if it returns
-    another length. Candidates are then visited in ascending (bound, index) order, 1, 2, 4
-    and 8 in the first four steps and 16 in each later one, and one whose
+    another length. Candidates are then visited in ascending (bound,
+    index) order, 1, 2, 4 and 8 in the first four steps and 16 in each
+    later one, and one whose
     bound is strictly above the best latency measured before its step
     began is skipped: its latency is above the best, so the winner, its
     tie-break and [best_latency] are those of the full enumeration. The
