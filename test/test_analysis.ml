@@ -58,12 +58,18 @@ let traffic_mismatches (k : Kernel.t) =
             (Printf.sprintf "Traffic.block_reuse ~window:%d" window))
       windows
 
+let no_mismatches kernels =
+  match List.concat_map traffic_mismatches kernels with
+  | [] -> ()
+  | errs ->
+    Alcotest.failf "%d mismatches, first: %s" (List.length errs) (List.hd errs)
+
 (* --- matmul candidates ------------------------------------------------------ *)
 
-let candidate_kernels ~batch ~a_batched ~b_batched ~m ~n ~k =
+let candidate_kernels ?(tc = false) ~batch ~a_batched ~b_batched ~m ~n ~k () =
   List.concat_map
     (fun (cfg : MT.config) ->
-      if cfg.MT.use_tensor_core then []
+      if cfg.MT.use_tensor_core <> tc then []
       else
         match MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg with
         | c -> c.Compiled.kernels
@@ -73,15 +79,50 @@ let candidate_kernels ~batch ~a_batched ~b_batched ~m ~n ~k =
 let test_matmul_candidates () =
   let kernels =
     candidate_kernels ~batch:1 ~a_batched:false ~b_batched:false ~m:200 ~n:96
-      ~k:72
+      ~k:72 ()
     @ candidate_kernels ~batch:2 ~a_batched:true ~b_batched:true ~m:64 ~n:512
-        ~k:256
+        ~k:256 ()
   in
   Alcotest.(check bool) "candidates instantiated" true (List.length kernels > 500);
-  match List.concat_map traffic_mismatches kernels with
-  | [] -> ()
-  | errs ->
-    Alcotest.failf "%d mismatches, first: %s" (List.length errs) (List.hd errs)
+  no_mismatches kernels
+
+let test_tensor_core_candidates () =
+  let kernels =
+    candidate_kernels ~tc:true ~batch:1 ~a_batched:false ~b_batched:false ~m:200
+      ~n:96 ~k:72 ()
+  in
+  Alcotest.(check int) "tensor-core candidates" 596 (List.length kernels);
+  no_mismatches kernels
+
+(* --- the kernels the zoo's plans estimate -------------------------------------
+
+   Every kernel of the five zoo models' plans: fused prologues and
+   epilogues, rule-based, row and reduce templates and split-k reduces,
+   beside the matmul winners. *)
+
+let zoo_plan_kernels = lazy (Zoo.plan_kernels dev Hidet_models.Models.all)
+
+let test_zoo_plan_kernels () =
+  let kernels = Lazy.force zoo_plan_kernels in
+  Alcotest.(check int) "plan kernels" 790 (List.length kernels);
+  no_mismatches kernels
+
+(* [Perf_model.kernel] of every zoo plan kernel, folded into one MD5:
+   latency, memory and compute time with %h, waves, resident blocks and
+   the bottleneck note. Pinned before the single-walk analysis was made
+   allocation-free; regenerate it only with an intended model change. *)
+let zoo_estimate_digest = "bf3f7f4808957b1de4b22c24faec7ce6"
+
+let test_zoo_estimate_digest () =
+  let b = Stdlib.Buffer.create 65536 in
+  List.iter
+    (fun k ->
+      let e = Hidet_gpu.Perf_model.kernel dev k in
+      Printf.bprintf b "%h %h %h %d %d %s\n" e.latency e.mem_time e.compute_time
+        e.waves e.blocks_per_sm e.note)
+    (Lazy.force zoo_plan_kernels);
+  Alcotest.(check string) "digest" zoo_estimate_digest
+    (Digest.to_hex (Digest.string (Stdlib.Buffer.contents b)))
 
 (* --- random affine kernels with block-dependent bindings --------------------- *)
 
@@ -399,7 +440,7 @@ let test_simplify_template_bodies () =
      Lets, predicates and loops for both versions to walk. *)
   let kernels =
     candidate_kernels ~batch:1 ~a_batched:false ~b_batched:false ~m:96 ~n:40
-      ~k:72
+      ~k:72 ()
   in
   List.iter
     (fun (k : Kernel.t) ->
@@ -838,6 +879,12 @@ let () =
         [
           Alcotest.test_case "matmul candidates = oracle" `Quick
             test_matmul_candidates;
+          Alcotest.test_case "tensor-core candidates = oracle" `Quick
+            test_tensor_core_candidates;
+          Alcotest.test_case "zoo plan kernels = oracle" `Quick
+            test_zoo_plan_kernels;
+          Alcotest.test_case "zoo plan estimates pinned" `Quick
+            test_zoo_estimate_digest;
           QCheck_alcotest.to_alcotest prop_random_kernels;
           Alcotest.test_case "failing let reads 0" `Quick
             test_failing_let_reads_zero;

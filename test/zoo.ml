@@ -38,3 +38,28 @@ let matmuls dev models =
 (* What a cold compile pass tunes: each model compiled on an empty cache,
    its matmuls in key order, so a shape two models share comes twice. *)
 let cold_pass dev models = List.concat_map (fun model -> matmuls dev [ model ]) models
+
+(* Every kernel of each model's plan, in plan order: a kernel that several
+   steps launch comes once per step. The models are compiled in turn on
+   one cache, cleared before and after. *)
+let plan_kernels dev models =
+  let module Cache = Hidet_sched.Schedule_cache in
+  Cache.clear ();
+  let kernels =
+    List.concat_map
+      (fun (_, mk) ->
+        let plan, _ = Hidet.Hidet_engine.compile_plan dev (mk ()) in
+        List.concat_map
+          (fun (s : Hidet_runtime.Plan.step) -> s.compiled.Hidet_sched.Compiled.kernels)
+          plan.Hidet_runtime.Plan.steps)
+      models
+  in
+  Cache.clear ();
+  kernels
+
+(* The physically distinct kernels of a list, in first-occurrence order. *)
+let distinct kernels =
+  List.rev
+    (List.fold_left
+       (fun acc k -> if List.memq k acc then acc else k :: acc)
+       [] kernels)
