@@ -21,28 +21,6 @@ let zero =
     syncs = 0.;
   }
 
-let add a b =
-  {
-    global_load_bytes = a.global_load_bytes +. b.global_load_bytes;
-    global_store_bytes = a.global_store_bytes +. b.global_store_bytes;
-    global_ld_transactions = a.global_ld_transactions +. b.global_ld_transactions;
-    shared_bytes = a.shared_bytes +. b.shared_bytes;
-    flops = a.flops +. b.flops;
-    mma_flops = a.mma_flops +. b.mma_flops;
-    syncs = a.syncs +. b.syncs;
-  }
-
-let scale_counts s a =
-  {
-    global_load_bytes = s *. a.global_load_bytes;
-    global_store_bytes = s *. a.global_store_bytes;
-    global_ld_transactions = s *. a.global_ld_transactions;
-    shared_bytes = s *. a.shared_bytes;
-    flops = s *. a.flops;
-    mma_flops = s *. a.mma_flops;
-    syncs = s *. a.syncs;
-  }
-
 let flatten_index (b : Hidet_ir.Buffer.t) indices =
   List.fold_left2
     (fun acc idx dim -> Expr.add (Expr.mul acc (Expr.int dim)) idx)
@@ -69,89 +47,305 @@ let effective_factor stride =
   else if stride = 1 then 1.0
   else Float.min 8.0 (float_of_int stride)
 
-(* --- probing a kernel at every block of the reuse window at once ----------
+(* --- probing a kernel at thread 0 with every loop index 0 --------------------
 
-   The analysis walks the kernel once, at thread 0 with every loop index 0,
-   and evaluates [Let] values, variable loop extents and global-load
-   indices for all [w] block ids of the L2 reuse window in that one walk.
-   A probe that does not depend on the block id is computed once; one that
-   does is partially evaluated once into a function of the block id that
-   is applied per block. Both follow [Expr.eval] exactly, failures
-   included: [Fails] raises for every block, and a per-block function
-   raises for the blocks where [Expr.eval] would. Free variables and
-   loads read as zero. *)
+   The walk evaluates [Let] values, variable loop extents and global-load
+   indices at thread 0 with every loop index 0, on the block ids of the L2
+   reuse window; free variables and loads read as zero. It follows
+   [Expr.eval] exactly, failures included, on every block at once and
+   without building values: [vint] walks an expression once and computes
+   unboxed ints, one per block (a lane) where the expression reads the
+   block id or a block-dependent binding, and one for all blocks elsewhere.
+   A failure that is the same on every block raises. [vint] gives up
+   ([Slow]) on the first value that is not an int and on a failure on some
+   blocks only; then [Expr.eval] itself evaluates the expression again
+   block by block. *)
 
-type probe =
-  | Const of Expr.value
-  | Fails
-  | Per_block of (int -> Expr.value)
+exception Slow
 
-(* A [Let] value that depends on the block id is kept per block; on a block
-   where it fails to evaluate it reads as 0, like an unbound variable. *)
-type binding = Value of Expr.value | Slots of Expr.value array
+(* A variable's value: the same on every block, or one per block. An
+   unbound variable reads [Int 0]. *)
+type binding = Int of int | Ints of int array | Values of Expr.value array
 
-let at = function
-  | Const v -> fun _ -> v
-  | Fails -> fun _ -> raise Exit
-  | Per_block f -> f
+(* Variable id -> binding, at most one per id (as a [Hashtbl] used with
+   [replace] and [remove]). Ids are positive counters, and the few
+   variables bound at a time are usually close together: a variable sits in
+   slot [id mod 32] unless another one holds it, and in [overflow] then. *)
+type env = {
+  ids : int array;  (** 0 where the slot is free *)
+  bindings : binding array;
+  mutable overflow : (int * binding) list;
+}
 
-let lift1 f = function
-  | Const v -> ( match f v with v -> Const v | exception _ -> Fails)
-  | Fails -> Fails
-  | Per_block g -> Per_block (fun b -> f (g b))
+let slots = 32
+let new_env () = { ids = Array.make slots 0; bindings = Array.make slots (Int 0); overflow = [] }
 
-let lift2 f x y =
-  match (x, y) with
-  | Fails, _ | _, Fails -> Fails
-  | Const a, Const b -> ( match f a b with v -> Const v | exception _ -> Fails)
-  | _ ->
-    let gx = at x and gy = at y in
-    Per_block (fun b -> f (gx b) (gy b))
+let lookup env id =
+  let i = id land (slots - 1) in
+  if env.ids.(i) = id then env.bindings.(i)
+  else
+    match env.overflow with
+    | [] -> Int 0
+    | o -> Option.value (List.assoc_opt id o) ~default:(Int 0)
 
-let truth v = Expr.V_bool (Expr.bool_of_value v)
+let replace env id b =
+  let i = id land (slots - 1) in
+  if env.ids.(i) = id then env.bindings.(i) <- b
+  else if env.ids.(i) = 0 && not (List.mem_assoc id env.overflow) then begin
+    env.ids.(i) <- id;
+    env.bindings.(i) <- b
+  end
+  else env.overflow <- (id, b) :: List.remove_assoc id env.overflow
 
-let rec probe ~blocks env (e : Expr.t) =
-  let probe = probe ~blocks env in
+let remove env id =
+  let i = id land (slots - 1) in
+  if env.ids.(i) = id then env.ids.(i) <- 0
+  else env.overflow <- List.remove_assoc id env.overflow
+
+type probe = {
+  env : env;
+  lanes : int;
+  stride : bool;
+      (** the lanes are threads 0 and 1 at block 0 with every variable at
+          0, as in {!coalescing_stride}, rather than blocks at thread 0 *)
+  width : int;  (** at least [lanes] *)
+  mutable scalar : int;  (** [vint]'s result when it is the same on every lane *)
+  mutable rows : int array;
+      (** [vint]'s per-lane results: lane [l] of row [r] at [r * width + l] *)
+}
+
+(* The offset of row [r], which is made to exist. *)
+let row p r =
+  let need = (r + 1) * p.width in
+  if Array.length p.rows < need then begin
+    let rows = Array.make (2 * need) 0 in
+    Array.blit p.rows 0 rows 0 (Array.length p.rows);
+    p.rows <- rows
+  end;
+  r * p.width
+
+let scalar p n =
+  p.scalar <- n;
+  false
+
+(* What [Expr.eval] does with two ints, a boolean as 0 or 1. *)
+let arith (op : Expr.binop) x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> x / y
+  | Mod -> x mod y
+  | Min -> Int.min x y
+  | Max -> Int.max x y
+  | Lt -> Bool.to_int (x < y)
+  | Le -> Bool.to_int (x <= y)
+  | Gt -> Bool.to_int (x > y)
+  | Ge -> Bool.to_int (x >= y)
+  | Eq -> Bool.to_int (x = y)
+  | Ne -> Bool.to_int (x <> y)
+  | And | Or -> invalid_arg "Traffic.arith"
+
+(* [op] on two operands, each the same on every lane (the flag is false,
+   the value given) or in rows [r] and [r + 1]. Like [vint]'s result. The
+   commonest index arithmetic gets its own loop. *)
+let combine p r (op : Expr.binop) vx sx vy sy =
+  if not (vx || vy) then scalar p (arith op sx sy)
+  else begin
+    let rows = p.rows and w = p.width and x = r * p.width in
+    let last = x + p.lanes - 1 in
+    (match (op, vx, vy) with
+    | Add, true, true ->
+      for l = x to last do
+        rows.(l) <- rows.(l) + rows.(l + w)
+      done
+    | Add, true, false ->
+      for l = x to last do
+        rows.(l) <- rows.(l) + sy
+      done
+    | Mul, true, false ->
+      for l = x to last do
+        rows.(l) <- rows.(l) * sy
+      done
+    | _ ->
+      for l = x to last do
+        let y = if vy then rows.(l + w) else sy in
+        (* a division by 0 on some lanes only *)
+        if y = 0 && vy && (op = Div || op = Mod) then raise Slow;
+        rows.(l) <- arith op (if vx then rows.(l) else sx) y
+      done);
+    true
+  end
+
+let map_lanes p r f =
+  let base = r * p.width in
+  for b = base to base + p.lanes - 1 do
+    p.rows.(b) <- f p.rows.(b)
+  done;
+  true
+
+(* [Expr.int_of_value (Expr.eval e)] on the probe's lanes: [false] with
+   the value in [p.scalar] when it is the same on every lane, or [true] with
+   it in row [r] (rows above [r] are scratch). [vbool] is the same for
+   [Expr.bool_of_value], as 0 or 1. *)
+let rec vint p r (e : Expr.t) =
   match e with
-  | Int n -> Const (V_int n)
-  | Float f -> Const (V_float f)
-  | Bool b -> Const (V_bool b)
-  | Thread_idx -> Const (V_int 0)
-  | Block_idx -> if blocks = 1 then Const (V_int 0) else Per_block (fun b -> V_int b)
+  | Int n -> scalar p n
+  | Thread_idx when not p.stride -> scalar p 0
+  | Block_idx when p.stride || p.lanes = 1 -> scalar p 0
+  | Thread_idx | Block_idx ->
+    let base = row p r in
+    for l = 0 to p.lanes - 1 do
+      p.rows.(base + l) <- l
+    done;
+    true
   | Var v -> (
-    match Hashtbl.find_opt env v.Var.id with
-    | None -> Const (V_int 0)
-    | Some (Value x) -> Const x
-    | Some (Slots a) -> Per_block (Array.get a))
-  | Unop (op, a) -> lift1 (Expr.unop_value op) (probe a)
-  (* [And]/[Or] and [Select] evaluate their second operand (branch) only
-     when [Expr.eval] would. *)
-  | Binop (((And | Or) as op), a, b) -> (
-    (* the value of [a] that decides the result alone *)
-    let short = op = Or in
-    match probe a with
-    | Fails -> Fails
-    | Const v when Expr.bool_of_value v = short -> Const (V_bool short)
-    | Const _ -> lift1 truth (probe b)
-    | Per_block fa ->
-      let fb = at (probe b) in
-      Per_block
-        (fun blk ->
-          if Expr.bool_of_value (fa blk) = short then V_bool short
-          else truth (fb blk)))
-  | Binop (op, a, b) -> lift2 (Expr.binop_value op) (probe a) (probe b)
-  | Select (c, a, b) -> (
-    match probe c with
-    | Fails -> Fails
-    | Const v -> if Expr.bool_of_value v then probe a else probe b
-    | Per_block fc ->
-      let fa = at (probe a) and fb = at (probe b) in
-      Per_block (fun blk -> if Expr.bool_of_value (fc blk) then fa blk else fb blk))
-  | Load (_, idx) ->
-    (* every index is evaluated, then the load reads 0 *)
-    List.fold_left
-      (fun acc i -> lift2 (fun v _ -> v) acc (probe i))
-      (Const (V_float 0.)) idx
+    if p.stride then scalar p 0
+    else
+      match lookup p.env v.Var.id with
+      | Int n -> scalar p n
+      | Ints a when p.lanes = 1 -> scalar p a.(0)
+      | Ints a ->
+        let base = row p r in
+        for l = 0 to p.lanes - 1 do
+          p.rows.(base + l) <- a.(l)
+        done;
+        true
+      | Values _ -> raise Slow)
+  | Binop (((Add | Sub | Mul | Div | Mod | Min | Max) as op), x, y) ->
+    let vx = vint p r x in
+    let sx = p.scalar in
+    let vy = vint p (r + 1) y in
+    combine p r op vx sx vy p.scalar
+  | Select (c, x, y) -> select p r ~bool:false c x y
+  | Unop (Neg, x) -> if vint p r x then map_lanes p r Int.neg else scalar p (-p.scalar)
+  | Unop (Abs, x) -> if vint p r x then map_lanes p r abs else scalar p (abs p.scalar)
+  | Float _ | Bool _ | Load _ | Binop _ | Unop _ -> raise Slow
+
+and vbool p r (e : Expr.t) =
+  match e with
+  | Bool b -> scalar p (Bool.to_int b)
+  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), x, y) ->
+    let vx = vint p r x in
+    let sx = p.scalar in
+    let vy = vint p (r + 1) y in
+    combine p r op vx sx vy p.scalar
+  | Binop (((And | Or) as op), x, y) ->
+    (* the value of [x] that decides the result alone *)
+    let short = match op with Or -> 1 | _ -> 0 in
+    if not (vbool p r x) then p.scalar <> short && vbool p r y
+    else begin
+      let vy = branch p (r + 1) ~bool:true y in
+      let sy = p.scalar and x = r * p.width in
+      for l = x to x + p.lanes - 1 do
+        if p.rows.(l) <> short then
+          p.rows.(l) <- (if vy then p.rows.(l + p.width) else sy)
+      done;
+      true
+    end
+  | Unop (Not, x) -> if vbool p r x then map_lanes p r (( - ) 1) else scalar p (1 - p.scalar)
+  | Select (c, x, y) -> select p r ~bool:true c x y
+  | _ ->
+    if vint p r e then map_lanes p r (fun v -> Bool.to_int (v <> 0))
+    else scalar p (Bool.to_int (p.scalar <> 0))
+
+(* [Select], and [And]/[Or] above, evaluate a branch only on the lanes that
+   take it. *)
+and select p r ~bool c x y =
+  if not (vbool p r c) then begin
+    let e = if p.scalar <> 0 then x else y in
+    if bool then vbool p r e else vint p r e
+  end
+  else begin
+    let vx = branch p (r + 1) ~bool x in
+    let sx = p.scalar in
+    let vy = branch p (r + 2) ~bool y in
+    let sy = p.scalar and c = r * p.width in
+    for l = c to c + p.lanes - 1 do
+      p.rows.(l) <-
+        (if p.rows.(l) <> 0 then if vx then p.rows.(l + p.width) else sx
+         else if vy then p.rows.(l + (2 * p.width))
+         else sy)
+    done;
+    true
+  end
+
+(* A branch some lanes may not take: its failure is theirs alone. *)
+and branch p r ~bool e =
+  match if bool then vbool p r e else vint p r e with
+  | v -> v
+  | exception _ -> raise Slow
+
+(* [Expr.eval] at thread [tid] and block [block], for what [vint] gives up
+   on. *)
+let eval p ?(tid = 0) ~block e =
+  let lookup (v : Var.t) : Expr.value =
+    if p.stride then V_int 0
+    else
+      match lookup p.env v.Var.id with
+      | Int n -> V_int n
+      | Ints a -> V_int a.(block)
+      | Values a -> a.(block)
+  in
+  Expr.eval
+    { lookup; load = (fun _ _ -> V_float 0.); thread_idx = tid; block_idx = block }
+    e
+
+(* [vint] of [flatten_index buf indices], without building it. Buffer dims
+   are positive, so [flatten_index]'s folding constructors drop no operand
+   that can fail, and on ints they compute this plain sum of products. *)
+let vflat p (buf : Buffer.t) indices =
+  let rec go v indices dims =
+    match (indices, dims) with
+    | i :: indices, d :: dims ->
+      let s = p.scalar in
+      let vi = vint p 1 i in
+      if not (v || vi) then p.scalar <- (s * d) + p.scalar
+      else begin
+        let si = p.scalar and base = row p 0 in
+        for l = base to base + p.lanes - 1 do
+          p.rows.(l) <-
+            ((if v then p.rows.(l) else s) * d)
+            + if vi then p.rows.(l + p.width) else si
+        done
+      end;
+      go (v || vi) indices dims
+    | _ -> v
+  in
+  p.scalar <- 0;
+  go false indices buf.dims
+
+(* [Expr.eval_int] on a one-lane probe, where [vint] leaves every result in
+   [p.scalar]; raises where it fails. *)
+let int_at p e =
+  match vint p 0 e with
+  | _ -> p.scalar
+  | exception Slow -> Expr.int_of_value (eval p ~block:0 e)
+
+(* [coalescing_stride (flatten_index buf indices)] on a probe whose two
+   lanes are threads 0 and 1 and whose variables read 0. *)
+let flat_stride p buf indices =
+  match vflat p buf indices with
+  | false -> 0
+  | true -> abs (p.rows.(1) - p.rows.(0))
+  | exception Slow -> (
+    let flat = flatten_index buf indices in
+    let at tid = Expr.int_of_value (eval p ~tid ~block:0 flat) in
+    match abs (at 1 - at 0) with s -> s | exception _ -> 1)
+  | exception _ -> 1
+
+(* Bind a [Let]: a block where the value fails reads 0, and a failure on
+   every block leaves the variable unbound, which reads 0 too. *)
+let bind p id e =
+  match vint p 0 e with
+  | false -> replace p.env id (Int p.scalar)
+  | true -> replace p.env id (Ints (Array.sub p.rows 0 p.lanes))
+  | exception Slow ->
+    replace p.env id
+      (Values
+         (Array.init p.lanes (fun block ->
+              try eval p ~block e with _ -> Expr.V_int 0)))
+  | exception _ -> ()
 
 (* --- L2 block reuse ---------------------------------------------------------
 
@@ -169,66 +363,126 @@ let rec probe ~blocks env (e : Expr.t) =
    spans 4 A-panels and 2 B-panels — less union traffic for the same
    per-block byte count. *)
 
-type site = { weight : float;  (** loop-scaled bytes per thread *) index : probe }
+(* A global load site: its flattened index on each block of the window,
+   where it evaluates. *)
+type site = {
+  weight : float;  (** loop-scaled bytes per thread *)
+  values : int array;
+  failed : Bytes.t;  (** ['\001'] where the index fails *)
+}
 
-(* The order in which [Hashtbl.fold] visits the keys 0 .. n-1 of a table
-   created with size 8 and filled in that order. The sums below add their
-   terms in this order, which is the order of the one-walk-per-block
-   reference in test/oracle.ml (it keeps sites in such tables), so their
-   float results match it bit for bit. *)
+let site p buf indices weight =
+  let values = Array.make p.lanes 0 and failed = Bytes.make p.lanes '\000' in
+  (match vflat p buf indices with
+  | v ->
+    for b = 0 to p.lanes - 1 do
+      values.(b) <- (if v then p.rows.(b) else p.scalar)
+    done
+  | exception Slow ->
+    let flat = flatten_index buf indices in
+    for block = 0 to p.lanes - 1 do
+      match eval p ~block flat with
+      | v -> values.(block) <- Expr.int_of_value v
+      | exception _ -> Bytes.set failed block '\001'
+    done
+  | exception _ -> Bytes.fill failed 0 p.lanes '\001');
+  { weight; values; failed }
+
+(* The order in which [Hashtbl.fold] visits the keys 0 .. n-1 of an
+   unrandomized table created with size 8 and filled in that order. The
+   sums below add their terms in this order, which is the order of the
+   one-walk-per-block reference in test/oracle.ml (it keeps sites in such
+   tables), so their float results match it bit for bit. The fold goes
+   bucket by bucket, and a bucket holds its later keys first: [add]
+   prepends and a resize keeps each bucket's order. A key's bucket is its
+   hash modulo the bucket count, which starts at 16 and doubles once the
+   table holds more than twice as many keys. *)
 let fold_order n =
-  let t = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    Hashtbl.add t i ()
+  let buckets = ref 16 in
+  while n > 2 * !buckets do
+    buckets := 2 * !buckets
   done;
-  Array.of_list (List.rev (Hashtbl.fold (fun i () acc -> i :: acc) t []))
+  let bucket = Array.init n (fun i -> Hashtbl.hash i land (!buckets - 1)) in
+  let order = Array.make n 0 and next = ref 0 in
+  for b = 0 to !buckets - 1 do
+    for i = n - 1 downto 0 do
+      if bucket.(i) = b then begin
+        order.(!next) <- i;
+        incr next
+      end
+    done
+  done;
+  order
 
 let reuse_factor w (sites : site array) =
   let n = Array.length sites in
   let order = fold_order n in
-  let naive = Array.fold_left (fun acc i -> acc +. sites.(i).weight) 0. order in
-  (* site i's distinct values so far: seen.(i * w) .. seen.(i * w + distinct.(i) - 1) *)
-  let seen = Array.make (n * w) 0 and distinct = Array.make n 0 in
-  let record i v =
-    let base = i * w and d = distinct.(i) in
-    let rec fresh j = j = d || (seen.(base + j) <> v && fresh (j + 1)) in
-    if fresh 0 then begin
-      seen.(base + d) <- v;
-      distinct.(i) <- d + 1
-    end
-  in
+  let naive = ref 0. in
+  for j = 0 to n - 1 do
+    naive := !naive +. sites.(order.(j)).weight
+  done;
+  (* Site i's distinct values so far are the first distinct.(i) of its
+     [values]: at block b they are at most b, so they overwrite only values
+     of blocks already read. *)
+  let distinct = Array.make n 0 in
   let unknown = ref 0 in
   let best = ref 1. in
   for b = 0 to w - 1 do
-    Array.iteri
-      (fun i s ->
-        match at s.index b with
-        | v -> record i (Expr.int_of_value v)
-        | exception _ ->
+    for i = 0 to n - 1 do
+      let s = sites.(i) and d = distinct.(i) in
+      let v =
+        if Bytes.get s.failed b = '\000' then s.values.(b)
+        else begin
           (* An unevaluable index counts as distinct per block (no reuse).
-             Unknowns are numbered -1, -2, ... in block-major site order, in
-             the same table as real values. *)
+             Unknowns are numbered -1, -2, ... in block-major site order,
+             among the real values. *)
           incr unknown;
-          record i (- !unknown))
-      sites;
+          - !unknown
+        end
+      in
+      let j = ref 0 in
+      while !j < d && s.values.(!j) <> v do
+        incr j
+      done;
+      if !j = d then begin
+        s.values.(d) <- v;
+        distinct.(i) <- d + 1
+      end
+    done;
     (* A cache covering [w] blocks can always restrict itself to a smaller
        window, so the achievable reuse is the best ratio over any prefix
        window [b + 1 <= w] — which also makes the factor monotone
        non-decreasing in [window] (the raw ratio can dip when one more
        block opens a fresh operand panel, e.g. a new tile row). *)
     let w' = float_of_int (b + 1) in
-    let union =
-      Array.fold_left
-        (fun acc i ->
-          acc +. (sites.(i).weight *. float_of_int distinct.(i) /. w'))
-        0. order
-    in
-    if naive > 0. && union > 0. then
-      best := Float.max !best (Float.min w' (naive /. union))
+    let union = ref 0. in
+    for j = 0 to n - 1 do
+      let i = order.(j) in
+      union := !union +. (sites.(i).weight *. float_of_int distinct.(i) /. w')
+    done;
+    if !naive > 0. && !union > 0. then
+      best := Float.max !best (Float.min w' (!naive /. !union))
   done;
   !best
 
-(* --- the walk ------------------------------------------------------------------ *)
+(* --- the walk ------------------------------------------------------------------
+
+   The counts go into one all-float record, and each leaf adds [scale]
+   times its count, [scale] being the product of the enclosing loop
+   extents. That equals summing a record per node and scaling each loop
+   body's sum, bit for bit: every count is an integer or a dyadic multiple
+   (0.25, 0.5, 1/32) of a product of loop extents far below 2^53, so every
+   partial sum is exact and the order of the additions cannot matter. *)
+
+type acc = {
+  mutable global_load_bytes : float;
+  mutable global_store_bytes : float;
+  mutable global_ld_transactions : float;
+  mutable shared_bytes : float;
+  mutable flops : float;
+  mutable mma_flops : float;
+  mutable syncs : float;
+}
 
 type analysis = { counts : counts; reuse : float }
 
@@ -237,113 +491,151 @@ let is_arith : Expr.binop -> bool = function
   | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> false
 
 let analyze ~window (k : Kernel.t) =
-  let w = max 1 (min window k.Kernel.grid_dim) in
-  (* variable id -> its probe value; loop indices are 0 *)
-  let env = Hashtbl.create 16 in
-  let probe = probe ~blocks:w env in
+  let blocks = max 1 (min window k.Kernel.grid_dim) in
+  let p =
+    {
+      env = new_env ();
+      lanes = blocks;
+      stride = false;
+      width = max blocks 2;
+      scalar = 0;
+      (* shared by the three probes below while none grows it *)
+      rows = Array.make (8 * max blocks 2) 0;
+    }
+  in
+  (* block 0 alone, for variable extents, and threads 0 and 1 with every
+     variable at 0, for coalescing strides *)
+  let p0 = { p with lanes = 1 } in
+  let pz = { p with lanes = 2; stride = true } in
   let sites = ref [] in
+  let a =
+    {
+      global_load_bytes = 0.;
+      global_store_bytes = 0.;
+      global_ld_transactions = 0.;
+      shared_bytes = 0.;
+      flops = 0.;
+      mma_flops = 0.;
+      syncs = 0.;
+    }
+  in
+  let shared scale (buf : Buffer.t) =
+    a.shared_bytes <-
+      a.shared_bytes +. (scale *. float_of_int (Dtype.size_bytes buf.elt))
+  in
   (* Loads anywhere in an expression; FLOPs only in value position
      ([in_value] is false inside index computations). Sub-expressions are
      walked left to right, so global load sites are numbered in a fixed
      traversal order. *)
   let rec expr ~in_value scale (e : Expr.t) =
     match e with
-    | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> zero
-    | Binop (op, a, b) ->
-      let ca = expr ~in_value scale a in
-      let c = add ca (expr ~in_value scale b) in
-      if in_value && is_arith op then { c with flops = c.flops +. 1. } else c
-    | Unop (op, a) ->
-      let c = expr ~in_value scale a in
-      let cost =
-        match op with
-        | Neg | Not | Abs -> 1.
-        | Exp | Log | Sqrt | Tanh | Erf -> 4. (* SFU-class instruction *)
-      in
-      if in_value then { c with flops = c.flops +. cost } else c
-    | Select (cond, a, b) ->
-      let cc = expr ~in_value:false scale cond in
-      let ca = expr ~in_value scale a in
-      add cc (add ca (expr ~in_value scale b))
+    | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> ()
+    | Binop (op, x, y) ->
+      expr ~in_value scale x;
+      expr ~in_value scale y;
+      if in_value && is_arith op then a.flops <- a.flops +. scale
+    | Unop (op, x) ->
+      expr ~in_value scale x;
+      if in_value then begin
+        let cost =
+          match op with
+          | Neg | Not | Abs -> 1.
+          | Exp | Log | Sqrt | Tanh | Erf -> 4. (* SFU-class instruction *)
+        in
+        a.flops <- a.flops +. (scale *. cost)
+      end
+    | Select (cond, x, y) ->
+      expr ~in_value:false scale cond;
+      expr ~in_value scale x;
+      expr ~in_value scale y
     | Load (buf, indices) -> (
-      let c =
-        List.fold_left
-          (fun acc i -> add acc (expr ~in_value:false scale i))
-          zero indices
-      in
-      let bytes = float_of_int (Dtype.size_bytes buf.Buffer.elt) in
+      indexes scale indices;
       match buf.Buffer.scope with
       | Buffer.Global ->
-        let flat = flatten_index buf indices in
-        if w > 1 then
-          sites := { weight = bytes *. scale; index = probe flat } :: !sites;
-        {
-          c with
-          global_load_bytes = c.global_load_bytes +. bytes;
-          global_ld_transactions =
-            c.global_ld_transactions
-            +. effective_factor (coalescing_stride flat);
-        }
-      | Buffer.Shared | Buffer.Warp ->
-        { c with shared_bytes = c.shared_bytes +. bytes }
-      | Buffer.Register -> c)
+        (* as [flatten_index] does on a rank mismatch *)
+        if List.compare_lengths indices buf.dims <> 0 then
+          invalid_arg "List.fold_left2";
+        let bytes = float_of_int (Dtype.size_bytes buf.elt) in
+        a.global_load_bytes <- a.global_load_bytes +. (scale *. bytes);
+        a.global_ld_transactions <-
+          a.global_ld_transactions
+          +. (scale *. effective_factor (flat_stride pz buf indices));
+        if blocks > 1 then sites := site p buf indices (bytes *. scale) :: !sites
+      | Buffer.Shared | Buffer.Warp -> shared scale buf
+      | Buffer.Register -> ())
+  and indexes scale = function
+    | [] -> ()
+    | i :: rest ->
+      expr ~in_value:false scale i;
+      indexes scale rest
   in
   let rec stmt scale (s : Stmt.t) =
     match s with
-    | Seq ss -> List.fold_left (fun acc x -> add acc (stmt scale x)) zero ss
+    | Seq ss -> stmts scale ss
     | For { var; extent; body; _ } ->
       let n =
-        match Expr.const_int extent with
-        | Some n -> float_of_int (max n 0)
-        | None -> (
+        match extent with
+        | Int n -> float_of_int (max n 0)
+        | _ -> (
           (* Variable extents (e.g. split-k trip counts) evaluate at block 0. *)
-          match at (probe extent) 0 with
-          | v -> float_of_int (max (Expr.int_of_value v) 1)
+          match int_at p0 extent with
+          | v -> float_of_int (max v 1)
           | exception _ -> 1.)
       in
-      let c = expr ~in_value:false scale extent in
+      expr ~in_value:false scale extent;
       (* A loop index averages n/2 over the iterations; probe with 0. *)
-      Hashtbl.replace env var.Var.id (Value (V_int 0));
-      let cb = stmt (scale *. n) body in
-      Hashtbl.remove env var.Var.id;
-      add c (scale_counts n cb)
+      replace p.env var.Var.id (Int 0);
+      stmt (scale *. n) body;
+      remove p.env var.Var.id
     | If { cond; then_; else_ } ->
       (* Divergent warps execute both paths serially: count both. *)
-      let c = expr ~in_value:false scale cond in
-      let c = add c (stmt scale then_) in
-      (match else_ with Some e -> add c (stmt scale e) | None -> c)
+      expr ~in_value:false scale cond;
+      stmt scale then_;
+      Option.iter (stmt scale) else_
     | Let { var; value; body } ->
-      (match probe value with
-      | Const v -> Hashtbl.replace env var.Var.id (Value v)
-      | Fails -> ()
-      | Per_block f ->
-        Hashtbl.replace env var.Var.id
-          (Slots (Array.init w (fun b -> try f b with _ -> Expr.V_int 0))));
-      let c = expr ~in_value:(Dtype.is_float var.Var.dtype) scale value in
-      let c = add c (stmt scale body) in
-      Hashtbl.remove env var.Var.id;
-      c
+      bind p var.Var.id value;
+      expr ~in_value:(Dtype.is_float var.Var.dtype) scale value;
+      stmt scale body;
+      remove p.env var.Var.id
     | Store { buf; indices; value } -> (
-      let ci = List.map (expr ~in_value:false scale) indices in
-      let c = List.fold_left add (expr ~in_value:true scale value) ci in
-      let bytes = float_of_int (Dtype.size_bytes buf.Buffer.elt) in
+      indexes scale indices;
+      expr ~in_value:true scale value;
       match buf.Buffer.scope with
-      | Buffer.Global -> { c with global_store_bytes = c.global_store_bytes +. bytes }
-      | Buffer.Shared | Buffer.Warp -> { c with shared_bytes = c.shared_bytes +. bytes }
-      | Buffer.Register -> c)
+      | Buffer.Global ->
+        a.global_store_bytes <-
+          a.global_store_bytes
+          +. (scale *. float_of_int (Dtype.size_bytes buf.elt))
+      | Buffer.Shared | Buffer.Warp -> shared scale buf
+      | Buffer.Register -> ())
     | Mma m ->
-      let flops = 2. *. float_of_int (m.m * m.n * m.k) in
+      a.mma_flops <- a.mma_flops +. (scale *. (2. *. float_of_int (m.m * m.n * m.k)));
       (* The warp streams the A and B operand tiles from shared memory; the C
          fragment stays in registers. Fragments are reused across adjacent MMA
          tiles (ldmatrix amortization), modeled as a 0.5 factor. *)
       let tile_bytes = 4. *. float_of_int ((m.m * m.k) + (m.k * m.n)) *. 0.5 in
-      { zero with mma_flops = flops; shared_bytes = tile_bytes /. 32. }
-    | Sync_threads -> { zero with syncs = 1. }
-    | Comment _ -> zero
+      a.shared_bytes <- a.shared_bytes +. (scale *. (tile_bytes /. 32.))
+    | Sync_threads -> a.syncs <- a.syncs +. scale
+    | Comment _ -> ()
+  and stmts scale = function
+    | [] -> ()
+    | s :: rest ->
+      stmt scale s;
+      stmts scale rest
   in
-  let counts = stmt 1. k.Kernel.body in
+  stmt 1. k.Kernel.body;
+  let counts : counts =
+    {
+      global_load_bytes = a.global_load_bytes;
+      global_store_bytes = a.global_store_bytes;
+      global_ld_transactions = a.global_ld_transactions;
+      shared_bytes = a.shared_bytes;
+      flops = a.flops;
+      mma_flops = a.mma_flops;
+      syncs = a.syncs;
+    }
+  in
   let reuse =
-    if w = 1 then 1. else reuse_factor w (Array.of_list (List.rev !sites))
+    if blocks = 1 then 1. else reuse_factor blocks (Array.of_list (List.rev !sites))
   in
   { counts; reuse }
 

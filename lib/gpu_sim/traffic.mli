@@ -11,11 +11,19 @@
 
     The same walk measures L2 block reuse. It probes the kernel at thread 0
     with every loop index 0, for all block ids of the reuse window at once.
-    [Let] values, variable loop extents and global-load indices that do not
-    depend on the block id are evaluated once. Those that do are partially
-    evaluated once and then finished per block: a [Let] keeps one slot per
-    block, and an index keeps a small leftover expression. Probing follows
-    {!Hidet_ir.Expr.eval} exactly; free variables and loads read as 0. *)
+    [Let] values and global-load indices are evaluated as unboxed ints:
+    once where they do not depend on the block id, once per block where
+    they do (variable loop extents at block 0 only). Probing follows
+    {!Hidet_ir.Expr.eval} exactly (on a value that is not an int, or a
+    failure on some blocks only, it calls [Expr.eval] block by block);
+    free variables and loads read as 0.
+
+    The walk allocates per kernel, per global load site and per
+    block-dependent [Let], never per expression node. Counts accumulate in
+    place, each leaf adding its count times the product of the enclosing
+    loop extents; every count is an integer or a dyadic multiple of such a
+    product far below 2^53, so the sums are exact and equal to summing
+    per-node records. *)
 
 type counts = {
   global_load_bytes : float;  (** per thread *)

@@ -1,7 +1,10 @@
 (* Differential tests for the per-candidate analyses: the single-walk
    [Traffic] analysis against the per-block reference walks in [Oracle]
-   (bit for bit, on every non-tensor-core matmul candidate of two shapes
-   and on random affine kernels with block-dependent bindings), the
+   (bit for bit, on every non-tensor-core matmul candidate of two shapes,
+   the tensor-core candidates of one, every kernel of the zoo's plans, a
+   kernel with 70 load sites, random affine kernels with block-dependent
+   bindings and random control flow and failures in indices; the zoo plan
+   estimates and the walk's allocation pinned), the
    one-pass [Simplify.stmt] against the substitute-per-Let reference
    (structure and counter delta), the streaming pipeline check and the
    matmul template's allocation-free config check and names against their
@@ -124,6 +127,55 @@ let test_zoo_estimate_digest () =
   Alcotest.(check string) "digest" zoo_estimate_digest
     (Digest.to_hex (Digest.string (Stdlib.Buffer.contents b)))
 
+(* The walk's allocation per [Traffic.analyze] on the distinct zoo plan
+   kernels, each at the reuse window [Perf_model.kernel] gives it, measured
+   at 443.70 and rounded up: a value or a closure more per expression node
+   fails it. What is left is per kernel (the probe's tables and rows, the
+   count record) and per site and block-dependent binding. *)
+let traffic_words_budget = 460.
+
+let test_traffic_allocation () =
+  let module P = Hidet_gpu.Perf_model in
+  let work =
+    List.filter_map
+      (fun (k : Kernel.t) ->
+        let e = P.kernel dev k in
+        if e.feasible then
+          Some (k, P.reuse_window dev ~grid_dim:k.grid_dim ~blocks_per_sm:e.blocks_per_sm)
+        else None)
+      (Zoo.distinct (Lazy.force zoo_plan_kernels))
+  in
+  Alcotest.(check int) "distinct feasible kernels" 251 (List.length work);
+  let run () =
+    List.iter (fun (k, window) -> ignore (Sys.opaque_identity (Traffic.analyze ~window k))) work
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per = (Gc.minor_words () -. before) /. float_of_int (List.length work) in
+  if per > traffic_words_budget then
+    Alcotest.failf "%.2f minor words per analysis, budget %g" per traffic_words_budget
+
+(* More global load sites than a site table of the oracle holds before it
+   resizes, twice: the reuse sums follow [Hashtbl.fold] over 16, 32 and 64
+   buckets. The sites differ in weight and in how many blocks share a
+   panel, so a sum in another order rounds differently. *)
+let test_many_sites () =
+  let g = Buffer.create "g" [ 1 lsl 16 ] in
+  let site i =
+    let r = Var.fresh "r" in
+    let panel = Expr.div Expr.Block_idx (Expr.int (1 + (i mod 3))) in
+    Stmt.for_ r
+      (Expr.int (1 + (i mod 7)))
+      (Stmt.store g [ Expr.Thread_idx ]
+         (Expr.load g [ Expr.add (Expr.mul panel (Expr.int 97)) (Expr.int i) ]))
+  in
+  let k =
+    Kernel.create ~name:"many_sites" ~params:[ g ] ~grid_dim:64 ~block_dim:32
+      (Stmt.seq (List.init 70 site))
+  in
+  no_mismatches [ k ]
+
 (* --- random affine kernels with block-dependent bindings --------------------- *)
 
 (* Per-site index terms on top of the affine pattern: multiples of the
@@ -230,6 +282,117 @@ let prop_random_kernels =
   QCheck.Test.make ~name:"traffic = oracle on random block-dependent kernels"
     ~count:400 (QCheck.make ~print:show case_gen) (fun c ->
       match traffic_mismatches (build c) with
+      | [] -> true
+      | e :: _ -> QCheck.Test.fail_report e)
+
+(* --- random index expressions: control flow and failures per block ----------
+
+   [Let] values and load indices drawn from every operator, over the block
+   id, the thread id, a loop index and earlier bindings: block-dependent
+   [Select]s, [And]s and [Or]s, branches and divisions that fail on some
+   blocks only, booleans, floats and loads where an int is expected. *)
+
+let pool = Array.init 3 (fun i -> Var.fresh (Printf.sprintf "v%d" i))
+let loop_var = Var.fresh "r"
+let lut = Buffer.create "lut" [ 64 ]
+
+(* An expression of [size], over the first [vars] of [pool]; a condition
+   when [cond]. *)
+let expr_gen ~vars =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      ([
+         (3, map Expr.int (int_range (-2) 9));
+         (3, return Expr.Block_idx);
+         (1, return Expr.Thread_idx);
+         (1, return (Expr.var loop_var));
+       ]
+      @
+      if vars = 0 then []
+      else [ (3, map (fun i -> Expr.var pool.(i)) (int_bound (vars - 1))) ])
+  in
+  fix (fun self (size, cond) ->
+      let sub = self (size / 2, false) and test = self (size / 2, true) in
+      let compare =
+        map3
+          (fun op a b -> Expr.Binop (op, a, b))
+          (oneofl Expr.[ Lt; Le; Gt; Ge; Eq; Ne ])
+          sub sub
+      in
+      if size <= 0 then if cond then compare else leaf
+      else if cond then
+        frequency
+          [
+            (4, compare);
+            ( 2,
+              map3
+                (fun op a b -> Expr.Binop (op, a, b))
+                (oneofl Expr.[ And; Or ])
+                test test );
+            (1, map (fun a -> Expr.Unop (Not, a)) test);
+            (1, map Expr.bool bool);
+          ]
+      else
+        frequency
+          [
+            (2, leaf);
+            ( 4,
+              map3
+                (fun op a b -> Expr.Binop (op, a, b))
+                (oneofl Expr.[ Add; Sub; Mul; Div; Mod; Min; Max ])
+                sub sub );
+            (3, map3 (fun c a b -> Expr.Select (c, a, b)) test sub sub);
+            (1, map2 (fun op a -> Expr.Unop (op, a)) (oneofl Expr.[ Neg; Abs ]) sub);
+            (1, map (fun i -> Expr.Load (lut, [ i ])) sub);
+            (1, test);
+            (1, return (Expr.Float 1.5));
+          ])
+
+type control = {
+  grid : int;
+  values : Expr.t list;  (** bound to [pool] in order *)
+  extent : Expr.t;
+  indices : (Expr.t * Expr.t) list;  (** one global load site each *)
+}
+
+let control_gen =
+  let open QCheck.Gen in
+  let* grid = oneofl [ 3; 8; 40 ] in
+  let* size = int_range 1 8 in
+  let* values =
+    flatten_l (List.init (Array.length pool) (fun vars -> expr_gen ~vars (size, false)))
+  in
+  let all = expr_gen ~vars:(Array.length pool) in
+  let* extent = oneof [ map Expr.int (int_range 2 4); all (2, false) ] in
+  let* indices = list_size (int_range 1 3) (pair (all (size, false)) (all (size, false))) in
+  return { grid; values; extent; indices }
+
+let show_control c =
+  let show = Expr.to_string in
+  Printf.sprintf "grid=%d %s; for r < %s: %s" c.grid
+    (String.concat "; "
+       (List.mapi (fun i e -> Printf.sprintf "v%d = %s" i (show e)) c.values))
+    (show c.extent)
+    (String.concat ", "
+       (List.map (fun (a, b) -> Printf.sprintf "g[%s][%s]" (show a) (show b)) c.indices))
+
+let build_control c =
+  let g = Buffer.create "g" [ 64; 64 ] in
+  let site (a, b) =
+    Stmt.store g [ Expr.Thread_idx; Expr.int 0 ] (Expr.load g [ a; b ])
+  in
+  let body =
+    Stmt.For
+      { var = loop_var; extent = c.extent; unroll = false; body = Stmt.seq (List.map site c.indices) }
+  in
+  let body = List.fold_right2 Stmt.let_ (Array.to_list pool) c.values body in
+  Kernel.create ~name:"control" ~params:[ g ] ~grid_dim:c.grid ~block_dim:32 body
+
+let prop_control =
+  QCheck.Test.make ~name:"traffic = oracle on random control flow and failures"
+    ~count:500 (QCheck.make ~print:show_control control_gen) (fun c ->
+      match traffic_mismatches (build_control c) with
       | [] -> true
       | e :: _ -> QCheck.Test.fail_report e)
 
@@ -885,7 +1048,11 @@ let () =
             test_zoo_plan_kernels;
           Alcotest.test_case "zoo plan estimates pinned" `Quick
             test_zoo_estimate_digest;
+          Alcotest.test_case "traffic allocation budget" `Quick
+            test_traffic_allocation;
+          Alcotest.test_case "sites past two table resizes" `Quick test_many_sites;
           QCheck_alcotest.to_alcotest prop_random_kernels;
+          QCheck_alcotest.to_alcotest prop_control;
           Alcotest.test_case "failing let reads 0" `Quick
             test_failing_let_reads_zero;
           Alcotest.test_case "unknown sites numbered block-major" `Quick
