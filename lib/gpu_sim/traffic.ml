@@ -56,10 +56,11 @@ let effective_factor stride =
    without building values: [vint] walks an expression once and computes
    unboxed ints, one per block (a lane) where the expression reads the
    block id or a block-dependent binding, and one for all blocks elsewhere.
-   A failure that is the same on every block raises. [vint] gives up
-   ([Slow]) on the first value that is not an int and on a failure on some
-   blocks only; then [Expr.eval] itself evaluates the expression again
-   block by block. *)
+   A failure that is the same on every block raises. Index arithmetic is
+   all [vint] knows: it gives up ([Slow]) on anything else (conditions,
+   booleans, floats, loads, negation; none of them occurs in the zoo's
+   bindings and indices) and on a failure on some blocks only. Then
+   [Expr.eval] itself evaluates the expression again block by block. *)
 
 exception Slow
 
@@ -108,27 +109,26 @@ type probe = {
   stride : bool;
       (** the lanes are threads 0 and 1 at block 0 with every variable at
           0, as in {!coalescing_stride}, rather than blocks at thread 0 *)
-  width : int;  (** at least [lanes] *)
   mutable scalar : int;  (** [vint]'s result when it is the same on every lane *)
   mutable rows : int array;
-      (** [vint]'s per-lane results: lane [l] of row [r] at [r * width + l] *)
+      (** [vint]'s per-lane results: lane [l] of row [r] at [r * lanes + l] *)
 }
 
 (* The offset of row [r], which is made to exist. *)
 let row p r =
-  let need = (r + 1) * p.width in
+  let need = (r + 1) * p.lanes in
   if Array.length p.rows < need then begin
     let rows = Array.make (2 * need) 0 in
     Array.blit p.rows 0 rows 0 (Array.length p.rows);
     p.rows <- rows
   end;
-  r * p.width
+  r * p.lanes
 
 let scalar p n =
   p.scalar <- n;
   false
 
-(* What [Expr.eval] does with two ints, a boolean as 0 or 1. *)
+(* What [Expr.eval] does with two ints. *)
 let arith (op : Expr.binop) x y =
   match op with
   | Add -> x + y
@@ -138,13 +138,7 @@ let arith (op : Expr.binop) x y =
   | Mod -> x mod y
   | Min -> Int.min x y
   | Max -> Int.max x y
-  | Lt -> Bool.to_int (x < y)
-  | Le -> Bool.to_int (x <= y)
-  | Gt -> Bool.to_int (x > y)
-  | Ge -> Bool.to_int (x >= y)
-  | Eq -> Bool.to_int (x = y)
-  | Ne -> Bool.to_int (x <> y)
-  | And | Or -> invalid_arg "Traffic.arith"
+  | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> invalid_arg "Traffic.arith"
 
 (* [op] on two operands, each the same on every lane (the flag is false,
    the value given) or in rows [r] and [r + 1]. Like [vint]'s result. The
@@ -152,7 +146,7 @@ let arith (op : Expr.binop) x y =
 let combine p r (op : Expr.binop) vx sx vy sy =
   if not (vx || vy) then scalar p (arith op sx sy)
   else begin
-    let rows = p.rows and w = p.width and x = r * p.width in
+    let rows = p.rows and w = p.lanes and x = r * p.lanes in
     let last = x + p.lanes - 1 in
     (match (op, vx, vy) with
     | Add, true, true ->
@@ -177,17 +171,9 @@ let combine p r (op : Expr.binop) vx sx vy sy =
     true
   end
 
-let map_lanes p r f =
-  let base = r * p.width in
-  for b = base to base + p.lanes - 1 do
-    p.rows.(b) <- f p.rows.(b)
-  done;
-  true
-
 (* [Expr.int_of_value (Expr.eval e)] on the probe's lanes: [false] with
    the value in [p.scalar] when it is the same on every lane, or [true] with
-   it in row [r] (rows above [r] are scratch). [vbool] is the same for
-   [Expr.bool_of_value], as 0 or 1. *)
+   it in row [r] (rows above [r] are scratch). *)
 let rec vint p r (e : Expr.t) =
   match e with
   | Int n -> scalar p n
@@ -217,64 +203,7 @@ let rec vint p r (e : Expr.t) =
     let sx = p.scalar in
     let vy = vint p (r + 1) y in
     combine p r op vx sx vy p.scalar
-  | Select (c, x, y) -> select p r ~bool:false c x y
-  | Unop (Neg, x) -> if vint p r x then map_lanes p r Int.neg else scalar p (-p.scalar)
-  | Unop (Abs, x) -> if vint p r x then map_lanes p r abs else scalar p (abs p.scalar)
-  | Float _ | Bool _ | Load _ | Binop _ | Unop _ -> raise Slow
-
-and vbool p r (e : Expr.t) =
-  match e with
-  | Bool b -> scalar p (Bool.to_int b)
-  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), x, y) ->
-    let vx = vint p r x in
-    let sx = p.scalar in
-    let vy = vint p (r + 1) y in
-    combine p r op vx sx vy p.scalar
-  | Binop (((And | Or) as op), x, y) ->
-    (* the value of [x] that decides the result alone *)
-    let short = match op with Or -> 1 | _ -> 0 in
-    if not (vbool p r x) then p.scalar <> short && vbool p r y
-    else begin
-      let vy = branch p (r + 1) ~bool:true y in
-      let sy = p.scalar and x = r * p.width in
-      for l = x to x + p.lanes - 1 do
-        if p.rows.(l) <> short then
-          p.rows.(l) <- (if vy then p.rows.(l + p.width) else sy)
-      done;
-      true
-    end
-  | Unop (Not, x) -> if vbool p r x then map_lanes p r (( - ) 1) else scalar p (1 - p.scalar)
-  | Select (c, x, y) -> select p r ~bool:true c x y
-  | _ ->
-    if vint p r e then map_lanes p r (fun v -> Bool.to_int (v <> 0))
-    else scalar p (Bool.to_int (p.scalar <> 0))
-
-(* [Select], and [And]/[Or] above, evaluate a branch only on the lanes that
-   take it. *)
-and select p r ~bool c x y =
-  if not (vbool p r c) then begin
-    let e = if p.scalar <> 0 then x else y in
-    if bool then vbool p r e else vint p r e
-  end
-  else begin
-    let vx = branch p (r + 1) ~bool x in
-    let sx = p.scalar in
-    let vy = branch p (r + 2) ~bool y in
-    let sy = p.scalar and c = r * p.width in
-    for l = c to c + p.lanes - 1 do
-      p.rows.(l) <-
-        (if p.rows.(l) <> 0 then if vx then p.rows.(l + p.width) else sx
-         else if vy then p.rows.(l + (2 * p.width))
-         else sy)
-    done;
-    true
-  end
-
-(* A branch some lanes may not take: its failure is theirs alone. *)
-and branch p r ~bool e =
-  match if bool then vbool p r e else vint p r e with
-  | v -> v
-  | exception _ -> raise Slow
+  | Float _ | Bool _ | Load _ | Binop _ | Unop _ | Select _ -> raise Slow
 
 (* [Expr.eval] at thread [tid] and block [block], for what [vint] gives up
    on. *)
@@ -306,7 +235,7 @@ let vflat p (buf : Buffer.t) indices =
         for l = base to base + p.lanes - 1 do
           p.rows.(l) <-
             ((if v then p.rows.(l) else s) * d)
-            + if vi then p.rows.(l + p.width) else si
+            + if vi then p.rows.(l + p.lanes) else si
         done
       end;
       go (v || vi) indices dims
@@ -497,7 +426,6 @@ let analyze ~window (k : Kernel.t) =
       env = new_env ();
       lanes = blocks;
       stride = false;
-      width = max blocks 2;
       scalar = 0;
       (* shared by the three probes below while none grows it *)
       rows = Array.make (8 * max blocks 2) 0;
