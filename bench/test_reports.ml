@@ -1,6 +1,7 @@
 (* Every committed BENCH_<name>.json passes its own experiment's gates,
    perturbing the field a gate guards makes exactly that gate fail, and
-   the EXPERIMENTS.md tables print the committed reports' numbers. *)
+   the EXPERIMENTS.md tables and prose ranges print the committed reports'
+   numbers. *)
 
 module Json = Hidet_obs.Json
 open Hidet_bench
@@ -172,27 +173,33 @@ let doc =
     (String.split_on_char '\n'
        (In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all))
 
-(* The body rows of the first table in the section whose heading starts
-   with [heading], as cells without bold marks or the "×" suffix. *)
-let doc_table heading =
-  let is_row l = String.starts_with ~prefix:"|" l in
+(* The lines of the section whose heading starts with [heading], up to the
+   next heading. *)
+let doc_section heading =
   let rec section = function
     | [] -> Alcotest.failf "EXPERIMENTS.md: no heading %S" heading
     | l :: rest when String.starts_with ~prefix:heading l -> rest
     | _ :: rest -> section rest
   in
-  let rec skip = function
+  let rec take = function
     | l :: _ when String.starts_with ~prefix:"## " l -> []
-    | l :: rest when not (is_row l) -> skip rest
-    | ls -> ls
+    | l :: rest -> l :: take rest
+    | [] -> []
   in
+  take (section (Lazy.force doc))
+
+(* The body rows of the first table in the section whose heading starts
+   with [heading], as cells without bold marks or the "×" suffix. *)
+let doc_table heading =
+  let is_row l = String.starts_with ~prefix:"|" l in
+  let rec skip = function l :: rest when not (is_row l) -> skip rest | ls -> ls in
   let rec take = function l :: rest when is_row l -> l :: take rest | _ -> [] in
   let cells l =
     let l = String.trim l in
     String.split_on_char '|' (String.sub l 1 (String.length l - 2))
     |> List.map (fun c -> String.trim (remove "**" (remove "\xc3\x97" c)))
   in
-  match take (skip (section (Lazy.force doc))) with
+  match take (skip (doc_section heading)) with
   | _header :: _rule :: rows -> List.map cells rows
   | _ -> Alcotest.failf "EXPERIMENTS.md: no table under %S" heading
 
@@ -268,6 +275,37 @@ let test_doc_table (heading, report, fields) () =
       Alcotest.(check int) "doc rows" (List.length (report_rows (load e))) (List.length rows))
     report
 
+(* [x] to two significant digits, as the doc writes it: 1.1e5. *)
+let sig2 x =
+  match String.split_on_char 'e' (Printf.sprintf "%.1e" x) with
+  | [ mantissa; exp ] -> Printf.sprintf "%se%d" mantissa (int_of_string exp)
+  | _ -> Alcotest.failf "sig2 %g" x
+
+(* Per prose range: its section heading, its report, the per-layer value
+   and how the doc prints the min and max of that value over the layers. *)
+let doc_ranges =
+  [
+    ( "## Figure 18",
+      Paper.fig18,
+      (fun row ->
+        Float.min (Report.num "onnxruntime_us" row) (Report.num "ansor_us" row)
+        /. Report.num "hidet_us" row),
+      fun lo hi -> Printf.sprintf "%.2f\xe2\x80\x93%.2f\xc3\x97" lo hi );
+    ( "## Figure 7",
+      Paper.fig7,
+      Report.num "autotvm_space",
+      fun lo hi -> Printf.sprintf "%s \xe2\x80\x93 %s" (sig2 lo) (sig2 hi) );
+  ]
+
+let test_doc_range (heading, report, value, printed) () =
+  let values = List.map value (Report.list "layers" (load report)) in
+  let range =
+    printed (List.fold_left Float.min infinity values)
+      (List.fold_left Float.max neg_infinity values)
+  in
+  if not (contains ~sub:range (String.concat "\n" (doc_section heading))) then
+    Alcotest.failf "%s: the report's range %s is not in the text" heading range
+
 let () =
   Alcotest.run "reports"
     (List.map
@@ -285,5 +323,9 @@ let () =
           List.map
             (fun ((heading, _, _) as t) ->
               Alcotest.test_case (heading ^ " table") `Quick (test_doc_table t))
-            doc_tables );
+            doc_tables
+          @ List.map
+              (fun ((heading, _, _, _) as r) ->
+                Alcotest.test_case (heading ^ " range") `Quick (test_doc_range r))
+              doc_ranges );
       ])

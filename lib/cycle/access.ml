@@ -31,7 +31,7 @@ let is_global s = match s.kind with
   | Global_load | Global_store -> true
   | Shared_load | Shared_store -> false
 
-let warp_lanes = 32
+let warp_lanes = Kernel.warp_size
 let num_banks = 32
 let bank_word_bytes = 4
 

@@ -798,7 +798,7 @@ let comp_mma st venv (m : Stmt.mma) : rt -> unit =
     let mm = m.m and nn = m.n and kk = m.k in
     fun rt ->
       rt.stmts <- rt.stmts + 1;
-      if rt.ints.(tid_slot) mod Interp.warp_size = 0 then begin
+      if rt.ints.(tid_slot) mod Kernel.warp_size = 0 then begin
         let ao = eval_offs ca_off rt in
         let bo = eval_offs cb_off rt in
         let co = eval_offs cc_off rt in
@@ -844,7 +844,7 @@ let comp_mma st venv (m : Stmt.mma) : rt -> unit =
     in
     fun rt ->
       rt.stmts <- rt.stmts + 1;
-      if rt.ints.(tid_slot) mod Interp.warp_size = 0 then begin
+      if rt.ints.(tid_slot) mod Kernel.warp_size = 0 then begin
         ignore (eval_offs ca_off rt);
         ignore (eval_offs cb_off rt);
         ignore (eval_offs cc_off rt);
@@ -1105,36 +1105,12 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   | Comment _ -> fun rt -> rt.stmts <- rt.stmts + 1
 
 (* ------------------------------------------------------------------ *)
-(* Kernel compilation and launch                                      *)
+(* Kernel compilation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type compiled = {
-  kernel : Kernel.t;
-  nbufs : int;
-  global_slots : (int * Buffer.t) array;
-  shared_slots : (int * Buffer.t) array;
-  warp_slots : (int * Buffer.t) array;
-  reg_slots : (int * Buffer.t) array;
-  n_ints : int;
-  n_floats : int;
-  n_bools : int;
-  n_dyns : int;
-  body : rt -> unit;
-  has_sync : bool;
-  parallel_ok : bool;
-}
-
-let m_threads = Metrics.counter "sim.threads"
-let m_stmts = Metrics.counter "sim.statements"
 let m_compile_us = Metrics.counter "sim.compile_us"
-let m_exec_us = Metrics.counter "sim.exec_us"
-let m_par_blocks = Metrics.counter "sim.parallel_blocks"
 let m_fma_nests = Metrics.counter "sim.compile.fma_nests"
 let m_hoisted = Metrics.counter "sim.compile.hoisted"
-let m_seq_blocks = Metrics.counter "sim.sequential_blocks"
-
-let kernel c = c.kernel
-let parallel_grid c = c.parallel_ok
 
 (* The deepest nesting of [For]/[Let] binders: the binder stack never grows
    past it, so hoisted slots start above. *)
@@ -1146,7 +1122,7 @@ let rec binder_depth (s : Stmt.t) =
     max (binder_depth then_) (Option.fold ~none:0 ~some:binder_depth else_)
   | Store _ | Mma _ | Sync_threads | Comment _ -> 0
 
-let compile (k : Kernel.t) : compiled =
+let compile (k : Kernel.t) : Launch.t =
   Verify.kernel_exn k;
   let t0 = Unix.gettimeofday () in
   let res =
@@ -1154,22 +1130,7 @@ let compile (k : Kernel.t) : compiled =
       ~attrs:(fun () -> [ ("kernel", k.Kernel.name) ])
       "sim.compile"
       (fun _ ->
-        let buf_slot = Hashtbl.create 16 in
-        let next = ref 0 in
-        let assign bufs =
-          Array.of_list
-            (List.map
-               (fun (b : Buffer.t) ->
-                 let s = !next in
-                 incr next;
-                 Hashtbl.replace buf_slot b.Buffer.id s;
-                 (s, b))
-               bufs)
-        in
-        let global_slots = assign k.params in
-        let shared_slots = assign k.shared in
-        let warp_slots = assign k.warp_bufs in
-        let reg_slots = assign k.regs in
+        let slots = Launch.slots k in
         let depth = binder_depth k.body in
         let hoist_base = pinned_ints + depth in
         let slot_depth = Hashtbl.create 64 in
@@ -1177,7 +1138,7 @@ let compile (k : Kernel.t) : compiled =
         Hashtbl.replace slot_depth bid_slot 0;
         let st =
           {
-            buf_slot;
+            buf_slot = slots.Launch.slot_of;
             next_int = pinned_ints;
             next_float = 0;
             max_float = 0;
@@ -1196,135 +1157,30 @@ let compile (k : Kernel.t) : compiled =
         let body = with_init (leave_scope st) body in
         Metrics.add m_fma_nests st.fma_nests;
         Metrics.add m_hoisted (st.next_hoist - hoist_base);
-        {
-          kernel = k;
-          nbufs = !next;
-          global_slots;
-          shared_slots;
-          warp_slots;
-          reg_slots;
-          n_ints = st.next_hoist;
-          n_floats = st.max_float;
-          n_bools = st.max_bool;
-          n_dyns = st.max_dyn;
-          body;
-          has_sync =
-            Stmt.count (function Stmt.Sync_threads -> true | _ -> false) k.body
-            > 0;
-          parallel_ok = Verify.block_disjoint_writes k;
-        })
+        let n_ints = st.next_hoist
+        and n_floats = max 1 st.max_float
+        and n_bools = max 1 st.max_bool
+        and n_dyns = max 1 st.max_dyn in
+        (* One frame per thread: the closures capture no scratch state. *)
+        let entry tid bid bufs =
+          let ints = Array.make n_ints 0 in
+          ints.(tid_slot) <- tid;
+          ints.(bid_slot) <- bid;
+          let rt =
+            {
+              bufs;
+              ints;
+              floats = Array.make n_floats 0.;
+              bools = Array.make n_bools false;
+              vals = Array.make n_dyns (Expr.V_int 0);
+              stmts = 0;
+            }
+          in
+          body rt;
+          rt.stmts
+        in
+        Launch.make k slots entry)
   in
   Metrics.add m_compile_us
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   res
-
-(* Run one block; returns the number of statements its threads executed.
-   With a barrier, thread fibers start in ascending tid order and advance
-   phase by phase through [Interp]'s barrier machinery, exactly like the
-   reference. A kernel without [Sync_threads] runs its threads to
-   completion one after another, as [Exec_ocaml] does: no barrier can be
-   reached, so the fiber would change nothing but the cost. *)
-let exec_block (c : compiled) (proto : float array array) bid : int =
-  let k = c.kernel in
-  let bufs_block = Array.copy proto in
-  Array.iter
-    (fun (s, b) -> bufs_block.(s) <- Array.make (Buffer.num_elems b) 0.)
-    c.shared_slots;
-  let num_warps =
-    (k.Kernel.block_dim + Interp.warp_size - 1) / Interp.warp_size
-  in
-  let warp_storage =
-    Array.init num_warps (fun _ ->
-        Array.map (fun (_, b) -> Array.make (Buffer.num_elems b) 0.) c.warp_slots)
-  in
-  let make_rt tid =
-    let bufs = Array.copy bufs_block in
-    let ws = warp_storage.(tid / Interp.warp_size) in
-    Array.iteri (fun i (s, _) -> bufs.(s) <- ws.(i)) c.warp_slots;
-    Array.iter
-      (fun (s, b) -> bufs.(s) <- Array.make (Buffer.num_elems b) 0.)
-      c.reg_slots;
-    let ints = Array.make c.n_ints 0 in
-    ints.(tid_slot) <- tid;
-    ints.(bid_slot) <- bid;
-    {
-      bufs;
-      ints;
-      floats = Array.make (max 1 c.n_floats) 0.;
-      bools = Array.make (max 1 c.n_bools) false;
-      vals = Array.make (max 1 c.n_dyns) (Expr.V_int 0);
-      stmts = 0;
-    }
-  in
-  if not c.has_sync then begin
-    let total = ref 0 in
-    for tid = 0 to k.Kernel.block_dim - 1 do
-      let rt = make_rt tid in
-      c.body rt;
-      total := !total + rt.stmts
-    done;
-    !total
-  end
-  else begin
-    let rts = Array.init k.Kernel.block_dim make_rt in
-    let statuses =
-      Array.init k.Kernel.block_dim (fun tid ->
-          Interp.start_thread (fun () -> c.body rts.(tid)))
-    in
-    Interp.barrier_loop ~kernel_name:k.Kernel.name ~bid statuses;
-    Array.fold_left (fun acc rt -> acc + rt.stmts) 0 rts
-  end
-
-let run_compiled ?workers (c : compiled) bindings =
-  let k = c.kernel in
-  Interp.check_bindings k bindings;
-  let proto = Array.make (max 1 c.nbufs) [||] in
-  Array.iter
-    (fun (s, (b : Buffer.t)) ->
-      match List.find_opt (fun (p, _) -> Buffer.equal p b) bindings with
-      | Some (_, arr) -> proto.(s) <- arr
-      | None -> assert false (* every parameter is bound: check_bindings *))
-    c.global_slots;
-  let use_domains =
-    Option.fold ~none:true ~some:(fun w -> w > 1) workers
-    && c.parallel_ok && k.Kernel.grid_dim > 1
-  in
-  let t0 = Unix.gettimeofday () in
-  let counts =
-    Trace.span
-      ~attrs:(fun () ->
-        [
-          ("kernel", k.Kernel.name);
-          ("parallel", string_of_bool use_domains);
-          ("grid_dim", string_of_int k.Kernel.grid_dim);
-        ])
-      "sim.exec"
-      (fun _ ->
-        if use_domains then
-          Hidet_parallel.Parallel.map ?workers
-            (fun bid -> exec_block c proto bid)
-            (Array.init k.Kernel.grid_dim Fun.id)
-        else begin
-          let counts = Array.make k.Kernel.grid_dim 0 in
-          for bid = 0 to k.Kernel.grid_dim - 1 do
-            counts.(bid) <- exec_block c proto bid
-          done;
-          counts
-        end)
-  in
-  Metrics.add m_exec_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  Metrics.add m_threads (Kernel.num_threads k);
-  Metrics.add m_stmts (Array.fold_left ( + ) 0 counts);
-  Metrics.add
-    (if use_domains then m_par_blocks else m_seq_blocks)
-    k.Kernel.grid_dim
-
-let run ?workers (k : Kernel.t) bindings =
-  run_compiled ?workers (compile k) bindings
-
-let run_alloc ?workers k ~inputs ~outputs =
-  let out_arrays =
-    List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
-  in
-  run ?workers k (inputs @ List.combine outputs out_arrays);
-  out_arrays

@@ -72,65 +72,17 @@
     Every form keeps the evaluation order of the nested closures it
     replaces (indices left to right, then the value; a binop's right
     operand before its left), so results, statement counts and raised
-    exceptions are unchanged. The closures capture no scratch state: all
-    of it is in the per-thread record, so a compiled kernel is shared by
-    the domains running its blocks.
+    exceptions are unchanged.
 
-    [Sync_threads] still runs on {!Interp}'s effect-handler barrier
-    machinery ({!Interp.start_thread} / {!Interp.barrier_loop}), so
-    {!Interp.Barrier_divergence} and {!Interp.Invalid_access} semantics are
-    bit-identical to the legacy interpreter, which remains the reference. A
-    kernel with no [Sync_threads] skips the per-thread fiber and runs its
-    threads one after another, like {!Exec_ocaml}.
+    The closures capture no scratch state: [compile]'s thread entry builds
+    one frame record per thread, so a compiled kernel is shared by the
+    domains running its blocks. {!Launch} runs the entry: it owns the slot
+    layout, the per-block memory model, the barrier fibers and the grid
+    loop. *)
 
-    The grid loop runs blocks on concurrent domains when the verifier
-    proves blocks write disjoint global memory
-    ({!Verify.block_disjoint_writes}); otherwise — or with [~workers:1] —
-    blocks run sequentially, exactly like the reference.
-
-    A {!compiled} value is a launch handle: [Compiled.run] builds one per
-    kernel on first launch and reuses it on every later one. *)
-
-type compiled
-(** A kernel compiled to thread programs; reusable across launches and
-    shareable across domains. *)
-
-val compile : Hidet_ir.Kernel.t -> compiled
+val compile : Hidet_ir.Kernel.t -> Launch.t
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
-    kernel. Records compile wall time in the [sim.compile_us] metric and a
-    [sim.compile] trace span, and bumps [sim.compile.fma_nests] and
-    [sim.compile.hoisted]. *)
-
-val kernel : compiled -> Hidet_ir.Kernel.t
-
-val parallel_grid : compiled -> bool
-(** Whether the verifier proved per-block write disjointness, i.e. whether
-    {!run_compiled} may launch blocks on concurrent domains. *)
-
-val run_compiled :
-  ?workers:int ->
-  compiled ->
-  (Hidet_ir.Buffer.t * float array) list ->
-  unit
-(** Execute a compiled kernel. [bindings] follow the [Interp.run] contract
-    (one array per parameter, mutated in place) and failures raise the same
-    exceptions with the same messages. When {!parallel_grid} holds, blocks
-    run on [workers] domains through [Hidet_parallel.Parallel.map]
-    (default {!Hidet_parallel.Parallel.default_workers}); [~workers:1] runs
-    them sequentially. Updates the [sim.threads], [sim.statements],
-    [sim.exec_us] metrics and a [sim.exec] trace span. *)
-
-val run :
-  ?workers:int ->
-  Hidet_ir.Kernel.t ->
-  (Hidet_ir.Buffer.t * float array) list ->
-  unit
-(** [compile] + [run_compiled]: drop-in replacement for [Interp.run]. *)
-
-val run_alloc :
-  ?workers:int ->
-  Hidet_ir.Kernel.t ->
-  inputs:(Hidet_ir.Buffer.t * float array) list ->
-  outputs:Hidet_ir.Buffer.t list ->
-  float array list
-(** Drop-in replacement for [Interp.run_alloc]. *)
+    kernel to a launch handle. Records compile wall time in the
+    [sim.compile_us] metric and a [sim.compile] trace span, and bumps
+    [sim.compile.fma_nests] and [sim.compile.hoisted]. [Launch.run
+    compile] is a drop-in replacement for [Interp.run]. *)

@@ -7,7 +7,6 @@ type t = {
   shared_mem_per_block : int;
   registers_per_sm : int;
   max_registers_per_thread : int;
-  warp_size : int;
   mem_bandwidth : float;
   fp32_tflops : float;
   tensor_tflops : float;
@@ -38,7 +37,6 @@ let rtx3090 =
     shared_mem_per_block = 99 * 1024;
     registers_per_sm = 65536;
     max_registers_per_thread = 255;
-    warp_size = 32;
     mem_bandwidth = 936.0e9;
     fp32_tflops = 35.6;
     tensor_tflops = 71.0;
@@ -75,7 +73,6 @@ let a100 =
     shared_mem_per_block = 163 * 1024;
     registers_per_sm = 65536;
     max_registers_per_thread = 255;
-    warp_size = 32;
     mem_bandwidth = 1555.0e9;
     fp32_tflops = 19.5;
     tensor_tflops = 156.0;

@@ -13,7 +13,6 @@ type t = {
   shared_mem_per_block : int;  (** bytes, architectural per-block cap *)
   registers_per_sm : int;  (** 32-bit registers *)
   max_registers_per_thread : int;
-  warp_size : int;
   mem_bandwidth : float;  (** bytes / second *)
   fp32_tflops : float;  (** CUDA-core FP32 peak *)
   tensor_tflops : float;  (** tensor-core TF32 peak *)

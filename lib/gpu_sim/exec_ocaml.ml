@@ -8,14 +8,15 @@ module Int_map = Map.Make (Int)
 (* ------------------------------------------------------------------ *)
 
 (* The printer is a one-for-one transliteration of [Compile_exec]'s closure
-   compiler: the same slot assignment, the same static type dispatch, the
-   same evaluation order (OCaml applications evaluate right to left in both
-   the closures and the generated operators; wherever the closure backend
-   sequences explicitly with lets, the generated code emits lets in the
-   same order), and the same error raisers — so results, statement counts
-   and raised exceptions are bit-identical across the three backends.
+   compiler: the same slot assignment ([Launch.slots]), the same static
+   type dispatch, the same evaluation order (OCaml applications evaluate
+   right to left in both the closures and the generated operators;
+   wherever the closure backend sequences explicitly with lets, the
+   generated code emits lets in the same order), and the same error
+   raisers — so results, statement counts and raised exceptions are
+   bit-identical across the three backends.
 
-   What changes is the execution model: IR variables become OCaml lets and
+   What changes is the thread body: IR variables become OCaml lets and
    for-loop indices (no frames), buffers and their dimensions become
    let-bound locals hoisted into the prelude, and loads/stores become
    [Array.unsafe_get]/[unsafe_set] guarded by the same per-dimension bounds
@@ -376,7 +377,7 @@ and emit_mma st venv out pad (m : Stmt.mma) =
   let slot (b : Buffer.t) = Hashtbl.find_opt st.buf_slot b.Buffer.id in
   add out (Printf.sprintf "%sincr stmts;\n" pad);
   add out (Printf.sprintf "%s(if tid mod %d = 0 then begin\n" pad
-             Interp.warp_size);
+             Kernel.warp_size);
   let p2 = pad ^ "  " in
   match (slot m.a, slot m.b, slot m.c) with
   | Some sa, Some sb, Some sc
@@ -493,45 +494,15 @@ and emit_mma st venv out pad (m : Stmt.mma) =
 (* Kernel codegen                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type slots = {
-  nbufs : int;
-  global_slots : (int * Buffer.t) array;
-  shared_slots : (int * Buffer.t) array;
-  warp_slots : (int * Buffer.t) array;
-  reg_slots : (int * Buffer.t) array;
-}
-
-(* Slot assignment order matches [Compile_exec.compile]: params, shared,
-   warp buffers, registers, one incrementing counter. *)
-let assign_slots (k : Kernel.t) =
-  let buf_slot = Hashtbl.create 16 in
-  let next = ref 0 in
-  let assign bufs =
-    Array.of_list
-      (List.map
-         (fun (b : Buffer.t) ->
-           let s = !next in
-           incr next;
-           Hashtbl.replace buf_slot b.Buffer.id s;
-           (s, b))
-         bufs)
-  in
-  let global_slots = assign k.Kernel.params in
-  let shared_slots = assign k.Kernel.shared in
-  let warp_slots = assign k.Kernel.warp_bufs in
-  let reg_slots = assign k.Kernel.regs in
-  ( buf_slot,
-    { nbufs = !next; global_slots; shared_slots; warp_slots; reg_slots } )
-
 (* The generated unit: [body tid bid bufs] runs one thread and returns its
    statement count. Buffer arrays and their dimensions are hoisted to
    let-bound locals in the prelude; the registration trailer (which embeds
    the unique unit name) is appended at build time, so the source that keys
    the compile memo holds no process-global id. Slot numbers and dims are
    literals in it: equal source means an equal slot layout. *)
-let codegen (k : Kernel.t) : string * slots =
-  let buf_slot, slots = assign_slots k in
-  let st = { buf_slot; tmp = 0 } in
+let codegen (k : Kernel.t) : string * Launch.slots =
+  let slots = Launch.slots k in
+  let st = { buf_slot = slots.Launch.slot_of; tmp = 0 } in
   let out = Stdlib.Buffer.create 4096 in
   add out
     (Printf.sprintf "(* generated by Hidet_gpu.Exec_ocaml for kernel %s *)\n"
@@ -741,23 +712,12 @@ let available () = Result.map (fun _ -> ()) (Lazy.force toolchain_once)
 (* Compilation with memoization                                       *)
 (* ------------------------------------------------------------------ *)
 
-type compiled = {
-  kernel : Kernel.t;
-  slots : slots;
-  entry : Exec_registry.entry;
-  has_sync : bool;
-  parallel_ok : bool;
-}
-
-let kernel c = c.kernel
-let parallel_grid c = c.parallel_ok
-
 (* Keyed on the source text itself: a hit means byte-equal source, which
    no digest collision can fake. *)
 let memo : (string, Exec_registry.entry) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
-let compile (k : Kernel.t) : compiled =
+let compile (k : Kernel.t) : Launch.t =
   let tc =
     match Lazy.force toolchain_once with
     | Ok tc -> tc
@@ -788,126 +748,4 @@ let compile (k : Kernel.t) : compiled =
           Hashtbl.replace memo src e;
           e)
   in
-  {
-    kernel = k;
-    slots;
-    entry;
-    has_sync =
-      Stmt.count (function Stmt.Sync_threads -> true | _ -> false)
-        k.Kernel.body
-      > 0;
-    parallel_ok = Verify.block_disjoint_writes k;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Launch                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let m_threads = Metrics.counter "sim.threads"
-let m_stmts = Metrics.counter "sim.statements"
-let m_exec_us = Metrics.counter "sim.exec_us"
-let m_par_blocks = Metrics.counter "sim.parallel_blocks"
-let m_seq_blocks = Metrics.counter "sim.sequential_blocks"
-
-(* Identical per-block memory model to [Compile_exec.exec_block]: shared
-   arrays fresh per block, warp storage shared across a warp's threads,
-   register arrays fresh per thread. Kernels without [Sync_threads] skip
-   the fiber machinery entirely — a plain loop over tids is observably
-   identical when no barrier can be reached. *)
-let exec_block (c : compiled) (proto : float array array) bid : int =
-  let k = c.kernel in
-  let bufs_block = Array.copy proto in
-  Array.iter
-    (fun (s, b) -> bufs_block.(s) <- Array.make (Buffer.num_elems b) 0.)
-    c.slots.shared_slots;
-  let num_warps =
-    (k.Kernel.block_dim + Interp.warp_size - 1) / Interp.warp_size
-  in
-  let warp_storage =
-    Array.init num_warps (fun _ ->
-        Array.map
-          (fun (_, b) -> Array.make (Buffer.num_elems b) 0.)
-          c.slots.warp_slots)
-  in
-  let thread_bufs tid =
-    let bufs = Array.copy bufs_block in
-    let ws = warp_storage.(tid / Interp.warp_size) in
-    Array.iteri (fun i (s, _) -> bufs.(s) <- ws.(i)) c.slots.warp_slots;
-    Array.iter
-      (fun (s, b) -> bufs.(s) <- Array.make (Buffer.num_elems b) 0.)
-      c.slots.reg_slots;
-    bufs
-  in
-  if not c.has_sync then begin
-    let total = ref 0 in
-    for tid = 0 to k.Kernel.block_dim - 1 do
-      total := !total + c.entry tid bid (thread_bufs tid)
-    done;
-    !total
-  end
-  else begin
-    let counts = Array.make k.Kernel.block_dim 0 in
-    let rts = Array.init k.Kernel.block_dim thread_bufs in
-    let statuses =
-      Array.init k.Kernel.block_dim (fun tid ->
-          Interp.start_thread (fun () ->
-              counts.(tid) <- c.entry tid bid rts.(tid)))
-    in
-    Interp.barrier_loop ~kernel_name:k.Kernel.name ~bid statuses;
-    Array.fold_left ( + ) 0 counts
-  end
-
-let run_compiled ?workers (c : compiled) bindings =
-  let k = c.kernel in
-  Interp.check_bindings k bindings;
-  let proto = Array.make (max 1 c.slots.nbufs) [||] in
-  Array.iter
-    (fun (s, (b : Buffer.t)) ->
-      match List.find_opt (fun (p, _) -> Buffer.equal p b) bindings with
-      | Some (_, arr) -> proto.(s) <- arr
-      | None -> assert false (* every parameter is bound: check_bindings *))
-    c.slots.global_slots;
-  let use_domains =
-    Option.fold ~none:true ~some:(fun w -> w > 1) workers
-    && c.parallel_ok && k.Kernel.grid_dim > 1
-  in
-  let t0 = Unix.gettimeofday () in
-  let counts =
-    Trace.span
-      ~attrs:(fun () ->
-        [
-          ("kernel", k.Kernel.name);
-          ("backend", "native");
-          ("parallel", string_of_bool use_domains);
-          ("grid_dim", string_of_int k.Kernel.grid_dim);
-        ])
-      "sim.exec"
-      (fun _ ->
-        if use_domains then
-          Hidet_parallel.Parallel.map ?workers
-            (fun bid -> exec_block c proto bid)
-            (Array.init k.Kernel.grid_dim Fun.id)
-        else begin
-          let counts = Array.make k.Kernel.grid_dim 0 in
-          for bid = 0 to k.Kernel.grid_dim - 1 do
-            counts.(bid) <- exec_block c proto bid
-          done;
-          counts
-        end)
-  in
-  Metrics.add m_exec_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  Metrics.add m_threads (Kernel.num_threads k);
-  Metrics.add m_stmts (Array.fold_left ( + ) 0 counts);
-  Metrics.add
-    (if use_domains then m_par_blocks else m_seq_blocks)
-    k.Kernel.grid_dim
-
-let run ?workers (k : Kernel.t) bindings =
-  run_compiled ?workers (compile k) bindings
-
-let run_alloc ?workers k ~inputs ~outputs =
-  let out_arrays =
-    List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
-  in
-  run ?workers k (inputs @ List.combine outputs out_arrays);
-  out_arrays
+  Launch.make k slots entry

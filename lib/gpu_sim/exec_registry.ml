@@ -18,7 +18,6 @@ let take name =
   r
 
 let sync () = Effect.perform Interp.Sync
-let warp_size = Interp.warp_size
 let invalid_access msg = raise (Interp.Invalid_access msg)
 
 let oob i d name =

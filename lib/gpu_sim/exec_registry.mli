@@ -12,8 +12,8 @@
 
 type entry = int -> int -> float array array -> int
 (** [entry tid bid bufs] runs one thread and returns the number of
-    statements it executed. [bufs] is indexed by the buffer slots assigned
-    at codegen time. *)
+    statements it executed. [bufs] is indexed by {!Launch.slots}; a
+    {!Launch.t} runs every compiled backend's entry. *)
 
 val register : string -> entry -> unit
 (** Called by the generated unit's toplevel [let () = ...] under the unit's
@@ -27,8 +27,6 @@ val take : string -> entry option
 
 val sync : unit -> unit
 (** Perform {!Interp.Sync} — the block barrier. *)
-
-val warp_size : int
 
 val oob : int -> int -> string -> 'a
 (** [Interp.Invalid_access] with [Buffer.flat_index]'s exact message. *)

@@ -5,8 +5,6 @@ exception Invalid_access of string
 
 type _ Effect.t += Sync : unit Effect.t
 
-let warp_size = 32
-
 module Int_map = Map.Make (Int)
 
 (* Storage for one buffer: a flat float array (all dtypes are stored as
@@ -42,7 +40,7 @@ let locate ctx (b : Hidet_ir.Buffer.t) : float array =
     match b.Buffer.scope with
     | Buffer.Global -> ctx.globals
     | Buffer.Shared -> ctx.shared
-    | Buffer.Warp -> ctx.warps.(ctx.tid / warp_size)
+    | Buffer.Warp -> ctx.warps.(ctx.tid / Kernel.warp_size)
     | Buffer.Register -> ctx.regs
   in
   match Hashtbl.find_opt tbl b.Buffer.id with
@@ -70,7 +68,7 @@ let env_of ctx : Expr.env =
 
 let exec_mma ctx env (m : Stmt.mma) =
   (* Executed cooperatively by the warp; simulated once, by lane 0. *)
-  if ctx.tid mod warp_size = 0 then begin
+  if ctx.tid mod Kernel.warp_size = 0 then begin
     let off l = List.map (Expr.eval_int env) l in
     let a_off = off m.a_off and b_off = off m.b_off and c_off = off m.c_off in
     let a = locate ctx m.a and b = locate ctx m.b and c = locate ctx m.c in
@@ -128,8 +126,8 @@ let rec exec_stmt ctx env (s : Stmt.t) : unit =
 type status = Finished | Blocked of (unit, status) Effect.Deep.continuation
 
 (* Barrier loop: advance all blocked threads phase by phase. Shared with
-   [Compile_exec] so barrier-divergence semantics (and the error message)
-   cannot drift between the two backends. *)
+   [Launch] so barrier-divergence semantics (and the error message)
+   cannot drift between the backends. *)
 let barrier_loop ~kernel_name ~bid statuses =
   let rec phases statuses =
     let blocked =
@@ -173,9 +171,8 @@ let start_thread body : status =
 let run_block (k : Kernel.t) globals bid =
   let shared : store = Hashtbl.create 4 in
   alloc_into shared k.shared;
-  let num_warps = (k.block_dim + warp_size - 1) / warp_size in
   let warps =
-    Array.init num_warps (fun _ ->
+    Array.init (Kernel.num_warps_per_block k) (fun _ ->
         let tbl : store = Hashtbl.create 4 in
         alloc_into tbl k.warp_bufs;
         tbl)
@@ -193,8 +190,8 @@ let run_block (k : Kernel.t) globals bid =
   in
   barrier_loop ~kernel_name:k.name ~bid statuses
 
-(* Binding validation shared with [Compile_exec]; the messages keep the
-   historical "Interp.run" prefix so both backends fail identically. *)
+(* Binding validation shared with [Launch]; the messages keep the
+   historical "Interp.run" prefix so all backends fail identically. *)
 let check_bindings (k : Kernel.t) bindings =
   List.iter
     (fun ((b : Hidet_ir.Buffer.t), arr) ->
@@ -221,10 +218,3 @@ let run (k : Kernel.t) bindings =
   for bid = 0 to k.grid_dim - 1 do
     run_block k globals bid
   done
-
-let run_alloc k ~inputs ~outputs =
-  let out_arrays =
-    List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
-  in
-  run k (inputs @ List.combine outputs out_arrays);
-  out_arrays

@@ -22,25 +22,15 @@ val run : Hidet_ir.Kernel.t -> (Hidet_ir.Buffer.t * float array) list -> unit
     arrays are mutated in place. Raises [Invalid_argument] on missing or
     mis-sized bindings. *)
 
-val run_alloc :
-  Hidet_ir.Kernel.t ->
-  inputs:(Hidet_ir.Buffer.t * float array) list ->
-  outputs:Hidet_ir.Buffer.t list ->
-  float array list
-(** Convenience wrapper: allocates zero-filled arrays for [outputs], runs,
-    and returns them in order. *)
-
 (** {1 Shared execution machinery}
 
     The pieces below are the barrier and launch-validation substrate reused
-    by {!Compile_exec}, the closure-compiling backend. Sharing them (rather
+    by {!Launch}, which runs the compiled backends. Sharing them (rather
     than reimplementing) is what keeps [Barrier_divergence] and binding
-    errors bit-identical across the two backends. *)
+    errors bit-identical across all backends. *)
 
 type _ Effect.t += Sync : unit Effect.t
 (** Performed by a thread fiber reaching [__syncthreads]. *)
-
-val warp_size : int
 
 type status = Finished | Blocked of (unit, status) Effect.Deep.continuation
 (** State of one thread fiber between barrier phases. *)

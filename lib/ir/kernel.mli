@@ -35,6 +35,10 @@ val create :
     mismatches (e.g. a [Shared] buffer among [params]) or block size not
     being positive. *)
 
+val warp_size : int
+(** Threads per warp (32), the one warp size of the simulators, the
+    latency models and the generated code. *)
+
 val num_threads : t -> int
 val num_warps_per_block : t -> int
 val shared_bytes : t -> int

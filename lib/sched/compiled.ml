@@ -59,8 +59,8 @@ module Handles = Ephemeron.K1.Make (struct
 end)
 
 let handles_lock = Mutex.create ()
-let closure_handles : Hidet_gpu.Compile_exec.compiled Handles.t = Handles.create 64
-let native_handles : Hidet_gpu.Exec_ocaml.compiled Handles.t = Handles.create 64
+let closure_handles : Hidet_gpu.Launch.t Handles.t = Handles.create 64
+let native_handles : Hidet_gpu.Launch.t Handles.t = Handles.create 64
 
 let handle table build k =
   match Mutex.protect handles_lock (fun () -> Handles.find_opt table k) with
@@ -116,16 +116,15 @@ let run ?(legacy = false) ?(backend = `Closure) c inputs =
           k.Kernel.params
       in
       if legacy then Hidet_gpu.Interp.run k kernel_bindings
-      else if use_native then
-        Hidet_gpu.Exec_ocaml.run_compiled
-          (handle native_handles Hidet_gpu.Exec_ocaml.compile k)
-          kernel_bindings
-      else begin
-        if want_native then Hidet_obs.Metrics.incr m_fallbacks;
-        Hidet_gpu.Compile_exec.run_compiled
-          (handle closure_handles Hidet_gpu.Compile_exec.compile k)
-          kernel_bindings
-      end)
+      else
+        let launch =
+          if use_native then handle native_handles Hidet_gpu.Exec_ocaml.compile k
+          else begin
+            if want_native then Hidet_obs.Metrics.incr m_fallbacks;
+            handle closure_handles Hidet_gpu.Compile_exec.compile k
+          end
+        in
+        Hidet_gpu.Launch.run_compiled launch kernel_bindings)
     c.kernels;
   Tensor.of_array c.out.Buffer.dims out_arr
 

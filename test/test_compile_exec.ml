@@ -6,6 +6,7 @@
 open Hidet_ir
 module Interp = Hidet_gpu.Interp
 module CE = Hidet_gpu.Compile_exec
+module Launch = Hidet_gpu.Launch
 module G = QCheck.Gen
 
 (* --- random kernel generator --------------------------------------------- *)
@@ -197,7 +198,7 @@ let prop_compiled_eq_legacy =
       let k, a, b, c, n = build_kernel s in
       let r_legacy = capture Interp.run k ~a ~b ~c ~n ~seed:s.input_seed in
       let r_compiled =
-        capture (CE.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:1 CE.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       same_result r_legacy r_compiled)
 
@@ -206,10 +207,10 @@ let prop_parallel_eq_sequential =
     (fun s ->
       let k, a, b, c, n = build_kernel s in
       let r_par =
-        capture (CE.run ~workers:4) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:4 CE.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let r_seq =
-        capture (CE.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:1 CE.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       same_result r_par r_seq)
 
@@ -233,7 +234,7 @@ let both_raise_same name mk =
           Ok ()
         with e -> Error e
       in
-      let r1 = go Interp.run and r2 = go (CE.run ~workers:1) in
+      let r1 = go Interp.run and r2 = go (Launch.run ~workers:1 CE.compile) in
       (match r1 with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "legacy interpreter did not raise");
@@ -291,7 +292,7 @@ let check_same_outputs name k bindings_of outputs =
         runner k bs;
         List.map (fun b -> List.assq b bs) outputs
       in
-      let o1 = run Interp.run and o2 = run (CE.run ~workers:1) in
+      let o1 = run Interp.run and o2 = run (Launch.run ~workers:1 CE.compile) in
       List.iter2
         (fun x y ->
           Alcotest.(check bool) "outputs bit-identical" true
@@ -669,11 +670,11 @@ let same_outputs r1 r2 =
 
 let check_form_parity k bindings_of outputs =
   let legacy, _ = run_counted Interp.run k bindings_of outputs in
-  let closure, n_closure = run_counted (CE.run ~workers:1) k bindings_of outputs in
+  let closure, n_closure = run_counted (Launch.run ~workers:1 CE.compile) k bindings_of outputs in
   Alcotest.(check bool) "outputs bit-identical to the reference" true
     (same_outputs legacy closure);
   if Lazy.force native_ok then begin
-    let native, n_native = run_counted (EO.run ~workers:1) k bindings_of outputs in
+    let native, n_native = run_counted (Launch.run ~workers:1 EO.compile) k bindings_of outputs in
     Alcotest.(check bool) "native outputs bit-identical" true
       (same_outputs closure native);
     Alcotest.(check int) "statements counted as native counts them" n_native
@@ -963,7 +964,7 @@ let test_metrics_counters () =
   let k, a, c = vadd_kernel () in
   let before_threads = Hidet_obs.Metrics.(value (counter "sim.threads")) in
   let before_stmts = Hidet_obs.Metrics.(value (counter "sim.statements")) in
-  CE.run k [ (a, Array.make 128 1.); (c, Array.make 128 0.) ];
+  Launch.run CE.compile k [ (a, Array.make 128 1.); (c, Array.make 128 0.) ];
   let d_threads =
     Hidet_obs.Metrics.(value (counter "sim.threads")) - before_threads
   in
@@ -976,12 +977,81 @@ let test_metrics_counters () =
 let test_compile_once_run_many () =
   let k, a, c = vadd_kernel () in
   let compiled = CE.compile k in
-  Alcotest.(check bool) "grid provably disjoint" true (CE.parallel_grid compiled);
+  Alcotest.(check bool) "grid provably disjoint" true compiled.Launch.parallel_ok;
   let cv1 = Array.make 128 0. and cv2 = Array.make 128 0. in
-  CE.run_compiled compiled [ (a, Array.make 128 1.); (c, cv1) ];
-  CE.run_compiled compiled [ (a, Array.make 128 2.); (c, cv2) ];
+  Launch.run_compiled compiled [ (a, Array.make 128 1.); (c, cv1) ];
+  Launch.run_compiled compiled [ (a, Array.make 128 2.); (c, cv2) ];
   Alcotest.(check (float 0.)) "first launch" 2. cv1.(5);
   Alcotest.(check (float 0.)) "second launch reuses program" 3. cv2.(5)
+
+(* --- storage lifetimes ------------------------------------------------------ *)
+
+(* Known answers for the launch's memory model. Three blocks of two warps
+   each add 1 twice to a register, a warp and a shared buffer, then store
+   all three to global memory at the thread's global id. Registers are
+   fresh per thread, warp buffers per warp of a block, shared buffers per
+   block. Without a barrier each thread runs to completion in tid order,
+   so thread [t] sees 2, 2 * (t mod 32 + 1) and 2 * (t + 1); with one
+   before the stores it sees 2, 2 * 32 and 2 * 64. Storage that leaks from
+   one thread, warp or block into the next shows as a larger value. *)
+let lifetime_grid = 3
+let lifetime_block = 64
+
+let lifetime_kernel ~sync =
+  let n = lifetime_grid * lifetime_block in
+  let r = Buffer.create ~scope:Buffer.Register "R" [ 1 ]
+  and w = Buffer.create ~scope:Buffer.Warp "W" [ 1 ]
+  and s = Buffer.create ~scope:Buffer.Shared "S" [ 1 ] in
+  let outs = List.map (fun name -> Buffer.create name [ n ]) [ "OR"; "OW"; "OS" ] in
+  let gid =
+    Expr.add (Expr.mul Expr.Block_idx (Expr.int lifetime_block)) Expr.Thread_idx
+  in
+  let bump b =
+    Stmt.store b [ Expr.int 0 ] (Expr.add (Expr.load b [ Expr.int 0 ]) (Expr.float 1.))
+  in
+  let i = Var.fresh "i" in
+  let body =
+    Stmt.seq
+      ([ Stmt.for_ i (Expr.int 2) (Stmt.seq [ bump r; bump w; bump s ]) ]
+      @ (if sync then [ Stmt.sync ] else [])
+      @ List.map2
+          (fun o b -> Stmt.store o [ gid ] (Expr.load b [ Expr.int 0 ]))
+          outs [ r; w; s ])
+  in
+  let k =
+    Kernel.create ~name:"lifetimes" ~params:outs ~grid_dim:lifetime_grid
+      ~block_dim:lifetime_block ~regs:[ r ] ~warp_bufs:[ w ] ~shared:[ s ] body
+  in
+  (k, outs)
+
+let lifetime_expected ~sync =
+  let n = lifetime_grid * lifetime_block in
+  let at f = Array.init n (fun g -> float_of_int (f (g mod lifetime_block))) in
+  if sync then [ at (fun _ -> 2); at (fun _ -> 2 * 32); at (fun _ -> 2 * 64) ]
+  else [ at (fun _ -> 2); at (fun t -> 2 * ((t mod 32) + 1)); at (fun t -> 2 * (t + 1)) ]
+
+let test_storage_lifetimes ~sync () =
+  let k, outs = lifetime_kernel ~sync in
+  let expected = lifetime_expected ~sync in
+  let check name runner =
+    let bindings = List.map (fun o -> (o, Array.make (Buffer.num_elems o) 0.)) outs in
+    runner k bindings;
+    List.iter2
+      (fun (o, got) want ->
+        Alcotest.(check (array (float 0.)))
+          (Printf.sprintf "%s: %s" name o.Buffer.name)
+          want got)
+      bindings expected
+  in
+  Alcotest.(check bool) "blocks may run on domains" true
+    (CE.compile k).Launch.parallel_ok;
+  check "interp" Interp.run;
+  check "closure, 1 worker" (Launch.run ~workers:1 CE.compile);
+  check "closure, 4 workers" (Launch.run ~workers:4 CE.compile);
+  if Lazy.force native_ok then begin
+    check "native, 1 worker" (Launch.run ~workers:1 EO.compile);
+    check "native, 4 workers" (Launch.run ~workers:4 EO.compile)
+  end
 
 let () =
   Alcotest.run "compile_exec"
@@ -1063,5 +1133,12 @@ let () =
             test_compile_once_run_many;
           Alcotest.test_case "template fires nests and hoisting" `Quick
             test_template_counters;
+        ] );
+      ( "storage lifetimes",
+        [
+          Alcotest.test_case "without a barrier" `Quick
+            (test_storage_lifetimes ~sync:false);
+          Alcotest.test_case "with a barrier" `Quick
+            (test_storage_lifetimes ~sync:true);
         ] );
     ]

@@ -6,6 +6,7 @@
 
 open Hidet_ir
 module CE = Hidet_gpu.Compile_exec
+module Launch = Hidet_gpu.Launch
 module EO = Hidet_gpu.Exec_ocaml
 module G = QCheck.Gen
 
@@ -205,12 +206,12 @@ let prop_native_eq_compiled =
       let v = Hidet_obs.Metrics.value in
       let s0 = v stmts_counter in
       let r_closure =
-        capture (CE.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:1 CE.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let closure_stmts = v stmts_counter - s0 in
       let s1 = v stmts_counter in
       let r_native =
-        capture (EO.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:1 EO.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let native_stmts = v stmts_counter - s1 in
       same_result r_closure r_native && closure_stmts = native_stmts)
@@ -220,10 +221,10 @@ let prop_native_parallel_eq_sequential =
     arb_spec (fun s ->
       let k, a, b, c, n = build_kernel s in
       let r_par =
-        capture (EO.run ~workers:4) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:4 EO.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       let r_seq =
-        capture (EO.run ~workers:1) k ~a ~b ~c ~n ~seed:s.input_seed
+        capture (Launch.run ~workers:1 EO.compile) k ~a ~b ~c ~n ~seed:s.input_seed
       in
       same_result r_par r_seq)
 
@@ -238,8 +239,8 @@ let both_raise_same name mk =
           Ok ()
         with e -> Error e
       in
-      let r1 = go (CE.run ~workers:1)
-      and r2 = go (EO.run ~workers:1) in
+      let r1 = go (Launch.run ~workers:1 CE.compile)
+      and r2 = go (Launch.run ~workers:1 EO.compile) in
       (match r1 with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "closure backend did not raise");
@@ -312,8 +313,8 @@ let check_same_outputs name k bindings_of outputs =
         runner k bs;
         List.map (fun b -> List.assq b bs) outputs
       in
-      let o1 = run (CE.run ~workers:1)
-      and o2 = run (EO.run ~workers:1) in
+      let o1 = run (Launch.run ~workers:1 CE.compile)
+      and o2 = run (Launch.run ~workers:1 EO.compile) in
       List.iter2
         (fun x y ->
           Alcotest.(check bool) "outputs bit-identical" true
@@ -420,8 +421,8 @@ let test_compile_is_memoized () =
   Alcotest.(check bool) "second compile hits the memo" true
     (v m_hits = hits0 + 1);
   let cv1 = Array.make 128 0. and cv2 = Array.make 128 0. in
-  EO.run_compiled c1 [ (a, Array.make 128 1.); (c, cv1) ];
-  EO.run_compiled c2 [ (a, Array.make 128 2.); (c, cv2) ];
+  Launch.run_compiled c1 [ (a, Array.make 128 1.); (c, cv1) ];
+  Launch.run_compiled c2 [ (a, Array.make 128 2.); (c, cv2) ];
   Alcotest.(check (float 0.)) "first launch" 2. cv1.(5);
   Alcotest.(check (float 0.)) "memoized unit still correct" 3. cv2.(5)
 
@@ -440,7 +441,7 @@ let test_native_metrics_counters () =
   let v = Hidet_obs.Metrics.value in
   let m_threads = Hidet_obs.Metrics.counter "sim.threads" in
   let t0 = v m_threads and s0 = v stmts_counter in
-  EO.run k [ (a, Array.make 128 1.); (c, Array.make 128 0.) ];
+  Launch.run EO.compile k [ (a, Array.make 128 1.); (c, Array.make 128 0.) ];
   Alcotest.(check int) "threads counted" (Kernel.num_threads k)
     (v m_threads - t0);
   Alcotest.(check bool) "statements counted" true (v stmts_counter - s0 >= 128)
@@ -546,8 +547,8 @@ let test_tiny_kernel_counts () =
           List.iter
             (fun (k : Kernel.t) ->
               let name = model ^ "/" ^ k.Kernel.name in
-              let closure, n_closure = run (CE.run ~workers:1) k in
-              let native, n_native = run (EO.run ~workers:1) k in
+              let closure, n_closure = run (Launch.run ~workers:1 CE.compile) k in
+              let native, n_native = run (Launch.run ~workers:1 EO.compile) k in
               Alcotest.(check int) (name ^ ": statements") n_native n_closure;
               Alcotest.(check bool) (name ^ ": outputs") true
                 (match (closure, native) with
@@ -624,15 +625,15 @@ let test_error_parity_through_hit () =
       Ok ()
     with e -> Error e
   in
-  let first = go (EO.run ~workers:1) in
+  let first = go (Launch.run ~workers:1 EO.compile) in
   let u0 = v m_units and h0 = v m_hits in
-  let second = go (EO.run ~workers:1) in
+  let second = go (Launch.run ~workers:1 EO.compile) in
   Alcotest.(check int) "no unit built" u0 (v m_units);
   Alcotest.(check int) "memo hit" (h0 + 1) (v m_hits);
   Alcotest.(check bool) "raises" true (Result.is_error second);
   Alcotest.(check bool) "same exception as the first run" true (first = second);
   Alcotest.(check bool) "same exception as the closure backend" true
-    (go (CE.run ~workers:1) = second)
+    (go (Launch.run ~workers:1 CE.compile) = second)
 
 (* The toolchain probe runs once per process, so the missing-toolchain path
    runs in a child whose PATH holds no ocamlfind. *)
