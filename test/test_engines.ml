@@ -336,6 +336,44 @@ let test_device_retarget () =
   Alcotest.(check bool) "an a100 with the 3090's fp32 peak models faster" true
     (fast.E.latency < r3090.E.latency)
 
+(* One MD5 per engine over every tiny model's compile: the model name,
+   latency and tuning cost (%h), kernel count and the MD5 of the plan's
+   CUDA source. The schedule cache is cleared before each compile, so
+   Hidet's tuning cost is the fresh cost whatever ran before. A change to
+   the compile pipeline that moves any plan, latency or cost fails here. *)
+let engine_digest (module Eng : E.S) =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (model, make) ->
+      Hidet_sched.Schedule_cache.clear ();
+      let r = Eng.compile dev (make ()) in
+      let cuda =
+        match r.E.plan with
+        | Some plan -> Digest.to_hex (Digest.string (Plan.cuda_source plan))
+        | None -> "-"
+      in
+      Printf.bprintf b "%s %h %h %d %s\n" model r.E.latency r.E.tuning_cost
+        r.E.kernel_count cuda)
+    M.tiny_all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_digests =
+  [
+    ("pytorch", "cae9fbcd321b7bc4b74876564f7f1398");
+    ("onnxruntime", "0d181668a6c9d0ba6ece60458251d7f5");
+    ("tensorrt", "0fb2de3b6e7df1ea3d834cec97c04093");
+    ("autotvm", "13a6d2f71a9a3fa0669385fdd55ae4b2");
+    ("ansor", "98deda75921092e7616970e38c38d4de");
+    ("hidet", "160fa04918df32e70161de5232c68afe");
+  ]
+
+let test_engine_digests () =
+  Alcotest.(check (list (pair string string)))
+    "engine digests" pinned_digests
+    (List.map
+       (fun ((module Eng : E.S) as eng) -> (Eng.name, engine_digest eng))
+       engines)
+
 let () =
   Alcotest.run "hidet_engines"
     [
@@ -371,5 +409,6 @@ let () =
           Alcotest.test_case "cross-engine correctness" `Quick test_cross_engine_correctness;
           Alcotest.test_case "table 1 capabilities" `Quick test_table1_capabilities;
           Alcotest.test_case "rtx3090 and a100 plans" `Quick test_device_retarget;
+          Alcotest.test_case "pinned digests" `Quick test_engine_digests;
         ] );
     ]
