@@ -9,15 +9,20 @@ test:
 	dune runtest
 
 # End-to-end observability smoke test: compile a real model with tracing
-# and profiling on, then validate the emitted Chrome trace JSON (parses,
-# non-empty, well-formed events). `trace-check` exits non-zero otherwise.
+# and profiling on, with the hidet engine and with a baseline, then
+# validate each emitted Chrome trace JSON (parses, non-empty, well-formed
+# events). `trace-check` exits non-zero otherwise.
 TRACE_SMOKE := /tmp/hidet-trace-smoke.json
+TRACE_SMOKE_ORT := /tmp/hidet-trace-smoke-ort.json
 
 trace-smoke:
 	dune build bin/hidetc.exe
 	./_build/default/bin/hidetc.exe compile --model mobilenet_v2 \
 	  --engine hidet --trace $(TRACE_SMOKE) --profile > /dev/null
 	./_build/default/bin/hidetc.exe trace-check $(TRACE_SMOKE)
+	./_build/default/bin/hidetc.exe compile --model mobilenet_v2 \
+	  --engine onnxruntime --trace $(TRACE_SMOKE_ORT) --profile > /dev/null
+	./_build/default/bin/hidetc.exe trace-check $(TRACE_SMOKE_ORT)
 
 # Differential fuzzing smoke test: a fixed-seed run of the compute/graph
 # fuzzer on every path (reference vs rule-based, template, fused,

@@ -158,9 +158,7 @@ let with_observability ~trace ~tuning_log ~summary f =
   result
 
 let print_profile ~fidelity (r : E.result) =
-  match r.E.plan with
-  | Some plan -> Format.printf "@.%a@." (Profiler.pp ~fidelity dev) plan
-  | None -> prerr_endline "engine produced no executable plan"
+  Format.printf "@.%a@." (Profiler.pp ~fidelity dev) r.E.plan
 
 let cache_arg =
   Arg.(
@@ -404,25 +402,20 @@ let compile_cmd =
     let r = Option.get !r in
     report r;
     if profile then print_profile ~fidelity r;
-    (if breakdown then
-       match r.E.plan with
-       | Some plan ->
-         print_endline "\nper-step latency breakdown (slowest first):";
-         let steps =
-           List.map
-             (fun (s : Plan.step) ->
-               (Hidet_sched.Compiled.latency ~fidelity dev s.Plan.compiled,
-                s.Plan.compiled.Hidet_sched.Compiled.name))
-             plan.Plan.steps
-         in
-         List.iter
-           (fun (l, n) -> Printf.printf "  %9.1f us  %s\n" (l *. 1e6) n)
-           (List.sort (fun (a, _) (b, _) -> compare b a) steps)
-       | None -> prerr_endline "engine produced no executable plan");
-    (if dump_cuda then
-       match r.E.plan with
-       | Some plan -> print_string (Plan.cuda_source plan)
-       | None -> prerr_endline "engine produced no executable plan")
+    if breakdown then begin
+      print_endline "\nper-step latency breakdown (slowest first):";
+      let steps =
+        List.map
+          (fun (s : Plan.step) ->
+            (Hidet_sched.Compiled.latency ~fidelity dev s.Plan.compiled,
+             s.Plan.compiled.Hidet_sched.Compiled.name))
+          r.E.plan.Plan.steps
+      in
+      List.iter
+        (fun (l, n) -> Printf.printf "  %9.1f us  %s\n" (l *. 1e6) n)
+        (List.sort (fun (a, _) (b, _) -> compare b a) steps)
+    end;
+    if dump_cuda then print_string (Plan.cuda_source r.E.plan)
     end
   in
   Cmd.v
@@ -486,19 +479,17 @@ let profile_cmd =
     Printf.printf "%s / %s: %.3f ms predicted on %s\n" r.E.model r.E.engine
       (r.E.latency *. 1e3) dev.Hidet_gpu.Device.name;
     print_profile ~fidelity:options.HE.fidelity r;
-    if measure then
-      match r.E.plan with
-      | Some plan ->
-        let inputs =
-          List.mapi
-            (fun i id ->
-              Hidet_tensor.Tensor.rand ~seed:(97 + i) (G.node_shape g id))
-            (G.input_ids g)
-        in
-        print_endline "measured execution (simulator):";
-        Format.printf "%a@." Profiler.pp_measured
-          (Profiler.measure ~backend plan inputs)
-      | None -> prerr_endline "engine produced no executable plan"
+    if measure then begin
+      let inputs =
+        List.mapi
+          (fun i id ->
+            Hidet_tensor.Tensor.rand ~seed:(97 + i) (G.node_shape g id))
+          (G.input_ids g)
+      in
+      print_endline "measured execution (simulator):";
+      Format.printf "%a@." Profiler.pp_measured
+        (Profiler.measure ~backend r.E.plan inputs)
+    end
   in
   Cmd.v
     (Cmd.info "profile"

@@ -1,9 +1,7 @@
 module Compiled = Hidet_sched.Compiled
 module G = Hidet_graph.Graph
 module Op = Hidet_graph.Op
-module Passes = Hidet_graph.Passes
 module Engine = Hidet_runtime.Engine
-module Plan = Hidet_runtime.Plan
 module GC = Hidet_runtime.Group_compiler
 module Trace = Hidet_obs.Trace
 module Metrics = Hidet_obs.Metrics
@@ -140,16 +138,11 @@ let classify device compile sched =
   match compile sched with
   | exception Invalid_argument _ ->
     Metrics.incr m_rejected;
-    (`Rejected, infinity, None)
+    (Tuning_log.Rejected, infinity)
   | compiled ->
     Metrics.incr m_trials;
     let lat = Compiled.latency device compiled in
-    if lat < infinity then (`Measured, lat, Some (compiled, lat))
-    else (`Infeasible, lat, None)
-
-let measure device compile sched =
-  let _, _, r = classify device compile sched in
-  r
+    ((if lat < infinity then Tuning_log.Measured else Tuning_log.Infeasible), lat)
 
 let generic_tune ?(key = "") ?(show = fun _ -> "") ~strategy ~budget ~device
     ~seed ~space_size ~sample ~mutate ~compile () =
@@ -170,68 +163,52 @@ let generic_tune ?(key = "") ?(show = fun _ -> "") ~strategy ~budget ~device
       "tune"
   in
   let best = ref None in
-  let consider_lat sched lat =
-    match lat with
-    | None -> ()
-    | Some lat -> (
-      match !best with
-      | Some (_, b) when b <= lat -> ()
-      | _ -> best := Some (sched, lat))
+  (* [i] is the trial number. A candidate gets a span where it is measured
+     and a tuning-log record when the driver merges it, in sampling order,
+     as the hidet tuner does, so traces and logs line up across engines.
+     The untraced path is a bare compile+measure. *)
+  let measure =
+    if not (Trace.enabled ()) then fun _ sched -> classify device compile sched
+    else fun i sched ->
+      Trace.span "trial" (fun csp ->
+          let ((status, lat) as outcome) = classify device compile sched in
+          Trace.add csp "workload" key;
+          Trace.add csp "index" (string_of_int i);
+          Trace.add csp "config" (show sched);
+          Trace.add csp "outcome" (Tuning_log.outcome_to_string status);
+          if status = Tuning_log.Measured then
+            Trace.add csp "latency_us" (Printf.sprintf "%.3f" (lat *. 1e6));
+          outcome)
   in
-  let measure_lat sched = Option.map snd (measure device compile sched) in
-  (* [i] is the trial number; a span + tuning-log record per candidate,
-     same shape as the hidet tuner's, so traces and logs line up across
-     engines. The unobserved path is a bare compile+measure. *)
-  let observed = Trace.enabled () || Tuning_log.enabled () in
-  let measure_idx i sched =
-    if not observed then measure_lat sched
-    else begin
-      let csp = Trace.enter "trial" in
-      let status, lat, r = classify device compile sched in
-      let status_str =
-        match status with
-        | `Rejected -> "rejected"
-        | `Infeasible -> "infeasible"
-        | `Measured -> "measured"
-      in
-      if Trace.enabled () then begin
-        Trace.add csp "workload" key;
-        Trace.add csp "index" (string_of_int i);
-        Trace.add csp "config" (show sched);
-        Trace.add csp "outcome" status_str;
-        if status = `Measured then
-          Trace.add csp "latency_us" (Printf.sprintf "%.3f" (lat *. 1e6))
-      end;
-      Trace.exit csp;
-      if Tuning_log.enabled () then
-        Tuning_log.record
-          {
-            Tuning_log.engine;
-            workload = key;
-            index = i;
-            config = (fun () -> show sched);
-            outcome =
-              (match status with
-              | `Rejected -> Tuning_log.Rejected
-              | `Infeasible -> Tuning_log.Infeasible
-              | `Measured -> Tuning_log.Measured);
-            latency = lat;
-          };
-      Option.map snd r
-    end
+  let merge i sched (status, lat) =
+    if Tuning_log.enabled () then
+      Tuning_log.record
+        {
+          Tuning_log.engine;
+          workload = key;
+          index = i;
+          config = (fun () -> show sched);
+          outcome = status;
+          latency = lat;
+        };
+    match !best with
+    | _ when status <> Tuning_log.Measured -> ()
+    | Some (_, b) when b <= lat -> ()
+    | _ -> best := Some (sched, lat)
   in
   (* Measure a pre-sampled batch across domains (AutoTVM's parallel
      measurement workers). Only wall clock improves: the *simulated*
      sequential cost model — budget x seconds_per_trial — is unchanged,
      and the batch is merged in sampling order with ties kept first, so the
-     selected schedule is identical to the sequential path's. *)
+     selected schedule and the log are identical to the sequential
+     path's. *)
   let measure_batch scheds =
-    let lats =
-      Hidet_sched.Parallel.map
-        (fun (i, s) -> measure_idx i s)
-        (Array.of_list (List.mapi (fun i s -> (i, s)) scheds))
+    let scheds = Array.of_list scheds in
+    let outcomes =
+      Hidet_parallel.Parallel.map (fun (i, s) -> measure i s)
+        (Array.mapi (fun i s -> (i, s)) scheds)
     in
-    List.iteri (fun i sched -> consider_lat sched lats.(i)) scheds
+    Array.iteri (fun i outcome -> merge i scheds.(i) outcome) outcomes
   in
   (match strategy with
   | Random_search -> measure_batch (List.init budget (fun _ -> sample rng))
@@ -252,7 +229,7 @@ let generic_tune ?(key = "") ?(show = fun _ -> "") ~strategy ~budget ~device
           | _ -> sample rng)
       in
       let child = mutate rng parent in
-      consider_lat child (measure_idx !used child);
+      merge !used child (measure !used child);
       population := child :: (match !population with _ :: t -> t | [] -> []);
       incr used
     done);
@@ -317,141 +294,87 @@ let tune_depthwise ?key ~strategy ~trials ~device ~seed ~p ~compile () =
 
 type tuning_stats = { mutable cost : float; mutable wall : float }
 
-let schedule_anchor ~strategy ~trials ~device ~cache ~stats g (anchor : G.node) =
-  let in_shapes = List.map (G.node_shape g) anchor.G.inputs in
-  let cached key tune fallback =
+(* The tuned arms: matmul, convolution and depthwise convolution, each
+   tuned once per key of one compile; a key no sampled schedule fits gets
+   the shared rule-based arm. *)
+let config ~strategy ~trials ~device stats =
+  let cache = Hashtbl.create 32 in
+  let cached key tune =
     match Hashtbl.find_opt cache key with
-    | Some maker -> (maker () : Compiled.t)
+    | Some c -> c
     | None ->
-      let maker =
-        match tune () with
-        | Some t ->
-          stats.cost <- stats.cost +. t.simulated_seconds;
-          stats.wall <- stats.wall +. t.wall_seconds;
-          (* Re-instantiating would lose the tuned schedule: keep it. *)
-          fun () -> t.compiled
-        | None -> fallback
+      let c =
+        Option.map
+          (fun t ->
+            stats.cost <- stats.cost +. t.simulated_seconds;
+            stats.wall <- stats.wall +. t.wall_seconds;
+            t.compiled)
+          (tune ())
       in
-      Hashtbl.replace cache key maker;
-      maker ()
+      Hashtbl.replace cache key c;
+      c
   in
-  let seed = Hashtbl.hash (Op.name anchor.G.op, in_shapes) in
-  match (anchor.G.op, in_shapes) with
-  | Op.Matmul, [ sa; sb ] ->
-    let a_batched, batch_a, m, k =
-      match sa with
-      | [ m; k ] -> (false, 1, m, k)
-      | [ b; m; k ] -> (true, b, m, k)
-      | _ -> invalid_arg "loop engine: matmul A rank"
-    in
-    let b_batched, batch_b, n =
-      match sb with
-      | [ _; n ] -> (false, 1, n)
-      | [ b; _; n ] -> (true, b, n)
-      | _ -> invalid_arg "loop engine: matmul B rank"
-    in
-    let batch = max batch_a batch_b in
+  let seed (anchor : G.node) in_shapes = Hashtbl.hash (Op.name anchor.G.op, in_shapes) in
+  let matmul anchor in_shapes { GC.batch; a_batched; b_batched; m; n; k } =
     let key = Printf.sprintf "mm_%d_%d_%d_%d" batch m n k in
-    let c =
-      cached key
-        (fun () ->
+    cached key (fun () ->
+        tune_gemm ~key ~strategy ~trials ~device ~seed:(seed anchor in_shapes) ~m ~n ~k
+          ~compile:(fun s -> Loop_sched.gemm ~batch ~a_batched ~b_batched ~m ~n ~k s)
+          ())
+  in
+  let own (anchor : G.node) in_shapes =
+    let seed = seed anchor in_shapes in
+    match (anchor.G.op, in_shapes) with
+    | Op.Conv2d { stride; pad_h; pad_w }, [ x_shape; w_shape ] ->
+      let m, n, k =
+        match (x_shape, w_shape) with
+        | [ _; c; h; w ], [ oc; _; kh; kw ] ->
+          ( oc,
+            conv_out h kh stride pad_h * conv_out w kw stride pad_w,
+            c * kh * kw )
+        | _ -> invalid_arg "loop engine: conv shapes"
+      in
+      let key =
+        Printf.sprintf "conv_%s_%s_%d_%d_%d"
+          (String.concat "x" (List.map string_of_int x_shape))
+          (String.concat "x" (List.map string_of_int w_shape))
+          stride pad_h pad_w
+      in
+      cached key (fun () ->
           tune_gemm ~key ~strategy ~trials ~device ~seed ~m ~n ~k
             ~compile:(fun s ->
-              Loop_sched.gemm ~batch ~a_batched ~b_batched ~m ~n ~k s)
+              Loop_sched.conv2d ~x_shape ~w_shape ~stride ~pad_h ~pad_w s)
             ())
-        (fun () ->
-          Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes))
-    in
-    (* The template emits [batch, m, n]; adapt when the graph node is
-       rank-2 (the rule-based fallback already matches the graph shape). *)
-    if c.Compiled.out.Hidet_ir.Buffer.dims = [ 1; m; n ]
-       && List.length anchor.G.shape = 2
-    then
-      Hidet_fusion.Fuse.fuse_epilogue c
-        (Op.to_def (Op.Reshape [ m; n ]) [ [ 1; m; n ] ])
-    else c
-  | Op.Conv2d { stride; pad_h; pad_w }, [ x_shape; w_shape ] ->
-    let m, n, k =
-      match (x_shape, w_shape) with
-      | [ _; c; h; w ], [ oc; _; kh; kw ] ->
-        ( oc,
-          conv_out h kh stride pad_h * conv_out w kw stride pad_w,
-          c * kh * kw )
-      | _ -> invalid_arg "loop engine: conv shapes"
-    in
-    let key =
-      Printf.sprintf "conv_%s_%s_%d_%d_%d"
-        (String.concat "x" (List.map string_of_int x_shape))
-        (String.concat "x" (List.map string_of_int w_shape))
-        stride pad_h pad_w
-    in
-    cached key
-      (fun () ->
-        tune_gemm ~key ~strategy ~trials ~device ~seed ~m ~n ~k
-          ~compile:(fun s ->
-            Loop_sched.conv2d ~x_shape ~w_shape ~stride ~pad_h ~pad_w s)
-          ())
-      (fun () -> Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes))
-  | Op.Depthwise_conv2d { stride; padding }, [ x_shape; w_shape ] ->
-    let p =
-      match (x_shape, w_shape) with
-      | [ _; _; h; w ], [ _; _; kh; kw ] ->
-        conv_out h kh stride padding * conv_out w kw stride padding
-      | _ -> invalid_arg "loop engine: dw shapes"
-    in
-    let key =
-      Printf.sprintf "dw_%s_%d"
-        (String.concat "x" (List.map string_of_int x_shape))
-        stride
-    in
-    cached key
-      (fun () ->
-        tune_depthwise ~key ~strategy ~trials ~device ~seed ~p
-          ~compile:(fun s ->
-            Loop_sched.depthwise ~x_shape ~w_shape ~stride ~padding s)
-          ())
-      (fun () -> Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes))
-  | Op.Softmax, [ s ] ->
-    let cols = List.nth s (List.length s - 1) in
-    let rows = List.fold_left ( * ) 1 s / cols in
-    Hidet_sched.Row_templates.softmax ~rows ~cols ()
-  | Op.Layernorm { eps }, [ s; _; _ ] ->
-    let cols = List.nth s (List.length s - 1) in
-    let rows = List.fold_left ( * ) 1 s / cols in
-    Hidet_sched.Row_templates.layernorm ~eps ~rows ~cols ()
-  | Op.Global_avg_pool, [ s ] ->
-    Hidet_sched.Reduce_template.schedule (Op.to_def anchor.G.op [ s ])
-  | _ -> Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes)
-
-let compile_with ~name ~strategy ~trials device g =
-  Trace.span
-    ~attrs:(fun () -> [ ("engine", name); ("model", G.get_name g) ])
-    "compile_plan"
-  @@ fun _root ->
-  let t0 = Unix.gettimeofday () in
-  let g = Trace.span "graph_optimize" (fun _ -> Passes.optimize g) in
-  let cache = Hashtbl.create 32 in
-  let stats = { cost = 0.; wall = 0. } in
-  let gc_config =
-    {
-      GC.schedule_anchor =
-        (fun g n -> schedule_anchor ~strategy ~trials ~device ~cache ~stats g n);
-      may_fuse_prologue = (fun _ -> true);
-      may_fuse_epilogue = (fun _ -> true);
-    }
+    | Op.Depthwise_conv2d { stride; padding }, [ x_shape; w_shape ] ->
+      let p =
+        match (x_shape, w_shape) with
+        | [ _; _; h; w ], [ _; _; kh; kw ] ->
+          conv_out h kh stride padding * conv_out w kw stride padding
+        | _ -> invalid_arg "loop engine: dw shapes"
+      in
+      let key =
+        Printf.sprintf "dw_%s_%d"
+          (String.concat "x" (List.map string_of_int x_shape))
+          stride
+      in
+      cached key (fun () ->
+          tune_depthwise ~key ~strategy ~trials ~device ~seed ~p
+            ~compile:(fun s ->
+              Loop_sched.depthwise ~x_shape ~w_shape ~stride ~padding s)
+            ())
+    | _ -> None
   in
-  let plan = GC.compile_graph gc_config g in
   {
-    Engine.engine = name;
-    model = G.get_name g;
-    latency = Plan.latency device plan;
-    tuning_cost = stats.cost;
-    cached_tuning_cost = 0.;
-    tuning_wall = stats.wall;
-    compile_wall = Unix.gettimeofday () -. t0;
-    kernel_count = Plan.kernel_count plan;
-    plan = Some plan;
+    GC.schedule_anchor = GC.schedule_anchor ~matmul ~own;
+    may_fuse_prologue = (fun _ -> true);
+    may_fuse_epilogue = (fun _ -> true);
   }
+
+let compile ~name ~strategy ~trials device g =
+  let stats = { cost = 0.; wall = 0. } in
+  Engine.compile ~engine:name ~lower_convs:false ~fidelity:`Analytic device g
+    (config ~strategy ~trials ~device stats)
+    (fun () -> { Engine.fresh = stats.cost; cached = 0.; wall = stats.wall })
 
 module Autotvm = struct
   let name = "autotvm"
@@ -465,7 +388,7 @@ module Autotvm = struct
     }
 
   let compile device g =
-    compile_with ~name ~strategy:Random_search ~trials:autotvm_trials device g
+    compile ~name ~strategy:Random_search ~trials:autotvm_trials device g
 end
 
 module Ansor = struct
@@ -480,5 +403,5 @@ module Ansor = struct
     }
 
   let compile device g =
-    compile_with ~name ~strategy:Evolutionary ~trials:ansor_trials device g
+    compile ~name ~strategy:Evolutionary ~trials:ansor_trials device g
 end

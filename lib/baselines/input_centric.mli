@@ -16,8 +16,9 @@
     Measurement runs through the same parallel path as Hidet's tuner
     (pre-sampled batches fanned across domains — AutoTVM's measurement
     workers): only wall clock improves; the *simulated* sequential cost
-    ([trials x seconds_per_trial], the Fig. 14 axis) and the selected
-    schedule are identical to the sequential implementation's. *)
+    ([trials x seconds_per_trial], the Fig. 14 axis), the selected
+    schedule and the tuning log, written by the driver in sampling order,
+    are identical to the sequential implementation's. *)
 
 type strategy = Random_search | Evolutionary
 
@@ -88,12 +89,3 @@ val tune_depthwise :
 
 module Autotvm : Hidet_runtime.Engine.S
 module Ansor : Hidet_runtime.Engine.S
-
-val compile_with :
-  name:string ->
-  strategy:strategy ->
-  trials:int ->
-  Hidet_gpu.Device.t ->
-  Hidet_graph.Graph.t ->
-  Hidet_runtime.Engine.result
-(** Shared engine implementation (exposed for tests and ablations). *)

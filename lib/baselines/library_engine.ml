@@ -2,7 +2,6 @@ module Compiled = Hidet_sched.Compiled
 module MT = Hidet_sched.Matmul_template
 module G = Hidet_graph.Graph
 module Op = Hidet_graph.Op
-module Passes = Hidet_graph.Passes
 module Engine = Hidet_runtime.Engine
 module Plan = Hidet_runtime.Plan
 module GC = Hidet_runtime.Group_compiler
@@ -93,67 +92,32 @@ let tactic_configs ~tensor_core =
           (matmul_configs ~tensor_core))
       [ 4; 8 ]
 
-let schedule_anchor ?(tensor_core = false) ?(tactic_timing = false) device g
-    (anchor : G.node) =
-  let in_shapes = List.map (G.node_shape g) anchor.G.inputs in
+let schedule_matmul ~tensor_core ~tactic_timing device
+    { GC.batch; a_batched; b_batched; m; n; k } =
+  let compile cfg = MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg in
+  match
+    if tactic_timing then
+      Hidet_sched.Tuner.tune ~device ~candidates:(tactic_configs ~tensor_core)
+        ~compile ()
+    else None
+  with
+  | Some (_, c, _) -> c
+  | None -> compile (pick_matmul ~tensor_core ~m ~n ~k ())
+
+let schedule_depthwise (anchor : G.node) in_shapes =
   match (anchor.G.op, in_shapes) with
-  | Op.Matmul, [ sa; sb ] ->
-    let a_batched, batch_a, m, k =
-      match sa with
-      | [ m; k ] -> (false, 1, m, k)
-      | [ b; m; k ] -> (true, b, m, k)
-      | _ -> invalid_arg "library: matmul A rank"
-    in
-    let b_batched, batch_b, n =
-      match sb with
-      | [ _; n ] -> (false, 1, n)
-      | [ b; _; n ] -> (true, b, n)
-      | _ -> invalid_arg "library: matmul B rank"
-    in
-    let batch = max batch_a batch_b in
-    let c =
-      if tactic_timing then
-        match
-          Hidet_sched.Tuner.tune ~device ~candidates:(tactic_configs ~tensor_core)
-            ~compile:(fun cfg -> MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg)
-            ()
-        with
-        | Some (_, c, _) -> c
-        | None ->
-          MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k
-            (pick_matmul ~tensor_core ~m ~n ~k ())
-      else
-        MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k
-          (pick_matmul ~tensor_core ~m ~n ~k ())
-    in
-    if c.Compiled.out.Hidet_ir.Buffer.dims = [ 1; m; n ]
-       && List.length anchor.G.shape = 2
-    then
-      Hidet_fusion.Fuse.fuse_epilogue c
-        (Op.to_def (Op.Reshape [ m; n ]) [ [ 1; m; n ] ])
-    else c
   | Op.Depthwise_conv2d { stride; padding }, [ x_shape; w_shape ] -> (
     let p =
       match anchor.G.shape with
       | [ _; _; oh; ow ] -> oh * ow
       | _ -> invalid_arg "library: dw shape"
     in
-    let s = pick_depthwise ~p in
-    match Loop_sched.depthwise ~x_shape ~w_shape ~stride ~padding s with
-    | c -> c
-    | exception Invalid_argument _ ->
-      Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes))
-  | Op.Softmax, [ s ] ->
-    let cols = List.nth s (List.length s - 1) in
-    let rows = List.fold_left ( * ) 1 s / cols in
-    Hidet_sched.Row_templates.softmax ~rows ~cols ()
-  | Op.Layernorm { eps }, [ s; _; _ ] ->
-    let cols = List.nth s (List.length s - 1) in
-    let rows = List.fold_left ( * ) 1 s / cols in
-    Hidet_sched.Row_templates.layernorm ~eps ~rows ~cols ()
-  | Op.Global_avg_pool, [ s ] ->
-    Hidet_sched.Reduce_template.schedule (Op.to_def anchor.G.op [ s ])
-  | _ -> Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes)
+    match
+      Loop_sched.depthwise ~x_shape ~w_shape ~stride ~padding (pick_depthwise ~p)
+    with
+    | c -> Some c
+    | exception Invalid_argument _ -> None)
+  | _ -> None
 
 type fusion_level = No_fusion | Pattern_fusion | Full_fusion
 
@@ -178,88 +142,65 @@ let may_fuse_epilogue level (n : G.node) =
       true
     | _ -> false)
 
-let compile_with ~name ~level ?(tensor_core = false) ?(tactic_timing = false)
-    ?(fused_attention = false) device g =
-  Hidet_obs.Trace.span
-    ~attrs:(fun () -> [ ("engine", name); ("model", G.get_name g) ])
-    "compile_plan"
-  @@ fun _root ->
-  let t0 = Unix.gettimeofday () in
-  let g =
-    Hidet_obs.Trace.span "lower_conv_to_gemm" (fun _ ->
-        Passes.lower_conv_to_gemm g)
-  in
-  let g = Hidet_obs.Trace.span "graph_optimize" (fun _ -> Passes.optimize g) in
-  let gc_config =
+let compile ~name ~level ?(tensor_core = false) ?(tactic_timing = false) device g =
+  Engine.compile ~engine:name ~lower_convs:true ~fidelity:`Analytic device g
     {
       GC.schedule_anchor =
-        (fun g n -> schedule_anchor ~tensor_core ~tactic_timing device g n);
+        GC.schedule_anchor
+          ~matmul:(fun _ _ mm ->
+            Some (schedule_matmul ~tensor_core ~tactic_timing device mm))
+          ~own:schedule_depthwise;
       may_fuse_prologue = may_fuse_prologue level;
       may_fuse_epilogue = may_fuse_epilogue level;
     }
-  in
-  let plan = GC.compile_graph gc_config g in
-  let base_latency = Plan.latency device plan in
-  let latency =
-    if not fused_attention then base_latency
-    else begin
-      (* Replace each (QK^T matmul -> scale -> softmax -> matmul V) region's
-         step costs with one fused-attention kernel estimate. *)
-      let step_latency node_id =
-        List.fold_left
-          (fun acc (s : Plan.step) ->
-            if s.Plan.out_node = node_id then
-              acc +. Compiled.latency device s.Plan.compiled
-            else acc)
-          0. plan.Plan.steps
-      in
-      List.fold_left
-        (fun lat (n : G.node) ->
-          match n.G.op with
-          | Op.Softmax -> (
-            let producer_chain id =
-              let node = G.node g id in
-              match node.G.op with
-              | Op.Unary (Op.Scale_by _) -> List.hd node.G.inputs
-              | _ -> id
-            in
-            let p = producer_chain (List.hd n.G.inputs) in
-            let pn = G.node g p in
-            let consumers = G.consumers g n.G.id in
-            match (pn.G.op, consumers) with
-            | Op.Matmul, [ c ] when (G.node g c).G.op = Op.Matmul -> (
-              match n.G.shape with
-              | [ heads; seq; _ ] ->
-                let dim =
-                  match (G.node g c).G.shape with
-                  | [ _; _; d ] -> d
-                  | _ -> seq
-                in
-                let saved =
-                  step_latency p +. step_latency n.G.id +. step_latency c
-                  +. step_latency (List.hd n.G.inputs)
-                in
-                lat -. saved
-                +. fused_attention_latency device ~heads ~seq ~dim
-              | _ -> lat)
-            | _ -> lat)
-          | _ -> lat)
-        base_latency (G.nodes g)
-    end
-  in
-  {
-    Engine.engine = name;
-    model = G.get_name g;
-    latency;
     (* Libraries ship pre-tuned kernels: no tuning cost at deployment.
        TensorRT's tactic timing happens inside the build (compile_wall). *)
-    tuning_cost = 0.;
-    cached_tuning_cost = 0.;
-    tuning_wall = 0.;
-    compile_wall = Unix.gettimeofday () -. t0;
-    kernel_count = Plan.kernel_count plan;
-    plan = Some plan;
-  }
+    (fun () -> { Engine.fresh = 0.; cached = 0.; wall = 0. })
+
+(* TensorRT's plan latency with each (QK^T matmul -> scale -> softmax ->
+   matmul V) region's step costs replaced by one fused-attention kernel
+   estimate. *)
+let with_fused_attention device (plan : Plan.t) base_latency =
+  let g = plan.Plan.graph in
+  let step_latency node_id =
+    List.fold_left
+      (fun acc (s : Plan.step) ->
+        if s.Plan.out_node = node_id then
+          acc +. Compiled.latency device s.Plan.compiled
+        else acc)
+      0. plan.Plan.steps
+  in
+  List.fold_left
+    (fun lat (n : G.node) ->
+      match n.G.op with
+      | Op.Softmax -> (
+        let producer_chain id =
+          let node = G.node g id in
+          match node.G.op with
+          | Op.Unary (Op.Scale_by _) -> List.hd node.G.inputs
+          | _ -> id
+        in
+        let p = producer_chain (List.hd n.G.inputs) in
+        let pn = G.node g p in
+        let consumers = G.consumers g n.G.id in
+        match (pn.G.op, consumers) with
+        | Op.Matmul, [ c ] when (G.node g c).G.op = Op.Matmul -> (
+          match n.G.shape with
+          | [ heads; seq; _ ] ->
+            let dim =
+              match (G.node g c).G.shape with
+              | [ _; _; d ] -> d
+              | _ -> seq
+            in
+            let saved =
+              step_latency p +. step_latency n.G.id +. step_latency c
+              +. step_latency (List.hd n.G.inputs)
+            in
+            lat -. saved +. fused_attention_latency device ~heads ~seq ~dim
+          | _ -> lat)
+        | _ -> lat)
+      | _ -> lat)
+    base_latency (G.nodes g)
 
 module Pytorch = struct
   let name = "pytorch"
@@ -272,7 +213,7 @@ module Pytorch = struct
       engineering_effort = Engine.Low;
     }
 
-  let compile device g = compile_with ~name ~level:No_fusion device g
+  let compile device g = compile ~name ~level:No_fusion device g
 end
 
 module Ort = struct
@@ -286,7 +227,7 @@ module Ort = struct
       engineering_effort = Engine.Low;
     }
 
-  let compile device g = compile_with ~name ~level:Pattern_fusion device g
+  let compile device g = compile ~name ~level:Pattern_fusion device g
 end
 
 module Tensorrt = struct
@@ -300,7 +241,15 @@ module Tensorrt = struct
       engineering_effort = Engine.Low;
     }
 
+  (* The [compile_plan] span's [latency_us] is the plan's; this span's is
+     the one reported, with the fused-attention credit. *)
   let compile device g =
-    compile_with ~name ~level:Full_fusion ~tensor_core:true ~tactic_timing:true
-      ~fused_attention:true device g
+    let r =
+      compile ~name ~level:Full_fusion ~tensor_core:true ~tactic_timing:true
+        device g
+    in
+    Hidet_obs.Trace.span "fused_attention" (fun sp ->
+        let latency = with_fused_attention device r.Engine.plan r.Engine.latency in
+        Hidet_obs.Trace.add sp "latency_us" (Printf.sprintf "%.3f" (latency *. 1e6));
+        { r with Engine.latency })
 end

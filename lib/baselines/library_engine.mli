@@ -14,7 +14,9 @@
       epilogues, like ONNX Runtime's fusion transformers;
     - {b TensorRT-like}: full prologue/epilogue fusion plus a dedicated
       fused multi-head-attention kernel for transformer blocks (modeled
-      analytically — TensorRT is closed-source; see DESIGN.md §3). *)
+      analytically — TensorRT is closed-source; see DESIGN.md §3),
+      credited on the compiled plan in a [fused_attention] span whose
+      [latency_us] is the reported latency. *)
 
 val pick_matmul :
   ?tensor_core:bool ->

@@ -1,14 +1,10 @@
 module G = Hidet_graph.Graph
 module Op = Hidet_graph.Op
-module Passes = Hidet_graph.Passes
 module Compiled = Hidet_sched.Compiled
 module MT = Hidet_sched.Matmul_template
 module Tuner = Hidet_sched.Tuner
-module Fuse = Hidet_fusion.Fuse
-module Plan = Hidet_runtime.Plan
 module Engine = Hidet_runtime.Engine
 module GC = Hidet_runtime.Group_compiler
-module Trace = Hidet_obs.Trace
 
 type options = {
   lower_convs : bool;
@@ -94,10 +90,6 @@ let restrict_space options space =
 
 (* --- anchor scheduling ------------------------------------------------------ *)
 
-let rows_cols shape =
-  let cols = List.nth shape (List.length shape - 1) in
-  (List.fold_left ( * ) 1 shape / cols, cols)
-
 (* Options that restrict the candidate space must be part of the workload
    signature, or a cache entry tuned under one restriction would answer for
    another. *)
@@ -136,20 +128,8 @@ let matmul_space options ~m ~n =
    sliced fragments reduce in exactly the single-device order. *)
 let det_sig options = if options.deterministic_reduce then "_det" else ""
 
-let schedule_matmul options device stats ~sa ~sb ~out_rank =
-  let a_batched, batch_a, m, k =
-    match sa with
-    | [ m; k ] -> (false, 1, m, k)
-    | [ b; m; k ] -> (true, b, m, k)
-    | _ -> invalid_arg "hidet: matmul A rank"
-  in
-  let b_batched, batch_b, n =
-    match sb with
-    | [ _; n ] -> (false, 1, n)
-    | [ b; _; n ] -> (true, b, n)
-    | _ -> invalid_arg "hidet: matmul B rank"
-  in
-  let batch = max batch_a batch_b in
+let schedule_matmul options device stats anchor (mm : GC.matmul) =
+  let { GC.batch; a_batched; b_batched; m; n; k } = mm in
   let key =
     Printf.sprintf "matmul_%d_%b_%b_%d_%d_%d_%s" batch a_batched b_batched m n
       k (options_sig options)
@@ -165,55 +145,46 @@ let schedule_matmul options device stats ~sa ~sb ~out_rank =
       MT.lower_bound ~batch ~a_batched ~b_batched ~terms device ~m ~n ~k
     | `Cycle -> Tuner.cycle_lower_bound device ~compile
   in
-  let compiled =
+  match
     tuned ~show:MT.config_to_string ~lower_bound options stats ~device ~key
       ~candidates:space ~compile
-  in
-  match compiled with
+  with
   | None -> failwith "hidet: no feasible matmul schedule"
-  | Some c when out_rank = 2 -> (
-    (* The template always produces [batch, m, n]; adapt rank-2 graphs. *)
+  | Some c -> (
+    (* One fitted kernel per template kernel, so rank-2 groups around one
+       winner can reuse fused steps. *)
     match Hashtbl.find_opt stats.reshaped key with
     | Some (src, r) when src == c -> r
     | _ ->
-      let r = Fuse.fuse_epilogue c (Op.to_def (Op.Reshape [ m; n ]) [ [ 1; m; n ] ]) in
+      let r = GC.fit_anchor anchor mm c in
       Hashtbl.replace stats.reshaped key (c, r);
       r)
-  | Some c -> c
 
 let block_candidates = [ 64; 128; 256 ]
 
-let schedule_anchor options device stats g (anchor : G.node) =
-  let in_shapes = List.map (G.node_shape g) anchor.G.inputs in
+(* The tuned row and reduction arms; the rest are the shared ones. *)
+let schedule_tuned options device stats (anchor : G.node) in_shapes =
+  let row_candidates =
+    if options.deterministic_reduce then [ 128 ] else block_candidates
+  in
   match (anchor.G.op, in_shapes) with
-  | Op.Matmul, [ sa; sb ] ->
-    schedule_matmul options device stats ~sa ~sb
-      ~out_rank:(List.length anchor.G.shape)
   | Op.Softmax, [ s ] ->
-    let rows, cols = rows_cols s in
-    let candidates =
-      if options.deterministic_reduce then [ 128 ] else block_candidates
-    in
-    Option.get
-      (tuned ~show:(Printf.sprintf "block=%d") options stats ~device
-         ~key:(Printf.sprintf "softmax_%d_%d%s" rows cols (det_sig options))
-         ~candidates
-         ~compile:(fun b ->
-           Hidet_sched.Row_templates.softmax ~block_size:b ~rows ~cols ()))
+    let rows, cols = GC.rows_cols s in
+    tuned ~show:(Printf.sprintf "block=%d") options stats ~device
+      ~key:(Printf.sprintf "softmax_%d_%d%s" rows cols (det_sig options))
+      ~candidates:row_candidates
+      ~compile:(fun b ->
+        Hidet_sched.Row_templates.softmax ~block_size:b ~rows ~cols ())
   | Op.Layernorm { eps }, [ s; _; _ ] ->
-    let rows, cols = rows_cols s in
-    let candidates =
-      if options.deterministic_reduce then [ 128 ] else block_candidates
-    in
+    let rows, cols = GC.rows_cols s in
     (* [eps] is not part of the tuning key (it does not change the
        schedule's cost), but the kernel reads it. *)
-    Option.get
-      (tuned ~show:(Printf.sprintf "block=%d") ~instance:(Printf.sprintf "eps=%h" eps)
-         options stats ~device
-         ~key:(Printf.sprintf "layernorm_%d_%d%s" rows cols (det_sig options))
-         ~candidates
-         ~compile:(fun b ->
-           Hidet_sched.Row_templates.layernorm ~block_size:b ~eps ~rows ~cols ()))
+    tuned ~show:(Printf.sprintf "block=%d") ~instance:(Printf.sprintf "eps=%h" eps)
+      options stats ~device
+      ~key:(Printf.sprintf "layernorm_%d_%d%s" rows cols (det_sig options))
+      ~candidates:row_candidates
+      ~compile:(fun b ->
+        Hidet_sched.Row_templates.layernorm ~block_size:b ~eps ~rows ~cols ())
   | Op.Global_avg_pool, [ s ] ->
     let def = Op.to_def anchor.G.op [ s ] in
     let key =
@@ -228,21 +199,18 @@ let schedule_anchor options device stats g (anchor : G.node) =
           Hidet_sched.Reduce_template.space
       else Hidet_sched.Reduce_template.space
     in
-    let compiled =
-      tuned options stats ~device ~key
-        ~show:(fun (c : Hidet_sched.Reduce_template.config) ->
-          Printf.sprintf "block=%d" c.block_size)
-        ~candidates
-        ~compile:(fun cfg ->
-          Hidet_sched.Reduce_template.schedule ~config:cfg def)
-    in
-    (match compiled with
-     | Some c -> c
-     | None -> Hidet_sched.Rule_based.schedule def)
-  | _ ->
-    (* Direct convolutions, depthwise, pooling, leftover injective chains,
-       concat: rule-based scheduling from the computation definition. *)
-    Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes)
+    Some
+      (match
+         tuned options stats ~device ~key
+           ~show:(fun (c : Hidet_sched.Reduce_template.config) ->
+             Printf.sprintf "block=%d" c.block_size)
+           ~candidates
+           ~compile:(fun cfg ->
+             Hidet_sched.Reduce_template.schedule ~config:cfg def)
+       with
+      | Some c -> c
+      | None -> Hidet_sched.Rule_based.schedule def)
+  | _ -> None
 
 (* --- the engine ---------------------------------------------------------------- *)
 
@@ -257,7 +225,10 @@ let new_stats () =
 
 let config options device stats =
   {
-    GC.schedule_anchor = (fun g n -> schedule_anchor options device stats g n);
+    GC.schedule_anchor =
+      GC.schedule_anchor
+        ~matmul:(fun anchor _ mm -> Some (schedule_matmul options device stats anchor mm))
+        ~own:(schedule_tuned options device stats);
     may_fuse_prologue = (fun _ -> options.fuse);
     may_fuse_epilogue = (fun _ -> options.fuse);
   }
@@ -266,40 +237,14 @@ let group_config ?(options = default_options) device =
   config options device (new_stats ())
 
 let compile_plan ?(options = default_options) device g =
-  Trace.span
-    ~attrs:(fun () ->
-      [ ("engine", "hidet"); ("model", G.get_name g); ("device", device.Hidet_gpu.Device.name) ])
-    "compile_plan"
-    (fun root ->
-      let t0 = Unix.gettimeofday () in
-      let g =
-        if options.lower_convs then
-          Trace.span "lower_conv_to_gemm" (fun _ -> Passes.lower_conv_to_gemm g)
-        else g
-      in
-      let g = Trace.span "graph_optimize" (fun _ -> Passes.optimize g) in
-      let stats = new_stats () in
-      let plan = GC.compile_graph (config options device stats) g in
-      let latency =
-        Trace.span "estimate_latency" (fun _ ->
-            Plan.latency ~fidelity:options.fidelity device plan)
-      in
-      Trace.add root "kernels" (string_of_int (Plan.kernel_count plan));
-      Trace.add root "latency_us" (Printf.sprintf "%.3f" (latency *. 1e6));
-      let result =
-        {
-          Engine.engine = "hidet";
-          model = G.get_name g;
-          latency;
-          tuning_cost = stats.fresh_cost;
-          cached_tuning_cost = stats.cached_cost;
-          tuning_wall = stats.tuner_wall;
-          compile_wall = Unix.gettimeofday () -. t0;
-          kernel_count = Plan.kernel_count plan;
-          plan = Some plan;
-        }
-      in
-      (plan, result))
+  let stats = new_stats () in
+  let r =
+    Engine.compile ~engine:"hidet" ~lower_convs:options.lower_convs
+      ~fidelity:options.fidelity device g (config options device stats)
+      (fun () ->
+        { Engine.fresh = stats.fresh_cost; cached = stats.cached_cost; wall = stats.tuner_wall })
+  in
+  (r.Engine.plan, r)
 
 let name = "hidet"
 

@@ -11,7 +11,12 @@
     4. post-scheduling fusion of the group into the scheduled program
        (falling back to standalone rule-based kernels when a neighbor
        cannot be fused, e.g. rank-incompatible transforms);
-    5. lowering to CUDA C text + executable plan on the simulator. *)
+    5. lowering to CUDA C text + executable plan on the simulator.
+
+    The pipeline is {!Hidet_runtime.Engine.compile}, the one every engine
+    runs; this module supplies what makes it Hidet: the tuned arms of
+    step 3, fusion and conv lowering per {!options}, and the tuning-cost
+    billing. *)
 
 type options = {
   lower_convs : bool;  (** implicit-GEMM lowering (default true) *)
@@ -62,8 +67,8 @@ val matmul_space :
 val group_config :
   ?options:options -> Hidet_gpu.Device.t -> Hidet_runtime.Group_compiler.config
 (** The anchor scheduler and fusion predicates that {!compile_plan} hands
-    to {!Hidet_runtime.Group_compiler.compile_graph} after its graph passes,
-    for one compile; the tuning costs it incurs are not reported anywhere.
-    Differential tests wrap it to compile without the memos. *)
+    to {!Hidet_runtime.Engine.compile}, for one compile; the tuning costs
+    it incurs are not reported anywhere. Differential tests wrap it to
+    compile without the memos. *)
 
 include Hidet_runtime.Engine.S

@@ -54,12 +54,7 @@ let to_string events =
        ])
 
 let save path events =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string events));
-  Sys.rename tmp path
+  Atomic_file.write path (fun oc -> output_string oc (to_string events))
 
 (* --- validation --------------------------------------------------------------- *)
 

@@ -15,7 +15,7 @@
 val to_string : Trace.event list -> string
 
 val save : string -> Trace.event list -> unit
-(** Write atomically via a temp file, as the schedule cache does. *)
+(** Write through {!Atomic_file.write}. *)
 
 val check : string -> (int, string) result
 (** Validate trace JSON text; [Ok n] is the number of span/instant events

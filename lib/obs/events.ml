@@ -136,11 +136,7 @@ let to_jsonl evs =
   String.concat "" (List.map (fun ev -> Json.to_string (event_to_json ev) ^ "\n") evs)
 
 let save_jsonl path evs =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (to_jsonl evs);
-  close_out oc;
-  Sys.rename tmp path
+  Atomic_file.write path (fun oc -> output_string oc (to_jsonl evs))
 
 let event_of_json line =
   match Json.parse line with
@@ -326,11 +322,7 @@ module Flight = struct
     match Atomic.get fr.fired with
     | None -> false
     | Some d ->
-      let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      output_string oc d;
-      close_out oc;
-      Sys.rename tmp path;
+      Atomic_file.write path (fun oc -> output_string oc d);
       true
 end
 

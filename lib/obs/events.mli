@@ -62,7 +62,7 @@ val to_jsonl : event list -> string
     that it reads back bit-exact. *)
 
 val save_jsonl : string -> event list -> unit
-(** Atomic (temp file + rename). *)
+(** Write through {!Atomic_file.write}. *)
 
 val parse_jsonl : string -> (event list, string) result
 (** Strict parse of a JSONL document (blank lines allowed). *)
@@ -97,8 +97,8 @@ module Flight : sig
   val fired : t -> bool
   val dump : t -> string option
   val save : t -> string -> bool
-  (** Write the captured dump to [path] (atomic); [false] when nothing
-      fired. *)
+  (** Write the captured dump to [path] through {!Atomic_file.write};
+      [false] when nothing fired. *)
 end
 
 (** {1 Process-global sink}

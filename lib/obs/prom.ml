@@ -118,11 +118,7 @@ let of_dump dump =
 
 let save path =
   let s, n = of_dump (Metrics.dump ()) in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc s;
-  close_out oc;
-  Sys.rename tmp path;
+  Atomic_file.write path (fun oc -> output_string oc s);
   n
 
 (* --- validator --------------------------------------------------------- *)

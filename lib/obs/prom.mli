@@ -20,7 +20,7 @@ val of_dump : (string * Metrics.snapshot) list -> string * int
     registry sort order interleaves other names between them. *)
 
 val save : string -> int
-(** Write the current registry to [path] (atomic: temp file + rename);
+(** Write the current registry to [path] (through {!Atomic_file.write});
     returns the number of sample lines written. *)
 
 val check : string -> (int, string) result

@@ -48,18 +48,12 @@ let sanitize s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
 let save_tsv path entries =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        "engine\tworkload\tindex\tconfig\toutcome\tlatency_us\n";
+  Atomic_file.write path (fun oc ->
+      output_string oc "engine\tworkload\tindex\tconfig\toutcome\tlatency_us\n";
       List.iter
         (fun t ->
           Printf.fprintf oc "%s\t%s\t%d\t%s\t%s\t%.3f\n" (sanitize t.engine)
             (sanitize t.workload) t.index (sanitize (t.config ()))
             (outcome_to_string t.outcome)
             (if t.latency < infinity then t.latency *. 1e6 else -1.))
-        entries);
-  Sys.rename tmp path
+        entries)

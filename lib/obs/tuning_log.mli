@@ -46,4 +46,5 @@ val stop : unit -> trial list
 
 val save_tsv : string -> trial list -> unit
 (** Tab-separated export: engine, workload, index, config, outcome,
-    latency in microseconds ([-1] unless [Measured]). One header line. *)
+    latency in microseconds ([-1] unless [Measured]). One header line.
+    Written through {!Atomic_file.write}. *)

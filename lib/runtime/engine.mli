@@ -26,8 +26,7 @@ type result = {
   tuning_wall : float;  (** actual seconds spent inside the tuners here *)
   compile_wall : float;  (** actual seconds the whole compilation took *)
   kernel_count : int;
-  plan : Plan.t option;
-      (** executable plan when the engine generates real kernels *)
+  plan : Plan.t;  (** the executable plan; its graph is the optimized one *)
 }
 
 val total_tuning_cost : result -> float
@@ -40,6 +39,37 @@ module type S = sig
   val caps : caps
   val compile : Hidet_gpu.Device.t -> Hidet_graph.Graph.t -> result
 end
+
+(** {1 The compile pipeline}
+
+    Every engine compiles the same way (the paper's Fig. 10): optionally
+    lower convolutions to implicit GEMM, optimize the graph, partition and
+    compile the groups ({!Group_compiler.compile_graph}), estimate the
+    plan. Engines differ only in what they hand to {!compile}: the anchor
+    scheduler and fusion predicates of their {!Group_compiler.config},
+    whether convolutions are lowered, and their tuning totals. *)
+
+type tuning = {
+  fresh : float;  (** simulated seconds of fresh trials ([tuning_cost]) *)
+  cached : float;  (** simulated seconds served by a cache *)
+  wall : float;  (** seconds spent inside the tuners *)
+}
+
+val compile :
+  engine:string ->
+  lower_convs:bool ->
+  fidelity:Hidet_gpu.Perf_model.fidelity ->
+  Hidet_gpu.Device.t ->
+  Hidet_graph.Graph.t ->
+  Group_compiler.config ->
+  (unit -> tuning) ->
+  result
+(** Compile [g] for [engine] under one [compile_plan] span (attributes
+    [engine], [model], [device], then [kernels] and [latency_us]) holding
+    the [lower_conv_to_gemm] (when [lower_convs]) and [graph_optimize]
+    spans, {!Group_compiler.compile_graph}'s spans and the
+    [estimate_latency] span around {!Plan.latency} under [fidelity]. The
+    tuning totals are read once the plan is built. *)
 
 val capability_dots : capability -> string
 (** Render as the paper's Table 1 dots. *)

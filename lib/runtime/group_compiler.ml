@@ -296,6 +296,65 @@ let compile_group cfg memo g (grp : Passes.group) : Plan.step list =
       "compile_group"
       (fun _sp -> compile ())
 
+(* --- the anchor cases every engine shares -------------------------------------- *)
+
+type matmul = {
+  batch : int;
+  a_batched : bool;
+  b_batched : bool;
+  m : int;
+  n : int;
+  k : int;
+}
+
+let matmul_operands sa sb =
+  let a_batched, batch_a, m, k =
+    match sa with
+    | [ m; k ] -> (false, 1, m, k)
+    | [ b; m; k ] -> (true, b, m, k)
+    | _ -> invalid_arg "matmul: A rank"
+  in
+  let b_batched, batch_b, n =
+    match sb with
+    | [ _; n ] -> (false, 1, n)
+    | [ b; _; n ] -> (true, b, n)
+    | _ -> invalid_arg "matmul: B rank"
+  in
+  { batch = max batch_a batch_b; a_batched; b_batched; m; n; k }
+
+let rows_cols shape =
+  let cols = List.nth shape (List.length shape - 1) in
+  (List.fold_left ( * ) 1 shape / cols, cols)
+
+let fit_anchor (anchor : G.node) { m; n; _ } (c : Compiled.t) =
+  if c.Compiled.out.Hidet_ir.Buffer.dims = [ 1; m; n ] && List.length anchor.G.shape = 2
+  then Fuse.fuse_epilogue c (Op.to_def (Op.Reshape [ m; n ]) [ [ 1; m; n ] ])
+  else c
+
+let schedule_anchor ~matmul ~own g (anchor : G.node) =
+  let in_shapes = List.map (G.node_shape g) anchor.G.inputs in
+  let rule_based () =
+    Hidet_sched.Rule_based.schedule (Op.to_def anchor.G.op in_shapes)
+  in
+  match (anchor.G.op, in_shapes) with
+  | Op.Matmul, [ sa; sb ] -> (
+    let mm = matmul_operands sa sb in
+    match matmul anchor in_shapes mm with
+    | Some c -> fit_anchor anchor mm c
+    | None -> rule_based ())
+  | op, _ -> (
+    match (own anchor in_shapes, op, in_shapes) with
+    | Some c, _, _ -> c
+    | None, Op.Softmax, [ s ] ->
+      let rows, cols = rows_cols s in
+      Hidet_sched.Row_templates.softmax ~rows ~cols ()
+    | None, Op.Layernorm { eps }, [ s; _; _ ] ->
+      let rows, cols = rows_cols s in
+      Hidet_sched.Row_templates.layernorm ~eps ~rows ~cols ()
+    | None, Op.Global_avg_pool, [ s ] ->
+      Hidet_sched.Reduce_template.schedule (Op.to_def op [ s ])
+    | None, _, _ -> rule_based ())
+
 let compile_graph cfg g =
   let groups =
     Trace.span "partition" (fun sp ->

@@ -34,3 +34,45 @@ val compile_graph : config -> Hidet_graph.Graph.t -> Plan.t
     group counts
     in ["fusion.group_reuses"] and adds the same fusion counters its
     builder did; its [compile_group] and [fuse] spans still open. *)
+
+(** {1 The anchor cases every engine shares} *)
+
+type matmul = {
+  batch : int;
+  a_batched : bool;
+  b_batched : bool;
+  m : int;
+  n : int;
+  k : int;
+}
+(** A matmul anchor's operands: [A] is [[m; k]] or [[batch; m; k]], [B] is
+    [[k; n]] or [[batch; k; n]]. *)
+
+val rows_cols : int list -> int * int
+(** A row operator's shape as (rows, columns): the last dimension is the
+    row. *)
+
+val fit_anchor :
+  Hidet_graph.Graph.node -> matmul -> Hidet_sched.Compiled.t -> Hidet_sched.Compiled.t
+(** The matmul templates emit [[batch; m; n]]: a kernel with output
+    [[1; m; n]] for a rank-2 anchor gets a fused reshape to [[m; n]];
+    any other kernel is returned as it is. *)
+
+val schedule_anchor :
+  matmul:
+    (Hidet_graph.Graph.node ->
+    int list list ->
+    matmul ->
+    Hidet_sched.Compiled.t option) ->
+  own:
+    (Hidet_graph.Graph.node -> int list list -> Hidet_sched.Compiled.t option) ->
+  Hidet_graph.Graph.t ->
+  Hidet_graph.Graph.node ->
+  Hidet_sched.Compiled.t
+(** An engine's [config.schedule_anchor] from its own arms. A matmul
+    anchor goes to [matmul] with its input shapes and parsed operands and
+    then through {!fit_anchor}. Any other anchor goes to [own] first.
+    Where an arm answers [None], the shared arms decide: untuned
+    {!Hidet_sched.Row_templates} for softmax and layernorm,
+    {!Hidet_sched.Reduce_template} for global pooling, and
+    {!Hidet_sched.Rule_based} for everything else, a matmul included. *)

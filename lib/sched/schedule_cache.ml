@@ -102,42 +102,23 @@ let header = Printf.sprintf "%s v%d" magic version
 let sanitize s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
-(* Temp names are unique per process *and* per call: a fixed [path ^
-   ".tmp"] lets two concurrent savers (e.g. `hidetc serve` and a bench run
-   sharing --cache) clobber each other's partial writes before the rename.
-   With unique names each rename is atomic on its own complete file, so
-   the last saver wins and the file is always loadable. *)
-let tmp_counter = Atomic.make 0
-
 let save path =
   let entries =
     locked (fun () -> Hashtbl.fold (fun k s acc -> (k, s.entry) :: acc) table [])
   in
   let entries = List.sort compare entries in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
-  try
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (header ^ "\n");
-        List.iter
-          (fun ((device, key), e) ->
-            let body =
-              Printf.sprintf "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%.17g\t%.17g"
-                (sanitize device) (sanitize key) e.best_index e.space_size
-                (sanitize e.config) e.trials e.rejected e.simulated_seconds
-                e.best_latency
-            in
-            Printf.fprintf oc "%s\t%s\n" body (Digest.to_hex (Digest.string body)))
-          entries);
-    Sys.rename tmp path
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Hidet_obs.Atomic_file.write path (fun oc ->
+      output_string oc (header ^ "\n");
+      List.iter
+        (fun ((device, key), e) ->
+          let body =
+            Printf.sprintf "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%.17g\t%.17g"
+              (sanitize device) (sanitize key) e.best_index e.space_size
+              (sanitize e.config) e.trials e.rejected e.simulated_seconds
+              e.best_latency
+          in
+          Printf.fprintf oc "%s\t%s\n" body (Digest.to_hex (Digest.string body)))
+        entries)
 
 let parse_fields body =
   match String.split_on_char '\t' body with

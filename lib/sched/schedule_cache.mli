@@ -114,7 +114,7 @@ val stale : unit -> int
     processes ([bench/main.exe --cache], [hidetc --cache]). *)
 
 val save : string -> unit
-(** Write the whole cache to [path] (atomically, via a temp file). *)
+(** Write the whole cache to [path] through {!Hidet_obs.Atomic_file.write}. *)
 
 val load : string -> (int, string) result
 (** Merge entries from [path] into the cache; returns how many loaded.

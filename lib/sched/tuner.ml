@@ -1,6 +1,7 @@
 module Trace = Hidet_obs.Trace
 module Metrics = Hidet_obs.Metrics
 module Tuning_log = Hidet_obs.Tuning_log
+module Parallel = Hidet_parallel.Parallel
 
 type stats = {
   trials : int;

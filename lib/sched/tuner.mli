@@ -79,9 +79,10 @@ val tune :
     argmin was rejected or infeasible), everything is sorted.
 
     [~parallel:false] forces the sequential path (same result, one
-    domain); [?workers] overrides {!Parallel.default_workers}. The
-    returned [Compiled.t] is the one the winning trial measured, built in
-    whichever domain ran it; [compile] is not called again. That is safe
+    domain); [?workers] overrides
+    {!Hidet_parallel.Parallel.default_workers}. The returned [Compiled.t]
+    is the one the winning trial measured, built in whichever domain ran
+    it; [compile] is not called again. That is safe
     because nothing in a kernel depends on its domain: the only
     process-global state it carries is [Var] and [Buffer] ids, which CUDA
     codegen and the native backend rename per kernel in binding order, so

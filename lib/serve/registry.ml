@@ -82,17 +82,7 @@ let load ?(max_inflight = max_int) ?cluster ?(parallel = Shard.Data)
               match cluster with
               | None ->
                 let result = Eng.compile device g in
-                let plan =
-                  match result.E.plan with
-                  | Some p -> p
-                  | None ->
-                    invalid_arg
-                      (Printf.sprintf
-                         "Registry: engine %s produced no executable plan \
-                          for %s"
-                         Eng.name name)
-                in
-                (plan, result, None)
+                (result.E.plan, result, None)
               | Some cl -> (
                 (* Sharded serving: the bucket's dispatch plan is the shard
                    plan; its latency is the cost-model total (compute +

@@ -192,6 +192,23 @@ let test_strategies_find_schedules () =
       | None -> Alcotest.fail "no schedule for 256^3")
     [ IC.Random_search; IC.Evolutionary ]
 
+(* The driver logs every trial in sampling order, whichever domain
+   measured it. *)
+let test_tuning_log_order () =
+  List.iter
+    (fun strategy ->
+      Hidet_obs.Tuning_log.start ();
+      ignore
+        (IC.tune_gemm ~strategy ~trials:60 ~device:dev ~seed:4 ~m:256 ~n:256
+           ~k:256
+           ~compile:(fun s -> LS.gemm ~m:256 ~n:256 ~k:256 s)
+           ());
+      Alcotest.(check (list int)) "indices in sampling order" (List.init 60 Fun.id)
+        (List.map
+           (fun (t : Hidet_obs.Tuning_log.trial) -> t.index)
+           (Hidet_obs.Tuning_log.stop ())))
+    [ IC.Random_search; IC.Evolutionary ]
+
 (* --- library engines -------------------------------------------------------------- *)
 
 let test_library_pick () =
@@ -265,20 +282,16 @@ let test_tuners_pay_tuning_cost () =
     [ (module IC.Autotvm : E.S); (module IC.Ansor); (module HE) ]
 
 let test_cross_engine_correctness () =
-  (* Every engine that produces an executable plan must compute the same
-     function. *)
+  (* Every engine's plan must compute the same function. *)
   let g = M.Tiny.cnn () in
   let x = T.rand ~seed:31 [ 1; 3; 16; 16 ] in
   let expect = Hidet_graph.Reference.run1 g [ x ] in
   List.iter
     (fun (module Eng : E.S) ->
-      match (Eng.compile dev (M.Tiny.cnn ())).E.plan with
-      | None -> Alcotest.failf "%s produced no plan" Eng.name
-      | Some plan ->
-        let got = Plan.run1 plan [ x ] in
-        if not (T.allclose ~rtol:1e-2 ~atol:1e-3 expect got) then
-          Alcotest.failf "%s disagrees with reference (max %g)" Eng.name
-            (T.max_abs_diff expect got))
+      let got = Plan.run1 (Eng.compile dev (M.Tiny.cnn ())).E.plan [ x ] in
+      if not (T.allclose ~rtol:1e-2 ~atol:1e-3 expect got) then
+        Alcotest.failf "%s disagrees with reference (max %g)" Eng.name
+          (T.max_abs_diff expect got))
     engines
 
 let test_table1_capabilities () =
@@ -347,13 +360,9 @@ let engine_digest (module Eng : E.S) =
     (fun (model, make) ->
       Hidet_sched.Schedule_cache.clear ();
       let r = Eng.compile dev (make ()) in
-      let cuda =
-        match r.E.plan with
-        | Some plan -> Digest.to_hex (Digest.string (Plan.cuda_source plan))
-        | None -> "-"
-      in
       Printf.bprintf b "%s %h %h %d %s\n" model r.E.latency r.E.tuning_cost
-        r.E.kernel_count cuda)
+        r.E.kernel_count
+        (Digest.to_hex (Digest.string (Plan.cuda_source r.E.plan))))
     M.tiny_all;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -393,6 +402,7 @@ let () =
           Alcotest.test_case "prime sizes fail" `Quick test_prime_sizes_fail;
           Alcotest.test_case "budget capped by space" `Quick test_budget_capped_by_space;
           Alcotest.test_case "both strategies work" `Quick test_strategies_find_schedules;
+          Alcotest.test_case "tuning log in sampling order" `Quick test_tuning_log_order;
         ] );
       ( "library dispatch",
         [

@@ -79,6 +79,49 @@ let test_span_nesting () =
         groups)
     [ "schedule_anchor"; "fuse" ]
 
+(* Every engine's compile has one skeleton: a compile_plan span naming the
+   engine, model and device, holding the graph_optimize and
+   estimate_latency spans. *)
+let test_engine_span_skeleton () =
+  let module Lib = Hidet_baselines.Library_engine in
+  let module IC = Hidet_baselines.Input_centric in
+  List.iter
+    (fun (module Eng : Hidet_runtime.Engine.S) ->
+      let g = Hidet_models.Models.Tiny.cnn () in
+      let _, evs = Trace.with_collector (fun () -> Eng.compile dev g) in
+      let spans = span_tuples evs in
+      match List.filter (fun (n, _, _, _, _) -> n = "compile_plan") spans with
+      | [ (_, track, ts, dur, attrs) ] ->
+        List.iter
+          (fun (k, v) ->
+            Alcotest.(check (option string))
+              (Eng.name ^ ": " ^ k) (Some v) (List.assoc_opt k attrs))
+          [
+            ("engine", Eng.name);
+            ("model", Hidet_graph.Graph.get_name g);
+            ("device", dev.Hidet_gpu.Device.name);
+          ];
+        List.iter
+          (fun child ->
+            Alcotest.(check bool)
+              (Eng.name ^ ": " ^ child ^ " inside compile_plan")
+              true
+              (List.exists
+                 (fun (n, t, cts, cdur, _) ->
+                   n = child && t = track && ts <= cts
+                   && cts +. cdur <= ts +. dur +. 1e-6)
+                 spans))
+          [ "graph_optimize"; "estimate_latency" ]
+      | l -> Alcotest.failf "%s: %d compile_plan spans" Eng.name (List.length l))
+    [
+      (module Lib.Pytorch);
+      (module Lib.Ort);
+      (module Lib.Tensorrt);
+      (module IC.Autotvm);
+      (module IC.Ansor);
+      (module Hidet.Hidet_engine);
+    ]
+
 let test_span_error_attr () =
   let (), evs =
     Trace.with_collector (fun () ->
@@ -1024,6 +1067,57 @@ let test_tuning_log_tsv () =
       Alcotest.(check string) "workload sanitized" "w with tabs" (List.nth row1 1);
       Alcotest.(check string) "latency in microseconds" "1.500" (List.nth row1 5))
 
+(* A directory where a saver of the past staged its write, [<path>.tmp],
+   must stop none of them: each writes a file its reader accepts. *)
+let test_savers_ignore_stray_tmp () =
+  let dir = Filename.temp_dir "hidet_obs" "" in
+  let saved name save check =
+    let path = Filename.concat dir name in
+    Sys.mkdir (path ^ ".tmp") 0o755;
+    save path;
+    match check path with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let (), trace = Trace.with_collector (fun () -> Trace.span "saved" ignore) in
+  saved "trace.json" (fun p -> Chrome.save p trace) Chrome.check_file;
+  Metrics.incr (Metrics.counter "obs.saved");
+  saved "metrics.prom" (fun p -> ignore (Prom.save p)) Prom.check_file;
+  saved "events.jsonl"
+    (fun p -> Events.save_jsonl p [ ev 0.1 1 Events.Rejected ])
+    Events.check_file;
+  let fr = Events.Flight.create () in
+  Events.Flight.record fr (ev 0.1 1 Events.Admitted);
+  ignore (Events.Flight.trigger fr ~reason:"saved" ~rid:1 ~t:0.2 ());
+  saved "flight.json"
+    (fun p -> ignore (Events.Flight.save fr p))
+    (fun p -> Json.parse (read p));
+  let trial =
+    {
+      Tlog.engine = "hidet";
+      workload = "w";
+      index = 0;
+      config = (fun () -> "cfg");
+      outcome = Tlog.Measured;
+      latency = 1e-6;
+    }
+  in
+  saved "tuning.tsv"
+    (fun p -> Tlog.save_tsv p [ trial ])
+    (fun p ->
+      match String.split_on_char '\n' (read p) with
+      | [ _header; _row; "" ] -> Ok ()
+      | _ -> Error "not one header and one row");
+  saved "schedule.cache" Hidet_sched.Schedule_cache.save
+    Hidet_sched.Schedule_cache.load;
+  Array.iter
+    (fun f ->
+      let f = Filename.concat dir f in
+      if Sys.is_directory f then Sys.rmdir f else Sys.remove f)
+    (Sys.readdir dir);
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "hidet_obs"
     [
@@ -1031,6 +1125,8 @@ let () =
         [
           Alcotest.test_case "span nesting and containment" `Quick
             test_span_nesting;
+          Alcotest.test_case "every engine's compile skeleton" `Quick
+            test_engine_span_skeleton;
           Alcotest.test_case "error attribute on raise" `Quick
             test_span_error_attr;
           Alcotest.test_case "noop recorder is allocation-light" `Quick
@@ -1104,4 +1200,9 @@ let () =
             test_global_sink_scoped;
         ] );
       ("tuning log", [ Alcotest.test_case "tsv export" `Quick test_tuning_log_tsv ]);
+      ( "saved files",
+        [
+          Alcotest.test_case "savers ignore a stray <path>.tmp" `Quick
+            test_savers_ignore_stray_tmp;
+        ] );
     ]

@@ -7,7 +7,7 @@ module MT = Hidet_sched.Matmul_template
 module Space = Hidet_sched.Space
 module Tu = Hidet_sched.Tuner
 module SC = Hidet_sched.Schedule_cache
-module Par = Hidet_sched.Parallel
+module Par = Hidet_parallel.Parallel
 module C = Hidet_sched.Compiled
 module PM = Hidet_gpu.Perf_model
 module E = Hidet_runtime.Engine
