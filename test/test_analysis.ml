@@ -11,8 +11,9 @@
    reference versions, the tuner's lower bound against the latency it
    bounds (and neither growing with the bandwidth), the floors of a cold
    zoo pass, the model's saturation tables and the floors' allocation
-   pinned, modeled latencies pinned for two zoo models, and every committed
-   BENCH_*.json parsing as JSON. *)
+   pinned, modeled latencies pinned for two zoo models, the generated IR of
+   a fixed corpus pinned, and every committed BENCH_*.json parsing as
+   JSON. *)
 
 module Buffer = Hidet_ir.Buffer
 module Expr = Hidet_ir.Expr
@@ -612,6 +613,89 @@ let test_simplify_template_bodies () =
         Alcotest.failf "%s: Simplify.stmt disagrees with the oracle" k.Kernel.name)
     kernels
 
+(* --- the generated IR of a fixed corpus, pinned ---------------------------------
+
+   The CUDA text and launch dims of: every 31st candidate of each zoo
+   matmul key's engine space, at that key's shape; the row and reduce
+   templates at each block size; one rule-based kernel per zoo op kind;
+   and each zoo model's plan. Pinned before the rewriters shared unchanged
+   subtrees; a change to the templates, [Lower], [Simplify] or fusion that
+   moves any kernel fails here. *)
+
+let ir_corpus_digest = "2a942f72d031ceb9f01f61dc9d3ad8d8"
+
+let ir_corpus () =
+  let module G = Hidet_graph.Graph in
+  let module Op = Hidet_graph.Op in
+  let b = Stdlib.Buffer.create (1 lsl 20) in
+  let kernels what (ks : Kernel.t list) =
+    Printf.bprintf b "%s\n" what;
+    List.iter
+      (fun (k : Kernel.t) ->
+        Printf.bprintf b "%d %d\n%s\n" k.grid_dim k.block_dim
+          (Hidet_ir.Cuda_codegen.kernel k))
+      ks
+  in
+  let compiled what f =
+    match f () with
+    | (c : Compiled.t) -> kernels what c.kernels
+    | exception Invalid_argument msg -> Printf.bprintf b "%s: %s\n" what msg
+  in
+  List.iter
+    (fun { Zoo.batch; a_batched; b_batched; m; n; k } ->
+      List.iteri
+        (fun i cfg ->
+          if i mod 31 = 0 then
+            compiled (MT.config_to_string cfg) (fun () ->
+                MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg))
+        (Hidet.Hidet_engine.matmul_space Hidet.Hidet_engine.default_options ~m
+           ~n))
+    (Zoo.matmuls dev Hidet_models.Models.all);
+  List.iter
+    (fun (cfg : Hidet_sched.Reduce_template.config) ->
+      let block_size = cfg.block_size in
+      compiled "softmax" (fun () ->
+          Hidet_sched.Row_templates.softmax ~block_size ~rows:96 ~cols:131 ());
+      compiled "layernorm" (fun () ->
+          Hidet_sched.Row_templates.layernorm ~block_size ~rows:7 ~cols:768 ());
+      compiled "reduce" (fun () ->
+          Hidet_sched.Reduce_template.schedule ~config:cfg
+            (Op.to_def Op.Global_avg_pool [ [ 2; 40; 7; 7 ] ])))
+    Hidet_sched.Reduce_template.space;
+  let seen = Hashtbl.create 32 in
+  List.iter
+    (fun (_, make) ->
+      let g = make () in
+      List.iter
+        (fun (node : G.node) ->
+          let kind = Op.name node.op in
+          if not (Hashtbl.mem seen kind) then
+            match Op.to_def node.op (List.map (G.node_shape g) node.inputs) with
+            | def ->
+              Hashtbl.add seen kind ();
+              compiled kind (fun () -> Hidet_sched.Rule_based.schedule def)
+            | exception Invalid_argument _ -> ())
+        (G.nodes g))
+    Hidet_models.Models.all;
+  Hidet_sched.Schedule_cache.clear ();
+  List.iter
+    (fun (name, make) ->
+      let plan, _ = Hidet.Hidet_engine.compile_plan dev (make ()) in
+      Printf.bprintf b "%s\n%s\n" name (Hidet_runtime.Plan.cuda_source plan);
+      List.iter
+        (fun (s : Hidet_runtime.Plan.step) ->
+          List.iter
+            (fun (k : Kernel.t) -> Printf.bprintf b "%d %d\n" k.grid_dim k.block_dim)
+            s.compiled.kernels)
+        plan.steps)
+    Hidet_models.Models.all;
+  Hidet_sched.Schedule_cache.clear ();
+  Stdlib.Buffer.contents b
+
+let test_ir_corpus () =
+  Alcotest.(check string) "digest" ir_corpus_digest
+    (Digest.to_hex (Digest.string (ir_corpus ())))
+
 (* --- the streaming pipeline check ----------------------------------------------- *)
 
 let same_stages (k : Kernel.t) =
@@ -1064,6 +1148,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_simplify_oracle;
           Alcotest.test_case "template bodies = oracle" `Quick
             test_simplify_template_bodies;
+          Alcotest.test_case "IR corpus pinned" `Quick test_ir_corpus;
         ] );
       ( "pipeline",
         [
