@@ -37,10 +37,11 @@ let fuse_prologue (anchor : Compiled.t) ~input_index (def : Def.t) =
   in
   let rewrite_load buf idx =
     if Buffer.equal buf target then
-      Def.scalar_to_expr
-        ~inputs:(fun k idx' -> Expr.load (List.nth p_ins k) idx')
-        ~axes:idx ~raxes:[] def.Def.body
-    else Expr.Load (buf, idx)
+      Some
+        (Def.scalar_to_expr
+           ~inputs:(fun k idx' -> Expr.load (List.nth p_ins k) idx')
+           ~axes:idx ~raxes:[] def.Def.body)
+    else None
   in
   let rewrite_kernel k =
     let k = Kernel.map_body (Stmt.map_exprs (Expr.map_loads rewrite_load)) k in
@@ -90,32 +91,46 @@ let fuse_epilogue (anchor : Compiled.t) (def : Def.t) =
     |> List.mapi (fun i shape ->
            Buffer.create (Printf.sprintf "e%d_%s" (i + 1) def.Def.name) shape)
   in
-  let rewrite_store buf idx value =
-    if Buffer.equal buf target then begin
-      let out_idx =
-        maybe_mangle_out_idx def.Def.out_shape
-          (List.map Simplify.expr (bijection idx))
-      in
-      let new_value =
-        Def.scalar_to_expr
-          ~inputs:(fun k idx' ->
-            if k = 0 then value else Expr.load (List.nth extra_ins (k - 1)) idx')
-          ~axes:out_idx ~raxes:[] def.Def.body
-      in
-      Stmt.store new_out out_idx new_value
-    end
-    else Stmt.store buf idx value
+  let rewrite_store idx value =
+    let out_idx =
+      maybe_mangle_out_idx def.Def.out_shape
+        (List.map Simplify.expr (bijection idx))
+    in
+    let new_value =
+      Def.scalar_to_expr
+        ~inputs:(fun k idx' ->
+          if k = 0 then value else Expr.load (List.nth extra_ins (k - 1)) idx')
+        ~axes:out_idx ~raxes:[] def.Def.body
+    in
+    Stmt.store new_out out_idx new_value
   in
+  (* Only the paths to the anchor's stores are copied. A kernel body's
+     sequences are flat already, so an unchanged one is kept as it is. *)
   let rec rewrite_stmt (s : Stmt.t) =
     match s with
-    | Stmt.Seq ss -> Stmt.seq (List.map rewrite_stmt ss)
-    | For f -> Stmt.For { f with body = rewrite_stmt f.body }
-    | If { cond; then_; else_ } ->
-      Stmt.If
-        { cond; then_ = rewrite_stmt then_; else_ = Option.map rewrite_stmt else_ }
-    | Let l -> Stmt.Let { l with body = rewrite_stmt l.body }
-    | Store { buf; indices; value } -> rewrite_store buf indices value
-    | Mma _ | Sync_threads | Comment _ -> s
+    | Stmt.Seq ss ->
+      let ss' = Expr.map_list rewrite_stmt ss in
+      if ss' == ss then s else Stmt.seq ss'
+    | For f ->
+      let body = rewrite_stmt f.body in
+      if body == f.body then s else Stmt.For { f with body }
+    | If i ->
+      let then_ = rewrite_stmt i.then_ in
+      let else_ =
+        match i.else_ with
+        | Some e as o ->
+          let e' = rewrite_stmt e in
+          if e' == e then o else Some e'
+        | None -> None
+      in
+      if then_ == i.then_ && else_ == i.else_ then s
+      else Stmt.If { i with then_; else_ }
+    | Let l ->
+      let body = rewrite_stmt l.body in
+      if body == l.body then s else Stmt.Let { l with body }
+    | Store { buf; indices; value } when Buffer.equal buf target ->
+      rewrite_store indices value
+    | Store _ | Mma _ | Sync_threads | Comment _ -> s
   in
   let rewrite_kernel k =
     let k = Kernel.map_body rewrite_stmt k in

@@ -44,129 +44,176 @@ let var v = Var v
 let idiv a b = a / b
 let imod a b = a mod b
 
-let add a b =
+(* The constructors below take the node being rewritten, [node], and return
+   it where no rule folds and it already has exactly these children, so a
+   rewrite that changes nothing under a node allocates nothing for it. The
+   smart constructors pass [Thread_idx], which has no children. *)
+let binop_node node op a b =
+  match node with
+  | Binop (op', a', b') when op' = op && a' == a && b' == b -> node
+  | _ -> Binop (op, a, b)
+
+let unop_node node op a =
+  match node with
+  | Unop (op', a') when op' = op && a' == a -> node
+  | _ -> Unop (op, a)
+
+let add_at node a b =
   match (a, b) with
   | Int x, Int y -> int (x + y)
   | Float x, Float y -> Float (x +. y)
   | Int 0, e | e, Int 0 -> e
   | Float 0., e | e, Float 0. -> e
-  | _ -> Binop (Add, a, b)
+  | _ -> binop_node node Add a b
 
-let sub a b =
+let sub_at node a b =
   match (a, b) with
   | Int x, Int y -> int (x - y)
   | Float x, Float y -> Float (x -. y)
   | e, Int 0 -> e
   | e, Float 0. -> e
-  | _ -> Binop (Sub, a, b)
+  | _ -> binop_node node Sub a b
 
-let mul a b =
+let mul_at node a b =
   match (a, b) with
   | Int x, Int y -> int (x * y)
   | Float x, Float y -> Float (x *. y)
   | Int 0, _ | _, Int 0 -> Int 0
   | Int 1, e | e, Int 1 -> e
   | Float 1., e | e, Float 1. -> e
-  | _ -> Binop (Mul, a, b)
+  | _ -> binop_node node Mul a b
 
-let div a b =
+let div_at node a b =
   match (a, b) with
   | Int x, Int y when y <> 0 -> int (idiv x y)
   | Float x, Float y when y <> 0. -> Float (x /. y)
   | e, Int 1 -> e
   | e, Float 1. -> e
-  | _ -> Binop (Div, a, b)
+  | _ -> binop_node node Div a b
 
-let modulo a b =
+let modulo_at node a b =
   match (a, b) with
   | Int x, Int y when y <> 0 -> int (imod x y)
   | _, Int 1 -> Int 0
-  | _ -> Binop (Mod, a, b)
+  | _ -> binop_node node Mod a b
 
-let min_ a b =
+let min_at node a b =
   match (a, b) with
   | Int x, Int y -> int (min x y)
   | Float x, Float y -> Float (Float.min x y)
-  | _ -> Binop (Min, a, b)
+  | _ -> binop_node node Min a b
 
-let max_ a b =
+let max_at node a b =
   match (a, b) with
   | Int x, Int y -> int (max x y)
   | Float x, Float y -> Float (Float.max x y)
-  | _ -> Binop (Max, a, b)
+  | _ -> binop_node node Max a b
 
-let cmp op fi ff a b =
+let cmp_at node op fi ff a b =
   match (a, b) with
   | Int x, Int y -> Bool (fi x y)
   | Float x, Float y -> Bool (ff x y)
-  | _ -> Binop (op, a, b)
+  | _ -> binop_node node op a b
 
-let lt a b = cmp Lt ( < ) ( < ) a b
-let le a b = cmp Le ( <= ) ( <= ) a b
-let gt a b = cmp Gt ( > ) ( > ) a b
-let ge a b = cmp Ge ( >= ) ( >= ) a b
-let eq a b = cmp Eq ( = ) ( = ) a b
-let ne a b = cmp Ne ( <> ) ( <> ) a b
-
-let and_ a b =
+let and_at node a b =
   match (a, b) with
   | Bool true, e | e, Bool true -> e
   | Bool false, _ | _, Bool false -> Bool false
-  | _ -> Binop (And, a, b)
+  | _ -> binop_node node And a b
 
-let or_ a b =
+let or_at node a b =
   match (a, b) with
   | Bool false, e | e, Bool false -> e
   | Bool true, _ | _, Bool true -> Bool true
-  | _ -> Binop (Or, a, b)
+  | _ -> binop_node node Or a b
 
-let not_ = function
+let not_at node = function
   | Bool b -> Bool (not b)
   | Unop (Not, e) -> e
-  | e -> Unop (Not, e)
+  | e -> unop_node node Not e
 
-let neg = function
+let neg_at node = function
   | Int n -> int (-n)
   | Float f -> Float (-.f)
-  | e -> Unop (Neg, e)
+  | e -> unop_node node Neg e
 
-let select c a b =
-  match c with Bool true -> a | Bool false -> b | _ -> Select (c, a, b)
-
-let load buf indices =
-  if List.length indices <> Buffer.rank buf then
-    invalid_arg (Printf.sprintf "Expr.load: rank mismatch on %s" buf.Buffer.name);
-  Load (buf, indices)
-
-let binop op a b =
+let rebuild_binop node op a b =
   match op with
-  | Add -> add a b
-  | Sub -> sub a b
-  | Mul -> mul a b
-  | Div -> div a b
-  | Mod -> modulo a b
-  | Min -> min_ a b
-  | Max -> max_ a b
-  | Lt -> lt a b
-  | Le -> le a b
-  | Gt -> gt a b
-  | Ge -> ge a b
-  | Eq -> eq a b
-  | Ne -> ne a b
-  | And -> and_ a b
-  | Or -> or_ a b
+  | Add -> add_at node a b
+  | Sub -> sub_at node a b
+  | Mul -> mul_at node a b
+  | Div -> div_at node a b
+  | Mod -> modulo_at node a b
+  | Min -> min_at node a b
+  | Max -> max_at node a b
+  | Lt -> cmp_at node Lt ( < ) ( < ) a b
+  | Le -> cmp_at node Le ( <= ) ( <= ) a b
+  | Gt -> cmp_at node Gt ( > ) ( > ) a b
+  | Ge -> cmp_at node Ge ( >= ) ( >= ) a b
+  | Eq -> cmp_at node Eq ( = ) ( = ) a b
+  | Ne -> cmp_at node Ne ( <> ) ( <> ) a b
+  | And -> and_at node a b
+  | Or -> or_at node a b
 
-let unop op a =
+let rebuild_unop node op a =
   match (op, a) with
-  | Neg, _ -> neg a
-  | Not, _ -> not_ a
+  | Neg, _ -> neg_at node a
+  | Not, _ -> not_at node a
   | Exp, Float f -> Float (Stdlib.exp f)
   | Log, Float f -> Float (Stdlib.log f)
   | Sqrt, Float f -> Float (Stdlib.sqrt f)
   | Tanh, Float f -> Float (Stdlib.tanh f)
   | Abs, Float f -> Float (Float.abs f)
   | Abs, Int n -> int (Stdlib.abs n)
-  | (Exp | Log | Sqrt | Tanh | Erf | Abs), _ -> Unop (op, a)
+  | (Exp | Log | Sqrt | Tanh | Erf | Abs), _ -> unop_node node op a
+
+let rebuild_select node c a b =
+  match c with
+  | Bool true -> a
+  | Bool false -> b
+  | _ -> (
+    match node with
+    | Select (c', a', b') when c' == c && a' == a && b' == b -> node
+    | _ -> Select (c, a, b))
+
+let rec map_list f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    let rest' = map_list f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
+let rebuild_load node buf idx =
+  match node with
+  | Load (buf', idx') when buf' == buf && idx' == idx -> node
+  | _ -> Load (buf, idx)
+
+let add a b = add_at Thread_idx a b
+let sub a b = sub_at Thread_idx a b
+let mul a b = mul_at Thread_idx a b
+let div a b = div_at Thread_idx a b
+let modulo a b = modulo_at Thread_idx a b
+let min_ a b = min_at Thread_idx a b
+let max_ a b = max_at Thread_idx a b
+let lt a b = cmp_at Thread_idx Lt ( < ) ( < ) a b
+let le a b = cmp_at Thread_idx Le ( <= ) ( <= ) a b
+let gt a b = cmp_at Thread_idx Gt ( > ) ( > ) a b
+let ge a b = cmp_at Thread_idx Ge ( >= ) ( >= ) a b
+let eq a b = cmp_at Thread_idx Eq ( = ) ( = ) a b
+let ne a b = cmp_at Thread_idx Ne ( <> ) ( <> ) a b
+let and_ a b = and_at Thread_idx a b
+let or_ a b = or_at Thread_idx a b
+let not_ e = not_at Thread_idx e
+let neg e = neg_at Thread_idx e
+let select c a b = rebuild_select Thread_idx c a b
+let binop op a b = rebuild_binop Thread_idx op a b
+let unop op a = rebuild_unop Thread_idx op a
+
+let load buf indices =
+  if List.length indices <> Buffer.rank buf then
+    invalid_arg (Printf.sprintf "Expr.load: rank mismatch on %s" buf.Buffer.name);
+  Load (buf, indices)
 
 module Infix = struct
   let ( + ) = add
@@ -203,10 +250,11 @@ let rec subst v e body =
   match body with
   | Var v' when Var.equal v v' -> e
   | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> body
-  | Binop (op, a, b) -> binop op (subst v e a) (subst v e b)
-  | Unop (op, a) -> unop op (subst v e a)
-  | Select (c, a, b) -> select (subst v e c) (subst v e a) (subst v e b)
-  | Load (buf, idx) -> Load (buf, List.map (subst v e) idx)
+  | Binop (op, a, b) -> rebuild_binop body op (subst v e a) (subst v e b)
+  | Unop (op, a) -> rebuild_unop body op (subst v e a)
+  | Select (c, a, b) ->
+    rebuild_select body (subst v e c) (subst v e a) (subst v e b)
+  | Load (buf, idx) -> rebuild_load body buf (map_list (subst v e) idx)
 
 let free_vars e =
   let seen = Hashtbl.create 16 in
@@ -234,10 +282,13 @@ let free_vars e =
 let rec map_loads f e =
   match e with
   | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> e
-  | Binop (op, a, b) -> binop op (map_loads f a) (map_loads f b)
-  | Unop (op, a) -> unop op (map_loads f a)
-  | Select (c, a, b) -> select (map_loads f c) (map_loads f a) (map_loads f b)
-  | Load (buf, idx) -> f buf (List.map (map_loads f) idx)
+  | Binop (op, a, b) -> rebuild_binop e op (map_loads f a) (map_loads f b)
+  | Unop (op, a) -> rebuild_unop e op (map_loads f a)
+  | Select (c, a, b) ->
+    rebuild_select e (map_loads f c) (map_loads f a) (map_loads f b)
+  | Load (buf, idx) -> (
+    let idx' = map_list (map_loads f) idx in
+    match f buf idx' with Some r -> r | None -> rebuild_load e buf idx')
 
 let const_int = function Int n -> Some n | _ -> None
 

@@ -69,6 +69,26 @@ val load : Buffer.t -> t list -> t
 val binop : binop -> t -> t -> t
 val unop : unop -> t -> t
 
+(** {1 Rebuilding without copying}
+
+    Each takes the node a rewriter is rewriting and that node's rewritten
+    children, and is the smart constructor of that shape, except that where
+    the constructor folds nothing and the node already has exactly these
+    children (the same operator, children physically equal), it returns the
+    node itself. *)
+
+val rebuild_binop : t -> binop -> t -> t -> t
+val rebuild_unop : t -> unop -> t -> t
+val rebuild_select : t -> t -> t -> t -> t
+
+val rebuild_load : t -> Buffer.t -> t list -> t
+(** A [Load] without {!load}'s rank check: the indices are a rewrite of
+    the node's own. *)
+
+val map_list : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map], in the same order, returning the list itself when [f]
+    returns every element physically unchanged. *)
+
 (** Infix aliases for index arithmetic. *)
 module Infix : sig
   val ( + ) : t -> t -> t
@@ -87,14 +107,21 @@ val equal : t -> t -> bool
 (** Structural equality (buffers by id, vars by id). *)
 
 val subst : Var.t -> t -> t -> t
-(** [subst v e body] replaces every occurrence of [Var v] in [body] by [e]. *)
+(** [subst v e body] replaces every occurrence of [Var v] in [body] by [e],
+    rebuilding through the smart constructors. A subtree without [Var v]
+    that they would not fold is returned physically unchanged: so is
+    [body] itself when [v] is not free in it and it was built by the smart
+    constructors. *)
 
 val free_vars : t -> Var.t list
 (** Deduplicated, in first-occurrence order. *)
 
-val map_loads : (Buffer.t -> t list -> t) -> t -> t
+val map_loads : (Buffer.t -> t list -> t option) -> t -> t
 (** Rewrite every [Load] node bottom-up; indices have already been rewritten
-    when the callback runs. *)
+    when the callback runs. [None] keeps the load, with its rewritten
+    indices. Subtrees the rewrite does not change are shared as in
+    {!subst}: with a callback that keeps every load, the result is the
+    argument itself if the smart constructors would not fold it. *)
 
 val const_int : t -> int option
 (** [Some n] iff the expression is a literal integer. *)

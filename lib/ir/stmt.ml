@@ -30,40 +30,53 @@ let seq stmts =
   in
   match List.rev (flatten [] stmts) with [ s ] -> s | ss -> Seq ss
 
+let map_opt f o =
+  match o with
+  | None -> o
+  | Some x ->
+    let x' = f x in
+    if x' == x then o else Some x'
+
+let mma_at stmt (m : mma) a_off b_off c_off =
+  if m.a_off == a_off && m.b_off == b_off && m.c_off == c_off then stmt
+  else Mma { m with a_off; b_off; c_off }
+
+(* Raw constructors, like the tree it rewrites: a [For] whose extent becomes
+   1 or an [If] whose condition becomes constant stays one. *)
 let rec subst v e stmt =
+  let expr = Expr.subst v e in
   match stmt with
-  | Seq ss -> Seq (List.map (subst v e) ss)
-  | For f -> For { f with extent = Expr.subst v e f.extent; body = subst v e f.body }
-  | If { cond; then_; else_ } ->
-    If
-      {
-        cond = Expr.subst v e cond;
-        then_ = subst v e then_;
-        else_ = Option.map (subst v e) else_;
-      }
+  | Seq ss ->
+    let ss' = Expr.map_list (subst v e) ss in
+    if ss' == ss then stmt else Seq ss'
+  | For f ->
+    let extent = expr f.extent and body = subst v e f.body in
+    if extent == f.extent && body == f.body then stmt
+    else For { f with extent; body }
+  | If i ->
+    let cond = expr i.cond
+    and then_ = subst v e i.then_
+    and else_ = map_opt (subst v e) i.else_ in
+    if cond == i.cond && then_ == i.then_ && else_ == i.else_ then stmt
+    else If { cond; then_; else_ }
   | Let l ->
-    Let { l with value = Expr.subst v e l.value; body = subst v e l.body }
-  | Store { buf; indices; value } ->
-    Store
-      {
-        buf;
-        indices = List.map (Expr.subst v e) indices;
-        value = Expr.subst v e value;
-      }
+    let value = expr l.value and body = subst v e l.body in
+    if value == l.value && body == l.body then stmt else Let { l with value; body }
+  | Store st ->
+    let indices = Expr.map_list expr st.indices and value = expr st.value in
+    if indices == st.indices && value == st.value then stmt
+    else Store { st with indices; value }
   | Mma m ->
-    Mma
-      {
-        m with
-        a_off = List.map (Expr.subst v e) m.a_off;
-        b_off = List.map (Expr.subst v e) m.b_off;
-        c_off = List.map (Expr.subst v e) m.c_off;
-      }
+    mma_at stmt m
+      (Expr.map_list expr m.a_off)
+      (Expr.map_list expr m.b_off)
+      (Expr.map_list expr m.c_off)
   | Sync_threads | Comment _ -> stmt
 
 let for_ ?(unroll = false) var extent body =
   match extent with
   | Expr.Int 0 -> nop
-  | Expr.Int 1 -> subst var (Expr.Int 0) body
+  | Expr.Int 1 -> subst var (Expr.int 0) body
   | _ -> For { var; extent; unroll; body }
 
 let if_ ?else_ cond then_ =
@@ -74,32 +87,56 @@ let if_ ?else_ cond then_ =
 
 let let_ var value body = Let { var; value; body }
 
-let store buf indices value =
+let check_rank buf indices =
   if List.length indices <> Buffer.rank buf then
-    invalid_arg (Printf.sprintf "Stmt.store: rank mismatch on %s" buf.Buffer.name);
+    invalid_arg (Printf.sprintf "Stmt.store: rank mismatch on %s" buf.Buffer.name)
+
+let store buf indices value =
+  check_rank buf indices;
   Store { buf; indices; value }
 
 let sync = Sync_threads
 let comment s = Comment s
 
-let rec map_exprs f stmt =
+let is_seq = function Seq _ -> true | _ -> false
+
+let map_children f g stmt =
   match stmt with
-  | Seq ss -> seq (List.map (map_exprs f) ss)
-  | For fr ->
-    for_ ~unroll:fr.unroll fr.var (f fr.extent) (map_exprs f fr.body)
-  | If { cond; then_; else_ } ->
-    if_ ?else_:(Option.map (map_exprs f) else_) (f cond) (map_exprs f then_)
-  | Let l -> let_ l.var (f l.value) (map_exprs f l.body)
-  | Store { buf; indices; value } -> store buf (List.map f indices) (f value)
+  | Seq ss -> (
+    let ss' = Expr.map_list g ss in
+    match ss' with
+    | ([] | _ :: _ :: _) when ss' == ss && not (List.exists is_seq ss) -> stmt
+    | _ -> seq ss')
+  | For fr -> (
+    let extent = f fr.extent and body = g fr.body in
+    match extent with
+    | Expr.Int (0 | 1) -> for_ ~unroll:fr.unroll fr.var extent body
+    | _ when extent == fr.extent && body == fr.body -> stmt
+    | _ -> For { fr with extent; body })
+  | If i -> (
+    let cond = f i.cond and then_ = g i.then_ and else_ = map_opt g i.else_ in
+    match cond with
+    | Expr.Bool _ -> if_ ?else_ cond then_
+    | _ when cond == i.cond && then_ == i.then_ && else_ == i.else_ -> stmt
+    | _ -> If { cond; then_; else_ })
+  | Let l ->
+    let value = f l.value and body = g l.body in
+    if value == l.value && body == l.body then stmt else Let { l with value; body }
+  | Store st ->
+    let indices = Expr.map_list f st.indices and value = f st.value in
+    check_rank st.buf indices;
+    if indices == st.indices && value == st.value then stmt
+    else Store { st with indices; value }
   | Mma m ->
-    Mma
-      {
-        m with
-        a_off = List.map f m.a_off;
-        b_off = List.map f m.b_off;
-        c_off = List.map f m.c_off;
-      }
+    mma_at stmt m
+      (Expr.map_list f m.a_off)
+      (Expr.map_list f m.b_off)
+      (Expr.map_list f m.c_off)
   | Sync_threads | Comment _ -> stmt
+
+let map_exprs f stmt =
+  let rec go s = map_children f go s in
+  go stmt
 
 let rec fold f acc stmt =
   let acc = f acc stmt in

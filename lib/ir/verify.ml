@@ -122,9 +122,9 @@ let block_disjoint_writes (k : Kernel.t) =
   let note_loads e =
     ignore
       (Expr.map_loads
-         (fun b idx ->
+         (fun b _ ->
            if is_global b then loaded := Int_set.add b.Buffer.id !loaded;
-           Expr.Load (b, idx))
+           None)
          e)
   in
   let rec go tainted (s : Stmt.t) =

@@ -464,56 +464,66 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
   let v_wm = Var.fresh "wm" and v_wn = Var.fresh "wn" in
   let v_kstart = Var.fresh "kstart" and v_trips = Var.fresh "trips" in
   let bid = Expr.Block_idx and tid = Expr.Thread_idx in
+  (* The header's bindings, innermost first. A value that is already a
+     literal or a variable is used in place rather than bound, as
+     [Simplify] would inline it. A [trips] of 0 or 1 is the exception: as
+     a literal, [Stmt.for_] would fold the main loop before [Simplify]
+     simplifies its body, and [Simplify] folds it after. *)
+  let bindings = ref [] in
+  let bind v (e : Expr.t) =
+    match e with
+    | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> e
+    | _ ->
+      bindings := (v, e) :: !bindings;
+      Expr.var v
+  in
   (* Block-index decomposition for im/jn, optionally swizzled: neighboring
      linear block ids then share operand panels, which the latency model
      credits as L2 reuse (Traffic.block_reuse). *)
-  let im_binding, jn_binding =
+  let im_value, jn_value =
     let r = bid %: Expr.int (gm * gn) in
-    if not cfg.swizzle then
-      ((v_im, bid /: Expr.int gn %: Expr.int gm), (v_jn, bid %: Expr.int gn))
+    if not cfg.swizzle then (bid /: Expr.int gn %: Expr.int gm, bid %: Expr.int gn)
     else if gm mod 4 = 0 then
       (* Panelized swizzle: walk 4 block-rows per column before advancing. *)
       let within = r %: Expr.int (4 * gn) in
       let pid = r /: Expr.int (4 * gn) in
-      ( (v_im, (pid *: Expr.int 4) +: (within %: Expr.int 4)),
-        (v_jn, within /: Expr.int 4) )
+      ((pid *: Expr.int 4) +: (within %: Expr.int 4), within /: Expr.int 4)
     else
       (* Column-major launch order. *)
-      ((v_im, r %: Expr.int gm), (v_jn, r /: Expr.int gm))
+      (r %: Expr.int gm, r /: Expr.int gm)
   in
-  let header body =
-    lets
-      [
-        jn_binding;
-        im_binding;
-        (v_z, bid /: Expr.int (gm * gn) %: Expr.int cfg.split_k);
-        (v_b, bid /: Expr.int (gm * gn * cfg.split_k));
-        (v_row0, Expr.var v_im *: Expr.int bm);
-        (v_col0, Expr.var v_jn *: Expr.int bn);
-        (v_w, tid /: Expr.int 32);
-        (v_lane, tid %: Expr.int 32);
-        (v_wm, Expr.var v_w /: Expr.int warps_n *: Expr.int cfg.warp_m);
-        (v_wn, Expr.var v_w %: Expr.int warps_n *: Expr.int cfg.warp_n);
-        (v_kstart, Expr.var v_z *: Expr.int chunk);
-        ( v_trips,
-          Expr.max_ (Expr.int 0)
-            (Expr.min_ (Expr.int chunk) (Expr.int kt_total -: Expr.var v_kstart)) );
-      ]
-      body
+  let jn = bind v_jn jn_value in
+  let im = bind v_im im_value in
+  let z = bind v_z (bid /: Expr.int (gm * gn) %: Expr.int cfg.split_k) in
+  let b = bind v_b (bid /: Expr.int (gm * gn * cfg.split_k)) in
+  let row0 = bind v_row0 (im *: Expr.int bm) in
+  let col0 = bind v_col0 (jn *: Expr.int bn) in
+  let w = bind v_w (tid /: Expr.int 32) in
+  let lane = bind v_lane (tid %: Expr.int 32) in
+  let wm_off = bind v_wm (w /: Expr.int warps_n *: Expr.int cfg.warp_m) in
+  let wn_off = bind v_wn (w %: Expr.int warps_n *: Expr.int cfg.warp_n) in
+  let kstart = bind v_kstart (z *: Expr.int chunk) in
+  let trips =
+    match
+      Expr.max_ (Expr.int 0)
+        (Expr.min_ (Expr.int chunk) (Expr.int kt_total -: kstart))
+    with
+    | Int (0 | 1) as e ->
+      bindings := (v_trips, e) :: !bindings;
+      Expr.var v_trips
+    | e -> bind v_trips e
   in
-  let row0 = Expr.var v_row0 and col0 = Expr.var v_col0 in
-  let lane = Expr.var v_lane in
-  let wm_off = Expr.var v_wm and wn_off = Expr.var v_wn in
+  let header body = lets (List.rev !bindings) body in
   (* Predicated element loads (partial tiles read 0 outside bounds). *)
   let load_a_elem ~row ~col =
     Expr.select
       (Expr.and_ (row <: Expr.int m) (col <: Expr.int k))
       (Expr.load a_buf
-         (if a_batched then [ Expr.var v_b; row; col ] else [ row; col ]))
+         (if a_batched then [ b; row; col ] else [ row; col ]))
       (Expr.float 0.)
   in
   let load_b_elem ~row ~col =
-    let idx = if b_batched then [ Expr.var v_b; row; col ] else [ row; col ] in
+    let idx = if b_batched then [ b; row; col ] else [ row; col ] in
     Expr.select
       (Expr.and_ (row <: Expr.int k) (col <: Expr.int n))
       (Expr.load b_buf idx) (Expr.float 0.)
@@ -638,17 +648,12 @@ let compile ?(batch = 1) ?(a_batched = true) ?(b_batched = false) ~m ~n ~k cfg =
           Stmt.if_
             (Expr.and_ (row <: Expr.int m) (col <: Expr.int n))
             (match cp_buf with
-            | None -> Stmt.store c_buf [ Expr.var v_b; row; col ] (acc_value global local)
-            | Some cp ->
-              Stmt.store cp
-                [ Expr.var v_z; Expr.var v_b; row; col ]
-                (acc_value global local))
+            | None -> Stmt.store c_buf [ b; row; col ] (acc_value global local)
+            | Some cp -> Stmt.store cp [ z; b; row; col ] (acc_value global local))
         | _ -> assert false)
   in
   let v_kt = Var.fresh "kt" in
   let kt = Expr.var v_kt in
-  let trips = Expr.var v_trips in
-  let kstart = Expr.var v_kstart in
   let main_loop =
     if cfg.stages >= 2 then begin
       (* Software pipeline with [stages - 1] tiles in flight: prefetch tile

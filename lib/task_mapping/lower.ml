@@ -36,14 +36,18 @@ let atom_alternatives (a : Mapping.internal_atom) (w : Expr.t) : alternative lis
     done;
     [ { wrap = (fun s -> s); contrib; local_contrib = zeros m } ]
   | Mapping.Repeat { shape; order } ->
-    let m = Array.length shape in
-    let contrib = Array.make m (Expr.int 0) in
-    let vars = Array.map (fun _ -> Var.fresh "r") shape in
-    Array.iter (fun d -> contrib.(d) <- Expr.var vars.(d)) order;
+    (* A dim of extent 1 gets no loop: its index is 0 from the start, as
+       [Stmt.for_] would substitute it. *)
+    let contrib =
+      Array.map (fun n -> if n = 1 then Expr.int 0 else Expr.var (Var.fresh "r")) shape
+    in
     let wrap body =
       (* order.(0) is the outermost loop. *)
       Array.fold_right
-        (fun d acc -> Stmt.for_ ~unroll:true vars.(d) (Expr.int shape.(d)) acc)
+        (fun d acc ->
+          match contrib.(d) with
+          | Expr.Var v -> Stmt.for_ ~unroll:true v (Expr.int shape.(d)) acc
+          | _ -> acc)
         order body
     in
     [ { wrap; contrib; local_contrib = Array.copy contrib } ]
