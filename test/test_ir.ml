@@ -126,6 +126,73 @@ let prop_simplify_idempotent =
       let s = Simplify.expr e in
       Expr.equal s (Simplify.expr s))
 
+(* --- the rewriters share what they do not change ------------------------ *)
+
+(* Raw trees over two variables, a load, the unary operators and every
+   binary one: [smart] rebuilds one through the smart constructors. *)
+let x_var = Var.fresh "x" and y_var = Var.fresh "y"
+let src = Buffer.create "src" [ 8; 8 ]
+
+let arb_raw_expr =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun n -> Expr.Int n) (int_range (-2) 3);
+        map (fun f -> Expr.Float (float_of_int f)) (int_range 0 2);
+        map (fun b -> Expr.Bool b) bool;
+        return (Expr.Var x_var);
+        return (Expr.Var y_var);
+        return Expr.Thread_idx;
+      ]
+  in
+  let rec gen n =
+    if n = 0 then leaf
+    else
+      let sub = gen (n / 2) in
+      frequency
+        [
+          (2, leaf);
+          ( 4,
+            map3
+              (fun op a b -> Expr.Binop (op, a, b))
+              (oneofl
+                 Expr.[ Add; Sub; Mul; Div; Mod; Min; Max; Lt; Le; Eq; And; Or ])
+              sub sub );
+          ( 1,
+            map2 (fun op a -> Expr.Unop (op, a)) (oneofl Expr.[ Neg; Not; Exp; Abs ]) sub
+          );
+          (1, map3 (fun c a b -> Expr.Select (c, a, b)) sub sub sub);
+          (1, map2 (fun i j -> Expr.Load (src, [ i; j ])) sub sub);
+          (1, map (fun a -> Expr.Binop (Sub, a, a)) sub);
+        ]
+  in
+  QCheck.make ~print:Expr.to_string (gen 8)
+
+let rec smart (e : Expr.t) =
+  match e with
+  | Binop (op, a, b) -> Expr.binop op (smart a) (smart b)
+  | Unop (op, a) -> Expr.unop op (smart a)
+  | Select (c, a, b) -> Expr.select (smart c) (smart a) (smart b)
+  | Load (buf, idx) -> Expr.load buf (List.map smart idx)
+  | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> e
+
+let prop_subst_shares =
+  QCheck.Test.make ~name:"subst of an absent variable returns its argument"
+    ~count:500 arb_raw_expr (fun raw ->
+      let e = smart raw in
+      Expr.subst (Var.fresh "z") (Expr.int 7) e == e
+      && Expr.map_loads (fun _ _ -> None) e == e)
+
+let prop_simplify_shares =
+  QCheck.Test.make ~name:"simplify returns its argument when nothing changes"
+    ~count:500 arb_raw_expr (fun raw ->
+      List.for_all
+        (fun e ->
+          let s = Simplify.expr e in
+          (not (Expr.equal s e)) || s == e)
+        [ raw; smart raw ])
+
 (* --- statement simplification ------------------------------------------- *)
 
 let test_stmt_simplify () =
@@ -396,6 +463,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
           QCheck_alcotest.to_alcotest prop_simplify_idempotent;
+          QCheck_alcotest.to_alcotest prop_subst_shares;
+          QCheck_alcotest.to_alcotest prop_simplify_shares;
           Alcotest.test_case "stmt simplify" `Quick test_stmt_simplify;
           Alcotest.test_case "let inlining" `Quick test_let_inlining;
         ] );

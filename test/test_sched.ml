@@ -519,6 +519,47 @@ let test_compiled_plumbing () =
        false
      with Invalid_argument _ -> true)
 
+(* The minor words of one [MT.compile] of five fixed configs at a bert
+   FFN shape, the second of two compiles, pinned at what it allocates now
+   (5612, 8655, 9950, 5615 and 5493 words before the rewriters shared
+   unchanged subtrees and the header bound only non-trivial values). A
+   rewriter that copies what it does not change, or a template that emits
+   work [Simplify] must undo, fails it. *)
+let compile_words_budget =
+  [
+    ("b64x64x8_w32x32", 3573.);
+    ("b64x64x8_w32x32_db", 5155.);
+    ("b64x64x8_w32x32_s3_tc", 5145.);
+    ("b64x64x8_w32x32_swz", 3572.);
+    ("b64x64x8_w32x32_sk2", 3892.);
+  ]
+
+let test_compile_allocation () =
+  let plain = { base with MT.stages = 1 } in
+  let configs =
+    [
+      plain;
+      base;
+      { plain with MT.stages = 3; use_tensor_core = true };
+      { plain with MT.swizzle = true };
+      { plain with MT.split_k = 2 };
+    ]
+  in
+  let words cfg =
+    let compile () = ignore (Sys.opaque_identity (MT.compile ~m:128 ~n:768 ~k:768 cfg)) in
+    compile ();
+    let before = Gc.minor_words () in
+    compile ();
+    Gc.minor_words () -. before
+  in
+  let got = List.map (fun cfg -> (MT.config_to_string cfg, words cfg)) configs in
+  List.iter2
+    (fun (name, budget) (name', w) ->
+      Alcotest.(check string) "config" name name';
+      if w > budget then
+        Alcotest.failf "%s: %.0f minor words per compile, budget %.0f" name w budget)
+    compile_words_budget got
+
 let () =
   Alcotest.run "hidet_sched"
     [
@@ -535,6 +576,8 @@ let () =
           Alcotest.test_case "db faster in model" `Quick test_db_faster_in_model;
           Alcotest.test_case "swizzle faster in model" `Quick
             test_swizzle_faster_in_model;
+          Alcotest.test_case "compile allocation budget" `Quick
+            test_compile_allocation;
         ] );
       ( "space",
         [
