@@ -55,6 +55,7 @@ let interp_run ~quick =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
+  let once f = time 1 f in
   let rows =
     List.map
       (fun (name, c, inputs) ->
@@ -67,23 +68,24 @@ let interp_run ~quick =
         let wall_legacy =
           time (if quick then 1 else 3) (fun () -> C.run ~legacy:true c inputs)
         in
-        let wall_compiled =
-          time (if quick then 3 else 10) (fun () -> C.run c inputs)
-        in
+        (* The native warm run pays codegen + ocamlopt + dynlink once; the
+           timed runs below hit the per-process memo, which is the steady
+           state the backend exists for. Closure and native launches then
+           alternate, and each backend's time is its fastest launch: what
+           ran before in the process, or a burst of other load, slows both
+           backends alike or shows as a slow launch the minimum drops. *)
+        if native_ok then ignore (C.run ~backend:`Native c inputs);
+        let wall_compiled = ref infinity and wall_native = ref infinity in
+        for _ = 1 to if quick then 5 else 10 do
+          wall_compiled := Float.min !wall_compiled (once (fun () -> C.run c inputs));
+          if native_ok then
+            wall_native :=
+              Float.min !wall_native
+                (once (fun () -> C.run ~backend:`Native c inputs))
+        done;
+        let wall_compiled = !wall_compiled in
         let native_sps =
-          if not native_ok then None
-          else begin
-            (* Warm run pays codegen + ocamlopt + dynlink once; the timed
-               runs below hit the per-process memo, which is the steady
-               state the backend exists for. *)
-            ignore (C.run ~backend:`Native c inputs);
-            let wall =
-              time
-                (if quick then 3 else 10)
-                (fun () -> C.run ~backend:`Native c inputs)
-            in
-            Some (float_of_int stmts /. wall)
-          end
+          if native_ok then Some (float_of_int stmts /. !wall_native) else None
         in
         let legacy_sps = float_of_int stmts /. wall_legacy in
         let compiled_sps = float_of_int stmts /. wall_compiled in

@@ -105,10 +105,15 @@ let run_compiled ?workers (c : t) bindings =
       | Some (_, arr) -> proto.(s) <- arr
       | None -> assert false (* every parameter is bound: check_bindings *))
     c.slots.global_slots;
-  let use_domains =
-    Option.fold ~none:true ~some:(fun w -> w > 1) workers
-    && c.parallel_ok && k.grid_dim > 1
+  (* What runs, not what was asked for: without [workers], the default
+     worker count decides, and on a host where it is 1 the blocks run
+     sequentially here. *)
+  let workers =
+    match workers with
+    | Some w -> w
+    | None -> Hidet_parallel.Parallel.default_workers ()
   in
+  let use_domains = workers > 1 && c.parallel_ok && k.grid_dim > 1 in
   let t0 = Unix.gettimeofday () in
   let counts =
     Trace.span
@@ -121,7 +126,7 @@ let run_compiled ?workers (c : t) bindings =
       "sim.exec"
       (fun _ ->
         if use_domains then
-          Hidet_parallel.Parallel.map ?workers
+          Hidet_parallel.Parallel.map ~workers
             (fun bid -> exec_block c proto bid)
             (Array.init k.grid_dim Fun.id)
         else begin

@@ -55,10 +55,12 @@ val run_compiled :
     exceptions with the same messages. When [parallel_ok] holds and the
     grid has more than one block, blocks run on [workers] domains through
     [Hidet_parallel.Parallel.map] (default
-    {!Hidet_parallel.Parallel.default_workers}); [~workers:1] runs them
-    sequentially. Adds to the [sim.threads], [sim.statements],
-    [sim.exec_us] and [sim.parallel_blocks] or [sim.sequential_blocks]
-    metrics and records a [sim.exec] trace span. *)
+    {!Hidet_parallel.Parallel.default_workers}); with one worker, given or
+    by default, they run sequentially. Adds to the [sim.threads],
+    [sim.statements], [sim.exec_us] and [sim.parallel_blocks] or
+    [sim.sequential_blocks] metrics and records a [sim.exec] trace span
+    whose [parallel] attribute, like the block counters, says whether the
+    blocks ran on domains. *)
 
 val run :
   ?workers:int ->

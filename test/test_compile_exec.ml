@@ -974,6 +974,44 @@ let test_metrics_counters () =
   Alcotest.(check int) "threads counted" (Kernel.num_threads k) d_threads;
   Alcotest.(check bool) "statements counted" true (d_stmts >= 128)
 
+(* A launch reports what ran: without [~workers], its blocks count as
+   parallel only where the default worker count runs them on domains (not
+   on a 2-vCPU host, where it is 1), and its [sim.exec] span says the
+   same. *)
+let test_parallel_counters () =
+  let k, a, c = vadd_kernel () in
+  let compiled = CE.compile k in
+  let par = Hidet_obs.Metrics.counter "sim.parallel_blocks"
+  and seq = Hidet_obs.Metrics.counter "sim.sequential_blocks" in
+  let launch ?workers () =
+    let p0 = Hidet_obs.Metrics.value par and s0 = Hidet_obs.Metrics.value seq in
+    let (), events =
+      Hidet_obs.Trace.with_collector (fun () ->
+          Launch.run_compiled ?workers compiled
+            [ (a, Array.make 128 1.); (c, Array.make 128 0.) ])
+    in
+    let attr =
+      List.find_map
+        (function
+          | Hidet_obs.Trace.Span { name = "sim.exec"; attrs; _ } ->
+            List.assoc_opt "parallel" attrs
+          | _ -> None)
+        events
+    in
+    ( Hidet_obs.Metrics.value par - p0,
+      Hidet_obs.Metrics.value seq - s0,
+      attr )
+  in
+  let split parallel =
+    if parallel then (k.grid_dim, 0, Some "true") else (0, k.grid_dim, Some "false")
+  in
+  let show (p, s, a) = Printf.sprintf "%d/%d %s" p s (Option.value a ~default:"-") in
+  Alcotest.(check string) "default"
+    (show (split (Hidet_parallel.Parallel.default_workers () > 1)))
+    (show (launch ()));
+  Alcotest.(check string) "four workers" (show (split true)) (show (launch ~workers:4 ()));
+  Alcotest.(check string) "one worker" (show (split false)) (show (launch ~workers:1 ()))
+
 let test_compile_once_run_many () =
   let k, a, c = vadd_kernel () in
   let compiled = CE.compile k in
@@ -1129,6 +1167,8 @@ let () =
       ( "observability",
         [
           Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
+          Alcotest.test_case "parallel counters say what ran" `Quick
+            test_parallel_counters;
           Alcotest.test_case "compile once, run many" `Quick
             test_compile_once_run_many;
           Alcotest.test_case "template fires nests and hoisting" `Quick
