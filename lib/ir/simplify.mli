@@ -8,7 +8,10 @@
 val expr : Expr.t -> Expr.t
 (** Bottom-up resimplification through the smart constructors, plus
     identities requiring structural comparison (x - x = 0, min x x = x,
-    select c a a = a, etc.). *)
+    select c a a = a, etc.). Nodes are rebuilt with {!Expr.rebuild_binop}
+    and its kin, so whenever the result is structurally equal to the
+    argument it is the argument itself ([==]), and an unchanged subtree
+    of a changed expression is shared. *)
 
 val stmt : Stmt.t -> Stmt.t
 (** Applies {!expr} everywhere, collapses constant control flow, flattens
@@ -21,4 +24,6 @@ val stmt : Stmt.t -> Stmt.t
     for all bound variables at a time, through the same smart constructors
     as {!Expr.subst}, then simplified. The result and the
     ["ir.nodes_simplified"] count are those of substituting each inlined
-    [Let] into its body in turn and simplifying the result. *)
+    [Let] into its body in turn and simplifying the result. Statements are
+    rebuilt by {!Stmt.map_children}, so those the pass does not change are
+    shared with the argument. *)
