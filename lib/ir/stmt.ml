@@ -79,6 +79,12 @@ let for_ ?(unroll = false) var extent body =
   | Expr.Int 1 -> subst var (Expr.int 0) body
   | _ -> For { var; extent; unroll; body }
 
+let loop ?unroll name extent body =
+  if extent = 1 then body (Expr.int 0)
+  else
+    let v = Var.fresh name in
+    for_ ?unroll v (Expr.int extent) (body (Expr.var v))
+
 let if_ ?else_ cond then_ =
   match cond with
   | Expr.Bool true -> then_

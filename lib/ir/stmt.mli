@@ -39,6 +39,11 @@ val for_ : ?unroll:bool -> Var.t -> Expr.t -> t -> t
 (** Extent 0 becomes {!nop}; extent 1 substitutes the index with 0 (by
     {!subst}, so the parts of the body without the index are shared). *)
 
+val loop : ?unroll:bool -> string -> int -> (Expr.t -> t) -> t
+(** [loop name n body]: a {!for_} over a fresh index named [name], with
+    [body] given the index. For [n = 1], [body] is given [0] and no
+    variable or loop is made, so nothing is substituted afterwards. *)
+
 val if_ : ?else_:t -> Expr.t -> t -> t
 (** Constant conditions select a branch statically. *)
 

@@ -44,20 +44,16 @@ let schedule ?(config = default_config) (d : Def.t) =
   let acc = Buffer.create ~scope:Buffer.Register "acc" [ 1 ] in
   let smem = Buffer.create ~scope:Buffer.Shared "red" [ block ] in
   let load_input k idx = Expr.load (List.nth ins k) idx in
-  let v_t = Var.fresh "t" in
-  let r =
-    Expr.add (Expr.mul (Expr.var v_t) (Expr.int block)) Expr.Thread_idx
-  in
   let strided_accumulate =
-    Stmt.for_ v_t
-      (Expr.int (ceil_div rdomain block))
-      (Stmt.if_
-         (Expr.lt r (Expr.int rdomain))
-         (Stmt.store acc [ Expr.int 0 ]
-            (combine
-               (Expr.load acc [ Expr.int 0 ])
-               (Def.scalar_to_expr ~inputs:load_input ~axes
-                  ~raxes:(decode_raxes r) d.Def.body))))
+    Stmt.loop "t" (ceil_div rdomain block) (fun t ->
+        let r = Expr.add (Expr.mul t (Expr.int block)) Expr.Thread_idx in
+        Stmt.if_
+          (Expr.lt r (Expr.int rdomain))
+          (Stmt.store acc [ Expr.int 0 ]
+             (combine
+                (Expr.load acc [ Expr.int 0 ])
+                (Def.scalar_to_expr ~inputs:load_input ~axes
+                   ~raxes:(decode_raxes r) d.Def.body))))
   in
   let rec tree_levels s acc_stmts =
     if s = 0 then List.rev acc_stmts

@@ -26,11 +26,9 @@ let tree smem block combine =
 (* Strided pass over the row: body receives the column expression, guarded
    in bounds. *)
 let strided_pass ~block ~cols body =
-  let v_t = Var.fresh "t" in
-  let col = Expr.add (Expr.mul (Expr.var v_t) (Expr.int block)) Expr.Thread_idx in
-  Stmt.for_ v_t
-    (Expr.int (ceil_div cols block))
-    (Stmt.if_ (Expr.lt col (Expr.int cols)) (body col))
+  Stmt.loop "t" (ceil_div cols block) (fun t ->
+      let col = Expr.add (Expr.mul t (Expr.int block)) Expr.Thread_idx in
+      Stmt.if_ (Expr.lt col (Expr.int cols)) (body col))
 
 (* Accumulate a row statistic into a register then reduce through shared
    memory; afterwards smem[0] holds the result for all threads. *)

@@ -43,19 +43,17 @@ let schedule ?(block_dim = 256) (d : Def.t) =
       let combine a b =
         match kind with Def.Sum -> Expr.add a b | Def.Max_reduce -> Expr.max_ a b
       in
-      let rvars = List.map (fun _ -> Var.fresh "r") extents in
-      let raxes = List.map Expr.var rvars in
-      let update =
-        Stmt.store acc [ Expr.int 0 ]
-          (combine
-             (Expr.load acc [ Expr.int 0 ])
-             (Def.scalar_to_expr ~inputs:load_input ~axes ~raxes d.Def.body))
+      (* One loop per reduction axis, outermost first. *)
+      let rec loops raxes = function
+        | [] ->
+          Stmt.store acc [ Expr.int 0 ]
+            (combine
+               (Expr.load acc [ Expr.int 0 ])
+               (Def.scalar_to_expr ~inputs:load_input ~axes
+                  ~raxes:(List.rev raxes) d.Def.body))
+        | ext :: rest -> Stmt.loop "r" ext (fun r -> loops (r :: raxes) rest)
       in
-      let loops =
-        List.fold_right2
-          (fun v ext inner -> Stmt.for_ v (Expr.int ext) inner)
-          rvars extents update
-      in
+      let loops = loops [] extents in
       Stmt.seq
         [
           Stmt.store acc [ Expr.int 0 ] (Expr.float init_v);
