@@ -41,7 +41,8 @@ let best_of names suffix row =
 
 let tune_matmul ?(device = dev) ~m ~n ~k candidates =
   match
-    Tu.tune ~device ~candidates ~compile:(fun cfg -> MT.compile ~m ~n ~k cfg) ()
+    Tu.tune ~device ~candidates:(Array.of_list candidates)
+      ~compile:(fun cfg -> MT.compile ~m ~n ~k cfg) ()
   with
   | Some (cfg, _, st) -> (cfg, st.Tu.best_latency)
   | None -> failwith (sprintf "bench: no feasible schedule for %s" (shape_name (m, n, k)))
@@ -140,7 +141,7 @@ let fig7 =
               | [ _; oc; oh; ow ] -> (oc, oh * ow)
               | _ -> assert false
             in
-            let size = List.length (HE.matmul_space HE.default_options ~m ~n) in
+            let size = Array.length (HE.matmul_space HE.default_options ~m ~n) in
             ( size,
               Json.Obj
                 [

@@ -484,8 +484,8 @@ let tune_run ~quick =
   let module Space = Hidet_sched.Space in
   let tune ?fidelity ?lower_bound ~m ~n ~k candidates =
     match
-      Tu.tune ?fidelity ?lower_bound ~device:dev ~candidates
-        ~compile:(fun cfg -> MT.compile ~m ~n ~k cfg)
+      Tu.tune ?fidelity ?lower_bound ~device:dev
+        ~candidates:(Array.of_list candidates) ~compile:(fun cfg -> MT.compile ~m ~n ~k cfg)
         ()
     with
     | Some (cfg, _, st) -> (cfg, st)

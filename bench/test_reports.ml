@@ -306,6 +306,41 @@ let test_doc_range (heading, report, value, printed) () =
   if not (contains ~sub:range (String.concat "\n" (doc_section heading))) then
     Alcotest.failf "%s: the report's range %s is not in the text" heading range
 
+(* Per section: the single-layer examples its prose quotes, each the key
+   of its report row and the text the doc prints for it from the row's
+   onnxruntime, ansor and hidet latencies, rounded to whole microseconds. *)
+let doc_examples =
+  [
+    ( "## Figure 18",
+      Paper.fig18,
+      [
+        ( "19",
+          Printf.sprintf
+            "#19 512\xc3\x9714\xc3\x9714 k3: ORT %s \xc2\xb5s, Ansor %s \xc2\xb5s, Hidet %s \xc2\xb5s"
+        );
+        ( "22",
+          Printf.sprintf
+            "#22 2048-channel 7\xc3\x977 1\xc3\x971: %s/%s vs %s \xc2\xb5s" );
+      ] );
+  ]
+
+let test_doc_examples (heading, report, examples) () =
+  (* The section as one line, every run of spaces and line breaks one space. *)
+  let text =
+    String.concat " "
+      (List.concat_map
+         (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+         (doc_section heading))
+  in
+  List.iter
+    (fun (key, print) ->
+      let row = find_row (load report) key in
+      let us f = Printf.sprintf "%.0f" (Report.num f row) in
+      let want = print (us "onnxruntime_us") (us "ansor_us") (us "hidet_us") in
+      if not (contains ~sub:want text) then
+        Alcotest.failf "%s: the report's example \"%s\" is not in the text" heading want)
+    examples
+
 let () =
   Alcotest.run "reports"
     (List.map
@@ -327,5 +362,9 @@ let () =
           @ List.map
               (fun ((heading, _, _, _) as r) ->
                 Alcotest.test_case (heading ^ " range") `Quick (test_doc_range r))
-              doc_ranges );
+              doc_ranges
+          @ List.map
+              (fun ((heading, _, _) as x) ->
+                Alcotest.test_case (heading ^ " examples") `Quick (test_doc_examples x))
+              doc_examples );
       ])

@@ -38,7 +38,7 @@ let () =
 
   let t0 = Unix.gettimeofday () in
   (match
-     Tu.tune ~device:dev ~candidates:hc_space
+     Tu.tune ~device:dev ~candidates:(Array.of_list hc_space)
        ~compile:(fun cfg -> MT.compile ~a_batched:false ~b_batched:true ~m ~n ~k cfg)
        ()
    with

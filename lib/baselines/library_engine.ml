@@ -97,7 +97,8 @@ let schedule_matmul ~tensor_core ~tactic_timing device
   let compile cfg = MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg in
   match
     if tactic_timing then
-      Hidet_sched.Tuner.tune ~device ~candidates:(tactic_configs ~tensor_core)
+      Hidet_sched.Tuner.tune ~device
+        ~candidates:(Array.of_list (tactic_configs ~tensor_core))
         ~compile ()
     else None
   with

@@ -92,7 +92,7 @@ let restrict_space options space =
 
 (* Options that restrict the candidate space must be part of the workload
    signature, or a cache entry tuned under one restriction would answer for
-   another. *)
+   another. [config] builds it once per compile. *)
 let options_sig options =
   Printf.sprintf "tc%b_db%b%s" options.allow_tensor_core
     options.allow_double_buffer
@@ -100,27 +100,28 @@ let options_sig options =
 
 (* The restricted matmul space of each (split-k class, options signature),
    filtered once per process (it depends on the shape only through the
-   class), with the terms of its floors. *)
-let restricted : (int * string, MT.config list * MT.terms) Hashtbl.t =
+   class), with the terms of its floors, built from that very array. *)
+let restricted : (int * string, MT.config array * MT.terms) Hashtbl.t =
   Hashtbl.create 8
 
 let restricted_lock = Mutex.create ()
 
-let restricted_space options ~m ~n =
-  let key = (Hidet_sched.Space.split_k_class ~m ~n, options_sig options) in
+let restricted_space options ~osig ~m ~n =
+  let key = (Hidet_sched.Space.split_k_class ~m ~n, osig) in
   Mutex.protect restricted_lock (fun () ->
       match Hashtbl.find_opt restricted key with
       | Some space -> space
       | None ->
         let configs =
-          restrict_space options (Hidet_sched.Space.matmul_with_split_k ~m ~n)
+          Array.of_list
+            (restrict_space options (Hidet_sched.Space.matmul_with_split_k ~m ~n))
         in
-        let space = (configs, MT.terms (Array.of_list configs)) in
+        let space = (configs, MT.terms configs) in
         Hashtbl.add restricted key space;
         space)
 
 let matmul_space options ~m ~n =
-  fst (restricted_space options ~m ~n)
+  fst (restricted_space options ~osig:(options_sig options) ~m ~n)
 
 (* Deterministic mode pins the row/reduction templates to one block size:
    the combine-tree shape then depends only on the row length, never on
@@ -128,13 +129,13 @@ let matmul_space options ~m ~n =
    sliced fragments reduce in exactly the single-device order. *)
 let det_sig options = if options.deterministic_reduce then "_det" else ""
 
-let schedule_matmul options device stats anchor (mm : GC.matmul) =
+let schedule_matmul options ~osig device stats anchor (mm : GC.matmul) =
   let { GC.batch; a_batched; b_batched; m; n; k } = mm in
   let key =
     Printf.sprintf "matmul_%d_%b_%b_%d_%d_%d_%s" batch a_batched b_batched m n
-      k (options_sig options)
+      k osig
   in
-  let space, terms = restricted_space options ~m ~n in
+  let space, terms = restricted_space options ~osig ~m ~n in
   let compile cfg = MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg in
   (* Branch-and-bound under the floor of the compile's latency model; the
      row and reduction spaces (a handful of block sizes) are measured
@@ -160,12 +161,19 @@ let schedule_matmul options device stats anchor (mm : GC.matmul) =
       Hashtbl.replace stats.reshaped key (c, r);
       r)
 
-let block_candidates = [ 64; 128; 256 ]
+let block_candidates = [| 64; 128; 256 |]
+
+(* Deterministic mode's reduction space: block size 128 only. *)
+let det_reduce_space =
+  Array.of_list
+    (List.filter
+       (fun (c : Hidet_sched.Reduce_template.config) -> c.block_size = 128)
+       (Array.to_list Hidet_sched.Reduce_template.space))
 
 (* The tuned row and reduction arms; the rest are the shared ones. *)
 let schedule_tuned options device stats (anchor : G.node) in_shapes =
   let row_candidates =
-    if options.deterministic_reduce then [ 128 ] else block_candidates
+    if options.deterministic_reduce then [| 128 |] else block_candidates
   in
   match (anchor.G.op, in_shapes) with
   | Op.Softmax, [ s ] ->
@@ -193,10 +201,7 @@ let schedule_tuned options device stats (anchor : G.node) in_shapes =
         (det_sig options)
     in
     let candidates =
-      if options.deterministic_reduce then
-        List.filter
-          (fun (c : Hidet_sched.Reduce_template.config) -> c.block_size = 128)
-          Hidet_sched.Reduce_template.space
+      if options.deterministic_reduce then det_reduce_space
       else Hidet_sched.Reduce_template.space
     in
     Some
@@ -224,10 +229,12 @@ let new_stats () =
   }
 
 let config options device stats =
+  let osig = options_sig options in
   {
     GC.schedule_anchor =
       GC.schedule_anchor
-        ~matmul:(fun anchor _ mm -> Some (schedule_matmul options device stats anchor mm))
+        ~matmul:(fun anchor _ mm ->
+          Some (schedule_matmul options ~osig device stats anchor mm))
         ~own:(schedule_tuned options device stats);
     may_fuse_prologue = (fun _ -> options.fuse);
     may_fuse_epilogue = (fun _ -> options.fuse);

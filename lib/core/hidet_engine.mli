@@ -59,10 +59,11 @@ val compile_plan :
     [result.cached_tuning_cost]. *)
 
 val matmul_space :
-  options -> m:int -> n:int -> Hidet_sched.Matmul_template.config list
+  options -> m:int -> n:int -> Hidet_sched.Matmul_template.config array
 (** The candidates {!compile_plan} tunes a matmul with an [m x n] output
     over under [options]: {!Hidet_sched.Space.matmul_with_split_k} without
-    the configs the options rule out. *)
+    the configs the options rule out. Built once per split-k class and
+    options, and shared: the array must not be written. *)
 
 val group_config :
   ?options:options -> Hidet_gpu.Device.t -> Hidet_runtime.Group_compiler.config

@@ -15,7 +15,8 @@ let m_fallback = Metrics.counter "fusion.fallback_kernels"
 let m_kernels = Metrics.counter "plan.kernels_emitted"
 
 (* Groups whose fused steps were copied from an earlier, identical group of
-   the same compile instead of being fused again. *)
+   the same compile instead of being fused again; a group with no prologue
+   and no epilogue has nothing to fuse, so it is never one. *)
 let m_group_reuses = Metrics.counter "fusion.group_reuses"
 
 (* What one group's fusion added to the three fusion counters; a group the
@@ -179,7 +180,9 @@ let fuse_group cfg tally g (grp : Passes.group) anchor compiled : Plan.step list
    shapes and the fusion predicates' verdicts, and compares ids only for
    order. So two groups with equal signatures, in ids relabeled by rank,
    fuse the same anchor kernel into the same steps, up to that relabeling.
-   One memo lives for one [compile_graph] call. *)
+   One memo lives for one [compile_graph] call. A group with no prologue
+   and no epilogue bypasses it: its one step is the anchor kernel on the
+   anchor's inputs, cheaper to build than its signature. *)
 
 type signature = {
   anchor_label : int;
@@ -208,39 +211,38 @@ type built = {
    signature over their ranks. Every step of the group reads and writes
    only these ids. *)
 let signature cfg g (grp : Passes.group) =
-  let member_ids = (grp.Passes.anchor :: grp.Passes.prologues) @ grp.Passes.epilogues in
+  let { Passes.anchor; prologues; epilogues; _ } = grp in
+  let member_ids = (anchor :: prologues) @ epilogues in
   let members = List.map (G.node g) member_ids in
-  let is_member id = List.mem id member_ids in
+  let is_member id = List.exists (Int.equal id) member_ids in
   let externals =
-    List.sort_uniq compare
+    List.sort_uniq Int.compare
       (List.concat_map
          (fun (n : G.node) -> List.filter (fun i -> not (is_member i)) n.G.inputs)
          members)
   in
-  let ids = Array.of_list (List.sort compare (member_ids @ externals)) in
+  let ids = Array.of_list (List.sort Int.compare (member_ids @ externals)) in
   let label id =
     let rec find i =
       if i = Array.length ids then raise Not_found
-      else if ids.(i) = id then i
+      else if Int.equal ids.(i) id then i
       else find (i + 1)
     in
     find 0
   in
-  let verdict (n : G.node) =
-    if List.mem n.G.id grp.Passes.prologues then cfg.may_fuse_prologue n
-    else if List.mem n.G.id grp.Passes.epilogues then cfg.may_fuse_epilogue n
-    else true
-  in
-  let member (n : G.node) =
-    (label n.G.id, n.G.op, n.G.shape, List.map label n.G.inputs, verdict n)
+  let member verdict id =
+    let n = G.node g id in
+    (label id, n.G.op, n.G.shape, List.map label n.G.inputs, verdict n)
   in
   ( ids,
     label,
     {
-      anchor_label = label grp.Passes.anchor;
-      prologue_labels = List.map label grp.Passes.prologues;
-      epilogue_labels = List.map label grp.Passes.epilogues;
-      members = List.map member members;
+      anchor_label = label anchor;
+      prologue_labels = List.map label prologues;
+      epilogue_labels = List.map label epilogues;
+      members =
+        (member (fun _ -> true) anchor :: List.map (member cfg.may_fuse_prologue) prologues)
+        @ List.map (member cfg.may_fuse_epilogue) epilogues;
       externals = List.map (fun id -> (label id, G.node_shape g id)) externals;
     } )
 
@@ -255,21 +257,29 @@ let count_fusion (t : tally) =
   Metrics.add m_fused_epilogues t.epilogues;
   Metrics.add m_fallback t.fallbacks
 
+let fuse cfg g grp anchor compiled =
+  let tally = { prologues = 0; epilogues = 0; fallbacks = 0 } in
+  let steps = fuse_group cfg tally g grp anchor compiled in
+  count_fusion tally;
+  (steps, tally)
+
 (* Fuse [grp] around [compiled], or copy the steps of an earlier group with
    the same signature whose anchor kernel was this very [compiled]. *)
-let fuse_or_reuse cfg memo g grp anchor compiled =
-  let ids, label, sg = signature cfg g grp in
-  match Sig_tbl.find_opt memo sg with
-  | Some b when b.from == compiled ->
-    Metrics.incr m_group_reuses;
-    count_fusion b.tally;
-    relabel (Array.get ids) b.steps
-  | _ ->
-    let tally = { prologues = 0; epilogues = 0; fallbacks = 0 } in
-    let steps = fuse_group cfg tally g grp anchor compiled in
-    count_fusion tally;
-    Sig_tbl.replace memo sg { from = compiled; steps = relabel label steps; tally };
-    steps
+let fuse_or_reuse cfg memo g (grp : Passes.group) anchor compiled =
+  match grp with
+  | { Passes.prologues = []; epilogues = []; _ } ->
+    fst (fuse cfg g grp anchor compiled)
+  | _ -> (
+    let ids, label, sg = signature cfg g grp in
+    match Sig_tbl.find_opt memo sg with
+    | Some b when b.from == compiled ->
+      Metrics.incr m_group_reuses;
+      count_fusion b.tally;
+      relabel (Array.get ids) b.steps
+    | _ ->
+      let steps, tally = fuse cfg g grp anchor compiled in
+      Sig_tbl.replace memo sg { from = compiled; steps = relabel label steps; tally };
+      steps)
 
 (* Two child spans split the group's time: [schedule_anchor] (tuning on a
    cache miss, the cache's instantiated winner on a hit) and [fuse]

@@ -33,7 +33,10 @@ val compile_graph : config -> Hidet_graph.Graph.t -> Plan.t
     op and shape alone, which is what lets repeated layers match. A reused
     group counts
     in ["fusion.group_reuses"] and adds the same fusion counters its
-    builder did; its [compile_group] and [fuse] spans still open. *)
+    builder did; its [compile_group] and [fuse] spans still open. A group
+    with no prologue and no epilogue has nothing to fuse: its one step is
+    the anchor kernel on the anchor's inputs, built without a signature,
+    and it never counts as a reuse. *)
 
 (** {1 The anchor cases every engine shares} *)
 

@@ -344,8 +344,9 @@ let rec occupancy t (d : Hidet_gpu.Device.t) =
 
 (* [configs] holds [t]'s configs, the same values in the same order. *)
 let same_configs t configs =
-  Array.length configs = Array.length t.configs
-  && Array.for_all2 ( == ) configs t.configs
+  t.configs == configs
+  || Array.length configs = Array.length t.configs
+     && Array.for_all2 ( == ) configs t.configs
 
 (* Per-thread floors of what [compile] below emits: block 0 runs [trips]
    k-tiles (the pipeline's preloaded tiles are left out), staging its

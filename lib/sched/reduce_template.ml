@@ -4,7 +4,7 @@ module Def = Hidet_compute.Def
 type config = { block_size : int }
 
 let default_config = { block_size = 128 }
-let space = [ { block_size = 32 }; { block_size = 64 }; { block_size = 128 }; { block_size = 256 } ]
+let space = [| { block_size = 32 }; { block_size = 64 }; { block_size = 128 }; { block_size = 256 } |]
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 let ceil_div a b = (a + b - 1) / b

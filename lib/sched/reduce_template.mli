@@ -11,7 +11,7 @@
 type config = { block_size : int  (** power of two, <= 1024 *) }
 
 val default_config : config
-val space : config list
+val space : config array
 (** The hardware-centric space for reductions: a handful of block sizes. *)
 
 val schedule : ?config:config -> Hidet_compute.Def.t -> Compiled.t

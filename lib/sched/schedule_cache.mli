@@ -10,12 +10,23 @@
     [space_size] mismatch, a candidate at that index that prints
     differently, or a winner that no longer instantiates retunes.
 
+    A hit costs the same whatever the size of the space: one
+    [Array.length], one index, and a physical comparison with the
+    candidate value the entry last matched. Only a value it has not
+    matched yet is printed with [show] and compared with the stored
+    config; then the entry remembers that value instead. So candidates
+    must be immutable and [show] pure: a candidate written in place after
+    it matched, or a [show] that prints one value two ways, would be
+    served without the comparison.
+
     Each entry also holds, in this process only, the winner's kernel: the
     {e instance memo}. A fresh tune stores the kernel the tuner built; the
     first hit stores its instantiation; later hits return that same
     (physically equal) {!Compiled.t}. Replacing the entry ({!add}, {!load},
-    a retune) or {!clear} drops the memo, and {!save} never writes it, so a
-    new process instantiates once per distinct key.
+    a retune) or {!clear} drops the memo and the matched value (a retune
+    then remembers its own winner, printed to make the entry), and
+    {!save} never writes either, so a new process instantiates and prints
+    once per distinct key.
 
     All operations are safe to call from any domain (mutex-protected). *)
 
@@ -62,12 +73,13 @@ val tune :
   ?instance:string ->
   device:Hidet_gpu.Device.t ->
   workload:string ->
-  candidates:'a list ->
+  candidates:'a array ->
   compile:('a -> Compiled.t) ->
   unit ->
   ('a * Compiled.t * outcome) option
 (** Like {!Tuner.tune}, but consults the cache first under the {!Key.t}
-    of [workload] and [fidelity] and the device name.
+    of [workload] and [fidelity] and the device name. [candidates] is
+    the space in its enumeration order, read in place and never written.
     On a hit (zero fresh trials) the instance memo under [?instance]
     answers; if it is empty, the stored winner is instantiated once and
     kept there. [?instance] (default [""]) must name everything [compile]

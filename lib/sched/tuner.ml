@@ -86,9 +86,8 @@ let traced_trial ~key ~show ~index ~cand ~instantiate ~estimate =
 
 let tune ?(seconds_per_trial = seconds_per_trial) ?(parallel = true)
     ?workers ?(engine = "hidet") ?(key = "") ?(show = fun _ -> "")
-    ?fidelity ?lower_bound ~device ~candidates ~compile () =
+    ?fidelity ?lower_bound ~device ~candidates:cands ~compile () =
   let t0 = Unix.gettimeofday () in
-  let cands = Array.of_list candidates in
   let n = Array.length cands in
   let w =
     if not parallel then 1
@@ -262,7 +261,7 @@ let tune_matmul ~device ?(batch = 1) ?(a_batched = true) ?(b_batched = false)
   tune ~device ?parallel
     ~key:(Printf.sprintf "matmul_%d_%d_%d_%d" batch m n k)
     ~show:Matmul_template.config_to_string
-    ~candidates:(Space.matmul_with_split_k ~m ~n)
+    ~candidates:(Array.of_list (Space.matmul_with_split_k ~m ~n))
     ~compile:(fun cfg ->
       Matmul_template.compile ~batch ~a_batched ~b_batched ~m ~n ~k cfg)
     ()

@@ -26,7 +26,7 @@ type stats = {
   trials : int;  (** candidates compiled and measured *)
   rejected : int;  (** candidates the template refused; never measured *)
   pruned : int;  (** candidates the lower bound ruled out; never instantiated *)
-  best_index : int;  (** index of the winner in the candidate list *)
+  best_index : int;  (** index of the winner in the candidate array *)
   simulated_seconds : float;  (** (trials + pruned) x seconds_per_trial *)
   wall_seconds : float;  (** actual enumeration time on this machine *)
   best_latency : float;  (** seconds, per the performance model *)
@@ -46,15 +46,17 @@ val tune :
   ?fidelity:Hidet_gpu.Perf_model.fidelity ->
   ?lower_bound:('a array -> float array) ->
   device:Hidet_gpu.Device.t ->
-  candidates:'a list ->
+  candidates:'a array ->
   compile:('a -> Compiled.t) ->
   unit ->
   ('a * Compiled.t * stats) option
 (** Generic tuner; [None] if no candidate is feasible. Ties on latency
     break toward the lowest candidate index. [?fidelity] selects the
-    latency model each measurement uses (default [`Analytic]).
+    latency model each measurement uses (default [`Analytic]). The tuner
+    reads [candidates] in place, without a copy, and never writes it; the
+    caller must not write it during the call either.
 
-    [?lower_bound] takes the candidates as an array, in list order, and
+    [?lower_bound] is applied to [candidates] itself and
     returns one floor per candidate on its latency under [?fidelity]
     ({!Matmul_template.lower_bound} gives them for [`Analytic],
     {!cycle_lower_bound} for [`Cycle]); it is called once, in the

@@ -643,7 +643,7 @@ let ir_corpus () =
   in
   List.iter
     (fun { Zoo.batch; a_batched; b_batched; m; n; k } ->
-      List.iteri
+      Array.iteri
         (fun i cfg ->
           if i mod 31 = 0 then
             compiled (MT.config_to_string cfg) (fun () ->
@@ -651,7 +651,7 @@ let ir_corpus () =
         (Hidet.Hidet_engine.matmul_space Hidet.Hidet_engine.default_options ~m
            ~n))
     (Zoo.matmuls dev Hidet_models.Models.all);
-  List.iter
+  Array.iter
     (fun (cfg : Hidet_sched.Reduce_template.config) ->
       let block_size = cfg.block_size in
       compiled "softmax" (fun () ->

@@ -365,7 +365,28 @@ let test_group_memo_counts () =
     (List.assoc "fusion.group_reuses" deltas);
   let kernels = List.map (fun (s : Plan.step) -> s.Plan.compiled) plan.Plan.steps in
   Alcotest.(check bool) "each step its own kernel" true
-    (List.for_all (fun c -> List.length (List.filter (( == ) c) kernels) = 1) kernels)
+    (List.for_all (fun c -> List.length (List.filter (( == ) c) kernels) = 1) kernels);
+  (* Three identical bare matmuls: groups with no prologue and no epilogue
+     share one kernel but skip the memo, so none is a reuse and every call
+     builds its own step. *)
+  let g = G.create () in
+  let x = G.input g [ 4; 16 ] in
+  let layer x n = G.matmul g x (G.constant_rand g ~seed:n [ 16; 16 ]) in
+  G.set_outputs g [ layer (layer (layer x 1) 2) 3 ];
+  let shared = RB.schedule (Op.to_def Op.Matmul [ [ 4; 16 ]; [ 16; 16 ] ]) in
+  let cfg = { cfg with GC.schedule_anchor = (fun _ _ -> shared) } in
+  let plan, deltas =
+    with_deltas [ "fusion.groups"; "fusion.group_reuses" ] (fun () -> GC.compile_graph cfg g)
+  in
+  let calls = List.assoc "fusion.groups" deltas in
+  Alcotest.(check int) "bare groups" 3 calls;
+  Alcotest.(check int) "bare groups are never reused" 0
+    (List.assoc "fusion.group_reuses" deltas);
+  Alcotest.(check int) "builds = calls" calls (List.length plan.Plan.steps);
+  Alcotest.(check bool) "each step the shared kernel" true
+    (List.for_all (fun (s : Plan.step) -> s.Plan.compiled == shared) plan.Plan.steps);
+  let xv = T.rand ~seed:6 [ 4; 16 ] in
+  check "bare plan = reference" (Hidet_graph.Reference.run1 g [ xv ]) (Plan.run1 plan [ xv ])
 
 let () =
   Alcotest.run "hidet_fusion"

@@ -189,6 +189,7 @@ let test_domains_tracks_and_counters () =
 let sub_space ~m ~n ~stride ~offset =
   Space.matmul_with_split_k ~m ~n
   |> List.filteri (fun i _ -> i mod stride = offset)
+  |> Array.of_list
 
 let test_tuner_spans_and_log () =
   let candidates = sub_space ~m:64 ~n:64 ~stride:7 ~offset:0 in
@@ -208,11 +209,11 @@ let test_tuner_spans_and_log () =
       List.filter (fun (name, _, _, _, _) -> name = "trial") spans
     in
     Alcotest.(check int) "one trial span per candidate"
-      (List.length candidates) (List.length trials);
+      (Array.length candidates) (List.length trials);
     Alcotest.(check int) "one log record per candidate"
-      (List.length candidates) (List.length logged);
+      (Array.length candidates) (List.length logged);
     Alcotest.(check int) "log indices are distinct"
-      (List.length candidates)
+      (Array.length candidates)
       (List.length
          (List.sort_uniq compare (List.map (fun t -> t.Tlog.index) logged)));
     Alcotest.(check int) "measured+infeasible records = stats.trials"
@@ -277,10 +278,10 @@ let test_tune_span_bound_us () =
         and survivors = int "survivors" in
         Alcotest.(check bool)
           (Printf.sprintf "%s: trials + rejected %d <= 1 + survivors %d <= %d"
-             name instantiated survivors (List.length candidates))
+             name instantiated survivors (Array.length candidates))
           true
           (instantiated <= 1 + survivors
-          && 1 + survivors <= List.length candidates)))
+          && 1 + survivors <= Array.length candidates)))
     [
       ("analytic", `Analytic, MT.lower_bound dev ~m ~n ~k);
       ("cycle", `Cycle, Tu.cycle_lower_bound dev ~compile);
@@ -386,7 +387,7 @@ let prop_parallel_counter_parity =
   QCheck.Test.make ~name:"parallel metric deltas = sequential" ~count:8
     arb_case (fun (m, n, k, stride, offset) ->
       let candidates = sub_space ~m ~n ~stride ~offset in
-      QCheck.assume (candidates <> []);
+      QCheck.assume (candidates <> [||]);
       let compile cfg = MT.compile ~m ~n ~k cfg in
       List.for_all
         (fun lower_bound ->
@@ -398,7 +399,7 @@ let prop_parallel_counter_parity =
           in
           let seq = deltas ~parallel:false () in
           seq = deltas ~parallel:true ~workers:4 ()
-          && List.fold_left ( + ) 0 seq = List.length candidates)
+          && List.fold_left ( + ) 0 seq = Array.length candidates)
         [ None; Some (MT.lower_bound dev ~m ~n ~k) ])
 
 (* --- Chrome trace export ------------------------------------------------------ *)

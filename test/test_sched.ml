@@ -300,7 +300,7 @@ let space_sampled_cases =
 (* --- tuner ---------------------------------------------------------------------- *)
 
 let test_tuner_picks_minimum () =
-  let candidates = [ 1; 2; 3; 4 ] in
+  let candidates = [| 1; 2; 3; 4 |] in
   (* Fake compile: sequential work grows with |c - 3|, so 3 is fastest. *)
   let compile c =
     let k = 64 * (1 + abs (c - 3)) in
@@ -320,7 +320,7 @@ let test_tuner_picks_minimum () =
 let test_tuner_skips_invalid () =
   (* Candidates the template rejects never reach the device: they are
      reported as [rejected] and cost no simulated measurement seconds. *)
-  let candidates = [ `Bad; `Good; `Bad2 ] in
+  let candidates = [| `Bad; `Good; `Bad2 |] in
   let compile = function
     | `Bad | `Bad2 -> invalid_arg "bad"
     | `Good -> MT.compile ~m:64 ~n:64 ~k:64 base
@@ -428,7 +428,7 @@ let test_reduce_template_matches_rule_based () =
   let def = Op.to_def Op.Global_avg_pool [ [ 2; 5; 12; 12 ] ] in
   let x = T.rand ~seed:11 [ 2; 5; 12; 12 ] in
   let a = C.run (RB.schedule def) [ x ] in
-  List.iter
+  Array.iter
     (fun cfg ->
       let b = C.run (Red.schedule ~config:cfg def) [ x ] in
       Alcotest.(check bool)

@@ -36,15 +36,19 @@ let arb_case =
       Printf.sprintf "m=%d n=%d k=%d stride=%d offset=%d" m n k stride offset)
     gen_case
 
+(* The engine's full matmul space at [m x n], as the tuners take it. *)
+let space ~m ~n = Array.of_list (Space.matmul_with_split_k ~m ~n)
+
 let sub_space ~m ~n ~stride ~offset =
   Space.matmul_with_split_k ~m ~n
   |> List.filteri (fun i _ -> i mod stride = offset)
+  |> Array.of_list
 
 let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"parallel tuning = sequential tuning" ~count:12
     arb_case (fun (m, n, k, stride, offset) ->
       let candidates = sub_space ~m ~n ~stride ~offset in
-      QCheck.assume (candidates <> []);
+      QCheck.assume (candidates <> [||]);
       let compile cfg = MT.compile ~m ~n ~k cfg in
       let run ~parallel ?workers () =
         Tu.tune ~parallel ?workers ~device:dev ~candidates ~compile ()
@@ -62,7 +66,7 @@ let prop_parallel_matches_sequential =
 
 let test_parallel_ties_break_low () =
   (* Four identical candidates: every domain count must pick index 0. *)
-  let candidates = [ 0; 1; 2; 3 ] in
+  let candidates = [| 0; 1; 2; 3 |] in
   let compile _ = MT.compile ~m:64 ~n:64 ~k:64 MT.default_config in
   List.iter
     (fun workers ->
@@ -80,7 +84,7 @@ let test_parallel_speedup () =
      check that the parallel path agrees with the sequential one on the full
      ~220-candidate space. *)
   let m = 512 and n = 49 and k = 512 in
-  let candidates = Space.matmul_with_split_k ~m ~n in
+  let candidates = space ~m ~n in
   let compile cfg = MT.compile ~m ~n ~k cfg in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -101,7 +105,7 @@ let test_parallel_speedup () =
   if Domain.recommended_domain_count () >= 4 then
     Alcotest.(check bool)
       (Printf.sprintf ">=2x speedup on %d candidates (seq %.2fs, par %.2fs)"
-         (List.length candidates) seq_t par_t)
+         (Array.length candidates) seq_t par_t)
       true
       (par_t *. 2. <= seq_t)
   else
@@ -139,7 +143,7 @@ let test_bound_keeps_winner () =
   List.iter
     (fun { Zoo.batch; a_batched; b_batched; m; n; k } ->
       let name = Printf.sprintf "%dx%dx%dx%d" batch m n k in
-      let candidates = Space.matmul_with_split_k ~m ~n in
+      let candidates = space ~m ~n in
       let tune ?lower_bound ?workers ~parallel () =
         Tu.tune ~parallel ?workers ?lower_bound ~device:dev ~candidates
           ~compile:(MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k)
@@ -156,7 +160,7 @@ let test_bound_keeps_winner () =
         (same_result seq par && s1.Tu.trials = s4.Tu.trials
         && s1.Tu.pruned = s4.Tu.pruned);
       pruned := !pruned + s1.Tu.pruned;
-      total := !total + List.length candidates)
+      total := !total + Array.length candidates)
     (tiny @ zoo);
   Alcotest.(check bool)
     (Printf.sprintf "the bound skips most candidates (%d of %d)" !pruned !total)
@@ -178,9 +182,10 @@ let test_bound_trial_count () =
     List.fold_left
       (fun (trials, candidates) { Zoo.batch; a_batched; b_batched; m; n; k } ->
         let space =
-          List.filter
-            (fun (c : MT.config) -> not c.use_tensor_core)
-            (Space.matmul_with_split_k ~m ~n)
+          Array.of_list
+            (List.filter
+               (fun (c : MT.config) -> not c.use_tensor_core)
+               (Space.matmul_with_split_k ~m ~n))
         in
         match
           Tu.tune ~lower_bound:(MT.lower_bound dev ~batch ~m ~n ~k) ~device:dev
@@ -189,7 +194,7 @@ let test_bound_trial_count () =
             ()
         with
         | Some (_, _, st) ->
-          (trials + st.Tu.trials, candidates + List.length space)
+          (trials + st.Tu.trials, candidates + Array.length space)
         | None -> Alcotest.failf "%dx%dx%dx%d: nothing feasible" batch m n k)
       (0, 0) shapes
   in
@@ -216,7 +221,7 @@ let test_bound_scope () =
       | Some (_, _, st) ->
         Alcotest.(check int) (name ^ ": one trial") 1 st.Tu.trials;
         Alcotest.(check int) (name ^ ": the rest skipped")
-          (List.length candidates - 1)
+          (Array.length candidates - 1)
           st.Tu.pruned
       | None -> Alcotest.fail "tuner found nothing")
     [ ("analytic", `Analytic); ("cycle", `Cycle) ]
@@ -247,7 +252,7 @@ let test_cycle_bound_keeps_winner () =
         (same_result seq par && s1.Tu.trials = s4.Tu.trials
         && s1.Tu.pruned = s4.Tu.pruned);
       pruned := !pruned + s1.Tu.pruned;
-      total := !total + List.length candidates)
+      total := !total + Array.length candidates)
     (Zoo.matmuls dev M.tiny_all);
   Alcotest.(check bool)
     (Printf.sprintf "the cycle floor skips candidates (%d of %d)" !pruned !total)
@@ -270,7 +275,7 @@ let test_no_feasible_config () =
   let m = 64 and n = 64 and k = 64 in
   Alcotest.(check bool) "Tuner.tune returns None" true
     (Tu.tune ~device:dev ~lower_bound:(MT.lower_bound dev ~m ~n ~k)
-       ~candidates:(Space.matmul_with_split_k ~m ~n)
+       ~candidates:(space ~m ~n)
        ~compile:(MT.compile ~m ~n ~k) ()
     = None);
   let g = Hidet_graph.Graph.create () in
@@ -298,8 +303,7 @@ type reference = {
   visits : int list;
 }
 
-let reference ~lower_bound ~candidates ~compile =
-  let cands = Array.of_list candidates in
+let reference ~lower_bound ~candidates:cands ~compile =
   let n = Array.length cands in
   let bound = lower_bound cands in
   let order = Array.init n Fun.id in
@@ -384,7 +388,7 @@ let matmul_case { Zoo.batch; a_batched; b_batched; m; n; k } =
   ( Printf.sprintf "%dx%dx%dx%d" batch m n k,
     MT.lower_bound dev ~batch ~a_batched ~b_batched ~m ~n ~k,
     MT.compile ~batch ~a_batched ~b_batched ~m ~n ~k,
-    Space.matmul_with_split_k ~m ~n )
+    space ~m ~n )
 
 let test_visit_order_zoo () =
   let shapes = Lazy.force zoo_shapes in
@@ -421,7 +425,7 @@ let test_visit_order_ties () =
   List.iter
     (fun shape ->
       let name, _, compile, space = matmul_case shape in
-      let candidates = space @ space in
+      let candidates = Array.append space space in
       let exact cfg =
         match compile cfg with
         | exception Invalid_argument _ -> 0.
@@ -455,7 +459,7 @@ let test_visit_order_rejected_first () =
   List.iter
     (fun shape ->
       let name, lower_bound, compile, space = matmul_case shape in
-      let candidates = space @ [ refused ] in
+      let candidates = Array.append space [| refused |] in
       Alcotest.(check (float 0.)) (name ^ ": floor 0") 0.
         (lower_bound [| refused |]).(0);
       Alcotest.(check bool) (name ^ ": same visits as the reference") true
@@ -509,6 +513,10 @@ let entry_testable =
         e.SC.simulated_seconds e.SC.best_latency)
     ( = )
 
+(* Every [stride]th config of the base matmul space. *)
+let strided stride =
+  Array.of_list (List.filteri (fun i _ -> i mod stride = 0) (Space.matmul ()))
+
 let tune_cached ~key candidates =
   SC.tune ~show:MT.config_to_string ~device:dev ~workload:key ~candidates
     ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
@@ -516,9 +524,7 @@ let tune_cached ~key candidates =
 
 let test_cache_miss_then_hit () =
   SC.clear ();
-  let candidates =
-    List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ())
-  in
+  let candidates = strided 40 in
   (match tune_cached ~key:"m64n64k64" candidates with
   | Some (_, _, SC.Fresh st) ->
     Alcotest.(check int) "one entry" 1 (SC.size ());
@@ -531,8 +537,8 @@ let test_cache_miss_then_hit () =
       Alcotest.check entry_testable "entry mirrors fresh stats"
         {
           SC.best_index = st.Tu.best_index;
-          space_size = List.length candidates;
-          config = MT.config_to_string (List.nth candidates st.Tu.best_index);
+          space_size = Array.length candidates;
+          config = MT.config_to_string candidates.(st.Tu.best_index);
           trials = st.Tu.trials;
           rejected = st.Tu.rejected;
           simulated_seconds = st.Tu.simulated_seconds;
@@ -540,7 +546,7 @@ let test_cache_miss_then_hit () =
         }
         e;
       Alcotest.(check bool) "same winner" true
-        (cand2 = List.nth candidates st.Tu.best_index)
+        (cand2 = candidates.(st.Tu.best_index))
     | _ -> Alcotest.fail "second call did not hit")
   | _ -> Alcotest.fail "first call was not fresh");
   (* A different key is a different workload: no false sharing. *)
@@ -555,7 +561,7 @@ let test_cache_miss_then_hit () =
    Hits the memo answered plus instantiations equal hits. *)
 let test_instance_memo () =
   SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ()) in
+  let candidates = strided 40 in
   let builds = ref 0 in
   let tune ?instance () =
     match
@@ -638,7 +644,7 @@ let test_cache_fidelities_do_not_alias () =
   (* A cycle-model winner must never answer for the analytic one (or vice
      versa): the fidelity is folded into the cache key. *)
   SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ()) in
+  let candidates = strided 40 in
   let tune fidelity =
     SC.tune ~show:MT.config_to_string ~device:dev ~workload:"modes" ~fidelity
       ~candidates
@@ -663,13 +669,13 @@ let test_cache_fidelities_do_not_alias () =
 
 let test_cache_stale_space_retunes () =
   SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 50 = 0) (Space.matmul ()) in
+  let candidates = strided 50 in
   (* Entry recorded against a differently-sized space: index is meaningless,
      the service must retune and overwrite. *)
   SC.add ~device:dev.Hidet_gpu.Device.name ~key:"stale"
     {
       SC.best_index = 3;
-      space_size = List.length candidates + 7;
+      space_size = Array.length candidates + 7;
       config = "";
       trials = 10;
       rejected = 0;
@@ -681,13 +687,13 @@ let test_cache_stale_space_retunes () =
     match SC.find ~device:dev.Hidet_gpu.Device.name ~key:"stale" with
     | Some e ->
       Alcotest.(check int) "overwritten with real space size"
-        (List.length candidates) e.SC.space_size
+        (Array.length candidates) e.SC.space_size
     | None -> Alcotest.fail "entry vanished")
   | _ -> Alcotest.fail "stale entry must not be served"
 
 let test_cache_uninstantiable_winner_retunes () =
   SC.clear ();
-  let candidates = [ `Bad; `Good ] in
+  let candidates = [| `Bad; `Good |] in
   let show = function `Bad -> "bad" | `Good -> "good" in
   let compile = function
     | `Bad -> invalid_arg "template rejects this now"
@@ -758,7 +764,7 @@ let test_persistence_round_trip () =
 
 let test_persistence_config_column () =
   SC.clear ();
-  let candidates = [ "a\tb"; "c" ] in
+  let candidates = [| "a\tb"; "c" |] in
   let tune () =
     SC.tune ~show:Fun.id ~device:dev ~workload:"tabbed" ~candidates
       ~compile:(fun _ -> MT.compile ~m:64 ~n:64 ~k:64 MT.default_config)
@@ -872,7 +878,7 @@ let test_persistence_rewritten_key_retunes () =
   let tune k =
     SC.tune ~show:MT.config_to_string ~device:dev
       ~workload:(Printf.sprintf "mm_2048x2048x%d" k)
-      ~candidates:(Space.matmul_with_split_k ~m:2048 ~n:2048)
+      ~candidates:(space ~m:2048 ~n:2048)
       ~compile:(fun cfg -> MT.compile ~m:2048 ~n:2048 ~k cfg)
       ()
   in
@@ -1070,11 +1076,11 @@ let test_concurrent_saves_leave_loadable_file () =
 
 let test_cache_counters_agree_on_stale () =
   SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 50 = 0) (Space.matmul ()) in
+  let candidates = strided 50 in
   SC.add ~device:dev.Hidet_gpu.Device.name ~key:"stale_counts"
     {
       SC.best_index = 0;
-      space_size = List.length candidates + 3;
+      space_size = Array.length candidates + 3;
       config = "";
       trials = 5;
       rejected = 0;
@@ -1096,13 +1102,16 @@ let test_reordered_space_is_stale () =
   (* Same size, different order: the stored index now names another
      config, so the entry must be judged stale, not served. *)
   SC.clear ();
-  let candidates = List.filteri (fun i _ -> i mod 40 = 0) (Space.matmul ()) in
+  let candidates = strided 40 in
   let winner = function
     | Some (cfg, _, _) -> cfg
     | None -> Alcotest.fail "tune found nothing"
   in
   let first = winner (tune_cached ~key:"reordered" candidates) in
-  match tune_cached ~key:"reordered" (List.rev candidates) with
+  let n = Array.length candidates in
+  match
+    tune_cached ~key:"reordered" (Array.init n (fun i -> candidates.(n - 1 - i)))
+  with
   | Some (cfg, _, SC.Fresh _) ->
     Alcotest.(check string) "same winning config"
       (MT.config_to_string first) (MT.config_to_string cfg);
@@ -1111,6 +1120,54 @@ let test_reordered_space_is_stale () =
     Alcotest.(check int) "no hit" 0 (SC.hits ())
   | Some (_, _, SC.Hit _) -> Alcotest.fail "reordered space served a hit"
   | None -> Alcotest.fail "retune found nothing"
+
+(* A hit prints a candidate only when its entry has not matched that value
+   yet: the tune that stores an entry matched its winner, a second hit on
+   the same array prints nothing, another value at the stored index is
+   printed and found stale, and a slot replaced by [load] prints once. *)
+let test_hit_prints_once () =
+  SC.clear ();
+  let shows = ref 0 in
+  let show cfg =
+    incr shows;
+    MT.config_to_string cfg
+  in
+  let candidates = strided 40 in
+  let tune candidates =
+    shows := 0;
+    match
+      SC.tune ~show ~device:dev ~workload:"printed" ~candidates
+        ~compile:(fun cfg -> MT.compile ~m:64 ~n:64 ~k:64 cfg)
+        ()
+    with
+    | Some (_, _, outcome) -> outcome
+    | None -> Alcotest.fail "tune found nothing"
+  in
+  let best =
+    match tune candidates with
+    | SC.Fresh st -> st.Tu.best_index
+    | SC.Hit _ -> Alcotest.fail "first call must be fresh"
+  in
+  let hit what candidates ~prints =
+    match tune candidates with
+    | SC.Hit _ -> Alcotest.(check int) (what ^ ": shows") prints !shows
+    | SC.Fresh _ -> Alcotest.failf "%s: not a hit" what
+  in
+  hit "first hit after the fresh tune" candidates ~prints:0;
+  hit "second hit on the same array" candidates ~prints:0;
+  hit "a copy of the array" (Array.copy candidates) ~prints:0;
+  let other = Array.copy candidates in
+  other.(best) <- candidates.((best + 1) mod Array.length candidates);
+  (match tune other with
+  | SC.Fresh _ -> Alcotest.(check int) "another value at best_index is stale" 1 (SC.stale ())
+  | SC.Hit _ -> Alcotest.fail "another value at best_index served a hit");
+  ignore (tune candidates);
+  with_temp_file (fun path ->
+      SC.save path;
+      ignore (SC.load path));
+  hit "first hit after load" candidates ~prints:1;
+  hit "second hit after load" candidates ~prints:0;
+  SC.clear ()
 
 (* --- engine warm start ----------------------------------------------------- *)
 
@@ -1235,6 +1292,8 @@ let () =
             test_cache_counters_agree_on_stale;
           Alcotest.test_case "reordered space is stale" `Quick
             test_reordered_space_is_stale;
+          Alcotest.test_case "a hit prints a value once" `Quick
+            test_hit_prints_once;
         ] );
       ( "persistence",
         [
