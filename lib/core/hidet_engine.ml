@@ -163,13 +163,6 @@ let schedule_matmul options ~osig device stats anchor (mm : GC.matmul) =
 
 let block_candidates = [| 64; 128; 256 |]
 
-(* Deterministic mode's reduction space: block size 128 only. *)
-let det_reduce_space =
-  Array.of_list
-    (List.filter
-       (fun (c : Hidet_sched.Reduce_template.config) -> c.block_size = 128)
-       (Array.to_list Hidet_sched.Reduce_template.space))
-
 (* The tuned row and reduction arms; the rest are the shared ones. *)
 let schedule_tuned options device stats (anchor : G.node) in_shapes =
   let row_candidates =
@@ -201,7 +194,8 @@ let schedule_tuned options device stats (anchor : G.node) in_shapes =
         (det_sig options)
     in
     let candidates =
-      if options.deterministic_reduce then det_reduce_space
+      if options.deterministic_reduce then
+        [| { Hidet_sched.Reduce_template.block_size = 128 } |]
       else Hidet_sched.Reduce_template.space
     in
     Some
