@@ -992,28 +992,30 @@ let fma_nest st (s : Stmt.t) : (rt -> unit) option =
             done)))
   | _ -> None
 
+(* Run closures in order. *)
+let seq_closures = function
+  | [] -> noop
+  | [ a ] -> a
+  | [ a; b ] ->
+    fun rt ->
+      a rt;
+      b rt
+  | [ a; b; c ] ->
+    fun rt ->
+      a rt;
+      b rt;
+      c rt
+  | cs ->
+    let arr = Array.of_list cs in
+    let n = Array.length arr in
+    fun rt ->
+      for i = 0 to n - 1 do
+        arr.(i) rt
+      done
+
 let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   match s with
-  | Stmt.Seq ss -> (
-    match List.map (comp_stmt st venv) ss with
-    | [] -> noop
-    | [ a ] -> a
-    | [ a; b ] ->
-      fun rt ->
-        a rt;
-        b rt
-    | [ a; b; c ] ->
-      fun rt ->
-        a rt;
-        b rt;
-        c rt
-    | cs ->
-      let arr = Array.of_list cs in
-      let n = Array.length arr in
-      fun rt ->
-        for i = 0 to n - 1 do
-          arr.(i) rt
-        done)
+  | Stmt.Seq ss -> seq_closures (List.map (comp_stmt st venv) ss)
   | For { var; extent; body; _ } -> (
     match fma_nest st s with
     | Some nest -> nest
@@ -1105,6 +1107,197 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   | Comment _ -> fun rt -> rt.stmts <- rt.stmts + 1
 
 (* ------------------------------------------------------------------ *)
+(* Phased kernels                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A phased block at run time: the current barrier interval over the
+   threads' frames, the block index, the values of the block-uniform [Let]
+   and [For] variables and the iteration that the first segment of a loop
+   body starts. *)
+type blk = {
+  iv : rt Exec_registry.interval;
+  bid : int;
+  uv : Expr.value array;
+  mutable cur : int;
+}
+
+(* A block-uniform expression, evaluated by [Expr.eval] once per block: it
+   cannot raise, so no thread can tell when it ran. *)
+let ueval uenv e b =
+  Expr.eval
+    {
+      lookup = (fun v -> b.uv.(Int_map.find v.Var.id uenv));
+      load = (fun _ _ -> invalid_arg "Compile_exec.ueval: not block-uniform");
+      thread_idx = 0;
+      block_idx = b.bid;
+    }
+    e
+
+(* The per-thread code reached since the block last pushed a segment, in
+   reverse order. [lead], at the head of a loop body, sets the loop
+   variable to the segment's argument and runs the iteration's hoisted
+   inits. *)
+type pending = {
+  mutable lead : (rt -> int -> unit) option;
+  mutable codes : (rt -> unit) list;
+}
+
+let count1 rt = rt.stmts <- rt.stmts + 1
+
+(* Block actions are accumulated in reverse in [acts]. *)
+let materialize acts p =
+  let seg =
+    match (p.lead, p.codes) with
+    | None, [] -> None
+    | Some l, [] -> Some l
+    | None, codes ->
+      let c = seq_closures (List.rev codes) in
+      Some (fun rt _ -> c rt)
+    | Some l, codes ->
+      let c = seq_closures (List.rev codes) in
+      Some
+        (fun rt i ->
+          l rt i;
+          c rt)
+  in
+  p.lead <- None;
+  p.codes <- [];
+  Option.iter
+    (fun seg -> acts := (fun b -> Exec_registry.push b.iv seg b.cur) :: !acts)
+    seg
+
+let run_acts acts =
+  match List.rev acts with
+  | [] -> fun _ -> ()
+  | [ a ] -> a
+  | acts ->
+    let arr = Array.of_list acts in
+    fun b -> Array.iter (fun a -> a b) arr
+
+(* Compile a statement of a phased kernel into block actions. Code without
+   a barrier joins the pending per-thread code. A barrier ends the
+   interval: the pending code, with the barrier's count, is pushed and the
+   interval flushed. [Let], [For] and [If] add their count (and a [Let]
+   its binding) to the pending code; a uniform [For] or [If] then pushes
+   it and decides at block level, once per block, what runs next. So
+   every thread runs its own statements in program order, and between two
+   barriers thread [t] runs all of them before thread [t + 1]: the fiber
+   schedule. *)
+let rec phased st uniform next_uv venv uenv acts p (s : Stmt.t) =
+  let ph = phased st uniform next_uv in
+  if not (Launch.has_sync s) then p.codes <- comp_stmt st venv s :: p.codes
+  else
+    match s with
+    | Stmt.Sync_threads ->
+      p.codes <- count1 :: p.codes;
+      materialize acts p;
+      acts := (fun b -> Exec_registry.flush b.iv) :: !acts
+    | Seq ss -> List.iter (ph venv uenv acts p) ss
+    | Let { var; value; body } -> (
+      let uenv =
+        if uniform var then begin
+          let us = !next_uv in
+          incr next_uv;
+          acts := (fun b -> b.uv.(us) <- ueval uenv value b) :: !acts;
+          Int_map.add var.Var.id us uenv
+        end
+        else uenv
+      in
+      let bind set slot =
+        p.codes <- set :: p.codes;
+        ph (Int_map.add var.Var.id slot venv) uenv acts p body
+      in
+      match comp st venv value with
+      | C_int (S v) -> bind count1 (S_int v)
+      | C_int o ->
+        let s0 = push_int st in
+        enter_scope st s0;
+        let init = ref noop in
+        bind
+          (fun rt ->
+            rt.stmts <- rt.stmts + 1;
+            Array.unsafe_set rt.ints s0 (rd o rt);
+            !init rt)
+          (S_int s0);
+        Option.iter (fun f -> init := f) (leave_scope st);
+        st.next_int <- st.next_int - 1
+      | C_float o ->
+        let s0 = push_float st in
+        bind
+          (fun rt ->
+            rt.stmts <- rt.stmts + 1;
+            Array.unsafe_set rt.floats s0 (frd o rt))
+          (S_float s0);
+        st.next_float <- st.next_float - 1
+      | C_bool f ->
+        let s0 = push_bool st in
+        bind
+          (fun rt ->
+            rt.stmts <- rt.stmts + 1;
+            rt.bools.(s0) <- f rt)
+          (S_bool s0);
+        st.next_bool <- st.next_bool - 1
+      | C_dyn f ->
+        let s0 = push_dyn st in
+        bind
+          (fun rt ->
+            rt.stmts <- rt.stmts + 1;
+            rt.vals.(s0) <- f rt)
+          (S_dyn s0);
+        st.next_dyn <- st.next_dyn - 1)
+    | For { var; extent; body; _ } ->
+      p.codes <- count1 :: p.codes;
+      materialize acts p;
+      let s0 = push_int st in
+      enter_scope st s0;
+      let us = !next_uv in
+      incr next_uv;
+      let init = ref noop in
+      let bacts = ref [] in
+      let bp =
+        {
+          lead =
+            Some
+              (fun rt i ->
+                Array.unsafe_set rt.ints s0 i;
+                !init rt);
+          codes = [];
+        }
+      in
+      ph
+        (Int_map.add var.Var.id (S_int s0) venv)
+        (Int_map.add var.Var.id us uenv)
+        bacts bp body;
+      materialize bacts bp;
+      Option.iter (fun f -> init := f) (leave_scope st);
+      st.next_int <- st.next_int - 1;
+      let run_body = run_acts !bacts in
+      acts :=
+        (fun b ->
+          let n = Expr.int_of_value (ueval uenv extent b) in
+          for i = 0 to n - 1 do
+            b.uv.(us) <- Expr.V_int i;
+            b.cur <- i;
+            run_body b
+          done)
+        :: !acts
+    | If { cond; then_; else_ } ->
+      p.codes <- count1 :: p.codes;
+      materialize acts p;
+      let branch s =
+        let bacts = ref [] and bp = { lead = None; codes = [] } in
+        ph venv uenv bacts bp s;
+        materialize bacts bp;
+        run_acts !bacts
+      in
+      let t = branch then_ in
+      let e = match else_ with Some e -> branch e | None -> fun _ -> () in
+      acts :=
+        (fun b -> if Expr.bool_of_value (ueval uenv cond b) then t b else e b)
+        :: !acts
+    | Store _ | Mma _ | Comment _ -> assert false (* no barrier *)
+
+(* ------------------------------------------------------------------ *)
 (* Kernel compilation                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1153,8 +1346,20 @@ let compile (k : Kernel.t) : Launch.t =
             fma_nests = 0;
           }
         in
-        let body = comp_stmt st Int_map.empty k.body in
-        let body = with_init (leave_scope st) body in
+        let code =
+          match Launch.phased k with
+          | None ->
+            let body = comp_stmt st Int_map.empty k.body in
+            Either.Left (with_init (leave_scope st) body)
+          | Some uniform ->
+            let next_uv = ref 0 and init = ref noop and acts = ref [] in
+            let p = { lead = None; codes = [ (fun rt -> !init rt) ] } in
+            phased st uniform next_uv Int_map.empty Int_map.empty acts p k.body;
+            materialize acts p;
+            acts := (fun b -> Exec_registry.flush b.iv) :: !acts;
+            Option.iter (fun f -> init := f) (leave_scope st);
+            Either.Right (run_acts !acts, !next_uv)
+        in
         Metrics.add m_fma_nests st.fma_nests;
         Metrics.add m_hoisted (st.next_hoist - hoist_base);
         let n_ints = st.next_hoist
@@ -1162,24 +1367,41 @@ let compile (k : Kernel.t) : Launch.t =
         and n_bools = max 1 st.max_bool
         and n_dyns = max 1 st.max_dyn in
         (* One frame per thread: the closures capture no scratch state. *)
-        let entry tid bid bufs =
+        let frame tid bid bufs =
           let ints = Array.make n_ints 0 in
           ints.(tid_slot) <- tid;
           ints.(bid_slot) <- bid;
-          let rt =
-            {
-              bufs;
-              ints;
-              floats = Array.make n_floats 0.;
-              bools = Array.make n_bools false;
-              vals = Array.make n_dyns (Expr.V_int 0);
-              stmts = 0;
-            }
-          in
-          body rt;
-          rt.stmts
+          {
+            bufs;
+            ints;
+            floats = Array.make n_floats 0.;
+            bools = Array.make n_bools false;
+            vals = Array.make n_dyns (Expr.V_int 0);
+            stmts = 0;
+          }
         in
-        Launch.make k slots entry)
+        let body =
+          match code with
+          | Either.Left body ->
+            Exec_registry.Thread
+              (fun tid bid bufs ->
+                let rt = frame tid bid bufs in
+                body rt;
+                rt.stmts)
+          | Right (run, n_uv) ->
+            Exec_registry.Block
+              (fun bid tbufs ->
+                let rts = Array.mapi (fun tid bufs -> frame tid bid bufs) tbufs in
+                run
+                  {
+                    iv = Exec_registry.interval rts;
+                    bid;
+                    uv = Array.make n_uv (Expr.V_int 0);
+                    cur = 0;
+                  };
+                Array.fold_left (fun n rt -> n + rt.stmts) 0 rts)
+        in
+        Launch.make k slots body)
   in
   Metrics.add m_compile_us
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));

@@ -74,11 +74,27 @@
     operand before its left), so results, statement counts and raised
     exceptions are unchanged.
 
-    The closures capture no scratch state: [compile]'s thread entry builds
-    one frame record per thread, so a compiled kernel is shared by the
-    domains running its blocks. {!Launch} runs the entry: it owns the slot
-    layout, the per-block memory model, the barrier fibers and the grid
-    loop. *)
+    {b Phased barriers.} A kernel that {!Launch.phased} accepts compiles
+    to a block function instead of a thread entry. Code without a barrier
+    compiles as above and joins the per-thread code pending since the last
+    block-level step; a barrier pushes it, with the barrier's count, as one
+    segment and flushes the interval, so every thread runs its segments in
+    ascending tid order, its frame persisting across intervals. A uniform
+    [For] or [If] pushes the pending code (with its own count) and then
+    loops or branches once per block, on [Expr.eval] of its extent or
+    condition over [blockIdx] and the uniform variables; a loop body's
+    first segment sets the loop variable to the iteration it was pushed in
+    and runs the iteration's hoisted inits. The tail of one iteration and
+    the head of the next therefore run in one interval, as they would in a
+    fiber, so results, statement counts and raised exceptions are the
+    fiber schedule's. Other kernels with a barrier keep the thread entry,
+    whose [Sync_threads] performs {!Interp.Sync} for {!Launch}'s fibers.
+
+    The closures capture no scratch state: [compile]'s entry builds one
+    frame record per thread, so a compiled kernel is shared by the domains
+    running its blocks. {!Launch} runs the entry: it owns the slot layout,
+    the per-block memory model, the barrier fibers of the fallback and the
+    grid loop. *)
 
 val compile : Hidet_ir.Kernel.t -> Launch.t
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the

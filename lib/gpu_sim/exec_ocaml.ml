@@ -491,15 +491,134 @@ and emit_mma st venv out pad (m : Stmt.mma) =
     add out (Printf.sprintf "%send);\n" pad)
 
 (* ------------------------------------------------------------------ *)
+(* Phased kernels                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The block function of a phased kernel transliterates
+   [Compile_exec.phased]: code without a barrier joins the pending
+   per-thread text, which becomes one segment closure [fun tid _ -> ...]
+   pushed on the interval [iv] when the block reaches a barrier or a
+   uniform [For] or [If]. The block's own code runs those loops and
+   branches once per block, over block-level variables that the segments
+   capture. A uniform [Let] is bound at block level too; any other [Let]
+   spanning a barrier keeps its value per thread, in an array indexed by
+   [tid] that each later segment reads once into a local. A segment counts
+   its statements in a local ref, so they stay in a register, and adds
+   them to the block's [total] at its end. *)
+type pending = {
+  text : Stdlib.Buffer.t;
+  mutable binds : string list;  (** per-thread locals the text binds itself *)
+}
+
+(* [live]: (array, local) of the per-thread values in scope, newest first. *)
+let materialize out pad tp live p =
+  if Stdlib.Buffer.length p.text > 0 then begin
+    add out (Printf.sprintf "%sR.push iv (fun tid _ ->\n%s" pad tp);
+    List.iter
+      (fun (a, v) ->
+        if not (List.mem v p.binds) then
+          add out (Printf.sprintf "      let %s = Array.unsafe_get %s tid in\n" v a))
+      (List.rev live);
+    add out "      let stmts = ref 0 in\n";
+    Stdlib.Buffer.add_buffer out p.text;
+    add out (Printf.sprintf "%s    total := !total + !stmts) 0;\n" pad);
+    Stdlib.Buffer.clear p.text;
+    p.binds <- []
+  end
+
+let vty_of = function
+  | G_int _ -> T_int
+  | G_float _ -> T_float
+  | G_bool _ -> T_bool
+  | G_dyn _ -> T_dyn
+
+(* Returns [live] as it stands after [s]: a [Let]'s block-level binding
+   stays in scope until the enclosing loop or branch closes. *)
+let rec emit_phased st uniform tp venv live out ind p (s : Stmt.t) =
+  let pad = String.make ind ' ' in
+  let ph = emit_phased st uniform tp in
+  let count () = add p.text (Printf.sprintf "%s    incr stmts;\n" pad) in
+  let close_body live =
+    materialize out (pad ^ "  ") tp live p;
+    add out (Printf.sprintf "%s  ()\n" pad)
+  in
+  if not (Launch.has_sync s) then begin
+    emit_stmt st venv p.text (ind + 4) s;
+    live
+  end
+  else
+    match s with
+    | Stmt.Sync_threads ->
+      count ();
+      materialize out pad tp live p;
+      add out (Printf.sprintf "%sR.flush iv;\n" pad);
+      live
+    | Seq ss -> List.fold_left (fun live s -> ph venv live out ind p s) live ss
+    | Let { var; value; body } ->
+      let x = comp st venv value in
+      let ty = vty_of x in
+      count ();
+      let name, live =
+        if uniform var then begin
+          let u = fresh st "u" in
+          add out (Printf.sprintf "%slet %s = %s in\n" pad u (raw x));
+          (u, live)
+        end
+        else begin
+          let a = fresh st "t" in
+          let v = a ^ "_v" in
+          let zero =
+            match ty with
+            | T_int -> "0"
+            | T_float -> "0."
+            | T_bool -> "false"
+            | T_dyn -> "(R.V_int 0)"
+          in
+          add out
+            (Printf.sprintf "%slet %s = Array.make (Array.length tbufs) %s in\n"
+               pad a zero);
+          add p.text
+            (Printf.sprintf "%s    let %s = %s in\n%s    Array.unsafe_set %s tid %s;\n"
+               pad v (raw x) pad a v);
+          p.binds <- v :: p.binds;
+          (v, (a, v) :: live)
+        end
+      in
+      ph (Int_map.add var.Var.id (ty, name) venv) live out ind p body
+    | For { var; extent; body; _ } ->
+      let ext = as_int (comp st venv extent) in
+      count ();
+      materialize out pad tp live p;
+      let v = fresh st "v" in
+      add out (Printf.sprintf "%sfor %s = 0 to %s - 1 do\n" pad v ext);
+      close_body (ph (Int_map.add var.Var.id (T_int, v) venv) live out (ind + 2) p body);
+      add out (Printf.sprintf "%sdone;\n" pad);
+      live
+    | If { cond; then_; else_ } ->
+      let c = as_bool (comp st venv cond) in
+      count ();
+      materialize out pad tp live p;
+      add out (Printf.sprintf "%sif %s then begin\n" pad c);
+      close_body (ph venv live out (ind + 2) p then_);
+      add out (Printf.sprintf "%send else begin\n" pad);
+      close_body (Option.fold ~none:live ~some:(ph venv live out (ind + 2) p) else_);
+      add out (Printf.sprintf "%send;\n" pad);
+      live
+    | Store _ | Mma _ | Comment _ -> assert false (* no barrier *)
+
+(* ------------------------------------------------------------------ *)
 (* Kernel codegen                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The generated unit: [body tid bid bufs] runs one thread and returns its
-   statement count. Buffer arrays and their dimensions are hoisted to
-   let-bound locals in the prelude; the registration trailer (which embeds
-   the unique unit name) is appended at build time, so the source that keys
-   the compile memo holds no process-global id. Slot numbers and dims are
-   literals in it: equal source means an equal slot layout. *)
+(* The generated unit binds [entry]: [R.Thread body], where [body tid bid
+   bufs] runs one thread and returns its statement count, or for a phased
+   kernel [R.Block block], where [block bid tbufs] runs the whole block.
+   Buffer arrays and their dimensions are hoisted to let-bound locals in
+   the prelude (a block function binds the per-thread ones per segment);
+   the registration trailer (which embeds the unique unit name) is
+   appended at build time, so the source that keys the compile memo holds
+   no process-global id. Slot numbers and dims are literals in it: equal
+   source means an equal slot layout. *)
 let codegen (k : Kernel.t) : string * Launch.slots =
   let slots = Launch.slots k in
   let st = { buf_slot = slots.Launch.slot_of; tmp = 0 } in
@@ -513,21 +632,51 @@ let codegen (k : Kernel.t) : string * Launch.slots =
      never link (alias references resolve statically). The registry unit
      itself is always linked into any host that can reach this code. *)
   add out "module R = Hidet_gpu__Exec_registry\n\n";
-  add out "let body (tid : int) (bid : int) (bufs : float array array) : int =\n";
-  add out "  ignore tid; ignore bid; ignore bufs;\n";
-  add out "  let stmts = ref 0 in\n";
-  let prelude (s, (b : Buffer.t)) =
-    add out (Printf.sprintf "  let %s = bufs.(%d) in\n" (buf_name s) s);
+  let bind pad (s, _) =
+    Printf.sprintf "%slet %s = bufs.(%d) in\n" pad (buf_name s) s
+  in
+  let dims (s, (b : Buffer.t)) =
     List.iteri
       (fun p d -> add out (Printf.sprintf "  let %s = %d in\n" (dim_name s p) d))
       b.Buffer.dims
   in
-  Array.iter prelude slots.global_slots;
-  Array.iter prelude slots.shared_slots;
-  Array.iter prelude slots.warp_slots;
-  Array.iter prelude slots.reg_slots;
-  emit_stmt st Int_map.empty out 2 k.Kernel.body;
-  add out "  !stmts\n";
+  let all =
+    Array.concat
+      [ slots.global_slots; slots.shared_slots; slots.warp_slots; slots.reg_slots ]
+  in
+  (match Launch.phased k with
+  | None ->
+    add out
+      "let body (tid : int) (bid : int) (bufs : float array array) : int =\n";
+    add out "  ignore tid; ignore bid; ignore bufs;\n";
+    add out "  let stmts = ref 0 in\n";
+    Array.iter
+      (fun sb ->
+        add out (bind "  " sb);
+        dims sb)
+      all;
+    emit_stmt st Int_map.empty out 2 k.Kernel.body;
+    add out "  !stmts\n\nlet entry = R.Thread body\n"
+  | Some uniform ->
+    add out
+      "let block (bid : int) (tbufs : float array array array) : int =\n";
+    add out "  ignore bid;\n";
+    add out "  let total = ref 0 in\n";
+    add out "  let iv = R.interval (Array.init (Array.length tbufs) Fun.id) in\n";
+    add out "  let bufs = tbufs.(0) in\n";
+    Array.iter (fun sb -> add out (bind "  " sb)) slots.global_slots;
+    Array.iter (fun sb -> add out (bind "  " sb)) slots.shared_slots;
+    Array.iter dims all;
+    let tp =
+      String.concat ""
+        ("      let bufs = Array.unsafe_get tbufs tid in\n"
+        :: List.map (bind "      ")
+             (Array.to_list (Array.append slots.warp_slots slots.reg_slots)))
+    in
+    let p = { text = Stdlib.Buffer.create 1024; binds = [] } in
+    let live = emit_phased st uniform tp Int_map.empty [] out 2 p k.Kernel.body in
+    materialize out "  " tp live p;
+    add out "  R.flush iv;\n  !total\n\nlet entry = R.Block block\n");
   (Stdlib.Buffer.contents out, slots)
 
 let source k = fst (codegen k)
@@ -608,7 +757,7 @@ let read_file path =
 (* Compile one generated unit and claim its registered entry point. The
    unit (file and module) name is unique per process, so privately
    dynlinked modules never collide. *)
-let build tc body_src : Exec_registry.entry =
+let build tc body_src : Exec_registry.body =
   let name =
     Printf.sprintf "hidet_kernel_%d_%d" (Unix.getpid ())
       (Atomic.fetch_and_add unit_counter 1)
@@ -621,7 +770,7 @@ let build tc body_src : Exec_registry.entry =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc body_src;
-      output_string oc (Printf.sprintf "\nlet () = R.register %S body\n" name));
+      output_string oc (Printf.sprintf "\nlet () = R.register %S entry\n" name));
   let cmd =
     Printf.sprintf "%s ocamlopt -shared -w -a %s %s -o %s 2>%s"
       (Filename.quote tc.ocamlfind) tc.inc_flags (Filename.quote ml)
@@ -697,12 +846,11 @@ let probe () : (toolchain, string) result =
           in
           let smoke =
             "module R = Hidet_gpu__Exec_registry\n\
-             let body (_ : int) (_ : int) (_ : float array array) : int = 0\n"
+             let entry = R.Thread (fun (_ : int) (_ : int) (_ : float array array) -> 0)\n"
           in
           match build tc smoke with
-          | entry ->
-            if entry 0 0 [||] = 0 then Ok tc
-            else Error "smoke unit returned garbage"
+          | Thread entry when entry 0 0 [||] = 0 -> Ok tc
+          | _ -> Error "smoke unit returned garbage"
           | exception Failure msg -> Error msg)
 
 let toolchain_once = lazy (probe ())
@@ -714,7 +862,7 @@ let available () = Result.map (fun _ -> ()) (Lazy.force toolchain_once)
 
 (* Keyed on the source text itself: a hit means byte-equal source, which
    no digest collision can fake. *)
-let memo : (string, Exec_registry.entry) Hashtbl.t = Hashtbl.create 16
+let memo : (string, Exec_registry.body) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
 let compile (k : Kernel.t) : Launch.t =

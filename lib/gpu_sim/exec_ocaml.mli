@@ -13,7 +13,14 @@
 
     Only the thread body is native: {!Launch} runs the loaded unit's entry
     with the slot layout, per-block memory model and grid loop every
-    compiled backend shares. Results, statement counts and raised errors
+    compiled backend shares. For a kernel that {!Launch.phased} accepts the
+    unit is one block function instead, transliterating the closure
+    backend's phased compile: per-thread code between block-level steps
+    becomes a segment closure pushed on an {!Exec_registry.interval} and
+    flushed thread by thread at each barrier; uniform loops, branches and
+    [Let]s are block-level OCaml that the segments capture; a non-uniform
+    [Let] whose body spans a barrier keeps its value in a per-thread array.
+    Other kernels with a barrier keep the thread entry and {!Exec_registry.sync}. Results, statement counts and raised errors
     are bit-identical to the closure backend's (property-tested in
     [test_exec_ocaml] and cross-checked by the fuzzer's [native] path).
 

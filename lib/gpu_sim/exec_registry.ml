@@ -1,8 +1,10 @@
 module Expr = Hidet_ir.Expr
 
 type entry = int -> int -> float array array -> int
+type block = int -> float array array array -> int
+type body = Thread of entry | Block of block
 
-let table : (string, entry) Hashtbl.t = Hashtbl.create 16
+let table : (string, body) Hashtbl.t = Hashtbl.create 16
 let lock = Mutex.create ()
 
 let register name fn =
@@ -16,6 +18,40 @@ let take name =
   Hashtbl.remove table name;
   Mutex.unlock lock;
   r
+
+type 'a interval = {
+  threads : 'a array;
+  mutable segs : ('a -> int -> unit) array;
+  mutable args : int array;
+  mutable len : int;
+}
+
+let interval threads = { threads; segs = [||]; args = [||]; len = 0 }
+
+let push iv seg arg =
+  if iv.len = Array.length iv.segs then begin
+    let cap = max 8 (2 * iv.len) in
+    let segs = Array.make cap seg and args = Array.make cap 0 in
+    Array.blit iv.segs 0 segs 0 iv.len;
+    Array.blit iv.args 0 args 0 iv.len;
+    iv.segs <- segs;
+    iv.args <- args
+  end;
+  Array.unsafe_set iv.segs iv.len seg;
+  Array.unsafe_set iv.args iv.len arg;
+  iv.len <- iv.len + 1
+
+(* Thread-major: thread [t] runs all of its segments before thread [t + 1]
+   starts, as its fiber would run from one barrier to the next. *)
+let flush iv =
+  let n = iv.len and segs = iv.segs and args = iv.args in
+  iv.len <- 0;
+  Array.iter
+    (fun x ->
+      for j = 0 to n - 1 do
+        (Array.unsafe_get segs j) x (Array.unsafe_get args j)
+      done)
+    iv.threads
 
 let sync () = Effect.perform Interp.Sync
 let invalid_access msg = raise (Interp.Invalid_access msg)

@@ -15,18 +15,48 @@ type entry = int -> int -> float array array -> int
     statements it executed. [bufs] is indexed by {!Launch.slots}; a
     {!Launch.t} runs every compiled backend's entry. *)
 
-val register : string -> entry -> unit
+type block = int -> float array array array -> int
+(** [block bid tbufs] runs every thread of block [bid] of a phased kernel
+    ({!Launch.phased}), one barrier interval at a time, and returns the
+    number of statements they executed. [tbufs.(tid)] is thread [tid]'s
+    [bufs]. *)
+
+type body = Thread of entry | Block of block
+(** What a backend compiled a kernel to: a thread entry (kernels without a
+    barrier, and the fiber fallback) or a phased block. *)
+
+val register : string -> body -> unit
 (** Called by the generated unit's toplevel [let () = ...] under the unit's
     own (unique) module name. *)
 
-val take : string -> entry option
+val take : string -> body option
 (** Claim and remove a registered entry; [None] if the unit never ran its
     registration (a codegen or link bug). *)
 
 (** {1 Runtime support used by generated code} *)
 
+(** {2 Barrier intervals}
+
+    A phased block runs its threads one barrier interval at a time. The
+    block-level code pushes each stretch of per-thread code (a segment)
+    as it reaches it, and at a barrier {!flush}es them: every thread, in
+    ascending order, runs all pending segments. That is the order a
+    thread fiber runs between two barriers, so no effect is needed. *)
+
+type 'a interval
+(** The segments pending since the last barrier, over a block's threads
+    (their frames, or their [tid]s). *)
+
+val interval : 'a array -> 'a interval
+val push : 'a interval -> ('a -> int -> unit) -> int -> unit
+(** [push iv seg arg]: [seg thread arg] runs at the next {!flush}. *)
+
+val flush : 'a interval -> unit
+(** Run the pending segments, thread by thread in array order, and empty
+    the interval. *)
+
 val sync : unit -> unit
-(** Perform {!Interp.Sync} — the block barrier. *)
+(** Perform {!Interp.Sync} — the block barrier of the fiber fallback. *)
 
 val oob : int -> int -> string -> 'a
 (** [Interp.Invalid_access] with [Buffer.flat_index]'s exact message. *)

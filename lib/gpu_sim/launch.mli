@@ -7,11 +7,18 @@
     [Kernel.warp_size] threads; each thread gets fresh zeroed registers.
     Global buffers are the caller's arrays, mutated in place.
 
-    A kernel with [Sync_threads] runs each block's threads as fibers on
+    A kernel without [Sync_threads] runs its threads to completion one
+    after another. A {!phased} kernel, whose barriers all sit at
+    block-uniform points, runs one barrier interval at a time: the
+    backend's block function runs every thread, in ascending tid order,
+    from one barrier to the next, and each thread's frame persists across
+    intervals (the CPU lowering of barriers known as thread-loop fission).
+    That is exactly the order in which the reference's thread fibers run,
+    so outputs, statement counts, the exception raised and global memory
+    at that moment are unchanged. Any other kernel with a barrier runs
+    each block's threads as fibers on
     {!Interp.start_thread}/{!Interp.barrier_loop}, so barrier semantics and
-    {!Interp.Barrier_divergence} match the reference interpreter. A kernel
-    without one runs its threads to completion one after another: no barrier
-    can be reached, so a fiber would change nothing but the cost.
+    {!Interp.Barrier_divergence} match the reference interpreter.
 
     Blocks run on concurrent domains when the verifier proves they write
     disjoint global memory ({!Hidet_ir.Verify.block_disjoint_writes});
@@ -32,21 +39,47 @@ type slots = private {
 
 val slots : Hidet_ir.Kernel.t -> slots
 
+(** {1 Phase analysis} *)
+
+val has_sync : Hidet_ir.Stmt.t -> bool
+(** The statement contains [Sync_threads]. *)
+
+val phased : Hidet_ir.Kernel.t -> (Hidet_ir.Var.t -> bool) option
+(** [Some uniform] when the kernel has a barrier and every [Sync_threads]
+    sits only under [Seq], [Let], a [For] whose extent is block-uniform and
+    an [If] whose condition is block-uniform. A block-uniform expression
+    is built from constants, [Block_idx] and block-uniform variables; it
+    has no [Thread_idx], no [Load], no [/] or [%] by anything but a
+    non-zero constant, no bool operand to arithmetic, [Neg] or [Abs], and
+    no [Select] of an int and a float. So it cannot raise and has one value
+    per block, which the block may read once. The block-uniform variables
+    are the [For] variables on a path to a barrier and the [Let] variables
+    there whose value is block-uniform; [uniform v] says whether [v] is
+    one. Every template kernel is phased; [None] means the fiber fallback
+    (or no barrier). *)
+
+type barriers = No_barrier | Phased | Fibers
+
 type t = private {
   kernel : Hidet_ir.Kernel.t;
   slots : slots;
-  entry : Exec_registry.entry;
-  has_sync : bool;  (** the body contains [Sync_threads] *)
+  body : Exec_registry.body;
+  barriers : barriers;
+      (** [Phased] for a [Block] body; for a [Thread] entry, [Fibers] when
+          the kernel has a barrier and [No_barrier] otherwise *)
   parallel_ok : bool;  (** [Verify.block_disjoint_writes] holds *)
 }
 (** A launch handle: reusable across launches and shareable across domains
-    as long as [entry] is. [Compiled.run] builds one per kernel and backend
+    as long as [body] is. [Compiled.run] builds one per kernel and backend
     on first launch. *)
 
-val make : Hidet_ir.Kernel.t -> slots -> Exec_registry.entry -> t
-(** [make k (slots k) entry]: [entry tid bid bufs] runs thread [tid] of
-    block [bid] over [bufs], indexed by [slots k], and returns the number
-    of statements it executed. *)
+val make : Hidet_ir.Kernel.t -> slots -> Exec_registry.body -> t
+(** [make k (slots k) body]. A [Thread entry]: [entry tid bid bufs] runs
+    thread [tid] of block [bid] over [bufs], indexed by [slots k], and
+    returns the number of statements it executed. A [Block f] (a backend
+    gives one exactly when {!phased} is [Some]): [f bid tbufs] runs the
+    whole block, thread [tid] over [tbufs.(tid)], and returns the number of
+    statements its threads executed. *)
 
 val run_compiled :
   ?workers:int -> t -> (Hidet_ir.Buffer.t * float array) list -> unit
@@ -58,9 +91,11 @@ val run_compiled :
     {!Hidet_parallel.Parallel.default_workers}); with one worker, given or
     by default, they run sequentially. Adds to the [sim.threads],
     [sim.statements], [sim.exec_us] and [sim.parallel_blocks] or
-    [sim.sequential_blocks] metrics and records a [sim.exec] trace span
-    whose [parallel] attribute, like the block counters, says whether the
-    blocks ran on domains. *)
+    [sim.sequential_blocks] metrics, and for a kernel with a barrier to
+    [sim.phased_blocks] or [sim.fiber_blocks]. Records a [sim.exec] trace
+    span whose [parallel] attribute, like the block counters, says whether
+    the blocks ran on domains, and whose [barriers] attribute ([none],
+    [phased] or [fibers]) says how the barriers ran. *)
 
 val run :
   ?workers:int ->

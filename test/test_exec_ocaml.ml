@@ -16,6 +16,7 @@ type spec = {
   grid : int;
   block : int;
   staged : bool;
+  rounds : bool;
   reduce : int;
   pred_tail : bool;
   block_invariant : bool;
@@ -28,6 +29,7 @@ let spec_gen =
   let* grid = 1 -- 4 in
   let* block = oneofl [ 16; 32; 64 ] in
   let* staged = bool in
+  let* rounds = bool in
   let* reduce = oneofl [ 0; 0; 2; 3; 4 ] in
   let* pred_tail = bool in
   let* block_invariant = frequency [ (3, return false); (1, return true) ] in
@@ -37,6 +39,7 @@ let spec_gen =
     grid;
     block;
     staged;
+    rounds;
     reduce;
     pred_tail;
     block_invariant;
@@ -46,9 +49,9 @@ let spec_gen =
 
 let spec_print s =
   Printf.sprintf
-    "{grid=%d; block=%d; staged=%b; reduce=%d; pred_tail=%b; \
+    "{grid=%d; block=%d; staged=%b; rounds=%b; reduce=%d; pred_tail=%b; \
      block_invariant=%b; value_seed=%d; input_seed=%d}"
-    s.grid s.block s.staged s.reduce s.pred_tail s.block_invariant s.value_seed
+    s.grid s.block s.staged s.rounds s.reduce s.pred_tail s.block_invariant s.value_seed
     s.input_seed
 
 let gen_value rng ~(a : Buffer.t) ~(b : Buffer.t) ~(smem : Buffer.t option)
@@ -119,14 +122,19 @@ let build_kernel (s : spec) =
   let rng = Random.State.make [| s.value_seed |] in
   let value = gen_value rng ~a ~b ~smem ~n ~gid in
   let out_idx = if s.block_invariant then Expr.Thread_idx else gid in
+  let round = Var.fresh "round" in
   let stage =
     match smem with
     | Some sm ->
-      [ Stmt.store sm [ Expr.Thread_idx ] (Expr.load a [ gid ]); Stmt.sync ]
+      let v = Expr.load a [ gid ] in
+      let v = if s.rounds then Expr.add v (Expr.var round) else v in
+      [ Stmt.store sm [ Expr.Thread_idx ] v; Stmt.sync ]
     | None -> []
   in
   let x = Var.fresh "x" in
   let store_out v =
+    (* Each round adds to the output, so every round's values show. *)
+    let v = if s.rounds then Expr.add (Expr.load c [ Expr.var x ]) v else v in
     let st = Stmt.let_ x out_idx (Stmt.store c [ Expr.var x ] v) in
     if s.pred_tail then Stmt.if_ (Expr.lt gid (Expr.int (max 1 (n - 3)))) st
     else st
@@ -151,7 +159,13 @@ let build_kernel (s : spec) =
       ?shared:(Option.map (fun sm -> [ sm ]) smem)
       ?regs:(Option.map (fun r -> [ r ]) reg)
       ~name:"gen" ~params:[ a; b; c ] ~grid_dim:s.grid ~block_dim:s.block
-      (Stmt.seq (stage @ compute))
+      (let body = Stmt.seq (stage @ compute) in
+       if not s.rounds then body
+       else
+         let n = Var.fresh "n" in
+         Stmt.let_ n
+           (Expr.add (Expr.modulo Expr.Block_idx (Expr.int 2)) (Expr.int 1))
+           (Stmt.for_ round (Expr.var n) body))
   in
   (k, a, b, c, n)
 
@@ -729,4 +743,21 @@ let () =
             Alcotest.test_case "metrics counters" `Quick
               test_native_metrics_counters;
           ] );
+        ( "phased barriers",
+          [
+            Alcotest.test_case "tiny-model kernels run phased" `Quick
+              (Phase_cases.test_tiny_phased EO.compile);
+            Alcotest.test_case "rt_diverge runs on fibers" `Quick
+              (Phase_cases.test_divergence_on_fibers EO.compile
+                 (runtime_divergence_kernel ()));
+          Alcotest.test_case "a convergent threadIdx-guarded barrier runs on fibers"
+            `Quick (Phase_cases.test_fallback_counts EO.compile);
+          ]
+          @ List.map
+              (fun (name, mk) ->
+                Phase_cases.order_case_both name
+                  (Launch.run ~workers:1 CE.compile)
+                  (Launch.run ~workers:1 EO.compile)
+                  mk)
+              Phase_cases.cases );
       ]
