@@ -73,10 +73,13 @@ let interp_run ~quick =
            state the backend exists for. Closure and native launches then
            alternate, and each backend's time is its fastest launch: what
            ran before in the process, or a burst of other load, slows both
-           backends alike or shows as a slow launch the minimum drops. *)
+           backends alike or shows as a slow launch the minimum drops. The
+           fused Conv-ReLU's launches keep getting faster past the tenth
+           (its closure minimum over 10 launches ranged 1.2-2.5e7
+           statements/s, over 30 2.2-2.5e7), so full mode takes 30. *)
         if native_ok then ignore (C.run ~backend:`Native c inputs);
         let wall_compiled = ref infinity and wall_native = ref infinity in
-        for _ = 1 to if quick then 5 else 10 do
+        for _ = 1 to if quick then 5 else 30 do
           wall_compiled := Float.min !wall_compiled (once (fun () -> C.run c inputs));
           if native_ok then
             wall_native :=

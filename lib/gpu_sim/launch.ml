@@ -88,8 +88,20 @@ let rec uniform_ty env (e : Expr.t) =
       | _ -> Some (if ta = U_int && tb = U_int then U_int else U_float))
     | _ -> None)
 
+(* The backends ask [uniform v] at each [Let] on a barrier path, so the
+   answer must hold for every binding of [v] there: a variable bound both
+   to a uniform and to a per-thread value on barrier paths (the IR allows
+   rebinding) makes the kernel not phased. A per-thread [Let] also hides
+   an outer uniform binding of its variable from the body. *)
 let phased (k : Kernel.t) =
   let uniform = Hashtbl.create 8 in
+  let bind (v : Var.t) u =
+    match Hashtbl.find_opt uniform v.Var.id with
+    | Some u' when u' <> u -> false
+    | _ ->
+      Hashtbl.replace uniform v.Var.id u;
+      true
+  in
   let rec ok env (s : Stmt.t) =
     (not (has_sync s))
     ||
@@ -98,16 +110,12 @@ let phased (k : Kernel.t) =
     | Seq ss -> List.for_all (ok env) ss
     | Let { var; value; body } -> (
       match uniform_ty env value with
-      | Some t ->
-        Hashtbl.replace uniform var.Var.id ();
-        ok (Int_map.add var.Var.id t env) body
-      | None -> ok env body)
+      | Some t -> bind var true && ok (Int_map.add var.Var.id t env) body
+      | None -> bind var false && ok (Int_map.remove var.Var.id env) body)
     | For { var; extent; body; _ } ->
       uniform_ty env extent <> None
-      && begin
-           Hashtbl.replace uniform var.Var.id ();
-           ok (Int_map.add var.Var.id U_int env) body
-         end
+      && bind var true
+      && ok (Int_map.add var.Var.id U_int env) body
     | If { cond; then_; else_ } ->
       uniform_ty env cond <> None
       && ok env then_
@@ -115,7 +123,7 @@ let phased (k : Kernel.t) =
     | Store _ | Mma _ | Comment _ -> true
   in
   if has_sync k.body && ok Int_map.empty k.body then
-    Some (fun (v : Var.t) -> Hashtbl.mem uniform v.Var.id)
+    Some (fun (v : Var.t) -> Hashtbl.find_opt uniform v.Var.id = Some true)
   else None
 
 type barriers = No_barrier | Phased | Fibers

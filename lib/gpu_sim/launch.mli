@@ -55,7 +55,10 @@ val phased : Hidet_ir.Kernel.t -> (Hidet_ir.Var.t -> bool) option
     per block, which the block may read once. The block-uniform variables
     are the [For] variables on a path to a barrier and the [Let] variables
     there whose value is block-uniform; [uniform v] says whether [v] is
-    one. Every template kernel is phased; [None] means the fiber fallback
+    one. A variable that the IR rebinds must be uniform at every binding
+    on those paths or at none, else the kernel is not phased; a per-thread
+    [Let] hides an outer uniform binding of its variable from its body.
+    Every template kernel is phased; [None] means the fiber fallback
     (or no barrier). *)
 
 type barriers = No_barrier | Phased | Fibers

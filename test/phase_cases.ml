@@ -245,13 +245,110 @@ let tail_to_head () =
   let k = Kernel.create ~shared:[ sm ] ~name:"tail_to_head" ~params:[ c ] ~grid_dim:1 ~block_dim:block body in
   (k, fun () -> [ (c, Array.make (iters * block) 0.) ])
 
-let cases = [ ("thread 7's error first", oob_order); ("split-k shape", split_k_shape); ("loop tail to head", tail_to_head) ]
+(* --- rebound variables ------------------------------------------------------ *)
+
+(* The IR allows binding one variable in several [Let]s. Here a per-thread
+   [Let] of [x] shadows a uniform one and guards a barrier: only thread 0
+   reaches it, so [Interp] raises [Barrier_divergence]. The inner binding
+   must not count as uniform, so the kernel runs on fibers. *)
+let rebound_nested () =
+  let c = Buffer.create "C" [ 2 * block ] in
+  let x = Var.fresh "x" in
+  let gid = Expr.add (Expr.mul Expr.Block_idx (Expr.int block)) tid in
+  let body =
+    Stmt.let_ x Expr.Block_idx
+      (Stmt.seq
+         [
+           Stmt.store c [ gid ] (Expr.add (Expr.var x) (Expr.float 1.));
+           Stmt.let_ x tid (Stmt.if_ (Expr.eq (Expr.var x) (Expr.int 0)) Stmt.sync);
+         ])
+  in
+  let k = Kernel.create ~name:"rebound_nested" ~params:[ c ] ~grid_dim:2 ~block_dim:block body in
+  (k, fun () -> [ (c, Array.make (2 * block) 0.) ])
+
+(* Sibling [Let]s of [x]: a uniform one guarding a barrier, then a load of
+   the neighbour's slot spanning a barrier. Each thread must read the slot
+   when its own [Let] runs, after the threads before it in the interval
+   have stored, so the kernel runs on fibers. *)
+let rebound_sibling () =
+  let n = 2 * block in
+  let c = Buffer.create "C" [ n ] and d = Buffer.create "D" [ n ] in
+  let x = Var.fresh "x" in
+  let base = Expr.mul Expr.Block_idx (Expr.int block) in
+  let gid = Expr.add base tid in
+  let next = Expr.add base (Expr.modulo (Expr.add tid (Expr.int 1)) (Expr.int block)) in
+  let body =
+    Stmt.seq
+      [
+        Stmt.let_ x (Expr.modulo Expr.Block_idx (Expr.int 2))
+          (Stmt.seq
+             [
+               Stmt.store c [ gid ] (Expr.add (Expr.var x) (Expr.mul tid (Expr.float 1.)));
+               Stmt.if_ (Expr.eq (Expr.var x) (Expr.int 0)) Stmt.sync;
+             ]);
+        Stmt.store c [ gid ] (Expr.add (Expr.load c [ gid ]) (Expr.float 10.));
+        Stmt.let_ x (Expr.load c [ next ])
+          (Stmt.seq [ Stmt.sync; Stmt.store d [ gid ] (Expr.var x) ]);
+      ]
+  in
+  let k = Kernel.create ~name:"rebound_sibling" ~params:[ c; d ] ~grid_dim:2 ~block_dim:block body in
+  (k, fun () -> [ (c, Array.make n 0.); (d, Array.make n 0.) ])
+
+(* [x] and [i] rebound, every binding uniform: nested [Let]s (the inner
+   value reads the outer [x]) and sibling ones, each loop holding a
+   barrier. The kernel stays phased. *)
+let rebound_uniform () =
+  let n = 2 * block in
+  let c = Buffer.create "C" [ n ] in
+  let sm = Buffer.create ~scope:Buffer.Shared "sm" [ block ] in
+  let x = Var.fresh "x" and i = Var.fresh "i" in
+  let gid = Expr.add (Expr.mul Expr.Block_idx (Expr.int block)) tid in
+  let next = Expr.modulo (Expr.add tid (Expr.int 1)) (Expr.int block) in
+  let body =
+    Stmt.seq
+      [
+        Stmt.let_ x (Expr.add (Expr.modulo Expr.Block_idx (Expr.int 2)) (Expr.int 1))
+          (Stmt.for_ i (Expr.var x)
+             (Stmt.seq
+                [
+                  Stmt.store sm [ tid ]
+                    (Expr.add (Expr.load sm [ next ]) (Expr.add (Expr.var i) (Expr.float 1.)));
+                  Stmt.sync;
+                ]));
+        Stmt.let_ x (Expr.add Expr.Block_idx (Expr.int 1))
+          (Stmt.let_ x (Expr.mul (Expr.var x) (Expr.int 2))
+             (Stmt.for_ i (Expr.var x)
+                (Stmt.seq
+                   [
+                     Stmt.sync;
+                     Stmt.store c [ gid ]
+                       (Expr.add (Expr.load c [ gid ]) (Expr.mul (Expr.load sm [ next ]) (Expr.var x)));
+                     Stmt.store sm [ tid ] (Expr.add (Expr.load sm [ tid ]) (Expr.var i));
+                   ])));
+      ]
+  in
+  let k =
+    Kernel.create ~shared:[ sm ] ~name:"rebound_uniform" ~params:[ c ] ~grid_dim:2
+      ~block_dim:block body
+  in
+  (k, fun () -> [ (c, Array.make n 0.) ])
+
+(* Name, whether the kernel is phased, and the kernel with its bindings. *)
+let cases =
+  [
+    ("thread 7's error first", true, oob_order);
+    ("split-k shape", true, split_k_shape);
+    ("loop tail to head", true, tail_to_head);
+    ("per-thread let rebinding a uniform one", false, rebound_nested);
+    ("sibling lets, uniform and per-thread", false, rebound_sibling);
+    ("uniform lets and loops rebound", true, rebound_uniform);
+  ]
 
 let bits = Int64.bits_of_float
 
 (* [run] and [Interp.run] raise the same exception, or none, and leave the
    bound arrays bit-equal. Returns the statements [run] executed. *)
-let check_against_interp run (k, bindings_of) =
+let check_against_interp ~phased run (k, bindings_of) =
   let go run =
     let bs = bindings_of () in
     let r = try run k bs; None with e -> Some e in
@@ -260,17 +357,18 @@ let check_against_interp run (k, bindings_of) =
   let s0 = Metrics.value statements in
   let got = go run in
   let n = Metrics.value statements - s0 in
-  Alcotest.(check bool) "phased" true (Launch.phased k <> None);
+  Alcotest.(check bool) "phased" phased (Launch.phased k <> None);
   Alcotest.(check bool) "same exception as Interp" true (fst got = fst (go Interp.run));
   Alcotest.(check bool) "bound arrays equal Interp's" true (snd got = snd (go Interp.run));
   n
 
-let order_case name runner mk =
-  Alcotest.test_case name `Quick (fun () -> ignore (check_against_interp runner (mk ())))
+let order_case (name, phased, mk) runner =
+  Alcotest.test_case name `Quick (fun () ->
+      ignore (check_against_interp ~phased runner (mk ())))
 
 (* Closure and native against [Interp], and against each other's counts. *)
-let order_case_both name closure native mk =
+let order_case_both (name, phased, mk) closure native =
   Alcotest.test_case name `Quick (fun () ->
-      let n_closure = check_against_interp closure (mk ()) in
-      let n_native = check_against_interp native (mk ()) in
+      let n_closure = check_against_interp ~phased closure (mk ()) in
+      let n_native = check_against_interp ~phased native (mk ()) in
       Alcotest.(check int) "statements" n_closure n_native)

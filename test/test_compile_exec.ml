@@ -1211,7 +1211,7 @@ let () =
             `Quick (Phase_cases.test_fallback_counts CE.compile);
         ]
         @ List.map
-            (fun (name, mk) ->
-              Phase_cases.order_case name (Launch.run ~workers:1 CE.compile) mk)
+            (fun case ->
+              Phase_cases.order_case case (Launch.run ~workers:1 CE.compile))
             Phase_cases.cases );
     ]

@@ -754,10 +754,9 @@ let () =
             `Quick (Phase_cases.test_fallback_counts EO.compile);
           ]
           @ List.map
-              (fun (name, mk) ->
-                Phase_cases.order_case_both name
+              (fun case ->
+                Phase_cases.order_case_both case
                   (Launch.run ~workers:1 CE.compile)
-                  (Launch.run ~workers:1 EO.compile)
-                  mk)
+                  (Launch.run ~workers:1 EO.compile))
               Phase_cases.cases );
       ]
