@@ -21,6 +21,88 @@ let shape_name (m, n, k) = sprintf "%dx%dx%d" m n k
 (* Simulator backends: legacy tree-walking vs closure-compiled         *)
 (* ------------------------------------------------------------------ *)
 
+(* Per kernel class, summed over the hidet engine's plans of the four tiny
+   models (the kernels [exec_tiny] runs): the 20 matmuls, the row and
+   reduce kernels whose barriers sit in combine trees, and the rule
+   kernels, which have no barrier. Each kernel runs alone on random
+   inputs, one worker; after a warm launch per backend and a compaction,
+   closure and native launches alternate and each backend's time is its
+   fastest. *)
+let kernel_classes ~quick ~native_ok =
+  let module Metrics = Hidet_obs.Metrics in
+  let module Launch = Hidet_gpu.Launch in
+  let module Kernel = Hidet_ir.Kernel in
+  let stmt_counter = Metrics.counter "sim.statements" in
+  let launches = if quick then 5 else 200 in
+  let kernels =
+    List.concat_map
+      (fun (_, mk) ->
+        let plan, _ = HE.compile_plan dev (mk ()) in
+        List.concat_map
+          (fun (s : Hidet_runtime.Plan.step) -> s.compiled.C.kernels)
+          plan.Hidet_runtime.Plan.steps)
+      Hidet_models.Models.tiny_all
+  in
+  let class_of (k : Kernel.t) =
+    if String.starts_with ~prefix:"matmul" k.name then "matmul"
+    else if Launch.has_sync k.body then "combine_tree"
+    else "rule"
+  in
+  let classes = [ "matmul"; "combine_tree"; "rule" ] in
+  (* class -> kernels, statements, closure and native seconds *)
+  let sums = Hashtbl.create 3 in
+  List.iter (fun c -> Hashtbl.replace sums c (0, 0, 0., 0.)) classes;
+  List.iteri
+    (fun i (k : Kernel.t) ->
+      let rng = Random.State.make [| i |] in
+      let bindings =
+        List.map
+          (fun (b : Hidet_ir.Buffer.t) ->
+            ( b,
+              Array.init (Hidet_ir.Buffer.num_elems b) (fun _ ->
+                  Random.State.float rng 2. -. 1.) ))
+          k.params
+      in
+      let closure = Hidet_gpu.Compile_exec.compile k in
+      let native = if native_ok then Some (Hidet_gpu.Exec_ocaml.compile k) else None in
+      let launch c =
+        let t0 = Unix.gettimeofday () in
+        Launch.run_compiled ~workers:1 c bindings;
+        Unix.gettimeofday () -. t0
+      in
+      let before = Metrics.value stmt_counter in
+      ignore (launch closure);
+      let stmts = Metrics.value stmt_counter - before in
+      Option.iter (fun c -> ignore (launch c)) native;
+      Gc.compact ();
+      let best_closure = ref infinity and best_native = ref infinity in
+      for _ = 1 to launches do
+        best_closure := Float.min !best_closure (launch closure);
+        Option.iter (fun c -> best_native := Float.min !best_native (launch c)) native
+      done;
+      let c = class_of k in
+      let n, st, tc, tn = Hashtbl.find sums c in
+      Hashtbl.replace sums c (n + 1, st + stmts, tc +. !best_closure, tn +. !best_native))
+    kernels;
+  List.map
+    (fun c ->
+      let n, stmts, closure_s, native_s = Hashtbl.find sums c in
+      let per_stmt s = Json.Num (s *. 1e9 /. float_of_int (max 1 stmts)) in
+      Json.Obj
+        ([
+           ("class", Json.Str c);
+           ("kernels", R.int n);
+           ("statements", R.int stmts);
+           ("closure_s", Json.Num closure_s);
+           ("closure_ns_per_stmt", per_stmt closure_s);
+         ]
+        @
+        if native_ok then
+          [ ("native_s", Json.Num native_s); ("native_ns_per_stmt", per_stmt native_s) ]
+        else [ ("native_s", Json.Null) ]))
+    classes
+  |> fun rows -> (launches, rows)
+
 let interp_run ~quick =
   let module Metrics = Hidet_obs.Metrics in
   let module T = Hidet_tensor.Tensor in
@@ -112,12 +194,15 @@ let interp_run ~quick =
           @ [ ("speedup", Json.Num speedup) ]))
       [ matmul; fused_conv ]
   in
+  let launches, classes = kernel_classes ~quick ~native_ok in
   Json.Obj
     [
       ("experiment", Json.Str "interp");
       ("quick", Json.Bool quick);
       ("native_available", Json.Bool native_ok);
       ("workloads", Json.Arr rows);
+      ("tiny_kernel_launches", R.int launches);
+      ("tiny_kernel_classes", Json.Arr classes);
     ]
 
 (* The compiled backend exists to be faster than the tree walker, and the

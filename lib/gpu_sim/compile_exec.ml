@@ -69,6 +69,8 @@ type cstate = {
   slot_depth : (int, int) Hashtbl.t;
       (** int slot -> depth of the scope that sets it *)
   mutable next_hoist : int;
+  mutable nesting : bool;  (** [For] tries [nest]: off inside an [unroll] [For] *)
+  mutable nests : int;
   mutable fma_nests : int;
 }
 
@@ -170,7 +172,7 @@ let[@inline] frd o rt =
 
 (* A compiled expression at its statically inferred type. [C_dyn] is the
    boxed escape hatch for expressions whose type depends on runtime control
-   flow (e.g. a [Select] mixing bool and numeric branches); it dispatches
+   flow (a [Select] whose branches differ in type); it dispatches
    exactly like [Expr.eval], so parity with the reference interpreter holds
    even there. *)
 type cexpr =
@@ -510,10 +512,11 @@ let rec comp st (venv : vslot Int_map.t) (e : Expr.t) : cexpr =
     | C_int oa, C_int ob ->
       C_int (F (fun rt -> if cc rt then rd oa rt else rd ob rt))
     | C_bool fa, C_bool fb -> C_bool (fun rt -> if cc rt then fa rt else fb rt)
-    | (C_float _ | C_int _), (C_float _ | C_int _) ->
-      let oa = as_float xa and ob = as_float xb in
+    | C_float oa, C_float ob ->
       C_float (Ff (fun rt -> if cc rt then frd oa rt else frd ob rt))
     | _ ->
+      (* Branches of two types: the taken one's type, as [Expr.eval]
+         decides it. *)
       let fa = as_value xa and fb = as_value xb in
       C_dyn (fun rt -> if cc rt then fa rt else fb rt))
   | Unop (op, a) -> comp_unop st venv op a
@@ -890,107 +893,132 @@ let with_init init body =
       init rt;
       body rt
 
-(* A larger nest keeps the general path: this bounds the table a nest
-   holds. *)
-let max_nest_stores = 4096
+(* ------------------------------------------------------------------ *)
+(* Register-tile nests                                                *)
+(* ------------------------------------------------------------------ *)
 
-(* An index over the nest's loop variables, bound in [env], as a constant:
-   the hoisting set's operators, with [Expr.eval]'s own arithmetic. *)
-let rec const_index env (e : Expr.t) =
-  match e with
-  | Expr.Int n -> Some n
-  | Var v -> List.assoc_opt v.Var.id env
-  | Binop (((Add | Sub | Mul | Min | Max | Div | Mod) as op), a, b) -> (
-    match (const_index env a, const_index env b) with
-    | Some _, Some 0 when op = Div || op = Mod -> None
-    | Some x, Some y -> (
-      match Expr.eval_int_binop op x y with V_int n -> Some n | _ -> None)
-    | _ -> None)
-  | Unop (Neg, a) -> Option.map (fun x -> -x) (const_index env a)
-  | Unop (Abs, a) -> Option.map Stdlib.abs (const_index env a)
-  | _ -> None
+(* A role's flat base: [k] plus each slot times its stride. *)
+type nest_base = { k : int; slots : int array; strides : int array }
 
-(* The register FMA nest: [unroll] loops of constant extent at most
-   [Unroll.default_threshold] around stores [c = x + y * z], all over the
-   same four buffers, whose indices are in-bounds constants once the loop
-   variables are replaced by their values, as [Matmul_template] emits
-   [RegsC\[r\]\[c\] += RegsAF\[r\] * RegsBF\[c\]]. The nest is one
-   closure: it counts the statements the nested closures would (1 per
-   [For] execution, 1 per store), then runs the stores from precomputed
-   offsets, reading [z], [y], then [x] like the single FMA store. Every
-   address is checked here, so nothing in it can raise; any other nest
-   keeps the general path. *)
-let fma_nest st (s : Stmt.t) : (rt -> unit) option =
-  let unrolled n = n >= 0 && n <= Unroll.default_threshold in
-  let slots = ref None and offs = ref [] and stores = ref 0 in
-  let operand env (b : Buffer.t) idx =
-    let rec go dims idx off =
-      match (dims, idx) with
-      | [], [] -> off
-      | d :: dims, i :: idx -> (
-        match const_index env i with
-        | Some v when v >= 0 && v < d -> go dims idx ((off * d) + v)
-        | _ -> raise Exit)
-      | _ -> raise Exit
+let[@inline] nest_base ints b =
+  let o = ref b.k in
+  for j = 0 to Array.length b.slots - 1 do
+    o :=
+      !o
+      + (Array.unsafe_get ints (Array.unsafe_get b.slots j)
+        * Array.unsafe_get b.strides j)
+  done;
+  !o
+
+(* A register-tile nest ({!Launch.nest}) as one closure. The invariant
+   parts compile to hoisted slots, set before the nest runs, and each role's
+   base sums them. In range, the nest adds its statement count and runs
+   the stores over the elements' offsets, reading [z], [y], then [x] for an
+   FMA: nothing there can raise. Out of range, it runs [general], the nest
+   compiled the ordinary way, which raises the reference's error at the
+   reference's statement. *)
+let nest st venv (s : Stmt.t) (general : unit -> rt -> unit) : (rt -> unit) option =
+  match Launch.nest s with
+  | None -> None
+  | Some { roles = [||]; statements; _ } ->
+    Some (fun rt -> rt.stmts <- rt.stmts + statements)
+  | Some n -> (
+    (* Each role's buffer slot and base, and the entry checks (slot,
+       lowest value, highest value + 1). *)
+    let checks = ref [] in
+    let role (r : Launch.nest_role) =
+      let terms =
+        List.map
+          (fun (d : Launch.nest_dim) ->
+            match as_int (comp st venv d.inv) with
+            | S sl ->
+              checks := (sl, d.lo, d.hi) :: !checks;
+              (sl, d.stride)
+            | K _ | F _ -> raise Exit)
+          r.dims
+      in
+      match Hashtbl.find_opt st.buf_slot r.buf.Buffer.id with
+      | None -> raise Exit
+      | Some slot ->
+        ( slot,
+          {
+            k = r.base;
+            slots = Array.of_list (List.map fst terms);
+            strides = Array.of_list (List.map snd terms);
+          } )
     in
-    match Hashtbl.find_opt st.buf_slot b.Buffer.id with
-    | Some slot -> (slot, go b.Buffer.dims idx 0)
-    | None -> raise Exit
-  in
-  (* Statements executed; the stores' offsets go to [offs], last first. *)
-  let rec walk env (s : Stmt.t) =
-    match s with
-    | Stmt.For { var; extent = Int n; unroll = true; body } when unrolled n ->
-      let c = ref 1 in
-      for i = 0 to n - 1 do
-        c := !c + walk ((var.Var.id, i) :: env) body
-      done;
-      !c
-    | Seq ss -> List.fold_left (fun c s -> c + walk env s) 0 ss
-    | Store
-        {
-          buf;
-          indices;
-          value = Binop (Add, Load (bx, ix), Binop (Mul, Load (by, iy), Load (bz, iz)));
-        } ->
-      incr stores;
-      if !stores > max_nest_stores then raise Exit;
-      let cb, co = operand env buf indices in
-      let xb, xo = operand env bx ix in
-      let yb, yo = operand env by iy in
-      let zb, zo = operand env bz iz in
-      (match !slots with
-      | None -> slots := Some (cb, xb, yb, zb)
-      | Some s -> if s <> (cb, xb, yb, zb) then raise Exit);
-      offs := [| co; xo; yo; zo |] :: !offs;
-      1
-    | _ -> raise Exit
-  in
-  match s with
-  | Stmt.For { extent = Int n; unroll = true; _ } when unrolled n -> (
-    match walk [] s with
+    match Array.map role n.roles with
     | exception Exit -> None
-    | count -> (
-      st.fma_nests <- st.fma_nests + 1;
-      let offs = Array.concat (List.rev !offs) in
-      match !slots with
-      | None -> Some (fun rt -> rt.stmts <- rt.stmts + count)
-      | Some (cb, xb, yb, zb) ->
-        let n = Array.length offs / 4 in
-        Some
-          (fun rt ->
-            rt.stmts <- rt.stmts + count;
-            let bufs = rt.bufs in
-            let c = Array.unsafe_get bufs cb and x = Array.unsafe_get bufs xb in
-            let y = Array.unsafe_get bufs yb and z = Array.unsafe_get bufs zb in
-            for j = 0 to n - 1 do
-              let p = 4 * j in
-              let vz = Array.unsafe_get z (Array.unsafe_get offs (p + 3)) in
-              let vy = Array.unsafe_get y (Array.unsafe_get offs (p + 2)) in
-              let vx = Array.unsafe_get x (Array.unsafe_get offs (p + 1)) in
-              Array.unsafe_set c (Array.unsafe_get offs p) (vx +. (vy *. vz))
-            done)))
-  | _ -> None
+    | roles ->
+      st.nests <- st.nests + 1;
+      if n.kind = Launch.Fma then st.fma_nests <- st.fma_nests + 1;
+      let count = n.statements and d = n.deltas in
+      let ck = Array.of_list !checks in
+      let ck_slot = Array.map (fun (s, _, _) -> s) ck
+      and ck_lo = Array.map (fun (_, lo, _) -> lo) ck
+      and ck_hi = Array.map (fun (_, _, hi) -> hi) ck in
+      let nck = Array.length ck in
+      let general = if nck = 0 then noop else general () in
+      let rec in_range ints j =
+        j = nck
+        ||
+        let v = Array.unsafe_get ints (Array.unsafe_get ck_slot j) in
+        v >= Array.unsafe_get ck_lo j
+        && v < Array.unsafe_get ck_hi j
+        && in_range ints (j + 1)
+      in
+      let len = Array.length n.fills in
+      Some
+        (match (n.kind, roles) with
+        | Fma, [| (cb, rc); (xb, rx); (yb, ry); (zb, rz) |] ->
+          fun rt ->
+            let ints = rt.ints in
+            if in_range ints 0 then begin
+              rt.stmts <- rt.stmts + count;
+              let bufs = rt.bufs in
+              let c = Array.unsafe_get bufs cb and x = Array.unsafe_get bufs xb in
+              let y = Array.unsafe_get bufs yb and z = Array.unsafe_get bufs zb in
+              let oc = nest_base ints rc and ox = nest_base ints rx in
+              let oy = nest_base ints ry and oz = nest_base ints rz in
+              for j = 0 to len - 1 do
+                let p = 4 * j in
+                let vz = Array.unsafe_get z (oz + Array.unsafe_get d (p + 3)) in
+                let vy = Array.unsafe_get y (oy + Array.unsafe_get d (p + 2)) in
+                let vx = Array.unsafe_get x (ox + Array.unsafe_get d (p + 1)) in
+                Array.unsafe_set c (oc + Array.unsafe_get d p) (vx +. (vy *. vz))
+              done
+            end
+            else general rt
+        | Copy, [| (db, rd); (sb, rs) |] ->
+          fun rt ->
+            let ints = rt.ints in
+            if in_range ints 0 then begin
+              rt.stmts <- rt.stmts + count;
+              let dst = Array.unsafe_get rt.bufs db
+              and src = Array.unsafe_get rt.bufs sb in
+              let od = nest_base ints rd and os = nest_base ints rs in
+              for j = 0 to len - 1 do
+                let p = 2 * j in
+                Array.unsafe_set dst
+                  (od + Array.unsafe_get d p)
+                  (Array.unsafe_get src (os + Array.unsafe_get d (p + 1)))
+              done
+            end
+            else general rt
+        | Fill, [| (db, rd) |] ->
+          let fills = n.fills in
+          fun rt ->
+            let ints = rt.ints in
+            if in_range ints 0 then begin
+              rt.stmts <- rt.stmts + count;
+              let dst = Array.unsafe_get rt.bufs db in
+              let od = nest_base ints rd in
+              for j = 0 to len - 1 do
+                Array.unsafe_set dst (od + Array.unsafe_get d j) (Array.unsafe_get fills j)
+              done
+            end
+            else general rt
+        | _ -> assert false (* [Launch.nest]'s role counts *)))
 
 (* Run closures in order. *)
 let seq_closures = function
@@ -1016,36 +1044,19 @@ let seq_closures = function
 let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   match s with
   | Stmt.Seq ss -> seq_closures (List.map (comp_stmt st venv) ss)
-  | For { var; extent; body; _ } -> (
-    match fma_nest st s with
+  | For { var; extent; body; unroll } -> (
+    (* An [unroll] nest runs whole or not at all: its general path holds
+       no nest of its own. *)
+    let general () =
+      let nesting = st.nesting in
+      if unroll then st.nesting <- false;
+      let g = comp_for st venv var extent body in
+      st.nesting <- nesting;
+      g
+    in
+    match if st.nesting then nest st venv s general else None with
     | Some nest -> nest
-    | None -> (
-      let cext = as_int (comp st venv extent) in
-      let s0 = push_int st in
-      enter_scope st s0;
-      let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
-      let init = leave_scope st in
-      st.next_int <- st.next_int - 1;
-      match init with
-      | None ->
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let n = rd cext rt in
-          let ints = rt.ints in
-          for i = 0 to n - 1 do
-            ints.(s0) <- i;
-            cbody rt
-          done
-      | Some init ->
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let n = rd cext rt in
-          let ints = rt.ints in
-          for i = 0 to n - 1 do
-            ints.(s0) <- i;
-            init rt;
-            cbody rt
-          done))
+    | None -> general ())
   | If { cond; then_; else_ } ->
     let cc = as_bool (comp st venv cond) in
     let ct = comp_stmt st venv then_ in
@@ -1105,6 +1116,34 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
       rt.stmts <- rt.stmts + 1;
       Effect.perform Interp.Sync
   | Comment _ -> fun rt -> rt.stmts <- rt.stmts + 1
+
+and comp_for st venv var extent body =
+  let cext = as_int (comp st venv extent) in
+  let s0 = push_int st in
+  enter_scope st s0;
+  let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
+  let init = leave_scope st in
+  st.next_int <- st.next_int - 1;
+  match init with
+  | None ->
+    fun rt ->
+      rt.stmts <- rt.stmts + 1;
+      let n = rd cext rt in
+      let ints = rt.ints in
+      for i = 0 to n - 1 do
+        ints.(s0) <- i;
+        cbody rt
+      done
+  | Some init ->
+    fun rt ->
+      rt.stmts <- rt.stmts + 1;
+      let n = rd cext rt in
+      let ints = rt.ints in
+      for i = 0 to n - 1 do
+        ints.(s0) <- i;
+        init rt;
+        cbody rt
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Phased kernels                                                     *)
@@ -1302,6 +1341,7 @@ let rec phased st uniform next_uv venv uenv acts p (s : Stmt.t) =
 (* ------------------------------------------------------------------ *)
 
 let m_compile_us = Metrics.counter "sim.compile_us"
+let m_nests = Metrics.counter "sim.compile.nests"
 let m_fma_nests = Metrics.counter "sim.compile.fma_nests"
 let m_hoisted = Metrics.counter "sim.compile.hoisted"
 
@@ -1343,6 +1383,8 @@ let compile (k : Kernel.t) : Launch.t =
             depth = 0;
             slot_depth;
             next_hoist = hoist_base;
+            nesting = true;
+            nests = 0;
             fma_nests = 0;
           }
         in
@@ -1360,6 +1402,7 @@ let compile (k : Kernel.t) : Launch.t =
             Option.iter (fun f -> init := f) (leave_scope st);
             Either.Right (run_acts !acts, !next_uv)
         in
+        Metrics.add m_nests st.nests;
         Metrics.add m_fma_nests st.fma_nests;
         Metrics.add m_hoisted (st.next_hoist - hoist_base);
         let n_ints = st.next_hoist

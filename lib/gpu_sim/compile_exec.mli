@@ -49,18 +49,25 @@
     bools and divisions by anything but a non-zero constant are never
     hoisted, so no error moves.
 
-    {b The register FMA nest.} A nest of [unroll] loops of constant extent
-    at most [Unroll.default_threshold] whose leaves are all stores
-    [c\[..\] = x\[..\] + y\[..\] * z\[..\]] over the same four buffers, with
-    in-bounds constant indices once the loop variables take their values,
-    runs as one closure (at most 4096 stores). That is
-    [Matmul_template]'s [RegsC\[r\]\[c\] += RegsAF\[r\] * RegsBF\[c\]]. The
-    closure adds the nest's statement count in one step, then runs the
-    stores from precomputed offsets. Every address was checked at compile
-    time, so nothing in it can raise; any other nest (a slot index, an
-    out-of-bounds constant) keeps the general path and its errors.
-    [compile] counts the nests in [sim.compile.fma_nests] and the hoisted
-    subexpressions in [sim.compile.hoisted].
+    {b Register-tile nests.} Task mappings lower a tile's [repeat]
+    dimensions to [unroll] loops over register fragments. A nest that
+    {!Launch.nest} accepts (constant extents at most
+    [Unroll.default_threshold], stores all of one form: an FMA
+    [c = x + y * z], a copy [d = s] or a constant fill [d = f], each role
+    over one buffer, each index an invariant part plus a per-element
+    constant) runs as one closure: [Matmul_template]'s accumulator fill,
+    fragment loads, shared-memory staging and FMA. The invariant parts
+    compile through the hoisting memo to frame slots set before the nest
+    runs. At entry the nest checks each dimension's range
+    [\[inv + min c, inv + max c\]]; in range, it adds its statement count
+    in one step and runs the stores over precomputed offsets from the
+    roles' bases, where nothing can raise. Out of range, it runs the nest
+    compiled the ordinary way beside it, which raises the reference's error
+    at the reference's statement with the earlier stores done. An [unroll]
+    loop that is not such a nest holds no nest of its own. [compile]
+    counts the nests in [sim.compile.nests], those of FMA form also in
+    [sim.compile.fma_nests], and the hoisted subexpressions in
+    [sim.compile.hoisted].
 
     {b Unboxed floats.} Without flambda, every closure returning a [float]
     boxes it, which is a minor-heap allocation per call. Float arithmetic
@@ -100,5 +107,6 @@ val compile : Hidet_ir.Kernel.t -> Launch.t
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
     kernel to a launch handle. Records compile wall time in the
     [sim.compile_us] metric and a [sim.compile] trace span, and bumps
-    [sim.compile.fma_nests] and [sim.compile.hoisted]. [Launch.run
-    compile] is a drop-in replacement for [Interp.run]. *)
+    [sim.compile.nests], [sim.compile.fma_nests] and
+    [sim.compile.hoisted]. [Launch.run compile] is a drop-in replacement
+    for [Interp.run]. *)

@@ -7,14 +7,17 @@ module Int_map = Map.Make (Int)
 (* Codegen                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The printer is a one-for-one transliteration of [Compile_exec]'s closure
-   compiler: the same slot assignment ([Launch.slots]), the same static
-   type dispatch, the same evaluation order (OCaml applications evaluate
-   right to left in both the closures and the generated operators;
-   wherever the closure backend sequences explicitly with lets, the
-   generated code emits lets in the same order), and the same error
-   raisers — so results, statement counts and raised exceptions are
-   bit-identical across the three backends.
+(* The printer transliterates [Compile_exec]'s closure compiler: the same
+   slot assignment ([Launch.slots]), the same static type dispatch, the
+   same evaluation order (OCaml applications evaluate right to left in both
+   the closures and the generated operators; wherever the closure backend
+   sequences explicitly with lets, the generated code emits lets in the
+   same order), the same register-tile nests ([Launch.nest]) and the same
+   error raisers — so results, statement counts and raised exceptions are
+   bit-identical across the three backends. Where the closure backend
+   hoists invariant index arithmetic into frame slots, the generated code
+   computes it in place (a nest binds its invariant parts once), and
+   [ocamlopt] does the rest.
 
    What changes is the thread body: IR variables become OCaml lets and
    for-loop indices (no frames), buffers and their dimensions become
@@ -32,6 +35,7 @@ type gexpr =
 type gstate = {
   buf_slot : (int, int) Hashtbl.t;  (** Buffer.id -> bufs slot *)
   mutable tmp : int;  (** fresh-name counter *)
+  mutable nesting : bool;  (** [For] tries a nest: off inside an [unroll] [For] *)
 }
 
 (* Every generated name, IR loop and let variables included, comes from the
@@ -144,10 +148,8 @@ let rec comp st venv (e : Expr.t) : gexpr =
       G_int (Printf.sprintf "(if %s then %s else %s)" cc sa sb)
     | G_bool sa, G_bool sb ->
       G_bool (Printf.sprintf "(if %s then %s else %s)" cc sa sb)
-    | (G_float _ | G_int _), (G_float _ | G_int _) ->
-      G_float
-        (Printf.sprintf "(if %s then %s else %s)" cc (as_float xa)
-           (as_float xb))
+    | G_float sa, G_float sb ->
+      G_float (Printf.sprintf "(if %s then %s else %s)" cc sa sb)
     | _ ->
       G_dyn
         (Printf.sprintf "(if %s then %s else %s)" cc (as_value xa)
@@ -288,15 +290,28 @@ let rec emit_stmt st venv out ind (s : Stmt.t) : unit =
   let pad = String.make ind ' ' in
   match s with
   | Stmt.Seq ss -> List.iter (emit_stmt st venv out ind) ss
-  | For { var; extent; body; _ } ->
-    let ext = as_int (comp st venv extent) in
-    let n = fresh st "n" in
-    let v = fresh st "v" in
-    add out (Printf.sprintf "%sincr stmts;\n" pad);
-    add out (Printf.sprintf "%s(let %s = %s in\n" pad n ext);
-    add out (Printf.sprintf "%s for %s = 0 to %s - 1 do\n" pad v n);
-    emit_stmt st (Int_map.add var.Var.id (T_int, v) venv) out (ind + 2) body;
-    add out (Printf.sprintf "%s  ()\n%s done);\n" pad pad)
+  | For { var; extent; body; unroll } -> (
+    (* An [unroll] nest runs whole or not at all, as in [Compile_exec]. *)
+    let general () =
+      let nesting = st.nesting in
+      if unroll then st.nesting <- false;
+      let ext = as_int (comp st venv extent) in
+      let n = fresh st "n" in
+      let v = fresh st "v" in
+      add out (Printf.sprintf "%sincr stmts;\n" pad);
+      add out (Printf.sprintf "%s(let %s = %s in\n" pad n ext);
+      add out (Printf.sprintf "%s for %s = 0 to %s - 1 do\n" pad v n);
+      emit_stmt st (Int_map.add var.Var.id (T_int, v) venv) out (ind + 2) body;
+      add out (Printf.sprintf "%s  ()\n%s done);\n" pad pad);
+      st.nesting <- nesting
+    in
+    match if st.nesting then Launch.nest s else None with
+    | Some n
+      when Array.for_all
+             (fun (r : Launch.nest_role) -> Hashtbl.mem st.buf_slot r.buf.Buffer.id)
+             n.roles ->
+      emit_nest st venv out pad n general
+    | _ -> general ())
   | If { cond; then_; else_ } ->
     let cc = as_bool (comp st venv cond) in
     add out (Printf.sprintf "%sincr stmts;\n" pad);
@@ -327,6 +342,71 @@ let rec emit_stmt st venv out ind (s : Stmt.t) : unit =
   | Sync_threads ->
     add out (Printf.sprintf "%sincr stmts;\n%sR.sync ();\n" pad pad)
   | Comment _ -> add out (Printf.sprintf "%sincr stmts;\n" pad)
+
+(* A register-tile nest ({!Launch.nest}): its invariant parts bound once,
+   one range check, then the nest's statement count in one step and its
+   stores straight-line, unchecked; out of range, the nest's ordinary code,
+   which raises the reference's error at the reference's statement. *)
+and emit_nest st venv out pad (n : Launch.nest) general =
+  let slot (r : Launch.nest_role) = Hashtbl.find st.buf_slot r.buf.Buffer.id in
+  let checks = ref [] in
+  add out (Printf.sprintf "%s(" pad);
+  let bases =
+    Array.map
+      (fun (r : Launch.nest_role) ->
+        String.concat " + "
+          (int_lit r.base
+          :: List.map
+               (fun (d : Launch.nest_dim) ->
+                 let v = fresh st "inv" in
+                 add out
+                   (Printf.sprintf "let %s = %s in " v (as_int (comp st venv d.inv)));
+                 checks :=
+                   Printf.sprintf "%s >= %s && %s < %d" v (int_lit d.lo) v d.hi :: !checks;
+                 Printf.sprintf "%s * %d" v d.stride)
+               r.dims))
+      n.roles
+  in
+  let checked = !checks <> [] in
+  if checked then
+    add out
+      (Printf.sprintf "\n%s if %s then begin\n" pad
+         (String.concat " && " (List.rev !checks)))
+  else add out "\n";
+  add out (Printf.sprintf "%s  stmts := !stmts + %d;\n" pad n.statements);
+  let o =
+    Array.map
+      (fun b ->
+        let v = fresh st "o" in
+        add out (Printf.sprintf "%s  let %s = %s in\n" pad v b);
+        v)
+      bases
+  in
+  let roles = Array.length n.roles in
+  let at r j =
+    Printf.sprintf "%s (%s + %d)"
+      (buf_name (slot n.roles.(r)))
+      o.(r)
+      n.deltas.((j * roles) + r)
+  in
+  Array.iteri
+    (fun j f ->
+      add out
+        (Printf.sprintf "%s  Array.unsafe_set %s %s;\n" pad (at 0 j)
+           (match n.kind with
+           | Fma ->
+             Printf.sprintf
+               "(Array.unsafe_get %s +. (Array.unsafe_get %s *. Array.unsafe_get %s))"
+               (at 1 j) (at 2 j) (at 3 j)
+           | Copy -> Printf.sprintf "(Array.unsafe_get %s)" (at 1 j)
+           | Fill -> float_lit f)))
+    n.fills;
+  if checked then begin
+    add out (Printf.sprintf "%s  ()\n%s end else begin\n" pad pad);
+    general ();
+    add out (Printf.sprintf "%s  ()\n%s end);\n" pad pad)
+  end
+  else add out (Printf.sprintf "%s  ());\n" pad)
 
 (* Stores count the statement, evaluate indices left to right, then the
    value, then resolve/check, then write — [comp_store]'s exact order. *)
@@ -621,7 +701,7 @@ let rec emit_phased st uniform tp venv live out ind p (s : Stmt.t) =
    source means an equal slot layout. *)
 let codegen (k : Kernel.t) : string * Launch.slots =
   let slots = Launch.slots k in
-  let st = { buf_slot = slots.Launch.slot_of; tmp = 0 } in
+  let st = { buf_slot = slots.Launch.slot_of; tmp = 0; nesting = true } in
   let out = Stdlib.Buffer.create 4096 in
   add out
     (Printf.sprintf "(* generated by Hidet_gpu.Exec_ocaml for kernel %s *)\n"
@@ -860,9 +940,9 @@ let available () = Result.map (fun _ -> ()) (Lazy.force toolchain_once)
 (* Compilation with memoization                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Keyed on the source text itself: a hit means byte-equal source, which
-   no digest collision can fake. *)
-let memo : (string, Exec_registry.body) Hashtbl.t = Hashtbl.create 16
+(* Keyed on the MD5 of the source text, not the text: the memo lives as
+   long as the process, and a unit's source runs to tens of kilobytes. *)
+let memo : (Digest.t, Exec_registry.body) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
 let compile (k : Kernel.t) : Launch.t =
@@ -887,13 +967,14 @@ let compile (k : Kernel.t) : Launch.t =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock memo_lock)
       (fun () ->
-        match Hashtbl.find_opt memo src with
+        let key = Digest.string src in
+        match Hashtbl.find_opt memo key with
         | Some e ->
           Metrics.incr m_memo_hits;
           e
         | None ->
           let e = build tc src in
-          Hashtbl.replace memo src e;
+          Hashtbl.replace memo key e;
           e)
   in
   Launch.make k slots entry

@@ -20,17 +20,23 @@
     flushed thread by thread at each barrier; uniform loops, branches and
     [Let]s are block-level OCaml that the segments capture; a non-uniform
     [Let] whose body spans a barrier keeps its value in a per-thread array.
-    Other kernels with a barrier keep the thread entry and {!Exec_registry.sync}. Results, statement counts and raised errors
+    Other kernels with a barrier keep the thread entry and
+    {!Exec_registry.sync}. A register-tile nest that {!Launch.nest}
+    accepts becomes one range check on its invariant parts, bound once,
+    guarding its stores straight-line with unchecked accesses and its
+    statement count added in one step; the ordinary code runs when the
+    check fails. Results, statement counts and raised errors
     are bit-identical to the closure backend's (property-tested in
     [test_exec_ocaml] and cross-checked by the fuzzer's [native] path).
 
-    Compiled units are memoized per process on the generated source text.
-    The source holds no process-global id: loop and let variables are named
-    in binding order, buffers by slot number. Alpha-equivalent kernels (a
-    recompile after [Schedule_cache.clear], the same kernel in two plans)
-    therefore print to byte-equal source, and a distinct kernel pays
-    ocamlopt + dynlink once per process. A hit means byte-equal source, so
-    it can never return another kernel's unit. [Compiled.run] keeps each
+    Compiled units are memoized per process on the MD5 of the generated
+    source text. The source holds no process-global id: loop and let
+    variables are named in binding order, buffers by slot number.
+    Alpha-equivalent kernels (a recompile after [Schedule_cache.clear], the
+    same kernel in two plans) therefore print to byte-equal source, and a
+    distinct kernel pays ocamlopt + dynlink once per process. The memo
+    keeps the digest, not the text, for as long as the process runs.
+    [Compiled.run] keeps each
     kernel's {!Launch.t}, so codegen and the memo lookup run once per
     kernel, not once per launch.
 
@@ -50,7 +56,7 @@ val source : Hidet_ir.Kernel.t -> string
     debugging and golden tests. Does not require the toolchain. *)
 
 val compile : Hidet_ir.Kernel.t -> Launch.t
-(** Verify, codegen, and compile+load (memoized on the source text; a hit
+(** Verify, codegen, and compile+load (memoized on the source's MD5; a hit
     bumps ["sim.native.memo_hits"], a build ["sim.native.units"]) into a
     launch handle whose entry is the loaded unit's. Raises [Failure] when
     {!available} is an [Error] or the toolchain misbehaves — callers

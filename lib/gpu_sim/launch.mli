@@ -5,7 +5,11 @@
     launch is a grid of [grid_dim] blocks of [block_dim] threads. Each block
     gets fresh zeroed shared buffers and one set of warp buffers per warp of
     [Kernel.warp_size] threads; each thread gets fresh zeroed registers.
-    Global buffers are the caller's arrays, mutated in place.
+    Global buffers are the caller's arrays, mutated in place. The storage
+    behind that model is allocated once per launch (once per worker domain
+    on the parallel path) and zero-filled where the model starts it fresh:
+    threads that run to completion one after another share one thread's
+    registers and one warp's arrays.
 
     A kernel without [Sync_threads] runs its threads to completion one
     after another. A {!phased} kernel, whose barriers all sit at
@@ -60,6 +64,58 @@ val phased : Hidet_ir.Kernel.t -> (Hidet_ir.Var.t -> bool) option
     [Let] hides an outer uniform binding of its variable from its body.
     Every template kernel is phased; [None] means the fiber fallback
     (or no barrier). *)
+
+(** {1 Register-tile nests}
+
+    Task mappings lower a tile's [repeat] dimensions to [unroll] loops over
+    register fragments. Both backends run such a nest as one unit; this
+    analysis, stated once, says which nests qualify and what they touch. *)
+
+type nest_kind =
+  | Fma  (** [c\[..\] = x\[..\] + y\[..\] * z\[..\]] *)
+  | Copy  (** [d\[..\] = s\[..\]] *)
+  | Fill  (** [d\[..\] = f], [f] an int or float constant *)
+
+type nest_dim = {
+  inv : Hidet_ir.Expr.t;  (** the invariant part of the index *)
+  lo : int;
+  hi : int;  (** every element is in bounds when [lo <= inv < hi] *)
+  stride : int;  (** of this dimension in the flat index *)
+}
+
+type nest_role = {
+  buf : Hidet_ir.Buffer.t;
+  base : int;  (** the flat offset of the constant invariant parts *)
+  dims : nest_dim list;  (** the dimensions with a non-constant one *)
+}
+
+type nest = {
+  kind : nest_kind;
+  statements : int;  (** 1 per [For] execution, 1 per store *)
+  roles : nest_role array;
+      (** in role order, the stored buffer first ([c], [x], [y], [z] or
+          [d], [s] or [d]); empty when the nest has no store *)
+  deltas : int array;
+      (** per store in execution order, per role: the flat offset of its
+          element constants *)
+  fills : float array;  (** per store: a fill's value (0 otherwise) *)
+}
+
+val nest : Hidet_ir.Stmt.t -> nest option
+(** [Some] for a nest of [unroll] [For]s of constant extent at most
+    [Unroll.default_threshold] (and at most 4096 stores) whose stores all
+    have one {!nest_kind}, each role over one buffer, and whose indices
+    are affine in the nest's variables: an invariant part built from
+    [threadIdx], [blockIdx], outer variables, constants and the hoisting
+    set's operators ([Add], [Sub], [Mul], [Min], [Max], [Neg], [Abs],
+    [Div]/[Mod] by a non-zero constant), the same for every store of a
+    role and dimension, plus a per-element constant. Only [Add], [Sub],
+    [Neg] and [Mul] by a constant may combine the two parts, so the sum is
+    the index's own value in OCaml's int arithmetic. A store of element
+    [j] to role [r] is at [base + sum (inv * stride) + deltas.(j * R + r)]
+    ([R] roles). An invariant part that is a constant is checked here: out
+    of bounds, or a range no value fits, gives [None], as does any other
+    statement. *)
 
 type barriers = No_barrier | Phased | Fibers
 

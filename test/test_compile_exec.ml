@@ -23,6 +23,10 @@ type spec = {
   block_invariant : bool;
       (** index the output by [threadIdx] only: blocks collide, so the
           parallel-grid gate must force sequential execution *)
+  nest : int;
+      (** 0 = none, else an unrolled register nest (fill, copy, FMA) with
+          [threadIdx]-affine indices: 1 in range, 2 reading past the input
+          in later blocks, 3 writing past the register on odd threads *)
   value_seed : int;
   input_seed : int;
 }
@@ -36,6 +40,7 @@ let spec_gen =
   let* reduce = oneofl [ 0; 0; 2; 3; 4 ] in
   let* pred_tail = bool in
   let* block_invariant = frequency [ (3, return false); (1, return true) ] in
+  let* nest = frequency [ (2, return 0); (3, return 1); (1, return 2); (1, return 3) ] in
   let* value_seed = 0 -- 1_000_000 in
   let+ input_seed = 0 -- 1_000_000 in
   {
@@ -46,6 +51,7 @@ let spec_gen =
     reduce;
     pred_tail;
     block_invariant;
+    nest;
     value_seed;
     input_seed;
   }
@@ -53,9 +59,9 @@ let spec_gen =
 let spec_print s =
   Printf.sprintf
     "{grid=%d; block=%d; staged=%b; rounds=%b; reduce=%d; pred_tail=%b; \
-     block_invariant=%b; value_seed=%d; input_seed=%d}"
-    s.grid s.block s.staged s.rounds s.reduce s.pred_tail s.block_invariant s.value_seed
-    s.input_seed
+     block_invariant=%b; nest=%d; value_seed=%d; input_seed=%d}"
+    s.grid s.block s.staged s.rounds s.reduce s.pred_tail s.block_invariant s.nest
+    s.value_seed s.input_seed
 
 (* A random float-valued expression over in-bounds loads, the thread index,
    and constants; depth-bounded. Mixes int and float subterms to exercise
@@ -127,6 +133,45 @@ let build_kernel (s : spec) =
   in
   let rng = Random.State.make [| s.value_seed |] in
   let value = gen_value rng ~a ~b ~smem ~n ~gid in
+  (* The register nest: a fill, a copy from [A] and an FMA over [frag]
+     and [A], read back into the value. Raw constructors keep every index
+     as written. *)
+  let extent = 3 in
+  let frag =
+    if s.nest > 0 then Some (Buffer.create ~scope:Buffer.Register "frag" [ extent ])
+    else None
+  in
+  let nest, value =
+    match frag with
+    | None -> ([], value)
+    | Some f ->
+      let j = Var.fresh "j" in
+      let vj = Expr.var j in
+      let half = Expr.Binop (Div, Thread_idx, Int 2) in
+      let src =
+        if s.nest = 2 then Expr.Binop (Add, gid, Binop (Mul, vj, Int s.block))
+        else Expr.Binop (Add, half, vj)
+      in
+      let dst =
+        if s.nest = 3 then Expr.Binop (Add, Binop (Mod, Thread_idx, Int 2), vj) else vj
+      in
+      let loop body = Stmt.for_ ~unroll:true j (Expr.int extent) body in
+      ( [
+          loop (Stmt.store f [ vj ] (Expr.Float 0.5));
+          loop (Stmt.store f [ dst ] (Expr.load a [ src ]));
+          loop
+            (Stmt.store f [ vj ]
+               (Expr.Binop
+                  ( Add,
+                    Load (f, [ vj ]),
+                    Binop
+                      ( Mul,
+                        Load (f, [ Binop (Sub, Int (extent - 1), vj) ]),
+                        Load (a, [ Binop (Add, half, vj) ]) ) )));
+        ],
+        Expr.add value
+          (Expr.add (Expr.load f [ Expr.int 0 ]) (Expr.load f [ Expr.int (extent - 1) ])) )
+  in
   let out_idx = if s.block_invariant then Expr.Thread_idx else gid in
   let round = Var.fresh "round" in
   let stage =
@@ -163,9 +208,9 @@ let build_kernel (s : spec) =
   let k =
     Kernel.create
       ?shared:(Option.map (fun sm -> [ sm ]) smem)
-      ?regs:(Option.map (fun r -> [ r ]) reg)
+      ~regs:(Option.to_list reg @ Option.to_list frag)
       ~name:"gen" ~params:[ a; b; c ] ~grid_dim:s.grid ~block_dim:s.block
-      (let body = Stmt.seq (stage @ compute) in
+      (let body = Stmt.seq (stage @ nest @ compute) in
        if not s.rounds then body
        else
          let n = Var.fresh "n" in
@@ -790,17 +835,34 @@ let fma_fallback_kernel ~mixed () =
   in
   (k, random_params k, [ c ])
 
-(* How many FMA nests compiling [k] found. *)
+(* How many nests, and how many FMA nests, compiling [k] found. *)
 let nests_of k =
-  let n0 = counter "sim.compile.fma_nests" in
+  let n0 = counter "sim.compile.nests" and f0 = counter "sim.compile.fma_nests" in
   ignore (CE.compile k);
-  counter "sim.compile.fma_nests" - n0
+  (counter "sim.compile.nests" - n0, counter "sim.compile.fma_nests" - f0)
 
-let nest_case name mk ~nests =
+(* The statements a thread of a kernel without branches executes,
+   counted on the IR: both compiled backends take their nests' counts from
+   one analysis, so this is the count neither of them computes. *)
+let rec static_count (s : Stmt.t) =
+  match s with
+  | Stmt.Seq ss -> List.fold_left (fun n s -> n + static_count s) 0 ss
+  | For { extent = Int n; body; _ } -> 1 + (n * static_count body)
+  | Let { body; _ } -> 1 + static_count body
+  | Store _ | Comment _ | Sync_threads -> 1
+  | For _ | If _ | Mma _ -> invalid_arg "static_count"
+
+let nest_case name mk ~nests ~fma =
   Alcotest.test_case name `Quick (fun () ->
       let k, b, o = mk () in
-      Alcotest.(check int) "FMA nests" nests (nests_of k);
-      check_form_parity k b o)
+      let n, f = nests_of k in
+      Alcotest.(check int) "FMA nests" fma f;
+      Alcotest.(check int) "nests" nests n;
+      check_form_parity k b o;
+      let _, counted = run_counted (Launch.run ~workers:1 CE.compile) k b o in
+      Alcotest.(check int) "statements counted on the IR"
+        (static_count k.Kernel.body * Kernel.num_threads k)
+        counted)
 
 (* A 64-thread block writing [cols] values per thread into [C : 64 x cols];
    [body ~out] builds the statements from [out col value]. *)
@@ -899,6 +961,162 @@ let lane_chain () =
                          Binop (Div, Binop (Mod, vlane, Int 8), Int 2))));
               ])))
 
+(* A register nest around a 32-thread block: [A : 32 x 4] in, [C : 32 x 4]
+   out, registers [R : 4] and [M : 2 x 3]. *)
+let reg_nest_kernel ~name body =
+  let a = Buffer.create "A" [ 32; 4 ] and c = Buffer.create "C" [ 32; 4 ] in
+  let r = Buffer.create ~scope:Buffer.Register "R" [ 4 ] in
+  let m = Buffer.create ~scope:Buffer.Register "M" [ 2; 3 ] in
+  let k =
+    Kernel.create ~regs:[ r; m ] ~name ~params:[ a; c ] ~grid_dim:2 ~block_dim:32
+      (body ~a ~c ~r ~m)
+  in
+  (k, random_params k, [ c ])
+
+let unrolled v n body = Stmt.for_ ~unroll:true v (Expr.int n) body
+
+(* Copies whose indices have slot-invariant parts: [A]'s row is [threadIdx],
+   its column the loop variable plus a let-bound [threadIdx / 16]; [C]'s
+   row goes through a hoisted [threadIdx * 1], and [R] is read reversed. *)
+let copy_nest_kernel () =
+  reg_nest_kernel ~name:"copy_nest" (fun ~a ~c ~r ~m:_ ->
+      let i = Var.fresh "i" and h = Var.fresh "h" in
+      let vi = Expr.var i in
+      Stmt.let_ h (Expr.Binop (Div, tid, Int 16))
+        (Stmt.seq
+           [
+             unrolled i 3
+               (Stmt.store r [ vi ]
+                  (Expr.load a [ tid; Expr.Binop (Add, vi, Expr.var h) ]));
+             unrolled i 3
+               (Stmt.store c
+                  [ Expr.Binop (Mul, tid, Int 1); Expr.Binop (Add, Int 1, vi) ]
+                  (Expr.load r [ Expr.Binop (Sub, Int 2, vi) ]));
+           ]))
+
+(* Constant fills, float and int, of a rank-2 and a rank-1 register, read
+   back into [C]. *)
+let fill_nest_kernel () =
+  reg_nest_kernel ~name:"fill_nest" (fun ~a:_ ~c ~r ~m ->
+      let i = Var.fresh "i" and j = Var.fresh "j" in
+      let vi = Expr.var i and vj = Expr.var j in
+      Stmt.seq
+        [
+          unrolled i 2 (unrolled j 3 (Stmt.store m [ vi; vj ] (Expr.Float 1.5)));
+          unrolled i 4 (Stmt.store r [ vi ] (Expr.Int (-2)));
+          Stmt.store c [ tid; Expr.int 0 ] (Expr.load m [ Expr.int 1; Expr.int 2 ]);
+          Stmt.store c [ tid; Expr.int 3 ] (Expr.load r [ Expr.int 3 ]);
+        ])
+
+(* [A\[(j + threadIdx) % 4\]]: the loop variable under a modulo with
+   [threadIdx] is not affine, so the nest stays general. *)
+let rotated_nest_kernel () =
+  reg_nest_kernel ~name:"rotated_nest" (fun ~a ~c ~r ~m:_ ->
+      let j = Var.fresh "j" in
+      let vj = Expr.var j in
+      Stmt.seq
+        [
+          unrolled j 4
+            (Stmt.store r [ vj ]
+               (Expr.load a [ tid; Expr.Binop (Mod, Binop (Add, vj, tid), Int 4) ]));
+          Stmt.store c [ tid; Expr.int 2 ] (Expr.load r [ Expr.int 1 ]);
+        ])
+
+(* A copy nest into [G : g] at [threadIdx + 12 j], [j < 3]: with [g = 40]
+   threads 0-15 are in range and thread 16's third store is the first out
+   of bounds, after its first two; with [g = 56] every thread is in range. *)
+let oob_nest_kernel ~g () =
+  let a = Buffer.create "A" [ 64 ] and out = Buffer.create "G" [ g ] in
+  let j = Var.fresh "j" in
+  let vj = Expr.var j in
+  let k =
+    Kernel.create ~name:"oob_nest" ~params:[ a; out ] ~grid_dim:1 ~block_dim:32
+      (unrolled j 3
+         (Stmt.store out
+            [ Expr.Binop (Add, tid, Binop (Mul, vj, Int 12)) ]
+            (Expr.load a [ Expr.Binop (Add, vj, tid) ])))
+  in
+  (k, random_params k)
+
+let test_oob_nest () =
+  let k, bindings_of = oob_nest_kernel ~g:40 () in
+  Alcotest.(check (pair int int)) "nests" (1, 0) (nests_of k);
+  ignore
+    (Phase_cases.check_against_interp ~phased:false (Launch.run ~workers:1 CE.compile)
+       (k, bindings_of));
+  if Lazy.force native_ok then
+    ignore
+      (Phase_cases.check_against_interp ~phased:false (Launch.run ~workers:1 EO.compile)
+         (k, bindings_of));
+  let k, bindings_of = oob_nest_kernel ~g:56 () in
+  check_form_parity k bindings_of k.Kernel.params;
+  let _, counted = run_counted (Launch.run ~workers:1 CE.compile) k bindings_of [] in
+  Alcotest.(check int) "statements counted on the IR"
+    (static_count k.Kernel.body * Kernel.num_threads k)
+    counted
+
+(* [C\[tid\] = Select(tid < 1, 3, 2.0) / 2] and the same with the branches'
+   types swapped: [Expr.eval] types a [Select] by the branch taken, so
+   thread 0 stores 1 in the first column and every thread from 1 on 1 in
+   the second, on every executor. *)
+let mixed_select_kernel () =
+  per_thread_kernel ~name:"mixed_select" ~cols:2 (fun ~out ->
+      let first = Expr.Binop (Lt, tid, Int 1) in
+      Stmt.seq
+        [
+          out (Expr.int 0)
+            (Expr.Binop (Div, Select (first, Int 3, Float 2.), Int 2));
+          out (Expr.int 1)
+            (Expr.Binop (Div, Select (first, Float 2., Int 3), Int 2));
+        ])
+
+(* An [unroll] nest whose subtree holds only loops and stores, none with a
+   [Select] or a branch: what a nest can take. *)
+let rec has_select (e : Expr.t) =
+  match e with
+  | Expr.Select _ -> true
+  | Load (_, idx) -> List.exists has_select idx
+  | Unop (_, a) -> has_select a
+  | Binop (_, a, b) -> has_select a || has_select b
+  | Int _ | Float _ | Bool _ | Var _ | Thread_idx | Block_idx -> false
+
+let rec nest_candidates (s : Stmt.t) =
+  let rec plain (s : Stmt.t) =
+    match s with
+    | Stmt.For { body; _ } -> plain body
+    | Seq ss -> List.for_all plain ss
+    | Store { value; indices; _ } ->
+      not (has_select value || List.exists has_select indices)
+    | _ -> false
+  in
+  match s with
+  | Stmt.For { unroll = true; _ } -> if plain s then 1 else 0
+  | For { body; _ } | Let { body; _ } -> nest_candidates body
+  | Seq ss -> List.fold_left (fun n s -> n + nest_candidates s) 0 ss
+  | If { then_; else_; _ } ->
+    nest_candidates then_ + Option.fold ~none:0 ~some:nest_candidates else_
+  | Store _ | Mma _ | Sync_threads | Comment _ -> 0
+
+(* Every matmul of the hidet engine's tiny-model plans takes every nest it
+   has: the accumulator fill, both fragment loads and the FMA, and with
+   double buffering both shared-memory staging copies. *)
+let test_tiny_matmul_nests () =
+  let matmuls =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"hidet/" name
+        && String.starts_with ~prefix:"matmul_" (Filename.basename name))
+      (Phase_cases.tiny_kernels ())
+  in
+  Alcotest.(check int) "tiny-model matmuls" 20 (List.length matmuls);
+  List.iter
+    (fun (name, (k : Kernel.t)) ->
+      let candidates = nest_candidates k.body in
+      Alcotest.(check bool) (name ^ ": four nests or more") true (candidates >= 4);
+      Alcotest.(check (pair int int))
+        (name ^ ": nests taken") (candidates, 1) (nests_of k))
+    matmuls
+
 (* The [Matmul_template] kernel exercises both forms. *)
 let test_template_counters () =
   let c =
@@ -907,7 +1125,7 @@ let test_template_counters () =
   in
   let k = List.hd c.Hidet_sched.Compiled.kernels in
   let h0 = counter "sim.compile.hoisted" in
-  Alcotest.(check bool) "FMA nests" true (nests_of k > 0);
+  Alcotest.(check bool) "FMA nests" true (snd (nests_of k) > 0);
   Alcotest.(check bool) "hoisted subexpressions" true
     (counter "sim.compile.hoisted" - h0 > 0)
 
@@ -1044,12 +1262,15 @@ let test_compile_once_run_many () =
    fresh per thread, warp buffers per warp of a block, shared buffers per
    block. Without a barrier each thread runs to completion in tid order,
    so thread [t] sees 2, 2 * (t mod 32 + 1) and 2 * (t + 1); with one
-   before the stores it sees 2, 2 * 32 and 2 * 64. Storage that leaks from
-   one thread, warp or block into the next shows as a larger value. *)
+   before the stores it sees 2, 2 * 32 and 2 * 64. The barrier is either
+   block-uniform (phased) or under a condition on a let-bound
+   [threadIdx / 64] that every thread passes (fibers). Storage that leaks
+   from one thread, warp or block into the next shows as a larger
+   value. *)
 let lifetime_grid = 3
 let lifetime_block = 64
 
-let lifetime_kernel ~sync =
+let lifetime_kernel ~(sync : [ `None | `Phased | `Fibers ]) =
   let n = lifetime_grid * lifetime_block in
   let r = Buffer.create ~scope:Buffer.Register "R" [ 1 ]
   and w = Buffer.create ~scope:Buffer.Warp "W" [ 1 ]
@@ -1065,7 +1286,16 @@ let lifetime_kernel ~sync =
   let body =
     Stmt.seq
       ([ Stmt.for_ i (Expr.int 2) (Stmt.seq [ bump r; bump w; bump s ]) ]
-      @ (if sync then [ Stmt.sync ] else [])
+      @ (match sync with
+        | `None -> []
+        | `Phased -> [ Stmt.sync ]
+        | `Fibers ->
+          let x = Var.fresh "x" in
+          [
+            Stmt.let_ x
+              (Expr.div Expr.Thread_idx (Expr.int lifetime_block))
+              (Stmt.if_ (Expr.eq (Expr.var x) (Expr.int 0)) Stmt.sync);
+          ])
       @ List.map2
           (fun o b -> Stmt.store o [ gid ] (Expr.load b [ Expr.int 0 ]))
           outs [ r; w; s ])
@@ -1079,8 +1309,9 @@ let lifetime_kernel ~sync =
 let lifetime_expected ~sync =
   let n = lifetime_grid * lifetime_block in
   let at f = Array.init n (fun g -> float_of_int (f (g mod lifetime_block))) in
-  if sync then [ at (fun _ -> 2); at (fun _ -> 2 * 32); at (fun _ -> 2 * 64) ]
-  else [ at (fun _ -> 2); at (fun t -> 2 * ((t mod 32) + 1)); at (fun t -> 2 * (t + 1)) ]
+  if sync = `None then
+    [ at (fun _ -> 2); at (fun t -> 2 * ((t mod 32) + 1)); at (fun t -> 2 * (t + 1)) ]
+  else [ at (fun _ -> 2); at (fun _ -> 2 * 32); at (fun _ -> 2 * 64) ]
 
 let test_storage_lifetimes ~sync () =
   let k, outs = lifetime_kernel ~sync in
@@ -1095,8 +1326,14 @@ let test_storage_lifetimes ~sync () =
           want got)
       bindings expected
   in
-  Alcotest.(check bool) "blocks may run on domains" true
-    (CE.compile k).Launch.parallel_ok;
+  let c = CE.compile k in
+  Alcotest.(check bool) "blocks may run on domains" true c.Launch.parallel_ok;
+  Alcotest.(check bool) "barriers run as intended" true
+    (c.Launch.barriers
+    = match sync with
+      | `None -> Launch.No_barrier
+      | `Phased -> Phased
+      | `Fibers -> Fibers);
   check "interp" Interp.run;
   check "closure, 1 worker" (Launch.run ~workers:1 CE.compile);
   check "closure, 4 workers" (Launch.run ~workers:4 CE.compile);
@@ -1141,15 +1378,25 @@ let () =
            check_same_outputs "slot and constant indices" k b o);
           (let k, b, o = int_binop_kernel () in
            check_same_outputs "int binop operand forms" k b o);
-          nest_case "FMA nest" (fma_kernel ~af_rows:2) ~nests:1;
+          nest_case "FMA nest" (fma_kernel ~af_rows:2) ~fma:1 ~nests:4;
           nest_case "FMA nest with a slot index falls back"
-            (fma_fallback_kernel ~mixed:false) ~nests:0;
+            (fma_fallback_kernel ~mixed:false) ~fma:0 ~nests:3;
           nest_case "FMA nest over two buffer sets falls back"
-            (fma_fallback_kernel ~mixed:true) ~nests:0;
+            (fma_fallback_kernel ~mixed:true) ~fma:0 ~nests:3;
           Alcotest.test_case "FMA nest out of bounds falls back" `Quick
             (fun () ->
               let k, _, _ = fma_kernel ~af_rows:1 () in
-              Alcotest.(check int) "FMA nests" 0 (nests_of k));
+              Alcotest.(check int) "FMA nests" 0 (snd (nests_of k)));
+          nest_case "copy nest with slot-invariant indices" copy_nest_kernel ~fma:0
+            ~nests:2;
+          nest_case "constant fill nests" fill_nest_kernel ~fma:0 ~nests:2;
+          nest_case "a (j + tid) % 4 index stays general" rotated_nest_kernel ~fma:0
+            ~nests:0;
+          Alcotest.test_case "nest out of bounds on its third element" `Quick
+            test_oob_nest;
+          Alcotest.test_case "every tiny-model matmul takes its nests" `Quick
+            test_tiny_matmul_nests;
+          form_case "int/float select typed by the branch taken" mixed_select_kernel;
           form_case "division by threadIdx in a branch not taken"
             div_by_tid_in_branch;
           form_case "constant divisors in a dead branch" const_div_in_dead_branch;
@@ -1191,9 +1438,11 @@ let () =
       ( "storage lifetimes",
         [
           Alcotest.test_case "without a barrier" `Quick
-            (test_storage_lifetimes ~sync:false);
+            (test_storage_lifetimes ~sync:`None);
           Alcotest.test_case "with a barrier" `Quick
-            (test_storage_lifetimes ~sync:true);
+            (test_storage_lifetimes ~sync:`Phased);
+          Alcotest.test_case "with a barrier on fibers" `Quick
+            (test_storage_lifetimes ~sync:`Fibers);
         ] );
       ( "phased barriers",
         [
