@@ -27,12 +27,14 @@ let shape_name (m, n, k) = sprintf "%dx%dx%d" m n k
    kernels, which have no barrier. Each kernel runs alone on random
    inputs, one worker; after a warm launch per backend and a compaction,
    closure and native launches alternate and each backend's time is its
-   fastest. *)
+   fastest. [lane_nests] counts the loop nests the closure backend runs
+   as lane nests. *)
 let kernel_classes ~quick ~native_ok =
   let module Metrics = Hidet_obs.Metrics in
   let module Launch = Hidet_gpu.Launch in
   let module Kernel = Hidet_ir.Kernel in
   let stmt_counter = Metrics.counter "sim.statements" in
+  let lane_counter = Metrics.counter "sim.compile.lane_nests" in
   let launches = if quick then 5 else 200 in
   let kernels =
     List.concat_map
@@ -49,9 +51,9 @@ let kernel_classes ~quick ~native_ok =
     else "rule"
   in
   let classes = [ "matmul"; "combine_tree"; "rule" ] in
-  (* class -> kernels, statements, closure and native seconds *)
+  (* class -> kernels, lane nests, statements, closure and native seconds *)
   let sums = Hashtbl.create 3 in
-  List.iter (fun c -> Hashtbl.replace sums c (0, 0, 0., 0.)) classes;
+  List.iter (fun c -> Hashtbl.replace sums c (0, 0, 0, 0., 0.)) classes;
   List.iteri
     (fun i (k : Kernel.t) ->
       let rng = Random.State.make [| i |] in
@@ -63,7 +65,9 @@ let kernel_classes ~quick ~native_ok =
                   Random.State.float rng 2. -. 1.) ))
           k.params
       in
+      let lanes0 = Metrics.value lane_counter in
       let closure = Hidet_gpu.Compile_exec.compile k in
+      let lanes = Metrics.value lane_counter - lanes0 in
       let native = if native_ok then Some (Hidet_gpu.Exec_ocaml.compile k) else None in
       let launch c =
         let t0 = Unix.gettimeofday () in
@@ -81,17 +85,19 @@ let kernel_classes ~quick ~native_ok =
         Option.iter (fun c -> best_native := Float.min !best_native (launch c)) native
       done;
       let c = class_of k in
-      let n, st, tc, tn = Hashtbl.find sums c in
-      Hashtbl.replace sums c (n + 1, st + stmts, tc +. !best_closure, tn +. !best_native))
+      let n, ln, st, tc, tn = Hashtbl.find sums c in
+      Hashtbl.replace sums c
+        (n + 1, ln + lanes, st + stmts, tc +. !best_closure, tn +. !best_native))
     kernels;
   List.map
     (fun c ->
-      let n, stmts, closure_s, native_s = Hashtbl.find sums c in
+      let n, lanes, stmts, closure_s, native_s = Hashtbl.find sums c in
       let per_stmt s = Json.Num (s *. 1e9 /. float_of_int (max 1 stmts)) in
       Json.Obj
         ([
            ("class", Json.Str c);
            ("kernels", R.int n);
+           ("lane_nests", R.int lanes);
            ("statements", R.int stmts);
            ("closure_s", Json.Num closure_s);
            ("closure_ns_per_stmt", per_stmt closure_s);

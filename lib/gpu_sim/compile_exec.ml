@@ -9,19 +9,22 @@ module Int_map = Map.Make (Int)
 
 (* Everything mutable lives here, one record per simulated thread, so the
    compiled closures themselves are immutable and safe to share across the
-   domains running different blocks. *)
+   domains running different blocks. A launch builds the frames once per
+   thread storage and reuses them for every thread and block it runs. *)
 type rt = {
   bufs : float array array;  (** buffer slot -> backing storage *)
   ints : int array;  (** int frame: the pinned slots below, then variables *)
   floats : float array;
   bools : bool array;
   vals : Expr.value array;  (** boxed fallback frame (rare) *)
+  li : int array;  (** lane-nest int and bool rows, shared by a block's frames *)
+  lf : float array;  (** lane-nest float rows, likewise *)
   mutable stmts : int;  (** statements executed by this thread *)
 }
 
-(* Pinned int-frame slots, written once when a thread's frame is built:
-   [threadIdx] and [blockIdx] are then ordinary slot operands, and the zero
-   slot pads an access with fewer than two slot-indexed dimensions. *)
+(* Pinned int-frame slots, written when a thread starts: [threadIdx] and
+   [blockIdx] are then ordinary slot operands, and the zero slot pads an
+   access with fewer than two slot-indexed dimensions. *)
 let tid_slot = 0
 let bid_slot = 1
 let zero_slot = 2
@@ -69,9 +72,16 @@ type cstate = {
   slot_depth : (int, int) Hashtbl.t;
       (** int slot -> depth of the scope that sets it *)
   mutable next_hoist : int;
-  mutable nesting : bool;  (** [For] tries [nest]: off inside an [unroll] [For] *)
+  mutable nesting : bool;
+      (** [For] tries the nests: off inside a nest's ordinary code *)
   mutable nests : int;
   mutable fma_nests : int;
+  n_globals : int;  (** buffer slots below this are parameters *)
+  mutable lane_nests : int;
+  mutable n_li : int;  (** lane-nest cells: each nest has its own *)
+  mutable n_lf : int;
+  mutable li_init : (int * int) list;  (** constant cells, set at bind *)
+  mutable lf_init : (int * float) list;
 }
 
 (* A hoisting scope: the thread entry (depth 0), one [For] iteration or an
@@ -1020,6 +1030,984 @@ let nest st venv (s : Stmt.t) (general : unit -> rt -> unit) : (rt -> unit) opti
             else general rt
         | _ -> assert false (* [Launch.nest]'s role counts *)))
 
+(* ------------------------------------------------------------------ *)
+(* Lane nests                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A larger nest keeps its ordinary code: this bounds a nest's rows. *)
+let max_lanes = 256
+
+(* The static type of an expression a lane nest takes. [T_dyn] is a
+   [Select] of an int and a float, which [Expr.eval] types by the branch
+   taken: only a parent that reads it as a float may take it. *)
+type lty = T_int | T_float | T_bool | T_dyn
+
+(* The nest's elements: their number and, per loop variable (innermost
+   binding first), its value in each element. *)
+type lanes = { e : int; coords : (int * int array) list }
+
+let is_lane ln (v : Var.t) = List.mem_assoc v.Var.id ln.coords
+
+(* Indices, guards and conditions: the hoisting set's int operators, int
+   comparisons, [&&], [||] and [!] over constants, [threadIdx],
+   [blockIdx] and int or bool variables, none of which can raise. Raises
+   [Exit] on anything else. *)
+let rec pure_ty venv ln (e : Expr.t) =
+  let int x = if pure_ty venv ln x <> T_int then raise Exit in
+  let bool x = if pure_ty venv ln x <> T_bool then raise Exit in
+  match e with
+  | Expr.Int _ | Thread_idx | Block_idx -> T_int
+  | Bool _ -> T_bool
+  | Var v when is_lane ln v -> T_int
+  | Var v -> (
+    match Int_map.find_opt v.Var.id venv with
+    | Some (S_int _) -> T_int
+    | Some (S_bool _) -> T_bool
+    | _ -> raise Exit)
+  | Binop ((Add | Sub | Mul | Min | Max), a, b) ->
+    int a;
+    int b;
+    T_int
+  | Binop ((Div | Mod), a, Int d) when d <> 0 ->
+    int a;
+    T_int
+  | Binop ((Lt | Le | Gt | Ge | Eq | Ne), a, b) ->
+    int a;
+    int b;
+    T_bool
+  | Binop ((And | Or), a, b) ->
+    bool a;
+    bool b;
+    T_bool
+  | Unop ((Neg | Abs), a) ->
+    int a;
+    T_int
+  | Unop (Not, a) ->
+    bool a;
+    T_bool
+  | _ -> raise Exit
+
+(* The stored value: constants, variables, loads at pure indices of any
+   buffer but [stored], arithmetic, float functions and [Select]s on pure
+   conditions, typed as [Expr.eval] types them; [T_dyn] only where a
+   float is read. Raises [Exit] on anything else. *)
+let rec value_ty st venv ln stored (e : Expr.t) =
+  let vt = value_ty st venv ln stored in
+  let int () = if pure_ty venv ln e = T_int then T_int else raise Exit in
+  match e with
+  | Expr.Float _ -> T_float
+  | Var v when not (is_lane ln v) -> (
+    match Int_map.find_opt v.Var.id venv with
+    | Some (S_float _) -> T_float
+    | _ -> int ())
+  | Load (b, idx) ->
+    if
+      b.Buffer.id = stored
+      || List.length idx <> Buffer.rank b
+      || not (Hashtbl.mem st.buf_slot b.Buffer.id)
+    then raise Exit;
+    List.iter (fun i -> if pure_ty venv ln i <> T_int then raise Exit) idx;
+    T_float
+  | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), a, b) -> (
+    match (vt a, vt b) with
+    | T_int, T_int -> int ()
+    | T_float, _ | _, T_float -> T_float
+    | _ -> raise Exit)
+  | Unop ((Neg | Abs), a) -> (
+    match vt a with T_int -> int () | T_float -> T_float | _ -> raise Exit)
+  | Unop ((Exp | Log | Sqrt | Tanh | Erf), a) ->
+    ignore (vt a);
+    T_float
+  | Select (c, a, b) -> (
+    if pure_ty venv ln c <> T_bool then raise Exit;
+    match (vt a, vt b) with
+    | T_int, T_int -> T_int
+    | T_float, T_float -> T_float
+    | _ -> T_dyn)
+  | _ -> int ()
+
+(* A compiled operand: a cell of the lane rows holding a scalar (one
+   value for every element) or a row (one value per element), with the
+   values when the compiler knows them. *)
+type lop = { cell : int; row : bool; known : int array option }
+
+let[@inline] stride o = if o.row then 1 else 0
+
+(* An access: the flat offset of its scalar indices, checked once, plus
+   its row indices, checked in each lane that takes it. A lane out of
+   bounds raises [Lane_miss]. *)
+type lacc = {
+  dst : int;
+  buf : int;
+  kidx : int array;  (** scalar index cells, their extents and strides *)
+  kdim : int array;
+  kstr : int array;
+  ridx : int array;  (** row index cells, likewise *)
+  rdim : int array;
+  rstr : int array;
+  mask : int;  (** the lanes that take it (a bool cell), or [-1]: all *)
+  msr : int;
+}
+
+(* The row program, one instruction per subexpression. Int instructions
+   also serve bools (0 or 1) and masks. A binary one is (dst, a, b) over
+   two rows; [_k] takes a scalar [b], [L_k_] a scalar [a]; the generic
+   forms take each operand's stride. *)
+type lins =
+  | L_islot of int * int  (** cell <- int frame slot *)
+  | L_iget of int * (rt -> int)
+  | L_fslot of int * int
+  | L_fget of int * (rt -> float)
+  | L_add of int * int * int
+  | L_add_k of int * int * int
+  | L_sub of int * int * int
+  | L_sub_k of int * int * int
+  | L_k_sub of int * int * int
+  | L_mul of int * int * int
+  | L_mul_k of int * int * int
+  | L_lt of int * int * int
+  | L_lt_k of int * int * int
+  | L_le_k of int * int * int
+  | L_gt_k of int * int * int
+  | L_ge of int * int * int
+  | L_ge_k of int * int * int
+  | L_and of int * int * int
+  | L_and_k of int * int * int
+  | L_ibin of Expr.binop * int * int * int * int * int
+  | L_shr of int * int * int * int  (** [Div] by [d = 2^k]: dst, a, k, d *)
+  | L_msk of int * int * int  (** [Mod] by a power of two: dst, a, d *)
+  | L_div of int * int * int * int * int
+      (** by another non-zero constant [d]: dst, a, d, and for a positive
+          [d] a multiplier and shift ([magic]) *)
+  | L_mod of int * int * int * int * int
+  | L_range of int * int * int * int  (** [lo <= a && a < hi]: dst, a, lo, hi *)
+  | L_iun of Expr.unop * int * int * int  (** [Neg], [Abs] or [Not]: dst, a, sa *)
+  | L_isel of int * int * int * int * int * int * int  (** dst, c, sc, a, sa, b, sb *)
+  | L_itof of int * int * int  (** dst, a, a's stride *)
+  | L_fadd of int * int * int
+  | L_fadd_k of int * int * int
+  | L_k_fadd of int * int * int
+  | L_fmul of int * int * int
+  | L_fmul_k of int * int * int
+  | L_k_fmul of int * int * int
+  | L_fmax_k of int * int * int
+  | L_fbin of (float -> float -> float) * int * int * int * int * int
+  | L_fun of (float -> float) * int * int * int
+  | L_fsel of int * int * int * int * int * int * int
+  | L_load of lacc  (** float row: the taken lanes' values, 0 elsewhere *)
+  | L_addr of lacc  (** int row: the taken lanes' flat offsets *)
+
+(* Division of [0 <= x < magic_range] by a constant [d > 0] as
+   [(x * m) lsr sh], with [sh = 30 + ceil (log2 d)] and
+   [m = ceil (2^sh / d)]: the product stays below [2^62], and the error
+   [x * (m * d - 2^sh) / (d * 2^sh) < 1 / d] leaves the quotient exact.
+   [m = 0] keeps [/]. *)
+let magic_range = 1 lsl 30
+
+let magic d =
+  if d <= 0 || d > 1 lsl 31 then (0, 0)
+  else
+    let rec bits k = if 1 lsl k >= d then k else bits (k + 1) in
+    let sh = 30 + bits 0 in
+    (((1 lsl sh) + d - 1) / d, sh)
+
+let int_ins (op : Expr.binop) (x : lop) (y : lop) d =
+  let a = x.cell and b = y.cell in
+  match (op, x.row, y.row) with
+  | Add, true, true -> L_add (d, a, b)
+  | Add, true, false -> L_add_k (d, a, b)
+  | Add, false, true -> L_add_k (d, b, a)
+  | Sub, true, true -> L_sub (d, a, b)
+  | Sub, true, false -> L_sub_k (d, a, b)
+  | Sub, false, true -> L_k_sub (d, a, b)
+  | Mul, true, true -> L_mul (d, a, b)
+  | Mul, true, false -> L_mul_k (d, a, b)
+  | Mul, false, true -> L_mul_k (d, b, a)
+  | Lt, true, true -> L_lt (d, a, b)
+  | Lt, true, false -> L_lt_k (d, a, b)
+  | Lt, false, true -> L_gt_k (d, b, a)
+  | Le, true, false -> L_le_k (d, a, b)
+  | Le, false, true -> L_ge_k (d, b, a)
+  | Gt, true, true -> L_lt (d, b, a)
+  | Gt, true, false -> L_gt_k (d, a, b)
+  | Gt, false, true -> L_lt_k (d, b, a)
+  | Ge, true, true -> L_ge (d, a, b)
+  | Ge, true, false -> L_ge_k (d, a, b)
+  | Ge, false, true -> L_le_k (d, b, a)
+  | And, true, true -> L_and (d, a, b)
+  | And, true, false -> L_and_k (d, a, b)
+  | And, false, true -> L_and_k (d, b, a)
+  | Div, true, _ ->
+    (* by a non-zero constant ([pure_ty]) *)
+    let k = (Option.get y.known).(0) in
+    if pow2 k then L_shr (d, a, log2 k, k)
+    else
+      let m, sh = magic k in
+      L_div (d, a, k, m, sh)
+  | Mod, true, _ ->
+    let k = (Option.get y.known).(0) in
+    if pow2 k then L_msk (d, a, k)
+    else
+      let m, sh = magic k in
+      L_mod (d, a, k, m, sh)
+  | _ -> L_ibin (op, d, a, stride x, b, stride y)
+
+(* The float binops keep their operand order: it decides which NaN an
+   operation of two NaNs returns. *)
+let float_ins (op : Expr.binop) (x : lop) (y : lop) d =
+  let a = x.cell and b = y.cell in
+  match (op, x.row, y.row) with
+  | Add, true, true -> L_fadd (d, a, b)
+  | Add, true, false -> L_fadd_k (d, a, b)
+  | Add, false, true -> L_k_fadd (d, a, b)
+  | Mul, true, true -> L_fmul (d, a, b)
+  | Mul, true, false -> L_fmul_k (d, a, b)
+  | Mul, false, true -> L_k_fmul (d, a, b)
+  | Max, true, false -> L_fmax_k (d, a, b)
+  | _ ->
+    let f =
+      match op with
+      | Add -> ( +. )
+      | Sub -> ( -. )
+      | Mul -> ( *. )
+      | Div -> ( /. )
+      | Mod -> Float.rem
+      | Min -> Float.min
+      | Max -> Float.max
+      | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> assert false (* pure *)
+    in
+    L_fbin (f, d, a, stride x, b, stride y)
+
+exception Lane_miss
+
+(* The flat offset of an access's scalar indices, or [-1] when one is out
+   of bounds: then no lane may take the access. *)
+let lane_base li l =
+  let off = ref 0 in
+  for p = 0 to Array.length l.kidx - 1 do
+    let i = Array.unsafe_get li (Array.unsafe_get l.kidx p) in
+    if !off >= 0 then
+      if i < 0 || i >= Array.unsafe_get l.kdim p then off := -1
+      else off := !off + (i * Array.unsafe_get l.kstr p)
+  done;
+  !off
+
+(* A taken lane's flat offset. *)
+let[@inline] lane_off li l base j =
+  if base < 0 then raise_notrace Lane_miss;
+  let off = ref base in
+  for p = 0 to Array.length l.ridx - 1 do
+    let i = Array.unsafe_get li (Array.unsafe_get l.ridx p + j) in
+    if i < 0 || i >= Array.unsafe_get l.rdim p then raise_notrace Lane_miss;
+    off := !off + (i * Array.unsafe_get l.rstr p)
+  done;
+  !off
+
+let[@inline] taken li l j = l.mask < 0 || Array.unsafe_get li (l.mask + (j * l.msr)) <> 0
+let[@inline] b2i b = if b then 1 else 0
+
+let ifold (op : Expr.binop) x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> x / y
+  | Mod -> x mod y
+  | Min -> if x <= y then x else y
+  | Max -> if x >= y then x else y
+  | Lt -> b2i (x < y)
+  | Le -> b2i (x <= y)
+  | Gt -> b2i (x > y)
+  | Ge -> b2i (x >= y)
+  | Eq -> b2i (x = y)
+  | Ne -> b2i (x <> y)
+  | And -> x land y
+  | Or -> x lor y
+
+(* Each instruction is one loop over the [e] elements. *)
+let run_lanes rt e (prog : lins array) =
+  let li = rt.li and lf = rt.lf in
+  for pc = 0 to Array.length prog - 1 do
+    match Array.unsafe_get prog pc with
+    | L_islot (c, s) -> Array.unsafe_set li c (Array.unsafe_get rt.ints s)
+    | L_iget (c, f) -> Array.unsafe_set li c (f rt)
+    | L_fslot (c, s) -> Array.unsafe_set lf c (Array.unsafe_get rt.floats s)
+    | L_fget (c, f) -> Array.unsafe_set lf c (f rt)
+    | L_add (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) + Array.unsafe_get li (b + j))
+      done
+    | L_add_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) + y)
+      done
+    | L_sub (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) - Array.unsafe_get li (b + j))
+      done
+    | L_sub_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) - y)
+      done
+    | L_k_sub (d, a, b) ->
+      let x = Array.unsafe_get li a in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (x - Array.unsafe_get li (b + j))
+      done
+    | L_mul (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) * Array.unsafe_get li (b + j))
+      done
+    | L_mul_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) * y)
+      done
+    | L_lt (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j)
+          (b2i (Array.unsafe_get li (a + j) < Array.unsafe_get li (b + j)))
+      done
+    | L_lt_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) < y))
+      done
+    | L_le_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) <= y))
+      done
+    | L_gt_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) > y))
+      done
+    | L_ge (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j)
+          (b2i (Array.unsafe_get li (a + j) >= Array.unsafe_get li (b + j)))
+      done
+    | L_ge_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) >= y))
+      done
+    | L_and (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j)
+          (Array.unsafe_get li (a + j) land Array.unsafe_get li (b + j))
+      done
+    | L_and_k (d, a, b) ->
+      let y = Array.unsafe_get li b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) land y)
+      done
+    | L_ibin (op, d, a, sa, b, sb) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j)
+          (ifold op (Array.unsafe_get li (a + (j * sa))) (Array.unsafe_get li (b + (j * sb))))
+      done
+    | L_shr (d, a, k, dv) ->
+      for j = 0 to e - 1 do
+        let x = Array.unsafe_get li (a + j) in
+        Array.unsafe_set li (d + j) (if x >= 0 then x asr k else x / dv)
+      done
+    | L_msk (d, a, dv) ->
+      let m = dv - 1 in
+      for j = 0 to e - 1 do
+        let x = Array.unsafe_get li (a + j) in
+        Array.unsafe_set li (d + j) (if x >= 0 then x land m else x mod dv)
+      done
+    | L_div (d, a, dv, m, sh) ->
+      for j = 0 to e - 1 do
+        let x = Array.unsafe_get li (a + j) in
+        Array.unsafe_set li (d + j)
+          (if m > 0 && x >= 0 && x < magic_range then (x * m) lsr sh else x / dv)
+      done
+    | L_mod (d, a, dv, m, sh) ->
+      for j = 0 to e - 1 do
+        let x = Array.unsafe_get li (a + j) in
+        Array.unsafe_set li (d + j)
+          (if m > 0 && x >= 0 && x < magic_range then x - (((x * m) lsr sh) * dv)
+           else x mod dv)
+      done
+    | L_range (d, a, lo, hi) ->
+      let lo = Array.unsafe_get li lo and hi = Array.unsafe_get li hi in
+      for j = 0 to e - 1 do
+        let x = Array.unsafe_get li (a + j) in
+        Array.unsafe_set li (d + j) (b2i (x >= lo && x < hi))
+      done
+    | L_iun (op, d, a, sa) ->
+      for j = 0 to e - 1 do
+        let x = Array.unsafe_get li (a + (j * sa)) in
+        Array.unsafe_set li (d + j)
+          (match op with Neg -> -x | Abs -> Stdlib.abs x | _ -> 1 - x)
+      done
+    | L_isel (d, c, sc, a, sa, b, sb) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set li (d + j)
+          (if Array.unsafe_get li (c + (j * sc)) <> 0 then Array.unsafe_get li (a + (j * sa))
+           else Array.unsafe_get li (b + (j * sb)))
+      done
+    | L_itof (d, a, sa) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (float_of_int (Array.unsafe_get li (a + (j * sa))))
+      done
+    | L_fadd (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) +. Array.unsafe_get lf (b + j))
+      done
+    | L_fadd_k (d, a, b) ->
+      let y = Array.unsafe_get lf b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) +. y)
+      done
+    | L_k_fadd (d, a, b) ->
+      let x = Array.unsafe_get lf a in
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (x +. Array.unsafe_get lf (b + j))
+      done
+    | L_fmul (d, a, b) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) *. Array.unsafe_get lf (b + j))
+      done
+    | L_fmul_k (d, a, b) ->
+      let y = Array.unsafe_get lf b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) *. y)
+      done
+    | L_k_fmul (d, a, b) ->
+      let x = Array.unsafe_get lf a in
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (x *. Array.unsafe_get lf (b + j))
+      done
+    | L_fmax_k (d, a, b) ->
+      let y = Array.unsafe_get lf b in
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (Float.max (Array.unsafe_get lf (a + j)) y)
+      done
+    | L_fbin (f, d, a, sa, b, sb) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j)
+          (f (Array.unsafe_get lf (a + (j * sa))) (Array.unsafe_get lf (b + (j * sb))))
+      done
+    | L_fun (f, d, a, sa) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j) (f (Array.unsafe_get lf (a + (j * sa))))
+      done
+    | L_fsel (d, c, sc, a, sa, b, sb) ->
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (d + j)
+          (if Array.unsafe_get li (c + (j * sc)) <> 0 then Array.unsafe_get lf (a + (j * sa))
+           else Array.unsafe_get lf (b + (j * sb)))
+      done
+    | L_load l ->
+      let arr = Array.unsafe_get rt.bufs l.buf and base = lane_base li l in
+      if Array.length l.ridx = 1 then begin
+        let r = Array.unsafe_get l.ridx 0 and n = Array.unsafe_get l.rdim 0 in
+        let sr = Array.unsafe_get l.rstr 0 in
+        for j = 0 to e - 1 do
+          Array.unsafe_set lf (l.dst + j)
+            (if taken li l j then begin
+               let i = Array.unsafe_get li (r + j) in
+               if base < 0 || i < 0 || i >= n then raise_notrace Lane_miss;
+               Array.unsafe_get arr (base + (i * sr))
+             end
+             else 0.)
+        done
+      end
+      else
+        for j = 0 to e - 1 do
+          Array.unsafe_set lf (l.dst + j)
+            (if taken li l j then Array.unsafe_get arr (lane_off li l base j) else 0.)
+        done
+    | L_addr l ->
+      let base = lane_base li l in
+      if Array.length l.ridx = 1 then begin
+        let r = Array.unsafe_get l.ridx 0 and n = Array.unsafe_get l.rdim 0 in
+        let sr = Array.unsafe_get l.rstr 0 in
+        for j = 0 to e - 1 do
+          if taken li l j then begin
+            let i = Array.unsafe_get li (r + j) in
+            if base < 0 || i < 0 || i >= n then raise_notrace Lane_miss;
+            Array.unsafe_set li (l.dst + j) (base + (i * sr))
+          end
+        done
+      end
+      else
+        for j = 0 to e - 1 do
+          if taken li l j then Array.unsafe_set li (l.dst + j) (lane_off li l base j)
+        done
+  done
+
+(* The nest's store. [addr] computes the stored element of each lane the
+   guard lets through; [value] is the stored value, or for a reduction
+   [b\[i\] = b\[i\] + x] the [x] folded into [b\[i\]] in element order. *)
+type lstore = {
+  addr : lacc;
+  value : int;
+  vsr : int;
+  guard : int;  (** [-1]: no guard *)
+  gsr : int;
+  reduce : bool;
+  aliases : int array;  (** the loaded parameter slots *)
+  count : int;  (** statements when every guard fails *)
+}
+
+let lane_finish rt e (s : lstore) =
+  let li = rt.li and lf = rt.lf in
+  let dst = Array.unsafe_get rt.bufs s.addr.buf in
+  let a = s.addr.dst and v = s.value and vsr = s.vsr in
+  let g = s.guard and gsr = s.gsr in
+  let n = ref s.count in
+  if s.reduce then begin
+    let off = ref (-1) and acc = ref 0. in
+    for j = 0 to e - 1 do
+      if g < 0 || Array.unsafe_get li (g + (j * gsr)) <> 0 then begin
+        if !off < 0 then begin
+          off := Array.unsafe_get li (a + j);
+          acc := Array.unsafe_get dst !off
+        end;
+        acc := !acc +. Array.unsafe_get lf (v + (j * vsr));
+        if g >= 0 then incr n
+      end
+    done;
+    if !off >= 0 then Array.unsafe_set dst !off !acc
+  end
+  else if g < 0 then
+    for j = 0 to e - 1 do
+      Array.unsafe_set dst (Array.unsafe_get li (a + j)) (Array.unsafe_get lf (v + (j * vsr)))
+    done
+  else
+    for j = 0 to e - 1 do
+      if Array.unsafe_get li (g + (j * gsr)) <> 0 then begin
+        Array.unsafe_set dst (Array.unsafe_get li (a + j)) (Array.unsafe_get lf (v + (j * vsr)));
+        incr n
+      end
+    done;
+  rt.stmts <- rt.stmts + !n
+
+(* Whether a loaded parameter's array is the stored one's. *)
+let rec aliased bufs slot aliases i =
+  i < Array.length aliases
+  && (Array.unsafe_get bufs (Array.unsafe_get aliases i) == Array.unsafe_get bufs slot
+     || aliased bufs slot aliases (i + 1))
+
+(* The perfect nest a statement heads: its loops (variable, extent),
+   outermost first, the guard of an [If] without [else] around the store,
+   and the store. Raises [Exit] otherwise. *)
+let rec lane_shape (s : Stmt.t) =
+  match s with
+  | Stmt.For { var; extent = Int n; body; _ } when n > 0 ->
+    let loops, guard, store = lane_shape body in
+    ((var, n) :: loops, guard, store)
+  | Seq [ s ] -> lane_shape s
+  | If { cond; then_; else_ = None } -> (
+    match lane_shape then_ with
+    | [], None, store -> ([], Some cond, store)
+    | _ -> raise Exit)
+  | Store { buf; indices; value } -> ([], None, (buf, indices, value))
+  | _ -> raise Exit
+
+(* No loop variable of the nest and no load. *)
+let rec lane_free ln (e : Expr.t) =
+  match e with
+  | Expr.Var v -> not (is_lane ln v)
+  | Load _ -> false
+  | Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> true
+  | Unop (_, a) -> lane_free ln a
+  | Binop (_, a, b) -> lane_free ln a && lane_free ln b
+  | Select (c, a, b) -> lane_free ln c && lane_free ln a && lane_free ln b
+
+(* [+0.] once read as a float. *)
+let is_zero (e : Expr.t) =
+  match e with
+  | Expr.Int 0 -> true
+  | Float f -> Int64.bits_of_float f = 0L
+  | _ -> false
+
+(* A load, or a [Select] whose false branch is [+0.] and whose true branch
+   is again one: compiled under the conditions, its row is the load's,
+   which a taken lane reads and every other lane holds as [+0.]. *)
+let rec zero_select (e : Expr.t) =
+  match e with
+  | Expr.Load _ -> true
+  | Select (_, a, b) -> is_zero b && zero_select a
+  | _ -> false
+
+(* The flat strides of a buffer. *)
+let strides_of (buf : Buffer.t) =
+  let dims = Array.of_list buf.Buffer.dims in
+  let s = Array.make (Array.length dims) 1 in
+  for p = Array.length dims - 2 downto 0 do
+    s.(p) <- s.(p + 1) * dims.(p + 1)
+  done;
+  (dims, s)
+
+(* [x] when the indices delinearize it: [x / s0], then [(x / sp) % dp],
+   then [x % dn], over the buffer's strides [s] and extents [d]. Each
+   index is then in bounds when [0 <= x < size], and the flat offset is
+   [x]; the other [x] keep the ordinary code. *)
+let delinear (buf : Buffer.t) idx =
+  let dims, strides = strides_of buf in
+  let r = Array.length dims in
+  match idx with
+  | Expr.Binop (Div, x, Int s) :: rest when r >= 2 && s = strides.(0) ->
+    let ok p (i : Expr.t) =
+      match i with
+      | Binop (Mod, Binop (Div, y, Int s), Int d) ->
+        s = strides.(p) && d = dims.(p) && Expr.equal x y
+      | Binop (Mod, y, Int d) -> p = r - 1 && d = dims.(p) && Expr.equal x y
+      | _ -> false
+    in
+    if List.for_all Fun.id (List.mapi (fun p i -> ok (p + 1) i) rest) then
+      Some (x, Array.fold_left ( * ) 1 dims)
+    else None
+  | _ -> None
+
+(* Memo keys: equal instructions over equal operands share a row. *)
+type lkey =
+  | K_op of Expr.binop * int * bool * int * bool
+  | K_un of Expr.unop * int * bool
+  | K_sel of int * bool * int * bool * int * bool
+  | K_itof of int * bool
+  | K_load of int * int list * int * bool
+  | K_range of int * int * int
+
+(* One nest's compilation: its rows, instructions (newest first) and
+   memos. *)
+type lb = {
+  ln : lanes;
+  mutable prog : lins list;
+  imemo : (lkey, lop) Hashtbl.t;
+  fmemo : (lkey, lop) Hashtbl.t;
+  consts : (int array, lop) Hashtbl.t;
+  slots : (int, lop) Hashtbl.t;
+  mutable globals : int list;
+}
+
+(* A compiled value: an int or bool, or a float; [L_free] when it has no
+   loop variable and no load, so that [comp] computes it once as a scalar
+   ([scalar]) where a parent needs it. *)
+type lval = L_free | L_i of lop | L_f of lop
+
+let icells st n =
+  let c = st.n_li in
+  st.n_li <- c + n;
+  c
+
+let fcells st n =
+  let c = st.n_lf in
+  st.n_lf <- c + n;
+  c
+
+let emit b i = b.prog <- i :: b.prog
+
+(* Known int values: a constant scalar, or a row when they differ. *)
+let iconst st b (vals : int array) =
+  let vals = if Array.for_all (( = ) vals.(0)) vals then [| vals.(0) |] else vals in
+  match Hashtbl.find_opt b.consts vals with
+  | Some o -> o
+  | None ->
+    let c = icells st (Array.length vals) in
+    Array.iteri (fun j v -> st.li_init <- (c + j, v) :: st.li_init) vals;
+    let o = { cell = c; row = Array.length vals > 1; known = Some vals } in
+    Hashtbl.replace b.consts vals o;
+    o
+
+let memo st b tbl cells key mk =
+  match Hashtbl.find_opt tbl key with
+  | Some o -> o
+  | None ->
+    let d = cells st b.ln.e in
+    emit b (mk d);
+    let o = { cell = d; row = true; known = None } in
+    Hashtbl.replace tbl key o;
+    o
+
+let ibin st b op x y =
+  match (x.known, y.known) with
+  | Some kx, Some ky ->
+    let at k j = if Array.length k = 1 then k.(0) else k.(j) in
+    iconst st b
+      (Array.init (if x.row || y.row then b.ln.e else 1) (fun j ->
+           ifold op (at kx j) (at ky j)))
+  | _ -> memo st b b.imemo icells (K_op (op, x.cell, x.row, y.cell, y.row)) (int_ins op x y)
+
+let iun st b op x =
+  match x.known with
+  | Some k ->
+    iconst st b
+      (Array.map (fun v -> match op with Expr.Neg -> -v | Abs -> Stdlib.abs v | _ -> 1 - v) k)
+  | None -> memo st b b.imemo icells (K_un (op, x.cell, x.row)) (fun d -> L_iun (op, d, x.cell, stride x))
+
+(* A scalar computed once at nest entry by the ordinary compiler. *)
+let iscalar st b (o : iop) =
+  match o with
+  | K n -> iconst st b [| n |]
+  | S s -> (
+    match Hashtbl.find_opt b.slots s with
+    | Some o -> o
+    | None ->
+      let c = icells st 1 in
+      emit b (L_islot (c, s));
+      let o = { cell = c; row = false; known = None } in
+      Hashtbl.replace b.slots s o;
+      o)
+  | F f ->
+    let c = icells st 1 in
+    emit b (L_iget (c, f));
+    { cell = c; row = false; known = None }
+
+let fscalar st b (o : fop) =
+  let c = fcells st 1 in
+  (match o with
+  | Fk x -> st.lf_init <- (c, x) :: st.lf_init
+  | Fs s -> emit b (L_fslot (c, s))
+  | Fa _ | Ff _ -> emit b (L_fget (c, fun rt -> frd o rt)));
+  { cell = c; row = false; known = None }
+
+let as_fl st b = function
+  | L_f o -> o
+  | L_free -> assert false (* forced *)
+  | L_i { cell; row; known = Some [| k |] } when not row ->
+    ignore cell;
+    fscalar st b (Fk (float_of_int k))
+  | L_i o -> memo st b b.fmemo fcells (K_itof (o.cell, o.row)) (fun d -> L_itof (d, o.cell, stride o))
+
+let as_li = function L_i o -> o | L_f _ | L_free -> assert false (* typed, forced *)
+
+let scalar st venv b (e : Expr.t) =
+  match comp st venv e with
+  | C_int o -> L_i (iscalar st b o)
+  | C_bool f -> L_i (iscalar st b (F (fun rt -> b2i (f rt))))
+  | (C_float _ | C_dyn _) as x -> L_f (fscalar st b (as_float x))
+
+(* The lanes a mask and a condition both let through. *)
+let mask_and st b mask c = match mask with None -> c | Some m -> ibin st b And m c
+
+(* An access at [idx] of [buf] taken by the lanes of [mask], into the
+   int or float cells at [dst], and its index cells in order. *)
+let access st venv b ~lval ~force mask (buf : Buffer.t) idx dst =
+  let slot = Hashtbl.find st.buf_slot buf.Buffer.id in
+  let dims, strides, idx =
+    match delinear buf idx with
+    | Some (x, size) -> ([| size |], [| 1 |], [ x ])
+    | None ->
+      let dims, strides = strides_of buf in
+      (dims, strides, idx)
+  in
+  let ix = List.map (fun i -> as_li (force st venv b i (lval st venv b mask i))) idx in
+  let pick row f =
+    Array.of_list
+      (List.concat (List.mapi (fun p (o : lop) -> if o.row = row then [ f p o ] else []) ix))
+  in
+  let m, msr = match Lazy.force mask with None -> (-1, 0) | Some m -> (m.cell, stride m) in
+  ( {
+    dst;
+    buf = slot;
+    kidx = pick false (fun _ o -> o.cell);
+    kdim = pick false (fun p _ -> dims.(p));
+    kstr = pick false (fun p _ -> strides.(p));
+    ridx = pick true (fun _ o -> o.cell);
+    rdim = pick true (fun p _ -> dims.(p));
+    rstr = pick true (fun p _ -> strides.(p));
+    mask = m;
+    msr;
+  },
+    List.map (fun o -> o.cell) ix )
+
+(* Compile an expression [value_ty] or [pure_ty] accepted. [mask] holds
+   the lanes whose [Select] path reaches it: a load reads only there. *)
+let rec lval st venv b mask (e : Expr.t) =
+  let go = lval st venv b in
+  match e with
+  | Expr.Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> L_free
+  | Var v -> (
+    match List.assoc_opt v.Var.id b.ln.coords with
+    | Some c -> L_i (iconst st b c)
+    | None -> L_free)
+  | Load (buf, idx) ->
+    let slot = Hashtbl.find st.buf_slot buf.Buffer.id in
+    if slot < st.n_globals && not (List.mem slot b.globals) then
+      b.globals <- slot :: b.globals;
+    let l, cells = access st venv b ~lval ~force mask buf idx 0 in
+    let key = K_load (slot, cells, l.mask, l.msr = 1) in
+    L_f (memo st b b.fmemo fcells key (fun dst -> L_load { l with dst }))
+  | Binop (op, x, y) -> (
+    let range =
+      (* [lo <= x && x < hi] over a row: one instruction *)
+      match e with
+      | Binop (And, Binop (Ge, x, lo), Binop (Lt, x', hi)) when Expr.equal x x' -> (
+        match (go mask x, go mask lo, go mask hi) with
+        | L_i ({ row = true; _ } as x), L_free, L_free ->
+          let lo = as_li (scalar st venv b lo) and hi = as_li (scalar st venv b hi) in
+          Some
+            (L_i
+               (memo st b b.imemo icells (K_range (x.cell, lo.cell, hi.cell)) (fun d ->
+                    L_range (d, x.cell, lo.cell, hi.cell))))
+        | _ -> None)
+      | _ -> None
+    in
+    match range with
+    | Some r -> r
+    | None -> (
+      match (go mask x, go mask y) with
+      | L_free, L_free -> L_free
+      | lx, ly -> (
+        match (force st venv b x lx, force st venv b y ly) with
+        | L_i x, L_i y -> L_i (ibin st b op x y)
+        | lx, ly ->
+          let x = as_fl st b lx in
+          let y = as_fl st b ly in
+          L_f
+            (memo st b b.fmemo fcells (K_op (op, x.cell, x.row, y.cell, y.row))
+               (float_ins op x y)))))
+  | Unop (op, x) -> (
+    match (op, go mask x) with
+    | _, L_free -> L_free
+    | (Neg | Abs | Not), L_i x -> L_i (iun st b op x)
+    | _, lx ->
+      let x = as_fl st b lx in
+      let f =
+        match op with
+        | Neg -> Float.neg
+        | Abs -> Float.abs
+        | Exp -> Stdlib.exp
+        | Log -> Stdlib.log
+        | Sqrt -> Stdlib.sqrt
+        | Tanh -> Stdlib.tanh
+        | Erf | Not -> Expr.erf
+      in
+      L_f
+        (memo st b b.fmemo fcells (K_un (op, x.cell, x.row)) (fun d ->
+             L_fun (f, d, x.cell, stride x))))
+  | Select (c, x, y) -> (
+    let lc = go mask c in
+    let fc = lazy (as_li (force st venv b c lc)) in
+    let under m = lazy (Some (mask_and st b (Lazy.force mask) (m ()))) in
+    let mx = under (fun () -> Lazy.force fc) in
+    if is_zero y && zero_select x then go mx x
+    else
+      let lx = go mx x in
+      let ly = go (under (fun () -> iun st b Not (Lazy.force fc))) y in
+      match (lc, lx, ly) with
+      | L_free, L_free, L_free -> L_free
+      | _ -> (
+        let c = Lazy.force fc in
+        let key x y = K_sel (c.cell, c.row, x.cell, x.row, y.cell, y.row) in
+        match (force st venv b x lx, force st venv b y ly) with
+        | L_i x, L_i y ->
+          L_i
+            (memo st b b.imemo icells (key x y) (fun d ->
+                 L_isel (d, c.cell, stride c, x.cell, stride x, y.cell, stride y)))
+        | lx, ly ->
+          let x = as_fl st b lx in
+          let y = as_fl st b ly in
+          L_f
+            (memo st b b.fmemo fcells (key x y) (fun d ->
+                 L_fsel (d, c.cell, stride c, x.cell, stride x, y.cell, stride y)))))
+
+(* A compiled operand of [e], computing a free one as a scalar. *)
+and force st venv b e = function L_free -> scalar st venv b e | v -> v
+
+(* A lane nest ({!lane_shape}) as one closure, or [None]. It evaluates
+   every subexpression once, as a row over the elements or a scalar;
+   checks every taken index, then stores in element order. A failed
+   check, or a stored parameter array that a load also reads, runs
+   [general], the nest's ordinary code, instead: nothing is stored
+   before. *)
+let lane_nest st venv (s : Stmt.t) (general : unit -> rt -> unit) =
+  match lane_shape s with
+  | exception Exit -> None
+  | loops, guard, (buf, indices, value) -> (
+    let e = List.fold_left (fun e (_, n) -> e * n) 1 loops in
+    let reduction =
+      match value with
+      | Expr.Binop (Add, Load (b', i'), x)
+        when b'.Buffer.id = buf.Buffer.id
+             && List.length i' = List.length indices
+             && List.for_all2 Expr.equal i' indices ->
+        Some x
+      | _ -> None
+    in
+    let coords =
+      (* each loop variable's value in each element, innermost first *)
+      fst
+        (List.fold_left
+           (fun (acc, k) ((v : Var.t), n) ->
+             ((v.Var.id, Array.init e (fun j -> j / k mod n)) :: acc, k * n))
+           ([], 1) (List.rev loops))
+      |> List.rev
+    in
+    let ln = { e; coords } in
+    let typed () =
+      List.iter (fun i -> if pure_ty venv ln i <> T_int then raise Exit) indices;
+      Option.iter (fun g -> if pure_ty venv ln g <> T_bool then raise Exit) guard;
+      match reduction with
+      | Some x ->
+        if not (List.for_all (lane_free ln) indices) then raise Exit;
+        ignore (value_ty st venv ln buf.Buffer.id x)
+      | None -> ignore (value_ty st venv ln buf.Buffer.id value)
+    in
+    let ok =
+      e <= max_lanes
+      && Hashtbl.mem st.buf_slot buf.Buffer.id
+      && List.length indices = Buffer.rank buf
+      && match typed () with () -> true | exception Exit -> false
+    in
+    if not ok then None
+    else begin
+      st.lane_nests <- st.lane_nests + 1;
+      let b =
+        {
+          ln;
+          prog = [];
+          imemo = Hashtbl.create 16;
+          fmemo = Hashtbl.create 16;
+          consts = Hashtbl.create 16;
+          slots = Hashtbl.create 8;
+          globals = [];
+        }
+      in
+      let compiled mask e = force st venv b e (lval st venv b mask e) in
+      let gd = Option.map (fun g -> as_li (compiled (lazy None) g)) guard in
+      let v = as_fl st b (compiled (lazy gd) (Option.value reduction ~default:value)) in
+      let addr, _ = access st venv b ~lval ~force (lazy gd) buf indices (icells st e) in
+      emit b (L_addr addr);
+      let slot = addr.buf in
+      let store =
+        {
+          addr;
+          value = v.cell;
+          vsr = stride v;
+          guard = (match gd with None -> -1 | Some g -> g.cell);
+          gsr = (match gd with None -> 0 | Some g -> stride g);
+          reduce = reduction <> None;
+          aliases = (if slot < st.n_globals then Array.of_list b.globals else [||]);
+          count = List.fold_right (fun (_, n) c -> 1 + (n * c)) loops 1;
+        }
+      in
+      let prog = Array.of_list (List.rev b.prog) in
+      let general =
+        let nesting = st.nesting in
+        st.nesting <- false;
+        let g = general () in
+        st.nesting <- nesting;
+        g
+      in
+      Some
+        (fun rt ->
+          if aliased rt.bufs slot store.aliases 0 then general rt
+          else
+            match run_lanes rt e prog with
+            | () -> lane_finish rt e store
+            | exception Lane_miss -> general rt)
+    end)
+
 (* Run closures in order. *)
 let seq_closures = function
   | [] -> noop
@@ -1045,8 +2033,8 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   match s with
   | Stmt.Seq ss -> seq_closures (List.map (comp_stmt st venv) ss)
   | For { var; extent; body; unroll } -> (
-    (* An [unroll] nest runs whole or not at all: its general path holds
-       no nest of its own. *)
+    (* A nest runs whole or not at all: its ordinary code, and an [unroll]
+       loop that is no nest, holds no nest of its own. *)
     let general () =
       let nesting = st.nesting in
       if unroll then st.nesting <- false;
@@ -1054,9 +2042,14 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
       st.nesting <- nesting;
       g
     in
-    match if st.nesting then nest st venv s general else None with
-    | Some nest -> nest
-    | None -> general ())
+    let nested =
+      if not st.nesting then None
+      else
+        match nest st venv s general with
+        | Some _ as n -> n
+        | None -> lane_nest st venv s general
+    in
+    match nested with Some nest -> nest | None -> general ())
   | If { cond; then_; else_ } ->
     let cc = as_bool (comp st venv cond) in
     let ct = comp_stmt st venv then_ in
@@ -1155,7 +2148,7 @@ and comp_for st venv var extent body =
    body starts. *)
 type blk = {
   iv : rt Exec_registry.interval;
-  bid : int;
+  mutable bid : int;
   uv : Expr.value array;
   mutable cur : int;
 }
@@ -1344,6 +2337,7 @@ let m_compile_us = Metrics.counter "sim.compile_us"
 let m_nests = Metrics.counter "sim.compile.nests"
 let m_fma_nests = Metrics.counter "sim.compile.fma_nests"
 let m_hoisted = Metrics.counter "sim.compile.hoisted"
+let m_lane_nests = Metrics.counter "sim.compile.lane_nests"
 
 (* The deepest nesting of [For]/[Let] binders: the binder stack never grows
    past it, so hoisted slots start above. *)
@@ -1386,6 +2380,12 @@ let compile (k : Kernel.t) : Launch.t =
             nesting = true;
             nests = 0;
             fma_nests = 0;
+            n_globals = List.length k.params;
+            lane_nests = 0;
+            n_li = 0;
+            n_lf = 0;
+            li_init = [];
+            lf_init = [];
           }
         in
         let code =
@@ -1404,45 +2404,72 @@ let compile (k : Kernel.t) : Launch.t =
         in
         Metrics.add m_nests st.nests;
         Metrics.add m_fma_nests st.fma_nests;
+        Metrics.add m_lane_nests st.lane_nests;
         Metrics.add m_hoisted (st.next_hoist - hoist_base);
         let n_ints = st.next_hoist
         and n_floats = max 1 st.max_float
         and n_bools = max 1 st.max_bool
-        and n_dyns = max 1 st.max_dyn in
-        (* One frame per thread: the closures capture no scratch state. *)
-        let frame tid bid bufs =
-          let ints = Array.make n_ints 0 in
-          ints.(tid_slot) <- tid;
-          ints.(bid_slot) <- bid;
+        and n_dyns = max 1 st.max_dyn
+        and n_li = max 1 st.n_li
+        and n_lf = max 1 st.n_lf
+        and li_init = st.li_init
+        and lf_init = st.lf_init in
+        (* Frames are built when a launch binds the code to its thread
+           storage, and reused: a thread starts with its pinned slots set and
+           its count at 0, and writes every other slot, row and cell before
+           reading it. The lane rows, whose constant cells are set here, are
+           shared by the frames of a block: no nest spans a barrier. *)
+        let lanes () =
+          let li = Array.make n_li 0 and lf = Array.make n_lf 0. in
+          List.iter (fun (c, v) -> li.(c) <- v) li_init;
+          List.iter (fun (c, v) -> lf.(c) <- v) lf_init;
+          (li, lf)
+        in
+        let frame (li, lf) bufs =
           {
             bufs;
-            ints;
+            ints = Array.make n_ints 0;
             floats = Array.make n_floats 0.;
             bools = Array.make n_bools false;
             vals = Array.make n_dyns (Expr.V_int 0);
+            li;
+            lf;
             stmts = 0;
           }
+        in
+        let start rt tid bid =
+          Array.unsafe_set rt.ints tid_slot tid;
+          Array.unsafe_set rt.ints bid_slot bid;
+          rt.stmts <- 0
         in
         let body =
           match code with
           | Either.Left body ->
-            Exec_registry.Thread
-              (fun tid bid bufs ->
-                let rt = frame tid bid bufs in
-                body rt;
-                rt.stmts)
+            Launch.Thread
+              (fun bufs ->
+                let rt = frame (lanes ()) bufs in
+                fun tid bid ->
+                  start rt tid bid;
+                  body rt;
+                  rt.stmts)
           | Right (run, n_uv) ->
-            Exec_registry.Block
-              (fun bid tbufs ->
-                let rts = Array.mapi (fun tid bufs -> frame tid bid bufs) tbufs in
-                run
+            Launch.Block
+              (fun tbufs ->
+                let rts = Array.map (frame (lanes ())) tbufs in
+                let b =
                   {
                     iv = Exec_registry.interval rts;
-                    bid;
+                    bid = 0;
                     uv = Array.make n_uv (Expr.V_int 0);
                     cur = 0;
-                  };
-                Array.fold_left (fun n rt -> n + rt.stmts) 0 rts)
+                  }
+                in
+                fun bid ->
+                  Array.iteri (fun tid rt -> start rt tid bid) rts;
+                  b.bid <- bid;
+                  b.cur <- 0;
+                  run b;
+                  Array.fold_left (fun n rt -> n + rt.stmts) 0 rts)
         in
         Launch.make k slots body)
   in

@@ -69,6 +69,35 @@
     [sim.compile.fma_nests], and the hoisted subexpressions in
     [sim.compile.hoisted].
 
+    {b Lane nests.} A perfect nest of constant-extent [For]s ([unroll] or
+    not) that {!Launch.nest} refuses, of at most 256 elements, whose leaf
+    is one [Store], optionally under an [If] without [else], runs as a
+    lane nest: [Matmul_template]'s predicated global loads (with the fused
+    im2col index arithmetic), its guarded fused epilogue, and the rule
+    convolution and pooling kernels' window loops. Indices, the guard and
+    every [Select] condition must be pure: the hoisting set's operators,
+    int comparisons, [&&], [||] and [!]. The stored value is built from
+    constants, variables, loads, arithmetic, float functions and
+    [Select]s, typed as [Expr.eval] types it; no load may read the stored
+    buffer, except in a window reduction [b\[i\] = b\[i\] + x] with [i]
+    free of the nest's variables and [x] not reading [b]. At entry the nest
+    evaluates every subexpression once: as a row over the elements, or,
+    free of the nest's variables and loads, as one scalar the ordinary
+    compiler computes. A load reads only in the lanes whose [Select] and
+    [If] path takes it (the others hold [+0.]), and checks each taken
+    index; then the stored elements are checked. Only then does it store,
+    in element order (a reduction folds [x] into [b\[i\]] in element order,
+    so every bit matches), and add the nest's exact statement count, one
+    per [For] execution and per [If] and per store executed. An index that
+    delinearizes an [x] over the buffer's strides, as the fused epilogue
+    writes its output, is checked as [0 <= x < size]. If a check fails, or
+    a stored parameter's array is physically one that a load reads, the
+    nest runs its ordinary code, compiled beside it as for register-tile
+    nests, which raises the reference's error at the reference's
+    statement. [compile] counts the lane nests in
+    [sim.compile.lane_nests]. The native backend keeps its straight-line
+    code for these loops.
+
     {b Unboxed floats.} Without flambda, every closure returning a [float]
     boxes it, which is a minor-heap allocation per call. Float arithmetic
     reads its operands inline, so only its result is boxed, and a store
@@ -97,16 +126,23 @@
     fiber schedule's. Other kernels with a barrier keep the thread entry,
     whose [Sync_threads] performs {!Interp.Sync} for {!Launch}'s fibers.
 
-    The closures capture no scratch state: [compile]'s entry builds one
-    frame record per thread, so a compiled kernel is shared by the domains
-    running its blocks. {!Launch} runs the entry: it owns the slot layout,
-    the per-block memory model, the barrier fibers of the fallback and the
-    grid loop. *)
+    The closures capture no scratch state, so a compiled kernel is shared
+    by the domains running its blocks. The frames live in the code a
+    launch binds to each thread storage ({!Launch.body}): one frame per
+    storage on the thread path (per worker domain on the parallel path),
+    one per thread of a block on the phased path, and one set of lane
+    rows shared by a block's frames, as no nest spans a barrier. A thread
+    starts by setting the pinned [threadIdx] and [blockIdx] slots and
+    zeroing its statement count; nothing else is reset, because every
+    other slot, row and cell is written before it is read (the constant
+    cells when the frames are built). {!Launch} runs the code: it owns the slot
+    layout, the per-block memory model, the barrier fibers of the
+    fallback and the grid loop. *)
 
 val compile : Hidet_ir.Kernel.t -> Launch.t
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
     kernel to a launch handle. Records compile wall time in the
     [sim.compile_us] metric and a [sim.compile] trace span, and bumps
-    [sim.compile.nests], [sim.compile.fma_nests] and
-    [sim.compile.hoisted]. [Launch.run compile] is a drop-in replacement
-    for [Interp.run]. *)
+    [sim.compile.nests], [sim.compile.fma_nests],
+    [sim.compile.lane_nests] and [sim.compile.hoisted]. [Launch.run
+    compile] is a drop-in replacement for [Interp.run]. *)

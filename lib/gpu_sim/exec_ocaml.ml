@@ -977,4 +977,7 @@ let compile (k : Kernel.t) : Launch.t =
           Hashtbl.replace memo key e;
           e)
   in
-  Launch.make k slots entry
+  Launch.make k slots
+    (match entry with
+    | Exec_registry.Thread entry -> Launch.Thread (fun bufs tid bid -> entry tid bid bufs)
+    | Block block -> Block (fun tbufs bid -> block bid tbufs))

@@ -361,18 +361,22 @@ let nest (s : Stmt.t) =
 
 type barriers = No_barrier | Phased | Fibers
 
+type body =
+  | Thread of (float array array -> int -> int -> int)
+  | Block of (float array array array -> int -> int)
+
 type t = {
   kernel : Kernel.t;
   slots : slots;
-  body : Exec_registry.body;
+  body : body;
   barriers : barriers;
   parallel_ok : bool;
 }
 
-let make (k : Kernel.t) slots (body : Exec_registry.body) =
+let make (k : Kernel.t) slots (body : body) =
   let barriers =
     match body with
-    | Exec_registry.Block _ -> Phased
+    | Block _ -> Phased
     | Thread _ -> if has_sync k.body then Fibers else No_barrier
   in
   {
@@ -401,12 +405,16 @@ let zero a = Array.fill a 0 (Array.length a) 0.
    another to completion (no barrier) share one thread's storage and one
    warp's: a thread's registers are zeroed before it starts and a warp's
    arrays before its first thread, which no later warp of the block
-   follows into. *)
+   follows into. [run] is the backend's code bound to that storage: one
+   runner per thread buffer array, or one block runner over all of them. *)
+type runner = Threads of (int -> int -> int) array | Blocks of (int -> int)
+
 type storage = {
   tbufs : float array array array;
   shared : float array array;
   warps : float array array array;  (** per warp, then warp slot *)
   regs : float array array array;  (** per thread, then register slot *)
+  run : runner;
 }
 
 let storage (c : t) (proto : float array array) =
@@ -429,7 +437,12 @@ let storage (c : t) (proto : float array array) =
         set c.slots.reg_slots regs.(tid);
         bufs)
   in
-  { tbufs; shared; warps; regs }
+  let run =
+    match c.body with
+    | Thread bind -> Threads (Array.map bind tbufs)
+    | Block bind -> Blocks (bind tbufs)
+  in
+  { tbufs; shared; warps; regs; run }
 
 (* Run one block over [st]; returns the number of statements its threads
    executed. Shared arrays are fresh per block, a warp's threads share its
@@ -440,26 +453,25 @@ let storage (c : t) (proto : float array array) =
 let exec_block (c : t) st bid : int =
   let k = c.kernel in
   Array.iter zero st.shared;
-  match (c.body, c.barriers) with
-  | Thread entry, No_barrier ->
-    let total = ref 0 and bufs = st.tbufs.(0) in
+  match (st.run, c.barriers) with
+  | Threads runs, No_barrier ->
+    let total = ref 0 and run = runs.(0) in
     for tid = 0 to k.block_dim - 1 do
       if tid mod Kernel.warp_size = 0 then Array.iter zero st.warps.(0);
       Array.iter zero st.regs.(0);
-      total := !total + entry tid bid bufs
+      total := !total + run tid bid
     done;
     !total
-  | body, _ -> (
+  | run, _ -> (
     Array.iter (Array.iter zero) st.warps;
     Array.iter (Array.iter zero) st.regs;
-    match body with
-    | Exec_registry.Block f -> f bid st.tbufs
-    | Thread entry ->
+    match run with
+    | Blocks f -> f bid
+    | Threads runs ->
       let counts = Array.make k.block_dim 0 in
       let statuses =
         Array.init k.block_dim (fun tid ->
-            Interp.start_thread (fun () ->
-                counts.(tid) <- entry tid bid st.tbufs.(tid)))
+            Interp.start_thread (fun () -> counts.(tid) <- runs.(tid) tid bid))
       in
       Interp.barrier_loop ~kernel_name:k.name ~bid statuses;
       Array.fold_left ( + ) 0 counts)

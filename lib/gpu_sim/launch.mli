@@ -119,10 +119,28 @@ val nest : Hidet_ir.Stmt.t -> nest option
 
 type barriers = No_barrier | Phased | Fibers
 
+type body =
+  | Thread of (float array array -> int -> int -> int)
+      (** [Thread bind]: [bind bufs] binds the code to one thread's buffer
+          array and returns its runner; [run tid bid] runs thread [tid] of
+          block [bid] over [bufs], indexed by {!slots}, and returns the
+          number of statements it executed. *)
+  | Block of (float array array array -> int -> int)
+      (** [Block bind] (a backend gives one exactly when {!phased} is
+          [Some]): [bind tbufs] binds the code to a block's thread buffer
+          arrays, thread [tid] over [tbufs.(tid)]; [run bid] runs the whole
+          block and returns the number of statements its threads
+          executed. *)
+(** What a backend compiled a kernel to. A launch binds it once per thread
+    storage (once per launch, or per worker domain on the parallel path),
+    so a backend can allocate its per-thread state there instead of per
+    thread: a runner may keep state between the threads and blocks it
+    runs, and is never run by two domains at once. *)
+
 type t = private {
   kernel : Hidet_ir.Kernel.t;
   slots : slots;
-  body : Exec_registry.body;
+  body : body;
   barriers : barriers;
       (** [Phased] for a [Block] body; for a [Thread] entry, [Fibers] when
           the kernel has a barrier and [No_barrier] otherwise *)
@@ -132,13 +150,8 @@ type t = private {
     as long as [body] is. [Compiled.run] builds one per kernel and backend
     on first launch. *)
 
-val make : Hidet_ir.Kernel.t -> slots -> Exec_registry.body -> t
-(** [make k (slots k) body]. A [Thread entry]: [entry tid bid bufs] runs
-    thread [tid] of block [bid] over [bufs], indexed by [slots k], and
-    returns the number of statements it executed. A [Block f] (a backend
-    gives one exactly when {!phased} is [Some]): [f bid tbufs] runs the
-    whole block, thread [tid] over [tbufs.(tid)], and returns the number of
-    statements its threads executed. *)
+val make : Hidet_ir.Kernel.t -> slots -> body -> t
+(** [make k (slots k) body]. *)
 
 val run_compiled :
   ?workers:int -> t -> (Hidet_ir.Buffer.t * float array) list -> unit

@@ -26,7 +26,10 @@ type spec = {
   nest : int;
       (** 0 = none, else an unrolled register nest (fill, copy, FMA) with
           [threadIdx]-affine indices: 1 in range, 2 reading past the input
-          in later blocks, 3 writing past the register on odd threads *)
+          in later blocks, 3 writing past the register on odd threads; or a
+          lane nest after the fill: 4 a guarded store that cuts the tile
+          short on the block's last threads, 5 a window sum into the
+          register whose loads leave the input in later blocks *)
   value_seed : int;
   input_seed : int;
 }
@@ -40,7 +43,10 @@ let spec_gen =
   let* reduce = oneofl [ 0; 0; 2; 3; 4 ] in
   let* pred_tail = bool in
   let* block_invariant = frequency [ (3, return false); (1, return true) ] in
-  let* nest = frequency [ (2, return 0); (3, return 1); (1, return 2); (1, return 3) ] in
+  let* nest =
+    frequency
+      [ (2, return 0); (3, return 1); (1, return 2); (1, return 3); (2, return 4); (1, return 5) ]
+  in
   let* value_seed = 0 -- 1_000_000 in
   let+ input_seed = 0 -- 1_000_000 in
   {
@@ -156,9 +162,31 @@ let build_kernel (s : spec) =
         if s.nest = 3 then Expr.Binop (Add, Binop (Mod, Thread_idx, Int 2), vj) else vj
       in
       let loop body = Stmt.for_ ~unroll:true j (Expr.int extent) body in
+      let second =
+        match s.nest with
+        | 4 ->
+          (* a store at [j] while [tid + j < block - 2] *)
+          Stmt.for_ j (Expr.int extent)
+            (Stmt.if_
+               (Expr.Binop (Lt, Binop (Add, Thread_idx, vj), Int (s.block - 2)))
+               (Stmt.store f [ vj ]
+                  (Expr.Binop (Add, Binop (Mul, Load (a, [ src ]), Float 0.5), Load (b, [ gid ])))))
+        | 5 ->
+          (* [frag\[1\] += A\[gid + u * block + v\]], [u < 2], [v < 3] *)
+          let u = Var.fresh "u" in
+          Stmt.for_ u (Expr.int 2)
+            (Stmt.for_ j (Expr.int extent)
+               (Stmt.store f [ Expr.Int 1 ]
+                  (Expr.Binop
+                     ( Add,
+                       Load (f, [ Expr.Int 1 ]),
+                       Load (a, [ Binop (Add, gid, Binop (Add, Binop (Mul, Expr.var u, Int s.block), vj)) ])
+                     ))))
+        | _ -> loop (Stmt.store f [ dst ] (Expr.load a [ src ]))
+      in
       ( [
           loop (Stmt.store f [ vj ] (Expr.Float 0.5));
-          loop (Stmt.store f [ dst ] (Expr.load a [ src ]));
+          second;
           loop
             (Stmt.store f [ vj ]
                (Expr.Binop
@@ -841,16 +869,48 @@ let nests_of k =
   ignore (CE.compile k);
   (counter "sim.compile.nests" - n0, counter "sim.compile.fma_nests" - f0)
 
-(* The statements a thread of a kernel without branches executes,
-   counted on the IR: both compiled backends take their nests' counts from
-   one analysis, so this is the count neither of them computes. *)
-let rec static_count (s : Stmt.t) =
-  match s with
-  | Stmt.Seq ss -> List.fold_left (fun n s -> n + static_count s) 0 ss
-  | For { extent = Int n; body; _ } -> 1 + (n * static_count body)
-  | Let { body; _ } -> 1 + static_count body
-  | Store _ | Comment _ | Sync_threads -> 1
-  | For _ | If _ | Mma _ -> invalid_arg "static_count"
+(* The statements a launch executes, counted on the IR: each thread walks
+   the statement tree, evaluating loop extents, [Let] values and [If]
+   conditions that read no memory ([Let]s of a load bind 0, which nothing
+   here tests). Both compiled backends take a nest's count from their own
+   analysis, so this is a count neither of them computes. *)
+let ir_count (k : Kernel.t) =
+  let total = ref 0 in
+  for bid = 0 to k.grid_dim - 1 do
+    for tid = 0 to k.block_dim - 1 do
+      let rec go env (s : Stmt.t) =
+        let ev e =
+          Expr.eval
+            {
+              lookup = (fun v -> List.assoc v.Var.id env);
+              load = (fun _ _ -> raise Exit);
+              thread_idx = tid;
+              block_idx = bid;
+            }
+            e
+        in
+        match s with
+        | Stmt.Seq ss -> List.fold_left (fun n s -> n + go env s) 0 ss
+        | For { var; extent; body; _ } ->
+          let n = ref 1 in
+          for i = 0 to Expr.int_of_value (ev extent) - 1 do
+            n := !n + go ((var.Var.id, Expr.V_int i) :: env) body
+          done;
+          !n
+        | Let { var; value; body } ->
+          let v = try ev value with Exit -> Expr.V_int 0 in
+          1 + go ((var.Var.id, v) :: env) body
+        | If { cond; then_; else_ } ->
+          1
+          +
+          if Expr.bool_of_value (ev cond) then go env then_
+          else Option.fold ~none:0 ~some:(go env) else_
+        | Store _ | Comment _ | Sync_threads | Mma _ -> 1
+      in
+      total := !total + go [] k.body
+    done
+  done;
+  !total
 
 let nest_case name mk ~nests ~fma =
   Alcotest.test_case name `Quick (fun () ->
@@ -860,9 +920,7 @@ let nest_case name mk ~nests ~fma =
       Alcotest.(check int) "nests" nests n;
       check_form_parity k b o;
       let _, counted = run_counted (Launch.run ~workers:1 CE.compile) k b o in
-      Alcotest.(check int) "statements counted on the IR"
-        (static_count k.Kernel.body * Kernel.num_threads k)
-        counted)
+      Alcotest.(check int) "statements counted on the IR" (ir_count k) counted)
 
 (* A 64-thread block writing [cols] values per thread into [C : 64 x cols];
    [body ~out] builds the statements from [out col value]. *)
@@ -1051,9 +1109,7 @@ let test_oob_nest () =
   let k, bindings_of = oob_nest_kernel ~g:56 () in
   check_form_parity k bindings_of k.Kernel.params;
   let _, counted = run_counted (Launch.run ~workers:1 CE.compile) k bindings_of [] in
-  Alcotest.(check int) "statements counted on the IR"
-    (static_count k.Kernel.body * Kernel.num_threads k)
-    counted
+  Alcotest.(check int) "statements counted on the IR" (ir_count k) counted
 
 (* [C\[tid\] = Select(tid < 1, 3, 2.0) / 2] and the same with the branches'
    types swapped: [Expr.eval] types a [Select] by the branch taken, so
@@ -1116,6 +1172,245 @@ let test_tiny_matmul_nests () =
       Alcotest.(check (pair int int))
         (name ^ ": nests taken") (candidates, 1) (nests_of k))
     matmuls
+
+(* --- lane nests ---------------------------------------------------------- *)
+
+(* How many lane nests compiling [k] found. *)
+let lanes_of k =
+  let n0 = counter "sim.compile.lane_nests" in
+  ignore (CE.compile k);
+  counter "sim.compile.lane_nests" - n0
+
+(* The closure and native backends against [Interp]: the exception, every
+   bound array, and the statement count against the IR's and each other's
+   (a launch that raises counts none). *)
+let lane_case name ~lanes mk =
+  Alcotest.test_case name `Quick (fun () ->
+      let k, bindings_of = mk () in
+      Alcotest.(check int) "lane nests" lanes (lanes_of k);
+      let run compile =
+        Phase_cases.check_against_interp ~phased:false
+          (Launch.run ~workers:1 compile)
+          (k, bindings_of)
+      in
+      let n_closure = run CE.compile in
+      (match Interp.run k (bindings_of ()) with
+      | () -> Alcotest.(check int) "statements counted on the IR" (ir_count k) n_closure
+      | exception _ -> Alcotest.(check int) "a launch that raises counts none" 0 n_closure);
+      if Lazy.force native_ok then
+        Alcotest.(check int) "statements counted as native counts them" (run EO.compile)
+          n_closure)
+
+let loop v n body = Stmt.for_ v (Expr.int n) body
+
+(* A fused epilogue over a 2 x 2 register tile: thread [t] stores element
+   [(i, j)] to [C : 16 x 8] at [x = 4t + 2i + j], written [C\[x / 8\]\[x % 8\]],
+   when [2t + i < 50] and [j + t % 3 < 3]: all four on some threads, part
+   of the tile on others, none on threads 25 and up. *)
+let guarded_epilogue () =
+  let a = Buffer.create "A" [ 128 ] and s = Buffer.create "S" [ 2 ] in
+  let c = Buffer.create "C" [ 16; 8 ] in
+  let r = Buffer.create ~scope:Buffer.Register "R" [ 2; 2 ] in
+  let i = Var.fresh "i" and j = Var.fresh "j" in
+  let vi = Expr.var i and vj = Expr.var j in
+  let x = Expr.Binop (Add, Binop (Mul, tid, Int 4), Binop (Add, Binop (Mul, vi, Int 2), vj)) in
+  let body =
+    Stmt.seq
+      [
+        unrolled i 2 (unrolled j 2 (Stmt.store r [ vi; vj ] (Expr.load a [ x ])));
+        unrolled i 2
+          (unrolled j 2
+             (Stmt.if_
+                (Expr.Binop
+                   ( And,
+                     Binop (Lt, Binop (Add, Binop (Mul, tid, Int 2), vi), Int 50),
+                     Binop (Lt, Binop (Add, vj, Binop (Mod, tid, Int 3)), Int 3) ))
+                (Stmt.store c
+                   [ Expr.Binop (Div, x, Int 8); Binop (Mod, x, Int 8) ]
+                   (Expr.Binop
+                      ( Max,
+                        Binop
+                          (Add, Binop (Mul, Load (r, [ vi; vj ]), Load (s, [ vj ])), Float 1.5),
+                        Int 0 )))));
+      ]
+  in
+  let k =
+    Kernel.create ~regs:[ r ] ~name:"guarded_epilogue" ~params:[ a; s; c ] ~grid_dim:1
+      ~block_dim:32 body
+  in
+  (k, random_params k)
+
+(* [G\[4t + j\] = j <> 3 ? A\[t + 4j\] : 0] over [A : 35]: lane 3 never reads,
+   and thread 27's third element is the first to read out of bounds, after
+   its first two stores and every earlier thread's. *)
+let predicated_oob () =
+  let a = Buffer.create "A" [ 35 ] and g = Buffer.create "G" [ 128 ] in
+  let j = Var.fresh "j" in
+  let vj = Expr.var j in
+  let k =
+    Kernel.create ~name:"predicated_oob" ~params:[ a; g ] ~grid_dim:1 ~block_dim:32
+      (unrolled j 4
+         (Stmt.store g
+            [ Expr.Binop (Add, Binop (Mul, tid, Int 4), vj) ]
+            (Expr.Select
+               ( Binop (Ne, vj, Int 3),
+                 Load (a, [ Binop (Add, tid, Binop (Mul, vj, Int 4)) ]),
+                 Int 0 ))))
+  in
+  (k, random_params k)
+
+(* The same loads guarded by their own bound, and a store guarded by its:
+   the lanes out of bounds are never taken, so nothing raises. *)
+let untaken_oob () =
+  let a = Buffer.create "A" [ 35 ] and g = Buffer.create "G" [ 128 ] in
+  let h = Buffer.create "H" [ 100 ] in
+  let j = Var.fresh "j" and u = Var.fresh "u" in
+  let at v = Expr.Binop (Add, tid, Binop (Mul, Expr.var v, Int 4)) in
+  let flat v = Expr.Binop (Add, Binop (Mul, tid, Int 4), Expr.var v) in
+  let k =
+    Kernel.create ~name:"untaken_oob" ~params:[ a; g; h ] ~grid_dim:1 ~block_dim:32
+      (Stmt.seq
+         [
+           unrolled j 4
+             (Stmt.store g [ flat j ]
+                (Expr.Select (Binop (Lt, at j, Int 35), Load (a, [ at j ]), Float 0.5)));
+           loop u 4
+             (Stmt.if_
+                (Expr.Binop (Lt, flat u, Int 100))
+                (Stmt.store h [ flat u ] (Expr.Binop (Mul, Load (g, [ flat u ]), Float 2.))));
+         ])
+  in
+  (k, random_params k)
+
+(* [Y\[2t + j\] = X\[2t + 1 - j\] + 1]: bound to one array, the second
+   element reads what the first stored, so the nest runs its ordinary
+   code. *)
+let aliased_params () =
+  let x = Buffer.create "X" [ 64 ] and y = Buffer.create "Y" [ 64 ] in
+  let j = Var.fresh "j" in
+  let vj = Expr.var j in
+  let two_t = Expr.Binop (Mul, tid, Int 2) in
+  let k =
+    Kernel.create ~name:"aliased" ~params:[ x; y ] ~grid_dim:1 ~block_dim:32
+      (unrolled j 2
+         (Stmt.store y
+            [ Expr.Binop (Add, two_t, vj) ]
+            (Expr.Binop
+               (Add, Load (x, [ Binop (Add, two_t, Binop (Sub, Int 1, vj)) ]), Float 1.))))
+  in
+  ( k,
+    fun () ->
+      let arr = make_inputs 29 64 in
+      [ (x, arr); (y, arr) ] )
+
+(* A 3 x 3 window sum into a register, as the rule convolution and pooling
+   kernels run it, over inputs with NaNs of two payloads, infinities and
+   zeros of both signs: the fold must keep the reference's order bit for
+   bit. *)
+let nan_window () =
+  let n = 64 in
+  let inp = Buffer.create "In" [ n + 8 ] and w = Buffer.create "W" [ 3; 3 ] in
+  let out = Buffer.create "Out" [ n ] in
+  let acc = Buffer.create ~scope:Buffer.Register "acc" [ 1 ] in
+  let u = Var.fresh "u" and v = Var.fresh "v" in
+  let vu = Expr.var u and vv = Expr.var v in
+  let gid = Expr.Binop (Add, Binop (Mul, Block_idx, Int 32), tid) in
+  let idx = Expr.Binop (Add, gid, Binop (Add, Binop (Mul, vu, Int 3), vv)) in
+  let k =
+    Kernel.create ~regs:[ acc ] ~name:"nan_window" ~params:[ inp; w; out ] ~grid_dim:2
+      ~block_dim:32
+      (Stmt.seq
+         [
+           Stmt.store acc [ Expr.int 0 ] (Expr.Float (-0.));
+           loop u 3
+             (loop v 3
+                (Stmt.store acc [ Expr.int 0 ]
+                   (Expr.Binop
+                      ( Add,
+                        Load (acc, [ Expr.int 0 ]),
+                        Select
+                          ( Binop (Ne, Binop (Mod, Binop (Add, tid, vv), Int 5), Int 4),
+                            Binop (Mul, Load (inp, [ idx ]), Load (w, [ vu; vv ])),
+                            Int 0 ) ))));
+           Stmt.store out [ gid ] (Expr.load acc [ Expr.int 0 ]);
+         ])
+  in
+  let specials =
+    [|
+      Float.nan; Int64.float_of_bits 0x7ff8_0000_0000_0abcL; Int64.float_of_bits 0xfff4_0000_0000_1234L;
+      0.; -0.; Float.infinity; Float.neg_infinity; 1.5; -2.25;
+    |]
+  in
+  let pick seed len =
+    let rng = Random.State.make [| seed |] in
+    Array.init len (fun _ -> specials.(Random.State.int rng (Array.length specials)))
+  in
+  ( k,
+    fun () -> [ (inp, pick 1 (n + 8)); (w, pick 2 9); (out, Array.make n 0.) ] )
+
+(* An index divided by a loop variable could raise: the nest keeps its
+   ordinary code. *)
+let lane_div_index () =
+  let a = Buffer.create "A" [ 64 ] and c = Buffer.create "C" [ 128 ] in
+  let j = Var.fresh "j" in
+  let vj = Expr.var j in
+  let k =
+    Kernel.create ~name:"lane_div" ~params:[ a; c ] ~grid_dim:1 ~block_dim:32
+      (unrolled j 4
+         (Stmt.store c
+            [ Expr.Binop (Add, Binop (Mul, tid, Int 4), vj) ]
+            (Expr.Select
+               ( Binop (Lt, vj, Int 3),
+                 Load (a, [ Binop (Div, Binop (Add, tid, vj), Binop (Add, vj, Int 1)) ]),
+                 Int 0 ))))
+  in
+  (k, random_params k)
+
+(* A nest that [Launch.nest] refuses whose leaf is a store guarded by an
+   [If], or whose value has a [Select]: what a lane nest takes. *)
+let rec lane_candidates (s : Stmt.t) =
+  let rec leaf (s : Stmt.t) =
+    match s with
+    | Stmt.For { extent = Int _; body; _ } | Seq [ body ] -> leaf body
+    | If { then_ = Store _; else_ = None; _ } -> true
+    | Store { value; _ } -> has_select value
+    | _ -> false
+  in
+  match s with
+  | Stmt.For { extent = Int _; _ } when Launch.nest s = None && leaf s -> 1
+  | For { body; _ } | Let { body; _ } -> lane_candidates body
+  | Seq ss -> List.fold_left (fun n s -> n + lane_candidates s) 0 ss
+  | If { then_; else_; _ } ->
+    lane_candidates then_ + Option.fold ~none:0 ~some:lane_candidates else_
+  | Store _ | Mma _ | Sync_threads | Comment _ -> 0
+
+(* Every matmul of the hidet engine's tiny-model plans takes its
+   predicated global loads (two, four with double buffering) and its
+   guarded epilogue as lane nests, and the rule convolution and pooling
+   kernels their window loops. *)
+let test_tiny_lane_nests () =
+  let hidet =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"hidet/" name)
+      (Phase_cases.tiny_kernels ())
+  in
+  let named prefix =
+    List.filter (fun (name, _) -> String.starts_with ~prefix (Filename.basename name)) hidet
+  in
+  let matmuls = named "matmul_" in
+  Alcotest.(check int) "tiny-model matmuls" 20 (List.length matmuls);
+  List.iter
+    (fun (name, (k : Kernel.t)) ->
+      let candidates = lane_candidates k.body in
+      Alcotest.(check bool) (name ^ ": three lane nests or more") true (candidates >= 3);
+      Alcotest.(check int) (name ^ ": lane nests taken") candidates (lanes_of k))
+    matmuls;
+  let windows = named "rule_dwconv" @ named "rule_avgpool" in
+  Alcotest.(check int) "rule convolution and pooling kernels" 2 (List.length windows);
+  List.iter
+    (fun (name, (k : Kernel.t)) ->
+      Alcotest.(check int) (name ^ ": window loop taken") 1 (lanes_of k))
+    windows
 
 (* The [Matmul_template] kernel exercises both forms. *)
 let test_template_counters () =
@@ -1396,6 +1691,15 @@ let () =
             test_oob_nest;
           Alcotest.test_case "every tiny-model matmul takes its nests" `Quick
             test_tiny_matmul_nests;
+          lane_case "guarded epilogue, part of the tile stored" ~lanes:1 guarded_epilogue;
+          lane_case "predicated load out of bounds on its third element" ~lanes:1
+            predicated_oob;
+          lane_case "untaken lanes out of bounds" ~lanes:2 untaken_oob;
+          lane_case "stored and loaded parameters bound to one array" ~lanes:1
+            aliased_params;
+          lane_case "window sum over NaNs and signed zeros" ~lanes:1 nan_window;
+          lane_case "a division by a loop variable stays general" ~lanes:0 lane_div_index;
+          Alcotest.test_case "tiny-model lane nests" `Quick test_tiny_lane_nests;
           form_case "int/float select typed by the branch taken" mixed_select_kernel;
           form_case "division by threadIdx in a branch not taken"
             div_by_tid_in_branch;
