@@ -1151,26 +1151,19 @@ type lacc = {
 
 (* The row program, one instruction per subexpression. Int instructions
    also serve bools (0 or 1) and masks. A binary one is (dst, a, b) over
-   two rows; [_k] takes a scalar [b], [L_k_] a scalar [a]; the generic
-   forms take each operand's stride. *)
+   two rows, or with [_k] a row and a scalar [b]; the generic forms, which
+   the rest of the operators and operand forms take, read each operand at
+   its stride. *)
 type lins =
-  | L_islot of int * int  (** cell <- int frame slot *)
-  | L_iget of int * (rt -> int)
+  | L_islots of int array * int array  (** cells <- int frame slots *)
+  | L_igets of int array * (rt -> int) array
   | L_fslot of int * int
   | L_fget of int * (rt -> float)
   | L_add of int * int * int
   | L_add_k of int * int * int
-  | L_sub of int * int * int
   | L_sub_k of int * int * int
-  | L_k_sub of int * int * int
-  | L_mul of int * int * int
   | L_mul_k of int * int * int
-  | L_lt of int * int * int
   | L_lt_k of int * int * int
-  | L_le_k of int * int * int
-  | L_gt_k of int * int * int
-  | L_ge of int * int * int
-  | L_ge_k of int * int * int
   | L_and of int * int * int
   | L_and_k of int * int * int
   | L_ibin of Expr.binop * int * int * int * int * int
@@ -1185,14 +1178,12 @@ type lins =
   | L_isel of int * int * int * int * int * int * int  (** dst, c, sc, a, sa, b, sb *)
   | L_itof of int * int * int  (** dst, a, a's stride *)
   | L_fadd of int * int * int
-  | L_fadd_k of int * int * int
-  | L_k_fadd of int * int * int
   | L_fmul of int * int * int
   | L_fmul_k of int * int * int
-  | L_k_fmul of int * int * int
   | L_fmax_k of int * int * int
   | L_fbin of (float -> float -> float) * int * int * int * int * int
-  | L_fun of (float -> float) * int * int * int
+  | L_fun of (float -> float) * int * int * int * int * int
+      (** dst, a, sa, and the mask: only the lanes that take it call [f] *)
   | L_fsel of int * int * int * int * int * int * int
   | L_load of lacc  (** float row: the taken lanes' values, 0 elsewhere *)
   | L_addr of lacc  (** int row: the taken lanes' flat offsets *)
@@ -1217,23 +1208,10 @@ let int_ins (op : Expr.binop) (x : lop) (y : lop) d =
   | Add, true, true -> L_add (d, a, b)
   | Add, true, false -> L_add_k (d, a, b)
   | Add, false, true -> L_add_k (d, b, a)
-  | Sub, true, true -> L_sub (d, a, b)
   | Sub, true, false -> L_sub_k (d, a, b)
-  | Sub, false, true -> L_k_sub (d, a, b)
-  | Mul, true, true -> L_mul (d, a, b)
   | Mul, true, false -> L_mul_k (d, a, b)
   | Mul, false, true -> L_mul_k (d, b, a)
-  | Lt, true, true -> L_lt (d, a, b)
   | Lt, true, false -> L_lt_k (d, a, b)
-  | Lt, false, true -> L_gt_k (d, b, a)
-  | Le, true, false -> L_le_k (d, a, b)
-  | Le, false, true -> L_ge_k (d, b, a)
-  | Gt, true, true -> L_lt (d, b, a)
-  | Gt, true, false -> L_gt_k (d, a, b)
-  | Gt, false, true -> L_lt_k (d, b, a)
-  | Ge, true, true -> L_ge (d, a, b)
-  | Ge, true, false -> L_ge_k (d, a, b)
-  | Ge, false, true -> L_le_k (d, b, a)
   | And, true, true -> L_and (d, a, b)
   | And, true, false -> L_and_k (d, a, b)
   | And, false, true -> L_and_k (d, b, a)
@@ -1252,17 +1230,13 @@ let int_ins (op : Expr.binop) (x : lop) (y : lop) d =
       L_mod (d, a, k, m, sh)
   | _ -> L_ibin (op, d, a, stride x, b, stride y)
 
-(* The float binops keep their operand order: it decides which NaN an
-   operation of two NaNs returns. *)
+(* Float operands keep the reference's order, [x op y]. *)
 let float_ins (op : Expr.binop) (x : lop) (y : lop) d =
   let a = x.cell and b = y.cell in
   match (op, x.row, y.row) with
   | Add, true, true -> L_fadd (d, a, b)
-  | Add, true, false -> L_fadd_k (d, a, b)
-  | Add, false, true -> L_k_fadd (d, a, b)
   | Mul, true, true -> L_fmul (d, a, b)
   | Mul, true, false -> L_fmul_k (d, a, b)
-  | Mul, false, true -> L_k_fmul (d, a, b)
   | Max, true, false -> L_fmax_k (d, a, b)
   | _ ->
     let f =
@@ -1329,8 +1303,14 @@ let run_lanes rt e (prog : lins array) =
   let li = rt.li and lf = rt.lf in
   for pc = 0 to Array.length prog - 1 do
     match Array.unsafe_get prog pc with
-    | L_islot (c, s) -> Array.unsafe_set li c (Array.unsafe_get rt.ints s)
-    | L_iget (c, f) -> Array.unsafe_set li c (f rt)
+    | L_islots (cs, ss) ->
+      for k = 0 to Array.length cs - 1 do
+        Array.unsafe_set li (Array.unsafe_get cs k) (Array.unsafe_get rt.ints (Array.unsafe_get ss k))
+      done
+    | L_igets (cs, fs) ->
+      for k = 0 to Array.length cs - 1 do
+        Array.unsafe_set li (Array.unsafe_get cs k) ((Array.unsafe_get fs k) rt)
+      done
     | L_fslot (c, s) -> Array.unsafe_set lf c (Array.unsafe_get rt.floats s)
     | L_fget (c, f) -> Array.unsafe_set lf c (f rt)
     | L_add (d, a, b) ->
@@ -1342,58 +1322,20 @@ let run_lanes rt e (prog : lins array) =
       for j = 0 to e - 1 do
         Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) + y)
       done
-    | L_sub (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) - Array.unsafe_get li (b + j))
-      done
     | L_sub_k (d, a, b) ->
       let y = Array.unsafe_get li b in
       for j = 0 to e - 1 do
         Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) - y)
-      done
-    | L_k_sub (d, a, b) ->
-      let x = Array.unsafe_get li a in
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (x - Array.unsafe_get li (b + j))
-      done
-    | L_mul (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) * Array.unsafe_get li (b + j))
       done
     | L_mul_k (d, a, b) ->
       let y = Array.unsafe_get li b in
       for j = 0 to e - 1 do
         Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) * y)
       done
-    | L_lt (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j)
-          (b2i (Array.unsafe_get li (a + j) < Array.unsafe_get li (b + j)))
-      done
     | L_lt_k (d, a, b) ->
       let y = Array.unsafe_get li b in
       for j = 0 to e - 1 do
         Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) < y))
-      done
-    | L_le_k (d, a, b) ->
-      let y = Array.unsafe_get li b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) <= y))
-      done
-    | L_gt_k (d, a, b) ->
-      let y = Array.unsafe_get li b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) > y))
-      done
-    | L_ge (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j)
-          (b2i (Array.unsafe_get li (a + j) >= Array.unsafe_get li (b + j)))
-      done
-    | L_ge_k (d, a, b) ->
-      let y = Array.unsafe_get li b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (b2i (Array.unsafe_get li (a + j) >= y))
       done
     | L_and (d, a, b) ->
       for j = 0 to e - 1 do
@@ -1460,16 +1402,6 @@ let run_lanes rt e (prog : lins array) =
       for j = 0 to e - 1 do
         Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) +. Array.unsafe_get lf (b + j))
       done
-    | L_fadd_k (d, a, b) ->
-      let y = Array.unsafe_get lf b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) +. y)
-      done
-    | L_k_fadd (d, a, b) ->
-      let x = Array.unsafe_get lf a in
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (x +. Array.unsafe_get lf (b + j))
-      done
     | L_fmul (d, a, b) ->
       for j = 0 to e - 1 do
         Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) *. Array.unsafe_get lf (b + j))
@@ -1478,11 +1410,6 @@ let run_lanes rt e (prog : lins array) =
       let y = Array.unsafe_get lf b in
       for j = 0 to e - 1 do
         Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) *. y)
-      done
-    | L_k_fmul (d, a, b) ->
-      let x = Array.unsafe_get lf a in
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (x *. Array.unsafe_get lf (b + j))
       done
     | L_fmax_k (d, a, b) ->
       let y = Array.unsafe_get lf b in
@@ -1494,9 +1421,12 @@ let run_lanes rt e (prog : lins array) =
         Array.unsafe_set lf (d + j)
           (f (Array.unsafe_get lf (a + (j * sa))) (Array.unsafe_get lf (b + (j * sb))))
       done
-    | L_fun (f, d, a, sa) ->
+    | L_fun (f, d, a, sa, m, ms) ->
       for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (f (Array.unsafe_get lf (a + (j * sa))))
+        Array.unsafe_set lf (d + j)
+          (if m < 0 || Array.unsafe_get li (m + (j * ms)) <> 0 then
+             f (Array.unsafe_get lf (a + (j * sa)))
+           else 0.)
       done
     | L_fsel (d, c, sc, a, sa, b, sb) ->
       for j = 0 to e - 1 do
@@ -1672,6 +1602,7 @@ let delinear (buf : Buffer.t) idx =
 type lkey =
   | K_op of Expr.binop * int * bool * int * bool
   | K_un of Expr.unop * int * bool
+  | K_fun of Expr.unop * int * bool * int
   | K_sel of int * bool * int * bool * int * bool
   | K_itof of int * bool
   | K_load of int * int list * int * bool
@@ -1687,6 +1618,8 @@ type lb = {
   consts : (int array, lop) Hashtbl.t;
   slots : (int, lop) Hashtbl.t;
   mutable globals : int list;
+  mutable copies : (int * int) list;  (** int scalars: cell, frame slot *)
+  mutable gets : (int * (rt -> int)) list;  (** and cell, closure *)
 }
 
 (* A compiled value: an int or bool, or a float; [L_free] when it has no
@@ -1753,13 +1686,13 @@ let iscalar st b (o : iop) =
     | Some o -> o
     | None ->
       let c = icells st 1 in
-      emit b (L_islot (c, s));
+      b.copies <- (c, s) :: b.copies;
       let o = { cell = c; row = false; known = None } in
       Hashtbl.replace b.slots s o;
       o)
   | F f ->
     let c = icells st 1 in
-    emit b (L_iget (c, f));
+    b.gets <- (c, f) :: b.gets;
     { cell = c; row = false; known = None }
 
 let fscalar st b (o : fop) =
@@ -1789,39 +1722,9 @@ let scalar st venv b (e : Expr.t) =
 (* The lanes a mask and a condition both let through. *)
 let mask_and st b mask c = match mask with None -> c | Some m -> ibin st b And m c
 
-(* An access at [idx] of [buf] taken by the lanes of [mask], into the
-   int or float cells at [dst], and its index cells in order. *)
-let access st venv b ~lval ~force mask (buf : Buffer.t) idx dst =
-  let slot = Hashtbl.find st.buf_slot buf.Buffer.id in
-  let dims, strides, idx =
-    match delinear buf idx with
-    | Some (x, size) -> ([| size |], [| 1 |], [ x ])
-    | None ->
-      let dims, strides = strides_of buf in
-      (dims, strides, idx)
-  in
-  let ix = List.map (fun i -> as_li (force st venv b i (lval st venv b mask i))) idx in
-  let pick row f =
-    Array.of_list
-      (List.concat (List.mapi (fun p (o : lop) -> if o.row = row then [ f p o ] else []) ix))
-  in
-  let m, msr = match Lazy.force mask with None -> (-1, 0) | Some m -> (m.cell, stride m) in
-  ( {
-    dst;
-    buf = slot;
-    kidx = pick false (fun _ o -> o.cell);
-    kdim = pick false (fun p _ -> dims.(p));
-    kstr = pick false (fun p _ -> strides.(p));
-    ridx = pick true (fun _ o -> o.cell);
-    rdim = pick true (fun p _ -> dims.(p));
-    rstr = pick true (fun p _ -> strides.(p));
-    mask = m;
-    msr;
-  },
-    List.map (fun o -> o.cell) ix )
-
 (* Compile an expression [value_ty] or [pure_ty] accepted. [mask] holds
-   the lanes whose [Select] path reaches it: a load reads only there. *)
+   the lanes whose [Select] path reaches it, built when a load first reads
+   under it: a load reads only there. *)
 let rec lval st venv b mask (e : Expr.t) =
   let go = lval st venv b in
   match e with
@@ -1834,7 +1737,7 @@ let rec lval st venv b mask (e : Expr.t) =
     let slot = Hashtbl.find st.buf_slot buf.Buffer.id in
     if slot < st.n_globals && not (List.mem slot b.globals) then
       b.globals <- slot :: b.globals;
-    let l, cells = access st venv b ~lval ~force mask buf idx 0 in
+    let l, cells = lane_access st venv b mask buf idx 0 in
     let key = K_load (slot, cells, l.mask, l.msr = 1) in
     L_f (memo st b b.fmemo fcells key (fun dst -> L_load { l with dst }))
   | Binop (op, x, y) -> (
@@ -1882,9 +1785,10 @@ let rec lval st venv b mask (e : Expr.t) =
         | Tanh -> Stdlib.tanh
         | Erf | Not -> Expr.erf
       in
+      let m, ms = match Lazy.force mask with None -> (-1, 0) | Some m -> (m.cell, stride m) in
       L_f
-        (memo st b b.fmemo fcells (K_un (op, x.cell, x.row)) (fun d ->
-             L_fun (f, d, x.cell, stride x))))
+        (memo st b b.fmemo fcells (K_fun (op, x.cell, x.row, m)) (fun d ->
+             L_fun (f, d, x.cell, stride x, m, ms))))
   | Select (c, x, y) -> (
     let lc = go mask c in
     let fc = lazy (as_li (force st venv b c lc)) in
@@ -1913,6 +1817,37 @@ let rec lval st venv b mask (e : Expr.t) =
 
 (* A compiled operand of [e], computing a free one as a scalar. *)
 and force st venv b e = function L_free -> scalar st venv b e | v -> v
+
+(* An access at [idx] of [buf] taken by the lanes of [mask], into the
+   int or float cells at [dst], and its index cells in order. *)
+and lane_access st venv b mask (buf : Buffer.t) idx dst =
+  let slot = Hashtbl.find st.buf_slot buf.Buffer.id in
+  let dims, strides, idx =
+    match delinear buf idx with
+    | Some (x, size) -> ([| size |], [| 1 |], [ x ])
+    | None ->
+      let dims, strides = strides_of buf in
+      (dims, strides, idx)
+  in
+  let ix = List.map (fun i -> as_li (force st venv b i (lval st venv b mask i))) idx in
+  let pick row f =
+    Array.of_list
+      (List.concat (List.mapi (fun p (o : lop) -> if o.row = row then [ f p o ] else []) ix))
+  in
+  let m, msr = match Lazy.force mask with None -> (-1, 0) | Some m -> (m.cell, stride m) in
+  ( {
+    dst;
+    buf = slot;
+    kidx = pick false (fun _ o -> o.cell);
+    kdim = pick false (fun p _ -> dims.(p));
+    kstr = pick false (fun p _ -> strides.(p));
+    ridx = pick true (fun _ o -> o.cell);
+    rdim = pick true (fun p _ -> dims.(p));
+    rstr = pick true (fun p _ -> strides.(p));
+    mask = m;
+    msr;
+  },
+    List.map (fun o -> o.cell) ix )
 
 (* A lane nest ({!lane_shape}) as one closure, or [None]. It evaluates
    every subexpression once, as a row over the elements or a scalar;
@@ -1971,12 +1906,14 @@ let lane_nest st venv (s : Stmt.t) (general : unit -> rt -> unit) =
           consts = Hashtbl.create 16;
           slots = Hashtbl.create 8;
           globals = [];
+          copies = [];
+          gets = [];
         }
       in
       let compiled mask e = force st venv b e (lval st venv b mask e) in
       let gd = Option.map (fun g -> as_li (compiled (lazy None) g)) guard in
       let v = as_fl st b (compiled (lazy gd) (Option.value reduction ~default:value)) in
-      let addr, _ = access st venv b ~lval ~force (lazy gd) buf indices (icells st e) in
+      let addr, _ = lane_access st venv b (lazy gd) buf indices (icells st e) in
       emit b (L_addr addr);
       let slot = addr.buf in
       let store =
@@ -1991,7 +1928,15 @@ let lane_nest st venv (s : Stmt.t) (general : unit -> rt -> unit) =
           count = List.fold_right (fun (_, n) c -> 1 + (n * c)) loops 1;
         }
       in
-      let prog = Array.of_list (List.rev b.prog) in
+      (* The int scalars first, in two instructions: they read only the
+         frame, which the nest does not write. *)
+      let batch l mk = if l = [] then [] else [ mk (List.split (List.rev l)) ] in
+      let prog =
+        Array.of_list
+          (batch b.copies (fun (cs, ss) -> L_islots (Array.of_list cs, Array.of_list ss))
+          @ batch b.gets (fun (cs, fs) -> L_igets (Array.of_list cs, Array.of_list fs))
+          @ List.rev b.prog)
+      in
       let general =
         let nesting = st.nesting in
         st.nesting <- false;

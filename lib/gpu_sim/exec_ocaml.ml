@@ -977,7 +977,17 @@ let compile (k : Kernel.t) : Launch.t =
           Hashtbl.replace memo key e;
           e)
   in
+  (* Each binding returns a closure of the runner's own arity: a partial
+     application would allocate on every call. *)
   Launch.make k slots
     (match entry with
-    | Exec_registry.Thread entry -> Launch.Thread (fun bufs tid bid -> entry tid bid bufs)
-    | Block block -> Block (fun tbufs bid -> block bid tbufs))
+    | Exec_registry.Thread entry ->
+      Launch.Thread
+        (fun bufs ->
+          let run tid bid = entry tid bid bufs in
+          run)
+    | Block block ->
+      Block
+        (fun tbufs ->
+          let run bid = block bid tbufs in
+          run))
