@@ -82,6 +82,8 @@ type cstate = {
   mutable n_lf : int;
   mutable li_init : (int * int) list;  (** constant cells, set at bind *)
   mutable lf_init : (int * float) list;
+  lconsts : (int array, int) Hashtbl.t;
+      (** constant cells by value: no nest writes one, so nests share them *)
 }
 
 (* A hoisting scope: the thread entry (depth 0), one [For] iteration or an
@@ -1615,7 +1617,6 @@ type lb = {
   mutable prog : lins list;
   imemo : (lkey, lop) Hashtbl.t;
   fmemo : (lkey, lop) Hashtbl.t;
-  consts : (int array, lop) Hashtbl.t;
   slots : (int, lop) Hashtbl.t;
   mutable globals : int list;
   mutable copies : (int * int) list;  (** int scalars: cell, frame slot *)
@@ -1640,16 +1641,18 @@ let fcells st n =
 let emit b i = b.prog <- i :: b.prog
 
 (* Known int values: a constant scalar, or a row when they differ. *)
-let iconst st b (vals : int array) =
+let iconst st (vals : int array) =
   let vals = if Array.for_all (( = ) vals.(0)) vals then [| vals.(0) |] else vals in
-  match Hashtbl.find_opt b.consts vals with
-  | Some o -> o
-  | None ->
-    let c = icells st (Array.length vals) in
-    Array.iteri (fun j v -> st.li_init <- (c + j, v) :: st.li_init) vals;
-    let o = { cell = c; row = Array.length vals > 1; known = Some vals } in
-    Hashtbl.replace b.consts vals o;
-    o
+  let cell =
+    match Hashtbl.find_opt st.lconsts vals with
+    | Some c -> c
+    | None ->
+      let c = icells st (Array.length vals) in
+      Array.iteri (fun j v -> st.li_init <- (c + j, v) :: st.li_init) vals;
+      Hashtbl.replace st.lconsts vals c;
+      c
+  in
+  { cell; row = Array.length vals > 1; known = Some vals }
 
 let memo st b tbl cells key mk =
   match Hashtbl.find_opt tbl key with
@@ -1665,7 +1668,7 @@ let ibin st b op x y =
   match (x.known, y.known) with
   | Some kx, Some ky ->
     let at k j = if Array.length k = 1 then k.(0) else k.(j) in
-    iconst st b
+    iconst st
       (Array.init (if x.row || y.row then b.ln.e else 1) (fun j ->
            ifold op (at kx j) (at ky j)))
   | _ -> memo st b b.imemo icells (K_op (op, x.cell, x.row, y.cell, y.row)) (int_ins op x y)
@@ -1673,14 +1676,14 @@ let ibin st b op x y =
 let iun st b op x =
   match x.known with
   | Some k ->
-    iconst st b
+    iconst st
       (Array.map (fun v -> match op with Expr.Neg -> -v | Abs -> Stdlib.abs v | _ -> 1 - v) k)
   | None -> memo st b b.imemo icells (K_un (op, x.cell, x.row)) (fun d -> L_iun (op, d, x.cell, stride x))
 
 (* A scalar computed once at nest entry by the ordinary compiler. *)
 let iscalar st b (o : iop) =
   match o with
-  | K n -> iconst st b [| n |]
+  | K n -> iconst st [| n |]
   | S s -> (
     match Hashtbl.find_opt b.slots s with
     | Some o -> o
@@ -1731,7 +1734,7 @@ let rec lval st venv b mask (e : Expr.t) =
   | Expr.Int _ | Float _ | Bool _ | Thread_idx | Block_idx -> L_free
   | Var v -> (
     match List.assoc_opt v.Var.id b.ln.coords with
-    | Some c -> L_i (iconst st b c)
+    | Some c -> L_i (iconst st c)
     | None -> L_free)
   | Load (buf, idx) ->
     let slot = Hashtbl.find st.buf_slot buf.Buffer.id in
@@ -1903,7 +1906,6 @@ let lane_nest st venv (s : Stmt.t) (general : unit -> rt -> unit) =
           prog = [];
           imemo = Hashtbl.create 16;
           fmemo = Hashtbl.create 16;
-          consts = Hashtbl.create 16;
           slots = Hashtbl.create 8;
           globals = [];
           copies = [];
@@ -2331,6 +2333,7 @@ let compile (k : Kernel.t) : Launch.t =
             n_lf = 0;
             li_init = [];
             lf_init = [];
+            lconsts = Hashtbl.create 16;
           }
         in
         let code =
@@ -2357,8 +2360,10 @@ let compile (k : Kernel.t) : Launch.t =
         and n_dyns = max 1 st.max_dyn
         and n_li = max 1 st.n_li
         and n_lf = max 1 st.n_lf
-        and li_init = st.li_init
-        and lf_init = st.lf_init in
+        and li_cells, li_vals = List.split st.li_init
+        and lf_cells, lf_vals = List.split st.lf_init in
+        let li_cells = Array.of_list li_cells and li_vals = Array.of_list li_vals in
+        let lf_cells = Array.of_list lf_cells and lf_vals = Array.of_list lf_vals in
         (* Frames are built when a launch binds the code to its thread
            storage, and reused: a thread starts with its pinned slots set and
            its count at 0, and writes every other slot, row and cell before
@@ -2366,8 +2371,8 @@ let compile (k : Kernel.t) : Launch.t =
            shared by the frames of a block: no nest spans a barrier. *)
         let lanes () =
           let li = Array.make n_li 0 and lf = Array.make n_lf 0. in
-          List.iter (fun (c, v) -> li.(c) <- v) li_init;
-          List.iter (fun (c, v) -> lf.(c) <- v) lf_init;
+          Array.iteri (fun k c -> li.(c) <- li_vals.(k)) li_cells;
+          Array.iteri (fun k c -> lf.(c) <- lf_vals.(k)) lf_cells;
           (li, lf)
         in
         let frame (li, lf) bufs =
