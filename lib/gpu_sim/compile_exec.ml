@@ -1852,13 +1852,64 @@ and lane_access st venv b mask (buf : Buffer.t) idx dst =
   },
     List.map (fun o -> o.cell) ix )
 
+(* A lane nest as the reference runs it: [Expr.eval] over the frame's
+   variables and the nest's loop variables, [Buffer.flat_index] for every
+   access, one count per statement. A nest runs this when a check fails,
+   so the error it raises is [Interp]'s, at [Interp]'s statement, with the
+   earlier stores done. *)
+let lane_reference st venv (s : Stmt.t) =
+  let buf_slot = st.buf_slot in
+  let slot (b : Buffer.t) = Hashtbl.find buf_slot b.Buffer.id in
+  let flat (b : Buffer.t) idx =
+    try Buffer.flat_index b idx with Invalid_argument msg -> invalid_access msg
+  in
+  fun rt ->
+    let loops = ref Int_map.empty in
+    let env =
+      {
+        Expr.lookup =
+          (fun v ->
+            match Int_map.find_opt v.Var.id !loops with
+            | Some i -> Expr.V_int i
+            | None -> (
+              match Int_map.find_opt v.Var.id venv with
+              | Some (S_int s) -> V_int rt.ints.(s)
+              | Some (S_float s) -> V_float rt.floats.(s)
+              | Some (S_bool s) -> V_bool rt.bools.(s)
+              | Some (S_dyn s) -> rt.vals.(s)
+              | None -> assert false (* [value_ty] and [pure_ty] *)));
+        load = (fun b idx -> V_float rt.bufs.(slot b).(flat b idx));
+        thread_idx = rt.ints.(tid_slot);
+        block_idx = rt.ints.(bid_slot);
+      }
+    in
+    let rec go (s : Stmt.t) =
+      rt.stmts <- rt.stmts + 1;
+      match s with
+      | Stmt.For { var; extent; body; _ } ->
+        for i = 0 to Expr.eval_int env extent - 1 do
+          loops := Int_map.add var.Var.id i !loops;
+          go body
+        done
+      | If { cond; then_; _ } -> if Expr.eval_bool env cond then go then_
+      | Store { buf; indices; value } ->
+        let idx = List.map (Expr.eval_int env) indices in
+        let v = Expr.eval_float env value in
+        rt.bufs.(slot buf).(flat buf idx) <- v
+      | Seq [ s ] ->
+        rt.stmts <- rt.stmts - 1;
+        go s
+      | _ -> assert false (* [lane_shape] *)
+    in
+    go s
+
 (* A lane nest ({!lane_shape}) as one closure, or [None]. It evaluates
    every subexpression once, as a row over the elements or a scalar;
    checks every taken index, then stores in element order. A failed
    check, or a stored parameter array that a load also reads, runs
    [general], the nest's ordinary code, instead: nothing is stored
    before. *)
-let lane_nest st venv (s : Stmt.t) (general : unit -> rt -> unit) =
+let lane_nest st venv (s : Stmt.t) =
   match lane_shape s with
   | exception Exit -> None
   | loops, guard, (buf, indices, value) -> (
@@ -1939,20 +1990,14 @@ let lane_nest st venv (s : Stmt.t) (general : unit -> rt -> unit) =
           @ batch b.gets (fun (cs, fs) -> L_igets (Array.of_list cs, Array.of_list fs))
           @ List.rev b.prog)
       in
-      let general =
-        let nesting = st.nesting in
-        st.nesting <- false;
-        let g = general () in
-        st.nesting <- nesting;
-        g
-      in
+      let reference = lane_reference st venv s in
       Some
         (fun rt ->
-          if aliased rt.bufs slot store.aliases 0 then general rt
+          if aliased rt.bufs slot store.aliases 0 then reference rt
           else
             match run_lanes rt e prog with
             | () -> lane_finish rt e store
-            | exception Lane_miss -> general rt)
+            | exception Lane_miss -> reference rt)
     end)
 
 (* Run closures in order. *)
@@ -1994,7 +2039,7 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
       else
         match nest st venv s general with
         | Some _ as n -> n
-        | None -> lane_nest st venv s general
+        | None -> lane_nest st venv s
     in
     match nested with Some nest -> nest | None -> general ())
   | If { cond; then_; else_ } ->
