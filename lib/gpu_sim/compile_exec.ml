@@ -1907,8 +1907,7 @@ let lane_reference st venv (s : Stmt.t) =
    every subexpression once, as a row over the elements or a scalar;
    checks every taken index, then stores in element order. A failed
    check, or a stored parameter array that a load also reads, runs
-   [general], the nest's ordinary code, instead: nothing is stored
-   before. *)
+   [lane_reference] instead: nothing is stored before. *)
 let lane_nest st venv (s : Stmt.t) =
   match lane_shape s with
   | exception Exit -> None
