@@ -72,13 +72,12 @@ type cstate = {
   slot_depth : (int, int) Hashtbl.t;
       (** int slot -> depth of the scope that sets it *)
   mutable next_hoist : int;
-  mutable nesting : bool;
-      (** [For] tries the nests: off inside a nest's ordinary code *)
+  mutable nesting : bool;  (** [For] tries the nests: off inside an [unroll] [For] *)
   mutable nests : int;
   mutable fma_nests : int;
   n_globals : int;  (** buffer slots below this are parameters *)
   mutable lane_nests : int;
-  mutable n_li : int;  (** lane-nest cells: each nest has its own *)
+  mutable n_li : int;  (** lane-nest cells: each nest's rows are its own *)
   mutable n_lf : int;
   mutable li_init : (int * int) list;  (** constant cells, set at bind *)
   mutable lf_init : (int * float) list;
@@ -2024,8 +2023,8 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
   match s with
   | Stmt.Seq ss -> seq_closures (List.map (comp_stmt st venv) ss)
   | For { var; extent; body; unroll } -> (
-    (* A nest runs whole or not at all: its ordinary code, and an [unroll]
-       loop that is no nest, holds no nest of its own. *)
+    (* A register-tile nest runs whole or not at all: its ordinary code,
+       and an [unroll] loop that is no nest, holds no nest of its own. *)
     let general () =
       let nesting = st.nesting in
       if unroll then st.nesting <- false;
