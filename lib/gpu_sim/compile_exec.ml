@@ -79,10 +79,10 @@ type cstate = {
   mutable lane_nests : int;
   mutable n_li : int;  (** lane-nest cells: each nest's rows are its own *)
   mutable n_lf : int;
-  mutable li_init : (int * int) list;  (** constant cells, set at bind *)
-  mutable lf_init : (int * float) list;
   lconsts : (int array, int) Hashtbl.t;
-      (** constant cells by value: no nest writes one, so nests share them *)
+      (** constant int cells by value (their first cell): no nest writes
+          one, so nests share them *)
+  mutable lf_init : (int * float) list;  (** constant float cells *)
 }
 
 (* A hoisting scope: the thread entry (depth 0), one [For] iteration or an
@@ -1054,8 +1054,6 @@ let is_lane ln (v : Var.t) = List.mem_assoc v.Var.id ln.coords
    [blockIdx] and int or bool variables, none of which can raise. Raises
    [Exit] on anything else. *)
 let rec pure_ty venv ln (e : Expr.t) =
-  let int x = if pure_ty venv ln x <> T_int then raise Exit in
-  let bool x = if pure_ty venv ln x <> T_bool then raise Exit in
   match e with
   | Expr.Int _ | Thread_idx | Block_idx -> T_int
   | Bool _ -> T_bool
@@ -1066,66 +1064,73 @@ let rec pure_ty venv ln (e : Expr.t) =
     | Some (S_bool _) -> T_bool
     | _ -> raise Exit)
   | Binop ((Add | Sub | Mul | Min | Max), a, b) ->
-    int a;
-    int b;
+    pure_is T_int venv ln a;
+    pure_is T_int venv ln b;
     T_int
   | Binop ((Div | Mod), a, Int d) when d <> 0 ->
-    int a;
+    pure_is T_int venv ln a;
     T_int
   | Binop ((Lt | Le | Gt | Ge | Eq | Ne), a, b) ->
-    int a;
-    int b;
+    pure_is T_int venv ln a;
+    pure_is T_int venv ln b;
     T_bool
   | Binop ((And | Or), a, b) ->
-    bool a;
-    bool b;
+    pure_is T_bool venv ln a;
+    pure_is T_bool venv ln b;
     T_bool
   | Unop ((Neg | Abs), a) ->
-    int a;
+    pure_is T_int venv ln a;
     T_int
   | Unop (Not, a) ->
-    bool a;
+    pure_is T_bool venv ln a;
     T_bool
   | _ -> raise Exit
+
+and pure_is t venv ln e = if pure_ty venv ln e <> t then raise Exit
+
+let pure_int venv ln e =
+  pure_is T_int venv ln e;
+  T_int
 
 (* The stored value: constants, variables, loads at pure indices of any
    buffer but [stored], arithmetic, float functions and [Select]s on pure
    conditions, typed as [Expr.eval] types them; [T_dyn] only where a
    float is read. Raises [Exit] on anything else. *)
 let rec value_ty st venv ln stored (e : Expr.t) =
-  let vt = value_ty st venv ln stored in
-  let int () = if pure_ty venv ln e = T_int then T_int else raise Exit in
   match e with
   | Expr.Float _ -> T_float
   | Var v when not (is_lane ln v) -> (
     match Int_map.find_opt v.Var.id venv with
     | Some (S_float _) -> T_float
-    | _ -> int ())
+    | _ -> pure_int venv ln e)
   | Load (b, idx) ->
     if
       b.Buffer.id = stored
       || List.length idx <> Buffer.rank b
       || not (Hashtbl.mem st.buf_slot b.Buffer.id)
     then raise Exit;
-    List.iter (fun i -> if pure_ty venv ln i <> T_int then raise Exit) idx;
+    List.iter (pure_is T_int venv ln) idx;
     T_float
   | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), a, b) -> (
-    match (vt a, vt b) with
-    | T_int, T_int -> int ()
+    match (value_ty st venv ln stored a, value_ty st venv ln stored b) with
+    | T_int, T_int -> pure_int venv ln e
     | T_float, _ | _, T_float -> T_float
     | _ -> raise Exit)
   | Unop ((Neg | Abs), a) -> (
-    match vt a with T_int -> int () | T_float -> T_float | _ -> raise Exit)
+    match value_ty st venv ln stored a with
+    | T_int -> pure_int venv ln e
+    | T_float -> T_float
+    | _ -> raise Exit)
   | Unop ((Exp | Log | Sqrt | Tanh | Erf), a) ->
-    ignore (vt a);
+    ignore (value_ty st venv ln stored a);
     T_float
   | Select (c, a, b) -> (
     if pure_ty venv ln c <> T_bool then raise Exit;
-    match (vt a, vt b) with
+    match (value_ty st venv ln stored a, value_ty st venv ln stored b) with
     | T_int, T_int -> T_int
     | T_float, T_float -> T_float
     | _ -> T_dyn)
-  | _ -> int ()
+  | _ -> pure_int venv ln e
 
 (* A compiled operand: a cell of the lane rows holding a scalar (one
    value for every element) or a row (one value per element), with the
@@ -1151,38 +1156,34 @@ type lacc = {
 }
 
 (* The row program, one instruction per subexpression. Int instructions
-   also serve bools (0 or 1) and masks. A binary one is (dst, a, b) over
-   two rows, or with [_k] a row and a scalar [b]; the generic forms, which
-   the rest of the operators and operand forms take, read each operand at
-   its stride. *)
+   also serve bools (0 or 1) and masks. The generic binary forms [L_ibin]
+   and [L_fbin] read each operand at its stride and take every operator.
+   The int special forms, (dst, a, b) over two rows or with [_k] a row
+   and a scalar [b], hoist the operator and the scalar out of the element
+   loop. They, [L_range] and the multiply-shift [L_div] and [L_mod] are
+   the forms whose removal alone slowed the tiny models' closure launches
+   by 1% or more (median of nine runs of alternating launches of one
+   build); without them all, the launches took ~25% longer. *)
 type lins =
   | L_islots of int array * int array  (** cells <- int frame slots *)
   | L_igets of int array * (rt -> int) array
   | L_fslot of int * int
   | L_fget of int * (rt -> float)
-  | L_add of int * int * int
   | L_add_k of int * int * int
   | L_sub_k of int * int * int
-  | L_mul_k of int * int * int
   | L_lt_k of int * int * int
   | L_and of int * int * int
   | L_and_k of int * int * int
   | L_ibin of Expr.binop * int * int * int * int * int
-  | L_shr of int * int * int * int  (** [Div] by [d = 2^k]: dst, a, k, d *)
-  | L_msk of int * int * int  (** [Mod] by a power of two: dst, a, d *)
   | L_div of int * int * int * int * int
-      (** by another non-zero constant [d]: dst, a, d, and for a positive
+      (** [Div] by a non-zero constant [d]: dst, a, d, and for a positive
           [d] a multiplier and shift ([magic]) *)
   | L_mod of int * int * int * int * int
   | L_range of int * int * int * int  (** [lo <= a && a < hi]: dst, a, lo, hi *)
   | L_iun of Expr.unop * int * int * int  (** [Neg], [Abs] or [Not]: dst, a, sa *)
   | L_isel of int * int * int * int * int * int * int  (** dst, c, sc, a, sa, b, sb *)
   | L_itof of int * int * int  (** dst, a, a's stride *)
-  | L_fadd of int * int * int
-  | L_fmul of int * int * int
-  | L_fmul_k of int * int * int
-  | L_fmax_k of int * int * int
-  | L_fbin of (float -> float -> float) * int * int * int * int * int
+  | L_fbin of Expr.binop * int * int * int * int * int
   | L_fun of (float -> float) * int * int * int * int * int
       (** dst, a, sa, and the mask: only the lanes that take it call [f] *)
   | L_fsel of int * int * int * int * int * int * int
@@ -1206,52 +1207,23 @@ let magic d =
 let int_ins (op : Expr.binop) (x : lop) (y : lop) d =
   let a = x.cell and b = y.cell in
   match (op, x.row, y.row) with
-  | Add, true, true -> L_add (d, a, b)
   | Add, true, false -> L_add_k (d, a, b)
   | Add, false, true -> L_add_k (d, b, a)
   | Sub, true, false -> L_sub_k (d, a, b)
-  | Mul, true, false -> L_mul_k (d, a, b)
-  | Mul, false, true -> L_mul_k (d, b, a)
   | Lt, true, false -> L_lt_k (d, a, b)
   | And, true, true -> L_and (d, a, b)
   | And, true, false -> L_and_k (d, a, b)
   | And, false, true -> L_and_k (d, b, a)
-  | Div, true, _ ->
+  | (Div | Mod), true, _ ->
     (* by a non-zero constant ([pure_ty]) *)
     let k = (Option.get y.known).(0) in
-    if pow2 k then L_shr (d, a, log2 k, k)
-    else
-      let m, sh = magic k in
-      L_div (d, a, k, m, sh)
-  | Mod, true, _ ->
-    let k = (Option.get y.known).(0) in
-    if pow2 k then L_msk (d, a, k)
-    else
-      let m, sh = magic k in
-      L_mod (d, a, k, m, sh)
+    let m, sh = magic k in
+    if op = Div then L_div (d, a, k, m, sh) else L_mod (d, a, k, m, sh)
   | _ -> L_ibin (op, d, a, stride x, b, stride y)
 
 (* Float operands keep the reference's order, [x op y]. *)
 let float_ins (op : Expr.binop) (x : lop) (y : lop) d =
-  let a = x.cell and b = y.cell in
-  match (op, x.row, y.row) with
-  | Add, true, true -> L_fadd (d, a, b)
-  | Mul, true, true -> L_fmul (d, a, b)
-  | Mul, true, false -> L_fmul_k (d, a, b)
-  | Max, true, false -> L_fmax_k (d, a, b)
-  | _ ->
-    let f =
-      match op with
-      | Add -> ( +. )
-      | Sub -> ( -. )
-      | Mul -> ( *. )
-      | Div -> ( /. )
-      | Mod -> Float.rem
-      | Min -> Float.min
-      | Max -> Float.max
-      | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> assert false (* pure *)
-    in
-    L_fbin (f, d, a, stride x, b, stride y)
+  L_fbin (op, d, x.cell, stride x, y.cell, stride y)
 
 exception Lane_miss
 
@@ -1280,6 +1252,19 @@ let[@inline] lane_off li l base j =
 
 let[@inline] taken li l j = l.mask < 0 || Array.unsafe_get li (l.mask + (j * l.msr)) <> 0
 let[@inline] b2i b = if b then 1 else 0
+
+(* Inlined, so that a row's float stays unboxed: a float function called
+   through a closure boxes its result. *)
+let[@inline] ffold (op : Expr.binop) (x : float) y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Mod -> Float.rem x y
+  | Min -> Float.min x y
+  | Max -> Float.max x y
+  | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> assert false (* pure *)
 
 let ifold (op : Expr.binop) x y =
   match op with
@@ -1314,10 +1299,6 @@ let run_lanes rt e (prog : lins array) =
       done
     | L_fslot (c, s) -> Array.unsafe_set lf c (Array.unsafe_get rt.floats s)
     | L_fget (c, f) -> Array.unsafe_set lf c (f rt)
-    | L_add (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) + Array.unsafe_get li (b + j))
-      done
     | L_add_k (d, a, b) ->
       let y = Array.unsafe_get li b in
       for j = 0 to e - 1 do
@@ -1327,11 +1308,6 @@ let run_lanes rt e (prog : lins array) =
       let y = Array.unsafe_get li b in
       for j = 0 to e - 1 do
         Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) - y)
-      done
-    | L_mul_k (d, a, b) ->
-      let y = Array.unsafe_get li b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set li (d + j) (Array.unsafe_get li (a + j) * y)
       done
     | L_lt_k (d, a, b) ->
       let y = Array.unsafe_get li b in
@@ -1352,17 +1328,6 @@ let run_lanes rt e (prog : lins array) =
       for j = 0 to e - 1 do
         Array.unsafe_set li (d + j)
           (ifold op (Array.unsafe_get li (a + (j * sa))) (Array.unsafe_get li (b + (j * sb))))
-      done
-    | L_shr (d, a, k, dv) ->
-      for j = 0 to e - 1 do
-        let x = Array.unsafe_get li (a + j) in
-        Array.unsafe_set li (d + j) (if x >= 0 then x asr k else x / dv)
-      done
-    | L_msk (d, a, dv) ->
-      let m = dv - 1 in
-      for j = 0 to e - 1 do
-        let x = Array.unsafe_get li (a + j) in
-        Array.unsafe_set li (d + j) (if x >= 0 then x land m else x mod dv)
       done
     | L_div (d, a, dv, m, sh) ->
       for j = 0 to e - 1 do
@@ -1399,28 +1364,10 @@ let run_lanes rt e (prog : lins array) =
       for j = 0 to e - 1 do
         Array.unsafe_set lf (d + j) (float_of_int (Array.unsafe_get li (a + (j * sa))))
       done
-    | L_fadd (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) +. Array.unsafe_get lf (b + j))
-      done
-    | L_fmul (d, a, b) ->
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) *. Array.unsafe_get lf (b + j))
-      done
-    | L_fmul_k (d, a, b) ->
-      let y = Array.unsafe_get lf b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (Array.unsafe_get lf (a + j) *. y)
-      done
-    | L_fmax_k (d, a, b) ->
-      let y = Array.unsafe_get lf b in
-      for j = 0 to e - 1 do
-        Array.unsafe_set lf (d + j) (Float.max (Array.unsafe_get lf (a + j)) y)
-      done
-    | L_fbin (f, d, a, sa, b, sb) ->
+    | L_fbin (op, d, a, sa, b, sb) ->
       for j = 0 to e - 1 do
         Array.unsafe_set lf (d + j)
-          (f (Array.unsafe_get lf (a + (j * sa))) (Array.unsafe_get lf (b + (j * sb))))
+          (ffold op (Array.unsafe_get lf (a + (j * sa))) (Array.unsafe_get lf (b + (j * sb))))
       done
     | L_fun (f, d, a, sa, m, ms) ->
       for j = 0 to e - 1 do
@@ -1437,41 +1384,15 @@ let run_lanes rt e (prog : lins array) =
       done
     | L_load l ->
       let arr = Array.unsafe_get rt.bufs l.buf and base = lane_base li l in
-      if Array.length l.ridx = 1 then begin
-        let r = Array.unsafe_get l.ridx 0 and n = Array.unsafe_get l.rdim 0 in
-        let sr = Array.unsafe_get l.rstr 0 in
-        for j = 0 to e - 1 do
-          Array.unsafe_set lf (l.dst + j)
-            (if taken li l j then begin
-               let i = Array.unsafe_get li (r + j) in
-               if base < 0 || i < 0 || i >= n then raise_notrace Lane_miss;
-               Array.unsafe_get arr (base + (i * sr))
-             end
-             else 0.)
-        done
-      end
-      else
-        for j = 0 to e - 1 do
-          Array.unsafe_set lf (l.dst + j)
-            (if taken li l j then Array.unsafe_get arr (lane_off li l base j) else 0.)
-        done
+      for j = 0 to e - 1 do
+        Array.unsafe_set lf (l.dst + j)
+          (if taken li l j then Array.unsafe_get arr (lane_off li l base j) else 0.)
+      done
     | L_addr l ->
       let base = lane_base li l in
-      if Array.length l.ridx = 1 then begin
-        let r = Array.unsafe_get l.ridx 0 and n = Array.unsafe_get l.rdim 0 in
-        let sr = Array.unsafe_get l.rstr 0 in
-        for j = 0 to e - 1 do
-          if taken li l j then begin
-            let i = Array.unsafe_get li (r + j) in
-            if base < 0 || i < 0 || i >= n then raise_notrace Lane_miss;
-            Array.unsafe_set li (l.dst + j) (base + (i * sr))
-          end
-        done
-      end
-      else
-        for j = 0 to e - 1 do
-          if taken li l j then Array.unsafe_set li (l.dst + j) (lane_off li l base j)
-        done
+      for j = 0 to e - 1 do
+        if taken li l j then Array.unsafe_set li (l.dst + j) (lane_off li l base j)
+      done
   done
 
 (* The nest's store. [addr] computes the stored element of each lane the
@@ -1542,6 +1463,12 @@ let rec lane_shape (s : Stmt.t) =
     | _ -> raise Exit)
   | Store { buf; indices; value } -> ([], None, (buf, indices, value))
   | _ -> raise Exit
+
+(* The elements of a nest's loops, [max_lanes + 1] past it. *)
+let lane_count loops =
+  List.fold_left
+    (fun e (_, n) -> if n > max_lanes || e * n > max_lanes then max_lanes + 1 else e * n)
+    1 loops
 
 (* No loop variable of the nest and no load. *)
 let rec lane_free ln (e : Expr.t) =
@@ -1647,7 +1574,6 @@ let iconst st (vals : int array) =
     | Some c -> c
     | None ->
       let c = icells st (Array.length vals) in
-      Array.iteri (fun j v -> st.li_init <- (c + j, v) :: st.li_init) vals;
       Hashtbl.replace st.lconsts vals c;
       c
   in
@@ -1851,56 +1777,23 @@ and lane_access st venv b mask (buf : Buffer.t) idx dst =
   },
     List.map (fun o -> o.cell) ix )
 
-(* A lane nest as the reference runs it: [Expr.eval] over the frame's
-   variables and the nest's loop variables, [Buffer.flat_index] for every
-   access, one count per statement. A nest runs this when a check fails,
-   so the error it raises is [Interp]'s, at [Interp]'s statement, with the
-   earlier stores done. *)
-let lane_reference st venv (s : Stmt.t) =
-  let buf_slot = st.buf_slot in
-  let slot (b : Buffer.t) = Hashtbl.find buf_slot b.Buffer.id in
-  let flat (b : Buffer.t) idx =
-    try Buffer.flat_index b idx with Invalid_argument msg -> invalid_access msg
+(* A lane nest as the reference runs it, with the frame's variables: a
+   nest runs this when a check fails, so the error it raises is [Interp]'s,
+   at [Interp]'s statement, with the earlier stores done. *)
+let lane_reference buf_slot venv (s : Stmt.t) rt =
+  let lookup (v : Var.t) =
+    match Int_map.find_opt v.Var.id venv with
+    | Some (S_int s) -> Expr.V_int rt.ints.(s)
+    | Some (S_float s) -> V_float rt.floats.(s)
+    | Some (S_bool s) -> V_bool rt.bools.(s)
+    | Some (S_dyn s) -> rt.vals.(s)
+    | None -> assert false (* [value_ty] and [pure_ty] *)
   in
-  fun rt ->
-    let loops = ref Int_map.empty in
-    let env =
-      {
-        Expr.lookup =
-          (fun v ->
-            match Int_map.find_opt v.Var.id !loops with
-            | Some i -> Expr.V_int i
-            | None -> (
-              match Int_map.find_opt v.Var.id venv with
-              | Some (S_int s) -> V_int rt.ints.(s)
-              | Some (S_float s) -> V_float rt.floats.(s)
-              | Some (S_bool s) -> V_bool rt.bools.(s)
-              | Some (S_dyn s) -> rt.vals.(s)
-              | None -> assert false (* [value_ty] and [pure_ty] *)));
-        load = (fun b idx -> V_float rt.bufs.(slot b).(flat b idx));
-        thread_idx = rt.ints.(tid_slot);
-        block_idx = rt.ints.(bid_slot);
-      }
-    in
-    let rec go (s : Stmt.t) =
-      rt.stmts <- rt.stmts + 1;
-      match s with
-      | Stmt.For { var; extent; body; _ } ->
-        for i = 0 to Expr.eval_int env extent - 1 do
-          loops := Int_map.add var.Var.id i !loops;
-          go body
-        done
-      | If { cond; then_; _ } -> if Expr.eval_bool env cond then go then_
-      | Store { buf; indices; value } ->
-        let idx = List.map (Expr.eval_int env) indices in
-        let v = Expr.eval_float env value in
-        rt.bufs.(slot buf).(flat buf idx) <- v
-      | Seq [ s ] ->
-        rt.stmts <- rt.stmts - 1;
-        go s
-      | _ -> assert false (* [lane_shape] *)
-    in
-    go s
+  let locate (b : Buffer.t) = rt.bufs.(Hashtbl.find buf_slot b.Buffer.id) in
+  rt.stmts <-
+    rt.stmts
+    + Interp.exec ~thread_idx:rt.ints.(tid_slot) ~block_idx:rt.ints.(bid_slot) ~lookup
+        ~locate s
 
 (* A lane nest ({!lane_shape}) as one closure, or [None]. It evaluates
    every subexpression once, as a row over the elements or a scalar;
@@ -1910,8 +1803,9 @@ let lane_reference st venv (s : Stmt.t) =
 let lane_nest st venv (s : Stmt.t) =
   match lane_shape s with
   | exception Exit -> None
+  | loops, _, _ when lane_count loops > max_lanes -> None
   | loops, guard, (buf, indices, value) -> (
-    let e = List.fold_left (fun e (_, n) -> e * n) 1 loops in
+    let e = lane_count loops in
     let reduction =
       match value with
       | Expr.Binop (Add, Load (b', i'), x)
@@ -1941,8 +1835,7 @@ let lane_nest st venv (s : Stmt.t) =
       | None -> ignore (value_ty st venv ln buf.Buffer.id value)
     in
     let ok =
-      e <= max_lanes
-      && Hashtbl.mem st.buf_slot buf.Buffer.id
+      Hashtbl.mem st.buf_slot buf.Buffer.id
       && List.length indices = Buffer.rank buf
       && match typed () with () -> true | exception Exit -> false
     in
@@ -1988,7 +1881,7 @@ let lane_nest st venv (s : Stmt.t) =
           @ batch b.gets (fun (cs, fs) -> L_igets (Array.of_list cs, Array.of_list fs))
           @ List.rev b.prog)
       in
-      let reference = lane_reference st venv s in
+      let reference = lane_reference st.buf_slot venv s in
       Some
         (fun rt ->
           if aliased rt.bufs slot store.aliases 0 then reference rt
@@ -2374,9 +2267,8 @@ let compile (k : Kernel.t) : Launch.t =
             lane_nests = 0;
             n_li = 0;
             n_lf = 0;
-            li_init = [];
-            lf_init = [];
             lconsts = Hashtbl.create 16;
+            lf_init = [];
           }
         in
         let code =
@@ -2403,10 +2295,8 @@ let compile (k : Kernel.t) : Launch.t =
         and n_dyns = max 1 st.max_dyn
         and n_li = max 1 st.n_li
         and n_lf = max 1 st.n_lf
-        and li_cells, li_vals = List.split st.li_init
-        and lf_cells, lf_vals = List.split st.lf_init in
-        let li_cells = Array.of_list li_cells and li_vals = Array.of_list li_vals in
-        let lf_cells = Array.of_list lf_cells and lf_vals = Array.of_list lf_vals in
+        and iconsts = Hashtbl.fold (fun vals c l -> (c, vals) :: l) st.lconsts []
+        and fconsts = st.lf_init in
         (* Frames are built when a launch binds the code to its thread
            storage, and reused: a thread starts with its pinned slots set and
            its count at 0, and writes every other slot, row and cell before
@@ -2414,8 +2304,8 @@ let compile (k : Kernel.t) : Launch.t =
            shared by the frames of a block: no nest spans a barrier. *)
         let lanes () =
           let li = Array.make n_li 0 and lf = Array.make n_lf 0. in
-          Array.iteri (fun k c -> li.(c) <- li_vals.(k)) li_cells;
-          Array.iteri (fun k c -> lf.(c) <- lf_vals.(k)) lf_cells;
+          List.iter (fun (c, vals) -> Array.blit vals 0 li c (Array.length vals)) iconsts;
+          List.iter (fun (c, x) -> lf.(c) <- x) fconsts;
           (li, lf)
         in
         let frame (li, lf) bufs =

@@ -92,10 +92,10 @@
     delinearizes an [x] over the buffer's strides, as the fused epilogue
     writes its output, is checked as [0 <= x < size]. If a check fails, or
     a stored parameter's array is physically one that a load reads, the
-    nest runs as the reference runs it ([Expr.eval] over the frame's
-    variables, [Buffer.flat_index] for every access), so it raises
-    [Interp]'s error at [Interp]'s statement with the earlier stores done;
-    no compiled copy of the nest is kept for that case. [compile] counts
+    nest runs on {!Interp.exec}, the reference's own statement walker,
+    over the frame's variables and arrays, so it raises [Interp]'s error
+    at [Interp]'s statement with the earlier stores done; no compiled copy
+    of the nest is kept for that case. [compile] counts
     the lane nests in [sim.compile.lane_nests]. The native backend keeps
     its straight-line code for these loops.
 

@@ -24,24 +24,26 @@ let flat (b : Hidet_ir.Buffer.t) (idx : int list) =
 (* Execution context of one thread. [vars] is the current lexical
    environment; statements save and restore it around scoped bindings so a
    single [Expr.env] record (allocated once per thread) can close over the
-   context instead of being rebuilt per statement. *)
+   context instead of being rebuilt per statement. [outer] looks up the
+   variables bound outside the statement being run. *)
 type thread_ctx = {
   tid : int;
   bid : int;
-  globals : store;
-  shared : store;  (** per block *)
-  warps : store array;  (** per warp of the block *)
-  regs : store;  (** per thread *)
+  locate : Hidet_ir.Buffer.t -> float array;
+  outer : Var.t -> Expr.value;
   mutable vars : Expr.value Int_map.t;
+  mutable stmts : int;  (** statements run: every one but [Seq] counts *)
 }
 
-let locate ctx (b : Hidet_ir.Buffer.t) : float array =
+(* A thread's storage: global, shared per block, warp-distributed and
+   per-thread register arrays. *)
+let locate_in ~globals ~shared ~warps ~regs tid (b : Hidet_ir.Buffer.t) =
   let tbl =
     match b.Buffer.scope with
-    | Buffer.Global -> ctx.globals
-    | Buffer.Shared -> ctx.shared
-    | Buffer.Warp -> ctx.warps.(ctx.tid / Kernel.warp_size)
-    | Buffer.Register -> ctx.regs
+    | Buffer.Global -> globals
+    | Buffer.Shared -> shared
+    | Buffer.Warp -> warps.(tid / Kernel.warp_size)
+    | Buffer.Register -> regs
   in
   match Hashtbl.find_opt tbl b.Buffer.id with
   | Some arr -> arr
@@ -51,7 +53,8 @@ let locate ctx (b : Hidet_ir.Buffer.t) : float array =
          (Printf.sprintf "buffer %s (%s) not allocated" b.Buffer.name
             (Buffer.scope_name b.Buffer.scope)))
 
-let load_value ctx b idx = Expr.V_float (locate ctx b).(flat b idx)
+let unbound (v : Var.t) =
+  raise (Invalid_access (Printf.sprintf "unbound variable %s" (Var.name v)))
 
 let env_of ctx : Expr.env =
   {
@@ -59,9 +62,8 @@ let env_of ctx : Expr.env =
       (fun v ->
         match Int_map.find_opt v.Var.id ctx.vars with
         | Some value -> value
-        | None ->
-          raise (Invalid_access (Printf.sprintf "unbound variable %s" (Var.name v))));
-    load = (fun b idx -> load_value ctx b idx);
+        | None -> ctx.outer v);
+    load = (fun b idx -> Expr.V_float (ctx.locate b).(flat b idx));
     thread_idx = ctx.tid;
     block_idx = ctx.bid;
   }
@@ -71,7 +73,7 @@ let exec_mma ctx env (m : Stmt.mma) =
   if ctx.tid mod Kernel.warp_size = 0 then begin
     let off l = List.map (Expr.eval_int env) l in
     let a_off = off m.a_off and b_off = off m.b_off and c_off = off m.c_off in
-    let a = locate ctx m.a and b = locate ctx m.b and c = locate ctx m.c in
+    let a = ctx.locate m.a and b = ctx.locate m.b and c = ctx.locate m.c in
     let tile_index (buf : Hidet_ir.Buffer.t) base i j =
       (* base locates the tile origin; i, j offset the two trailing dims. *)
       let n = List.length base in
@@ -96,6 +98,7 @@ let exec_mma ctx env (m : Stmt.mma) =
   end
 
 let rec exec_stmt ctx env (s : Stmt.t) : unit =
+  (match s with Stmt.Seq _ -> () | _ -> ctx.stmts <- ctx.stmts + 1);
   match s with
   | Stmt.Seq ss -> List.iter (exec_stmt ctx env) ss
   | For { var; extent; body; _ } ->
@@ -118,10 +121,17 @@ let rec exec_stmt ctx env (s : Stmt.t) : unit =
   | Store { buf; indices; value } ->
     let idx = List.map (Expr.eval_int env) indices in
     let v = Expr.eval_float env value in
-    (locate ctx buf).(flat buf idx) <- v
+    (ctx.locate buf).(flat buf idx) <- v
   | Mma m -> exec_mma ctx env m
   | Sync_threads -> Effect.perform Sync
   | Comment _ -> ()
+
+let exec ~thread_idx ~block_idx ~lookup ~locate s =
+  let ctx =
+    { tid = thread_idx; bid = block_idx; locate; outer = lookup; vars = Int_map.empty; stmts = 0 }
+  in
+  exec_stmt ctx (env_of ctx) s;
+  ctx.stmts
 
 type status = Finished | Blocked of (unit, status) Effect.Deep.continuation
 
@@ -180,7 +190,14 @@ let run_block (k : Kernel.t) globals bid =
   let make_ctx tid =
     let regs : store = Hashtbl.create 4 in
     alloc_into regs k.regs;
-    { tid; bid; globals; shared; warps; regs; vars = Int_map.empty }
+    {
+      tid;
+      bid;
+      locate = locate_in ~globals ~shared ~warps ~regs tid;
+      outer = unbound;
+      vars = Int_map.empty;
+      stmts = 0;
+    }
   in
   let statuses =
     Array.init k.block_dim (fun tid ->

@@ -22,6 +22,21 @@ val run : Hidet_ir.Kernel.t -> (Hidet_ir.Buffer.t * float array) list -> unit
     arrays are mutated in place. Raises [Invalid_argument] on missing or
     mis-sized bindings. *)
 
+val exec :
+  thread_idx:int ->
+  block_idx:int ->
+  lookup:(Hidet_ir.Var.t -> Hidet_ir.Expr.value) ->
+  locate:(Hidet_ir.Buffer.t -> float array) ->
+  Hidet_ir.Stmt.t ->
+  int
+(** [exec ~thread_idx ~block_idx ~lookup ~locate s] runs the statement [s]
+    of one thread exactly as {!run} runs it, with [lookup] giving the
+    variables bound outside [s] and [locate] each buffer's array, and
+    returns the statements it ran (every statement but [Seq] counts one,
+    as in the compiled backends). A compiled backend that cannot run part
+    of a kernel its own way runs it here, so its errors are the
+    reference's by construction. *)
+
 (** {1 Shared execution machinery}
 
     The pieces below are the barrier and launch-validation substrate reused
