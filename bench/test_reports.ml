@@ -281,8 +281,11 @@ let sig2 x =
   | [ mantissa; exp ] -> Printf.sprintf "%se%d" mantissa (int_of_string exp)
   | _ -> Alcotest.failf "sig2 %g" x
 
-(* Per prose range: its section heading, its report, the per-layer value
-   and how the doc prints the min and max of that value over the layers. *)
+(* Per prose range: its section heading, its report, the per-row value
+   and how the doc prints the min and max of that value over the report's
+   rows (layers or models). *)
+let ratio_range lo hi = Printf.sprintf "%.2f\xe2\x80\x93%.2f\xc3\x97" lo hi
+
 let doc_ranges =
   [
     ( "## Figure 18",
@@ -290,15 +293,18 @@ let doc_ranges =
       (fun row ->
         Float.min (Report.num "onnxruntime_us" row) (Report.num "ansor_us" row)
         /. Report.num "hidet_us" row),
-      fun lo hi -> Printf.sprintf "%.2f\xe2\x80\x93%.2f\xc3\x97" lo hi );
+      ratio_range );
     ( "## Figure 7",
       Paper.fig7,
       Report.num "autotvm_space",
       fun lo hi -> Printf.sprintf "%s \xe2\x80\x93 %s" (sig2 lo) (sig2 hi) );
+    ("## Known deviations", Paper.fig13, Report.num "speedup", ratio_range);
+    ("## Known deviations", Paper.fig14, Report.num "autotvm_vs_hidet", ratio_range);
+    ("## Known deviations", Paper.fig14, Report.num "ansor_vs_hidet", ratio_range);
   ]
 
 let test_doc_range (heading, report, value, printed) () =
-  let values = List.map value (Report.list "layers" (load report)) in
+  let values = List.map value (report_rows (load report)) in
   let range =
     printed (List.fold_left Float.min infinity values)
       (List.fold_left Float.max neg_infinity values)

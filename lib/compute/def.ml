@@ -109,6 +109,19 @@ let well_formed d =
 
 (* --- reference evaluation ------------------------------------------------- *)
 
+(* Whether [s] lowers to integer IR arithmetic: axes, integer literals and
+   arithmetic or selections on them (comparisons count as 0/1). A float
+   input or literal makes a division a float division even where its
+   value happens to be integral, as [Expr.eval] does on a float operand. *)
+let rec is_int = function
+  | Const_int _ | Axis _ | Raxis _ -> true
+  | Const _ | Input _ -> false
+  | Bin ((Lt | Le | Gt | Ge | Eq | Ne | And | Or), _, _) | Un (Not, _) -> true
+  | Bin ((Add | Sub | Mul | Div | Mod | Min | Max), a, b) | Sel (_, a, b) ->
+    is_int a && is_int b
+  | Un ((Neg | Abs), a) -> is_int a
+  | Un ((Exp | Log | Sqrt | Tanh | Erf), _) -> false
+
 let rec eval_scalar ~inputs ~axes ~raxes s : float =
   match s with
   | Const f -> f
@@ -127,12 +140,12 @@ let rec eval_scalar ~inputs ~axes ~raxes s : float =
     | Mul -> va *. vb
     | Div ->
       (* Index arithmetic travels through this float-valued evaluator;
-         integral operands use truncating integer division as the IR does. *)
-      if Float.is_integer va && Float.is_integer vb && vb <> 0. then
+         integer operands use truncating integer division as the IR does. *)
+      if vb <> 0. && is_int a && is_int b then
         float_of_int (Stdlib.( / ) (int_of_float va) (int_of_float vb))
       else va /. vb
     | Mod ->
-      if Float.is_integer va && Float.is_integer vb && vb <> 0. then
+      if vb <> 0. && is_int a && is_int b then
         float_of_int (int_of_float va mod int_of_float vb)
       else Float.rem va vb
     | Min -> Float.min va vb

@@ -960,7 +960,9 @@ let compile (k : Kernel.t) : Launch.t =
           "sim.native.codegen"
           (fun _ -> codegen k))
   in
-  (* Codegen is cheap and runs every call; ocamlopt + dynlink run once per
+  (* Codegen runs every call, since the memo is keyed by its output, and it
+     is not cheap: ~0.2-0.3 ms a tiny-model kernel on a 2-vCPU host, more
+     than that kernel's native run. ocamlopt + dynlink run once per
      distinct source. *)
   let entry =
     Mutex.lock memo_lock;

@@ -3,7 +3,19 @@
     This library is the semantic oracle of the reproduction: every GPU kernel
     produced by any scheduler is checked against these implementations in the
     test suite. It is also the weight/activation container for the model
-    zoo. Performance is irrelevant here; clarity is. *)
+    zoo. The operators loop over flat row-major offsets; only [get], [set]
+    and [init] take [int list] indices.
+
+    Each operator's loop order and summation order are part of its
+    contract: an output element is accumulated from [0.] (or [neg_infinity]
+    for maxima) over its terms in the order of the loops written in
+    [tensor.ml] (e.g. a convolution over input channel, then kernel row,
+    then kernel column, skipping padding), each term's operands in that
+    order too. So outputs are reproducible bit for bit, NaN payloads and
+    signed zeros included; the test suite holds every operator to a
+    list-indexed oracle and pins [Reference.run1] digests on the tiny
+    models. [init] calls its function once per element in row-major
+    order. *)
 
 type t = private { shape : int list; data : float array }
 

@@ -717,6 +717,159 @@ let test_bert_with_embedding () =
   Alcotest.(check bool) "has embedding op" true
     (List.exists (fun (n : G.node) -> n.G.op = Op.Embedding) (G.nodes g))
 
+(* --- the two reference semantics ------------------------------------------------ *)
+
+(* [Op.eval] (the CPU tensor operators) against [Def.eval] of the op's
+   computation definition, for every op that has one, on random small
+   shapes. Inputs mix ordinary values with small integers and signed zeros:
+   integral floats are where a float division evaluated as an index
+   division would show. Most ops agree bit for bit. Three round
+   differently by construction, each within a stated bound in ULPs of a
+   magnitude:
+   - average pooling divides each term by k*k where [Op.eval] divides the
+     window sum once: 2*k*k ULPs of the window's mean magnitude (each side
+     rounds at most k*k times);
+   - global average pooling likewise over h*w terms: 2*h*w ULPs of the
+     plane's mean magnitude;
+   - GELU scales its erf argument by [1/sqrt 2] where [Op.eval] divides by
+     [sqrt 2]: 4 ULPs of |x| (erf's evaluation rounds at the scale of 1,
+     and GELU multiplies that by x/2). *)
+
+module Def = Hidet_compute.Def
+module Gen = QCheck.Gen
+
+let gen_value =
+  Gen.frequency
+    [
+      (6, Gen.float_range (-1.) 1.);
+      (2, Gen.map float_of_int (Gen.int_range (-3) 3));
+      (1, Gen.oneofl [ 0.; -0. ]);
+    ]
+
+let gen_tensor ?(value = gen_value) shape =
+  Gen.map (T.of_array shape) (Gen.array_repeat (List.fold_left ( * ) 1 shape) value)
+
+(* A window op's kernel, stride and padding with a spatial extent the
+   window fits, so every output extent is positive. *)
+let gen_window =
+  Gen.(
+    let* k = int_range 1 3 and* stride = int_range 1 2 and* pad = int_range 0 2 in
+    let+ extra = int_range 0 3 in
+    (k, stride, pad, max 1 (k - (2 * pad)) + extra))
+
+let gen_dims lo hi n = Gen.list_repeat n (Gen.int_range lo hi)
+
+(* An op with a computation definition and its input shapes. *)
+let gen_op : (Op.t * int list list) Gen.t =
+  Gen.(
+    let* nb = int_range 1 2 and* c = int_range 1 3 in
+    let* rank = int_range 1 4 in
+    let* s = gen_dims 1 4 rank in
+    oneof
+      [
+        (let* m = int_range 1 4 and* k = int_range 1 4 and* n = int_range 1 4 in
+         let+ sa, sb =
+           oneofl
+             [
+               ([ m; k ], [ k; n ]);
+               ([ nb; m; k ], [ k; n ]);
+               ([ m; k ], [ nb; k; n ]);
+               ([ nb; m; k ], [ nb; k; n ]);
+             ]
+         in
+         (Op.Matmul, [ sa; sb ]));
+        (let+ u =
+           oneofl
+             Op.[ Relu; Gelu; Tanh_act; Sigmoid; Scale_by 0.3; Clip (0., 6.); Clip (-0.5, 0.5) ]
+         in
+         (Op.Unary u, [ s ]));
+        (let+ b = oneofl Op.[ Add; Sub; Mul ] in
+         (Op.Binary b, [ s; s ]));
+        return (Op.Bias_add, [ s; [ List.nth s (rank - 1) ] ]);
+        (let+ h = int_range 1 3 and+ w = int_range 1 3 in
+         (Op.Scale_shift, [ [ nb; c; h; w ]; [ c ]; [ c ] ]));
+        (let+ target =
+           oneofl [ List.rev s; [ -1 ]; [ List.hd s; -1 ]; 1 :: s ]
+         in
+         (Op.Reshape target, [ s ]));
+        (let+ perm = shuffle_l (List.init rank Fun.id) in
+         (Op.Transpose perm, [ s ]));
+        (let* axis = int_range 0 (rank - 1) in
+         let+ extents = list_size (int_range 1 3) (int_range 1 3) in
+         ( Op.Concat { axis },
+           List.map (fun e -> List.mapi (fun i d -> if i = axis then e else d) s) extents ));
+        (let* kh, stride, pad_h, h = gen_window in
+         let* kw, _, pad_w, w = gen_window in
+         let+ oc = int_range 1 3 and+ im2col = bool in
+         if im2col then (Op.Im2col { kh; kw; stride; pad_h; pad_w }, [ [ nb; c; h; w ] ])
+         else (Op.Conv2d { stride; pad_h; pad_w }, [ [ nb; c; h; w ]; [ oc; c; kh; kw ] ]));
+        (let+ k, stride, padding, h = gen_window in
+         (Op.Depthwise_conv2d { stride; padding }, [ [ nb; c; h; h ]; [ c; 1; k; k ] ]));
+        (let+ kernel, stride, padding, h = gen_window
+         and+ kind = oneofl Op.[ Max_pool; Avg_pool ] in
+         (Op.Pool2d { kind; kernel; stride; padding }, [ [ nb; c; h; h ] ]));
+        (let+ h = int_range 1 4 and+ w = int_range 1 4 in
+         (Op.Global_avg_pool, [ [ nb; c; h; w ] ]));
+        (let+ vocab = int_range 1 5 and+ d = int_range 1 4 in
+         (Op.Embedding, [ [ nb; c ]; [ vocab; d ] ]));
+      ])
+
+(* Where the two sides round differently: the bound in ULPs, and the
+   magnitude (per output element) it counts them of. [None] where they
+   must agree bit for bit. *)
+let ulp_bound op in_shapes =
+  let of_magnitudes xs = T.data (Op.eval op (List.map (T.map Float.abs) xs)) in
+  match (op, in_shapes) with
+  | Op.Pool2d { kind = Avg_pool; kernel; _ }, _ -> Some (2 * kernel * kernel, of_magnitudes)
+  | Op.Global_avg_pool, [ [ _; _; h; w ] ] -> Some (2 * h * w, of_magnitudes)
+  | Op.Unary Gelu, _ -> Some (4, fun xs -> T.data (T.map Float.abs (List.hd xs)))
+  | _ -> None
+
+let ulp x = Float.succ (Float.abs x) -. Float.abs x
+
+let prop_op_def_agree =
+  let gen =
+    Gen.(
+      let* op, shapes = gen_op in
+      let+ xs =
+        flatten_l
+          (List.mapi
+             (fun i s ->
+               match (op, shapes) with
+               | Op.Embedding, [ _; [ vocab; _ ] ] when i = 0 ->
+                 gen_tensor ~value:(map float_of_int (int_range 0 (vocab - 1))) s
+               | _ -> gen_tensor s)
+             shapes)
+      in
+      (op, shapes, xs))
+  in
+  let print (op, shapes, _) =
+    Printf.sprintf "%s on %s" (Op.name op)
+      (String.concat " "
+         (List.map (fun s -> "[" ^ String.concat "," (List.map string_of_int s) ^ "]") shapes))
+  in
+  QCheck.Test.make ~count:400 ~name:"Op.eval agrees with Def.eval of Op.to_def"
+    (QCheck.make ~print gen) (fun (op, shapes, xs) ->
+      let want = Op.eval op xs in
+      let got = Def.eval (Op.to_def op shapes) xs in
+      T.shape got = T.shape want
+      &&
+      match ulp_bound op shapes with
+      | None ->
+        Array.for_all2
+          (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+          (T.data got) (T.data want)
+      | Some (ulps, magnitude) ->
+        let scale = magnitude xs in
+        Array.iteri
+          (fun i a ->
+            let b = (T.data want).(i) in
+            let bound = float_of_int ulps *. ulp scale.(i) in
+            if Float.abs (a -. b) > bound then
+              QCheck.Test.fail_reportf "element %d: %h against %h, bound %h" i a b bound)
+          (T.data got);
+        true)
+
 let () =
   Alcotest.run "hidet_graph"
     [
@@ -762,4 +915,5 @@ let () =
           Alcotest.test_case "scheduled gather" `Quick test_embedding_scheduled;
           Alcotest.test_case "bert with embedding" `Quick test_bert_with_embedding;
         ] );
+      ("reference semantics", [ QCheck_alcotest.to_alcotest prop_op_def_agree ]);
     ]

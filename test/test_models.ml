@@ -142,6 +142,40 @@ let test_tiny_cnn_direct_conv () =
   Alcotest.(check bool) "direct conv agrees" true
     (T.allclose ~rtol:1e-2 ~atol:1e-3 expect (Plan.run1 plan [ x ]))
 
+(* The CPU reference's outputs on the tiny models, bit for bit: an MD5 over
+   the output shape and every element's [Int64.bits_of_float], on inputs
+   drawn at fixed seeds. The digests were taken from the list-indexed
+   reference the flat-offset one replaced, so any change to an operator's
+   loop or summation order fails here. *)
+let reference_digest g =
+  let inputs =
+    List.mapi
+      (fun i id -> T.rand ~seed:(100 + i) (G.node_shape g id))
+      (G.input_ids g)
+  in
+  let out = Ref.run1 g inputs in
+  let b = Buffer.create 4096 in
+  List.iter (fun d -> Buffer.add_string b (string_of_int d ^ ";")) (T.shape out);
+  Array.iter
+    (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))
+    (T.data out);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_reference_digests =
+  [
+    ("tiny_cnn", "59e8343042c21acc63cdf9fb14f05091");
+    ("tiny_separable", "9e38ac3f96e15a79391908c21c4c7ece");
+    ("tiny_transformer", "223b9e5fcc807269af91cdca50a00ff4");
+    ("tiny_inception", "6ab0663c6c19bbee000b9efd0886acb8");
+  ]
+
+let test_reference_digests () =
+  List.iter
+    (fun (name, mk) ->
+      Alcotest.(check string) name (List.assoc name pinned_reference_digests)
+        (reference_digest (mk ())))
+    M.tiny_all
+
 let () =
   Alcotest.run "hidet_models"
     [
@@ -163,5 +197,6 @@ let () =
           Alcotest.test_case "inception module" `Quick test_tiny_inception;
           Alcotest.test_case "cnn without fusion" `Quick test_tiny_cnn_without_fusion;
           Alcotest.test_case "cnn direct conv" `Quick test_tiny_cnn_direct_conv;
+          Alcotest.test_case "reference digests" `Quick test_reference_digests;
         ] );
     ]

@@ -220,6 +220,346 @@ let test_allclose_tolerances () =
   let c = T.full [ 3 ] 1.1 in
   Alcotest.(check bool) "not close" false (T.allclose a c)
 
+(* --- flat offsets against the list-indexed oracle ------------------------ *)
+
+(* Every operator against [Tensor_oracle], its list-indexed form, bit for bit
+   on random shapes, strides, paddings, batch arms and broadcasts. Elements
+   mix ordinary values and small integers with signed zeros, infinities and
+   NaNs of random payload and sign, so a changed operand or summation order
+   shows as a different bit pattern. A case the oracle rejects must raise
+   the same exception. *)
+
+module O = Tensor_oracle
+module Gen = QCheck.Gen
+
+let gen_value =
+  let nan_payload =
+    Gen.map2
+      (fun negative payload ->
+        Int64.float_of_bits
+          (Int64.logor
+             (if negative then Int64.min_int else 0L)
+             (Int64.logor 0x7FF8000000000000L (Int64.of_int payload))))
+      Gen.bool (Gen.int_bound 0xFFFFF)
+  in
+  Gen.frequency
+    [
+      (8, Gen.float_range (-2.) 2.);
+      (2, Gen.map float_of_int (Gen.int_range (-3) 3));
+      (1, Gen.oneofl [ 0.; -0.; infinity; neg_infinity ]);
+      (1, nan_payload);
+    ]
+
+let gen_tensor shape =
+  Gen.map (T.of_array shape) (Gen.array_repeat (List.fold_left ( * ) 1 shape) gen_value)
+
+(* A shape of rank 1 to 4, extents 1 to 4. *)
+let gen_ranked = Gen.(int_range 1 4 >>= fun rank -> list_repeat rank (int_range 1 4))
+let show s = "[" ^ String.concat "," (List.map string_of_int s) ^ "]"
+let shapes ts = String.concat " " (List.map (fun t -> show (T.shape t)) ts)
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let bits_equal (got : T.t) (want : O.t) =
+  T.shape got = want.O.shape
+  && Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       (T.data got) want.O.data
+
+(* A case: what it is, and the library's and the oracle's operator applied
+   to the same inputs. *)
+type case = { what : string; lib : unit -> T.t; oracle : unit -> O.t }
+
+let agrees name gen =
+  QCheck.Test.make ~name:("bit-equal to the oracle: " ^ name) ~count:150
+    (QCheck.make ~print:(fun c -> c.what) gen)
+    (fun c ->
+      match (outcome c.lib, outcome c.oracle) with
+      | Ok got, Ok want -> bits_equal got want
+      | Error e, Error e' -> e = e'
+      | Ok _, Error e -> QCheck.Test.fail_reportf "only the oracle raised %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "only the library raised %s" e)
+
+let o = O.of_tensor
+
+(* Unary and binary cases: [lib] and [oracle] take the inputs as generated. *)
+let case1 what x lib oracle =
+  { what = what ^ " " ^ shapes [ x ]; lib = (fun () -> lib x); oracle = (fun () -> oracle (o x)) }
+
+let case2 what x y lib oracle =
+  {
+    what = what ^ " " ^ shapes [ x; y ];
+    lib = (fun () -> lib x y);
+    oracle = (fun () -> oracle (o x) (o y));
+  }
+
+let prop_init =
+  (* The values and the order of the indices [f] sees, as one vector. *)
+  let record init shape =
+    let seen = ref [] in
+    let t = init shape (fun idx ->
+        seen := idx :: !seen;
+        float_of_int (List.fold_left (fun a i -> (a * 7) + i) (List.length !seen) idx)) in
+    Array.append t (Array.of_list (List.map float_of_int (List.concat !seen)))
+  in
+  agrees "init"
+    (Gen.map
+       (fun shape ->
+         {
+           what = show shape;
+           lib = (fun () ->
+             let v = record (fun s f -> T.data (T.init s f)) shape in
+             T.of_array [ Array.length v ] v);
+           oracle = (fun () ->
+             let v = record (fun s f -> (O.init s f).O.data) shape in
+             { O.shape = [ Array.length v ]; data = v });
+         })
+       gen_ranked)
+
+let prop_get =
+  agrees "get"
+    Gen.(
+      let* shape = gen_ranked in
+      let* x = gen_tensor shape in
+      let* idx = list_repeat (List.length shape) (int_range (-1) 4) in
+      let+ idx = oneofl [ idx; idx; 0 :: idx ] in
+      let at get t = [| get t idx |] in
+      {
+        what = show shape ^ " at " ^ show idx;
+        lib = (fun () -> T.of_array [ 1 ] (at T.get x));
+        oracle = (fun () -> { O.shape = [ 1 ]; data = at O.get (o x) });
+      })
+
+let prop_transpose =
+  agrees "transpose"
+    Gen.(
+      let* shape = gen_ranked in
+      let* x = gen_tensor shape in
+      let* perm = shuffle_l (List.init (List.length shape) Fun.id) in
+      let+ perm = frequency [ (9, return perm); (1, return (0 :: List.tl perm)) ] in
+      case1 ("perm " ^ show perm) x (fun x -> T.transpose x perm) (fun x -> O.transpose x perm))
+
+let prop_slice =
+  agrees "slice"
+    Gen.(
+      let* shape = gen_ranked in
+      let* x = gen_tensor shape in
+      let* windows =
+        flatten_l
+          (List.map
+             (fun d ->
+               let* s = int_range 0 (d - 1) in
+               let+ l = int_range 1 (d - s) in
+               (s, l))
+             shape)
+      in
+      (* One case in ten runs its last window one past the end. *)
+      let+ over = frequency [ (9, return 0); (1, return 1) ] in
+      let windows =
+        List.mapi (fun i (s, l) -> if i = List.length windows - 1 then (s, l + over) else (s, l)) windows
+      in
+      let show_w = String.concat "," (List.map (fun (s, l) -> Printf.sprintf "%d+%d" s l) windows) in
+      case1 ("windows " ^ show_w) x (fun x -> T.slice x windows) (fun x -> O.slice x windows))
+
+let prop_concat =
+  agrees "concat"
+    Gen.(
+      let* shape = gen_ranked in
+      let rank = List.length shape in
+      let* axis = int_range 0 (rank - 1) in
+      let* extents = list_size (int_range 1 3) (int_range 1 3) in
+      let* bad = frequency [ (9, return false); (1, return true) ] in
+      let+ parts =
+        flatten_l
+          (List.mapi
+             (fun k e ->
+               gen_tensor
+                 (List.mapi
+                    (fun i d -> if i = axis then e else if bad && k = 1 then d + 1 else d)
+                    shape))
+             extents)
+      in
+      {
+        what = Printf.sprintf "axis %d %s" axis (shapes parts);
+        lib = (fun () -> T.concat parts ~axis);
+        oracle = (fun () -> O.concat (List.map o parts) ~axis);
+      })
+
+(* Two shapes that broadcast to [shape] (the right-aligned suffix of it,
+   some extents 1), or the same shape twice, or shapes that clash. *)
+let gen_broadcast_pair =
+  Gen.(
+    let* shape = gen_ranked in
+    let operand =
+      let* drop = int_range 0 (List.length shape - 1) in
+      let suffix = List.filteri (fun i _ -> i >= drop) shape in
+      flatten_l (List.map (fun d -> map (fun one -> if one then 1 else d) (frequency [ (2, return true); (3, return false) ])) suffix)
+    in
+    let* s1 = operand and* s2 = operand in
+    frequency
+      [
+        (6, return (s1, s2));
+        (2, return (shape, shape));
+        (1, return (shape, List.map (fun d -> d + 1) shape));
+      ])
+
+let prop_map2 =
+  agrees "map2 (add, sub, mul, non-commutative)"
+    Gen.(
+      let* s1, s2 = gen_broadcast_pair in
+      let* x = gen_tensor s1 and* y = gen_tensor s2 in
+      let+ name, lib, oracle =
+        oneofl
+          [
+            ("add", T.add, O.add);
+            ("sub", T.sub, O.sub);
+            ("mul", T.mul, O.mul);
+            ("x - 2y", T.map2 (fun a b -> a -. (2. *. b)), O.map2 (fun a b -> a -. (2. *. b)));
+          ]
+      in
+      case2 name x y lib oracle)
+
+let prop_scale_shift =
+  agrees "scale_shift"
+    Gen.(
+      let* shape = gen_ranked in
+      let* x = gen_tensor shape in
+      let* axis = int_range 0 (List.length shape) in
+      let d = if axis < List.length shape then List.nth shape axis else 1 in
+      let* len = frequency [ (9, return d); (1, return (d + 1)) ] in
+      let* scale = gen_tensor [ len ] and* shift = gen_tensor [ d ] in
+      return
+        {
+          what = Printf.sprintf "axis %d %s" axis (shapes [ x; scale; shift ]);
+          lib = (fun () -> T.scale_shift x ~scale ~shift ~axis);
+          oracle = (fun () -> O.scale_shift (o x) ~scale:(o scale) ~shift:(o shift) ~axis);
+        })
+
+let prop_reductions =
+  agrees "sum, mean, max_, softmax"
+    Gen.(
+      let* shape = gen_ranked in
+      let* x = gen_tensor shape in
+      let* axis = int_range 0 (List.length shape) in
+      let+ name, lib, oracle =
+        oneofl
+          [
+            ("sum", T.sum, O.sum);
+            ("mean", T.mean, O.mean);
+            ("max_", T.max_, O.max_);
+            ("softmax", T.softmax, O.softmax);
+          ]
+      in
+      case1 (Printf.sprintf "%s axis %d" name axis) x (fun x -> lib x ~axis) (fun x -> oracle x ~axis))
+
+let prop_layernorm =
+  agrees "layernorm"
+    Gen.(
+      let* shape = gen_ranked in
+      let* x = gen_tensor shape in
+      let d = List.nth shape (List.length shape - 1) in
+      let* gamma = gen_tensor [ d ] and* beta = gen_tensor [ d ] in
+      let+ eps = oneofl [ 1e-5; 0.; 1. ] in
+      {
+        what = Printf.sprintf "eps %g %s" eps (shapes [ x ]);
+        lib = (fun () -> T.layernorm x ~gamma ~beta ~eps);
+        oracle = (fun () -> O.layernorm (o x) ~gamma:(o gamma) ~beta:(o beta) ~eps);
+      })
+
+let prop_matmul =
+  agrees "matmul (every batch arm)"
+    Gen.(
+      let* m = int_range 1 4 and* k = int_range 1 5 and* n = int_range 1 4 in
+      let* bs = int_range 1 3 in
+      let* k' = frequency [ (9, return k); (1, return (k + 1)) ] in
+      let* bs' = frequency [ (9, return bs); (1, return (bs + 1)) ] in
+      let* sa, sb =
+        oneofl
+          [
+            ([ m; k ], [ k'; n ]);
+            ([ m; k ], [ bs; k'; n ]);
+            ([ bs; m; k ], [ k'; n ]);
+            ([ bs; m; k ], [ bs'; k'; n ]);
+          ]
+      in
+      let+ a = gen_tensor sa and+ b = gen_tensor sb in
+      case2 "" a b T.matmul O.matmul)
+
+(* An NCHW input and a window: extents, stride and padding such that some
+   windows hang over the border, some output extents are 0 and some
+   paddings exceed the kernel. *)
+let gen_window =
+  Gen.(
+    let* n = int_range 1 2 and* c = int_range 1 3 and* h = int_range 1 6 and* w = int_range 1 6 in
+    let* kh = int_range 1 4 and* kw = int_range 1 4 in
+    let* stride = int_range 1 3 and* pad_h = int_range 0 3 and* pad_w = int_range 0 3 in
+    let+ x = gen_tensor [ n; c; h; w ] in
+    (x, c, kh, kw, stride, pad_h, pad_w))
+
+let show_window kh kw stride pad_h pad_w =
+  Printf.sprintf "k %dx%d stride %d pad %d,%d" kh kw stride pad_h pad_w
+
+let prop_conv2d =
+  agrees "conv2d_hw and conv2d"
+    Gen.(
+      let* x, c, kh, kw, stride, pad_h, pad_w = gen_window in
+      let* oc = int_range 1 3 in
+      let* c' = frequency [ (9, return c); (1, return (c + 1)) ] in
+      let* w = gen_tensor [ oc; c'; kh; kw ] in
+      let+ square = bool in
+      let what = (if square then "square " else "") ^ show_window kh kw stride pad_h pad_w in
+      if square then
+        case2 what x w (fun x w -> T.conv2d x w ~stride ~padding:pad_h)
+          (fun x w -> O.conv2d x w ~stride ~padding:pad_h)
+      else
+        case2 what x w (fun x w -> T.conv2d_hw x w ~stride ~pad_h ~pad_w)
+          (fun x w -> O.conv2d_hw x w ~stride ~pad_h ~pad_w))
+
+let prop_depthwise =
+  agrees "depthwise_conv2d"
+    Gen.(
+      let* x, c, kh, kw, stride, padding, _ = gen_window in
+      let* mult = frequency [ (9, return 1); (1, return 2) ] in
+      let+ w = gen_tensor [ c; mult; kh; kw ] in
+      case2 (show_window kh kw stride padding padding) x w
+        (fun x w -> T.depthwise_conv2d x w ~stride ~padding)
+        (fun x w -> O.depthwise_conv2d x w ~stride ~padding))
+
+let prop_pooling =
+  agrees "maxpool2d, avgpool2d, global_avgpool"
+    Gen.(
+      let* x, _, kernel, _, stride, padding, _ = gen_window in
+      let+ name, lib, oracle =
+        oneofl
+          [
+            ("max", T.maxpool2d ~kernel ~stride ~padding, O.maxpool2d ~kernel ~stride ~padding);
+            ("avg", T.avgpool2d ~kernel ~stride ~padding, O.avgpool2d ~kernel ~stride ~padding);
+            ("global", T.global_avgpool, O.global_avgpool);
+          ]
+      in
+      case1 (name ^ " " ^ show_window kernel kernel stride padding padding) x lib oracle)
+
+let prop_im2col =
+  agrees "im2col_hw and im2col"
+    Gen.(
+      let* x, _, kh, kw, stride, pad_h, pad_w = gen_window in
+      let+ square = bool in
+      if square then
+        case1 ("square " ^ show_window kh kh stride pad_h pad_h) x
+          (fun x -> T.im2col x ~kernel:kh ~stride ~padding:pad_h)
+          (fun x -> O.im2col x ~kernel:kh ~stride ~padding:pad_h)
+      else
+        case1 (show_window kh kw stride pad_h pad_w) x
+          (fun x -> T.im2col_hw x ~kh ~kw ~stride ~pad_h ~pad_w)
+          (fun x -> O.im2col_hw x ~kh ~kw ~stride ~pad_h ~pad_w))
+
+let oracle_props =
+  [
+    prop_init; prop_get; prop_transpose; prop_slice; prop_concat; prop_map2;
+    prop_scale_shift; prop_reductions; prop_layernorm; prop_matmul; prop_conv2d;
+    prop_depthwise; prop_pooling; prop_im2col;
+  ]
+
 let () =
   Alcotest.run "hidet_tensor"
     [
@@ -267,4 +607,5 @@ let () =
           Alcotest.test_case "depthwise" `Quick test_depthwise_conv;
           Alcotest.test_case "pooling" `Quick test_pooling;
         ] );
+      ("flat offsets", List.map QCheck_alcotest.to_alcotest oracle_props);
     ]
