@@ -40,8 +40,8 @@ type gstate = {
 
 (* Every generated name, IR loop and let variables included, comes from the
    per-kernel counter in emission order, never from the process-global
-   [Var.id]: alpha-equivalent kernels print to byte-equal source and so
-   share one memoized unit. *)
+   [Var.id]: alpha-equivalent kernels print to byte-equal source, so the
+   memo's [key] can leave the ids out. *)
 let fresh st base =
   st.tmp <- st.tmp + 1;
   Printf.sprintf "%s%d" base st.tmp
@@ -696,10 +696,10 @@ let rec emit_phased st uniform tp venv live out ind p (s : Stmt.t) =
    Buffer arrays and their dimensions are hoisted to let-bound locals in
    the prelude (a block function binds the per-thread ones per segment);
    the registration trailer (which embeds the unique unit name) is
-   appended at build time, so the source that keys the compile memo holds
-   no process-global id. Slot numbers and dims are literals in it: equal
-   source means an equal slot layout. *)
-let codegen (k : Kernel.t) : string * Launch.slots =
+   appended at build time, so the source holds no process-global id. Slot
+   numbers and dims are literals in it: equal source means an equal slot
+   layout. *)
+let source (k : Kernel.t) : string =
   let slots = Launch.slots k in
   let st = { buf_slot = slots.Launch.slot_of; tmp = 0; nesting = true } in
   let out = Stdlib.Buffer.create 4096 in
@@ -757,9 +757,7 @@ let codegen (k : Kernel.t) : string * Launch.slots =
     let live = emit_phased st uniform tp Int_map.empty [] out 2 p k.Kernel.body in
     materialize out "  " tp live p;
     add out "  R.flush iv;\n  !total\n\nlet entry = R.Block block\n");
-  (Stdlib.Buffer.contents out, slots)
-
-let source k = fst (codegen k)
+  Stdlib.Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Toolchain probe                                                    *)
@@ -937,11 +935,184 @@ let toolchain_once = lazy (probe ())
 let available () = Result.map (fun _ -> ()) (Lazy.force toolchain_once)
 
 (* ------------------------------------------------------------------ *)
+(* Memo key                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The key is the MD5 of the whole kernel written into bytes in one walk:
+   name, launch dims, pipeline stages, every buffer (name, scope, element
+   type, dims) numbered by first appearance, every operator, literal,
+   [unroll] flag and comment, and every bound variable with its dtype,
+   numbered by first binding. Only the ids are left out, which codegen
+   never prints (see [fresh]), so equal keys mean equal source without
+   printing it. Buffer names stay in: the error raisers print them. A
+   variable keeps its number when it is bound again, because the phase
+   analysis ([Launch.phased]) reads every binding of one variable
+   together. Each record starts with a tag and every list with its
+   length, so the bytes parse back. *)
+type kstate = {
+  kb : Stdlib.Buffer.t;
+  bufs : (int, int) Hashtbl.t;  (** Buffer.id -> number *)
+  vars : (int, int) Hashtbl.t;  (** Var.id -> number *)
+  scope : (int, unit) Hashtbl.t;  (** bindings in scope, by Var.id *)
+}
+
+let key_int ks n = Stdlib.Buffer.add_int64_le ks.kb (Int64.of_int n)
+let key_tag ks c = Stdlib.Buffer.add_char ks.kb c
+
+let key_string ks s =
+  key_int ks (String.length s);
+  add ks.kb s
+
+let key_dtype ks (d : Dtype.t) =
+  key_tag ks (match d with F16 -> 'h' | F32 -> 'f' | I32 -> 'i' | Bool -> 'b')
+
+let key_buf ks (b : Buffer.t) =
+  match Hashtbl.find_opt ks.bufs b.Buffer.id with
+  | Some n -> key_int ks n
+  | None ->
+    let n = Hashtbl.length ks.bufs in
+    Hashtbl.add ks.bufs b.Buffer.id n;
+    key_int ks n;
+    key_string ks b.Buffer.name;
+    key_tag ks
+      (match b.Buffer.scope with
+      | Global -> 'G'
+      | Shared -> 'S'
+      | Warp -> 'W'
+      | Register -> 'R');
+    key_dtype ks b.Buffer.elt;
+    key_int ks (List.length b.Buffer.dims);
+    List.iter (key_int ks) b.Buffer.dims
+
+let key_list ks f l =
+  key_int ks (List.length l);
+  List.iter f l
+
+let rec key_expr ks (e : Expr.t) =
+  match e with
+  | Expr.Int n ->
+    key_tag ks 'i';
+    key_int ks n
+  | Float f ->
+    key_tag ks 'f';
+    Stdlib.Buffer.add_int64_le ks.kb (Int64.bits_of_float f)
+  | Bool b -> key_tag ks (if b then 'T' else 'F')
+  | Thread_idx -> key_tag ks 't'
+  | Block_idx -> key_tag ks 'b'
+  | Var v ->
+    if Hashtbl.mem ks.scope v.Var.id then begin
+      key_tag ks 'v';
+      key_int ks (Hashtbl.find ks.vars v.Var.id)
+    end
+    else begin
+      (* Free: codegen prints its name, id included. *)
+      key_tag ks 'u';
+      key_string ks (Var.name v)
+    end
+  | Load (b, idx) ->
+    key_tag ks 'l';
+    key_buf ks b;
+    key_list ks (key_expr ks) idx
+  | Select (c, a, b) ->
+    key_tag ks '?';
+    key_expr ks c;
+    key_expr ks a;
+    key_expr ks b
+  | Unop (op, a) ->
+    key_tag ks 'U';
+    key_tag ks
+      (match op with
+      | Neg -> '-'
+      | Not -> '!'
+      | Exp -> 'e'
+      | Log -> 'l'
+      | Sqrt -> 's'
+      | Tanh -> 't'
+      | Erf -> 'r'
+      | Abs -> 'a');
+    key_expr ks a
+  | Binop (op, a, b) ->
+    key_tag ks 'B';
+    key_tag ks
+      (match op with
+      | And -> '&'
+      | Or -> '|'
+      | op -> Char.chr (binop_code op + 65));
+    key_expr ks a;
+    key_expr ks b
+
+let key_bind ks (v : Var.t) body =
+  (match Hashtbl.find_opt ks.vars v.Var.id with
+  | Some n -> key_int ks n
+  | None ->
+    let n = Hashtbl.length ks.vars in
+    Hashtbl.add ks.vars v.Var.id n;
+    key_int ks n;
+    key_dtype ks v.Var.dtype);
+  Hashtbl.add ks.scope v.Var.id ();
+  body ();
+  Hashtbl.remove ks.scope v.Var.id
+
+let rec key_stmt ks (s : Stmt.t) =
+  match s with
+  | Stmt.Seq ss ->
+    key_tag ks 'Q';
+    key_list ks (key_stmt ks) ss
+  | For { var; extent; unroll; body } ->
+    key_tag ks (if unroll then 'O' else 'o');
+    key_expr ks extent;
+    key_bind ks var (fun () -> key_stmt ks body)
+  | If { cond; then_; else_ } ->
+    key_tag ks (if Option.is_none else_ then 'I' else 'J');
+    key_expr ks cond;
+    key_stmt ks then_;
+    Option.iter (key_stmt ks) else_
+  | Let { var; value; body } ->
+    key_tag ks 'L';
+    key_expr ks value;
+    key_bind ks var (fun () -> key_stmt ks body)
+  | Store { buf; indices; value } ->
+    key_tag ks 'S';
+    key_buf ks buf;
+    key_list ks (key_expr ks) indices;
+    key_expr ks value
+  | Mma m ->
+    key_tag ks 'M';
+    List.iter (key_int ks) [ m.m; m.n; m.k ];
+    List.iter
+      (fun (b, off) ->
+        key_buf ks b;
+        key_list ks (key_expr ks) off)
+      [ (m.a, m.a_off); (m.b, m.b_off); (m.c, m.c_off) ]
+  | Sync_threads -> key_tag ks 'Y'
+  | Comment c ->
+    key_tag ks 'C';
+    key_string ks c
+
+let key (k : Kernel.t) =
+  let ks =
+    {
+      kb = Stdlib.Buffer.create 4096;
+      bufs = Hashtbl.create 16;
+      vars = Hashtbl.create 64;
+      scope = Hashtbl.create 16;
+    }
+  in
+  key_string ks k.Kernel.name;
+  List.iter (key_int ks) [ k.grid_dim; k.block_dim; k.pipeline_stages ];
+  List.iter
+    (key_list ks (key_buf ks))
+    [ k.params; k.shared; k.warp_bufs; k.regs ];
+  key_stmt ks k.body;
+  Digest.string (Stdlib.Buffer.contents ks.kb)
+
+(* ------------------------------------------------------------------ *)
 (* Compilation with memoization                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Keyed on the MD5 of the source text, not the text: the memo lives as
-   long as the process, and a unit's source runs to tens of kilobytes. *)
+(* Keyed by [key], so a hit runs no codegen. The slot layout is rebuilt
+   per compile; equal keys make it equal to the one the unit was generated
+   for. The memo lives as long as the process. *)
 let memo : (Digest.t, Exec_registry.body) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
@@ -953,35 +1124,28 @@ let compile (k : Kernel.t) : Launch.t =
       failwith ("Exec_ocaml: native backend unavailable: " ^ reason)
   in
   Verify.kernel_exn k;
-  let src, slots =
-    timed m_codegen_us (fun () ->
-        Trace.span
-          ~attrs:(fun () -> [ ("kernel", k.Kernel.name) ])
-          "sim.native.codegen"
-          (fun _ -> codegen k))
-  in
-  (* Codegen runs every call, since the memo is keyed by its output, and it
-     is not cheap: ~0.2-0.3 ms a tiny-model kernel on a 2-vCPU host, more
-     than that kernel's native run. ocamlopt + dynlink run once per
-     distinct source. *)
+  let key = key k in
   let entry =
-    Mutex.lock memo_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock memo_lock)
-      (fun () ->
-        let key = Digest.string src in
+    Mutex.protect memo_lock (fun () ->
         match Hashtbl.find_opt memo key with
         | Some e ->
           Metrics.incr m_memo_hits;
           e
         | None ->
+          let src =
+            timed m_codegen_us (fun () ->
+                Trace.span
+                  ~attrs:(fun () -> [ ("kernel", k.Kernel.name) ])
+                  "sim.native.codegen"
+                  (fun _ -> source k))
+          in
           let e = build tc src in
           Hashtbl.replace memo key e;
           e)
   in
   (* Each binding returns a closure of the runner's own arity: a partial
      application would allocate on every call. *)
-  Launch.make k slots
+  Launch.make k (Launch.slots k)
     (match entry with
     | Exec_registry.Thread entry ->
       Launch.Thread

@@ -29,16 +29,17 @@
     are bit-identical to the closure backend's (property-tested in
     [test_exec_ocaml] and cross-checked by the fuzzer's [native] path).
 
-    Compiled units are memoized per process on the MD5 of the generated
-    source text. The source holds no process-global id: loop and let
-    variables are named in binding order, buffers by slot number.
-    Alpha-equivalent kernels (a recompile after [Schedule_cache.clear], the
-    same kernel in two plans) therefore print to byte-equal source, and a
-    distinct kernel pays ocamlopt + dynlink once per process. The memo
-    keeps the digest, not the text, for as long as the process runs.
-    [Compiled.run] keeps each
-    kernel's {!Launch.t}, so codegen and the memo lookup run once per
-    kernel, not once per launch.
+    Compiled units are memoized per process on {!key}, a digest of the
+    kernel itself taken before any printing, so a hit runs no codegen.
+    The key leaves out only variable and buffer ids, which the source never
+    holds either: loop and let variables are named in binding order,
+    buffers by slot number. Alpha-equivalent kernels (a recompile after
+    [Schedule_cache.clear], the same kernel in two plans) therefore share
+    one unit, and a distinct kernel pays codegen, ocamlopt and dynlink
+    once per process. The memo keeps the digest, not the source, for as
+    long as the process runs. [Compiled.run] keeps each kernel's
+    {!Launch.t}, so the key and the memo lookup run once per kernel, not
+    once per launch.
 
     The backend degrades, never fails, when the toolchain is missing:
     {!available} probes once per process (native [Dynlink], [ocamlfind] on
@@ -55,9 +56,20 @@ val source : Hidet_ir.Kernel.t -> string
 (** The generated unit body (without the registration trailer) — for
     debugging and golden tests. Does not require the toolchain. *)
 
+val key : Hidet_ir.Kernel.t -> Digest.t
+(** The memo key: the MD5 of one walk over the whole kernel (name, launch
+    dims, pipeline stages, buffers with their names, operators, literals by
+    their bits, [unroll] flags, comments, bound variables' dtypes), with
+    buffers numbered by first appearance and variables by first binding.
+    Equal keys give byte-equal {!source}; exposed for the tests that check
+    so. *)
+
 val compile : Hidet_ir.Kernel.t -> Launch.t
-(** Verify, codegen, and compile+load (memoized on the source's MD5; a hit
-    bumps ["sim.native.memo_hits"], a build ["sim.native.units"]) into a
-    launch handle whose entry is the loaded unit's. Raises [Failure] when
-    {!available} is an [Error] or the toolchain misbehaves — callers
-    wanting graceful degradation check {!available} first. *)
+(** Verify, then look the {!key} up in the memo. A hit bumps
+    ["sim.native.memo_hits"] and rebuilds only the slot layout; a miss runs
+    codegen (the ["sim.native.codegen"] span and
+    ["sim.native.codegen_us"] count misses only), ocamlopt and dynlink,
+    and bumps ["sim.native.units"]. Returns a launch handle whose entry is
+    the loaded unit's. Raises [Failure] when {!available} is an [Error] or
+    the toolchain misbehaves — callers wanting graceful degradation check
+    {!available} first. *)

@@ -45,8 +45,8 @@ let verify c = List.iter Verify.kernel_exn c.kernels
 
 (* Launch handles: each kernel's executable, built on its first launch on a
    backend and reused by every later one, so a launch neither re-verifies
-   the kernel, nor rebuilds its closures, nor regenerates its native source
-   to find the loaded unit. The tables key kernels by physical identity and
+   the kernel, nor rebuilds its closures, nor walks it again for the
+   native memo's key. The tables key kernels by physical identity and
    hold them weakly (ephemerons): a handle lives as long as its kernel.
    Plans run on several domains at once ([Hidet_serve.Pool]), so the tables
    sit behind a lock; a build runs outside it, and when two domains race on

@@ -128,6 +128,26 @@ let test_zoo_estimate_digest () =
   Alcotest.(check string) "digest" zoo_estimate_digest
     (Digest.to_hex (Digest.string (Stdlib.Buffer.contents b)))
 
+(* Both latency models read the computation, not its ids: every engine's
+   tiny-model kernels, compiled twice with fresh variable and buffer ids
+   minted in between, get bit-equal latencies under both fidelities, and
+   every zoo plan kernel under the analytic model. *)
+let test_estimates_ignore_ids () =
+  let latencies estimate kernels =
+    List.map
+      (fun k -> Printf.sprintf "%h" (estimate dev k).Hidet_gpu.Perf_model.latency)
+      kernels
+  in
+  let same what estimate (first, second) =
+    Alcotest.(check (list string)) what (latencies estimate first)
+      (latencies estimate second)
+  in
+  let tiny = Zoo.twice (fun () -> Zoo.tiny_engine_kernels dev) in
+  same "tiny, analytic" Hidet_gpu.Perf_model.kernel tiny;
+  same "tiny, cycle" Hidet_cycle.Fidelity.estimate tiny;
+  same "zoo plans, analytic" Hidet_gpu.Perf_model.kernel
+    (Zoo.twice (fun () -> Zoo.plan_kernels dev Hidet_models.Models.all))
+
 (* The walk's allocation per [Traffic.analyze] on the distinct zoo plan
    kernels, each at the reuse window [Perf_model.kernel] gives it, measured
    at 440.70 and rounded up: a value or a closure more per expression node
@@ -1133,6 +1153,8 @@ let () =
             test_zoo_plan_kernels;
           Alcotest.test_case "zoo plan estimates pinned" `Quick
             test_zoo_estimate_digest;
+          Alcotest.test_case "estimates read the computation, not its ids"
+            `Quick test_estimates_ignore_ids;
           Alcotest.test_case "traffic allocation budget" `Quick
             test_traffic_allocation;
           Alcotest.test_case "sites past two table resizes" `Quick test_many_sites;

@@ -199,6 +199,7 @@ let stmts_counter = Hidet_obs.Metrics.counter "sim.statements"
 let m_units = Hidet_obs.Metrics.counter "sim.native.units"
 let m_hits = Hidet_obs.Metrics.counter "sim.native.memo_hits"
 let m_fallbacks = Hidet_obs.Metrics.counter "sim.native.fallbacks"
+let m_codegen_us = Hidet_obs.Metrics.counter "sim.native.codegen_us"
 
 let contains sub s =
   let n = String.length sub in
@@ -279,8 +280,8 @@ let runtime_divergence_kernel () =
   (k, fun () -> [ (c, Array.make 32 0.) ])
 
 (* The index goes through a let, so each build carries a fresh variable id. *)
-let oob_store_kernel () =
-  let c = Buffer.create "C" [ 8 ] in
+let oob_store_kernel ?(name = "C") () =
+  let c = Buffer.create name [ 8 ] in
   let x = Var.fresh "x" in
   let body =
     Stmt.let_ x Expr.Thread_idx (Stmt.store c [ Expr.var x ] (Expr.float 1.))
@@ -465,12 +466,16 @@ let test_native_metrics_counters () =
 module Gen = Hidet_check.Gen
 module Plan = Hidet_runtime.Plan
 
-(* Rule-based kernel sources of a generated definition; [None] when the
-   schedule does not apply. Each call mints fresh variable and buffer ids. *)
-let def_sources spec =
+(* Rule-based kernels of a generated definition, as sources or memo keys;
+   [None] when the schedule does not apply. Each call mints fresh variable
+   and buffer ids. *)
+let def_kernels spec =
   match Hidet_sched.Rule_based.schedule (Gen.build_def spec) with
-  | c -> Some (List.map EO.source c.Hidet_sched.Compiled.kernels)
+  | c -> Some c.Hidet_sched.Compiled.kernels
   | exception Invalid_argument _ -> None
+
+let def_sources spec = Option.map (List.map EO.source) (def_kernels spec)
+let def_keys spec = Option.map (List.map EO.key) (def_kernels spec)
 
 (* The first definition case at or after index [i] of the fuzzer's stream
    for [seed] that the rule-based schedule lowers. *)
@@ -479,8 +484,9 @@ let rec def_case seed i =
   | Gen.C_def { spec; _ } when def_sources spec <> None -> spec
   | _ -> def_case seed (i + 1)
 
-(* Lowering the same case twice gives fresh ids but byte-equal source; one
-   changed dim or constant gives different source. *)
+(* Lowering the same case twice gives fresh ids but byte-equal source and
+   an equal memo key; one changed dim or constant gives different source
+   and a different key. *)
 let prop_source_alpha_invariant =
   QCheck.Test.make ~count:100 ~name:"generated source is alpha-invariant"
     QCheck.(pair (0 -- 1000) (0 -- 1000))
@@ -499,11 +505,42 @@ let prop_source_alpha_invariant =
         }
       in
       def_sources spec = def_sources again
+      && def_keys spec = def_keys again
       && def_sources spec <> def_sources dims
-      && def_sources (plus 0.5) <> def_sources (plus 0.75))
+      && def_keys spec <> def_keys dims
+      && def_sources (plus 0.5) <> def_sources (plus 0.75)
+      && def_keys (plus 0.5) <> def_keys (plus 0.75))
+
+(* Every engine's tiny-model kernels, compiled twice with fresh ids in
+   between: two kernels have equal memo keys exactly when their sources are
+   byte-equal, and each recompiled kernel has its first compile's key. *)
+let test_key_iff_source () =
+  let first, second =
+    Zoo.twice (fun () -> Zoo.tiny_engine_kernels Hidet_gpu.Device.rtx3090)
+  in
+  let keyed ks = List.map (fun k -> (EO.key k, Digest.string (EO.source k))) ks in
+  let first = keyed first and second = keyed second in
+  List.iter2
+    (fun (k1, s1) (k2, s2) ->
+      Alcotest.(check bool) "recompile: same key" true (k1 = k2);
+      Alcotest.(check bool) "recompile: same source" true (s1 = s2))
+    first second;
+  let source_of = Hashtbl.create 256 and key_of = Hashtbl.create 256 in
+  List.iter
+    (fun (k, s) ->
+      (match Hashtbl.find_opt source_of k with
+      | Some s' -> Alcotest.(check bool) "equal keys, equal sources" true (s = s')
+      | None -> Hashtbl.add source_of k s);
+      match Hashtbl.find_opt key_of s with
+      | Some k' -> Alcotest.(check bool) "equal sources, equal keys" true (k = k')
+      | None -> Hashtbl.add key_of s k)
+    (first @ second);
+  Alcotest.(check bool) "more than one distinct kernel" true
+    (Hashtbl.length source_of > 1)
 
 (* A recompile after [Schedule_cache.clear] mints new ids for every kernel;
-   its native run must reuse the units the first compile loaded. *)
+   its native run must reuse the units the first compile loaded and run no
+   codegen. *)
 let test_recompile_hits_memo () =
   let v = Hidet_obs.Metrics.value in
   let compile () =
@@ -521,8 +558,20 @@ let test_recompile_hits_memo () =
   ignore (Plan.run1 ~backend:`Native first inputs);
   let _, second = compile () in
   let u0 = v m_units and h0 = v m_hits and f0 = v m_fallbacks in
-  let native = Plan.run1 ~backend:`Native second inputs in
+  let c0 = v m_codegen_us in
+  let native, events =
+    Hidet_obs.Trace.with_collector (fun () ->
+        Plan.run1 ~backend:`Native second inputs)
+  in
   Alcotest.(check int) "no unit built" u0 (v m_units);
+  Alcotest.(check int) "no codegen time" c0 (v m_codegen_us);
+  Alcotest.(check int) "no codegen span" 0
+    (List.length
+       (List.filter
+          (function
+            | Hidet_obs.Trace.Span { name; _ } -> name = "sim.native.codegen"
+            | _ -> false)
+          events));
   Alcotest.(check int) "one memo hit per kernel" (Plan.kernel_count second)
     (v m_hits - h0);
   Alcotest.(check int) "no fallback" f0 (v m_fallbacks);
@@ -629,11 +678,12 @@ let test_launch_handles () =
     [ `Closure; `Native ]
 
 (* The out-of-bounds case built twice: the second build is a memo hit and
-   raises the closure backend's exception all the same. *)
+   raises the closure backend's exception all the same. The same kernel
+   with its buffer renamed must miss, since the error names the buffer. *)
 let test_error_parity_through_hit () =
   let v = Hidet_obs.Metrics.value in
-  let go runner =
-    let k, bindings_of = oob_store_kernel () in
+  let go ?name runner =
+    let k, bindings_of = oob_store_kernel ?name () in
     try
       runner k (bindings_of ());
       Ok ()
@@ -647,19 +697,24 @@ let test_error_parity_through_hit () =
   Alcotest.(check bool) "raises" true (Result.is_error second);
   Alcotest.(check bool) "same exception as the first run" true (first = second);
   Alcotest.(check bool) "same exception as the closure backend" true
-    (go (Launch.run ~workers:1 CE.compile) = second)
+    (go (Launch.run ~workers:1 CE.compile) = second);
+  let u1 = v m_units in
+  let renamed = go ~name:"D" (Launch.run ~workers:1 EO.compile) in
+  Alcotest.(check int) "renamed buffer: a new unit" (u1 + 1) (v m_units);
+  Alcotest.(check bool) "renamed buffer: same exception as the closure backend"
+    true
+    (go ~name:"D" (Launch.run ~workers:1 CE.compile) = renamed);
+  let names_buffer name = function
+    | Error e -> contains (" on " ^ name) (Printexc.to_string e)
+    | Ok () -> false
+  in
+  Alcotest.(check bool) "first error names C" true (names_buffer "C" second);
+  Alcotest.(check bool) "renamed error names D" true (names_buffer "D" renamed)
 
-(* The toolchain probe runs once per process, so the missing-toolchain path
-   runs in a child whose PATH holds no ocamlfind. *)
-let test_missing_toolchain_falls_back () =
-  let env =
-    Unix.environment () |> Array.to_list
-    |> List.filter (fun e -> not (String.starts_with ~prefix:"PATH=" e))
-    |> List.cons "PATH=" |> Array.of_list
-  in
-  let prog =
-    Filename.concat (Filename.dirname Sys.executable_name) "native_fallback.exe"
-  in
+(* The toolchain probe runs once per process, so each missing-toolchain
+   path runs in a child: [prog] started with [env] must exit 0, print
+   [line] once on stderr and fall back once per kernel launch. *)
+let falls_back_visibly ~env ~line prog =
   let ((out, inp, err) as chans) =
     Unix.open_process_args_full prog [| prog |] env
   in
@@ -668,13 +723,49 @@ let test_missing_toolchain_falls_back () =
   let stderr = In_channel.input_all err in
   let status = Unix.close_process_full chans in
   Alcotest.(check bool) "child exits 0" true (status = Unix.WEXITED 0);
-  let line = "native backend unavailable (ocamlfind not found on PATH)" in
   Alcotest.(check int) "one stderr line" 1
     (List.length
        (List.filter (contains line) (String.split_on_char '\n' stderr)));
   Scanf.sscanf stdout "fallbacks=%d launches=%d" (fun fallbacks launches ->
       Alcotest.(check bool) "launched kernels" true (launches > 0);
       Alcotest.(check int) "one fallback per launch" launches fallbacks)
+
+let fallback_exe () =
+  Filename.concat (Filename.dirname Sys.executable_name) "native_fallback.exe"
+
+(* A PATH that holds no ocamlfind. *)
+let test_missing_toolchain_falls_back () =
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun e -> not (String.starts_with ~prefix:"PATH=" e))
+    |> List.cons "PATH=" |> Array.of_list
+  in
+  falls_back_visibly ~env
+    ~line:"native backend unavailable (ocamlfind not found on PATH)"
+    (fallback_exe ())
+
+(* A copy of the executable outside the build tree finds no .cmi
+   directories next to it, and names where it looked. *)
+let test_copied_executable_falls_back () =
+  let dir = Filename.temp_dir "hidet_copy" "" in
+  let copy = Filename.concat dir "native_fallback.exe" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove copy with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_gen
+        [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+        0o755 copy
+        (fun oc ->
+          Out_channel.output_string oc
+            (In_channel.with_open_bin (fallback_exe ()) In_channel.input_all));
+      (* The child sees its own path as the kernel resolves it. *)
+      let seen = Unix.realpath copy in
+      falls_back_visibly ~env:(Unix.environment ())
+        ~line:
+          ("native backend unavailable (no .cmi directories found near " ^ seen)
+        copy)
 
 (* --------------------------------------------------------------------------- *)
 
@@ -694,6 +785,8 @@ let () =
                 Alcotest.(check bool) "non-empty" true
                   (String.length (EO.source k) > 0));
             QCheck_alcotest.to_alcotest prop_source_alpha_invariant;
+            Alcotest.test_case "equal keys exactly when sources are equal"
+              `Quick test_key_iff_source;
             Alcotest.test_case "missing toolchain falls back visibly" `Quick
               test_missing_toolchain_falls_back;
           ] );
@@ -712,7 +805,7 @@ let () =
           [
             both_raise_same "runtime barrier divergence"
               runtime_divergence_kernel;
-            both_raise_same "out-of-bounds store" oob_store_kernel;
+            both_raise_same "out-of-bounds store" (oob_store_kernel ?name:None);
             both_raise_same "negative index load" negative_index_kernel;
             both_raise_same "missing binding" missing_binding_kernel;
             both_raise_same "division by zero" div_by_zero_kernel;
@@ -737,6 +830,10 @@ let () =
             QCheck_alcotest.to_alcotest prop_source_alpha_invariant;
             Alcotest.test_case "missing toolchain falls back visibly" `Quick
               test_missing_toolchain_falls_back;
+            Alcotest.test_case "a copied executable falls back visibly" `Quick
+              test_copied_executable_falls_back;
+            Alcotest.test_case "equal keys exactly when sources are equal"
+              `Quick test_key_iff_source;
           ] );
         ( "observability",
           [

@@ -63,3 +63,65 @@ let distinct kernels =
     (List.fold_left
        (fun acc k -> if List.memq k acc then acc else k :: acc)
        [] kernels)
+
+(* Mints [n] variable and [n] buffer ids that no kernel uses, so a compile
+   after it numbers everything differently. *)
+let mint_ids n =
+  for _ = 1 to n do
+    ignore (Hidet_ir.Var.fresh "pad");
+    ignore (Hidet_ir.Buffer.create "pad" [ 1 ])
+  done
+
+let engines : (module Hidet_runtime.Engine.S) list =
+  [
+    (module Hidet.Hidet_engine);
+    (module Hidet_baselines.Library_engine.Pytorch);
+    (module Hidet_baselines.Library_engine.Ort);
+    (module Hidet_baselines.Library_engine.Tensorrt);
+    (module Hidet_baselines.Input_centric.Autotvm);
+    (module Hidet_baselines.Input_centric.Ansor);
+  ]
+
+(* Every kernel of every engine's plan for every tiny model, in plan order,
+   each model compiled on an empty schedule cache. *)
+let tiny_engine_kernels dev =
+  let module Cache = Hidet_sched.Schedule_cache in
+  let kernels =
+    List.concat_map
+      (fun (module Eng : Hidet_runtime.Engine.S) ->
+        List.concat_map
+          (fun (_, mk) ->
+            Cache.clear ();
+            let r = Eng.compile dev (mk ()) in
+            List.concat_map
+              (fun (s : Hidet_runtime.Plan.step) ->
+                s.compiled.Hidet_sched.Compiled.kernels)
+              r.Hidet_runtime.Engine.plan.Hidet_runtime.Plan.steps)
+          Hidet_models.Models.tiny_all)
+      engines
+  in
+  Cache.clear ();
+  kernels
+
+(* [kernels ()] twice, with [ids] fresh variable and buffer ids minted in
+   between; fails unless the two lists are equally long and share no
+   buffer id. *)
+let twice ?(ids = 10_000) kernels =
+  let first = kernels () in
+  mint_ids ids;
+  let second = kernels () in
+  let buffer_ids ks =
+    List.concat_map
+      (fun (k : Hidet_ir.Kernel.t) ->
+        List.map
+          (fun (b : Hidet_ir.Buffer.t) -> b.Hidet_ir.Buffer.id)
+          (k.params @ k.shared @ k.warp_bufs @ k.regs))
+      ks
+  in
+  let old = Hashtbl.create 1024 in
+  List.iter (fun id -> Hashtbl.replace old id ()) (buffer_ids first);
+  if List.length first <> List.length second then
+    failwith "Zoo.twice: the two compiles give different kernel counts";
+  if List.exists (Hashtbl.mem old) (buffer_ids second) then
+    failwith "Zoo.twice: the second compile reuses a buffer of the first";
+  (first, second)
