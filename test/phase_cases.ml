@@ -125,8 +125,8 @@ let test_divergence_on_fibers compile (k, bindings_of) () =
   Alcotest.(check bool) "Interp's exact exception" true (go (Interp.run k) = got)
 
 (* A barrier under a [threadIdx] condition that every thread of the block
-   passes: not phased, so it runs on fibers, and counts there. *)
-let test_fallback_counts compile () =
+   passes: not phased. *)
+let tid_guarded_sync () =
   let c = Buffer.create "C" [ 64 ] in
   let x = Var.fresh "x" in
   let body =
@@ -138,12 +138,17 @@ let test_fallback_counts compile () =
       ]
   in
   let k = Kernel.create ~name:"tid_guarded_sync" ~params:[ c ] ~grid_dim:2 ~block_dim:32 body in
+  (k, fun () -> [ (c, Array.make 64 0.) ])
+
+(* [tid_guarded_sync] runs on fibers, and counts there. *)
+let test_fallback_counts compile () =
+  let k, bindings_of = tid_guarded_sync () in
   let h = compile k in
   Alcotest.(check bool) "fiber handle" true (h.Launch.barriers = Launch.Fibers);
   let p0 = Metrics.value phased_blocks and f0 = Metrics.value fiber_blocks in
   let (), events =
     Hidet_obs.Trace.with_collector (fun () ->
-        Launch.run_compiled ~workers:1 h [ (c, Array.make 64 0.) ])
+        Launch.run_compiled ~workers:1 h (bindings_of ()))
   in
   Alcotest.(check int) "fiber blocks" 2 (Metrics.value fiber_blocks - f0);
   Alcotest.(check int) "phased blocks" 0 (Metrics.value phased_blocks - p0);
@@ -372,3 +377,20 @@ let order_case_both (name, phased, mk) closure native =
       let n_closure = check_against_interp ~phased closure (mk ()) in
       let n_native = check_against_interp ~phased native (mk ()) in
       Alcotest.(check int) "statements" n_closure n_native)
+
+(* The outcome of one run: the exception raised ([-] for none), the
+   statements counted in [sim.statements] and the MD5 of every bound
+   array's bits. *)
+let outcome run (k, bindings_of) =
+  let bs = bindings_of () in
+  let s0 = Metrics.value statements in
+  let exn = try run k bs; "-" with e -> Printexc.to_string e in
+  let n = Metrics.value statements - s0 in
+  let arrays =
+    String.concat ";"
+      (List.map
+         (fun (_, a) ->
+           String.concat "," (Array.to_list (Array.map (fun x -> Printf.sprintf "%Lx" (bits x)) a)))
+         bs)
+  in
+  Printf.sprintf "%s | %d | %s" exn n (Digest.to_hex (Digest.string arrays))

@@ -1641,6 +1641,49 @@ let test_storage_lifetimes ~sync () =
     check "native, 4 workers" (Launch.run ~workers:4 EO.compile)
   end
 
+(* --- pins of the kernels with a barrier that is not phased ------------------ *)
+
+(* The exception, the statements and the bound arrays of each kernel with a
+   barrier that [Launch.phased] refuses, pinned on both backends. *)
+let barrier_pins =
+  let lifetimes () =
+    let k, outs = lifetime_kernel ~sync:`Fibers in
+    (k, fun () -> List.map (fun o -> (o, Array.make (Buffer.num_elems o) 0.)) outs)
+  in
+  let runs workers =
+    ("closure", Launch.run ~workers CE.compile)
+    :: (if Lazy.force native_ok then [ ("native", Launch.run ~workers EO.compile) ] else [])
+  in
+  List.map
+    (fun (name, workers, mk, pinned) ->
+      Alcotest.test_case name `Quick (fun () ->
+          List.iter
+            (fun (backend, run) ->
+              Alcotest.(check string) backend pinned (Phase_cases.outcome run (mk ())))
+            (runs workers)))
+    [
+      ( "rt_diverge",
+        1,
+        runtime_divergence_kernel,
+        {|Hidet_gpu.Interp.Barrier_divergence("kernel rt_diverge, block 0: some threads exited while others wait at a barrier") | 0 | 04ec8ee6d0a1a5bd03232def786e0504|}
+      );
+      ( "tid_guarded_sync",
+        1,
+        Phase_cases.tid_guarded_sync,
+        "- | 256 | 580dc853e3de7f8d6c70e32f47e0f2cd" );
+      ( "rebound_nested",
+        1,
+        Phase_cases.rebound_nested,
+        {|Hidet_gpu.Interp.Barrier_divergence("kernel rebound_nested, block 0: some threads exited while others wait at a barrier") | 0 | c0f1e0304c0be09c8c10eea3c8d42ffd|}
+      );
+      ( "rebound_sibling",
+        1,
+        Phase_cases.rebound_sibling,
+        "- | 120 | 8a357589a7ce9c832cde6f5cbd2635f5" );
+      ("storage lifetimes, 1 worker", 1, lifetimes, "- | 2496 | b87b35083ff27863c7789b0fbc493163");
+      ("storage lifetimes, 4 workers", 4, lifetimes, "- | 2496 | b87b35083ff27863c7789b0fbc493163");
+    ]
+
 let () =
   Alcotest.run "compile_exec"
     [
@@ -1752,6 +1795,7 @@ let () =
           Alcotest.test_case "with a barrier on fibers" `Quick
             (test_storage_lifetimes ~sync:`Fibers);
         ] );
+      ("barrier pins", barrier_pins);
       ( "phased barriers",
         [
           Alcotest.test_case "zoo plan kernels with a barrier are phased" `Quick
