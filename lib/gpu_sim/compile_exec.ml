@@ -1987,10 +1987,7 @@ let rec comp_stmt st venv (s : Stmt.t) : rt -> unit =
         cbody rt)
   | Store { buf; indices; value } -> comp_store st venv buf indices value
   | Mma m -> comp_mma st venv m
-  | Sync_threads ->
-    fun rt ->
-      rt.stmts <- rt.stmts + 1;
-      Effect.perform Interp.Sync
+  | Sync_threads -> assert false (* [compile]: phased, or the reference's *)
   | Comment _ -> fun rt -> rt.stmts <- rt.stmts + 1
 
 and comp_for st venv var extent body =
@@ -2096,8 +2093,8 @@ let run_acts acts =
    its binding) to the pending code; a uniform [For] or [If] then pushes
    it and decides at block level, once per block, what runs next. So
    every thread runs its own statements in program order, and between two
-   barriers thread [t] runs all of them before thread [t + 1]: the fiber
-   schedule. *)
+   barriers thread [t] runs all of them before thread [t + 1]: the
+   reference's fiber schedule. *)
 let rec phased st uniform next_uv venv uenv acts p (s : Stmt.t) =
   let ph = phased st uniform next_uv in
   if not (Launch.has_sync s) then p.codes <- comp_stmt st venv s :: p.codes
@@ -2232,8 +2229,8 @@ let rec binder_depth (s : Stmt.t) =
     max (binder_depth then_) (Option.fold ~none:0 ~some:binder_depth else_)
   | Store _ | Mma _ | Sync_threads | Comment _ -> 0
 
-let compile (k : Kernel.t) : Launch.t =
-  Verify.kernel_exn k;
+(* [uniform]: the kernel's [Launch.phased]. *)
+let compile_code (k : Kernel.t) uniform : Launch.t =
   let t0 = Unix.gettimeofday () in
   let res =
     Trace.span
@@ -2272,7 +2269,7 @@ let compile (k : Kernel.t) : Launch.t =
           }
         in
         let code =
-          match Launch.phased k with
+          match uniform with
           | None ->
             let body = comp_stmt st Int_map.empty k.body in
             Either.Left (with_init (leave_scope st) body)
@@ -2359,3 +2356,9 @@ let compile (k : Kernel.t) : Launch.t =
   Metrics.add m_compile_us
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   res
+
+let compile (k : Kernel.t) =
+  Verify.kernel_exn k;
+  match Launch.phased k with
+  | None when Launch.has_sync k.body -> Launch.reference k
+  | uniform -> compile_code k uniform

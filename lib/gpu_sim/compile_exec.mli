@@ -122,10 +122,11 @@
     condition over [blockIdx] and the uniform variables; a loop body's
     first segment sets the loop variable to the iteration it was pushed in
     and runs the iteration's hoisted inits. The tail of one iteration and
-    the head of the next therefore run in one interval, as they would in a
-    fiber, so results, statement counts and raised exceptions are the
-    fiber schedule's. Other kernels with a barrier keep the thread entry,
-    whose [Sync_threads] performs {!Interp.Sync} for {!Launch}'s fibers.
+    the head of the next therefore run in one interval, as they would in
+    the reference's fibers, so results, statement counts and raised
+    exceptions are the reference's. Any other kernel with a barrier
+    compiles to nothing: {!compile} returns {!Launch.reference}, which
+    runs its blocks on {!Interp.run_block}.
 
     The closures capture no scratch state, so a compiled kernel is shared
     by the domains running its blocks. The frames live in the code a
@@ -136,13 +137,15 @@
     starts by setting the pinned [threadIdx] and [blockIdx] slots and
     zeroing its statement count; nothing else is reset, because every
     other slot, row and cell is written before it is read (the constant
-    cells when the frames are built). {!Launch} runs the code: it owns the slot
-    layout, the per-block memory model, the barrier fibers of the
-    fallback and the grid loop. *)
+    cells when the frames are built). {!Launch} runs the code: it owns the
+    slot layout, the per-block memory model, the reference fallback and
+    the grid loop. *)
 
 val compile : Hidet_ir.Kernel.t -> Launch.t
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
-    kernel to a launch handle. Records compile wall time in the
+    kernel to a launch handle ({!Launch.reference} for a kernel with a
+    barrier that {!Launch.phased} refuses, which builds no closures).
+    Records compile wall time in the
     [sim.compile_us] metric and a [sim.compile] trace span, and bumps
     [sim.compile.nests], [sim.compile.fma_nests],
     [sim.compile.lane_nests] and [sim.compile.hoisted]. [Launch.run

@@ -340,7 +340,9 @@ let rec emit_stmt st venv out ind (s : Stmt.t) : unit =
   | Store { buf; indices; value } -> emit_store st venv out pad buf indices value
   | Mma m -> emit_mma st venv out pad m
   | Sync_threads ->
-    add out (Printf.sprintf "%sincr stmts;\n%sR.sync ();\n" pad pad)
+    (* [emit_phased] emits a phased kernel's barriers; the reference runs
+       any other kernel with one. *)
+    invalid_arg "Exec_ocaml.source: a barrier that Launch.phased refuses"
   | Comment _ -> add out (Printf.sprintf "%sincr stmts;\n" pad)
 
 (* A register-tile nest ({!Launch.nest}): its invariant parts bound once,
@@ -1116,14 +1118,8 @@ let key (k : Kernel.t) =
 let memo : (Digest.t, Exec_registry.body) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
-let compile (k : Kernel.t) : Launch.t =
-  let tc =
-    match Lazy.force toolchain_once with
-    | Ok tc -> tc
-    | Error reason ->
-      failwith ("Exec_ocaml: native backend unavailable: " ^ reason)
-  in
-  Verify.kernel_exn k;
+(* The loaded unit of [k], from the memo or built. *)
+let load tc (k : Kernel.t) : Launch.t =
   let key = key k in
   let entry =
     Mutex.protect memo_lock (fun () ->
@@ -1157,3 +1153,15 @@ let compile (k : Kernel.t) : Launch.t =
         (fun tbufs ->
           let run bid = block bid tbufs in
           run))
+
+let compile (k : Kernel.t) : Launch.t =
+  let tc =
+    match Lazy.force toolchain_once with
+    | Ok tc -> tc
+    | Error reason ->
+      failwith ("Exec_ocaml: native backend unavailable: " ^ reason)
+  in
+  Verify.kernel_exn k;
+  match Launch.phased k with
+  | None when Launch.has_sync k.body -> Launch.reference k
+  | _ -> load tc k

@@ -20,8 +20,8 @@
     flushed thread by thread at each barrier; uniform loops, branches and
     [Let]s are block-level OCaml that the segments capture; a non-uniform
     [Let] whose body spans a barrier keeps its value in a per-thread array.
-    Other kernels with a barrier keep the thread entry and
-    {!Exec_registry.sync}. A register-tile nest that {!Launch.nest}
+    Any other kernel with a barrier gets no unit: {!compile} returns
+    {!Launch.reference} without codegen. A register-tile nest that {!Launch.nest}
     accepts becomes one range check on its invariant parts, bound once,
     guarding its stores straight-line with unchecked accesses and its
     statement count added in one step; the ordinary code runs when the
@@ -54,7 +54,9 @@ val available : unit -> (unit, string) result
 
 val source : Hidet_ir.Kernel.t -> string
 (** The generated unit body (without the registration trailer) — for
-    debugging and golden tests. Does not require the toolchain. *)
+    debugging and golden tests. Does not require the toolchain. Raises
+    [Invalid_argument] for a kernel with a barrier that {!Launch.phased}
+    refuses. *)
 
 val key : Hidet_ir.Kernel.t -> Digest.t
 (** The memo key: the MD5 of one walk over the whole kernel (name, launch
@@ -65,7 +67,9 @@ val key : Hidet_ir.Kernel.t -> Digest.t
     so. *)
 
 val compile : Hidet_ir.Kernel.t -> Launch.t
-(** Verify, then look the {!key} up in the memo. A hit bumps
+(** Verify; for a kernel with a barrier that {!Launch.phased} refuses,
+    return {!Launch.reference} (no codegen, no unit). Otherwise look the
+    {!key} up in the memo. A hit bumps
     ["sim.native.memo_hits"] and rebuilds only the slot layout; a miss runs
     codegen (the ["sim.native.codegen"] span and
     ["sim.native.codegen_us"] count misses only), ocamlopt and dynlink,

@@ -42,7 +42,8 @@ let push iv seg arg =
   iv.len <- iv.len + 1
 
 (* Thread-major: thread [t] runs all of its segments before thread [t + 1]
-   starts, as its fiber would run from one barrier to the next. *)
+   starts, as the reference's fiber would run it from one barrier to the
+   next. *)
 let flush iv =
   let n = iv.len and segs = iv.segs and args = iv.args in
   iv.len <- 0;
@@ -53,7 +54,6 @@ let flush iv =
       done)
     iv.threads
 
-let sync () = Effect.perform Interp.Sync
 let invalid_access msg = raise (Interp.Invalid_access msg)
 
 let oob i d name =

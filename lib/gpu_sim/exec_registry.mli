@@ -4,8 +4,8 @@
     toplevel effect is one {!register} call, compiles it with [ocamlopt
     -shared] and [Dynlink]s the result; the loaded unit hands its entry
     point back through the table here. Everything else in this module is
-    the small runtime surface the generated code calls into: the barrier
-    effect, the exact error raisers of the interpreter backends, and
+    the small runtime surface the generated code calls into: barrier
+    intervals, the exact error raisers of the interpreter backends, and
     [Expr.eval]'s dynamic-dispatch fallback for statically untypeable
     expressions — re-exported so generated source references one module
     only, and so all three backends raise bit-identical errors. *)
@@ -22,8 +22,9 @@ type block = int -> float array array array -> int
     [bufs]. *)
 
 type body = Thread of entry | Block of block
-(** What a backend compiled a kernel to: a thread entry (kernels without a
-    barrier, and the fiber fallback) or a phased block. *)
+(** What a unit holds: a thread entry (a kernel without a barrier) or a
+    phased block. A kernel with a barrier that {!Launch.phased} refuses
+    gets no unit: it runs on the reference ({!Launch.reference}). *)
 
 val register : string -> body -> unit
 (** Called by the generated unit's toplevel [let () = ...] under the unit's
@@ -40,8 +41,8 @@ val take : string -> body option
     A phased block runs its threads one barrier interval at a time. The
     block-level code pushes each stretch of per-thread code (a segment)
     as it reaches it, and at a barrier {!flush}es them: every thread, in
-    ascending order, runs all pending segments. That is the order a
-    thread fiber runs between two barriers, so no effect is needed. *)
+    ascending order, runs all pending segments. That is the order the
+    reference's thread fibers run in between two barriers. *)
 
 type 'a interval
 (** The segments pending since the last barrier, over a block's threads
@@ -54,9 +55,6 @@ val push : 'a interval -> ('a -> int -> unit) -> int -> unit
 val flush : 'a interval -> unit
 (** Run the pending segments, thread by thread in array order, and empty
     the interval. *)
-
-val sync : unit -> unit
-(** Perform {!Interp.Sync} — the block barrier of the fiber fallback. *)
 
 val oob : int -> int -> string -> 'a
 (** [Interp.Invalid_access] with [Buffer.flat_index]'s exact message. *)

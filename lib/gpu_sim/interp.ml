@@ -11,11 +11,13 @@ module Int_map = Map.Make (Int)
    floats; integer tensors do not occur in the generated kernels). *)
 type store = (int, float array) Hashtbl.t
 
-let alloc_into (tbl : store) (bufs : Hidet_ir.Buffer.t list) =
+let alloc (bufs : Hidet_ir.Buffer.t list) : store =
+  let tbl = Hashtbl.create 4 in
   List.iter
     (fun (b : Hidet_ir.Buffer.t) ->
       Hashtbl.replace tbl b.Buffer.id (Array.make (Buffer.num_elems b) 0.))
-    bufs
+    bufs;
+  tbl
 
 let flat (b : Hidet_ir.Buffer.t) (idx : int list) =
   try Buffer.flat_index b idx
@@ -135,9 +137,7 @@ let exec ~thread_idx ~block_idx ~lookup ~locate s =
 
 type status = Finished | Blocked of (unit, status) Effect.Deep.continuation
 
-(* Barrier loop: advance all blocked threads phase by phase. Shared with
-   [Launch] so barrier-divergence semantics (and the error message)
-   cannot drift between the backends. *)
+(* Barrier loop: advance all blocked threads phase by phase. *)
 let barrier_loop ~kernel_name ~bid statuses =
   let rec phases statuses =
     let blocked =
@@ -178,34 +178,14 @@ let start_thread body : status =
           | _ -> None);
     }
 
-let run_block (k : Kernel.t) globals bid =
-  let shared : store = Hashtbl.create 4 in
-  alloc_into shared k.shared;
-  let warps =
-    Array.init (Kernel.num_warps_per_block k) (fun _ ->
-        let tbl : store = Hashtbl.create 4 in
-        alloc_into tbl k.warp_bufs;
-        tbl)
-  in
-  let make_ctx tid =
-    let regs : store = Hashtbl.create 4 in
-    alloc_into regs k.regs;
-    {
-      tid;
-      bid;
-      locate = locate_in ~globals ~shared ~warps ~regs tid;
-      outer = unbound;
-      vars = Int_map.empty;
-      stmts = 0;
-    }
-  in
-  let statuses =
+let run_block (k : Kernel.t) ~locate bid =
+  let ctxs =
     Array.init k.block_dim (fun tid ->
-        start_thread (fun () ->
-            let ctx = make_ctx tid in
-            exec_stmt ctx (env_of ctx) k.body))
+        { tid; bid; locate = locate tid; outer = unbound; vars = Int_map.empty; stmts = 0 })
   in
-  barrier_loop ~kernel_name:k.name ~bid statuses
+  barrier_loop ~kernel_name:k.name ~bid
+    (Array.map (fun ctx -> start_thread (fun () -> exec_stmt ctx (env_of ctx) k.body)) ctxs);
+  Array.fold_left (fun n ctx -> n + ctx.stmts) 0 ctxs
 
 (* Binding validation shared with [Launch]; the messages keep the
    historical "Interp.run" prefix so all backends fail identically. *)
@@ -233,5 +213,9 @@ let run (k : Kernel.t) bindings =
     (fun ((b : Hidet_ir.Buffer.t), arr) -> Hashtbl.replace globals b.Buffer.id arr)
     bindings;
   for bid = 0 to k.grid_dim - 1 do
-    run_block k globals bid
+    let shared = alloc k.shared in
+    let warps = Array.init (Kernel.num_warps_per_block k) (fun _ -> alloc k.warp_bufs) in
+    let regs = Array.init k.block_dim (fun _ -> alloc k.regs) in
+    let locate tid = locate_in ~globals ~shared ~warps ~regs:regs.(tid) tid in
+    ignore (run_block k ~locate bid)
   done

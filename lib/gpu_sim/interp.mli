@@ -4,7 +4,9 @@
     runs its threads as cooperative fibers (OCaml 5 effects) that advance in
     lockstep between [__syncthreads] barriers, with per-scope memory (global,
     shared per block, warp-distributed, per-thread registers). MMA statements
-    execute once per warp.
+    execute once per warp. The fibers are this module's own: the compiled
+    backends run a kernel whose barriers {!Launch.phased} refuses on
+    {!run_block}, and run no fibers of their own.
 
     This engine is for correctness (small shapes); latency comes from
     {!Perf_model}. *)
@@ -37,25 +39,19 @@ val exec :
     of a kernel its own way runs it here, so its errors are the
     reference's by construction. *)
 
-(** {1 Shared execution machinery}
+(** {1 Shared with {!Launch}}
 
-    The pieces below are the barrier and launch-validation substrate reused
-    by {!Launch}, which runs the compiled backends. Sharing them (rather
-    than reimplementing) is what keeps [Barrier_divergence] and binding
+    {!Launch} runs the compiled backends. It shares these pieces rather
+    than reimplementing them, which keeps [Barrier_divergence] and binding
     errors bit-identical across all backends. *)
 
-type _ Effect.t += Sync : unit Effect.t
-(** Performed by a thread fiber reaching [__syncthreads]. *)
-
-type status = Finished | Blocked of (unit, status) Effect.Deep.continuation
-(** State of one thread fiber between barrier phases. *)
-
-val start_thread : (unit -> unit) -> status
-(** Run a thread body as a fiber until it finishes or performs {!Sync}. *)
-
-val barrier_loop : kernel_name:string -> bid:int -> status array -> unit
-(** Advance all blocked fibers phase by phase; raises {!Barrier_divergence}
-    if some threads finished while others wait at a barrier. *)
+val run_block :
+  Hidet_ir.Kernel.t -> locate:(int -> Hidet_ir.Buffer.t -> float array) -> int -> int
+(** [run_block k ~locate bid] runs block [bid] exactly as {!run} runs it,
+    thread [tid] over [locate tid] (its global, shared, warp and register
+    arrays, fresh as {!run}'s), and returns the statements its threads ran.
+    {!Launch} runs a kernel with a barrier that {!Launch.phased} refuses
+    this way, block by block, over its own thread storage. *)
 
 val check_bindings :
   Hidet_ir.Kernel.t -> (Hidet_ir.Buffer.t * float array) list -> unit

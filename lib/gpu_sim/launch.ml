@@ -359,7 +359,7 @@ let nest (s : Stmt.t) =
           }))
   | _ -> None
 
-type barriers = No_barrier | Phased | Fibers
+type barriers = No_barrier | Phased | Reference
 
 type body =
   | Thread of (float array array -> int -> int -> int)
@@ -373,19 +373,23 @@ type t = {
   parallel_ok : bool;
 }
 
+let handle (k : Kernel.t) slots body barriers =
+  { kernel = k; slots; body; barriers; parallel_ok = Verify.block_disjoint_writes k }
+
 let make (k : Kernel.t) slots (body : body) =
-  let barriers =
-    match body with
-    | Block _ -> Phased
-    | Thread _ -> if has_sync k.body then Fibers else No_barrier
+  match body with
+  | Block _ -> handle k slots body Phased
+  | Thread _ ->
+    if has_sync k.body then invalid_arg "Launch.make: a thread entry for a kernel with a barrier";
+    handle k slots body No_barrier
+
+let reference (k : Kernel.t) =
+  let slots = slots k in
+  let block tbufs =
+    let locate tid (b : Buffer.t) = tbufs.(tid).(Hashtbl.find slots.slot_of b.Buffer.id) in
+    fun bid -> Interp.run_block k ~locate bid
   in
-  {
-    kernel = k;
-    slots;
-    body;
-    barriers;
-    parallel_ok = Verify.block_disjoint_writes k;
-  }
+  handle k slots (Block block) Reference
 
 let m_threads = Metrics.counter "sim.threads"
 let m_stmts = Metrics.counter "sim.statements"
@@ -393,7 +397,7 @@ let m_exec_us = Metrics.counter "sim.exec_us"
 let m_par_blocks = Metrics.counter "sim.parallel_blocks"
 let m_seq_blocks = Metrics.counter "sim.sequential_blocks"
 let m_phased_blocks = Metrics.counter "sim.phased_blocks"
-let m_fiber_blocks = Metrics.counter "sim.fiber_blocks"
+let m_reference_blocks = Metrics.counter "sim.reference_blocks"
 
 let zeroed (_, b) = Array.make (Buffer.num_elems b) 0.
 let zero a = Array.fill a 0 (Array.length a) 0.
@@ -406,11 +410,10 @@ let zero a = Array.fill a 0 (Array.length a) 0.
    warp's: a thread's registers are zeroed before it starts and a warp's
    arrays before its first thread, which no later warp of the block
    follows into. [run] is the backend's code bound to that storage: one
-   runner per thread buffer array, or one block runner over all of them. *)
-type runner = Threads of (int -> int -> int) array | Blocks of (int -> int)
+   thread runner over [tbufs.(0)], or one block runner over all of them. *)
+type runner = One of (int -> int -> int) | Whole of (int -> int)
 
 type storage = {
-  tbufs : float array array array;
   shared : float array array;
   warps : float array array array;  (** per warp, then warp slot *)
   regs : float array array array;  (** per thread, then register slot *)
@@ -439,47 +442,37 @@ let storage (c : t) (proto : float array array) =
   in
   let run =
     match c.body with
-    | Thread bind -> Threads (Array.map bind tbufs)
-    | Block bind -> Blocks (bind tbufs)
+    | Thread bind -> One (bind tbufs.(0))
+    | Block bind -> Whole (bind tbufs)
   in
-  { tbufs; shared; warps; regs; run }
+  { shared; warps; regs; run }
 
 (* Run one block over [st]; returns the number of statements its threads
    executed. Shared arrays are fresh per block, a warp's threads share its
-   warp arrays, and register arrays are fresh per thread. A phased block
-   runs its barrier intervals itself; the fiber fallback starts thread
-   fibers in ascending tid order and advances them phase by phase, exactly
-   like the reference. *)
+   warp arrays, and register arrays are fresh per thread. A block runner
+   (a phased block, or the reference's) runs its barrier intervals
+   itself. *)
 let exec_block (c : t) st bid : int =
   let k = c.kernel in
   Array.iter zero st.shared;
-  match (st.run, c.barriers) with
-  | Threads runs, No_barrier ->
-    let total = ref 0 and run = runs.(0) in
+  match st.run with
+  | One run ->
+    let total = ref 0 in
     for tid = 0 to k.block_dim - 1 do
       if tid mod Kernel.warp_size = 0 then Array.iter zero st.warps.(0);
       Array.iter zero st.regs.(0);
       total := !total + run tid bid
     done;
     !total
-  | run, _ -> (
+  | Whole run ->
     Array.iter (Array.iter zero) st.warps;
     Array.iter (Array.iter zero) st.regs;
-    match run with
-    | Blocks f -> f bid
-    | Threads runs ->
-      let counts = Array.make k.block_dim 0 in
-      let statuses =
-        Array.init k.block_dim (fun tid ->
-            Interp.start_thread (fun () -> counts.(tid) <- runs.(tid) tid bid))
-      in
-      Interp.barrier_loop ~kernel_name:k.name ~bid statuses;
-      Array.fold_left ( + ) 0 counts)
+    run bid
 
 let barriers_name = function
   | No_barrier -> "none"
   | Phased -> "phased"
-  | Fibers -> "fibers"
+  | Reference -> "reference"
 
 let run_compiled ?workers (c : t) bindings =
   let k = c.kernel in
@@ -500,6 +493,11 @@ let run_compiled ?workers (c : t) bindings =
     | None -> Hidet_parallel.Parallel.default_workers ()
   in
   let use_domains = workers > 1 && c.parallel_ok && k.grid_dim > 1 in
+  (* Counted as the launch starts, so a launch that raises counts too. *)
+  (match c.barriers with
+  | Phased -> Metrics.add m_phased_blocks k.grid_dim
+  | Reference -> Metrics.add m_reference_blocks k.grid_dim
+  | No_barrier -> ());
   let t0 = Unix.gettimeofday () in
   let counts =
     Trace.span
@@ -545,10 +543,6 @@ let run_compiled ?workers (c : t) bindings =
   Metrics.add m_exec_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   Metrics.add m_threads (Kernel.num_threads k);
   Metrics.add m_stmts (Array.fold_left ( + ) 0 counts);
-  Metrics.add (if use_domains then m_par_blocks else m_seq_blocks) k.grid_dim;
-  match c.barriers with
-  | Phased -> Metrics.add m_phased_blocks k.grid_dim
-  | Fibers -> Metrics.add m_fiber_blocks k.grid_dim
-  | No_barrier -> ()
+  Metrics.add (if use_domains then m_par_blocks else m_seq_blocks) k.grid_dim
 
 let run ?workers compile k bindings = run_compiled ?workers (compile k) bindings

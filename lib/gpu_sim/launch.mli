@@ -19,10 +19,10 @@
     intervals (the CPU lowering of barriers known as thread-loop fission).
     That is exactly the order in which the reference's thread fibers run,
     so outputs, statement counts, the exception raised and global memory
-    at that moment are unchanged. Any other kernel with a barrier runs
-    each block's threads as fibers on
-    {!Interp.start_thread}/{!Interp.barrier_loop}, so barrier semantics and
-    {!Interp.Barrier_divergence} match the reference interpreter.
+    at that moment are unchanged. Any other kernel with a barrier gets no
+    compiled code ({!reference}): each of its blocks runs on
+    {!Interp.run_block} over the launch's thread storage, so barrier
+    semantics and {!Interp.Barrier_divergence} are the reference's own.
 
     Blocks run on concurrent domains when the verifier proves they write
     disjoint global memory ({!Hidet_ir.Verify.block_disjoint_writes});
@@ -62,8 +62,8 @@ val phased : Hidet_ir.Kernel.t -> (Hidet_ir.Var.t -> bool) option
     one. A variable that the IR rebinds must be uniform at every binding
     on those paths or at none, else the kernel is not phased; a per-thread
     [Let] hides an outer uniform binding of its variable from its body.
-    Every template kernel is phased; [None] means the fiber fallback
-    (or no barrier). *)
+    Every template kernel is phased; [None] means the reference fallback
+    ({!reference}), or no barrier. *)
 
 (** {1 Register-tile nests}
 
@@ -117,19 +117,19 @@ val nest : Hidet_ir.Stmt.t -> nest option
     of bounds, or a range no value fits, gives [None], as does any other
     statement. *)
 
-type barriers = No_barrier | Phased | Fibers
+type barriers = No_barrier | Phased | Reference
 
 type body =
   | Thread of (float array array -> int -> int -> int)
-      (** [Thread bind]: [bind bufs] binds the code to one thread's buffer
-          array and returns its runner; [run tid bid] runs thread [tid] of
-          block [bid] over [bufs], indexed by {!slots}, and returns the
-          number of statements it executed. *)
+      (** [Thread bind] (for a kernel without a barrier): [bind bufs] binds
+          the code to one thread's buffer array and returns its runner;
+          [run tid bid] runs thread [tid] of block [bid] over [bufs],
+          indexed by {!slots}, and returns the number of statements it
+          executed. *)
   | Block of (float array array array -> int -> int)
-      (** [Block bind] (a backend gives one exactly when {!phased} is
-          [Some]): [bind tbufs] binds the code to a block's thread buffer
-          arrays, thread [tid] over [tbufs.(tid)]; [run bid] runs the whole
-          block and returns the number of statements its threads
+      (** [Block bind]: [bind tbufs] binds the code to a block's thread
+          buffer arrays, thread [tid] over [tbufs.(tid)]; [run bid] runs
+          the whole block and returns the number of statements its threads
           executed. *)
 (** What a backend compiled a kernel to. A launch binds it once per thread
     storage (once per launch, or per worker domain on the parallel path),
@@ -142,8 +142,8 @@ type t = private {
   slots : slots;
   body : body;
   barriers : barriers;
-      (** [Phased] for a [Block] body; for a [Thread] entry, [Fibers] when
-          the kernel has a barrier and [No_barrier] otherwise *)
+      (** [No_barrier] for a [Thread] entry, [Phased] for a backend's
+          [Block] body, [Reference] for {!reference}'s *)
   parallel_ok : bool;  (** [Verify.block_disjoint_writes] holds *)
 }
 (** A launch handle: reusable across launches and shareable across domains
@@ -151,7 +151,14 @@ type t = private {
     on first launch. *)
 
 val make : Hidet_ir.Kernel.t -> slots -> body -> t
-(** [make k (slots k) body]. *)
+(** [make k (slots k) body]: a [Thread] entry for a kernel without a
+    barrier (else [Invalid_argument]), a [Block] body for one that
+    {!phased} accepts. *)
+
+val reference : Hidet_ir.Kernel.t -> t
+(** The handle of a kernel with a barrier that {!phased} refuses: no
+    compiled code, each block runs on {!Interp.run_block}. Both backends'
+    [compile] return it for such a kernel. *)
 
 val run_compiled :
   ?workers:int -> t -> (Hidet_ir.Buffer.t * float array) list -> unit
@@ -164,10 +171,11 @@ val run_compiled :
     by default, they run sequentially. Adds to the [sim.threads],
     [sim.statements], [sim.exec_us] and [sim.parallel_blocks] or
     [sim.sequential_blocks] metrics, and for a kernel with a barrier to
-    [sim.phased_blocks] or [sim.fiber_blocks]. Records a [sim.exec] trace
-    span whose [parallel] attribute, like the block counters, says whether
-    the blocks ran on domains, and whose [barriers] attribute ([none],
-    [phased] or [fibers]) says how the barriers ran. *)
+    [sim.phased_blocks] or [sim.reference_blocks] (these two as the
+    launch starts, so a launch that raises counts in them). Records a [sim.exec]
+    trace span whose [parallel] attribute, like the block counters, says
+    whether the blocks ran on domains, and whose [barriers] attribute
+    ([none], [phased] or [reference]) says how the barriers ran. *)
 
 val run :
   ?workers:int ->

@@ -10,7 +10,8 @@ module Metrics = Hidet_obs.Metrics
 module Plan = Hidet_runtime.Plan
 
 let phased_blocks = Metrics.counter "sim.phased_blocks"
-let fiber_blocks = Metrics.counter "sim.fiber_blocks"
+let reference_blocks = Metrics.counter "sim.reference_blocks"
+let native_units = Metrics.counter "sim.native.units"
 let statements = Metrics.counter "sim.statements"
 let tid = Expr.Thread_idx
 
@@ -46,7 +47,7 @@ let tiny_kernels () =
     Hidet_models.Models.tiny_all
 
 (* Every kernel with a barrier must be phased: a template change that sends
-   one back to fibers fails here without running anything. *)
+   one back to the reference fails here without running anything. *)
 let test_coverage kernels () =
   let with_sync = ref 0 in
   List.iter
@@ -81,8 +82,8 @@ let random_bindings (k : Kernel.t) =
     k.Kernel.params
 
 (* Each tiny-model kernel with a barrier runs phased on [compile]: every
-   block counts in [sim.phased_blocks], none in [sim.fiber_blocks], and the
-   [sim.exec] span says [phased]. *)
+   block counts in [sim.phased_blocks], none in [sim.reference_blocks], and
+   the [sim.exec] span says [phased]. *)
 let test_tiny_phased compile () =
   let v = Metrics.value in
   List.iter
@@ -91,13 +92,13 @@ let test_tiny_phased compile () =
         let c = compile k in
         Alcotest.(check bool) (name ^ ": phased handle") true
           (c.Launch.barriers = Launch.Phased);
-        let p0 = v phased_blocks and f0 = v fiber_blocks in
+        let p0 = v phased_blocks and r0 = v reference_blocks in
         let (), events =
           Hidet_obs.Trace.with_collector (fun () ->
               try Launch.run_compiled ~workers:1 c (random_bindings k)
               with Interp.Invalid_access _ -> ())
         in
-        Alcotest.(check int) (name ^ ": fiber blocks") 0 (v fiber_blocks - f0);
+        Alcotest.(check int) (name ^ ": reference blocks") 0 (v reference_blocks - r0);
         Alcotest.(check int) (name ^ ": phased blocks") k.grid_dim
           (v phased_blocks - p0);
         Alcotest.(check bool) (name ^ ": span says phased") true
@@ -110,22 +111,49 @@ let test_tiny_phased compile () =
       end)
     (tiny_kernels ())
 
-(* [rt_diverge]'s barrier sits under a condition on a let-bound
-   [threadIdx]: not phased, so it runs on fibers and raises [Interp]'s own
-   [Barrier_divergence]. *)
-let test_divergence_on_fibers compile (k, bindings_of) () =
-  let c = compile k in
+(* Compile and launch a kernel with a barrier that is not phased, on one
+   worker, inside a trace collector: it must get the reference's handle,
+   count every block in [sim.reference_blocks], say [reference] in its
+   [sim.exec] span, and build no native unit (no [sim.native.codegen]
+   span, [sim.native.units] unchanged). Returns the launch's exception. *)
+let run_on_reference compile (k, bindings_of) =
+  let v = Metrics.value in
+  let p0 = v phased_blocks and r0 = v reference_blocks and u0 = v native_units in
+  let (c, raised), events =
+    Hidet_obs.Trace.with_collector (fun () ->
+        let c = compile k in
+        (c, try Launch.run_compiled ~workers:1 c (bindings_of ()); None with e -> Some e))
+  in
   Alcotest.(check bool) "not phased" true (Launch.phased k = None);
-  Alcotest.(check bool) "fiber handle" true (c.Launch.barriers = Launch.Fibers);
-  let go run = try run (bindings_of ()); None with e -> Some e in
-  let got = go (Launch.run_compiled ~workers:1 c) in
+  Alcotest.(check bool) "reference handle" true (c.Launch.barriers = Launch.Reference);
+  Alcotest.(check int) "reference blocks" k.grid_dim (v reference_blocks - r0);
+  Alcotest.(check int) "phased blocks" 0 (v phased_blocks - p0);
+  Alcotest.(check int) "native units" 0 (v native_units - u0);
+  let span name attr =
+    List.exists
+      (function
+        | Hidet_obs.Trace.Span { name = n; attrs; _ } ->
+          n = name && (attr = None || List.assoc_opt "barriers" attrs = attr)
+        | _ -> false)
+      events
+  in
+  Alcotest.(check bool) "span says reference" true (span "sim.exec" (Some "reference"));
+  Alcotest.(check bool) "no codegen span" false (span "sim.native.codegen" None);
+  raised
+
+(* [rt_diverge]'s barrier sits under a condition on a let-bound
+   [threadIdx]: not phased, so it runs on the reference and raises
+   [Interp]'s own [Barrier_divergence]. *)
+let test_divergence_on_reference compile (k, bindings_of) () =
+  let got = run_on_reference compile (k, bindings_of) in
   (match got with
   | Some (Interp.Barrier_divergence _) -> ()
   | _ -> Alcotest.fail "expected Barrier_divergence");
-  Alcotest.(check bool) "Interp's exact exception" true (go (Interp.run k) = got)
+  let want = try Interp.run k (bindings_of ()); None with e -> Some e in
+  Alcotest.(check bool) "Interp's exact exception" true (want = got)
 
 (* A barrier under a [threadIdx] condition that every thread of the block
-   passes: not phased. *)
+   passes: not phased, so it runs on the reference, and counts there. *)
 let tid_guarded_sync () =
   let c = Buffer.create "C" [ 64 ] in
   let x = Var.fresh "x" in
@@ -140,25 +168,9 @@ let tid_guarded_sync () =
   let k = Kernel.create ~name:"tid_guarded_sync" ~params:[ c ] ~grid_dim:2 ~block_dim:32 body in
   (k, fun () -> [ (c, Array.make 64 0.) ])
 
-(* [tid_guarded_sync] runs on fibers, and counts there. *)
 let test_fallback_counts compile () =
-  let k, bindings_of = tid_guarded_sync () in
-  let h = compile k in
-  Alcotest.(check bool) "fiber handle" true (h.Launch.barriers = Launch.Fibers);
-  let p0 = Metrics.value phased_blocks and f0 = Metrics.value fiber_blocks in
-  let (), events =
-    Hidet_obs.Trace.with_collector (fun () ->
-        Launch.run_compiled ~workers:1 h (bindings_of ()))
-  in
-  Alcotest.(check int) "fiber blocks" 2 (Metrics.value fiber_blocks - f0);
-  Alcotest.(check int) "phased blocks" 0 (Metrics.value phased_blocks - p0);
-  Alcotest.(check bool) "span says fibers" true
-    (List.exists
-       (function
-         | Hidet_obs.Trace.Span { name = "sim.exec"; attrs; _ } ->
-           List.assoc_opt "barriers" attrs = Some "fibers"
-         | _ -> false)
-       events)
+  Alcotest.(check bool) "no exception" true
+    (run_on_reference compile (tid_guarded_sync ()) = None)
 
 (* --- schedule order ------------------------------------------------------- *)
 
@@ -255,7 +267,7 @@ let tail_to_head () =
 (* The IR allows binding one variable in several [Let]s. Here a per-thread
    [Let] of [x] shadows a uniform one and guards a barrier: only thread 0
    reaches it, so [Interp] raises [Barrier_divergence]. The inner binding
-   must not count as uniform, so the kernel runs on fibers. *)
+   must not count as uniform, so the kernel runs on the reference. *)
 let rebound_nested () =
   let c = Buffer.create "C" [ 2 * block ] in
   let x = Var.fresh "x" in
@@ -274,7 +286,7 @@ let rebound_nested () =
 (* Sibling [Let]s of [x]: a uniform one guarding a barrier, then a load of
    the neighbour's slot spanning a barrier. Each thread must read the slot
    when its own [Let] runs, after the threads before it in the interval
-   have stored, so the kernel runs on fibers. *)
+   have stored, so the kernel runs on the reference. *)
 let rebound_sibling () =
   let n = 2 * block in
   let c = Buffer.create "C" [ n ] and d = Buffer.create "D" [ n ] in

@@ -1563,13 +1563,13 @@ let test_compile_once_run_many () =
    so thread [t] sees 2, 2 * (t mod 32 + 1) and 2 * (t + 1); with one
    before the stores it sees 2, 2 * 32 and 2 * 64. The barrier is either
    block-uniform (phased) or under a condition on a let-bound
-   [threadIdx / 64] that every thread passes (fibers). Storage that leaks
+   [threadIdx / 64] that every thread passes (on the reference). Storage that leaks
    from one thread, warp or block into the next shows as a larger
    value. *)
 let lifetime_grid = 3
 let lifetime_block = 64
 
-let lifetime_kernel ~(sync : [ `None | `Phased | `Fibers ]) =
+let lifetime_kernel ~(sync : [ `None | `Phased | `Reference ]) =
   let n = lifetime_grid * lifetime_block in
   let r = Buffer.create ~scope:Buffer.Register "R" [ 1 ]
   and w = Buffer.create ~scope:Buffer.Warp "W" [ 1 ]
@@ -1588,7 +1588,7 @@ let lifetime_kernel ~(sync : [ `None | `Phased | `Fibers ]) =
       @ (match sync with
         | `None -> []
         | `Phased -> [ Stmt.sync ]
-        | `Fibers ->
+        | `Reference ->
           let x = Var.fresh "x" in
           [
             Stmt.let_ x
@@ -1632,7 +1632,7 @@ let test_storage_lifetimes ~sync () =
     = match sync with
       | `None -> Launch.No_barrier
       | `Phased -> Phased
-      | `Fibers -> Fibers);
+      | `Reference -> Reference);
   check "interp" Interp.run;
   check "closure, 1 worker" (Launch.run ~workers:1 CE.compile);
   check "closure, 4 workers" (Launch.run ~workers:4 CE.compile);
@@ -1647,7 +1647,7 @@ let test_storage_lifetimes ~sync () =
    barrier that [Launch.phased] refuses, pinned on both backends. *)
 let barrier_pins =
   let lifetimes () =
-    let k, outs = lifetime_kernel ~sync:`Fibers in
+    let k, outs = lifetime_kernel ~sync:`Reference in
     (k, fun () -> List.map (fun o -> (o, Array.make (Buffer.num_elems o) 0.)) outs)
   in
   let runs workers =
@@ -1792,8 +1792,8 @@ let () =
             (test_storage_lifetimes ~sync:`None);
           Alcotest.test_case "with a barrier" `Quick
             (test_storage_lifetimes ~sync:`Phased);
-          Alcotest.test_case "with a barrier on fibers" `Quick
-            (test_storage_lifetimes ~sync:`Fibers);
+          Alcotest.test_case "with a barrier on the reference" `Quick
+            (test_storage_lifetimes ~sync:`Reference);
         ] );
       ("barrier pins", barrier_pins);
       ( "phased barriers",
@@ -1805,10 +1805,10 @@ let () =
               Phase_cases.test_coverage (Phase_cases.tiny_kernels ()) ());
           Alcotest.test_case "tiny-model kernels run phased" `Quick
             (Phase_cases.test_tiny_phased CE.compile);
-          Alcotest.test_case "rt_diverge runs on fibers" `Quick
-            (Phase_cases.test_divergence_on_fibers CE.compile
+          Alcotest.test_case "rt_diverge runs on the reference" `Quick
+            (Phase_cases.test_divergence_on_reference CE.compile
                (runtime_divergence_kernel ()));
-          Alcotest.test_case "a convergent threadIdx-guarded barrier runs on fibers"
+          Alcotest.test_case "a convergent threadIdx-guarded barrier runs on the reference"
             `Quick (Phase_cases.test_fallback_counts CE.compile);
         ]
         @ List.map

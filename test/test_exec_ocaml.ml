@@ -844,10 +844,10 @@ let () =
           [
             Alcotest.test_case "tiny-model kernels run phased" `Quick
               (Phase_cases.test_tiny_phased EO.compile);
-            Alcotest.test_case "rt_diverge runs on fibers" `Quick
-              (Phase_cases.test_divergence_on_fibers EO.compile
+            Alcotest.test_case "rt_diverge runs on the reference" `Quick
+              (Phase_cases.test_divergence_on_reference EO.compile
                  (runtime_divergence_kernel ()));
-          Alcotest.test_case "a convergent threadIdx-guarded barrier runs on fibers"
+          Alcotest.test_case "a convergent threadIdx-guarded barrier runs on the reference"
             `Quick (Phase_cases.test_fallback_counts EO.compile);
           ]
           @ List.map
