@@ -256,140 +256,49 @@ let access (buf : Buffer.t) slot (cidx : iop array) : acc option =
 (* Flat index with [Buffer.flat_index]'s exact left-to-right per-dimension
    bounds checks, strength-reduced to stride arithmetic. All indices are
    evaluated (left to right) before any check runs, matching the reference
-   interpreter's [List.map eval_int]-then-[flat_index] order. Ranks 1-4
-   get dedicated closures with no per-call allocation. *)
+   interpreter's [List.map eval_int]-then-[flat_index] order: the loop notes
+   the first index out of bounds and raises after the last one. No call
+   allocates. *)
 let comp_flat_read (buf : Buffer.t) (cidx : iop array) slot : rt -> float =
   let name = buf.Buffer.name in
   let dims = Array.of_list buf.Buffer.dims in
-  if Array.length cidx <> Array.length dims then fun rt ->
+  let n = Array.length dims in
+  if Array.length cidx <> n then fun rt ->
     Array.iter (fun c -> ignore (rd c rt)) cidx;
     invalid_access (Printf.sprintf "Buffer.flat_index: rank mismatch on %s" name)
-  else
-    match dims with
-    | [| d0 |] ->
-      let c0 = cidx.(0) in
-      fun rt ->
-        let i0 = rd c0 rt in
-        if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-        Array.unsafe_get rt.bufs.(slot) i0
-    | [| d0; d1 |] ->
-      let c0 = cidx.(0) and c1 = cidx.(1) in
-      fun rt ->
-        let i0 = rd c0 rt in
-        let i1 = rd c1 rt in
-        if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-        if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-        Array.unsafe_get rt.bufs.(slot) ((i0 * d1) + i1)
-    | [| d0; d1; d2 |] ->
-      let c0 = cidx.(0) and c1 = cidx.(1) and c2 = cidx.(2) in
-      fun rt ->
-        let i0 = rd c0 rt in
-        let i1 = rd c1 rt in
-        let i2 = rd c2 rt in
-        if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-        if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-        if i2 < 0 || i2 >= d2 then oob i2 d2 name;
-        Array.unsafe_get rt.bufs.(slot) ((((i0 * d1) + i1) * d2) + i2)
-    | [| d0; d1; d2; d3 |] ->
-      let c0 = cidx.(0) and c1 = cidx.(1) and c2 = cidx.(2) and c3 = cidx.(3) in
-      fun rt ->
-        let i0 = rd c0 rt in
-        let i1 = rd c1 rt in
-        let i2 = rd c2 rt in
-        let i3 = rd c3 rt in
-        if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-        if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-        if i2 < 0 || i2 >= d2 then oob i2 d2 name;
-        if i3 < 0 || i3 >= d3 then oob i3 d3 name;
-        Array.unsafe_get rt.bufs.(slot)
-          ((((((i0 * d1) + i1) * d2) + i2) * d3) + i3)
-    | _ ->
-      let n = Array.length dims in
-      fun rt ->
-        let idx = Array.make n 0 in
-        for p = 0 to n - 1 do
-          idx.(p) <- rd cidx.(p) rt
-        done;
-        let acc = ref 0 in
-        for p = 0 to n - 1 do
-          let i = idx.(p) and d = dims.(p) in
-          if i < 0 || i >= d then oob i d name;
-          acc := (!acc * d) + i
-        done;
-        rt.bufs.(slot).(!acc)
+  else fun rt ->
+    let off = ref 0 and bad = ref (-1) and bad_i = ref 0 in
+    for p = 0 to n - 1 do
+      let i = rd (Array.unsafe_get cidx p) rt and d = Array.unsafe_get dims p in
+      if !bad < 0 && (i < 0 || i >= d) then begin
+        bad := p;
+        bad_i := i
+      end;
+      off := (!off * d) + i
+    done;
+    if !bad >= 0 then oob !bad_i dims.(!bad) name;
+    Array.unsafe_get rt.bufs.(slot) !off
 
-(* Int arithmetic gets one closure per operator and operand forms, so the
-   closure never dispatches on a form at run time (a shared dispatch point
-   is a poorly predicted branch). Forms with no case of their own read
-   through [rd]. The right operand is read first, as OCaml evaluates
-   [f a + f b], so a pair of failing operands raises what it always did. *)
-let add a b =
-  match (a, b) with
-  | S x, K n -> F (fun rt -> sl rt x + n)
-  | F f, K n -> F (fun rt -> f rt + n)
-  | S x, S y -> F (fun rt -> sl rt x + sl rt y)
-  | S x, F g -> F (fun rt -> let y = g rt in sl rt x + y)
-  | F f, S y -> F (fun rt -> f rt + sl rt y)
-  | F f, F g -> F (fun rt -> let y = g rt in f rt + y)
-  | _ -> F (fun rt -> let y = rd b rt in rd a rt + y)
-
-let sub a b =
-  match (a, b) with
-  | S x, K n -> F (fun rt -> sl rt x - n)
-  | F f, K n -> F (fun rt -> f rt - n)
-  | S x, S y -> F (fun rt -> sl rt x - sl rt y)
-  | S x, F g -> F (fun rt -> let y = g rt in sl rt x - y)
-  | F f, S y -> F (fun rt -> f rt - sl rt y)
-  | F f, F g -> F (fun rt -> let y = g rt in f rt - y)
-  | _ -> F (fun rt -> let y = rd b rt in rd a rt - y)
-
-let mul a b =
-  match (a, b) with
-  | S x, K n -> F (fun rt -> sl rt x * n)
-  | F f, K n -> F (fun rt -> f rt * n)
-  | S x, S y -> F (fun rt -> sl rt x * sl rt y)
-  | S x, F g -> F (fun rt -> let y = g rt in sl rt x * y)
-  | F f, S y -> F (fun rt -> f rt * sl rt y)
-  | F f, F g -> F (fun rt -> let y = g rt in f rt * y)
-  | _ -> F (fun rt -> let y = rd b rt in rd a rt * y)
-
-let pow2 d = d > 0 && d land (d - 1) = 0
-
-let log2 d =
-  let rec go k = if 1 lsl k = d then k else go (k + 1) in
-  go 0
-
-(* By a positive power-of-two constant, a non-negative dividend shifts or
-   masks: the same value as [/] and [mod] there. *)
+(* Int division by a constant reads its dividend without [rd]'s
+   dispatch. The right operand is read first, as OCaml evaluates
+   [f a / f b], so a pair of failing operands raises what it always did. *)
 let div a b =
   match (a, b) with
-  | S x, K d when pow2 d ->
-    let k = log2 d in
-    F (fun rt -> let v = sl rt x in if v >= 0 then v asr k else v / d)
-  | F f, K d when pow2 d ->
-    let k = log2 d in
-    F (fun rt -> let v = f rt in if v >= 0 then v asr k else v / d)
   | S x, K d -> F (fun rt -> sl rt x / d)
   | F f, K d -> F (fun rt -> f rt / d)
   | _ -> F (fun rt -> let y = rd b rt in rd a rt / y)
 
 let rem a b =
   match (a, b) with
-  | S x, K d when pow2 d ->
-    let m = d - 1 in
-    F (fun rt -> let v = sl rt x in if v >= 0 then v land m else v mod d)
-  | F f, K d when pow2 d ->
-    let m = d - 1 in
-    F (fun rt -> let v = f rt in if v >= 0 then v land m else v mod d)
   | S x, K d -> F (fun rt -> sl rt x mod d)
   | F f, K d -> F (fun rt -> f rt mod d)
   | _ -> F (fun rt -> let y = rd b rt in rd a rt mod y)
 
 let int_binop op a b : cexpr =
   match op with
-  | Expr.Add -> C_int (add a b)
-  | Sub -> C_int (sub a b)
-  | Mul -> C_int (mul a b)
+  | Expr.Add -> C_int (F (fun rt -> let y = rd b rt in rd a rt + y))
+  | Sub -> C_int (F (fun rt -> let y = rd b rt in rd a rt - y))
+  | Mul -> C_int (F (fun rt -> let y = rd b rt in rd a rt * y))
   | Div -> C_int (div a b)
   | Mod -> C_int (rem a b)
   | Min ->
@@ -630,26 +539,17 @@ let noop (_ : rt) = ()
 (* Store evaluates all indices (left to right), then the value, then
    resolves the buffer, then bounds-checks — the reference interpreter's
    exact order, so a failing statement raises the same error at the same
-   point. A slot-indexed store has no index to evaluate. When its value is
-   the register FMA [c + a * b] over slot-indexed loads, as
-   [Matmul_template] emits it, the whole statement is one closure with no
-   boxed intermediate, reading [b], then [a], then [c]: the order OCaml
-   evaluates [c +. (a *. b)] in. *)
+   point. A slot-indexed store has no index to evaluate; any other notes
+   its first index out of bounds, as [comp_flat_read] does, and raises
+   after the value. *)
 let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
   let cidx =
     Array.of_list (List.map (fun i -> as_int (comp st venv i)) indices)
   in
-  let fma =
-    match value with
-    | Expr.Binop (Add, x, Binop (Mul, y, z)) -> (
-      match (comp st venv x, comp st venv y, comp st venv z) with
-      | C_float (Fa x), C_float (Fa y), C_float (Fa z) -> Some (x, y, z)
-      | _ -> None)
-    | _ -> None
-  in
   let cv = as_float (comp st venv value) in
   let name = buf.Buffer.name in
   let dims = Array.of_list buf.Buffer.dims in
+  let n = Array.length dims in
   let generic_fail fail rt =
     rt.stmts <- rt.stmts + 1;
     Array.iter (fun c -> ignore (rd c rt)) cidx;
@@ -659,99 +559,38 @@ let comp_store st venv (buf : Buffer.t) indices value : rt -> unit =
   match Hashtbl.find_opt st.buf_slot buf.Buffer.id with
   | None -> generic_fail (fun () -> not_allocated buf)
   | Some slot -> (
-    match (access buf slot cidx, fma, cv) with
-    | Some a, Some (x, y, z), _ ->
-      fun rt ->
-        rt.stmts <- rt.stmts + 1;
-        let bufs = rt.bufs in
-        let vz = Array.unsafe_get (Array.unsafe_get bufs z.buf) (addr z rt) in
-        let vy = Array.unsafe_get (Array.unsafe_get bufs y.buf) (addr y rt) in
-        let vx = Array.unsafe_get (Array.unsafe_get bufs x.buf) (addr x rt) in
-        let off = addr a rt in
-        Array.unsafe_set (Array.unsafe_get bufs a.buf) off (vx +. (vy *. vz))
-    | Some a, None, Ff f ->
+    match (access buf slot cidx, cv) with
+    | Some a, Ff f ->
       fun rt ->
         rt.stmts <- rt.stmts + 1;
         let v = f rt in
         let off = addr a rt in
         Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
-    | Some a, _, _ ->
+    | Some a, _ ->
       fun rt ->
         rt.stmts <- rt.stmts + 1;
         let v = frd cv rt in
         let off = addr a rt in
         Array.unsafe_set (Array.unsafe_get rt.bufs a.buf) off v
-    | None, _, _ when Array.length cidx <> Array.length dims ->
+    | None, _ when Array.length cidx <> n ->
       generic_fail (fun () ->
           invalid_access
             (Printf.sprintf "Buffer.flat_index: rank mismatch on %s" name))
-    | None, _, _ -> (
-      match dims with
-      | [| d0 |] ->
-        let c0 = cidx.(0) in
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let i0 = rd c0 rt in
-          let v = frd cv rt in
-          if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-          Array.unsafe_set rt.bufs.(slot) i0 v
-      | [| d0; d1 |] ->
-        let c0 = cidx.(0) and c1 = cidx.(1) in
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let i0 = rd c0 rt in
-          let i1 = rd c1 rt in
-          let v = frd cv rt in
-          if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-          if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-          Array.unsafe_set rt.bufs.(slot) ((i0 * d1) + i1) v
-      | [| d0; d1; d2 |] ->
-        let c0 = cidx.(0) and c1 = cidx.(1) and c2 = cidx.(2) in
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let i0 = rd c0 rt in
-          let i1 = rd c1 rt in
-          let i2 = rd c2 rt in
-          let v = frd cv rt in
-          if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-          if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-          if i2 < 0 || i2 >= d2 then oob i2 d2 name;
-          Array.unsafe_set rt.bufs.(slot) ((((i0 * d1) + i1) * d2) + i2) v
-      | [| d0; d1; d2; d3 |] ->
-        let c0 = cidx.(0)
-        and c1 = cidx.(1)
-        and c2 = cidx.(2)
-        and c3 = cidx.(3) in
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let i0 = rd c0 rt in
-          let i1 = rd c1 rt in
-          let i2 = rd c2 rt in
-          let i3 = rd c3 rt in
-          let v = frd cv rt in
-          if i0 < 0 || i0 >= d0 then oob i0 d0 name;
-          if i1 < 0 || i1 >= d1 then oob i1 d1 name;
-          if i2 < 0 || i2 >= d2 then oob i2 d2 name;
-          if i3 < 0 || i3 >= d3 then oob i3 d3 name;
-          Array.unsafe_set rt.bufs.(slot)
-            ((((((i0 * d1) + i1) * d2) + i2) * d3) + i3)
-            v
-      | _ ->
-        let n = Array.length dims in
-        fun rt ->
-          rt.stmts <- rt.stmts + 1;
-          let idx = Array.make n 0 in
-          for p = 0 to n - 1 do
-            idx.(p) <- rd cidx.(p) rt
-          done;
-          let v = frd cv rt in
-          let acc = ref 0 in
-          for p = 0 to n - 1 do
-            let i = idx.(p) and d = dims.(p) in
-            if i < 0 || i >= d then oob i d name;
-            acc := (!acc * d) + i
-          done;
-          rt.bufs.(slot).(!acc) <- v))
+    | None, _ ->
+      fun rt ->
+        rt.stmts <- rt.stmts + 1;
+        let off = ref 0 and bad = ref (-1) and bad_i = ref 0 in
+        for p = 0 to n - 1 do
+          let i = rd (Array.unsafe_get cidx p) rt and d = Array.unsafe_get dims p in
+          if !bad < 0 && (i < 0 || i >= d) then begin
+            bad := p;
+            bad_i := i
+          end;
+          off := (!off * d) + i
+        done;
+        let v = frd cv rt in
+        if !bad >= 0 then oob !bad_i dims.(!bad) name;
+        Array.unsafe_set rt.bufs.(slot) !off v)
 
 (* Evaluate an offset list left to right into a fresh array (fresh per
    execution: compiled closures are shared across domains). *)
@@ -1995,28 +1834,17 @@ and comp_for st venv var extent body =
   let s0 = push_int st in
   enter_scope st s0;
   let cbody = comp_stmt st (Int_map.add var.Var.id (S_int s0) venv) body in
-  let init = leave_scope st in
+  let init = Option.value (leave_scope st) ~default:noop in
   st.next_int <- st.next_int - 1;
-  match init with
-  | None ->
-    fun rt ->
-      rt.stmts <- rt.stmts + 1;
-      let n = rd cext rt in
-      let ints = rt.ints in
-      for i = 0 to n - 1 do
-        ints.(s0) <- i;
-        cbody rt
-      done
-  | Some init ->
-    fun rt ->
-      rt.stmts <- rt.stmts + 1;
-      let n = rd cext rt in
-      let ints = rt.ints in
-      for i = 0 to n - 1 do
-        ints.(s0) <- i;
-        init rt;
-        cbody rt
-      done
+  fun rt ->
+    rt.stmts <- rt.stmts + 1;
+    let n = rd cext rt in
+    let ints = rt.ints in
+    for i = 0 to n - 1 do
+      ints.(s0) <- i;
+      init rt;
+      cbody rt
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Phased kernels                                                     *)

@@ -24,15 +24,17 @@
     classified at compile time as a constant, a frame slot (variables,
     [threadIdx], [blockIdx]) or a general closure, and each float operand
     as a constant, a frame slot, a slot-indexed load or a general closure.
-    A parent closure reads the non-closure forms inline. Int arithmetic
-    gets one closure per operator and pair of operand forms, so the hot
-    closures never branch on a form at run time (such a branch, shared by
-    every instance of the closure, predicts badly). A load or store whose
-    indices are constants or slots, at most three of them slots, of any
-    rank, is a precomputed base plus three strided slot terms, checked in
-    the reference's order and read inline by its parent. A division or
-    remainder by a positive power-of-two constant shifts or masks a
-    non-negative dividend.
+    A parent closure reads the non-closure forms inline. A load or store
+    whose indices are constants or slots, at most three of them slots, of
+    any rank, is a precomputed base plus three strided slot terms, checked
+    in the reference's order and read inline by its parent; any other
+    access is one loop over its indices that allocates nothing. A special
+    form stays only where removing it alone slowed the tiny models'
+    closure launches by 1% or more (same build, alternating launches,
+    median of nine runs): a sequence of two or three statements is one
+    closure. Forms that paid less were removed: per-operand-form int
+    [+ - *], a power-of-two [/] and [%], per-rank index closures, a
+    single-closure register FMA store and a [For] without hoisted inits.
 
     {b Invariant index arithmetic.} Task mappings lower to index
     arithmetic over [threadIdx] and loop variables, such as
@@ -102,9 +104,7 @@
     {b Unboxed floats.} Without flambda, every closure returning a [float]
     boxes it, which is a minor-heap allocation per call. Float arithmetic
     reads its operands inline, so only its result is boxed, and a store
-    reads its value inline. A register FMA
-    [c\[i\]\[j\] = c\[i\]\[j\] + a\[i\] * b\[j\]] outside a nest is a
-    single closure that allocates nothing.
+    reads its value inline.
 
     Every form keeps the evaluation order of the nested closures it
     replaces (indices left to right, then the value; a binop's right

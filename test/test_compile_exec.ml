@@ -652,8 +652,8 @@ let oob_cases =
 (* Int binops over every pair of operand forms: a constant, a let-bound
    slot, [threadIdx], and a general expression. Built with the raw
    constructors, so nothing folds. Divisors here are never zero; the
-   dividends include negative values (the power-of-two fast path's other
-   branch). Every result lands in [C], bools as 1/0. *)
+   dividends include negative values. Every result lands in [C], bools as
+   1/0. *)
 let int_ops =
   Expr.[ Add; Sub; Mul; Div; Mod; Min; Max; Lt; Le; Gt; Ge; Eq; Ne ]
 
