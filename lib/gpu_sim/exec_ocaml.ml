@@ -84,23 +84,6 @@ let float_lit f =
     Printf.sprintf "(Int64.float_of_bits 0x%LxL)" (Int64.bits_of_float f)
   | _ -> Printf.sprintf "(%h)" f
 
-(* Must stay in sync with [Exec_registry.binop_of_code]. *)
-let binop_code = function
-  | Expr.Add -> 0
-  | Sub -> 1
-  | Mul -> 2
-  | Div -> 3
-  | Mod -> 4
-  | Min -> 5
-  | Max -> 6
-  | Lt -> 7
-  | Le -> 8
-  | Gt -> 9
-  | Ge -> 10
-  | Eq -> 11
-  | Ne -> 12
-  | And | Or -> assert false
-
 let buf_name slot = Printf.sprintf "b%d" slot
 let dim_name slot p = Printf.sprintf "b%d_d%d" slot p
 
@@ -229,7 +212,7 @@ and comp_binop st venv op a b =
       let va = fresh st "va" and vb = fresh st "vb" in
       G_dyn
         (Printf.sprintf "(let %s = %s in let %s = %s in R.dyn_binop %d %s %s)"
-           va (as_value xa) vb (as_value xb) (binop_code op) va vb)
+           va (as_value xa) vb (as_value xb) (Exec_registry.binop_code op) va vb)
     | (G_bool _, _ | _, G_bool _) ->
       (* Evaluate both operands first, then reject — [Expr.eval]'s order. *)
       G_int
@@ -1039,7 +1022,7 @@ let rec key_expr ks (e : Expr.t) =
       (match op with
       | And -> '&'
       | Or -> '|'
-      | op -> Char.chr (binop_code op + 65));
+      | op -> Char.chr (Exec_registry.binop_code op + 65));
     key_expr ks a;
     key_expr ks b
 

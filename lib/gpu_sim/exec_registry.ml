@@ -97,8 +97,8 @@ let dyn_abs = function
   | V_float x -> V_float (Float.abs x)
   | V_bool _ -> abs_bool ()
 
-(* Must stay in sync with [Exec_ocaml.binop_code]. [And]/[Or] short-circuit
-   in generated code and are never encoded. *)
+(* The one table of binop codes: an operator's code is its index here.
+   [And]/[Or] short-circuit in generated code and are never encoded. *)
 let binop_of_code =
   [|
     Expr.Add;
@@ -115,6 +115,11 @@ let binop_of_code =
     Expr.Eq;
     Expr.Ne;
   |]
+
+let binop_code op =
+  match Array.find_index (( = ) op) binop_of_code with
+  | Some code -> code
+  | None -> invalid_arg "Exec_registry.binop_code: And/Or are never encoded"
 
 let dyn_binop code va vb =
   let op = binop_of_code.(code) in

@@ -91,8 +91,12 @@ val bool_of_value : value -> bool
 val dyn_neg : value -> value
 val dyn_abs : value -> value
 
+val binop_code : Hidet_ir.Expr.binop -> int
+(** The code of an arithmetic or comparison binop, which {!dyn_binop}
+    decodes and {!Exec_ocaml.key} writes; [Invalid_argument] for
+    [And]/[Or], which short-circuit in generated code. *)
+
 val dyn_binop : int -> value -> value -> value
-(** [dyn_binop code va vb] applies the arithmetic/comparison binop encoded
-    by [code] (see {!Exec_ocaml}'s emitter; [And]/[Or] short-circuit in
-    generated code and never reach here): int×int via [Expr.eval_int_binop],
-    numeric mix via [Expr.eval_float_binop], bool operands rejected. *)
+(** [dyn_binop code va vb] applies the binop whose {!binop_code} is
+    [code]: int×int via [Expr.eval_int_binop], numeric mix via
+    [Expr.eval_float_binop], bool operands rejected. *)
