@@ -128,10 +128,26 @@ let test_zoo_estimate_digest () =
   Alcotest.(check string) "digest" zoo_estimate_digest
     (Digest.to_hex (Digest.string (Stdlib.Buffer.contents b)))
 
-(* Both latency models read the computation, not its ids: every engine's
-   tiny-model kernels, compiled twice with fresh variable and buffer ids
-   minted in between, get bit-equal latencies under both fidelities, and
-   every zoo plan kernel under the analytic model. *)
+(* [k] with a dead pure [Let x = e + 1] at the top of its body ([e] is
+   [blockIdx]) and at the head of every loop body ([e] is the loop's
+   variable). *)
+let with_dead_lets (k : Kernel.t) =
+  let dead e body = Stmt.let_ (Var.fresh "dead") (Expr.add e (Expr.int 1)) body in
+  let rec go (s : Stmt.t) : Stmt.t =
+    match s with
+    | Stmt.Seq ss -> Seq (List.map go ss)
+    | For f -> For { f with body = dead (Expr.Var f.var) (go f.body) }
+    | If i -> If { i with then_ = go i.then_; else_ = Option.map go i.else_ }
+    | Let l -> Let { l with body = go l.body }
+    | Store _ | Mma _ | Sync_threads | Comment _ -> s
+  in
+  { k with body = dead Expr.Block_idx (go k.body) }
+
+(* Both latency models read the computation, not its spelling: every
+   engine's tiny-model kernels, compiled twice with fresh variable and
+   buffer ids minted in between, get bit-equal latencies under both
+   fidelities, and every zoo plan kernel under the analytic model; so do
+   the same kernels with dead pure [Let]s inserted ({!with_dead_lets}). *)
 let test_estimates_ignore_ids () =
   let latencies estimate kernels =
     List.map
@@ -142,11 +158,15 @@ let test_estimates_ignore_ids () =
     Alcotest.(check (list string)) what (latencies estimate first)
       (latencies estimate second)
   in
+  let dead (first, _) = (first, List.map with_dead_lets first) in
   let tiny = Zoo.twice (fun () -> Zoo.tiny_engine_kernels dev) in
+  let zoo = Zoo.twice (fun () -> Zoo.plan_kernels dev Hidet_models.Models.all) in
   same "tiny, analytic" Hidet_gpu.Perf_model.kernel tiny;
   same "tiny, cycle" Hidet_cycle.Fidelity.estimate tiny;
-  same "zoo plans, analytic" Hidet_gpu.Perf_model.kernel
-    (Zoo.twice (fun () -> Zoo.plan_kernels dev Hidet_models.Models.all))
+  same "zoo plans, analytic" Hidet_gpu.Perf_model.kernel zoo;
+  same "tiny with dead lets, analytic" Hidet_gpu.Perf_model.kernel (dead tiny);
+  same "tiny with dead lets, cycle" Hidet_cycle.Fidelity.estimate (dead tiny);
+  same "zoo plans with dead lets, analytic" Hidet_gpu.Perf_model.kernel (dead zoo)
 
 (* The walk's allocation per [Traffic.analyze] on the distinct zoo plan
    kernels, each at the reuse window [Perf_model.kernel] gives it, measured
