@@ -373,15 +373,9 @@ type t = {
   parallel_ok : bool;
 }
 
-let handle (k : Kernel.t) slots body barriers =
-  { kernel = k; slots; body; barriers; parallel_ok = Verify.block_disjoint_writes k }
-
 let make (k : Kernel.t) slots (body : body) =
-  match body with
-  | Block _ -> handle k slots body Phased
-  | Thread _ ->
-    if has_sync k.body then invalid_arg "Launch.make: a thread entry for a kernel with a barrier";
-    handle k slots body No_barrier
+  let barriers = match body with Block _ -> Phased | Thread _ -> No_barrier in
+  { kernel = k; slots; body; barriers; parallel_ok = Verify.block_disjoint_writes k }
 
 let reference (k : Kernel.t) =
   let slots = slots k in
@@ -389,7 +383,7 @@ let reference (k : Kernel.t) =
     let locate tid (b : Buffer.t) = tbufs.(tid).(Hashtbl.find slots.slot_of b.Buffer.id) in
     fun bid -> Interp.run_block k ~locate bid
   in
-  handle k slots (Block block) Reference
+  { (make k slots (Block block)) with barriers = Reference }
 
 let m_threads = Metrics.counter "sim.threads"
 let m_stmts = Metrics.counter "sim.statements"

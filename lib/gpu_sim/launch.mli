@@ -152,8 +152,7 @@ type t = private {
 
 val make : Hidet_ir.Kernel.t -> slots -> body -> t
 (** [make k (slots k) body]: a [Thread] entry for a kernel without a
-    barrier (else [Invalid_argument]), a [Block] body for one that
-    {!phased} accepts. *)
+    barrier, a [Block] body for one that {!phased} accepts. *)
 
 val reference : Hidet_ir.Kernel.t -> t
 (** The handle of a kernel with a barrier that {!phased} refuses: no
